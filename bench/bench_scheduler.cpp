@@ -10,9 +10,9 @@
 //
 //  * campaign tail latency — the motivating workload: complete the
 //    275-cell smoke campaign except for a handful of straggler cells,
-//    then time finishing that tail at 2 workers with nested cells
-//    (idle workers steal the stragglers' inner shards) against the old
-//    cell-granularity budget (--flat-cells semantics).  The aggregate
+//    then time finishing that tail at 2 workers (cells nest their inner
+//    shards onto the pool, so idle workers steal the stragglers' shards)
+//    against the inline run with no scheduler at all.  The aggregate
 //    ledger is byte-identical either way; only the wall clock moves.
 //
 // Emits BENCH_sched.json, which tools/check_bench.py gates for
@@ -108,7 +108,7 @@ int main() {
   // --- Campaign tail ------------------------------------------------------
   // Precompute the full smoke cross-product minus a shuffled 4-cell tail
   // once, then time completing the tail from identical copies of that
-  // state: nested cells vs the old flat cell-granularity budget.
+  // state: inline vs nested cells on TailWorkers workers.
   CampaignSpec Spec = benchCampaignSpec();
   Spec.Models = {ModelKind::DynaTree, ModelKind::Gp};
   Spec.Scorers = {ScorerKind::Alm, ScorerKind::Alc};
@@ -141,7 +141,7 @@ int main() {
   }
 
   constexpr int Repeats = 3;
-  double FlatWall = 1e300, NestedWall = 1e300;
+  double InlineWall = 1e300, NestedWall = 1e300;
   uint64_t NestedSteals = 0;
   for (int Rep = 0; Rep != Repeats; ++Rep) {
     for (bool Nested : {false, true}) {
@@ -149,8 +149,7 @@ int main() {
       copyStateDir(Master, Scratch);
       CampaignOptions Tail;
       Tail.StateDir = Scratch;
-      Tail.Threads = TailWorkers;
-      Tail.NestCells = Nested;
+      Tail.Threads = Nested ? TailWorkers : 0;
       Tail.Quiet = true;
       auto Start = std::chrono::steady_clock::now();
       CampaignProgress Progress = runCampaignCells(Spec, Tail);
@@ -161,17 +160,17 @@ int main() {
         NestedWall = std::min(NestedWall, Wall);
         NestedSteals = std::max(NestedSteals, Progress.Steals);
       } else {
-        FlatWall = std::min(FlatWall, Wall);
+        InlineWall = std::min(InlineWall, Wall);
       }
       std::filesystem::remove_all(Scratch);
     }
   }
   std::filesystem::remove_all(Master);
-  double TailSpeedup = NestedWall > 0.0 ? FlatWall / NestedWall : 0.0;
+  double TailSpeedup = NestedWall > 0.0 ? InlineWall / NestedWall : 0.0;
 
   printBanner("campaign tail (best of 3)");
   Table TailTable({"mode", "wall (s)", "speedup", "steals"});
-  TailTable.addRow({"flat cells", formatString("%.3f", FlatWall), "1.00x",
+  TailTable.addRow({"inline", formatString("%.3f", InlineWall), "1.00x",
                     "-"});
   TailTable.addRow({"nested cells", formatString("%.3f", NestedWall),
                     formatString("%.2fx", TailSpeedup),
@@ -191,10 +190,10 @@ int main() {
     std::fprintf(Json, "  ],\n");
     std::fprintf(Json,
                  "  \"tail\": {\"spec_cells\": %zu, \"tail_cells\": %zu, "
-                 "\"workers\": %u, \"flat_wall\": %.4f, "
+                 "\"workers\": %u, \"inline_wall\": %.4f, "
                  "\"nested_wall\": %.4f, \"tail_speedup\": %.4f, "
                  "\"nested_steals\": %llu}\n",
-                 TotalCells, TailCells, TailWorkers, FlatWall, NestedWall,
+                 TotalCells, TailCells, TailWorkers, InlineWall, NestedWall,
                  TailSpeedup, (unsigned long long)NestedSteals);
     std::fprintf(Json, "}\n");
     std::fclose(Json);
@@ -204,7 +203,7 @@ int main() {
   std::printf(
       "reading: the fan-out rows measure pure scheduler overhead under "
       "nesting; tail_speedup > 1 needs >= 2 real cores — with fewer cells "
-      "than workers, flat cells leave workers idle while nested cells let "
-      "them steal the stragglers' particle/scoring shards.\n");
+      "than workers, nested cells let idle workers steal the stragglers' "
+      "particle/scoring shards.\n");
   return 0;
 }

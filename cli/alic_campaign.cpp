@@ -13,8 +13,8 @@
 //
 // Kill it at any point; re-running the same command skips every completed
 // cell and produces a byte-identical BENCH_campaign.json.  --max-cells=K
-// stops after K new cells (exit code 75, EX_TEMPFAIL) for deterministic
-// interruption in tests and CI.
+// attempts at most K missing cells (exit code 75, EX_TEMPFAIL) for
+// deterministic interruption in tests and CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,8 @@
 #include "spapt/Suite.h"
 #include "support/Backoff.h"
 #include "support/Env.h"
+#include "support/Format.h"
+#include "support/Parse.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -29,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,10 +72,11 @@ std::vector<std::string> splitList(const std::string &Csv) {
       stderr,
       "usage: %s [options]\n"
       "Sharded, checkpointable experiment campaign over the SPAPT suite.\n"
-      "Scale comes from ALIC_SCALE (smoke|bench|paper; default bench).\n\n"
+      "Scale comes from ALIC_SCALE (smoke|bench|paper; default bench).\n"
+      "List flags take distinct comma-separated entries.\n\n"
       "  --benchmarks=a,b,...  subset of benchmarks (default: all eleven)\n"
-      "  --models=LIST         dynatree,gp,gp_sor (default: dynatree)\n"
-      "  --scorers=LIST        alc,alm,random (default: alc)\n"
+      "  --models=LIST         %s (default: dynatree)\n"
+      "  --scorers=LIST        %s (default: alc)\n"
       "  --batches=LIST        step batch sizes (default: 1)\n"
       "  --policies=LIST       query policies: always, alm[:abs[:rel]],\n"
       "                        cost[:c0[:c1]] (default: always)\n"
@@ -80,14 +84,13 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "  --threads=N|auto      scheduler workers; cells run as tasks and\n"
       "                        fork their inner shards onto the same pool\n"
       "                        (auto = hardware concurrency; 0 = inline)\n"
-      "  --flat-cells          keep cells model-internally sequential (the\n"
-      "                        pre-scheduler cell-granularity budget)\n"
       "  --state-dir=DIR       checkpoint ledger + dataset cache location\n"
       "                        (default: alic-campaign-<scale>)\n"
       "  --out=PATH            aggregate JSON (default: BENCH_campaign.json)\n"
-      "  --max-cells=K         stop after K new cells, exit %d (resume by\n"
-      "                        re-running; 0 = run to completion)\n"
-      "  --shuffle=SEED        execute missing cells in shuffled order\n"
+      "  --max-cells=K         attempt at most K missing cells, exit %d\n"
+      "                        (resume by re-running; 0 = run to completion)\n"
+      "  --shuffle=SEED        run each range's missing cells in shuffled\n"
+      "                        order\n"
       "  --no-noise            skip the per-benchmark noise-summary cells\n"
       "\nScale-out (N independent processes, one spec — see ARCHITECTURE.md):\n"
       "  --shard=I/N           run only static shard I of N (0-based); this\n"
@@ -106,28 +109,51 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "  --spawn-workers=K     supervise K --lease-claim child processes,\n"
       "                        restarting crashed ones with jittered backoff\n"
       "  --max-restarts=N      total child restart budget (default 8)\n",
-      Binary, ExitIncomplete, ExitQuarantined);
+      Binary, tokenList(ModelTokens, ",").c_str(),
+      tokenList(ScorerTokens, ",").c_str(), ExitIncomplete, ExitQuarantined);
   std::exit(2);
 }
 
-bool parseFlag(const char *Arg, const char *Name, std::string &Value) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0 || Arg[Len] != '=')
-    return false;
-  Value = Arg + Len + 1;
-  return true;
+/// The value of count flag \p Flag, in [\p Min, \p Max]; exits through
+/// usage() otherwise.
+uint64_t countFlag(const char *Binary, const char *Flag,
+                   const std::string &Text, uint64_t Min = 0,
+                   uint64_t Max = std::numeric_limits<unsigned>::max()) {
+  uint64_t Value = 0;
+  if (!parseCount(Text, Max, Value) || Value < Min)
+    usage(Binary, formatString("bad %s value '%s' (want an integer in "
+                               "[%llu, %llu])",
+                               Flag, Text.c_str(), (unsigned long long)Min,
+                               (unsigned long long)Max)
+                      .c_str());
+  return Value;
 }
 
-uint64_t parseCount(const char *Binary, const std::string &Text,
-                    const char *What) {
-  // strtoull silently wraps negatives ("-1" -> ~4 billion); reject them.
-  if (Text.empty() || Text.find_first_not_of("0123456789") != std::string::npos)
-    usage(Binary, What);
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0')
-    usage(Binary, What);
-  return Value;
+/// Parses list flag \p Flag entry by entry: \p ParseOne(Text, Value,
+/// Token) reads one entry and names its canonical token.  An empty list
+/// exits through usage() (it would collide with the "empty means the
+/// default" spec fields), and so does a repeated entry (its cells would
+/// run once but be reported twice).
+template <typename T, typename ParseFn>
+std::vector<T> listFlag(const char *Binary, const char *Flag,
+                        const std::string &Csv, ParseFn ParseOne) {
+  std::vector<T> Values;
+  std::vector<std::string> Tokens;
+  for (const std::string &Text : splitList(Csv)) {
+    T Value{};
+    std::string Token;
+    if (!ParseOne(Text, Value, Token))
+      usage(Binary, formatString("unknown %s entry '%s'", Flag, Text.c_str())
+                        .c_str());
+    if (std::find(Tokens.begin(), Tokens.end(), Token) != Tokens.end())
+      usage(Binary, formatString("%s lists '%s' twice", Flag, Token.c_str())
+                        .c_str());
+    Tokens.push_back(Token);
+    Values.push_back(Value);
+  }
+  if (Values.empty())
+    usage(Binary, formatString("%s= given with no entries", Flag).c_str());
+  return Values;
 }
 
 /// --spawn-workers: fork+exec K copies of this invocation as --lease-claim
@@ -308,112 +334,84 @@ int main(int argc, char **argv) {
   for (int I = 1; I != argc; ++I) {
     std::string Value;
     if (parseFlag(argv[I], "--benchmarks", Value)) {
-      Spec.Benchmarks = splitList(Value);
-      // An empty list would collide with the "empty means all" default —
-      // likely an unset shell variable, so fail loudly instead.
-      if (Spec.Benchmarks.empty())
-        usage(argv[0], "--benchmarks= given with no benchmarks");
       const std::vector<std::string> &Known = spaptBenchmarkNames();
-      for (const std::string &Name : Spec.Benchmarks)
-        if (std::find(Known.begin(), Known.end(), Name) == Known.end())
-          usage(argv[0], ("unknown benchmark: " + Name).c_str());
+      Spec.Benchmarks = listFlag<std::string>(
+          argv[0], "--benchmarks", Value,
+          [&](const std::string &Text, std::string &Name, std::string &Token) {
+            Name = Token = Text;
+            return std::find(Known.begin(), Known.end(), Text) != Known.end();
+          });
     } else if (parseFlag(argv[I], "--models", Value)) {
-      Spec.Models.clear();
-      if (splitList(Value).empty())
-        usage(argv[0], "--models= given with no models");
-      for (const std::string &Name : splitList(Value)) {
-        if (Name == "dynatree")
-          Spec.Models.push_back(ModelKind::DynaTree);
-        else if (Name == "gp")
-          Spec.Models.push_back(ModelKind::Gp);
-        else if (Name == "gp_sor")
-          Spec.Models.push_back(ModelKind::GpSor);
-        else
-          usage(argv[0], ("unknown model: " + Name).c_str());
-      }
+      Spec.Models = listFlag<ModelKind>(
+          argv[0], "--models", Value,
+          [](const std::string &Text, ModelKind &Kind, std::string &Token) {
+            Token = Text;
+            return parseToken(ModelTokens, Text, Kind);
+          });
     } else if (parseFlag(argv[I], "--scorers", Value)) {
-      Spec.Scorers.clear();
-      if (splitList(Value).empty())
-        usage(argv[0], "--scorers= given with no scorers");
-      for (const std::string &Name : splitList(Value)) {
-        if (Name == "alc")
-          Spec.Scorers.push_back(ScorerKind::Alc);
-        else if (Name == "alm")
-          Spec.Scorers.push_back(ScorerKind::Alm);
-        else if (Name == "random")
-          Spec.Scorers.push_back(ScorerKind::Random);
-        else
-          usage(argv[0], ("unknown scorer: " + Name).c_str());
-      }
+      Spec.Scorers = listFlag<ScorerKind>(
+          argv[0], "--scorers", Value,
+          [](const std::string &Text, ScorerKind &Kind, std::string &Token) {
+            Token = Text;
+            return parseToken(ScorerTokens, Text, Kind);
+          });
     } else if (parseFlag(argv[I], "--batches", Value)) {
-      Spec.BatchSizes.clear();
-      if (splitList(Value).empty())
-        usage(argv[0], "--batches= given with no batch sizes");
-      for (const std::string &Text : splitList(Value)) {
-        uint64_t Batch = parseCount(argv[0], Text, "bad --batches value");
-        if (!Batch)
-          usage(argv[0], "batch sizes must be positive");
-        Spec.BatchSizes.push_back(unsigned(Batch));
-      }
+      Spec.BatchSizes = listFlag<unsigned>(
+          argv[0], "--batches", Value,
+          [&](const std::string &Text, unsigned &Batch, std::string &Token) {
+            Batch = unsigned(countFlag(argv[0], "--batches", Text, 1));
+            Token = std::to_string(Batch);
+            return true;
+          });
     } else if (parseFlag(argv[I], "--policies", Value)) {
-      Spec.Policies.clear();
-      if (splitList(Value).empty())
-        usage(argv[0], "--policies= given with no policies");
-      for (const std::string &Token : splitList(Value)) {
-        QueryPolicyConfig Policy;
-        if (!parseQueryPolicy(Token, Policy))
-          usage(argv[0], ("unknown policy: " + Token).c_str());
-        Spec.Policies.push_back(Policy);
-      }
+      Spec.Policies = listFlag<QueryPolicyConfig>(
+          argv[0], "--policies", Value,
+          [](const std::string &Text, QueryPolicyConfig &Policy,
+             std::string &Token) {
+            if (!parseQueryPolicy(Text, Policy))
+              return false;
+            Token = queryPolicyToken(Policy);
+            return true;
+          });
     } else if (parseFlag(argv[I], "--seeds", Value)) {
-      Spec.Repetitions =
-          unsigned(parseCount(argv[0], Value, "bad --seeds value"));
-      if (!Spec.Repetitions)
-        usage(argv[0], "--seeds must be positive");
+      Spec.Repetitions = unsigned(countFlag(argv[0], "--seeds", Value, 1));
     } else if (parseFlag(argv[I], "--threads", Value)) {
-      if (Value == "auto")
-        Options.Threads =
-            std::max(1u, std::thread::hardware_concurrency());
-      else
-        Options.Threads =
-            unsigned(parseCount(argv[0], Value, "bad --threads value"));
-    } else if (std::strcmp(argv[I], "--flat-cells") == 0) {
-      Options.NestCells = false;
+      if (!parseThreads(Value, Options.Threads))
+        usage(argv[0], "bad --threads value (want an integer or auto)");
     } else if (parseFlag(argv[I], "--state-dir", Value)) {
       Options.StateDir = Value;
     } else if (parseFlag(argv[I], "--out", Value)) {
       OutPath = Value;
     } else if (parseFlag(argv[I], "--max-cells", Value)) {
-      Options.MaxCells =
-          size_t(parseCount(argv[0], Value, "bad --max-cells value"));
+      Options.MaxCells = size_t(countFlag(argv[0], "--max-cells", Value, 0,
+                                          std::numeric_limits<size_t>::max()));
     } else if (parseFlag(argv[I], "--shuffle", Value)) {
-      Options.ShuffleSeed = parseCount(argv[0], Value, "bad --shuffle value");
+      Options.ShuffleSeed = countFlag(argv[0], "--shuffle", Value, 0,
+                                      std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[I], "--no-noise") == 0) {
       Spec.NoiseCells = false;
     } else if (parseFlag(argv[I], "--shard", Value)) {
       size_t Slash = Value.find('/');
       if (Slash == std::string::npos)
         usage(argv[0], "--shard wants I/N (e.g. --shard=0/3)");
-      uint64_t Index =
-          parseCount(argv[0], Value.substr(0, Slash), "bad --shard index");
-      uint64_t Count =
-          parseCount(argv[0], Value.substr(Slash + 1), "bad --shard count");
-      if (!Count || Index >= Count)
+      Options.ShardIndex =
+          unsigned(countFlag(argv[0], "--shard index", Value.substr(0, Slash)));
+      Options.ShardCount = unsigned(
+          countFlag(argv[0], "--shard count", Value.substr(Slash + 1), 1));
+      if (Options.ShardIndex >= Options.ShardCount)
         usage(argv[0], "--shard index must be 0-based and below the count");
-      Options.ShardIndex = unsigned(Index);
-      Options.ShardCount = unsigned(Count);
     } else if (std::strcmp(argv[I], "--lease-claim") == 0) {
       Options.LeaseClaim = true;
     } else if (parseFlag(argv[I], "--lease-ttl-ms", Value)) {
-      Options.LeaseTtlMs = parseCount(argv[0], Value, "bad --lease-ttl-ms");
-      if (!Options.LeaseTtlMs)
-        usage(argv[0], "--lease-ttl-ms must be positive");
+      Options.LeaseTtlMs = countFlag(argv[0], "--lease-ttl-ms", Value, 1,
+                                     std::numeric_limits<uint64_t>::max());
     } else if (parseFlag(argv[I], "--lease-heartbeat-ms", Value)) {
       Options.LeaseHeartbeatMs =
-          parseCount(argv[0], Value, "bad --lease-heartbeat-ms");
+          countFlag(argv[0], "--lease-heartbeat-ms", Value, 0,
+                    std::numeric_limits<uint64_t>::max());
     } else if (parseFlag(argv[I], "--lease-range-cells", Value)) {
       Options.LeaseRangeCells =
-          unsigned(parseCount(argv[0], Value, "bad --lease-range-cells"));
+          unsigned(countFlag(argv[0], "--lease-range-cells", Value));
     } else if (parseFlag(argv[I], "--worker-id", Value)) {
       if (Value.empty() ||
           Value.find_first_of("/\n") != std::string::npos)
@@ -422,12 +420,10 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--merge-ledgers") == 0) {
       MergeMode = true;
     } else if (parseFlag(argv[I], "--spawn-workers", Value)) {
-      SpawnWorkers =
-          unsigned(parseCount(argv[0], Value, "bad --spawn-workers value"));
-      if (!SpawnWorkers)
-        usage(argv[0], "--spawn-workers must be positive");
+      SpawnWorkers = unsigned(countFlag(argv[0], "--spawn-workers", Value, 1));
     } else if (parseFlag(argv[I], "--max-restarts", Value)) {
-      MaxRestarts = parseCount(argv[0], Value, "bad --max-restarts value");
+      MaxRestarts = countFlag(argv[0], "--max-restarts", Value, 0,
+                              std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[I], "--help") == 0 ||
                std::strcmp(argv[I], "-h") == 0) {
       usage(argv[0], nullptr);
@@ -503,11 +499,10 @@ int main(int argc, char **argv) {
                 Progress.TotalCells);
   if (Progress.WorkersUsed)
     std::printf("scheduler: %u worker(s), %llu task(s) executed "
-                "(%zu cells + nested shards), %llu steal(s)%s\n",
+                "(%zu cells + nested shards), %llu steal(s)\n",
                 Progress.WorkersUsed,
                 (unsigned long long)Progress.TasksExecuted, Progress.NewlyRun,
-                (unsigned long long)Progress.Steals,
-                Options.NestCells ? "" : " [flat cells]");
+                (unsigned long long)Progress.Steals);
   if (!Progress.QuarantinedCells.empty()) {
     std::fprintf(stderr,
                  "campaign: %zu cell(s) quarantined by ledger I/O "

@@ -33,6 +33,7 @@
 #include "serve/Wire.h"
 #include "support/Backoff.h"
 #include "support/FailPoint.h"
+#include "support/Parse.h"
 
 #include <cerrno>
 #include <csignal>
@@ -40,8 +41,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -79,14 +80,6 @@ namespace {
       "                        drain (default 5000)\n",
       Binary);
   std::exit(2);
-}
-
-bool parseFlag(const char *Arg, const char *Name, std::string &Value) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0 || Arg[Len] != '=')
-    return false;
-  Value = Arg + Len + 1;
-  return true;
 }
 
 /// One connected client: a nonblocking socket, its partial-line input
@@ -151,44 +144,47 @@ bool flushClient(Client &C) {
 
 int main(int Argc, char **Argv) {
   std::string SocketPath = "alic-serve.sock";
-  std::string StateDir = "alic-serve-state";
-  std::string Threads = "0";
-  std::string CheckpointEvery = "1";
-  std::string IdleTimeout = "60000";
-  std::string MaxRequest = "4194304";
-  std::string MaxSendBuffer = "4194304";
-  std::string DrainTimeout = "5000";
+  ServeOptions Opts;
+  Opts.StateDir = "alic-serve-state";
+  uint64_t IdleTimeoutMs = 60000, DrainTimeoutMs = 5000;
+  uint64_t MaxRequestBytes = 4194304, MaxSendBufferBytes = 4194304;
 
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
+    std::string Value;
+    // Numeric flags parse totally: "-1", "abc" or an out-of-range value is
+    // a usage error, never a wrapped or zeroed knob.  Timeouts stop at
+    // 2^32 ms (49 days), far from overflowing the monotonic clock.
+    auto Count = [&](uint64_t Max) {
+      uint64_t Out = 0;
+      if (!parseCount(Value, Max, Out))
+        usage(Argv[0], (std::string("bad value in ") + Arg).c_str());
+      return Out;
+    };
+    const uint64_t MaxMs = std::numeric_limits<uint32_t>::max();
     if (parseFlag(Arg, "--socket", SocketPath) ||
-        parseFlag(Arg, "--state-dir", StateDir) ||
-        parseFlag(Arg, "--threads", Threads) ||
-        parseFlag(Arg, "--checkpoint-every", CheckpointEvery) ||
-        parseFlag(Arg, "--idle-timeout-ms", IdleTimeout) ||
-        parseFlag(Arg, "--max-request-bytes", MaxRequest) ||
-        parseFlag(Arg, "--max-send-buffer", MaxSendBuffer) ||
-        parseFlag(Arg, "--drain-timeout-ms", DrainTimeout))
+        parseFlag(Arg, "--state-dir", Opts.StateDir))
       continue;
-    usage(Argv[0], (std::string("unknown argument ") + Arg).c_str());
+    if (parseFlag(Arg, "--threads", Value)) {
+      if (!parseThreads(Value, Opts.Threads))
+        usage(Argv[0], (std::string("bad value in ") + Arg).c_str());
+    } else if (parseFlag(Arg, "--checkpoint-every", Value)) {
+      Opts.CheckpointEveryObserves =
+          unsigned(Count(std::numeric_limits<unsigned>::max()));
+    } else if (parseFlag(Arg, "--idle-timeout-ms", Value)) {
+      IdleTimeoutMs = Count(MaxMs);
+    } else if (parseFlag(Arg, "--max-request-bytes", Value)) {
+      MaxRequestBytes = Count(std::numeric_limits<size_t>::max());
+    } else if (parseFlag(Arg, "--max-send-buffer", Value)) {
+      MaxSendBufferBytes = Count(std::numeric_limits<size_t>::max());
+    } else if (parseFlag(Arg, "--drain-timeout-ms", Value)) {
+      DrainTimeoutMs = Count(MaxMs);
+    } else {
+      usage(Argv[0], (std::string("unknown argument ") + Arg).c_str());
+    }
   }
-
-  ServeOptions Opts;
-  Opts.StateDir = StateDir;
-  if (!StateDir.empty())
-    Opts.DatasetCacheDir = StateDir + "/datasets";
-  Opts.Threads = Threads == "auto"
-                     ? std::max(1u, std::thread::hardware_concurrency())
-                     : unsigned(std::strtoul(Threads.c_str(), nullptr, 10));
-  Opts.CheckpointEveryObserves =
-      unsigned(std::strtoul(CheckpointEvery.c_str(), nullptr, 10));
-  const uint64_t IdleTimeoutMs = std::strtoull(IdleTimeout.c_str(), nullptr, 10);
-  const size_t MaxRequestBytes =
-      size_t(std::strtoull(MaxRequest.c_str(), nullptr, 10));
-  const size_t MaxSendBufferBytes =
-      size_t(std::strtoull(MaxSendBuffer.c_str(), nullptr, 10));
-  const uint64_t DrainTimeoutMs =
-      std::strtoull(DrainTimeout.c_str(), nullptr, 10);
+  if (!Opts.StateDir.empty())
+    Opts.DatasetCacheDir = Opts.StateDir + "/datasets";
 
   ServeEngine Engine(Opts);
   size_t Skipped = 0;

@@ -13,18 +13,22 @@
 #include "support/FailPoint.h"
 #include "support/Format.h"
 #include "support/Json.h"
+#include "support/Parse.h"
+#include "support/Rng.h"
 #include "support/Scheduler.h"
 #include "support/Serialize.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unistd.h>
 #include <unordered_map>
@@ -37,33 +41,41 @@ using namespace alic;
 //===----------------------------------------------------------------------===//
 
 const char *alic::modelToken(ModelKind Kind) {
-  switch (Kind) {
-  case ModelKind::DynaTree:
-    return "dynatree";
-  case ModelKind::Gp:
-    return "gp";
-  case ModelKind::GpSor:
-    return "gp_sor";
-  }
+  if (const char *Token = tokenOf(ModelTokens, Kind))
+    return Token;
   alic_unreachable("unknown model kind");
 }
 
 const char *alic::scorerToken(ScorerKind Kind) {
-  switch (Kind) {
-  case ScorerKind::Alc:
-    return "alc";
-  case ScorerKind::Alm:
-    return "alm";
-  case ScorerKind::Random:
-    return "random";
-  }
+  if (const char *Token = tokenOf(ScorerTokens, Kind))
+    return Token;
   alic_unreachable("unknown scorer kind");
 }
 
 std::string alic::planToken(const SamplingPlan &Plan) {
-  if (Plan.PlanKind == SamplingPlan::Kind::Fixed)
-    return "fixed:" + std::to_string(Plan.FixedObservations);
-  return "seq:" + std::to_string(Plan.MaxObservationsPerExample);
+  const char *Family = tokenOf(PlanTokens, Plan.PlanKind);
+  if (!Family)
+    alic_unreachable("unknown plan kind");
+  unsigned Count = Plan.PlanKind == SamplingPlan::Kind::Fixed
+                       ? Plan.FixedObservations
+                       : Plan.MaxObservationsPerExample;
+  return std::string(Family) + ":" + std::to_string(Count);
+}
+
+bool alic::parsePlanToken(const std::string &Text, SamplingPlan &Out) {
+  size_t Colon = Text.find(':');
+  SamplingPlan::Kind Kind;
+  uint64_t Count = 0;
+  if (Colon == std::string::npos ||
+      !parseToken(PlanTokens, Text.substr(0, Colon), Kind) ||
+      !parseCount(Text.substr(Colon + 1), std::numeric_limits<unsigned>::max(),
+                  Count) ||
+      Count == 0)
+    return false;
+  Out = Kind == SamplingPlan::Kind::Fixed
+            ? SamplingPlan::fixed(unsigned(Count))
+            : SamplingPlan::sequential(unsigned(Count));
+  return true;
 }
 
 std::vector<SamplingPlan> alic::defaultCampaignPlans(const ExperimentScale &S) {
@@ -240,23 +252,29 @@ bool parseCellLine(const std::string &Line, std::string &Key,
     return true;
   }
 
-  double Iterations, Distinct, Revisits, Observations;
+  // Counts come from disk: a negative, fractional or out-of-range one
+  // makes the line garbage (its cell reruns) instead of an undefined cast.
+  auto count = [](double Value, size_t &Out) {
+    uint64_t Count = 0;
+    if (!jsonCount(Value, std::numeric_limits<size_t>::max(), Count))
+      return false;
+    Out = size_t(Count);
+    return true;
+  };
+  auto countField = [&](const char *Name, size_t &Out) {
+    double Value;
+    return jsonNumberField(Root, Name, Value) && count(Value, Out);
+  };
   RunResult &R = Result.Run;
-  if (!jsonNumberField(Root, "iterations", Iterations) ||
-      !jsonNumberField(Root, "distinct", Distinct) ||
-      !jsonNumberField(Root, "revisits", Revisits) ||
-      !jsonNumberField(Root, "observations", Observations) ||
+  R.Stats.Skips = 0; // optional: absent in pre-policy ledgers and 0-skip cells
+  if (!countField("iterations", R.Stats.Iterations) ||
+      !countField("distinct", R.Stats.DistinctExamples) ||
+      !countField("revisits", R.Stats.Revisits) ||
+      !countField("observations", R.Stats.Observations) ||
+      (Root.field("skips") && !countField("skips", R.Stats.Skips)) ||
       !jsonNumberField(Root, "final_rmse", R.FinalRmse) ||
       !jsonNumberField(Root, "total_cost_seconds", R.TotalCostSeconds))
     return false;
-  R.Stats.Iterations = size_t(Iterations);
-  R.Stats.DistinctExamples = size_t(Distinct);
-  R.Stats.Revisits = size_t(Revisits);
-  R.Stats.Observations = size_t(Observations);
-  double Skips = 0; // optional: absent in pre-policy ledgers and 0-skip cells
-  if (Root.field("skips") && !jsonNumberField(Root, "skips", Skips))
-    return false;
-  R.Stats.Skips = size_t(Skips);
   const JsonValue *Curve = Root.field("curve");
   if (!Curve || Curve->K != JsonValue::Kind::Array || Curve->Items.empty())
     return false;
@@ -267,32 +285,50 @@ bool parseCellLine(const std::string &Line, std::string &Key,
     for (const JsonValue &Coord : Item.Items)
       if (Coord.K != JsonValue::Kind::Number)
         return false;
-    R.Curve.push_back({size_t(Item.Items[0].Number), Item.Items[1].Number,
-                       Item.Items[2].Number});
+    CurvePoint Point{0, Item.Items[1].Number, Item.Items[2].Number};
+    if (!count(Item.Items[0].Number, Point.Iteration))
+      return false;
+    R.Curve.push_back(Point);
   }
   return true;
 }
 
-/// Reads the ledger, skipping unparsable lines (a crash can leave one
-/// partial trailing line; its cell simply reruns on resume).
-std::unordered_map<std::string, CellResult>
-loadLedger(const std::string &Path) {
-  std::unordered_map<std::string, CellResult> Ledger;
+/// What a ledger scan skipped.
+struct LedgerScanStats {
+  size_t TornTails = 0; ///< unterminated trailing lines (crash remnants)
+  size_t Garbage = 0;   ///< complete lines that do not parse as a cell
+};
+
+/// The one ledger line scanner: reads \p Path and calls \p OnCell(Line,
+/// Key, Result) for every complete, parsable cell line in file order
+/// (Line without its newline).  An unterminated trailing line — a crash
+/// remnant, which the next append seals off — and unparsable complete
+/// lines are skipped and counted in \p Stats.  Fails only when the file
+/// cannot be opened or read.
+Status scanLedger(const std::string &Path, LedgerScanStats &Stats,
+                  const std::function<void(const std::string &,
+                                           const std::string &, CellResult &)>
+                      &OnCell) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
-    return Ledger;
+    return Status::failure("open ledger " + Path, errno);
   std::string Content;
   char Chunk[1 << 16];
   size_t Got;
   while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
     Content.append(Chunk, Got);
+  bool ReadOk = std::ferror(File) == 0;
   std::fclose(File);
+  if (!ReadOk)
+    return Status::failure("read ledger " + Path, EIO);
 
   size_t Pos = 0;
   while (Pos < Content.size()) {
     size_t Eol = Content.find('\n', Pos);
-    if (Eol == std::string::npos)
-      break; // partial trailing line: the crash remnant resume re-runs
+    if (Eol == std::string::npos) {
+      ++Stats.TornTails;
+      break;
+    }
     std::string Line = Content.substr(Pos, Eol - Pos);
     Pos = Eol + 1;
     if (Line.empty())
@@ -300,9 +336,38 @@ loadLedger(const std::string &Path) {
     std::string Key;
     CellResult Result;
     if (parseCellLine(Line, Key, Result))
-      Ledger[Key] = std::move(Result); // later lines win (idempotent rewrites)
+      OnCell(Line, Key, Result);
+    else
+      ++Stats.Garbage;
   }
+  return Status::success();
+}
+
+/// Reads the ledger's cells; a missing or unreadable ledger is empty
+/// (its cells simply rerun).
+std::unordered_map<std::string, CellResult>
+loadLedger(const std::string &Path) {
+  std::unordered_map<std::string, CellResult> Ledger;
+  LedgerScanStats Skipped;
+  (void)scanLedger(Path, Skipped,
+                   [&](const std::string &, const std::string &Key,
+                       CellResult &Result) {
+                     // Later lines win (idempotent rewrites).
+                     Ledger[Key] = std::move(Result);
+                   });
   return Ledger;
+}
+
+/// The keys of every cell recorded in any of \p Paths: the done-set.
+std::unordered_set<std::string>
+ledgerKeys(const std::vector<std::string> &Paths) {
+  std::unordered_set<std::string> Done;
+  LedgerScanStats Skipped;
+  for (const std::string &Path : Paths)
+    (void)scanLedger(Path, Skipped,
+                     [&](const std::string &, const std::string &Key,
+                         CellResult &) { Done.insert(Key); });
+  return Done;
 }
 
 //===----------------------------------------------------------------------===//
@@ -443,7 +508,7 @@ Status appendLineWithRetry(std::FILE *Out, const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// Shared orchestration pieces (single- and multi-process modes)
+// Orchestration pieces
 //===----------------------------------------------------------------------===//
 
 /// Every worker ledger under \p StateDir — the canonical cells.jsonl plus
@@ -461,20 +526,6 @@ std::vector<std::string> shardLedgerPaths(const std::string &StateDir) {
   }
   std::sort(Paths.begin(), Paths.end());
   return Paths;
-}
-
-/// The union of every worker ledger: what is done *anywhere*.  Cells are
-/// deterministic, so when two ledgers hold the same key the entries are
-/// interchangeable and first-in wins.
-std::unordered_map<std::string, CellResult>
-loadLedgerUnion(const std::string &StateDir) {
-  std::unordered_map<std::string, CellResult> Union;
-  for (const std::string &Path : shardLedgerPaths(StateDir)) {
-    std::unordered_map<std::string, CellResult> One = loadLedger(Path);
-    for (auto &Entry : One)
-      Union.emplace(Entry.first, std::move(Entry.second));
-  }
-  return Union;
 }
 
 /// Creates Options.StateDir, fsyncing its parent on first creation so
@@ -552,304 +603,213 @@ CellResult computeCell(const CampaignSpec &Spec, const CampaignCell &Cell,
                               CellWorkers);
 }
 
-/// The spec's cells deduplicated by key, in canonical expandCells order —
-/// the list every sharding mode splits, so all workers agree on range
-/// boundaries without talking to each other.
-std::vector<const CampaignCell *>
-uniqueCells(const CampaignSpec &Spec, const std::vector<CampaignCell> &Cells) {
-  std::vector<const CampaignCell *> Unique;
-  std::unordered_set<std::string> Seen;
-  for (const CampaignCell &Cell : Cells)
-    if (Seen.insert(Cell.key(Spec)).second)
-      Unique.push_back(&Cell);
-  return Unique;
-}
+/// How one invocation obtains ranges of the canonical unique-cell list:
+/// the only thing the default run, `--shard=i/N` and `--lease-claim` do
+/// differently.
+///  * The default run offers the whole list once, and a static shard
+///    offers splitRanges(N)[i] once.
+///  * Lease claiming claims splitRangesByCells ranges through
+///    exp/ShardLease, cycling from a token-derived offset, holds each
+///    under a heartbeat while it runs, and rescans the union of worker
+///    ledgers before every claim until nothing is missing.
+/// The done-set is the canonical ledger unsharded and the union of every
+/// worker ledger when sharded (a rebalanced or re-split fleet may have
+/// left our cells in another worker's ledger).
+class RangePolicy {
+public:
+  RangePolicy(const CampaignOptions &Options,
+              const std::vector<std::string> &Keys)
+      : Options(Options), Keys(Keys) {
+    if (Options.LeaseClaim) {
+      Ranges = splitRangesByCells(
+          Keys.size(), Options.LeaseRangeCells ? Options.LeaseRangeCells : 16);
+      LeaseOptions LOpts;
+      LOpts.Dir = Options.leaseDir();
+      LOpts.OwnerToken = makeLeaseOwnerToken(Options.WorkerId);
+      LOpts.TtlMs = Options.LeaseTtlMs ? Options.LeaseTtlMs : 2000;
+      LOpts.HeartbeatMs = Options.LeaseHeartbeatMs;
+      Leases.emplace(LOpts);
+      // Start the cyclic claim scan at a token-derived offset so K workers
+      // spread across the range list instead of all contending for range 0.
+      uint64_t TokenHash = 0;
+      for (char C : LOpts.OwnerToken)
+        TokenHash = TokenHash * 131 + uint8_t(C);
+      ScanStart = Ranges.empty() ? 0 : size_t(TokenHash % Ranges.size());
+    } else {
+      // Every worker computes the same split locally, so static shards are
+      // disjoint and exhaustive with no coordination.
+      unsigned Shards = std::max(1u, Options.ShardCount);
+      Ranges = {splitRanges(Keys.size(), Shards)[Options.ShardIndex % Shards]};
+    }
+    Retired.assign(Ranges.size(), 0);
+    Done = loadDone();
+  }
+  // The heartbeat thread holds the address of Lease.
+  RangePolicy(const RangePolicy &) = delete;
+  RangePolicy &operator=(const RangePolicy &) = delete;
 
-//===----------------------------------------------------------------------===//
-// Lease-claim orchestration (dynamic multi-process sharding)
-//===----------------------------------------------------------------------===//
+  /// The cells this invocation answers for: all of them, or a static
+  /// shard's (CampaignProgress::ShardCells).
+  size_t sliceCells() const {
+    return Ranges.empty() ? 0 : Ranges.back().End - Ranges.front().Begin;
+  }
+  /// Indices of slice cells missing from the done-set, in canonical order.
+  std::vector<size_t> missing() const {
+    return Ranges.empty() ? std::vector<size_t>()
+                          : missingIn(Ranges.front().Begin, Ranges.back().End);
+  }
+  /// Creates what claiming needs on disk (the lease directory).
+  Status prepare() const { return Leases ? Leases->init() : Status::success(); }
 
-/// The lease-mode worker loop: claim a range of the canonical cell list,
-/// run its missing cells under a heartbeat, release, repeat — until the
-/// union of all worker ledgers covers the whole spec.  Ranges whose
-/// leases are held by live owners are polled; ranges whose owner died
-/// are stolen once the lease expires.  Leases are an efficiency
-/// mechanism only: any race at worst duplicates deterministic work (the
-/// merge dedupes byte-identical lines), it never corrupts results.
-CampaignProgress runLeaseCampaignCells(const CampaignSpec &Spec,
-                                       const CampaignOptions &BaseOptions) {
-  // Every lease worker appends to its own ledger; default a unique tag
-  // when the caller did not pick one.
-  CampaignOptions Options = BaseOptions;
-  if (Options.WorkerId.empty())
-    Options.WorkerId = "w" + std::to_string(int(::getpid()));
-  const char *Tag = Options.WorkerId.c_str();
-
-  CampaignProgress Progress;
-  std::vector<CampaignCell> Cells = expandCells(Spec);
-  std::vector<const CampaignCell *> Unique = uniqueCells(Spec, Cells);
-  Progress.TotalCells = Progress.ShardCells = Unique.size();
-
-  auto QuarantineAll = [&](const std::vector<const CampaignCell *> &List) {
-    for (const CampaignCell *Cell : List)
-      Progress.QuarantinedCells.push_back(Cell->key(Spec));
-  };
-
-  LeaseOptions LOpts;
-  LOpts.Dir = Options.leaseDir();
-  LOpts.OwnerToken = makeLeaseOwnerToken(Options.WorkerId);
-  LOpts.TtlMs = Options.LeaseTtlMs ? Options.LeaseTtlMs : 2000;
-  LOpts.HeartbeatMs = Options.LeaseHeartbeatMs;
-  ShardLease Leases(LOpts);
-
-  Status Prepared = prepareStateDir(Options);
-  if (Prepared.ok())
-    Prepared = Leases.init();
-  if (!Prepared.ok()) {
-    std::fprintf(stderr,
-                 "campaign[%s]: %s — quarantining all missing cells\n", Tag,
-                 Prepared.message().c_str());
-    QuarantineAll(Unique);
-    return Progress;
+  /// Obtains the next range to run: its missing cells in canonical order,
+  /// leased and heartbeating when claiming.  False when none is left to
+  /// run; allDone() then tells whether nothing is missing.  With \p MayRun
+  /// false (the MaxCells cap is spent) it only checks completion.
+  bool next(bool MayRun, std::vector<size_t> &Missing) {
+    while (true) {
+      bool AnyMissing = false, AnyOpen = false;
+      for (size_t Off = 0; Off != Ranges.size(); ++Off) {
+        size_t P = (ScanStart + Off) % Ranges.size();
+        std::vector<size_t> RangeMissing =
+            missingIn(Ranges[P].Begin, Ranges[P].End);
+        if (RangeMissing.empty())
+          continue;
+        AnyMissing = true;
+        if (Retired[P] || !MayRun)
+          continue;
+        AnyOpen = true;
+        if (Leases && Leases->tryClaim(Ranges[P].Index, Lease) !=
+                          ShardLease::Claim::Acquired)
+          continue; // live owner, or we lost a claim/steal race
+        Current = P;
+        Retired[P] = !Leases; // static ranges are offered once
+        Missing = std::move(RangeMissing);
+        if (Leases) {
+          Heartbeat.emplace(Lease, Leases->options());
+          if (!Options.Quiet)
+            std::fprintf(stderr,
+                         "  campaign[%s] leased range %zu (%zu missing "
+                         "cell(s))\n",
+                         Options.WorkerId.c_str(), Ranges[P].Index,
+                         Missing.size());
+        }
+        return true;
+      }
+      AllDone = !AnyMissing;
+      if (AllDone || !AnyOpen)
+        return false;
+      // Only ranges leased by (apparently) live owners are left: wait one
+      // heartbeat and rescan.  A dead owner's lease expires TtlMs after
+      // its last renewal and a later scan steals it.
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(Leases->options().heartbeatMs()));
+      Done = loadDone();
+    }
   }
 
-  std::unique_ptr<Scheduler> Pool;
-  if (Options.Threads) {
-    Scheduler::Options SchedOptions;
-    SchedOptions.Threads = Options.Threads;
-    if (Options.StealSeed)
-      SchedOptions.StealSeed = Options.StealSeed;
-    Pool = std::make_unique<Scheduler>(SchedOptions);
-    Progress.WorkersUsed = Pool->numThreads();
+  /// True once the current range's lease was stolen: the thief recomputes
+  /// its remaining cells (safe, just duplicated work), so skip them.
+  bool lost() const { return Heartbeat && Heartbeat->lost(); }
+  /// Records a durable append.
+  void markDone(const std::string &Key) { Done.insert(Key); }
+  /// Ends the range next() returned last.  \p Failed retires it for this
+  /// worker: a re-launch, or another lease worker, retries its
+  /// quarantined cells.
+  void finish(bool Failed) {
+    Heartbeat.reset(); // stopped (joined) before the lease is touched
+    Lease.release();
+    if (Failed)
+      Retired[Current] = 1;
+    // Rescan what is done anywhere before the next claim, so a lease
+    // worker never claims a range another worker finished meanwhile.
+    if (Leases)
+      Done = loadDone();
   }
-  Scheduler *CellWorkers = Options.NestCells ? Pool.get() : nullptr;
+  /// True once next() found no cell of the slice missing.
+  bool allDone() const { return AllDone; }
 
-  std::FILE *Out = openLedgerAppend(Options.ledgerPath());
-  if (!Out) {
-    std::fprintf(stderr,
-                 "campaign[%s]: cannot open ledger %s for append: %s — "
-                 "quarantining all missing cells\n",
-                 Tag, Options.ledgerPath().c_str(), std::strerror(errno));
-    std::unordered_map<std::string, CellResult> Union =
-        loadLedgerUnion(Options.StateDir);
-    std::vector<const CampaignCell *> Missing;
-    for (const CampaignCell *Cell : Unique)
-      if (!Union.count(Cell->key(Spec)))
-        Missing.push_back(Cell);
-    Progress.AlreadyDone = Unique.size() - Missing.size();
-    QuarantineAll(Missing);
-    std::sort(Progress.QuarantinedCells.begin(),
-              Progress.QuarantinedCells.end());
-    return Progress;
+private:
+  std::unordered_set<std::string> loadDone() const {
+    return ledgerKeys(Options.sharded()
+                          ? shardLedgerPaths(Options.StateDir)
+                          : std::vector<std::string>{Options.ledgerPath()});
+  }
+  std::vector<size_t> missingIn(size_t Begin, size_t End) const {
+    std::vector<size_t> Missing;
+    for (size_t I = Begin; I != End; ++I)
+      if (!Done.count(Keys[I]))
+        Missing.push_back(I);
+    return Missing;
   }
 
-  std::vector<ShardRange> Ranges = splitRangesByCells(
-      Unique.size(), Options.LeaseRangeCells ? Options.LeaseRangeCells : 16);
-  std::vector<char> Poisoned(Ranges.size(), 0);
-
-  std::unordered_map<std::string, Dataset> Datasets;
-  std::mutex WriteMutex;
-  size_t Completed = 0, Appended = 0;
-  bool NeedSeal = false;
-  std::atomic<bool> Interrupted{false};
-
-  // Start the cyclic claim scan at a token-derived offset so K workers
-  // spread across the range list instead of all contending for range 0.
-  uint64_t TokenHash = 0;
-  for (char C : LOpts.OwnerToken)
-    TokenHash = TokenHash * 131 + uint8_t(C);
-  size_t ScanStart = Ranges.empty() ? 0 : size_t(TokenHash % Ranges.size());
-
+  const CampaignOptions &Options;
+  const std::vector<std::string> &Keys;
+  std::vector<ShardRange> Ranges;
+  std::vector<char> Retired; ///< per range: never offer it again
+  std::optional<ShardLease> Leases;
+  RangeLease Lease;                        ///< the current range's lease
+  std::optional<LeaseHeartbeat> Heartbeat; ///< renews Lease; destroyed first
+  std::unordered_set<std::string> Done;
+  size_t ScanStart = 0, Current = 0;
   bool AllDone = false;
-  bool CountedInitial = false;
-  while (!Interrupted.load(std::memory_order_relaxed)) {
-    // What is done *anywhere* — all worker ledgers plus the canonical one
-    // — decides both global completion and which ranges still matter.
-    std::unordered_map<std::string, CellResult> Union =
-        loadLedgerUnion(Options.StateDir);
-    if (!CountedInitial) {
-      CountedInitial = true;
-      for (const CampaignCell *Cell : Unique)
-        if (Union.count(Cell->key(Spec)))
-          ++Progress.AlreadyDone;
-    }
-
-    bool AnyMissing = false, AnyUnpoisoned = false, RanRange = false;
-    for (size_t Off = 0; Off != Ranges.size(); ++Off) {
-      const ShardRange &Range = Ranges[(ScanStart + Off) % Ranges.size()];
-      std::vector<const CampaignCell *> Missing;
-      for (size_t I = Range.Begin; I != Range.End; ++I)
-        if (!Union.count(Unique[I]->key(Spec)))
-          Missing.push_back(Unique[I]);
-      if (Missing.empty())
-        continue;
-      AnyMissing = true;
-      if (Poisoned[Range.Index])
-        continue; // our appends failed here; leave it to other workers
-      AnyUnpoisoned = true;
-
-      RangeLease Lease;
-      if (Leases.tryClaim(Range.Index, Lease) != ShardLease::Claim::Acquired)
-        continue; // live owner, or we lost a claim/steal race — rescan later
-      RanRange = true;
-      if (!Options.Quiet)
-        std::fprintf(stderr,
-                     "  campaign[%s] leased range %zu (%zu missing cell(s))\n",
-                     Tag, Range.Index, Missing.size());
-
-      std::vector<std::string> Benchmarks;
-      for (const CampaignCell *Cell : Missing)
-        if (Cell->CellKind == CampaignCell::Kind::Run)
-          Benchmarks.push_back(Cell->Benchmark);
-      ensureDatasets(Spec, Options, Pool.get(), Benchmarks, Datasets);
-
-      std::atomic<bool> RangeFailed{false};
-      {
-        LeaseHeartbeat Heartbeat(Lease, LOpts);
-        forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
-          // A lost heartbeat means the range was stolen: abandon the
-          // rest (the thief recomputes them — safe, just duplicated
-          // work).  A failed append poisons the range for this worker.
-          if (Heartbeat.lost() || RangeFailed.load(std::memory_order_relaxed) ||
-              Interrupted.load(std::memory_order_relaxed))
-            return;
-          const CampaignCell &Cell = *Missing[I];
-          CellResult Result = computeCell(Spec, Cell, Datasets, CellWorkers);
-          std::string Key = Cell.key(Spec);
-          std::string Line = cellLine(Key, Cell.CellKind, Result);
-
-          std::lock_guard<std::mutex> Lock(WriteMutex);
-          Status St =
-              appendLineWithRetry(Out, Options.ledgerPath(), Line, NeedSeal);
-          ++Completed;
-          if (St.ok()) {
-            ++Appended;
-            if (!Options.Quiet)
-              std::fprintf(stderr, "  campaign[%s] [+%zu] %s\n", Tag,
-                           Appended, Key.c_str());
-            if (Options.MaxCells && Appended >= Options.MaxCells)
-              Interrupted.store(true, std::memory_order_relaxed);
-          } else {
-            Progress.QuarantinedCells.push_back(Key);
-            RangeFailed.store(true, std::memory_order_relaxed);
-            std::fprintf(stderr, "  campaign[%s] QUARANTINED %s: %s\n", Tag,
-                         Key.c_str(), St.message().c_str());
-          }
-        });
-      } // heartbeat stopped (joined) before the lease is touched again
-      if (RangeFailed.load(std::memory_order_relaxed))
-        Poisoned[Range.Index] = 1;
-      Lease.release();
-      // Rescan from a fresh union after every range: cheap at campaign
-      // scales, and it avoids claiming ranges another worker finished
-      // while we were busy.
-      break;
-    }
-
-    if (Interrupted.load(std::memory_order_relaxed))
-      break;
-    if (RanRange)
-      continue;
-    if (!AnyMissing) {
-      AllDone = true;
-      break;
-    }
-    if (!AnyUnpoisoned)
-      break; // everything left failed locally: give up with quarantine
-    // Remaining ranges are leased by (apparently) live owners: wait one
-    // heartbeat and rescan.  A dead owner's lease expires TtlMs after its
-    // last renewal and the next scan steals it.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(LOpts.heartbeatMs()));
-  }
-  std::fclose(Out);
-
-  if (Pool) {
-    SchedulerStats Stats = Pool->stats();
-    Progress.TasksExecuted = Stats.Executed;
-    Progress.Steals = Stats.Steals;
-  }
-  Progress.NewlyRun = Appended;
-  std::sort(Progress.QuarantinedCells.begin(),
-            Progress.QuarantinedCells.end());
-  Progress.Complete = AllDone && Progress.QuarantinedCells.empty();
-  return Progress;
-}
+};
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Orchestration
+// Orchestration: one loop over ranges of the canonical cell list
 //===----------------------------------------------------------------------===//
 
 CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
-                                        const CampaignOptions &Options) {
-  if (Options.LeaseClaim)
-    return runLeaseCampaignCells(Spec, Options);
+                                        const CampaignOptions &BaseOptions) {
+  // Every lease worker appends to its own ledger; default a unique tag
+  // when the caller did not pick one.
+  CampaignOptions Options = BaseOptions;
+  if (Options.LeaseClaim && Options.WorkerId.empty())
+    Options.WorkerId = "w" + std::to_string(int(::getpid()));
+  const std::string LedgerPath = Options.ledgerPath();
+  const std::string Tag =
+      Options.LeaseClaim ? "[" + Options.WorkerId + "]" : "";
 
+  // The canonical unique-cell list (unique keys, so a pathological spec
+  // with duplicates still completes).
   std::vector<CampaignCell> Cells = expandCells(Spec);
-  CampaignProgress Progress;
-
-  // Quarantines every still-missing cell: nothing was lost (the cells are
-  // simply not in the ledger), a re-launch retries exactly them.
-  auto QuarantineAll = [&Progress](const CampaignSpec &S,
-                                   const std::vector<const CampaignCell *>
-                                       &Cells) {
-    for (const CampaignCell *Cell : Cells)
-      Progress.QuarantinedCells.push_back(Cell->key(S));
-  };
-
-  // Unique cells in canonical spec order (unique keys, so a pathological
-  // spec with duplicates still completes), then — under static sharding —
-  // this worker's contiguous slice of that list.  Every worker computes
-  // the same split locally, so the shards are disjoint and exhaustive
-  // with no coordination.
-  std::vector<const CampaignCell *> Unique = uniqueCells(Spec, Cells);
-  Progress.TotalCells = Unique.size();
-  std::vector<const CampaignCell *> Ours;
-  if (Options.ShardCount) {
-    std::vector<ShardRange> Ranges =
-        splitRanges(Unique.size(), Options.ShardCount);
-    const ShardRange &Range = Ranges[Options.ShardIndex % Ranges.size()];
-    Ours.assign(Unique.begin() + Range.Begin, Unique.begin() + Range.End);
-  } else {
-    Ours = Unique;
+  std::vector<const CampaignCell *> Unique;
+  std::vector<std::string> Keys;
+  std::unordered_set<std::string> Seen;
+  for (const CampaignCell &Cell : Cells) {
+    std::string Key = Cell.key(Spec);
+    if (Seen.insert(Key).second) {
+      Unique.push_back(&Cell);
+      Keys.push_back(std::move(Key));
+    }
   }
-  Progress.ShardCells = Ours.size();
-
-  Status Prepared = prepareStateDir(Options);
-  if (!Prepared.ok()) {
-    std::fprintf(stderr,
-                 "campaign: %s — quarantining all missing cells\n",
-                 Prepared.message().c_str());
-    QuarantineAll(Spec, Ours);
+  RangePolicy Policy(Options, Keys);
+  CampaignProgress Progress;
+  Progress.TotalCells = Unique.size();
+  Progress.ShardCells = Policy.sliceCells();
+  std::vector<size_t> Missing = Policy.missing();
+  Progress.AlreadyDone = Progress.ShardCells - Missing.size();
+  if (Missing.empty()) {
+    Progress.Complete = true;
     return Progress;
   }
 
-  // Done-ness: the canonical ledger alone (unsharded), or the union of
-  // every worker ledger when sharded (a rebalanced or re-split fleet may
-  // have left our cells in another worker's ledger).
-  std::unordered_map<std::string, CellResult> Ledger =
-      Options.sharded() ? loadLedgerUnion(Options.StateDir)
-                        : loadLedger(Options.ledgerPath());
-
-  std::vector<const CampaignCell *> Missing;
-  for (const CampaignCell *Cell : Ours)
-    if (!Ledger.count(Cell->key(Spec)))
-      Missing.push_back(Cell);
-  Progress.AlreadyDone = Ours.size() - Missing.size();
-
-  if (Options.ShuffleSeed) {
-    Rng Shuffler(Options.ShuffleSeed);
-    Shuffler.shuffle(Missing);
-  }
-  bool Truncated = Options.MaxCells && Missing.size() > Options.MaxCells;
-  if (Truncated)
-    Missing.resize(Options.MaxCells);
-
-  if (Missing.empty()) {
-    Progress.Complete = !Truncated && Progress.AlreadyDone ==
-                                          Progress.ShardCells;
+  // Something is missing: only now touch the disk.  A state dir, lease
+  // dir or ledger that cannot be opened quarantines every missing cell —
+  // nothing was lost, a re-launch retries exactly them.
+  Status Opened = prepareStateDir(Options);
+  if (Opened.ok())
+    Opened = Policy.prepare();
+  std::FILE *Out = nullptr;
+  if (Opened.ok() && !(Out = openLedgerAppend(LedgerPath)))
+    Opened = Status::failure("cannot open ledger " + LedgerPath +
+                             " for append: " + std::strerror(errno));
+  if (!Opened.ok()) {
+    std::fprintf(stderr, "campaign%s: %s — quarantining all missing cells\n",
+                 Tag.c_str(), Opened.message().c_str());
+    for (size_t I : Missing)
+      Progress.QuarantinedCells.push_back(Keys[I]);
     return Progress;
   }
 
@@ -862,57 +822,64 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
     Pool = std::make_unique<Scheduler>(SchedOptions);
     Progress.WorkersUsed = Pool->numThreads();
   }
-  Scheduler *CellWorkers = Options.NestCells ? Pool.get() : nullptr;
 
-  // Memoize each needed benchmark's dataset once, up front (the blob
-  // cache makes this a deserialize on every run after the first).
-  std::vector<std::string> NeededBenchmarks;
-  for (const CampaignCell *Cell : Missing)
-    if (Cell->CellKind == CampaignCell::Kind::Run)
-      NeededBenchmarks.push_back(Cell->Benchmark);
   std::unordered_map<std::string, Dataset> Datasets;
-  ensureDatasets(Spec, Options, Pool.get(), NeededBenchmarks, Datasets);
-
-  std::FILE *Out = openLedgerAppend(Options.ledgerPath());
-  if (!Out) {
-    std::fprintf(stderr,
-                 "campaign: cannot open ledger %s for append: %s — "
-                 "quarantining all missing cells\n",
-                 Options.ledgerPath().c_str(), std::strerror(errno));
-    QuarantineAll(Spec, Missing);
-    return Progress;
-  }
-
   std::mutex WriteMutex;
-  size_t Completed = 0, Appended = 0;
+  size_t Attempted = 0;
   bool NeedSeal = false; // a failed append may have left a torn remnant
-  forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
-    const CampaignCell &Cell = *Missing[I];
-    CellResult Result = computeCell(Spec, Cell, Datasets, CellWorkers);
-    std::string Key = Cell.key(Spec);
-    std::string Line = cellLine(Key, Cell.CellKind, Result);
-
-    std::lock_guard<std::mutex> Lock(WriteMutex);
-    // One flushed + synced write per cell: a crash loses at most the
-    // in-flight line, which the parser skips on resume.  An append that
-    // still fails after the bounded retries quarantines this cell — the
-    // rest of the campaign keeps running, and a re-launch retries exactly
-    // the quarantined keys (they are simply missing from the ledger).
-    Status St = appendLineWithRetry(Out, Options.ledgerPath(), Line, NeedSeal);
-    ++Completed;
-    if (St.ok()) {
-      ++Appended;
-      if (!Options.Quiet)
-        std::fprintf(stderr, "  campaign [%zu/%zu] %s\n",
-                     Progress.AlreadyDone + Completed, Progress.ShardCells,
-                     Key.c_str());
-    } else {
-      Progress.QuarantinedCells.push_back(Key);
-      std::fprintf(stderr, "  campaign [%zu/%zu] QUARANTINED %s: %s\n",
-                   Progress.AlreadyDone + Completed, Progress.ShardCells,
-                   Key.c_str(), St.message().c_str());
+  while (Policy.next(!Options.MaxCells || Attempted < Options.MaxCells,
+                     Missing)) {
+    if (Options.ShuffleSeed) {
+      Rng Shuffler(Options.ShuffleSeed);
+      Shuffler.shuffle(Missing);
     }
-  });
+    if (Options.MaxCells)
+      Missing.resize(std::min(Missing.size(), Options.MaxCells - Attempted));
+
+    std::vector<std::string> Benchmarks;
+    for (size_t I : Missing)
+      if (Unique[I]->CellKind == CampaignCell::Kind::Run)
+        Benchmarks.push_back(Unique[I]->Benchmark);
+    ensureDatasets(Spec, Options, Pool.get(), Benchmarks, Datasets);
+
+    bool RangeFailed = false;
+    forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
+      if (Policy.lost())
+        return;
+      const CampaignCell &Cell = *Unique[Missing[I]];
+      const std::string &Key = Keys[Missing[I]];
+      std::string Line = cellLine(
+          Key, Cell.CellKind, computeCell(Spec, Cell, Datasets, Pool.get()));
+
+      std::lock_guard<std::mutex> Lock(WriteMutex);
+      // One flushed + synced write per cell: a crash loses at most the
+      // in-flight line, which the parser skips on resume.  An append that
+      // still fails after the bounded retries quarantines this cell; the
+      // rest of the range keeps running, and a re-launch retries exactly
+      // the quarantined keys (they are simply missing from the ledger).
+      Status St = appendLineWithRetry(Out, LedgerPath, Line, NeedSeal);
+      ++Attempted;
+      std::string Count =
+          Options.LeaseClaim
+              ? formatString("+%zu", Attempted)
+              : formatString("%zu/%zu", Progress.AlreadyDone + Attempted,
+                             Progress.ShardCells);
+      if (St.ok()) {
+        ++Progress.NewlyRun;
+        Policy.markDone(Key);
+        if (!Options.Quiet)
+          std::fprintf(stderr, "  campaign%s [%s] %s\n", Tag.c_str(),
+                       Count.c_str(), Key.c_str());
+      } else {
+        RangeFailed = true;
+        Progress.QuarantinedCells.push_back(Key);
+        std::fprintf(stderr, "  campaign%s [%s] QUARANTINED %s: %s\n",
+                     Tag.c_str(), Count.c_str(), Key.c_str(),
+                     St.message().c_str());
+      }
+    });
+    Policy.finish(RangeFailed);
+  }
   std::fclose(Out);
 
   if (Pool) {
@@ -920,12 +887,10 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
     Progress.TasksExecuted = Stats.Executed;
     Progress.Steals = Stats.Steals;
   }
-  Progress.NewlyRun = Appended;
   // Completion order varies across worker counts; report deterministically.
   std::sort(Progress.QuarantinedCells.begin(),
             Progress.QuarantinedCells.end());
-  Progress.Complete = Progress.QuarantinedCells.empty() &&
-                      Progress.AlreadyDone + Completed == Progress.ShardCells;
+  Progress.Complete = Policy.allDone() && Progress.QuarantinedCells.empty();
   return Progress;
 }
 
@@ -935,86 +900,66 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
   Out = CampaignResult();
   std::unordered_map<std::string, CellResult> Ledger =
       loadLedger(Options.ledgerPath());
-  for (const CampaignCell &Cell : expandCells(Spec))
-    if (!Ledger.count(Cell.key(Spec)))
+
+  // expandCells order is benchmark x model x scorer x batch x plan x
+  // policy x rep, then noise.  A combo is one (benchmark, model, scorer,
+  // batch, policy): within each block of Plans x Policies x Reps run
+  // cells, the policy picks the combo and the plan its slot.
+  size_t Plans = Spec.Plans.size(), Policies = Spec.policyList().size(),
+         Reps = Spec.repetitions();
+  std::vector<std::vector<RunResult>> Runs; // [combo * Plans + plan]
+  std::vector<CampaignCell> Cells = expandCells(Spec);
+  for (size_t I = 0; I != Cells.size(); ++I) {
+    const CampaignCell &Cell = Cells[I];
+    auto It = Ledger.find(Cell.key(Spec));
+    if (It == Ledger.end())
       return false;
-
-  unsigned Reps = Spec.repetitions();
-  std::vector<QueryPolicyConfig> Policies = Spec.policyList();
-  std::vector<double> Speedups;
-  std::vector<std::string> RunBenchmarks =
-      Spec.Plans.empty() ? std::vector<std::string>() : Spec.benchmarkList();
-  for (const std::string &Benchmark : RunBenchmarks)
-    for (ModelKind Model : Spec.Models)
-      for (ScorerKind Scorer : Spec.Scorers)
-        for (unsigned Batch : Spec.BatchSizes)
-          for (const QueryPolicyConfig &Policy : Policies) {
-            ComboResult Combo;
-            Combo.Benchmark = Benchmark;
-            Combo.Model = Model;
-            Combo.Scorer = Scorer;
-            Combo.BatchSize = Batch;
-            Combo.Policy = Policy;
-            for (const SamplingPlan &Plan : Spec.Plans) {
-              std::vector<RunResult> Runs;
-              Runs.reserve(Reps);
-              for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-                CampaignCell Cell;
-                Cell.CellKind = CampaignCell::Kind::Run;
-                Cell.Benchmark = Benchmark;
-                Cell.Model = Model;
-                Cell.Scorer = Scorer;
-                Cell.BatchSize = Batch;
-                Cell.Plan = Plan;
-                Cell.Policy = Policy;
-                Cell.Rep = Rep;
-                Runs.push_back(Ledger.at(Cell.key(Spec)).Run);
-              }
-              Combo.PlanResults.push_back(averageRuns(Runs));
-            }
-            // Table 1 semantics: first fixed plan is the baseline, first
-            // sequential plan is "ours".
-            int BaselineIdx = -1, OursIdx = -1;
-            for (size_t I = 0; I != Spec.Plans.size(); ++I) {
-              if (Spec.Plans[I].PlanKind == SamplingPlan::Kind::Fixed &&
-                  BaselineIdx < 0)
-                BaselineIdx = int(I);
-              if (Spec.Plans[I].PlanKind == SamplingPlan::Kind::Sequential &&
-                  OursIdx < 0)
-                OursIdx = int(I);
-            }
-            if (BaselineIdx >= 0 && OursIdx >= 0) {
-              Combo.Speedup = compareCurves(Combo.PlanResults[BaselineIdx],
-                                            Combo.PlanResults[OursIdx]);
-              if (Combo.Speedup.Speedup > 0.0)
-                Speedups.push_back(Combo.Speedup.Speedup);
-            }
-            Out.Combos.push_back(std::move(Combo));
-          }
-
-  if (Spec.NoiseCells)
-    for (const std::string &Benchmark : Spec.benchmarkList()) {
-      CampaignCell Cell;
-      Cell.CellKind = CampaignCell::Kind::Noise;
-      Cell.Benchmark = Benchmark;
-      const std::vector<double> &Stats =
-          Ledger.at(Cell.key(Spec)).NoiseStats;
-      if (Stats.size() != 9)
+    if (Cell.CellKind == CampaignCell::Kind::Noise) {
+      const std::vector<double> &S = It->second.NoiseStats;
+      if (S.size() != 9)
         return false;
-      NoiseSummary Summary;
-      Summary.Benchmark = Benchmark;
-      Summary.VarMin = Stats[0];
-      Summary.VarMean = Stats[1];
-      Summary.VarMax = Stats[2];
-      Summary.Ci35Min = Stats[3];
-      Summary.Ci35Mean = Stats[4];
-      Summary.Ci35Max = Stats[5];
-      Summary.Ci5Min = Stats[6];
-      Summary.Ci5Mean = Stats[7];
-      Summary.Ci5Max = Stats[8];
-      Out.Noise.push_back(std::move(Summary));
+      Out.Noise.push_back(
+          {Cell.Benchmark, S[0], S[1], S[2], S[3], S[4], S[5], S[6], S[7],
+           S[8]});
+      continue;
     }
+    size_t Combo = I / (Plans * Policies * Reps) * Policies + I / Reps % Policies;
+    if (Combo == Out.Combos.size()) {
+      ComboResult C;
+      C.Benchmark = Cell.Benchmark;
+      C.Model = Cell.Model;
+      C.Scorer = Cell.Scorer;
+      C.BatchSize = Cell.BatchSize;
+      C.Policy = Cell.Policy;
+      Out.Combos.push_back(std::move(C));
+      Runs.resize(Runs.size() + Plans);
+    }
+    Runs[Combo * Plans + I / (Policies * Reps) % Plans].push_back(
+        It->second.Run);
+  }
 
+  // Table 1 semantics: the first fixed plan is the baseline, the first
+  // sequential plan is "ours".
+  int BaselineIdx = -1, OursIdx = -1;
+  for (size_t P = 0; P != Plans; ++P) {
+    if (Spec.Plans[P].PlanKind == SamplingPlan::Kind::Fixed && BaselineIdx < 0)
+      BaselineIdx = int(P);
+    if (Spec.Plans[P].PlanKind == SamplingPlan::Kind::Sequential &&
+        OursIdx < 0)
+      OursIdx = int(P);
+  }
+  std::vector<double> Speedups;
+  for (size_t C = 0; C != Out.Combos.size(); ++C) {
+    ComboResult &Combo = Out.Combos[C];
+    for (size_t P = 0; P != Plans; ++P)
+      Combo.PlanResults.push_back(averageRuns(Runs[C * Plans + P]));
+    if (BaselineIdx >= 0 && OursIdx >= 0) {
+      Combo.Speedup = compareCurves(Combo.PlanResults[BaselineIdx],
+                                    Combo.PlanResults[OursIdx]);
+      if (Combo.Speedup.Speedup > 0.0)
+        Speedups.push_back(Combo.Speedup.Speedup);
+    }
+  }
   if (!Speedups.empty())
     Out.GeomeanSpeedup = geometricMean(Speedups);
   return true;
@@ -1034,53 +979,32 @@ Status alic::mergeLedgers(const CampaignSpec &Spec,
   // still break the byte-identical-aggregate contract downstream.
   std::unordered_map<std::string, std::string> LineByKey;
   std::vector<std::string> Conflicts;
+  LedgerScanStats Skipped;
   for (const std::string &Path : Inputs) {
     ++Report.InputFiles;
     FailOutcome F = ALIC_FAILPOINT("merge.read");
     if (F.Fire)
       return Status::failure("read shard ledger " + Path + " (injected)",
                              F.Errno);
-    std::FILE *File = std::fopen(Path.c_str(), "rb");
-    if (!File)
-      return Status::failure("open shard ledger " + Path, errno);
-    std::string Content;
-    char Chunk[1 << 16];
-    size_t Got;
-    while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-      Content.append(Chunk, Got);
-    bool ReadOk = std::ferror(File) == 0;
-    std::fclose(File);
-    if (!ReadOk)
-      return Status::failure("read shard ledger " + Path, EIO);
-
-    size_t Pos = 0;
-    while (Pos < Content.size()) {
-      size_t Eol = Content.find('\n', Pos);
-      if (Eol == std::string::npos) {
-        ++Report.TornTails; // unterminated tail: seal (drop) it
-        break;
-      }
-      std::string Line = Content.substr(Pos, Eol - Pos);
-      Pos = Eol + 1;
-      if (Line.empty())
-        continue;
-      std::string Key;
-      CellResult Parsed;
-      if (!parseCellLine(Line, Key, Parsed)) {
-        ++Report.SkippedGarbage; // a sealed crash remnant
-        continue;
-      }
-      ++Report.Lines;
-      auto Inserted = LineByKey.emplace(Key, Line);
-      if (Inserted.second)
-        continue;
-      if (Inserted.first->second == Line)
-        ++Report.DuplicateCells; // determinism made the rerun identical
-      else
-        Conflicts.push_back(Key); // same key, different bytes: corruption
-    }
+    Status St = scanLedger(
+        Path, Skipped,
+        [&](const std::string &Line, const std::string &Key, CellResult &) {
+          ++Report.Lines;
+          auto Inserted = LineByKey.emplace(Key, Line);
+          if (Inserted.second)
+            return;
+          if (Inserted.first->second == Line)
+            ++Report.DuplicateCells; // determinism made the rerun identical
+          else
+            Conflicts.push_back(Key); // same key, different bytes: corruption
+        });
+    if (!St.ok())
+      return St;
   }
+  Report.TornTails = Skipped.TornTails;       // sealed (dropped) tails
+  Report.SkippedGarbage = Skipped.Garbage;    // sealed crash remnants
   Report.UniqueCells = LineByKey.size();
+
 
   std::sort(Conflicts.begin(), Conflicts.end());
   Conflicts.erase(std::unique(Conflicts.begin(), Conflicts.end()),
@@ -1183,11 +1107,7 @@ std::string alic::campaignJson(const CampaignSpec &Spec,
   for (size_t I = 0; I != Names.size(); ++I)
     Json += (I ? ", \"" : "\"") + Names[I] + "\"";
   Json += "],\n";
-  size_t NumCells = Names.size() * Spec.Models.size() * Spec.Scorers.size() *
-                        Spec.BatchSizes.size() * Spec.Plans.size() *
-                        Spec.policyList().size() * Spec.repetitions() +
-                    (Spec.NoiseCells ? Names.size() : 0);
-  Json += formatString("  \"cells\": %zu,\n", NumCells);
+  Json += formatString("  \"cells\": %zu,\n", expandCells(Spec).size());
 
   // Policy fields appear only when the spec sweeps a non-default policy
   // axis, so the default (Always-only) aggregate stays byte-identical to

@@ -13,7 +13,7 @@
 /// cells, submits the cells as top-level tasks of a work-stealing
 /// Scheduler, and checkpoints every completed cell to a crash-safe JSONL
 /// ledger.  Cells are *nested-parallel*: each cell's learner forks its
-/// inner work (DynaTree particle shards, GP/KNN scoring shards, batched
+/// inner work (DynaTree particle shards, GP scoring shards, batched
 /// profiler draws) onto the same scheduler, so when the campaign tail
 /// leaves fewer cells than workers, the idle workers steal the straggler
 /// cells' inner shards instead of spinning down.
@@ -174,23 +174,18 @@ struct CampaignOptions {
   /// Scheduler workers; 0 runs cells inline with no scheduler at all.
   /// Aggregate output is byte-identical at any value.
   unsigned Threads = 0;
-  /// Cells fork their inner work (model updates, candidate scoring,
-  /// batched measurement) onto the campaign scheduler, so idle workers
-  /// steal inner shards at the campaign tail.  Disable to pin the old
-  /// cell-granularity budget (bench_scheduler's flat baseline).  Results
-  /// are bit-identical either way.
-  bool NestCells = true;
   /// Non-zero: overrides the scheduler's victim-selection seed (stress
   /// tests force different steal interleavings; results never depend on
   /// it).
   uint64_t StealSeed = 0;
   /// Ledger + dataset-cache directory; created on demand.
   std::string StateDir = "alic-campaign";
-  /// Stop after completing this many new cells (0 = run to completion) —
+  /// Attempt at most this many missing cells (0 = run to completion) —
   /// deterministic mid-campaign interruption for the resume tests and CI.
+  /// Exact in every mode and at any worker count.
   size_t MaxCells = 0;
-  /// Non-zero: execute missing cells in a seeded shuffled order instead of
-  /// spec order (completion-order-invariance tests).
+  /// Non-zero: execute each range's missing cells in a seeded shuffled
+  /// order instead of spec order (completion-order-invariance tests).
   uint64_t ShuffleSeed = 0;
   /// Suppress per-cell progress lines on stderr.
   bool Quiet = false;
@@ -277,22 +272,27 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 
 /// Runs every spec cell missing from the ledger, sharding across
 /// Options.Threads workers; each completed cell is appended to the ledger
-/// crash-safely (single flushed+synced write).  Honors MaxCells.
+/// crash-safely (single flushed+synced write).
+///
+/// One loop serves every mode: take a range of the canonical unique-cell
+/// list, run its missing cells, append them, repeat.  The modes differ
+/// only in how a range is obtained — the default run offers the whole
+/// list once; with ShardCount set, this worker's static slice is offered
+/// once; with LeaseClaim set, ranges are claimed through exp/ShardLease
+/// and the union of worker ledgers is rescanned until no spec cell is
+/// missing.  Sharded appends go to the per-worker ledger, and
+/// mergeLedgers() folds the shards back into the canonical one.  In
+/// every mode ShuffleSeed orders each range's missing cells and MaxCells
+/// caps the cells attempted.  A spec with nothing missing opens no file
+/// for writing and starts no scheduler.
 ///
 /// Ledger I/O failures *degrade* instead of aborting: a failed append is
 /// retried with bounded exponential backoff (fault-injection sites
 /// `ledger.append` / `ledger.sync`), and a cell whose append still fails
-/// is quarantined (Progress.QuarantinedCells) while the rest of the
-/// campaign completes.  A state dir or ledger that cannot be opened at
-/// all quarantines every missing cell without computing any.
-///
-/// Multi-process modes (see CampaignOptions): with ShardCount set, only
-/// this worker's static slice of the canonical cell list runs; with
-/// LeaseClaim set, the worker claims cell ranges dynamically through
-/// exp/ShardLease and returns once *every* spec cell is present in the
-/// union of worker ledgers.  Either way appends go to the per-worker
-/// ledger and mergeLedgers() folds the shards back into the canonical
-/// one.
+/// is quarantined (Progress.QuarantinedCells) while the rest of the range
+/// and campaign completes (a lease worker stops claiming that range).  A
+/// state dir or ledger that cannot be opened at all quarantines every
+/// missing cell without computing any.
 CampaignProgress runCampaignCells(const CampaignSpec &Spec,
                                   const CampaignOptions &Options);
 
@@ -352,10 +352,74 @@ bool runCampaign(const CampaignSpec &Spec, const CampaignOptions &Options,
 std::string campaignJson(const CampaignSpec &Spec,
                          const CampaignResult &Result);
 
-/// Canonical lower-case tokens used in cell keys and JSON.
+/// One row of a token table: an enum value and the canonical lower-case
+/// token that cell keys, JSON, CLI flags and the serve wire spell it as.
+template <typename KindT> struct TokenRow {
+  KindT Kind;        ///< the enum value
+  const char *Token; ///< its token
+};
+
+/// Every ModelKind and its token.  Printing and parsing both read this
+/// table, so adding a model means adding one row.
+inline constexpr TokenRow<ModelKind> ModelTokens[] = {
+    {ModelKind::DynaTree, "dynatree"},
+    {ModelKind::Gp, "gp"},
+    {ModelKind::GpSor, "gp_sor"}};
+
+/// Every ScorerKind and its token (see ModelTokens).
+inline constexpr TokenRow<ScorerKind> ScorerTokens[] = {
+    {ScorerKind::Alc, "alc"},
+    {ScorerKind::Alm, "alm"},
+    {ScorerKind::Random, "random"}};
+
+/// Every sampling-plan family and the token that prefixes its count in a
+/// plan token ("fixed:35", "seq:35").
+inline constexpr TokenRow<SamplingPlan::Kind> PlanTokens[] = {
+    {SamplingPlan::Kind::Fixed, "fixed"},
+    {SamplingPlan::Kind::Sequential, "seq"}};
+
+/// The token of \p Kind in \p Table, or nullptr when no row holds it.
+template <typename KindT, size_t N>
+const char *tokenOf(const TokenRow<KindT> (&Table)[N], KindT Kind) {
+  for (const TokenRow<KindT> &Row : Table)
+    if (Row.Kind == Kind)
+      return Row.Token;
+  return nullptr;
+}
+
+/// The kind whose token is \p Text; false (\p Out unchanged) when no row
+/// of \p Table holds it.
+template <typename KindT, size_t N>
+bool parseToken(const TokenRow<KindT> (&Table)[N], const std::string &Text,
+                KindT &Out) {
+  for (const TokenRow<KindT> &Row : Table)
+    if (Text == Row.Token) {
+      Out = Row.Kind;
+      return true;
+    }
+  return false;
+}
+
+/// Every token of \p Table joined by \p Separator (usage and error text).
+template <typename KindT, size_t N>
+std::string tokenList(const TokenRow<KindT> (&Table)[N],
+                      const char *Separator) {
+  std::string List;
+  for (const TokenRow<KindT> &Row : Table)
+    List += (List.empty() ? "" : Separator) + std::string(Row.Token);
+  return List;
+}
+
+/// The model's token from ModelTokens.
 const char *modelToken(ModelKind Kind);
+/// The scorer's token from ScorerTokens.
 const char *scorerToken(ScorerKind Kind);
+/// The plan's token: its PlanTokens prefix, ':', and its count.
 std::string planToken(const SamplingPlan &Plan);
+/// Parses a planToken: a PlanTokens prefix, ':', and a positive 32-bit
+/// decimal count with nothing after it.  False (\p Out unchanged)
+/// otherwise.
+bool parsePlanToken(const std::string &Text, SamplingPlan &Out);
 
 /// The default plan list at scale \p S — the three Figure 6 sampling
 /// plans with the scale's sequential cap.  The alic_campaign CLI and the

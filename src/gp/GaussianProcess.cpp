@@ -93,8 +93,8 @@ void GaussianProcess::refit() { refitWith(Params); }
 void GaussianProcess::updateIncremental() {
   size_t N = DataX.size(); // includes the point just pushed
   if (!Factor || Factor->size() != N - 1) {
-    // No factorization to extend (first data, or points buffered by a
-    // previous Deferred phase): fall back to the full solve.
+    // No factorization to extend (first data, or a failed earlier
+    // solve): fall back to the full solve.
     refitWith(Params);
     return;
   }
@@ -179,8 +179,6 @@ void GaussianProcess::update(RowRef X, double Y) {
   case GpUpdateMode::Refit:
     refitWith(Params); // the O(n^3) cost the paper's Section 3.2 dislikes
     break;
-  case GpUpdateMode::Deferred:
-    break;
   }
 }
 
@@ -190,8 +188,8 @@ Prediction GaussianProcess::predict(RowRef X) const {
 
 Prediction GaussianProcess::predictExact(RowRef X) const {
   assert(Factor && "GP not fitted");
-  // Alpha (not DataX) bounds the fitted prefix: under Deferred updates
-  // the newest points are buffered and must not be indexed here.
+  // Alpha holds one weight per fitted point: it bounds the prefix of
+  // DataX the factor covers.
   size_t N = Alpha.size();
   // predict() runs concurrently from sharded scoring, so the kernel-row
   // scratch is per thread; the forward solve overwrites it in place

@@ -70,9 +70,6 @@ enum class GpUpdateMode {
   /// Full O(n^3) refactorization per observation — the cost the paper's
   /// Section 3.2 attributes to GPs; kept for the ablation benches.
   Refit,
-  /// Buffer the observation; predictions reuse the stale factorization
-  /// until refit() is called (cost benches separating fit/update costs).
-  Deferred,
 };
 
 /// Which inference path the GP runs.
@@ -150,8 +147,7 @@ public:
   const std::vector<uint32_t> &inducingIndices() const { return Inducing; }
 
   /// Re-solves the linear system with the stored data (exposed so the
-  /// cost ablation can time one refit in isolation; also absorbs any
-  /// observations buffered by GpUpdateMode::Deferred).
+  /// cost ablation can time one refit in isolation).
   void refit();
 
 private:

@@ -2,6 +2,7 @@
 
 #include "serve/ServeEngine.h"
 
+#include "exp/Campaign.h"
 #include "spapt/Suite.h"
 #include "stats/Metrics.h"
 #include "support/Error.h"
@@ -85,7 +86,11 @@ bool readSpec(ByteReader &R, SessionSpec &Spec) {
   R.readU32(S.EvalEvery);
   R.readU64(TestSubset);
   R.readU32(S.ObservationCap);
-  if (!R.ok() || Model > 2 || Scorer > 2 || PolicyKind > 2 || PlanKind > 1)
+  // Model, scorer and plan bytes are valid exactly when their token table
+  // has a row for them.
+  if (!R.ok() || !tokenOf(ModelTokens, ModelKind(Model)) ||
+      !tokenOf(ScorerTokens, ScorerKind(Scorer)) || PolicyKind > 2 ||
+      !tokenOf(PlanTokens, SamplingPlan::Kind(PlanKind)))
     return false;
   Spec.Model = ModelKind(Model);
   Spec.Scorer = ScorerKind(Scorer);

@@ -2,10 +2,11 @@
 
 #include "serve/Wire.h"
 
+#include "exp/Campaign.h"
 #include "serve/ServeEngine.h"
 #include "support/Json.h"
 
-#include <cstdio>
+#include <limits>
 
 using namespace alic;
 
@@ -44,17 +45,36 @@ bool optionalString(const JsonValue &Obj, const char *Name, std::string &Out,
   return true;
 }
 
-bool optionalU64(const JsonValue &Obj, const char *Name, uint64_t &Out,
-                 std::string &Err) {
+/// Reads an optional integer field in [0, \p Max]; true when absent
+/// (keeping the default) or valid.  A negative, fractional or out-of-range
+/// number is an error, never a cast.
+bool optionalCount(const JsonValue &Obj, const char *Name, uint64_t Max,
+                   uint64_t &Out, std::string &Err) {
   const JsonValue *F = Obj.field(Name);
   if (!F)
     return true;
-  if (F->K != JsonValue::Kind::Number || F->Number < 0) {
-    Err = std::string("field '") + Name + "' must be a non-negative number";
+  if (F->K != JsonValue::Kind::Number || !jsonCount(F->Number, Max, Out)) {
+    Err = std::string("field '") + Name + "' must be an integer in [0, " +
+          std::to_string(Max) + "]";
     return false;
   }
-  Out = uint64_t(F->Number);
   return true;
+}
+
+/// Reads an optional token field through \p Table (an absent or empty
+/// field keeps the default).
+template <typename KindT, size_t N>
+bool optionalToken(const JsonValue &Obj, const char *Name,
+                   const TokenRow<KindT> (&Table)[N], KindT &Out,
+                   std::string &Err) {
+  std::string Text;
+  if (!optionalString(Obj, Name, Text, Err))
+    return false;
+  if (Text.empty() || parseToken(Table, Text, Out))
+    return true;
+  Err = "unknown " + std::string(Name) + " '" + Text + "' (want " +
+        tokenList(Table, "|") + ")";
+  return false;
 }
 
 /// Parses the optional `spec` object of an `open` request into \p Spec
@@ -67,52 +87,20 @@ bool parseSpec(const JsonValue &Root, SessionSpec &Spec, std::string &Err) {
     Err = "field 'spec' must be an object";
     return false;
   }
-  if (!optionalString(*S, "benchmark", Spec.Benchmark, Err))
+  if (!optionalString(*S, "benchmark", Spec.Benchmark, Err) ||
+      !optionalToken(*S, "model", ModelTokens, Spec.Model, Err) ||
+      !optionalToken(*S, "scorer", ScorerTokens, Spec.Scorer, Err))
     return false;
-
-  std::string Model;
-  if (!optionalString(*S, "model", Model, Err))
-    return false;
-  if (Model == "gp")
-    Spec.Model = ModelKind::Gp;
-  else if (Model == "gp_sor")
-    Spec.Model = ModelKind::GpSor;
-  else if (Model == "dynatree" || Model.empty())
-    Spec.Model = ModelKind::DynaTree;
-  else {
-    Err = "unknown model '" + Model + "' (want dynatree|gp|gp_sor)";
-    return false;
-  }
-
-  std::string Scorer;
-  if (!optionalString(*S, "scorer", Scorer, Err))
-    return false;
-  if (Scorer == "alm")
-    Spec.Scorer = ScorerKind::Alm;
-  else if (Scorer == "random")
-    Spec.Scorer = ScorerKind::Random;
-  else if (Scorer == "alc" || Scorer.empty())
-    Spec.Scorer = ScorerKind::Alc;
-  else {
-    Err = "unknown scorer '" + Scorer + "' (want alc|alm|random)";
-    return false;
-  }
 
   // Plans travel in the campaign ledger's token form: "seq:<cap>" or
   // "fixed:<observations>".
   std::string Plan;
   if (!optionalString(*S, "plan", Plan, Err))
     return false;
-  if (!Plan.empty()) {
-    unsigned Count = 0;
-    if (std::sscanf(Plan.c_str(), "seq:%u", &Count) == 1)
-      Spec.Plan = SamplingPlan::sequential(Count);
-    else if (std::sscanf(Plan.c_str(), "fixed:%u", &Count) == 1)
-      Spec.Plan = SamplingPlan::fixed(Count);
-    else {
-      Err = "unknown plan '" + Plan + "' (want seq:<cap>|fixed:<obs>)";
-      return false;
-    }
+  if (!Plan.empty() && !parsePlanToken(Plan, Spec.Plan)) {
+    Err = "unknown plan '" + Plan + "' (want seq:<cap>|fixed:<obs>, a " +
+          "positive 32-bit count)";
+    return false;
   }
 
   // Query policies travel in their campaign token form: "always",
@@ -126,21 +114,21 @@ bool parseSpec(const JsonValue &Root, SessionSpec &Spec, std::string &Err) {
     return false;
   }
 
+  const uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
+  const uint64_t MaxU64 = std::numeric_limits<uint64_t>::max();
   uint64_t Batch = Spec.BatchSize;
-  if (!optionalU64(*S, "batch", Batch, Err))
-    return false;
-  Spec.BatchSize = unsigned(Batch);
-  if (!optionalU64(*S, "seed", Spec.Seed, Err))
-    return false;
-  if (!optionalU64(*S, "dataset_seed", Spec.DatasetSeed, Err))
-    return false;
   uint64_t MaxExamples = Spec.Scale.MaxTrainingExamples;
-  if (!optionalU64(*S, "max_examples", MaxExamples, Err))
+  if (!optionalCount(*S, "batch", MaxUnsigned, Batch, Err) ||
+      !optionalCount(*S, "seed", MaxU64, Spec.Seed, Err) ||
+      !optionalCount(*S, "dataset_seed", MaxU64, Spec.DatasetSeed, Err) ||
+      !optionalCount(*S, "max_examples", MaxUnsigned, MaxExamples, Err))
     return false;
-  if (MaxExamples == 0) {
-    Err = "field 'max_examples' must be positive";
+  if (Batch == 0 || MaxExamples == 0) {
+    Err = std::string("field '") + (Batch ? "max_examples" : "batch") +
+          "' must be positive";
     return false;
   }
+  Spec.BatchSize = unsigned(Batch);
   Spec.Scale.MaxTrainingExamples = unsigned(MaxExamples);
   return true;
 }
@@ -234,8 +222,11 @@ bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
 
   if (Op == "observe") {
     double TicketNumber = -1.0;
-    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0) {
-      Reply = errorReply("missing numeric field 'ticket'");
+    uint64_t Ticket = 0;
+    if (!jsonNumberField(Root, "ticket", TicketNumber) ||
+        !jsonCount(TicketNumber, std::numeric_limits<uint64_t>::max(),
+                   Ticket)) {
+      Reply = errorReply("field 'ticket' must be a non-negative integer");
       return false;
     }
     const JsonValue *CostsField = Root.field("costs");
@@ -252,7 +243,7 @@ bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
       }
       Costs.push_back(Item.Number);
     }
-    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err)) {
+    if (!Engine.observe(Id, Ticket, Costs, Err)) {
       Reply = errorReply(Err);
       return false;
     }

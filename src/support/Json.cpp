@@ -247,6 +247,15 @@ bool alic::jsonNumberField(const JsonValue &Object, const char *Name,
   return true;
 }
 
+bool alic::jsonCount(double Value, uint64_t Max, uint64_t &Out) {
+  // 2^64 is exact as a double; nothing at or above it converts.
+  if (!(Value >= 0.0) || Value >= 18446744073709551616.0 ||
+      Value != std::floor(Value) || uint64_t(Value) > Max)
+    return false;
+  Out = uint64_t(Value);
+  return true;
+}
+
 bool alic::jsonStringField(const JsonValue &Object, const char *Name,
                            std::string &Out) {
   const JsonValue *Field = Object.field(Name);

@@ -27,6 +27,7 @@
 #ifndef ALIC_SUPPORT_JSON_H
 #define ALIC_SUPPORT_JSON_H
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +81,12 @@ std::string jsonEscape(const std::string &Text);
 /// Reads object field \p Name as a number into \p Out; false when the
 /// field is missing or not a number.
 bool jsonNumberField(const JsonValue &Object, const char *Name, double &Out);
+
+/// Converts the JSON number \p Value to an integer count in [0, \p Max].
+/// JSON numbers arrive as doubles, and casting a negative, fractional or
+/// out-of-range double to an integer type is undefined, so those are
+/// rejected (false, \p Out unchanged) instead.
+bool jsonCount(double Value, uint64_t Max, uint64_t &Out);
 
 /// Reads object field \p Name as a string into \p Out; false when the
 /// field is missing or not a string.

@@ -8,7 +8,7 @@
 /// \file
 /// A work-stealing scheduler that makes *nested* parallelism legal: one
 /// worker pool serves every layer of the system, from campaign cells down
-/// to DynaTree particle shards, GP/KNN scoring shards, and batched
+/// to DynaTree particle shards, GP scoring shards, and batched
 /// profiler draws.
 ///
 /// The predecessor (a fixed-size ThreadPool with one shared queue and a

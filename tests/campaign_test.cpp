@@ -103,10 +103,9 @@ TEST(CampaignTest, AggregateIdenticalAcrossWorkerCounts) {
   EXPECT_FALSE(Reference.empty());
 }
 
-TEST(CampaignTest, AggregateIdenticalUnderStealInterleavingsAndFlatCells) {
-  // Forced steal interleavings (varied victim-selection seeds) and the
-  // flat cell-granularity fallback must all render the same bytes as the
-  // inline reference.
+TEST(CampaignTest, AggregateIdenticalUnderStealInterleavings) {
+  // Forced steal interleavings (varied victim-selection seeds) must render
+  // the same bytes as the inline reference.
   CampaignSpec Spec = tinySpec();
   CampaignOptions Inline;
   Inline.StateDir = freshStateDir("steal-ref");
@@ -122,65 +121,6 @@ TEST(CampaignTest, AggregateIdenticalUnderStealInterleavingsAndFlatCells) {
         << "steal seed " << StealSeed << " changed the aggregate";
     std::filesystem::remove_all(Nested.StateDir);
   }
-
-  CampaignOptions Flat;
-  Flat.StateDir = freshStateDir("flat");
-  Flat.Threads = 2;
-  Flat.NestCells = false;
-  EXPECT_EQ(runToJson(Spec, Flat), Reference)
-      << "flat cell-granularity execution changed the aggregate";
-  std::filesystem::remove_all(Flat.StateDir);
-}
-
-TEST(CampaignTest, AggregateIdenticalUnderShuffledCompletionOrder) {
-  CampaignSpec Spec = tinySpec();
-  CampaignOptions Ordered;
-  Ordered.StateDir = freshStateDir("ordered");
-  std::string Reference = runToJson(Spec, Ordered);
-
-  for (uint64_t ShuffleSeed : {7ull, 991ull}) {
-    CampaignOptions Shuffled;
-    Shuffled.StateDir =
-        freshStateDir("shuffled" + std::to_string(ShuffleSeed));
-    Shuffled.Threads = 2;
-    Shuffled.ShuffleSeed = ShuffleSeed;
-    EXPECT_EQ(runToJson(Spec, Shuffled), Reference)
-        << "completion order leaked into the aggregate";
-    std::filesystem::remove_all(Shuffled.StateDir);
-  }
-  std::filesystem::remove_all(Ordered.StateDir);
-}
-
-TEST(CampaignTest, InterruptAndResumeMatchesUninterrupted) {
-  CampaignSpec Spec = tinySpec();
-
-  CampaignOptions Interrupted;
-  Interrupted.StateDir = freshStateDir("resume");
-  Interrupted.Quiet = true;
-  Interrupted.MaxCells = 3;
-  CampaignProgress First = runCampaignCells(Spec, Interrupted);
-  EXPECT_FALSE(First.Complete);
-  EXPECT_EQ(First.NewlyRun, 3u);
-  CampaignResult ShouldFail;
-  EXPECT_FALSE(aggregateCampaign(Spec, Interrupted, ShouldFail));
-
-  // Resume with a different thread count (and no cap): only the missing
-  // cells run, and the aggregate matches an uninterrupted campaign.
-  CampaignOptions Resumed = Interrupted;
-  Resumed.MaxCells = 0;
-  Resumed.Threads = 4;
-  CampaignProgress Second = runCampaignCells(Spec, Resumed);
-  EXPECT_TRUE(Second.Complete);
-  EXPECT_EQ(Second.AlreadyDone, 3u);
-  EXPECT_EQ(Second.NewlyRun, First.TotalCells - 3u);
-  CampaignResult Result;
-  ASSERT_TRUE(aggregateCampaign(Spec, Resumed, Result));
-
-  CampaignOptions Uninterrupted;
-  Uninterrupted.StateDir = freshStateDir("uninterrupted");
-  EXPECT_EQ(campaignJson(Spec, Result), runToJson(Spec, Uninterrupted));
-  std::filesystem::remove_all(Interrupted.StateDir);
-  std::filesystem::remove_all(Uninterrupted.StateDir);
 }
 
 TEST(CampaignTest, ResumeSkipsCompletedCellsAndSurvivesPartialLine) {
@@ -250,107 +190,6 @@ TEST(CampaignTest, NoiseOnlySpecNeedsNoRunCells) {
   EXPECT_EQ(Result.Noise[0].Benchmark, "mvt");
   EXPECT_GT(Result.Noise[0].Ci35Mean, 0.0);
   EXPECT_GE(Result.Noise[0].VarMax, Result.Noise[0].VarMin);
-  std::filesystem::remove_all(Options.StateDir);
-}
-
-TEST(CampaignTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
-  // A disk-full window spanning every retry of one append: the campaign
-  // must quarantine that cell, finish the rest, and a re-launch must
-  // retry exactly the quarantined cell and aggregate byte-identically.
-  CampaignSpec Spec = tinySpec();
-  CampaignOptions Options;
-  Options.StateDir = freshStateDir("quarantine");
-  Options.Quiet = true;
-
-  FailSpec Fault;
-  Fault.Errno = ENOSPC;
-  Fault.Nth = 2;   // the second cell's append...
-  Fault.Count = 4; // ...fails on all LedgerAppendAttempts attempts
-  armFailPoint("ledger.append", Fault);
-  CampaignProgress Progress = runCampaignCells(Spec, Options);
-  disarmAllFailPoints();
-
-  EXPECT_FALSE(Progress.Complete);
-  ASSERT_EQ(Progress.QuarantinedCells.size(), 1u);
-  EXPECT_EQ(Progress.NewlyRun, Progress.TotalCells - 1);
-  // The quarantined key is simply absent from the ledger...
-  CampaignResult ShouldFail;
-  EXPECT_FALSE(aggregateCampaign(Spec, Options, ShouldFail));
-
-  // ...so the re-launch runs exactly it and nothing else.
-  CampaignProgress Resumed = runCampaignCells(Spec, Options);
-  EXPECT_TRUE(Resumed.Complete);
-  EXPECT_EQ(Resumed.NewlyRun, 1u);
-  EXPECT_EQ(Resumed.AlreadyDone, Progress.TotalCells - 1);
-  CampaignResult Result;
-  ASSERT_TRUE(aggregateCampaign(Spec, Options, Result));
-
-  CampaignOptions Clean;
-  Clean.StateDir = freshStateDir("quarantine_clean");
-  EXPECT_EQ(campaignJson(Spec, Result), runToJson(Spec, Clean));
-  std::filesystem::remove_all(Options.StateDir);
-  std::filesystem::remove_all(Clean.StateDir);
-}
-
-TEST(CampaignTest, TornQuarantineRemnantIsSealedNotGluedToNextCell) {
-  // Every attempt of one cell's append tears mid-line; the *next* cell's
-  // append must seal the remnant before writing, or both records die.
-  CampaignSpec Spec = tinySpec();
-  CampaignOptions Options;
-  Options.StateDir = freshStateDir("torn");
-  Options.Quiet = true;
-
-  FailSpec Fault;
-  Fault.Mode = FailMode::Torn;
-  Fault.TornBytes = 9;
-  Fault.Errno = ENOSPC;
-  Fault.Nth = 2;
-  Fault.Count = 4;
-  armFailPoint("ledger.append", Fault);
-  CampaignProgress Progress = runCampaignCells(Spec, Options);
-  disarmAllFailPoints();
-
-  EXPECT_FALSE(Progress.Complete);
-  ASSERT_EQ(Progress.QuarantinedCells.size(), 1u);
-  EXPECT_EQ(Progress.NewlyRun, Progress.TotalCells - 1);
-
-  // The cells appended after the torn one parsed cleanly: resume runs
-  // only the quarantined cell, and the aggregate matches a clean run.
-  CampaignProgress Resumed = runCampaignCells(Spec, Options);
-  EXPECT_TRUE(Resumed.Complete);
-  EXPECT_EQ(Resumed.NewlyRun, 1u);
-  CampaignResult Result;
-  ASSERT_TRUE(aggregateCampaign(Spec, Options, Result));
-
-  CampaignOptions Clean;
-  Clean.StateDir = freshStateDir("torn_clean");
-  EXPECT_EQ(campaignJson(Spec, Result), runToJson(Spec, Clean));
-  std::filesystem::remove_all(Options.StateDir);
-  std::filesystem::remove_all(Clean.StateDir);
-}
-
-TEST(CampaignTest, TotalLedgerFailureQuarantinesEverythingRecordsNothing) {
-  // A permanently failing ledger (every append fails from the start) must
-  // degrade to "all missing cells quarantined", never abort the process.
-  CampaignSpec Spec = tinySpec();
-  CampaignOptions Options;
-  Options.StateDir = freshStateDir("allfail");
-  Options.Quiet = true;
-
-  FailSpec Fault;
-  Fault.Errno = ENOSPC;
-  armFailPoint("ledger.append", Fault); // every hit fires
-  CampaignProgress Progress = runCampaignCells(Spec, Options);
-  disarmAllFailPoints();
-
-  EXPECT_FALSE(Progress.Complete);
-  EXPECT_EQ(Progress.QuarantinedCells.size(), Progress.TotalCells);
-  EXPECT_EQ(Progress.NewlyRun, 0u);
-
-  // Nothing made it into the ledger, so a clean re-launch runs it all.
-  CampaignProgress Resumed = runCampaignCells(Spec, Options);
-  EXPECT_TRUE(Resumed.Complete);
-  EXPECT_EQ(Resumed.NewlyRun, Progress.TotalCells);
   std::filesystem::remove_all(Options.StateDir);
 }
 
@@ -746,3 +585,384 @@ TEST(CampaignMergeTest, MergeReadFailpointFailsTheMergeCleanly) {
   EXPECT_FALSE(Report.Wrote);
   std::filesystem::remove_all(RefDir);
 }
+
+//===----------------------------------------------------------------------===//
+// Range policies: every execution rule holds in every mode
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The three ways runCampaignCells obtains ranges of the cell list.
+enum class RangeMode {
+  Default, ///< one invocation, the whole list once
+  Static3, ///< --shard=i/3 for every i, then mergeLedgers
+  Lease    ///< one --lease-claim worker over 4-cell ranges, then merge
+};
+
+std::string modeName(const ::testing::TestParamInfo<RangeMode> &Info) {
+  switch (Info.param) {
+  case RangeMode::Default:
+    return "Default";
+  case RangeMode::Static3:
+    return "Static3";
+  case RangeMode::Lease:
+    return "Lease";
+  }
+  return "Unknown";
+}
+
+/// The runCampaignCells invocations \p Mode makes of one campaign.
+std::vector<CampaignOptions> invocationsFor(RangeMode Mode,
+                                            CampaignOptions Options) {
+  Options.Quiet = true;
+  std::vector<CampaignOptions> Invocations;
+  if (Mode == RangeMode::Static3) {
+    for (unsigned I = 0; I != 3; ++I) {
+      Invocations.push_back(Options);
+      Invocations.back().ShardCount = 3;
+      Invocations.back().ShardIndex = I;
+    }
+  } else {
+    Invocations.push_back(Options);
+    if (Mode == RangeMode::Lease) {
+      Invocations.back().LeaseClaim = true;
+      Invocations.back().WorkerId = "w0";
+      Invocations.back().LeaseRangeCells = 4;
+      Invocations.back().LeaseTtlMs = 60000;
+    }
+  }
+  return Invocations;
+}
+
+/// Runs the campaign in \p Options.StateDir under \p Mode — every
+/// invocation the mode needs, then a merge into the canonical ledger when
+/// sharded — and returns the invocations' progress summed.
+CampaignProgress runUnder(RangeMode Mode, const CampaignSpec &Spec,
+                          const CampaignOptions &Options) {
+  CampaignProgress Sum;
+  Sum.Complete = true;
+  for (const CampaignOptions &Invocation : invocationsFor(Mode, Options)) {
+    CampaignProgress P = runCampaignCells(Spec, Invocation);
+    Sum.TotalCells = P.TotalCells;
+    Sum.AlreadyDone += P.AlreadyDone;
+    Sum.NewlyRun += P.NewlyRun;
+    Sum.Complete = Sum.Complete && P.Complete;
+    Sum.QuarantinedCells.insert(Sum.QuarantinedCells.end(),
+                                P.QuarantinedCells.begin(),
+                                P.QuarantinedCells.end());
+  }
+  if (Mode != RangeMode::Default) {
+    LedgerMergeReport Report;
+    EXPECT_TRUE(mergeLedgers(Spec, Options, Report).ok());
+    EXPECT_TRUE(Report.ConflictKeys.empty());
+  }
+  return Sum;
+}
+
+
+/// The aggregate of the canonical ledger in \p Options.StateDir.
+std::string aggregateJson(const CampaignSpec &Spec,
+                          const CampaignOptions &Options) {
+  CampaignResult Result;
+  if (!aggregateCampaign(Spec, Options, Result))
+    ADD_FAILURE() << "ledger in " << Options.StateDir << " is incomplete";
+  return campaignJson(Spec, Result);
+}
+
+/// A clean single-process run's aggregate.
+std::string cleanJson(const CampaignSpec &Spec, const std::string &Name) {
+  CampaignOptions Clean;
+  Clean.StateDir = freshStateDir(Name);
+  std::string Json = runToJson(Spec, Clean);
+  std::filesystem::remove_all(Clean.StateDir);
+  return Json;
+}
+
+class CampaignPolicyTest : public ::testing::TestWithParam<RangeMode> {
+protected:
+  /// A state dir unique to this test and mode.
+  std::string stateDir(const std::string &Name) const {
+    return freshStateDir(Name + "_" + modeName({GetParam(), 0}));
+  }
+};
+
+} // namespace
+
+TEST_P(CampaignPolicyTest, InterruptAndResumeMatchesUninterrupted) {
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Interrupted;
+  Interrupted.StateDir = stateDir("resume");
+  Interrupted.MaxCells = 3;
+  CampaignProgress First = runUnder(GetParam(), Spec, Interrupted);
+  EXPECT_FALSE(First.Complete);
+  EXPECT_EQ(First.NewlyRun,
+            3u * invocationsFor(GetParam(), Interrupted).size());
+  CampaignResult ShouldFail;
+  EXPECT_FALSE(aggregateCampaign(Spec, Interrupted, ShouldFail));
+
+  // Resume with a different thread count (and no cap): only the missing
+  // cells run, and the aggregate matches an uninterrupted campaign.
+  CampaignOptions Resumed = Interrupted;
+  Resumed.MaxCells = 0;
+  Resumed.Threads = 4;
+  CampaignProgress Second = runUnder(GetParam(), Spec, Resumed);
+  EXPECT_TRUE(Second.Complete);
+  EXPECT_EQ(Second.AlreadyDone, First.NewlyRun);
+  EXPECT_EQ(Second.NewlyRun, First.TotalCells - First.NewlyRun);
+  EXPECT_EQ(aggregateJson(Spec, Resumed), cleanJson(Spec, "resume_clean"));
+  std::filesystem::remove_all(Interrupted.StateDir);
+}
+
+TEST_P(CampaignPolicyTest, AggregateIdenticalUnderShuffledCompletionOrder) {
+  CampaignSpec Spec = tinySpec();
+  std::string Reference = cleanJson(Spec, "ordered");
+  for (uint64_t ShuffleSeed : {7ull, 991ull}) {
+    CampaignOptions Shuffled;
+    Shuffled.StateDir = stateDir("shuffled" + std::to_string(ShuffleSeed));
+    Shuffled.Threads = 2;
+    Shuffled.ShuffleSeed = ShuffleSeed;
+    EXPECT_TRUE(runUnder(GetParam(), Spec, Shuffled).Complete);
+    EXPECT_EQ(aggregateJson(Spec, Shuffled), Reference)
+        << "completion order leaked into the aggregate";
+    std::filesystem::remove_all(Shuffled.StateDir);
+  }
+}
+
+TEST_P(CampaignPolicyTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
+  // A disk-full window spanning every retry of one append: the campaign
+  // must quarantine that cell, finish the rest, and a re-launch must
+  // retry exactly the quarantined cell and aggregate byte-identically.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options;
+  Options.StateDir = stateDir("quarantine");
+
+  FailSpec Fault;
+  Fault.Errno = ENOSPC;
+  Fault.Nth = 2;   // the second cell's append...
+  Fault.Count = 4; // ...fails on all LedgerAppendAttempts attempts
+  armFailPoint("ledger.append", Fault);
+  CampaignProgress Progress = runUnder(GetParam(), Spec, Options);
+  disarmAllFailPoints();
+
+  EXPECT_FALSE(Progress.Complete);
+  ASSERT_EQ(Progress.QuarantinedCells.size(), 1u);
+  EXPECT_EQ(Progress.NewlyRun, Progress.TotalCells - 1);
+  // The quarantined key is simply absent from the ledger...
+  CampaignResult ShouldFail;
+  EXPECT_FALSE(aggregateCampaign(Spec, Options, ShouldFail));
+
+  // ...so the re-launch runs exactly it and nothing else.
+  CampaignProgress Resumed = runUnder(GetParam(), Spec, Options);
+  EXPECT_TRUE(Resumed.Complete);
+  EXPECT_EQ(Resumed.NewlyRun, 1u);
+  EXPECT_EQ(Resumed.AlreadyDone, Progress.TotalCells - 1);
+  EXPECT_EQ(aggregateJson(Spec, Options), cleanJson(Spec, "quarantine_clean"));
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+TEST_P(CampaignPolicyTest, TornQuarantineRemnantIsSealedNotGluedToNextCell) {
+  // Every attempt of one cell's append tears mid-line; the *next* cell's
+  // append must seal the remnant before writing, or both records die.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options;
+  Options.StateDir = stateDir("torn");
+
+  FailSpec Fault;
+  Fault.Mode = FailMode::Torn;
+  Fault.TornBytes = 9;
+  Fault.Errno = ENOSPC;
+  Fault.Nth = 2;
+  Fault.Count = 4;
+  armFailPoint("ledger.append", Fault);
+  CampaignProgress Progress = runUnder(GetParam(), Spec, Options);
+  disarmAllFailPoints();
+
+  EXPECT_FALSE(Progress.Complete);
+  ASSERT_EQ(Progress.QuarantinedCells.size(), 1u);
+  EXPECT_EQ(Progress.NewlyRun, Progress.TotalCells - 1);
+
+  // The cells appended after the torn one parsed cleanly: resume runs
+  // only the quarantined cell, and the aggregate matches a clean run.
+  CampaignProgress Resumed = runUnder(GetParam(), Spec, Options);
+  EXPECT_TRUE(Resumed.Complete);
+  EXPECT_EQ(Resumed.NewlyRun, 1u);
+  EXPECT_EQ(aggregateJson(Spec, Options), cleanJson(Spec, "torn_clean"));
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+TEST_P(CampaignPolicyTest, TotalLedgerFailureQuarantinesEverythingRecordsNothing) {
+  // A permanently failing ledger (every append fails from the start) must
+  // degrade to "all missing cells quarantined", never abort the process.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options;
+  Options.StateDir = stateDir("allfail");
+
+  FailSpec Fault;
+  Fault.Errno = ENOSPC;
+  armFailPoint("ledger.append", Fault); // every hit fires
+  CampaignProgress Progress = runUnder(GetParam(), Spec, Options);
+  disarmAllFailPoints();
+
+  EXPECT_FALSE(Progress.Complete);
+  EXPECT_EQ(Progress.QuarantinedCells.size(), Progress.TotalCells);
+  EXPECT_EQ(Progress.NewlyRun, 0u);
+
+  // Nothing made it into the ledger, so a clean re-launch runs it all.
+  CampaignProgress Resumed = runUnder(GetParam(), Spec, Options);
+  EXPECT_TRUE(Resumed.Complete);
+  EXPECT_EQ(Resumed.NewlyRun, Progress.TotalCells);
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+TEST_P(CampaignPolicyTest, RelaunchWithNothingMissingWritesNothing) {
+  // A finished campaign's relaunch (here by a fresh lease worker) must
+  // not open a ledger, claim a lease or start a scheduler.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options;
+  Options.StateDir = stateDir("noop");
+  Options.Threads = 2;
+  ASSERT_TRUE(runUnder(GetParam(), Spec, Options).Complete);
+  auto listing = [&] {
+    std::set<std::pair<std::string, uintmax_t>> Files;
+    for (const auto &Entry :
+         std::filesystem::recursive_directory_iterator(Options.StateDir))
+      Files.insert({Entry.path().string(), Entry.is_regular_file()
+                                                 ? Entry.file_size()
+                                                 : 0});
+    return Files;
+  };
+  auto Before = listing();
+  for (CampaignOptions Invocation : invocationsFor(GetParam(), Options)) {
+    if (Invocation.LeaseClaim)
+      Invocation.WorkerId = "w1";
+    CampaignProgress Again = runCampaignCells(Spec, Invocation);
+    EXPECT_TRUE(Again.Complete);
+    EXPECT_EQ(Again.NewlyRun, 0u);
+    EXPECT_EQ(Again.WorkersUsed, 0u);
+  }
+  EXPECT_EQ(listing(), Before);
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+INSTANTIATE_TEST_SUITE_P(RangePolicies, CampaignPolicyTest,
+                         ::testing::Values(RangeMode::Default,
+                                           RangeMode::Static3,
+                                           RangeMode::Lease),
+                         modeName);
+
+TEST(CampaignPolicyRulesTest, LeaseWorkerAttemptsExactlyMaxCellsAtFourThreads) {
+  // --max-cells caps the cells attempted in every mode: a lease worker
+  // whose range holds more cells than the cap must not let its parallel
+  // workers run past it.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options;
+  Options.StateDir = freshStateDir("lease_maxcells");
+  Options.Quiet = true;
+  Options.LeaseClaim = true;
+  Options.WorkerId = "w0";
+  Options.Threads = 4;
+  Options.MaxCells = 3;
+  CampaignProgress Progress = runCampaignCells(Spec, Options);
+  EXPECT_FALSE(Progress.Complete);
+  EXPECT_EQ(Progress.NewlyRun, 3u);
+  EXPECT_EQ(ledgerLines(Options.ledgerPath()).size(), 3u);
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+TEST(CampaignPolicyRulesTest, InlineLeaseRangeShufflesLikeAnUnshardedRun) {
+  // --shuffle orders each range's missing cells in every mode: a lease
+  // worker whose one range covers the spec appends in exactly the order
+  // an unsharded inline run with the same seed does.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Unsharded;
+  Unsharded.StateDir = freshStateDir("shuffle_unsharded");
+  Unsharded.Quiet = true;
+  Unsharded.ShuffleSeed = 7;
+  ASSERT_TRUE(runCampaignCells(Spec, Unsharded).Complete);
+
+  CampaignOptions Lease = Unsharded;
+  Lease.StateDir = freshStateDir("shuffle_lease");
+  Lease.LeaseClaim = true;
+  Lease.WorkerId = "w0";
+  Lease.LeaseRangeCells = unsigned(expandCells(Spec).size());
+  ASSERT_TRUE(runCampaignCells(Spec, Lease).Complete);
+
+  std::vector<std::string> Expected =
+      ledgerLines(Unsharded.canonicalLedgerPath());
+  EXPECT_EQ(ledgerLines(Lease.ledgerPath()), Expected);
+  // The shuffle really moved cells away from spec order.
+  const std::string Prefix = "{\"cell\":\"";
+  std::vector<std::string> Appended, SpecOrder;
+  for (const std::string &Line : Expected)
+    Appended.push_back(Line.substr(
+        Prefix.size(), Line.find('"', Prefix.size()) - Prefix.size()));
+  for (const CampaignCell &Cell : expandCells(Spec))
+    SpecOrder.push_back(Cell.key(Spec));
+  EXPECT_NE(Appended, SpecOrder);
+  std::filesystem::remove_all(Unsharded.StateDir);
+  std::filesystem::remove_all(Lease.StateDir);
+}
+
+//===----------------------------------------------------------------------===//
+// Ledger lines parse totally
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One corrupt on-disk count: its test name and the JSON number.
+struct BadCount {
+  const char *Name;
+  const char *Value;
+};
+
+class CorruptCountTest : public ::testing::TestWithParam<BadCount> {};
+
+} // namespace
+
+TEST_P(CorruptCountTest, LineIsGarbageMergeSkipsItAndResumeRerunsIt) {
+  // A count that no size_t holds — negative, fractional, out of range —
+  // must make its line garbage, never a cast into the aggregate.
+  CampaignSpec Spec = tinySpec();
+  std::string RefDir =
+      referenceCampaign(Spec, std::string("badcount_ref_") + GetParam().Name);
+  CampaignOptions Ref;
+  Ref.StateDir = RefDir;
+  std::vector<std::string> Lines = ledgerLines(Ref.canonicalLedgerPath());
+  ASSERT_GT(Lines.size(), 1u);
+  const std::string Field = "\"iterations\":";
+  size_t Begin = Lines[0].find(Field);
+  ASSERT_NE(Begin, std::string::npos);
+  Begin += Field.size();
+  Lines[0].replace(Begin, Lines[0].find(',', Begin) - Begin,
+                   GetParam().Value);
+
+  CampaignOptions Options;
+  Options.StateDir =
+      freshStateDir(std::string("badcount_") + GetParam().Name);
+  Options.Quiet = true;
+  std::filesystem::create_directories(Options.StateDir);
+  writeShard(Options.StateDir + "/cells.w0.jsonl", Lines);
+
+  LedgerMergeReport Report;
+  ASSERT_TRUE(mergeLedgers(Spec, Options, Report).ok());
+  EXPECT_EQ(Report.SkippedGarbage, 1u);
+  EXPECT_EQ(Report.UniqueCells, Lines.size() - 1);
+
+  CampaignProgress Resumed = runCampaignCells(Spec, Options);
+  EXPECT_TRUE(Resumed.Complete);
+  EXPECT_EQ(Resumed.NewlyRun, 1u);
+  CampaignResult RefResult;
+  ASSERT_TRUE(aggregateCampaign(Spec, Ref, RefResult));
+  EXPECT_EQ(aggregateJson(Spec, Options), campaignJson(Spec, RefResult));
+  std::filesystem::remove_all(RefDir);
+  std::filesystem::remove_all(Options.StateDir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadCounts, CorruptCountTest,
+    ::testing::Values(BadCount{"Negative", "-1"},
+                      BadCount{"Fractional", "2.5"},
+                      BadCount{"OutOfRange", "1e300"}),
+    [](const ::testing::TestParamInfo<BadCount> &Info) {
+      return std::string(Info.param.Name);
+    });

@@ -201,21 +201,6 @@ TEST(GpTest, IncrementalUpdateSurvivesNonFiniteObservation) {
   EXPECT_NEAR(M.predict({2.0}).Mean, 4.0, 0.05);
 }
 
-TEST(GpTest, DeferredModeBuffersUntilRefit) {
-  GpConfig C = fixedConfig();
-  C.Update = GpUpdateMode::Deferred;
-  GaussianProcess M(C);
-  M.fit({{0.0}, {1.0}}, {0.0, 1.0});
-  double Before = M.predict({2.0}).Mean;
-  M.update({2.0}, 4.0);
-  EXPECT_EQ(M.numObservations(), 3u);
-  // Still predicting from the stale factorization...
-  EXPECT_EQ(M.predict({2.0}).Mean, Before);
-  // ...until an explicit refit absorbs the buffered point.
-  M.refit();
-  EXPECT_NEAR(M.predict({2.0}).Mean, 4.0, 0.05);
-}
-
 TEST(GpTest, ParallelAlcBitIdenticalToSequential) {
   std::vector<std::vector<double>> X;
   std::vector<double> Y;

@@ -1,9 +1,7 @@
-//===- tests/model_test.cpp - surrogate-interface + kNN tests -*- C++ -*-===//
+//===- tests/model_test.cpp - surrogate model comparison tests -*- C++ -*-===//
 
 #include "dynatree/DynaTree.h"
-#include "model/KnnModel.h"
 #include "support/Rng.h"
-#include "support/Scheduler.h"
 
 #include <gtest/gtest.h>
 
@@ -11,79 +9,19 @@
 
 using namespace alic;
 
-TEST(KnnModelTest, ExactAtTrainingPoints) {
-  KnnModel M(1);
-  M.fit({{0.0}, {1.0}, {2.0}}, {5.0, 7.0, 9.0});
-  EXPECT_NEAR(M.predict({1.0}).Mean, 7.0, 1e-6);
-  EXPECT_NEAR(M.predict({2.0}).Mean, 9.0, 1e-6);
+namespace {
+
+/// The 1-nearest-neighbour baseline: the training target closest to \p V.
+double nearestNeighbour(const std::vector<std::vector<double>> &X,
+                        const std::vector<double> &Y, double V) {
+  size_t Best = 0;
+  for (size_t I = 1; I != X.size(); ++I)
+    if (std::fabs(X[I][0] - V) < std::fabs(X[Best][0] - V))
+      Best = I;
+  return Y[Best];
 }
 
-TEST(KnnModelTest, InterpolatesBetweenNeighbours) {
-  KnnModel M(2);
-  M.fit({{0.0}, {1.0}}, {0.0, 10.0});
-  double Mid = M.predict({0.5}).Mean;
-  EXPECT_GT(Mid, 2.0);
-  EXPECT_LT(Mid, 8.0);
-}
-
-TEST(KnnModelTest, VarianceReflectsNeighbourDisagreement) {
-  KnnModel M(3);
-  // Agreeing cluster on the left, wildly disagreeing one on the right.
-  M.fit({{-1.0}, {-1.1}, {-0.9}, {1.0}, {1.1}, {0.9}},
-        {2.0, 2.0, 2.0, 0.0, 10.0, 5.0});
-  EXPECT_GT(M.predict({1.0}).Variance, M.predict({-1.0}).Variance);
-}
-
-TEST(KnnModelTest, UpdateAddsPoints) {
-  KnnModel M(1);
-  M.fit({{0.0}}, {1.0});
-  M.update({5.0}, 9.0);
-  EXPECT_EQ(M.numObservations(), 2u);
-  EXPECT_NEAR(M.predict({5.0}).Mean, 9.0, 1e-6);
-}
-
-TEST(KnnModelTest, AlmScoresMatchVariance) {
-  KnnModel M(3);
-  M.fit({{0.0}, {0.1}, {2.0}, {2.1}}, {1.0, 1.0, 4.0, 8.0});
-  std::vector<std::vector<double>> Cands = {{0.05}, {2.05}};
-  std::vector<double> Alm = M.almScores(Cands);
-  EXPECT_DOUBLE_EQ(Alm[0], M.predict(Cands[0]).Variance);
-  EXPECT_DOUBLE_EQ(Alm[1], M.predict(Cands[1]).Variance);
-}
-
-TEST(KnnModelTest, AlcPrefersCandidatesNearUncertainReferences) {
-  KnnModel M(3);
-  // Agreeing cluster on the left (low spread), disagreeing cluster on the
-  // right (high spread).
-  M.fit({{-1.0}, {-1.1}, {-0.9}, {1.0}, {1.1}, {0.9}},
-        {2.0, 2.0, 2.0, 0.0, 10.0, 5.0});
-  std::vector<std::vector<double>> Ref = {{-1.0}, {1.0}};
-  std::vector<double> Scores = M.alcScores({{1.05}, {-1.05}}, Ref);
-  EXPECT_GT(Scores[0], 0.0);
-  EXPECT_GT(Scores[1], 0.0);
-  // Observing next to the noisy cluster relieves more reference variance.
-  EXPECT_GT(Scores[0], Scores[1]);
-}
-
-TEST(KnnModelTest, ParallelAlcBitIdenticalToSequential) {
-  Rng R(33);
-  KnnModel M(5);
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  for (int I = 0; I != 120; ++I) {
-    X.push_back({R.nextUniform(-1, 1), R.nextUniform(-1, 1)});
-    Y.push_back(X.back()[0] + 0.5 * R.nextGaussian());
-  }
-  M.fit(X, Y);
-  std::vector<std::vector<double>> Cands(X.begin(), X.begin() + 90);
-  std::vector<std::vector<double>> Ref(X.begin() + 90, X.end());
-
-  std::vector<double> Sequential = M.alcScores(Cands, Ref);
-  Scheduler Pool(4);
-  ScoreContext Ctx;
-  Ctx.Pool = &Pool;
-  EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Sequential);
-}
+} // namespace
 
 TEST(ModelComparisonTest, DynaTreeBeatsKnnOnStructuredNoise) {
   // On a heteroskedastic step function with many samples, the Bayesian
@@ -101,15 +39,13 @@ TEST(ModelComparisonTest, DynaTreeBeatsKnnOnStructuredNoise) {
   C.NumParticles = 150;
   DynaTree Tree(C);
   Tree.fit(X, Y);
-  KnnModel Knn(1);
-  Knn.fit(X, Y);
 
   double TreeSe = 0.0, KnnSe = 0.0;
   for (int I = 0; I != 200; ++I) {
     double V = R.nextUniform(-0.9, 0.9);
     double T = Fn(V);
     TreeSe += std::pow(Tree.predict({V}).Mean - T, 2);
-    KnnSe += std::pow(Knn.predict({V}).Mean - T, 2);
+    KnnSe += std::pow(nearestNeighbour(X, Y, V) - T, 2);
   }
   EXPECT_LT(TreeSe, KnnSe);
 }

@@ -525,13 +525,22 @@ TEST(ServeWireTest, FullExchange) {
   ASSERT_TRUE(jsonNumberField(Again, "ticket", Ticket2));
   EXPECT_EQ(Ticket, Ticket2);
 
-  // Observe with the right number of costs.
+  // Observe with the right number of costs.  A ticket that is no exact
+  // non-negative integer is refused first, even one that truncates to the
+  // outstanding ticket.
   size_t NumCosts = Configs->Items.size() * size_t(PerConfig);
-  std::string Observe = "{\"op\":\"observe\",\"session\":\"w\",\"ticket\":" +
-                        std::to_string(uint64_t(Ticket)) + ",\"costs\":[";
+  std::string Costs = ",\"costs\":[";
   for (size_t I = 0; I != NumCosts; ++I)
-    Observe += (I ? ",0.5" : "0.5");
-  Observe += "]}";
+    Costs += (I ? ",0.5" : "0.5");
+  Costs += "]}";
+  for (std::string Bad : {std::to_string(uint64_t(Ticket)) + ".5",
+                          std::string("1e20"), std::string("-1")})
+    EXPECT_FALSE(replyOk(roundTrip(
+        Engine, "{\"op\":\"observe\",\"session\":\"w\",\"ticket\":" +
+                    Bad + Costs)))
+        << Bad;
+  std::string Observe = "{\"op\":\"observe\",\"session\":\"w\",\"ticket\":" +
+                        std::to_string(uint64_t(Ticket)) + Costs;
   EXPECT_TRUE(replyOk(roundTrip(Engine, Observe)));
 
   // A stale ticket is refused without advancing the session.
@@ -553,17 +562,26 @@ TEST(ServeWireTest, FullExchange) {
 }
 
 TEST(ServeWireTest, ErrorsAndShutdown) {
+  ::setenv("ALIC_SCALE", "smoke", 1);
   ServeEngine Engine(engineOptions("", 0));
 
   EXPECT_FALSE(replyOk(roundTrip(Engine, "not json at all")));
   EXPECT_FALSE(replyOk(roundTrip(Engine, "{\"session\":\"x\"}")));
   EXPECT_FALSE(replyOk(roundTrip(Engine, "{\"op\":\"sugest\",\"session\":\"x\"}")));
   EXPECT_FALSE(replyOk(roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"x\"}")));
-  EXPECT_FALSE(replyOk(roundTrip(
-      Engine, "{\"op\":\"open\",\"session\":\"x\",\"spec\":{\"model\":\"svm\"}}")));
-  EXPECT_FALSE(replyOk(roundTrip(
-      Engine,
-      "{\"op\":\"open\",\"session\":\"x\",\"spec\":{\"plan\":\"always\"}}")));
+  // Open specs parse totally: a token with a suffix, a wrapped sign or a
+  // number outside its field's range is refused, never truncated.
+  for (const char *Spec :
+       {"\"model\":\"svm\"", "\"plan\":\"always\"",
+        "\"plan\":\"seq:35junk\"", "\"plan\":\"seq:-1\"",
+        "\"plan\":\"fixed:4294967296\"", "\"batch\":4294967297",
+        "\"batch\":2.5", "\"batch\":0", "\"max_examples\":4294967297",
+        "\"seed\":1e300", "\"dataset_seed\":-1"})
+    EXPECT_FALSE(replyOk(roundTrip(
+        Engine, std::string("{\"op\":\"open\",\"session\":\"x\","
+                            "\"spec\":{\"benchmark\":\"atax\",") +
+                    Spec + "}}")))
+        << Spec;
 
   // Every error above left the engine untouched.
   EXPECT_EQ(Engine.sessionCount(), 0u);

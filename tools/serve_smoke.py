@@ -23,7 +23,11 @@ semantics (docs/SERVE_PROTOCOL.md):
 4. *oversized request* — a request over --max-request-bytes gets one
    error reply and a disconnect, and the daemon stays up;
 5. *SIGTERM drain* — with a lazy --checkpoint-every cadence, SIGTERM
-   exits 0 and snapshots every session, so no observation is lost.
+   exits 0 and snapshots every session, so no observation is lost;
+6. *flag parsing* — malformed numeric flags (`--threads=abc`,
+   `--checkpoint-every=-1`, ...) exit 2 with the usage text before
+   serving, while `--threads=auto` and an empty `--state-dir=` still
+   start the daemon.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -207,6 +211,31 @@ def probe_sigterm_drain(binary, workdir):
           "(2 unsnapshotted observes survived)")
 
 
+def probe_flags(binary, workdir):
+    """Bad numeric flags are usage errors; auto threads and no state dir
+    are not."""
+    env = dict(os.environ, ALIC_SCALE="smoke")
+    sock = os.path.join(workdir, "flags.sock")
+    for bad in (["--threads=abc", "--checkpoint-every=-1"],
+                ["--threads=-1"], ["--checkpoint-every=1x"],
+                ["--idle-timeout-ms=99999999999999999999"],
+                ["--max-request-bytes="]):
+        proc = subprocess.run([binary, f"--socket={sock}", *bad],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+        if proc.returncode != 2 or "READY" in proc.stdout:
+            fail(f"flags: {bad} exited {proc.returncode} with stdout "
+                 f"{proc.stdout!r}, want exit 2 before READY")
+        if "usage:" not in proc.stderr:
+            fail(f"flags: {bad} printed no usage text: {proc.stderr!r}")
+    daemon = Daemon(binary, sock, "", "flags",
+                    extra_args=["--threads=auto"])
+    daemon.must({"op": "ping"})
+    daemon.shutdown()
+    print("serve_smoke: flag probe OK (bad numbers exit 2 with usage; "
+          "--threads=auto with an empty --state-dir= serves)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", required=True,
@@ -261,6 +290,7 @@ def main():
     probe_idle_timeout(binary, args.workdir)
     probe_oversized_request(binary, args.workdir)
     probe_sigterm_drain(binary, args.workdir)
+    probe_flags(binary, args.workdir)
 
     shutil.rmtree(args.workdir, ignore_errors=True)
     sys.exit(0)
