@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table/figure replication binaries: scale banner,
-/// dataset construction, and the three sampling plans under comparison.
+/// Helpers shared by the bench binaries: scale banner, dataset
+/// construction, and the shared campaign the paper renderers read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,27 +50,28 @@ inline Dataset benchDataset(const SpaptBenchmark &B,
                       BenchDatasetSeed);
 }
 
-/// The paper-replication binaries are thin renderers over one shared
+/// The campaign-backed benches are thin renderers over one shared
 /// campaign (exp/Campaign): this spec covers the default cross-product —
-/// dynamic tree, ALC, batch 1 — over \p Benchmarks (empty = all eleven)
-/// with the three Figure 6 sampling plans at the ambient scale, using the
-/// shared BenchDatasetSeed/BenchRunSeed so results match the historical
+/// dynamic tree, ALC, batch 1, all eleven benchmarks — with the three
+/// Figure 6 sampling plans at the ambient scale, using the shared
+/// BenchDatasetSeed/BenchRunSeed so results match the historical
 /// standalone runs exactly.
-inline CampaignSpec benchCampaignSpec(std::vector<std::string> Benchmarks = {}) {
+inline CampaignSpec benchCampaignSpec() {
   CampaignSpec Spec;
   Spec.Scale = ExperimentScale::fromEnv();
   Spec.ScaleName = scaleName(getScaleKind());
-  Spec.Benchmarks = std::move(Benchmarks);
   Spec.Plans = defaultCampaignPlans(Spec.Scale);
   Spec.DatasetSeed = BenchDatasetSeed;
   Spec.BaseRunSeed = BenchRunSeed;
-  // Only the Table 2 renderer reads the noise summaries; it opts back in.
+  // Only Table 2 (bench_paper_campaign) reads the noise summaries; it
+  // opts back in.
   Spec.NoiseCells = false;
   return Spec;
 }
 
-/// Campaign state shared by every renderer at one scale, so e.g. the
-/// Table 1 and Figure 5 binaries compute their common cells once.
+/// Campaign state shared by every renderer at one scale, so e.g.
+/// bench_paper_campaign and bench_ablation_query compute their common
+/// cells once.
 /// Override the directory with ALIC_CAMPAIGN_DIR and the cell-level
 /// worker count with ALIC_THREADS.
 inline CampaignOptions benchCampaignOptions() {

@@ -5,10 +5,9 @@
 // point in O(particles x depth) independent of n.  google-benchmark
 // micro-benchmarks over growing training-set sizes.
 //
-// Two ablations of our own ride along: the incremental rank-1 Cholesky
-// update (GpUpdateMode::Incremental, O(n^2)) against the paper's
-// refit-per-observation cost, and sequential against thread-pool-sharded
-// ALC candidate scoring.
+// Two ablations of our own ride along: the GP's incremental rank-1
+// Cholesky update (O(n^2)) against the paper's refit-per-observation
+// cost, and sequential against thread-pool-sharded ALC candidate scoring.
 //
 // Before the google-benchmark suite, a custom GP throughput section
 // sweeps the linalg/gp overhaul at n in {500, 2000, 8000}: blocked
@@ -109,12 +108,11 @@ void BM_DynaTreeUpdateParticles(benchmark::State &State) {
                            " threads (bit-identical)");
 }
 
-GpConfig plainGpConfig(GpUpdateMode Mode) {
+GpConfig plainGpConfig() {
   GpConfig C;
   C.OptimizeHyperParams = false;
   C.Init.LengthScale = 1.0;
   C.Init.NoiseVariance = 1e-3;
-  C.Update = Mode;
   return C;
 }
 
@@ -123,7 +121,7 @@ void BM_GpRefitUpdate(benchmark::State &State) {
   std::vector<std::vector<double>> X;
   std::vector<double> Y;
   makeData(N + 64, X, Y);
-  GaussianProcess M(plainGpConfig(GpUpdateMode::Refit));
+  GaussianProcess M(plainGpConfig());
   M.fit({X.begin(), X.begin() + long(N)}, {Y.begin(), Y.begin() + long(N)});
   for (auto _ : State) {
     M.refit(); // the O(n^3) solve a GP pays on every new observation
@@ -142,7 +140,7 @@ void BM_GpIncrementalUpdate(benchmark::State &State) {
   std::vector<std::vector<double>> X;
   std::vector<double> Y;
   makeData(N + 64, X, Y);
-  GaussianProcess Fitted(plainGpConfig(GpUpdateMode::Incremental));
+  GaussianProcess Fitted(plainGpConfig());
   Fitted.fit({X.begin(), X.begin() + long(N)},
              {Y.begin(), Y.begin() + long(N)});
   for (auto _ : State) {
@@ -164,7 +162,7 @@ void BM_GpAlcScoring(benchmark::State &State) {
   std::vector<std::vector<double>> X;
   std::vector<double> Y;
   makeData(N + 600, X, Y);
-  GaussianProcess M(plainGpConfig(GpUpdateMode::Incremental));
+  GaussianProcess M(plainGpConfig());
   M.fit({X.begin(), X.begin() + long(N)}, {Y.begin(), Y.begin() + long(N)});
   std::vector<std::vector<double>> Cands(X.end() - 500, X.end());
   std::vector<std::vector<double>> Ref(X.end() - 600, X.end() - 500);
@@ -260,7 +258,7 @@ struct QualityRow {
 };
 
 GpConfig sweepGpConfig(GpApprox Approx) {
-  GpConfig C = plainGpConfig(GpUpdateMode::Incremental);
+  GpConfig C = plainGpConfig();
   C.Approx = Approx;
   return C;
 }

@@ -20,24 +20,17 @@
 
 #include "exp/Campaign.h"
 #include "spapt/Suite.h"
-#include "support/Backoff.h"
 #include "support/Env.h"
 #include "support/Format.h"
 #include "support/Parse.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 using namespace alic;
 
@@ -105,10 +98,7 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "  --worker-id=ID        per-worker ledger tag (cells.<ID>.jsonl)\n"
       "  --merge-ledgers       union every cells*.jsonl shard ledger into\n"
       "                        the canonical cells.jsonl and exit; byte-\n"
-      "                        conflicting duplicates quarantine (exit %d)\n"
-      "  --spawn-workers=K     supervise K --lease-claim child processes,\n"
-      "                        restarting crashed ones with jittered backoff\n"
-      "  --max-restarts=N      total child restart budget (default 8)\n",
+      "                        conflicting duplicates quarantine (exit %d)\n",
       Binary, tokenList(ModelTokens, ",").c_str(),
       tokenList(ScorerTokens, ",").c_str(), ExitIncomplete, ExitQuarantined);
   std::exit(2);
@@ -156,166 +146,6 @@ std::vector<T> listFlag(const char *Binary, const char *Flag,
   return Values;
 }
 
-/// --spawn-workers: fork+exec K copies of this invocation as --lease-claim
-/// workers, restart the ones that crash (killed by a signal, or the
-/// failpoint crash simulator's exit 43) with jittered exponential backoff,
-/// and fold the children's exit codes into one verdict.  Lease workers
-/// exit 0 only once the *whole spec* is in the union of worker ledgers, so
-/// success is "any child exited 0 and none quarantined" — a crashed child
-/// whose restart budget ran out is fine as long as a survivor finished.
-int runSupervisor(int argc, char **argv, unsigned NumWorkers,
-                  uint64_t MaxRestarts, const CampaignOptions &Options) {
-  // Re-exec ourselves: /proc/self/exe survives $PATH lookups and chdir;
-  // argv[0] is the fallback for exotic mounts.
-  char ExeBuf[4096];
-  ssize_t Len = ::readlink("/proc/self/exe", ExeBuf, sizeof(ExeBuf) - 1);
-  std::string Exe = Len > 0 ? std::string(ExeBuf, size_t(Len)) : argv[0];
-
-  // Child argv: this command minus the supervisor-only flags, plus
-  // --lease-claim and a per-worker identity.
-  std::vector<std::string> Base;
-  Base.push_back(Exe);
-  bool HasLeaseClaim = false;
-  for (int I = 1; I != argc; ++I) {
-    if (std::strncmp(argv[I], "--spawn-workers=", 16) == 0 ||
-        std::strncmp(argv[I], "--max-restarts=", 15) == 0 ||
-        std::strncmp(argv[I], "--worker-id=", 12) == 0)
-      continue;
-    if (std::strcmp(argv[I], "--lease-claim") == 0)
-      HasLeaseClaim = true;
-    Base.push_back(argv[I]);
-  }
-  if (!HasLeaseClaim)
-    Base.push_back("--lease-claim");
-
-  struct Worker {
-    pid_t Pid = -1;
-    unsigned Restarts = 0;
-  };
-  std::vector<Worker> Workers(NumWorkers);
-
-  auto spawn = [&](unsigned Index, bool IsRestart) {
-    std::vector<std::string> Args = Base;
-    Args.push_back("--worker-id=w" + std::to_string(Index));
-    std::vector<char *> Argv;
-    for (std::string &Arg : Args)
-      Argv.push_back(Arg.data());
-    Argv.push_back(nullptr);
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      std::fprintf(stderr, "supervisor: fork: %s\n", std::strerror(errno));
-      return false;
-    }
-    if (Pid == 0) {
-      // A restarted worker must not re-arm the fault that killed its
-      // predecessor — an inherited crash failpoint would loop the
-      // restart budget away without making progress.
-      if (IsRestart)
-        ::unsetenv("ALIC_FAILPOINTS");
-      ::execv(Exe.c_str(), Argv.data());
-      std::fprintf(stderr, "supervisor: exec %s: %s\n", Exe.c_str(),
-                   std::strerror(errno));
-      ::_exit(127);
-    }
-    Workers[Index].Pid = Pid;
-    return true;
-  };
-
-  std::printf("# alic_campaign supervisor: %u lease worker(s), state-dir=%s, "
-              "restart budget %llu\n",
-              NumWorkers, Options.StateDir.c_str(),
-              (unsigned long long)MaxRestarts);
-  unsigned Running = 0;
-  bool AnyFailed = false;
-  for (unsigned I = 0; I != NumWorkers; ++I) {
-    if (spawn(I, false))
-      ++Running;
-    else
-      AnyFailed = true;
-  }
-
-  uint64_t RestartsUsed = 0;
-  bool AnyQuarantined = false, AnyIncomplete = false, AnyDone = false;
-  while (Running) {
-    int WStatus = 0;
-    pid_t Pid = ::waitpid(-1, &WStatus, 0);
-    if (Pid < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    size_t Index = Workers.size();
-    for (size_t I = 0; I != Workers.size(); ++I)
-      if (Workers[I].Pid == Pid)
-        Index = I;
-    if (Index == Workers.size())
-      continue; // not ours (some library's helper child)
-    Worker &W = Workers[Index];
-    W.Pid = -1;
-
-    // Crash = killed by a signal, or the failpoint crash simulator
-    // (support/FailPoint exits 43).  Deliberate stops — quarantine (74),
-    // --max-cells interruption (75), clean exits — are never restarted.
-    bool Crashed = WIFSIGNALED(WStatus) ||
-                   (WIFEXITED(WStatus) && WEXITSTATUS(WStatus) == 43);
-    if (Crashed && RestartsUsed < MaxRestarts) {
-      ++RestartsUsed;
-      ++W.Restarts;
-      uint64_t Delay =
-          Backoff(0xa11c0000u + Index, 50, 2000).delayMs(W.Restarts - 1);
-      std::fprintf(stderr,
-                   "supervisor: worker w%zu %s; restart %llu/%llu in "
-                   "%llu ms\n",
-                   Index,
-                   WIFSIGNALED(WStatus)
-                       ? ("killed by signal " +
-                          std::to_string(WTERMSIG(WStatus)))
-                             .c_str()
-                       : "crashed (exit 43)",
-                   (unsigned long long)RestartsUsed,
-                   (unsigned long long)MaxRestarts,
-                   (unsigned long long)Delay);
-      std::this_thread::sleep_for(std::chrono::milliseconds(Delay));
-      if (spawn(Index, true))
-        continue;
-      AnyFailed = true;
-    }
-
-    --Running;
-    if (WIFSIGNALED(WStatus)) {
-      std::fprintf(stderr,
-                   "supervisor: worker w%zu killed by signal %d, restart "
-                   "budget exhausted\n",
-                   Index, WTERMSIG(WStatus));
-      AnyFailed = true;
-      continue;
-    }
-    int Code = WEXITSTATUS(WStatus);
-    if (Code == 0)
-      AnyDone = true;
-    else if (Code == ExitQuarantined)
-      AnyQuarantined = true;
-    else if (Code == ExitIncomplete)
-      AnyIncomplete = true;
-    else
-      AnyFailed = true;
-    std::printf("supervisor: worker w%zu exited %d\n", Index, Code);
-  }
-
-  if (AnyQuarantined) {
-    std::fprintf(stderr, "supervisor: worker(s) quarantined cells; re-run "
-                         "to retry them\n");
-    return ExitQuarantined;
-  }
-  if (AnyDone) {
-    std::printf("supervisor: spec complete; merge the shard ledgers with "
-                "--merge-ledgers --state-dir=%s\n",
-                Options.StateDir.c_str());
-    return 0;
-  }
-  return AnyIncomplete && !AnyFailed ? ExitIncomplete : 1;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -328,8 +158,6 @@ int main(int argc, char **argv) {
   Options.StateDir = defaultCampaignStateDir(Spec.ScaleName);
   std::string OutPath = "BENCH_campaign.json";
   bool MergeMode = false;
-  unsigned SpawnWorkers = 0;
-  uint64_t MaxRestarts = 8;
 
   for (int I = 1; I != argc; ++I) {
     std::string Value;
@@ -419,11 +247,6 @@ int main(int argc, char **argv) {
       Options.WorkerId = Value;
     } else if (std::strcmp(argv[I], "--merge-ledgers") == 0) {
       MergeMode = true;
-    } else if (parseFlag(argv[I], "--spawn-workers", Value)) {
-      SpawnWorkers = unsigned(countFlag(argv[0], "--spawn-workers", Value, 1));
-    } else if (parseFlag(argv[I], "--max-restarts", Value)) {
-      MaxRestarts = countFlag(argv[0], "--max-restarts", Value, 0,
-                              std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[I], "--help") == 0 ||
                std::strcmp(argv[I], "-h") == 0) {
       usage(argv[0], nullptr);
@@ -435,9 +258,6 @@ int main(int argc, char **argv) {
   if (Options.ShardCount && Options.LeaseClaim)
     usage(argv[0], "--shard and --lease-claim are alternative sharding "
                    "modes; pick one");
-  if (SpawnWorkers && (Options.ShardCount || MergeMode))
-    usage(argv[0], "--spawn-workers supervises --lease-claim workers; it "
-                   "cannot combine with --shard or --merge-ledgers");
 
   if (MergeMode) {
     LedgerMergeReport Report;
@@ -468,9 +288,6 @@ int main(int argc, char **argv) {
                 Report.ForeignCells, Report.TornTails, Report.SkippedGarbage);
     return 0;
   }
-
-  if (SpawnWorkers)
-    return runSupervisor(argc, argv, SpawnWorkers, MaxRestarts, Options);
 
   std::printf("# alic_campaign  [ALIC_SCALE=%s] %zu benchmark(s) x %zu "
               "model(s) x %zu scorer(s) x %zu batch(es) x %u seed(s), "

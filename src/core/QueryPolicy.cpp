@@ -2,10 +2,10 @@
 
 #include "core/QueryPolicy.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace alic;
 
@@ -109,15 +109,9 @@ private:
   double CostMax = 0.0;
 };
 
-/// %g-formatted number, stable across platforms for the values we emit.
-std::string formatG(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%g", V);
-  return Buf;
-}
-
-/// Splits "name:num:num" into the name and up to \p MaxNums numbers.
-/// Returns the number of numbers parsed, or -1 on malformed input.
+/// Splits "name:num:num" into the name and up to \p MaxNums numbers, each
+/// an unsigned JSON number filling its segment.  Returns the number of
+/// numbers parsed, or -1 on malformed input.
 int splitNums(const std::string &Token, std::string &Name, double *Nums,
               int MaxNums) {
   size_t Colon = Token.find(':');
@@ -128,11 +122,10 @@ int splitNums(const std::string &Token, std::string &Name, double *Nums,
     std::string Part = Token.substr(Colon + 1, Next == std::string::npos
                                                    ? std::string::npos
                                                    : Next - Colon - 1);
-    char *End = nullptr;
-    double V = std::strtod(Part.c_str(), &End);
-    if (Count >= MaxNums || Part.empty() || End != Part.c_str() + Part.size())
+    if (Count >= MaxNums || Part.empty() || Part[0] == '-' ||
+        !parseJsonNumber(Part, Nums[Count]))
       return -1;
-    Nums[Count++] = V;
+    ++Count;
     Colon = Next;
   }
   return Count;
@@ -144,40 +137,43 @@ bool alic::parseQueryPolicy(const std::string &Token, QueryPolicyConfig &Out) {
   std::string Name;
   double Nums[2];
   int Count = splitNums(Token, Name, Nums, 2);
-  if (Count < 0)
-    return false;
   QueryPolicyConfig Cfg;
-  if (Name == "always") {
+  if (Count < 0 || !parseToken(PolicyTokens, Name, Cfg.Kind))
+    return false;
+  switch (Cfg.Kind) {
+  case QueryPolicyKind::Always:
     if (Count != 0)
       return false;
-    Cfg.Kind = QueryPolicyKind::Always;
-  } else if (Name == "alm") {
-    Cfg.Kind = QueryPolicyKind::AlmThreshold;
+    break;
+  case QueryPolicyKind::AlmThreshold:
     if (Count >= 1)
       Cfg.AbsFloor = Nums[0];
     if (Count >= 2)
       Cfg.RelFloor = Nums[1];
-  } else if (Name == "cost") {
-    Cfg.Kind = QueryPolicyKind::CostRange;
+    break;
+  case QueryPolicyKind::CostRange:
     if (Count >= 1)
       Cfg.Mellowness = Nums[0];
     if (Count >= 2)
       Cfg.RangeC1 = Nums[1];
-  } else {
-    return false;
+    break;
   }
   Out = Cfg;
   return true;
 }
 
 std::string alic::queryPolicyToken(const QueryPolicyConfig &Cfg) {
+  auto withNums = [&](double A, double B) {
+    return std::string(tokenOf(PolicyTokens, Cfg.Kind)) + ":" +
+           formatJsonDouble(A) + ":" + formatJsonDouble(B);
+  };
   switch (Cfg.Kind) {
   case QueryPolicyKind::Always:
-    return "always";
+    break;
   case QueryPolicyKind::AlmThreshold:
-    return "alm:" + formatG(Cfg.AbsFloor) + ":" + formatG(Cfg.RelFloor);
+    return withNums(Cfg.AbsFloor, Cfg.RelFloor);
   case QueryPolicyKind::CostRange:
-    return "cost:" + formatG(Cfg.Mellowness) + ":" + formatG(Cfg.RangeC1);
+    return withNums(Cfg.Mellowness, Cfg.RangeC1);
   }
   return "always";
 }

@@ -50,6 +50,8 @@
 #ifndef ALIC_CORE_QUERYPOLICY_H
 #define ALIC_CORE_QUERYPOLICY_H
 
+#include "support/TokenTable.h"
+
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,6 +64,14 @@ enum class QueryPolicyKind {
   AlmThreshold, ///< skip when predictive variance falls below a floor
   CostRange,    ///< skip when the admissible cost range is narrow (VW)
 };
+
+/// Every QueryPolicyKind and the token that names it (the leading segment
+/// of a policy token).  Printing, parsing and snapshot validation all read
+/// this table.
+inline constexpr TokenRow<QueryPolicyKind> PolicyTokens[] = {
+    {QueryPolicyKind::Always, "always"},
+    {QueryPolicyKind::AlmThreshold, "alm"},
+    {QueryPolicyKind::CostRange, "cost"}};
 
 /// Serializable description of a query policy.  Travels through
 /// ActiveLearnerConfig, campaign specs, the serve wire (`policy` field of
@@ -94,13 +104,16 @@ struct QueryPolicyConfig {
 
 /// Parses a policy token into \p Out.  Accepted forms: `always`,
 /// `alm[:ABS[:REL]]`, `cost[:C0[:C1]]` (missing numbers keep the
-/// QueryPolicyConfig defaults).  Returns false, leaving \p Out
-/// untouched, on anything else.
+/// QueryPolicyConfig defaults).  Each number is one unsigned JSON number
+/// (finite, no sign, no whitespace) filling its whole segment.  Returns
+/// false, leaving \p Out untouched, on anything else.
 bool parseQueryPolicy(const std::string &Token, QueryPolicyConfig &Out);
 
-/// Canonical token for \p Cfg: `always`, `alm:ABS:REL`, or `cost:C0:C1`.
-/// Stable across runs (used in campaign cell keys), and re-parseable by
-/// parseQueryPolicy().
+/// Canonical token for \p Cfg: `always`, `alm:ABS:REL`, or `cost:C0:C1`,
+/// numbers in their shortest round-trip form.  Stable across runs (used
+/// in campaign cell keys), distinct for configurations that differ in a
+/// number their kind reads, and exact: when those numbers are finite and
+/// non-negative, parseQueryPolicy() gives them back bit for bit.
 std::string queryPolicyToken(const QueryPolicyConfig &Cfg);
 
 /// What a policy sees when consulted about one selected candidate.

@@ -43,6 +43,7 @@
 
 #include "exp/Runner.h"
 #include "support/Error.h"
+#include "support/TokenTable.h"
 
 #include <string>
 #include <vector>
@@ -352,13 +353,6 @@ bool runCampaign(const CampaignSpec &Spec, const CampaignOptions &Options,
 std::string campaignJson(const CampaignSpec &Spec,
                          const CampaignResult &Result);
 
-/// One row of a token table: an enum value and the canonical lower-case
-/// token that cell keys, JSON, CLI flags and the serve wire spell it as.
-template <typename KindT> struct TokenRow {
-  KindT Kind;        ///< the enum value
-  const char *Token; ///< its token
-};
-
 /// Every ModelKind and its token.  Printing and parsing both read this
 /// table, so adding a model means adding one row.
 inline constexpr TokenRow<ModelKind> ModelTokens[] = {
@@ -377,38 +371,6 @@ inline constexpr TokenRow<ScorerKind> ScorerTokens[] = {
 inline constexpr TokenRow<SamplingPlan::Kind> PlanTokens[] = {
     {SamplingPlan::Kind::Fixed, "fixed"},
     {SamplingPlan::Kind::Sequential, "seq"}};
-
-/// The token of \p Kind in \p Table, or nullptr when no row holds it.
-template <typename KindT, size_t N>
-const char *tokenOf(const TokenRow<KindT> (&Table)[N], KindT Kind) {
-  for (const TokenRow<KindT> &Row : Table)
-    if (Row.Kind == Kind)
-      return Row.Token;
-  return nullptr;
-}
-
-/// The kind whose token is \p Text; false (\p Out unchanged) when no row
-/// of \p Table holds it.
-template <typename KindT, size_t N>
-bool parseToken(const TokenRow<KindT> (&Table)[N], const std::string &Text,
-                KindT &Out) {
-  for (const TokenRow<KindT> &Row : Table)
-    if (Text == Row.Token) {
-      Out = Row.Kind;
-      return true;
-    }
-  return false;
-}
-
-/// Every token of \p Table joined by \p Separator (usage and error text).
-template <typename KindT, size_t N>
-std::string tokenList(const TokenRow<KindT> (&Table)[N],
-                      const char *Separator) {
-  std::string List;
-  for (const TokenRow<KindT> &Row : Table)
-    List += (List.empty() ? "" : Separator) + std::string(Row.Token);
-  return List;
-}
 
 /// The model's token from ModelTokens.
 const char *modelToken(ModelKind Kind);

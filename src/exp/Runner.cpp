@@ -60,6 +60,20 @@ alic::makeSurrogateModel(ModelKind Kind, const ExperimentScale &S,
   return std::make_unique<DynaTree>(C);
 }
 
+double alic::testSetRmse(const SurrogateModel &Model, const Dataset &D,
+                         size_t NumEval) {
+  // Batched so the GP streams its factor rows once per block instead of
+  // once per test point.
+  std::vector<Prediction> Preds(NumEval);
+  Model.predictBatch(D.TestFeatures, NumEval, Preds.data());
+  std::vector<double> Pred(NumEval), Actual(NumEval);
+  for (size_t I = 0; I != NumEval; ++I) {
+    Pred[I] = Preds[I].Mean;
+    Actual[I] = D.TestMeans[I];
+  }
+  return rootMeanSquaredError(Pred, Actual);
+}
+
 RunResult alic::runLearning(const SpaptBenchmark &B, const Dataset &D,
                             SamplingPlan Plan, const ExperimentScale &S,
                             uint64_t Seed, const RunOptions &Options) {
@@ -78,18 +92,7 @@ RunResult alic::runLearning(const SpaptBenchmark &B, const Dataset &D,
   size_t NumEval = std::min(S.TestSubset, D.TestFeatures.size());
   assert(NumEval > 0 && "empty test subset");
 
-  auto evalRmse = [&]() {
-    // Batched so the GP streams its factor rows once per block instead
-    // of once per test point; bit-identical to per-point predict().
-    std::vector<Prediction> Preds(NumEval);
-    Model->predictBatch(D.TestFeatures, NumEval, Preds.data());
-    std::vector<double> Pred(NumEval), Actual(NumEval);
-    for (size_t I = 0; I != NumEval; ++I) {
-      Pred[I] = Preds[I].Mean;
-      Actual[I] = D.TestMeans[I];
-    }
-    return rootMeanSquaredError(Pred, Actual);
-  };
+  auto evalRmse = [&] { return testSetRmse(*Model, D, NumEval); };
 
   RunResult Result;
   Learner.step(); // seeding phase

@@ -43,6 +43,14 @@ std::unique_ptr<SurrogateModel> makeSurrogateModel(ModelKind Kind,
                                                    const ExperimentScale &S,
                                                    uint64_t Seed);
 
+/// Test-set RMSE (equation (1) of the paper) of \p Model's mean
+/// predictions over the first \p NumEval held-out points of \p D
+/// (0 < \p NumEval <= D.TestFeatures.size()) — the one evaluation behind
+/// every learning-curve point and the serve `eval` op.  Predicts in one
+/// batch, bit-identical to per-point predict().
+double testSetRmse(const SurrogateModel &Model, const Dataset &D,
+                   size_t NumEval);
+
 /// One point of a learning curve.
 struct CurvePoint {
   size_t Iteration = 0;    ///< learner iteration the point was taken at

@@ -169,17 +169,10 @@ void GaussianProcess::fit(const FlatRows &X, const std::vector<double> &Y) {
 void GaussianProcess::update(RowRef X, double Y) {
   DataX.push(X);
   DataY.push_back(Y);
-  switch (Config.Update) {
-  case GpUpdateMode::Incremental:
-    if (Config.Approx == GpApprox::SoR)
-      updateIncrementalSor();
-    else
-      updateIncremental();
-    break;
-  case GpUpdateMode::Refit:
-    refitWith(Params); // the O(n^3) cost the paper's Section 3.2 dislikes
-    break;
-  }
+  if (Config.Approx == GpApprox::SoR)
+    updateIncrementalSor();
+  else
+    updateIncremental();
 }
 
 Prediction GaussianProcess::predict(RowRef X) const {

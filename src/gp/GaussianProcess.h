@@ -16,15 +16,14 @@
 /// Two inference modes (GpApprox):
 ///
 ///  * Exact — full n x n Cholesky inference over the packed triangular
-///    factor (linalg/Cholesky.h).  update() supports both sides of the
-///    paper's comparison: the default incremental mode grows the factor
-///    by one bordered row (Cholesky::extend, O(n^2) per observation and
+///    factor (linalg/Cholesky.h).  update() grows the factor by one
+///    bordered row (Cholesky::extend, O(n^2) per observation and
 ///    amortized O(n) copies) and re-solves for the weights, which is
-///    numerically identical to the from-scratch O(n^3) refit mode
-///    because the extension reproduces factorize()'s arithmetic
-///    bit-for-bit.  The full refit is still what hyperparameter
-///    re-optimization costs — bench_ablation_model_cost contrasts the
-///    two.
+///    numerically identical to a from-scratch O(n^3) refit because the
+///    extension reproduces factorize()'s arithmetic bit-for-bit.  The
+///    full refit — the cost the paper's Section 3.2 attributes to GPs —
+///    is still what hyperparameter re-optimization pays;
+///    bench_ablation_model_cost times refit() against update().
 ///
 ///  * SoR — subset of regressors (Quinonero-Candela & Rasmussen 2005):
 ///    inference through the m x m projected system
@@ -62,16 +61,6 @@ struct GpHyperParams {
   double NoiseVariance = 0.01;  ///< sigma_n^2 (nugget)
 };
 
-/// How update() absorbs one observation.
-enum class GpUpdateMode {
-  /// Rank-1 Cholesky extension: O(n^2) per observation, identical
-  /// predictions to a full refit (the default).
-  Incremental,
-  /// Full O(n^3) refactorization per observation — the cost the paper's
-  /// Section 3.2 attributes to GPs; kept for the ablation benches.
-  Refit,
-};
-
 /// Which inference path the GP runs.
 enum class GpApprox {
   /// Full n x n Cholesky inference — the paper's O(n^3) comparator, and
@@ -104,8 +93,6 @@ struct GpConfig {
   /// never re-optimizes, and the first fit() is bit-identical to the
   /// pre-warm-start behavior, so campaign results are untouched.
   bool WarmStart = true;
-  /// How update() folds new observations into the factorization.
-  GpUpdateMode Update = GpUpdateMode::Incremental;
   /// Inference mode: exact O(n^3) or subset-of-regressors.
   GpApprox Approx = GpApprox::Exact;
   /// Inducing-point budget m of GpApprox::SoR (clamped to n).

@@ -22,7 +22,7 @@ Kernel::Kernel(const Kernel &Other)
 
 unsigned Kernel::addArray(std::string ArrayName, std::vector<int64_t> Dims) {
   assert(!Dims.empty() && "arrays need at least one dimension");
-  for (int64_t D : Dims)
+  for ([[maybe_unused]] int64_t D : Dims)
     assert(D > 0 && "array dimensions must be positive");
   Arrays.push_back({std::move(ArrayName), std::move(Dims)});
   return static_cast<unsigned>(Arrays.size() - 1);

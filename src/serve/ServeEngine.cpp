@@ -4,7 +4,6 @@
 
 #include "exp/Campaign.h"
 #include "spapt/Suite.h"
-#include "stats/Metrics.h"
 #include "support/Error.h"
 #include "support/FailPoint.h"
 #include "support/Scheduler.h"
@@ -86,10 +85,11 @@ bool readSpec(ByteReader &R, SessionSpec &Spec) {
   R.readU32(S.EvalEvery);
   R.readU64(TestSubset);
   R.readU32(S.ObservationCap);
-  // Model, scorer and plan bytes are valid exactly when their token table
-  // has a row for them.
+  // Model, scorer, policy and plan bytes are valid exactly when their
+  // token table has a row for them.
   if (!R.ok() || !tokenOf(ModelTokens, ModelKind(Model)) ||
-      !tokenOf(ScorerTokens, ScorerKind(Scorer)) || PolicyKind > 2 ||
+      !tokenOf(ScorerTokens, ScorerKind(Scorer)) ||
+      !tokenOf(PolicyTokens, QueryPolicyKind(PolicyKind)) ||
       !tokenOf(PlanTokens, SamplingPlan::Kind(PlanKind)))
     return false;
   Spec.Model = ModelKind(Model);
@@ -349,12 +349,7 @@ bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
     Err = "empty test subset";
     return false;
   }
-  std::vector<double> Pred(NumEval), Actual(NumEval);
-  for (size_t I = 0; I != NumEval; ++I) {
-    Pred[I] = S->Model->predict(D.TestFeatures[I]).Mean;
-    Actual[I] = D.TestMeans[I];
-  }
-  Rmse = rootMeanSquaredError(Pred, Actual);
+  Rmse = testSetRmse(*S->Model, D, NumEval);
   return true;
 }
 

@@ -22,13 +22,6 @@ double SpaptBenchmark::compileSeconds(const Config &C) const {
   return Model.evaluate(K, Plan).CompileSeconds;
 }
 
-CostBreakdown SpaptBenchmark::costBreakdown(const Config &C) const {
-  TransformPlan Plan = TransformPlan::fromConfig(Space, C);
-  CostBreakdown B = Model.evaluate(K, Plan);
-  B.RuntimeSeconds *= RuntimeCalibration;
-  return B;
-}
-
 Config SpaptBenchmark::baselineConfig() const {
   Config C(Space.numParams(), 0);
   for (size_t I = 0; I != Space.numParams(); ++I) {

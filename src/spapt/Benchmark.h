@@ -43,9 +43,6 @@ public:
   double compileSeconds(const Config &C) const override;
   const NoiseProfile &noise() const override { return Noise; }
 
-  /// Full cost breakdown (diagnostics/benches).
-  CostBreakdown costBreakdown(const Config &C) const;
-
   /// The configuration with every factor = 1 (plain -O2 baseline).
   Config baselineConfig() const;
 

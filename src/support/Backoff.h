@@ -7,14 +7,14 @@
 ///
 /// \file
 /// One deterministic backoff schedule for every retry loop in the project
-/// (ledger appends, accept() resource exhaustion, supervisor restarts,
-/// lease polling).  The delay for attempt A is a pure function of
-/// (Seed, A): the exponential envelope min(Base << A, Cap) with equal
-/// jitter drawn from a counter-based Rng stream — no shared state, no
-/// wall clock, so two processes with the same seed replay the same
-/// schedule and tests can pin it exactly.  Jitter decorrelates competing
-/// retriers (distinct seeds) so they do not stampede in lockstep; a
-/// JitterFraction of 0 degenerates to the plain exponential ladder.
+/// (ledger appends, accept() resource exhaustion).  The delay for attempt
+/// A is a pure function of (Seed, A): the exponential envelope
+/// min(Base << A, Cap) with equal jitter drawn from a counter-based Rng
+/// stream — no shared state, no wall clock, so two processes with the
+/// same seed replay the same schedule and tests can pin it exactly.
+/// Jitter decorrelates competing retriers (distinct seeds) so they do not
+/// stampede in lockstep; a JitterFraction of 0 degenerates to the plain
+/// exponential ladder.
 ///
 //===----------------------------------------------------------------------===//
 

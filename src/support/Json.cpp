@@ -11,6 +11,50 @@ using namespace alic;
 
 namespace {
 
+/// Scans one JSON number at \p P into \p Out and returns the first byte
+/// past it, or nullptr when \p P does not start with one.  Strict JSON
+/// number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
+/// strtod alone also accepts "nan", "inf"/"infinity", and hex floats,
+/// none of which are JSON — scan the token shape first so a hostile line
+/// cannot smuggle non-finite costs into the model.
+const char *scanJsonNumber(const char *P, double &Out) {
+  const char *Q = P;
+  if (*Q == '-')
+    ++Q;
+  if (*Q == '0') {
+    ++Q;
+  } else if (*Q >= '1' && *Q <= '9') {
+    while (*Q >= '0' && *Q <= '9')
+      ++Q;
+  } else {
+    return nullptr;
+  }
+  if (*Q == '.') {
+    ++Q;
+    if (*Q < '0' || *Q > '9')
+      return nullptr;
+    while (*Q >= '0' && *Q <= '9')
+      ++Q;
+  }
+  if (*Q == 'e' || *Q == 'E') {
+    ++Q;
+    if (*Q == '+' || *Q == '-')
+      ++Q;
+    if (*Q < '0' || *Q > '9')
+      return nullptr;
+    while (*Q >= '0' && *Q <= '9')
+      ++Q;
+  }
+  char *End = nullptr;
+  double Number = std::strtod(P, &End);
+  // End != Q would mean strtod read past the JSON token (e.g. "0x12");
+  // overflow ("1e999") yields infinity, equally unrepresentable.
+  if (End != Q || !std::isfinite(Number))
+    return nullptr;
+  Out = Number;
+  return Q;
+}
+
 /// Recursive-descent parser over one null-terminated document.
 class JsonParser {
 public:
@@ -149,46 +193,11 @@ private:
     }
     if (literal("null"))
       return true;
-    // Strict JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?
-    // [0-9]+)?.  strtod alone also accepts "nan", "inf"/"infinity", and
-    // hex floats, none of which are JSON — scan the token shape first so
-    // a hostile line cannot smuggle non-finite costs into the model.
-    const char *Q = P;
-    if (*Q == '-')
-      ++Q;
-    if (*Q == '0') {
-      ++Q;
-    } else if (*Q >= '1' && *Q <= '9') {
-      while (*Q >= '0' && *Q <= '9')
-        ++Q;
-    } else {
-      return false;
-    }
-    if (*Q == '.') {
-      ++Q;
-      if (*Q < '0' || *Q > '9')
-        return false;
-      while (*Q >= '0' && *Q <= '9')
-        ++Q;
-    }
-    if (*Q == 'e' || *Q == 'E') {
-      ++Q;
-      if (*Q == '+' || *Q == '-')
-        ++Q;
-      if (*Q < '0' || *Q > '9')
-        return false;
-      while (*Q >= '0' && *Q <= '9')
-        ++Q;
-    }
-    char *End = nullptr;
-    double Number = std::strtod(P, &End);
-    // End != Q would mean strtod read past the JSON token (e.g. "0x12");
-    // overflow ("1e999") yields infinity, equally unrepresentable.
-    if (End != Q || !std::isfinite(Number))
+    const char *End = scanJsonNumber(P, Out.Number);
+    if (!End)
       return false;
     Out.K = JsonValue::Kind::Number;
-    Out.Number = Number;
-    P = Q;
+    P = End;
     return true;
   }
 
@@ -199,6 +208,15 @@ private:
 
 bool alic::parseJson(const char *Text, JsonValue &Out) {
   return JsonParser(Text).parse(Out);
+}
+
+bool alic::parseJsonNumber(const std::string &Text, double &Out) {
+  double Number = 0.0;
+  const char *End = scanJsonNumber(Text.c_str(), Number);
+  if (!End || End != Text.c_str() + Text.size())
+    return false;
+  Out = Number;
+  return true;
 }
 
 std::string alic::formatJsonDouble(double Value) {

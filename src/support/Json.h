@@ -67,6 +67,12 @@ struct JsonValue {
 /// (nan/inf/hex floats), and on container nesting deeper than 64 levels.
 bool parseJson(const char *Text, JsonValue &Out);
 
+/// Parses the whole of \p Text as one JSON number under the same strict
+/// grammar parseJson applies (no surrounding whitespace, no leading '+',
+/// no nan/inf/hex, finite after conversion).  On failure \p Out is left
+/// unchanged.
+bool parseJsonNumber(const std::string &Text, double &Out);
+
 /// Shortest decimal rendering of \p Value that strtod parses back to the
 /// same IEEE-754 bits (std::to_chars), so doubles written to a ledger or
 /// a wire line round-trip exactly.  Non-finite input renders as "null"

@@ -63,7 +63,7 @@ int Param::value(size_t Ordinal) const {
 
 ParamSpace::ParamSpace(std::vector<Param> Params) : Params(std::move(Params)) {
   assert(!this->Params.empty() && "a space needs at least one parameter");
-  for (const Param &P : this->Params) {
+  for ([[maybe_unused]] const Param &P : this->Params) {
     assert(P.numValues() >= 1 && "parameter with no values");
     assert(P.numValues() <= 65535 && "ordinal must fit in uint16_t");
   }
@@ -145,7 +145,8 @@ std::vector<Config> ParamSpace::sampleDistinct(Rng &R, size_t Count) const {
   return Result;
 }
 
-std::vector<Config> ParamSpace::enumerateAll(size_t Limit) const {
+std::vector<Config>
+ParamSpace::enumerateAll([[maybe_unused]] size_t Limit) const {
   BigUInt Card = cardinality();
   assert(Card <= BigUInt(static_cast<uint64_t>(Limit)) &&
          "space too large to enumerate");

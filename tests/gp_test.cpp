@@ -158,34 +158,6 @@ TEST(GpTest, IncrementalUpdateMatchesFromScratchFit) {
               1e-9);
 }
 
-TEST(GpTest, IncrementalAndRefitModesAgreeBitwise) {
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(40, 11, X, Y);
-
-  GpConfig IncCfg = fixedConfig();
-  IncCfg.Update = GpUpdateMode::Incremental;
-  GpConfig RefitCfg = fixedConfig();
-  RefitCfg.Update = GpUpdateMode::Refit;
-
-  GaussianProcess Inc(IncCfg), Refit(RefitCfg);
-  Inc.fit({X.begin(), X.begin() + 10}, {Y.begin(), Y.begin() + 10});
-  Refit.fit({X.begin(), X.begin() + 10}, {Y.begin(), Y.begin() + 10});
-  for (size_t I = 10; I != X.size(); ++I) {
-    Inc.update(X[I], Y[I]);
-    Refit.update(X[I], Y[I]);
-  }
-  // Cholesky::extend reproduces factorize()'s arithmetic, so the two
-  // update modes are not merely close — they are the same numbers.
-  Rng R(12);
-  for (int Probe = 0; Probe != 20; ++Probe) {
-    std::vector<double> P = {R.nextUniform(-2, 2), R.nextUniform(-2, 2)};
-    EXPECT_EQ(Inc.predict(P).Mean, Refit.predict(P).Mean);
-    EXPECT_EQ(Inc.predict(P).Variance, Refit.predict(P).Variance);
-  }
-  EXPECT_EQ(Inc.logMarginalLikelihood(), Refit.logMarginalLikelihood());
-}
-
 TEST(GpTest, IncrementalUpdateSurvivesNonFiniteObservation) {
   GaussianProcess M(fixedConfig());
   M.fit({{0.0}, {1.0}}, {0.0, 1.0});

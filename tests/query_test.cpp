@@ -10,10 +10,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/QueryPolicy.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
 
 using namespace alic;
 
@@ -46,10 +49,94 @@ TEST(QueryPolicyTest, ParseDefaultsAndPartials) {
 
 TEST(QueryPolicyTest, ParseRejectsMalformedTokens) {
   QueryPolicyConfig Cfg;
-  for (const char *Bad : {"", "sometimes", "always:1", "alm:1:2:3",
-                          "cost:x", "cost:", "alm:0.1:"}) {
+  Cfg.Mellowness = 0.25;
+  // Each number is one unsigned JSON number filling its segment: no
+  // sign, no whitespace, no nan/inf/hex spellings, nothing that overflows.
+  for (const char *Bad :
+       {"", "sometimes", "always:1", "alm:1:2:3", "cost:x", "cost:",
+        "alm:0.1:", "cost:nan", "cost:NaN", "cost:inf", "cost:infinity",
+        "alm:1e999", "alm:0:1e999", "cost:-1", "cost:-0", "alm:0:-0.05",
+        "cost:+1", "cost:0x10", "cost: 1", "cost:1 ", "cost:.5", "cost:1.",
+        "cost:01", "cost:1e", "cost:0.1:0.03x"}) {
     EXPECT_FALSE(parseQueryPolicy(Bad, Cfg)) << "accepted '" << Bad << "'";
   }
+  EXPECT_EQ(Cfg.Kind, QueryPolicyKind::Always); // left untouched
+  EXPECT_EQ(Cfg.Mellowness, 0.25);
+}
+
+namespace {
+
+/// A finite, non-negative double drawn over the whole exponent range
+/// (subnormals included), or a short decimal like the ones people type.
+double generatedNumber(Rng &R) {
+  if (R.nextBounded(2))
+    return double(R.nextBounded(100000)) /
+           std::pow(10.0, double(R.nextBounded(8)));
+  while (true) {
+    uint64_t Bits = R.next() & ~(uint64_t(1) << 63);
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    if (std::isfinite(V))
+      return V;
+  }
+}
+
+uint64_t bitsOf(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+} // namespace
+
+TEST(QueryPolicyTest, TokenRoundTripsGeneratedConfigsExactly) {
+  Rng R(0x70c3);
+  for (int I = 0; I != 2000; ++I) {
+    QueryPolicyConfig Cfg;
+    Cfg.Kind = I % 2 ? QueryPolicyKind::CostRange
+                     : QueryPolicyKind::AlmThreshold;
+    Cfg.Mellowness = generatedNumber(R);
+    Cfg.RangeC1 = generatedNumber(R);
+    Cfg.AbsFloor = generatedNumber(R);
+    Cfg.RelFloor = generatedNumber(R);
+    std::string Token = queryPolicyToken(Cfg);
+    QueryPolicyConfig Back;
+    ASSERT_TRUE(parseQueryPolicy(Token, Back)) << Token;
+    ASSERT_EQ(Back.Kind, Cfg.Kind) << Token;
+    if (Cfg.Kind == QueryPolicyKind::CostRange) {
+      EXPECT_EQ(bitsOf(Back.Mellowness), bitsOf(Cfg.Mellowness)) << Token;
+      EXPECT_EQ(bitsOf(Back.RangeC1), bitsOf(Cfg.RangeC1)) << Token;
+    } else {
+      EXPECT_EQ(bitsOf(Back.AbsFloor), bitsOf(Cfg.AbsFloor)) << Token;
+      EXPECT_EQ(bitsOf(Back.RelFloor), bitsOf(Cfg.RelFloor)) << Token;
+    }
+    EXPECT_EQ(queryPolicyToken(Back), Token);
+  }
+}
+
+TEST(QueryPolicyTest, DistinctConfigsGetDistinctTokens) {
+  // Cell keys embed the token, so two configs sharing one would reuse
+  // each other's checkpointed cells.
+  QueryPolicyConfig A, B;
+  ASSERT_TRUE(parseQueryPolicy("cost:0.1234567", A));
+  ASSERT_TRUE(parseQueryPolicy("cost:0.123457", B));
+  EXPECT_NE(queryPolicyToken(A), queryPolicyToken(B));
+
+  // Neighbouring doubles, one ulp apart, across many magnitudes.
+  Rng R(0xd157);
+  std::set<uint64_t> Configs;
+  std::set<std::string> Tokens;
+  for (int I = 0; I != 500; ++I) {
+    QueryPolicyConfig Cfg;
+    Cfg.Kind = QueryPolicyKind::CostRange;
+    Cfg.Mellowness = generatedNumber(R);
+    for (int Step = 0; Step != 3; ++Step) {
+      Configs.insert(bitsOf(Cfg.Mellowness));
+      Tokens.insert(queryPolicyToken(Cfg));
+      Cfg.Mellowness = std::nextafter(Cfg.Mellowness, 1e308);
+    }
+  }
+  EXPECT_EQ(Tokens.size(), Configs.size());
 }
 
 TEST(QueryPolicyTest, AlwaysCreatesNoPolicyObject) {

@@ -570,13 +570,17 @@ TEST(ServeWireTest, ErrorsAndShutdown) {
   EXPECT_FALSE(replyOk(roundTrip(Engine, "{\"op\":\"sugest\",\"session\":\"x\"}")));
   EXPECT_FALSE(replyOk(roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"x\"}")));
   // Open specs parse totally: a token with a suffix, a wrapped sign or a
-  // number outside its field's range is refused, never truncated.
+  // number outside its field's range is refused, never truncated; a
+  // policy number must be a finite, unsigned JSON number.
   for (const char *Spec :
        {"\"model\":\"svm\"", "\"plan\":\"always\"",
         "\"plan\":\"seq:35junk\"", "\"plan\":\"seq:-1\"",
         "\"plan\":\"fixed:4294967296\"", "\"batch\":4294967297",
         "\"batch\":2.5", "\"batch\":0", "\"max_examples\":4294967297",
-        "\"seed\":1e300", "\"dataset_seed\":-1"})
+        "\"seed\":1e300", "\"dataset_seed\":-1",
+        "\"policy\":\"cost:nan\"", "\"policy\":\"cost:inf\"",
+        "\"policy\":\"alm:1e999\"", "\"policy\":\"cost:-1\"",
+        "\"policy\":\"cost:0x10\"", "\"policy\":\"cost: 1\""})
     EXPECT_FALSE(replyOk(roundTrip(
         Engine, std::string("{\"op\":\"open\",\"session\":\"x\","
                             "\"spec\":{\"benchmark\":\"atax\",") +
