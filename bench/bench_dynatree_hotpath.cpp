@@ -9,9 +9,9 @@
 //
 //  * candidate scoring (ALM and Cohn's ALC), where predict/almScores/
 //    alcScores walk each unique (tree, pending) run once and accumulate
-//    per particle — measured against the *naive per-particle path* on
-//    the very same ensemble state (setScoringDedup(false)), whose
-//    results are bit-identical by construction (asserted here).
+//    per particle.  The walk-dedup column is the ratio of per-particle
+//    terms to walks performed (ScoreStats); tests/dynatree_test.cpp pins
+//    the scores bitwise to a per-particle reference on both states.
 //
 // Scoring is measured on two states: the natural post-update ensemble,
 // and a weight-concentrated state (a string of outlier observations
@@ -20,9 +20,9 @@
 //
 // Emits BENCH_dynatree.json.  tools/check_bench.py gates the file for
 // *presence* on every CI run; its metrics are wall-clock-derived
-// (updates/s, scores/s, dedup speedups) and therefore classified out of
-// the default regression gate, like BENCH_sched.json's.  The
-// duplicate-fraction and unique-run columns are deterministic.
+// (updates/s, scores/s) and therefore classified out of the default
+// regression gate, like BENCH_sched.json's.  The duplicate-fraction,
+// unique-run and walk-dedup columns are deterministic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +33,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -78,12 +77,8 @@ struct ScoringRow {
   unsigned Threads = 0;
   double DuplicateFraction = 0.0;
   size_t UniqueRuns = 0;
-  double AlmDedup = 0.0, AlmNaive = 0.0;
-  double AlcDedup = 0.0, AlcNaive = 0.0;
+  double AlmRate = 0.0, AlcRate = 0.0;
   double WalkDedupFactor = 0.0;
-
-  double almSpeedup() const { return AlmDedup / AlmNaive; }
-  double alcSpeedup() const { return AlcDedup / AlcNaive; }
 };
 
 /// Times Fn over \p Reps repetitions and returns candidates scored per
@@ -144,7 +139,7 @@ int main() {
   std::vector<UpdateRow> UpdateRows;
   std::vector<ScoringRow> ScoringRows;
   Table UpdOut({"threads", "upd/s", "dup-frac"});
-  Table ScoreOut({"state", "threads", "dup-frac", "runs", "ALM x", "ALC x",
+  Table ScoreOut({"state", "threads", "dup-frac", "runs", "ALM/s", "ALC/s",
                   "walk-dedup"});
 
   for (unsigned Threads : ThreadCounts) {
@@ -196,41 +191,25 @@ int main() {
       Ctx.Pool = Pool.get();
       Ctx.Stats = &Stats;
 
-      Model.setScoringDedup(true);
-      std::vector<double> AlmDedup = Model.almScores(Cands, Ctx);
-      std::vector<double> AlcDedup = Model.alcScores(Cands, Ref, Ctx);
-      double WalkDedup = Stats.dedupFactor();
-      Model.setScoringDedup(false);
-      if (Model.almScores(Cands, Ctx) != AlmDedup ||
-          Model.alcScores(Cands, Ref, Ctx) != AlcDedup) {
-        std::fprintf(stderr,
-                     "FATAL: dedup scoring diverged from the naive path\n");
-        return EXIT_FAILURE;
-      }
+      Model.almScores(Cands, Ctx);
+      Model.alcScores(Cands, Ref, Ctx);
 
       ScoringRow Row;
       Row.State = Case.Name;
       Row.Threads = Threads;
       Row.DuplicateFraction = Model.duplicateFraction();
       Row.UniqueRuns = Model.uniqueRunCount();
-      Row.WalkDedupFactor = WalkDedup;
-      Model.setScoringDedup(true);
-      Row.AlmDedup =
+      Row.WalkDedupFactor = Stats.dedupFactor();
+      Row.AlmRate =
           scoreRate(NumCands, Reps, [&] { Model.almScores(Cands, Ctx); });
-      Row.AlcDedup =
+      Row.AlcRate =
           scoreRate(NumCands, Reps, [&] { Model.alcScores(Cands, Ref, Ctx); });
-      Model.setScoringDedup(false);
-      Row.AlmNaive =
-          scoreRate(NumCands, Reps, [&] { Model.almScores(Cands, Ctx); });
-      Row.AlcNaive =
-          scoreRate(NumCands, Reps, [&] { Model.alcScores(Cands, Ref, Ctx); });
-      Model.setScoringDedup(true);
       ScoringRows.push_back(Row);
       ScoreOut.addRow({Row.State, std::to_string(Threads),
                        formatString("%.3f", Row.DuplicateFraction),
                        std::to_string(Row.UniqueRuns),
-                       formatString("%.2fx", Row.almSpeedup()),
-                       formatString("%.2fx", Row.alcSpeedup()),
+                       formatString("%.1f", Row.AlmRate),
+                       formatString("%.1f", Row.AlcRate),
                        formatString("%.2f", Row.WalkDedupFactor)});
     }
   }
@@ -238,7 +217,7 @@ int main() {
   std::printf("\nSMC update throughput (N=%u, %zu updates):\n", Particles,
               Updates);
   UpdOut.print();
-  std::printf("\nScoring: dedup vs naive per-particle path (%zu candidates, "
+  std::printf("\nScoring: unique-run dedup (%zu candidates, "
               "%zu reference points):\n",
               NumCands, NumRef);
   ScoreOut.print();
@@ -267,15 +246,11 @@ int main() {
           "    {\"state\": \"%s\", \"threads\": %u, "
           "\"duplicate_fraction\": %.6f, \"unique_runs\": %zu, "
           "\"alm_scores_per_second\": %.1f, "
-          "\"alm_scores_per_second_naive\": %.1f, "
-          "\"alm_dedup_speedup\": %.3f, "
           "\"alc_scores_per_second\": %.1f, "
-          "\"alc_scores_per_second_naive\": %.1f, "
-          "\"alc_dedup_speedup\": %.3f, "
           "\"walk_dedup_factor\": %.3f}%s\n",
-          R.State, R.Threads, R.DuplicateFraction, R.UniqueRuns, R.AlmDedup,
-          R.AlmNaive, R.almSpeedup(), R.AlcDedup, R.AlcNaive, R.alcSpeedup(),
-          R.WalkDedupFactor, I + 1 == ScoringRows.size() ? "" : ",");
+          R.State, R.Threads, R.DuplicateFraction, R.UniqueRuns, R.AlmRate,
+          R.AlcRate, R.WalkDedupFactor,
+          I + 1 == ScoringRows.size() ? "" : ",");
     }
     std::fprintf(Json, "  ]\n}\n");
     std::fclose(Json);

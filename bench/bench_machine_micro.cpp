@@ -1,17 +1,15 @@
 //===- bench/bench_machine_micro.cpp - substrate throughput ---*- C++ -*-===//
 //
 // google-benchmark micro-benchmarks of the simulation substrate: analytic
-// cost-model evaluation, literal IR transformation, interpretation of a
-// miniature kernel, and virtual measurement draws.  These bound the cost
-// of dataset generation and of each learner iteration.
+// cost-model evaluation, virtual measurement draws, and distinct
+// configuration sampling.  These bound the cost of dataset generation and
+// of each learner iteration.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/Interp.h"
 #include "machine/CostModel.h"
 #include "measure/NoiseModel.h"
 #include "spapt/Suite.h"
-#include "transform/Apply.h"
 
 #include <benchmark/benchmark.h>
 
@@ -40,26 +38,6 @@ void BM_CostModelAllBenchmarks(benchmark::State &State) {
   State.SetItemsProcessed(int64_t(State.iterations()) * 11);
 }
 
-void BM_ApplyPlanLiteral(benchmark::State &State) {
-  KernelBundle B = buildMm(64);
-  ParamSpace Space(B.Params);
-  Rng R(9);
-  Config C = Space.sample(R);
-  TransformPlan Plan = TransformPlan::fromConfig(Space, C);
-  for (auto _ : State) {
-    Kernel K = applyPlan(B.K, Plan);
-    benchmark::DoNotOptimize(K.countStmts());
-  }
-}
-
-void BM_InterpretMiniKernel(benchmark::State &State) {
-  KernelBundle B = buildMm(int64_t(State.range(0)));
-  for (auto _ : State) {
-    Interpreter I(B.K);
-    benchmark::DoNotOptimize(I.run().Checksum);
-  }
-}
-
 void BM_DrawMeasurement(benchmark::State &State) {
   auto B = createSpaptBenchmark("gemver");
   Config C = B->baselineConfig();
@@ -85,8 +63,6 @@ void BM_SampleDistinctConfigs(benchmark::State &State) {
 
 BENCHMARK(BM_CostModelEvaluate);
 BENCHMARK(BM_CostModelAllBenchmarks);
-BENCHMARK(BM_ApplyPlanLiteral);
-BENCHMARK(BM_InterpretMiniKernel)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_DrawMeasurement);
 BENCHMARK(BM_SampleDistinctConfigs);
 

@@ -41,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -183,8 +184,16 @@ int main(int Argc, char **Argv) {
       usage(Argv[0], (std::string("unknown argument ") + Arg).c_str());
     }
   }
-  if (!Opts.StateDir.empty())
+  if (!Opts.StateDir.empty()) {
+    std::error_code Ec;
+    std::filesystem::create_directories(Opts.StateDir, Ec);
+    if (Ec) {
+      std::fprintf(stderr, "alic_serve: cannot create --state-dir %s: %s\n",
+                   Opts.StateDir.c_str(), Ec.message().c_str());
+      return 1;
+    }
     Opts.DatasetCacheDir = Opts.StateDir + "/datasets";
+  }
 
   ServeEngine Engine(Opts);
   size_t Skipped = 0;

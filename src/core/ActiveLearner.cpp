@@ -24,12 +24,6 @@ SamplingPlan SamplingPlan::sequential(unsigned Cap) {
   return P;
 }
 
-const char *SamplingPlan::name() const {
-  if (PlanKind == Kind::Sequential)
-    return "variable observations";
-  return FixedObservations == 1 ? "one observation" : "all observations";
-}
-
 namespace {
 
 /// How labelling one pick moves the learner's candidate bookkeeping.
@@ -139,12 +133,11 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
     return Outstanding; // unreachable given !done(), kept as a safeguard
 
   // --- Score the candidates (Alg. 1 lines 12-20) ------------------------
-  // The scoring context derives its seed from the loop position alone, so
-  // installing a thread pool (or changing its size) can never perturb the
-  // learner's random streams.
+  // Scorers are closed-form and shard on a fixed grid, so installing a
+  // thread pool (or changing its size) can never perturb the learner's
+  // random streams.
   ScoreContext Ctx;
   Ctx.Pool = Workers;
-  Ctx.Seed = hashCombine({Cfg.Seed, uint64_t(Stats.Iterations), 0xa1cull});
 
   std::vector<size_t> Chosen;
   if (Cfg.Scorer == ScorerKind::Random) {

@@ -80,9 +80,6 @@ struct SamplingPlan {
   static SamplingPlan fixed(unsigned Observations);
   /// A sequential plan capped at \p Cap measurements per example.
   static SamplingPlan sequential(unsigned Cap = 35);
-
-  /// Human-readable plan name, matching the paper's figure legends.
-  const char *name() const;
 };
 
 /// Candidate-scoring criterion (Section 3.3).

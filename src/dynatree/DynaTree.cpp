@@ -707,30 +707,20 @@ Prediction DynaTree::predict(RowRef X) const {
   const double *Xp = X.data();
   // Mixture over particles; variance via the law of total variance.
   // Every alias of a unique-particle run lands the probe in the same
-  // leaf with the same effective stats, so the dedup path walks each run
-  // once and repeats the accumulation per alias — the sums receive the
-  // very same addends in the very same index order as the naive walk,
-  // hence stay bit-identical.
+  // leaf with the same effective stats, so each run is walked once and
+  // its accumulation repeated per alias — the sums receive the very same
+  // addends in the very same index order as a per-particle walk, hence
+  // stay bit-identical to it.
   double MeanSum = 0.0, VarSum = 0.0, Mean2Sum = 0.0;
-  if (DedupScoring) {
-    for (size_t Run = 0; Run + 1 < RunOffsets.size(); ++Run) {
-      const Particle &P = Particles[RunOffsets[Run]];
-      int32_t Leaf = findLeaf(*P.T, Xp);
-      Prediction LeafP = leafPredictive(leafStats(P, Leaf));
-      double Mean2 = LeafP.Mean * LeafP.Mean;
-      for (size_t I = RunOffsets[Run]; I != RunOffsets[Run + 1]; ++I) {
-        MeanSum += LeafP.Mean;
-        VarSum += LeafP.Variance;
-        Mean2Sum += Mean2;
-      }
-    }
-  } else {
-    for (const Particle &P : Particles) {
-      int32_t Leaf = findLeaf(*P.T, Xp);
-      Prediction LeafP = leafPredictive(leafStats(P, Leaf));
+  for (size_t Run = 0; Run + 1 < RunOffsets.size(); ++Run) {
+    const Particle &P = Particles[RunOffsets[Run]];
+    int32_t Leaf = findLeaf(*P.T, Xp);
+    Prediction LeafP = leafPredictive(leafStats(P, Leaf));
+    double Mean2 = LeafP.Mean * LeafP.Mean;
+    for (size_t I = RunOffsets[Run]; I != RunOffsets[Run + 1]; ++I) {
       MeanSum += LeafP.Mean;
       VarSum += LeafP.Variance;
-      Mean2Sum += LeafP.Mean * LeafP.Mean;
+      Mean2Sum += Mean2;
     }
   }
   double Np = double(Particles.size());
@@ -749,13 +739,13 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
   // run; this override only adds the instrumentation accounting.
   std::vector<double> Scores = SurrogateModel::almScores(Candidates, Ctx);
   if (Ctx.Stats) {
-    size_t Walked = DedupScoring ? uniqueRunCount() : Particles.size();
     Ctx.Stats->CandidatesScored.fetch_add(Candidates.size(),
                                           std::memory_order_relaxed);
     Ctx.Stats->ParticleTerms.fetch_add(uint64_t(Candidates.size()) *
                                            Particles.size(),
                                        std::memory_order_relaxed);
-    Ctx.Stats->UniqueLeafWalks.fetch_add(uint64_t(Candidates.size()) * Walked,
+    Ctx.Stats->UniqueLeafWalks.fetch_add(uint64_t(Candidates.size()) *
+                                             uniqueRunCount(),
                                          std::memory_order_relaxed);
   }
   return Scores;
@@ -771,13 +761,13 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
   // candidate-independent, so it is computed once up front (one disjoint
   // write per unique run — aliases share the counts); candidates then
   // accumulate over particles in index order, repeating each run's term
-  // per alias, which matches the naive sequential summation bit-for-bit.
+  // per alias, which matches a per-particle summation bit-for-bit.
   size_t Np = Particles.size();
-  size_t NumGroups = DedupScoring ? uniqueRunCount() : Np;
+  size_t NumGroups = uniqueRunCount();
   std::vector<std::vector<uint32_t>> RefCounts(NumGroups);
   shardedFor(Ctx.Pool, NumGroups, 8, [&](size_t, size_t Begin, size_t End) {
     for (size_t G = Begin; G != End; ++G) {
-      const Particle &P = Particles[DedupScoring ? RunOffsets[G] : G];
+      const Particle &P = Particles[RunOffsets[G]];
       RefCounts[G].assign(P.T->Nodes.size(), 0);
       for (size_t R = 0; R != Reference.size(); ++R)
         ++RefCounts[G][size_t(findLeaf(*P.T, Reference.row(R)))];
@@ -790,25 +780,15 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
     for (size_t C = Begin; C != End; ++C) {
       const double *Row = Candidates.row(C);
       double Total = 0.0;
-      if (DedupScoring) {
-        for (size_t G = 0; G != NumGroups; ++G) {
-          const Particle &P = Particles[RunOffsets[G]];
-          int32_t Leaf = findLeaf(*P.T, Row);
-          uint32_t Count = RefCounts[G][size_t(Leaf)];
-          if (Count == 0)
-            continue;
-          double Term = double(Count) * leafVarianceDrop(leafStats(P, Leaf));
-          for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I)
-            Total += Term;
-        }
-      } else {
-        for (size_t P = 0; P != Np; ++P) {
-          int32_t Leaf = findLeaf(*Particles[P].T, Row);
-          uint32_t Count = RefCounts[P][size_t(Leaf)];
-          if (Count != 0)
-            Total += double(Count) *
-                     leafVarianceDrop(leafStats(Particles[P], Leaf));
-        }
+      for (size_t G = 0; G != NumGroups; ++G) {
+        const Particle &P = Particles[RunOffsets[G]];
+        int32_t Leaf = findLeaf(*P.T, Row);
+        uint32_t Count = RefCounts[G][size_t(Leaf)];
+        if (Count == 0)
+          continue;
+        double Term = double(Count) * leafVarianceDrop(leafStats(P, Leaf));
+        for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I)
+          Total += Term;
       }
       Scores[C] = Total / double(Np);
     }

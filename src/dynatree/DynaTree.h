@@ -45,10 +45,9 @@
 ///    shard across the work-stealing Scheduler on a fixed particle grid;
 ///    every particle draws from its own counter-derived RNG stream
 ///    (seed, step, index), so results are bit-identical at any worker
-///    count and under any steal order — the same discipline
-///    ScoreContext::shardSeed established for scoring.  The shards fork
-///    onto the same pool even when the model already runs inside a
-///    scheduler task (a campaign cell), so idle workers can steal them.
+///    count and under any steal order.  The shards fork onto the same
+///    pool even when the model already runs inside a scheduler task (a
+///    campaign cell), so idle workers can steal them.
 ///
 ///  * **Unique-run deduplicated scoring.**  Copy-on-write resampling
 ///    leaves duplicate particles *contiguous*, sharing one tree pointer
@@ -124,13 +123,6 @@ public:
   size_t numObservations() const override { return DataY.size(); }
   void setScheduler(Scheduler *Pool) override { Workers = Pool; }
 
-  /// Disables (or re-enables) unique-run deduplicated scoring, forcing
-  /// the naive per-particle walk in predict/almScores/alcScores.  The
-  /// two paths are bit-identical by construction (gtest-pinned); the
-  /// toggle exists so benches and tests can measure/verify the naive
-  /// reference on the very same ensemble state.
-  void setScoringDedup(bool Enabled) { DedupScoring = Enabled; }
-
   /// Ensemble diagnostics (tests, benches).
   double averageLeafCount() const;
   double averageDepth() const;
@@ -152,6 +144,10 @@ public:
   }
 
 private:
+  /// The naive per-particle scoring walk in tests/dynatree_test.cpp, which
+  /// the unique-run paths must match bit-for-bit.
+  friend class DynaTreeNaiveReference;
+
   /// Point-index chunks per leaf are linked lists of fixed-size blocks in
   /// the tree's pooled chunk arena: appending a point never reallocates
   /// per-leaf storage, and tree copies are plain vector copies.
@@ -336,7 +332,6 @@ private:
   // by rebuildRunIndex() after every mutation phase.
   std::vector<uint32_t> RunOffsets;
   std::vector<uint32_t> RunOf;
-  bool DedupScoring = true; ///< see setScoringDedup()
 };
 
 } // namespace alic

@@ -16,8 +16,9 @@ using namespace alic;
 
 namespace {
 
-/// Bump when the blob layout or buildDataset's sampling changes.
-constexpr uint32_t DatasetBlobVersion = 1;
+/// Bump when the blob layout or buildDataset's sampling changes.  Version
+/// 2 sealed the blob with a payload checksum.
+constexpr uint32_t DatasetBlobVersion = 2;
 constexpr uint32_t DatasetBlobMagic = 0x53444c41; // "ALDS"
 
 uint64_t datasetCacheKey(const SpaptBenchmark &B, size_t NumConfigs,
@@ -39,7 +40,10 @@ void writeConfigs(ByteWriter &W, const std::vector<Config> &Configs) {
     W.writeU16s(C);
 }
 
-bool readConfigs(ByteReader &R, std::vector<Config> &Configs) {
+/// Reads configurations that must each be a point of \p Space: one
+/// in-range ordinal per parameter.
+bool readConfigs(ByteReader &R, const ParamSpace &Space,
+                 std::vector<Config> &Configs) {
   Configs.clear();
   uint64_t Count;
   // Every serialized config costs at least its 8-byte length prefix, so
@@ -48,9 +52,13 @@ bool readConfigs(ByteReader &R, std::vector<Config> &Configs) {
   if (!R.readU64(Count) || Count > R.remaining() / 8)
     return false;
   Configs.resize(size_t(Count));
-  for (Config &C : Configs)
-    if (!R.readU16s(C))
+  for (Config &C : Configs) {
+    if (!R.readU16s(C) || C.size() != Space.numParams())
       return false;
+    for (size_t I = 0; I != C.size(); ++I)
+      if (C[I] >= Space.param(I).numValues())
+        return false;
+  }
   return true;
 }
 
@@ -70,16 +78,18 @@ void serializeDataset(const Dataset &D, ByteWriter &W) {
   W.writeDoubles(D.TestMeans);
 }
 
-bool deserializeDataset(ByteReader &R, Dataset &D) {
+bool deserializeDataset(ByteReader &R, const ParamSpace &Space, Dataset &D) {
+  size_t Dims = Space.numParams();
   std::vector<double> Means, Stds;
-  if (!R.readDoubles(Means) || !R.readDoubles(Stds) ||
-      Means.size() != Stds.size())
+  if (!R.readDoubles(Means) || !R.readDoubles(Stds) || Means.size() != Dims ||
+      Stds.size() != Dims)
     return false;
   for (double Sd : Stds)
     if (!(Sd > 0.0))
       return false;
   D.Norm = Normalizer::fromMoments(std::move(Means), std::move(Stds));
-  if (!readConfigs(R, D.TrainPool) || !readConfigs(R, D.TestConfigs))
+  if (!readConfigs(R, Space, D.TrainPool) ||
+      !readConfigs(R, Space, D.TestConfigs))
     return false;
   uint64_t NumRows;
   if (!R.readU64(NumRows) || NumRows > R.remaining() / 8)
@@ -87,7 +97,7 @@ bool deserializeDataset(ByteReader &R, Dataset &D) {
   D.TestFeatures.clear();
   D.TestFeatures.resize(size_t(NumRows));
   for (std::vector<double> &Row : D.TestFeatures)
-    if (!R.readDoubles(Row))
+    if (!R.readDoubles(Row) || Row.size() != Dims)
       return false;
   if (!R.readDoubles(D.TestMeans))
     return false;
@@ -153,10 +163,10 @@ Dataset alic::loadOrBuildDataset(const SpaptBenchmark &B, size_t NumConfigs,
     uint32_t Magic, Version;
     uint64_t StoredKey;
     Dataset Cached;
-    if (Reader.readU32(Magic) && Magic == DatasetBlobMagic &&
-        Reader.readU32(Version) && Version == DatasetBlobVersion &&
-        Reader.readU64(StoredKey) && StoredKey == Key &&
-        deserializeDataset(Reader, Cached))
+    if (Reader.verifyChecksum() && Reader.readU32(Magic) &&
+        Magic == DatasetBlobMagic && Reader.readU32(Version) &&
+        Version == DatasetBlobVersion && Reader.readU64(StoredKey) &&
+        StoredKey == Key && deserializeDataset(Reader, B.space(), Cached))
       return Cached;
     // Stale or corrupt entry: fall through and rebuild it below.
   }
@@ -170,6 +180,7 @@ Dataset alic::loadOrBuildDataset(const SpaptBenchmark &B, size_t NumConfigs,
   Writer.writeU32(DatasetBlobVersion);
   Writer.writeU64(Key);
   serializeDataset(Fresh, Writer);
+  Writer.writeChecksum();
   // Best effort: a failed write only costs the next run a rebuild, but
   // say so — a silently unpopulated cache looks like a perf regression.
   Status St = Writer.writeFileDurable(Path);

@@ -2,10 +2,6 @@
 
 #include "ir/AffineExpr.h"
 
-#include "support/Error.h"
-#include "support/Format.h"
-
-#include <algorithm>
 #include <cassert>
 
 using namespace alic;
@@ -27,43 +23,6 @@ AffineExpr AffineExpr::scaledVar(LoopVarId Var, int64_t Coeff,
   return E;
 }
 
-void AffineExpr::normalize() {
-  std::sort(Terms.begin(), Terms.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  // Merge duplicate variables and drop zero coefficients.
-  std::vector<std::pair<LoopVarId, int64_t>> Merged;
-  for (const auto &[Var, Coeff] : Terms) {
-    if (!Merged.empty() && Merged.back().first == Var)
-      Merged.back().second += Coeff;
-    else
-      Merged.emplace_back(Var, Coeff);
-  }
-  Merged.erase(std::remove_if(Merged.begin(), Merged.end(),
-                              [](const auto &T) { return T.second == 0; }),
-               Merged.end());
-  Terms = std::move(Merged);
-}
-
-AffineExpr &AffineExpr::addTerm(LoopVarId Var, int64_t Coeff) {
-  Terms.emplace_back(Var, Coeff);
-  normalize();
-  return *this;
-}
-
-AffineExpr &AffineExpr::addConstant(int64_t Value) {
-  Constant += Value;
-  return *this;
-}
-
-AffineExpr AffineExpr::operator+(const AffineExpr &Rhs) const {
-  AffineExpr Result = *this;
-  Result.Constant += Rhs.Constant;
-  for (const auto &[Var, Coeff] : Rhs.Terms)
-    Result.Terms.emplace_back(Var, Coeff);
-  Result.normalize();
-  return Result;
-}
-
 int64_t AffineExpr::coefficient(LoopVarId Var) const {
   for (const auto &[V, Coeff] : Terms)
     if (V == Var)
@@ -78,61 +37,4 @@ int64_t AffineExpr::evaluate(const std::vector<int64_t> &Env) const {
     Value += Coeff * Env[Var];
   }
   return Value;
-}
-
-AffineExpr AffineExpr::substituteShift(LoopVarId Var, int64_t Offset) const {
-  AffineExpr Result = *this;
-  Result.Constant += coefficient(Var) * Offset;
-  return Result;
-}
-
-AffineExpr AffineExpr::substituteVar(LoopVarId From, LoopVarId To,
-                                     int64_t Scale, int64_t Off) const {
-  int64_t Coeff = coefficient(From);
-  if (Coeff == 0)
-    return *this;
-  AffineExpr Result;
-  Result.Constant = Constant + Coeff * Off;
-  for (const auto &[Var, C] : Terms)
-    if (Var != From)
-      Result.Terms.emplace_back(Var, C);
-  Result.Terms.emplace_back(To, Coeff * Scale);
-  Result.normalize();
-  return Result;
-}
-
-std::string
-AffineExpr::toString(const std::vector<std::string> &VarNames) const {
-  if (Terms.empty())
-    return std::to_string(Constant);
-  std::string Out;
-  bool First = true;
-  for (const auto &[Var, Coeff] : Terms) {
-    std::string Name =
-        Var < VarNames.size() ? VarNames[Var] : formatString("v%u", Var);
-    if (First) {
-      if (Coeff == 1)
-        Out += Name;
-      else if (Coeff == -1)
-        Out += "-" + Name;
-      else
-        Out += formatString("%lld*%s", static_cast<long long>(Coeff),
-                            Name.c_str());
-      First = false;
-      continue;
-    }
-    if (Coeff > 0)
-      Out += " + ";
-    else
-      Out += " - ";
-    int64_t Abs = Coeff > 0 ? Coeff : -Coeff;
-    if (Abs != 1)
-      Out += formatString("%lld*", static_cast<long long>(Abs));
-    Out += Name;
-  }
-  if (Constant > 0)
-    Out += formatString(" + %lld", static_cast<long long>(Constant));
-  else if (Constant < 0)
-    Out += formatString(" - %lld", static_cast<long long>(-Constant));
-  return Out;
 }

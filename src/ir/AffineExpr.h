@@ -8,8 +8,8 @@
 /// \file
 /// Affine expressions over loop variables: sum(Coeff_i * Var_i) + Constant.
 /// They serve as array subscripts and loop bounds in the kernel IR, and
-/// their closed form is what makes unrolling (substitute var -> var + k)
-/// and the machine model's stride/reuse analysis exact.
+/// their closed form is what makes the machine model's stride/reuse
+/// analysis exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #define ALIC_IR_AFFINEEXPR_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace alic {
@@ -41,23 +40,11 @@ public:
   static AffineExpr scaledVar(LoopVarId Var, int64_t Coeff,
                               int64_t Offset = 0);
 
-  /// Adds \p Coeff * \p Var.
-  AffineExpr &addTerm(LoopVarId Var, int64_t Coeff);
-
-  /// Adds a constant.
-  AffineExpr &addConstant(int64_t Value);
-
-  /// Sum of two expressions.
-  AffineExpr operator+(const AffineExpr &Rhs) const;
-
   /// Coefficient of \p Var (0 if absent).
   int64_t coefficient(LoopVarId Var) const;
 
   /// The constant term.
   int64_t constantTerm() const { return Constant; }
-
-  /// True when no variable has a nonzero coefficient.
-  bool isConstant() const { return Terms.empty(); }
 
   /// True when \p Var appears with a nonzero coefficient.
   bool references(LoopVarId Var) const { return coefficient(Var) != 0; }
@@ -65,31 +52,17 @@ public:
   /// Evaluates with \p Env giving each variable's value (indexed by id).
   int64_t evaluate(const std::vector<int64_t> &Env) const;
 
-  /// Returns the expression with \p Var replaced by (\p Var + \p Offset),
-  /// i.e. the subscript rewrite performed by loop unrolling.
-  AffineExpr substituteShift(LoopVarId Var, int64_t Offset) const;
-
-  /// Returns the expression with \p From replaced by (\p Scale * To + Off).
-  /// Used by strip-mining to rewrite i := Tile * it + ii style relations.
-  AffineExpr substituteVar(LoopVarId From, LoopVarId To, int64_t Scale,
-                           int64_t Off) const;
-
   /// (var, coefficient) pairs, each coefficient nonzero.
   const std::vector<std::pair<LoopVarId, int64_t>> &terms() const {
     return Terms;
   }
-
-  /// Renders e.g. "2*i3 + j - 1" using \p VarNames (indexed by id).
-  std::string toString(const std::vector<std::string> &VarNames) const;
 
   bool operator==(const AffineExpr &Rhs) const {
     return Constant == Rhs.Constant && Terms == Rhs.Terms;
   }
 
 private:
-  void normalize();
-
-  std::vector<std::pair<LoopVarId, int64_t>> Terms; // sorted by var id
+  std::vector<std::pair<LoopVarId, int64_t>> Terms;
   int64_t Constant = 0;
 };
 

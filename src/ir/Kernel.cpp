@@ -3,7 +3,6 @@
 #include "ir/Kernel.h"
 
 #include "support/Error.h"
-#include "support/Format.h"
 
 #include <cassert>
 
@@ -15,10 +14,6 @@ int64_t IrArrayDecl::numElements() const {
     Total *= D;
   return Total;
 }
-
-Kernel::Kernel(const Kernel &Other)
-    : Name(Other.Name), Arrays(Other.Arrays), VarNames(Other.VarNames),
-      TopLevel(cloneNodeList(Other.TopLevel)) {}
 
 unsigned Kernel::addArray(std::string ArrayName, std::vector<int64_t> Dims) {
   assert(!Dims.empty() && "arrays need at least one dimension");
@@ -35,26 +30,6 @@ LoopVarId Kernel::addLoopVar(std::string VarName) {
 
 void Kernel::appendTopLevel(std::unique_ptr<IrNode> Node) {
   TopLevel.push_back(std::move(Node));
-}
-
-static LoopNode *findLoopIn(std::vector<std::unique_ptr<IrNode>> &Nodes,
-                            LoopVarId Var) {
-  for (auto &Node : Nodes) {
-    auto *Loop = nodeDynCast<LoopNode>(Node.get());
-    if (!Loop)
-      continue;
-    if (Loop->Var == Var)
-      return Loop;
-    if (LoopNode *Inner = findLoopIn(Loop->Body, Var))
-      return Inner;
-  }
-  return nullptr;
-}
-
-LoopNode *Kernel::findLoop(LoopVarId Var) { return findLoopIn(TopLevel, Var); }
-
-const LoopNode *Kernel::findLoop(LoopVarId Var) const {
-  return findLoopIn(const_cast<Kernel *>(this)->TopLevel, Var);
 }
 
 static void visitLoops(const std::vector<std::unique_ptr<IrNode>> &Nodes,
@@ -144,8 +119,7 @@ private:
       }
       const auto *Loop = nodeDynCast<LoopNode>(Node.get());
       checkExpr(Loop->Lower, "loop lower bound");
-      for (const AffineExpr &Upper : Loop->Uppers)
-        checkExpr(Upper, "loop upper bound");
+      checkExpr(Loop->Upper, "loop upper bound");
       if (Loop->Var >= InScope.size())
         fatalError("kernel %s: loop declares unknown var id %u",
                    K.name().c_str(), Loop->Var);
@@ -164,74 +138,3 @@ private:
 } // namespace
 
 void Kernel::verify() const { Verifier(*this).run(); }
-
-static void printAccess(std::string &Out, const Kernel &K,
-                        const ArrayAccess &Access) {
-  Out += K.array(Access.ArrayId).Name;
-  for (const AffineExpr &Sub : Access.Subscripts) {
-    Out += "[";
-    Out += Sub.toString(K.loopVarNames());
-    Out += "]";
-  }
-}
-
-static void printNodes(std::string &Out, const Kernel &K,
-                       const std::vector<std::unique_ptr<IrNode>> &Nodes,
-                       unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  for (const auto &Node : Nodes) {
-    if (const auto *Stmt = nodeDynCast<StmtNode>(Node.get())) {
-      Out += Pad;
-      printAccess(Out, K, Stmt->Write);
-      Out += Stmt->Accumulate ? " += " : " = ";
-      if (Stmt->Rhs == RhsKind::Product && Stmt->Scale != 1.0)
-        Out += formatString("%g * ", Stmt->Scale);
-      bool First = true;
-      for (const ReadTerm &Term : Stmt->Reads) {
-        if (!First)
-          Out += Stmt->Rhs == RhsKind::Sum ? " + " : " * ";
-        if (Stmt->Rhs == RhsKind::Sum && Term.Coeff != 1.0)
-          Out += formatString("%g*", Term.Coeff);
-        printAccess(Out, K, Term.Access);
-        First = false;
-      }
-      if (Stmt->Reads.empty())
-        Out += formatString("%g", Stmt->Bias);
-      else if (Stmt->Bias != 0.0)
-        Out += formatString(" + %g", Stmt->Bias);
-      Out += ";\n";
-      continue;
-    }
-    const auto *Loop = nodeDynCast<LoopNode>(Node.get());
-    const std::string &Var = K.loopVarName(Loop->Var);
-    Out += Pad;
-    Out += formatString("for (%s = %s; %s < %s", Var.c_str(),
-                        Loop->Lower.toString(K.loopVarNames()).c_str(),
-                        Var.c_str(),
-                        Loop->Uppers.front().toString(K.loopVarNames()).c_str());
-    for (size_t I = 1; I != Loop->Uppers.size(); ++I)
-      Out += formatString(" && %s < %s", Var.c_str(),
-                          Loop->Uppers[I].toString(K.loopVarNames()).c_str());
-    if (Loop->Step == 1)
-      Out += formatString("; %s++) {\n", Var.c_str());
-    else
-      Out += formatString("; %s += %lld) {\n", Var.c_str(),
-                          static_cast<long long>(Loop->Step));
-    printNodes(Out, K, Loop->Body, Indent + 1);
-    Out += Pad;
-    Out += "}\n";
-  }
-}
-
-std::string Kernel::toString() const {
-  std::string Out = formatString("kernel %s {\n", Name.c_str());
-  for (const IrArrayDecl &Decl : Arrays) {
-    Out += "  double " + Decl.Name;
-    for (int64_t D : Decl.Dims)
-      Out += formatString("[%lld]", static_cast<long long>(D));
-    Out += ";\n";
-  }
-  printNodes(Out, *this, TopLevel, 1);
-  Out += "}\n";
-  return Out;
-}

@@ -7,9 +7,8 @@
 ///
 /// \file
 /// A Kernel owns the array declarations, loop-variable symbol table, and
-/// the top-level loop nests of one benchmark.  Transformations rewrite a
-/// cloned Kernel in place; the interpreter and the machine model both
-/// consume this representation.
+/// the top-level loop nests of one benchmark.  The machine model prices a
+/// kernel together with a TransformPlan; nothing rewrites the nests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +36,7 @@ class Kernel {
 public:
   explicit Kernel(std::string Name) : Name(std::move(Name)) {}
 
-  Kernel(const Kernel &Other);
+  Kernel(const Kernel &) = delete;
   Kernel &operator=(const Kernel &) = delete;
   Kernel(Kernel &&) = default;
   Kernel &operator=(Kernel &&) = default;
@@ -55,7 +54,6 @@ public:
 
   size_t numLoopVars() const { return VarNames.size(); }
   const std::string &loopVarName(LoopVarId Id) const { return VarNames[Id]; }
-  const std::vector<std::string> &loopVarNames() const { return VarNames; }
 
   /// Appends a top-level node (usually a LoopNode).
   void appendTopLevel(std::unique_ptr<IrNode> Node);
@@ -63,11 +61,6 @@ public:
   const std::vector<std::unique_ptr<IrNode>> &topLevel() const {
     return TopLevel;
   }
-  std::vector<std::unique_ptr<IrNode>> &topLevel() { return TopLevel; }
-
-  /// Finds the unique loop with variable \p Var; nullptr if absent.
-  LoopNode *findLoop(LoopVarId Var);
-  const LoopNode *findLoop(LoopVarId Var) const;
 
   /// Visits every loop in pre-order.
   void forEachLoop(const std::function<void(const LoopNode &)> &Fn) const;
@@ -85,9 +78,6 @@ public:
   /// variables, subscript arities match array ranks, ids in range);
   /// aborts with a message on violation.
   void verify() const;
-
-  /// Pseudo-C rendering for debugging and the examples.
-  std::string toString() const;
 
 private:
   std::string Name;

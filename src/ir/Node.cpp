@@ -7,13 +7,6 @@ using namespace alic;
 // Out-of-line virtual anchor (keeps the vtable in one object file).
 IrNode::~IrNode() = default;
 
-std::unique_ptr<IrNode> StmtNode::clone() const {
-  auto Copy = std::make_unique<StmtNode>(Write, Accumulate, Rhs, Reads, Scale,
-                                         Bias);
-  Copy->HasDivision = HasDivision;
-  return Copy;
-}
-
 unsigned StmtNode::flops() const {
   if (Reads.empty())
     return 1;
@@ -30,21 +23,4 @@ unsigned StmtNode::flops() const {
   if (Accumulate)
     ++Flops;
   return Flops;
-}
-
-std::unique_ptr<IrNode> LoopNode::clone() const {
-  auto Copy = std::make_unique<LoopNode>(Var, Lower, Uppers.front(), Step);
-  for (size_t I = 1; I != Uppers.size(); ++I)
-    Copy->addUpperBound(Uppers[I]);
-  Copy->Body = cloneNodeList(Body);
-  return Copy;
-}
-
-std::vector<std::unique_ptr<IrNode>>
-alic::cloneNodeList(const std::vector<std::unique_ptr<IrNode>> &Nodes) {
-  std::vector<std::unique_ptr<IrNode>> Copy;
-  Copy.reserve(Nodes.size());
-  for (const auto &Node : Nodes)
-    Copy.push_back(Node->clone());
-  return Copy;
 }

@@ -10,9 +10,7 @@
 /// LoopNode (counted loop with affine bounds) and StmtNode (array
 /// assignment whose right-hand side is a weighted sum or a scaled product
 /// of array reads).  This is rich enough to express the eleven SPAPT
-/// kernels, to apply unroll/tile/register-tile transformations literally,
-/// and to interpret for semantics checks — while staying fully analyzable
-/// for the analytic machine model.
+/// kernels while staying fully analyzable for the analytic machine model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,20 +36,11 @@ public:
 
   NodeKind kind() const { return Kind; }
 
-  /// Deep copy.
-  virtual std::unique_ptr<IrNode> clone() const = 0;
-
 private:
   const NodeKind Kind;
 };
 
-/// dyn_cast-style accessors; return nullptr on kind mismatch.
-template <typename T> T *nodeDynCast(IrNode *Node) {
-  if (Node && T::classof(Node))
-    return static_cast<T *>(Node);
-  return nullptr;
-}
-
+/// dyn_cast-style accessor; returns nullptr on kind mismatch.
 template <typename T> const T *nodeDynCast(const IrNode *Node) {
   if (Node && T::classof(Node))
     return static_cast<const T *>(Node);
@@ -92,8 +81,6 @@ public:
     return Node->kind() == NodeKind::Stmt;
   }
 
-  std::unique_ptr<IrNode> clone() const override;
-
   /// Floating-point operations per dynamic execution of this statement.
   unsigned flops() const;
 
@@ -105,49 +92,34 @@ public:
   double Bias = 0.0;
 
   /// Marks statements whose real-world counterpart contains an FP divide
-  /// (ADI sweeps, LU pivot scaling).  The interpreter still evaluates the
-  /// polynomial form; the cost model charges the divide's long latency,
-  /// which matters when the statement sits on a recurrence chain.
+  /// (ADI sweeps, LU pivot scaling).  The IR keeps the polynomial form;
+  /// the cost model charges the divide's long latency, which matters when
+  /// the statement sits on a recurrence chain.
   bool HasDivision = false;
 };
 
-/// A counted loop: for (Var = Lower; Var < min(Uppers); Var += Step).
-/// Multiple upper bounds arise from strip-mining (partial final tiles)
-/// and from the guard loops that exact unrolling introduces.
+/// A counted loop: for (Var = Lower; Var < Upper; Var += Step).
 class LoopNode : public IrNode {
 public:
   LoopNode(LoopVarId Var, AffineExpr Lower, AffineExpr Upper, int64_t Step = 1)
       : IrNode(NodeKind::Loop), Var(Var), Lower(std::move(Lower)),
-        Step(Step) {
+        Upper(std::move(Upper)), Step(Step) {
     assert(Step > 0 && "only forward loops are modeled");
-    Uppers.push_back(std::move(Upper));
   }
 
   static bool classof(const IrNode *Node) {
     return Node->kind() == NodeKind::Loop;
   }
 
-  std::unique_ptr<IrNode> clone() const override;
-
-  /// Adds another upper bound; the loop runs while Var < min(all bounds).
-  void addUpperBound(AffineExpr Bound) { Uppers.push_back(std::move(Bound)); }
-
-  /// The primary (first) upper bound.
-  const AffineExpr &primaryUpper() const { return Uppers.front(); }
-
   /// Appends a child node.
   void append(std::unique_ptr<IrNode> Node) { Body.push_back(std::move(Node)); }
 
   LoopVarId Var;
   AffineExpr Lower;
-  std::vector<AffineExpr> Uppers; // effective bound: min over all entries
+  AffineExpr Upper;
   int64_t Step = 1;
   std::vector<std::unique_ptr<IrNode>> Body;
 };
-
-/// Deep-copies a node list.
-std::vector<std::unique_ptr<IrNode>>
-cloneNodeList(const std::vector<std::unique_ptr<IrNode>> &Nodes);
 
 } // namespace alic
 

@@ -76,9 +76,7 @@ void Analyzer::walk(const std::vector<std::unique_ptr<IrNode>> &Nodes) {
     }
     const auto *Loop = nodeDynCast<LoopNode>(Node.get());
     int64_t Lo = Loop->Lower.evaluate(Env);
-    int64_t Hi = Loop->Uppers.front().evaluate(Env);
-    for (size_t I = 1; I != Loop->Uppers.size(); ++I)
-      Hi = std::min(Hi, Loop->Uppers[I].evaluate(Env));
+    int64_t Hi = Loop->Upper.evaluate(Env);
     double Trip =
         Hi > Lo ? std::ceil(double(Hi - Lo) / double(Loop->Step)) : 0.0;
     if (Trip <= 0.0)

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// The deterministic ground-truth runtime model standing in for the
-/// paper's physical testbed (see DESIGN.md §5 substitution 1).  Given a
-/// kernel and a transformation plan it predicts:
+/// paper's physical testbed (see docs/ARCHITECTURE.md).  It prices a
+/// (kernel, transformation plan) pair analytically — no transformed code
+/// is ever built — and predicts:
 ///
 ///  * compute cycles — flop throughput limited by dependency chains that
 ///    unrolling/register tiling break up;
@@ -27,9 +28,7 @@
 ///    gcc slows down on heavily unrolled SPAPT kernels.
 ///
 /// The model assumes the cache-tile band is interchanged into position
-/// (as Orio's tiling does).  The literal IR rewriter (src/transform)
-/// conservatively strip-mines in place, which is semantics-equivalent;
-/// the analytic model is the performance authority.
+/// (as Orio's tiling does); it is the performance authority.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Synthetic runtime-measurement noise, standing in for the paper's noisy
-/// OS environment (DESIGN.md §5 substitution 2).  Three properties of the
+/// OS environment (see docs/ARCHITECTURE.md).  Three properties of the
 /// paper's Table 2 and Section 2 drive the design:
 ///
 ///  1. noise magnitude differs wildly across benchmarks (correlation's

@@ -2,14 +2,9 @@
 
 #include "model/SurrogateModel.h"
 
-#include "support/Rng.h"
 #include "support/Scheduler.h"
 
 using namespace alic;
-
-uint64_t ScoreContext::shardSeed(size_t Shard) const {
-  return hashCombine({Seed, uint64_t(Shard), 0x5c07e5eedull});
-}
 
 SurrogateModel::~SurrogateModel() = default;
 
@@ -28,12 +23,4 @@ std::vector<double> SurrogateModel::almScores(const FlatRows &Candidates,
                  Scores[I] = predict(Candidates[I]).Variance;
              });
   return Scores;
-}
-
-std::vector<double> SurrogateModel::alcScores(const FlatRows &Candidates,
-                                              const FlatRows &Reference,
-                                              const ScoreContext &Ctx) const {
-  // Fallback: models without a closed-form ALC reduce to ALM.
-  (void)Reference;
-  return almScores(Candidates, Ctx);
 }

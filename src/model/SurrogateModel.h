@@ -68,17 +68,13 @@ struct ScoreStats {
 /// iteration; this context lets models shard that work across the
 /// work-stealing scheduler while staying bit-identical to the sequential
 /// path: shards are cut on a grid that depends only on the candidate
-/// count (never the worker count), each shard writes disjoint outputs,
-/// and any stochastic scorer must draw from shardSeed(Shard) rather than
-/// shared mutable state.  Scoring may itself run inside a scheduler task
-/// (a campaign cell): the shards then fork onto the same pool, and idle
-/// workers steal them.
+/// count (never the worker count), and each shard writes disjoint
+/// outputs.  Scoring may itself run inside a scheduler task (a campaign
+/// cell): the shards then fork onto the same pool, and idle workers
+/// steal them.
 struct ScoreContext {
   /// Scheduler to shard the scoring over; null means score sequentially.
   Scheduler *Pool = nullptr;
-
-  /// Base seed for stochastic scorers (unused by closed-form ALC/ALM).
-  uint64_t Seed = 0;
 
   /// Candidates per shard.  Fixed by the caller, not derived from the
   /// thread count, so the shard grid is reproducible everywhere.
@@ -87,10 +83,6 @@ struct ScoreContext {
   /// Optional counter sink for score-path instrumentation (dedup
   /// factors); null means don't count.  Never affects results.
   ScoreStats *Stats = nullptr;
-
-  /// Pre-derived RNG seed of shard \p Shard: a pure function of (Seed,
-  /// Shard), so scheduling order can never leak into results.
-  uint64_t shardSeed(size_t Shard) const;
 };
 
 /// Interface of all runtime-prediction surrogates.
@@ -130,11 +122,10 @@ public:
   /// ALC scores: expected reduction of summed predictive variance over
   /// \p Reference if the candidate were observed (higher = more useful).
   /// Implementations must honor \p Ctx: scored in parallel over its pool,
-  /// the result must be bit-identical to the sequential run.  The default
-  /// implementation falls back to ALM.
+  /// the result must be bit-identical to the sequential run.
   virtual std::vector<double>
   alcScores(const FlatRows &Candidates, const FlatRows &Reference,
-            const ScoreContext &Ctx = ScoreContext()) const;
+            const ScoreContext &Ctx = ScoreContext()) const = 0;
 
   /// Number of observations absorbed so far.
   virtual size_t numObservations() const = 0;

@@ -10,17 +10,20 @@
 #include "support/Serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 
 using namespace alic;
 
 namespace {
 
 constexpr uint32_t SnapshotMagic = 0x414c5356; // "ALSV"
-// Version 2 added the query-policy fields; older snapshots are treated
-// as unreadable (skipped on restore), never misparsed.
-constexpr uint32_t SnapshotVersion = 2;
+// Version 2 added the query-policy fields and version 3 the payload
+// checksum; older snapshots are treated as unreadable (skipped on
+// restore), never misparsed.
+constexpr uint32_t SnapshotVersion = 3;
 
 void writeSpec(ByteWriter &W, const SessionSpec &Spec) {
   W.writeString(Spec.Benchmark);
@@ -51,6 +54,26 @@ void writeSpec(ByteWriter &W, const SessionSpec &Spec) {
   W.writeU32(S.EvalEvery);
   W.writeU64(S.TestSubset);
   W.writeU32(S.ObservationCap);
+}
+
+/// True when a session could run \p Spec: every count positive, a split
+/// fraction strictly inside (0, 1), and policy numbers finite and
+/// non-negative — the ranges the wire and the scale presets produce.
+bool runnableSpec(const SessionSpec &Spec) {
+  const ExperimentScale &S = Spec.Scale;
+  const QueryPolicyConfig &Q = Spec.Query;
+  for (double V : {Q.Mellowness, Q.RangeC1, Q.AbsFloor, Q.RelFloor})
+    if (!std::isfinite(V) || V < 0.0)
+      return false;
+  for (uint64_t Count : std::initializer_list<uint64_t>{
+           Spec.Plan.FixedObservations, Spec.Plan.MaxObservationsPerExample,
+           Spec.BatchSize, S.NumConfigs, S.MeanObservations, S.NumInitial,
+           S.InitObservations, S.MaxTrainingExamples,
+           S.CandidatesPerIteration, S.ReferenceSetSize, S.Particles,
+           S.Repetitions, S.EvalEvery, S.TestSubset, S.ObservationCap})
+    if (Count == 0)
+      return false;
+  return S.TrainFraction > 0.0 && S.TrainFraction < 1.0;
 }
 
 bool readSpec(ByteReader &R, SessionSpec &Spec) {
@@ -101,7 +124,7 @@ bool readSpec(ByteReader &R, SessionSpec &Spec) {
   Spec.BatchSize = Batch;
   S.NumConfigs = size_t(NumConfigs);
   S.TestSubset = size_t(TestSubset);
-  return true;
+  return runnableSpec(Spec);
 }
 
 /// Raw bits of a double, for cache keys (0.75 and 0.7500001 must not
@@ -142,8 +165,12 @@ ServeEngine::ServeEngine(ServeOptions Opts) : Opts(std::move(Opts)) {
     SO.StealSeed = this->Opts.StealSeed;
     Sched = std::make_unique<Scheduler>(SO);
   }
-  if (!this->Opts.StateDir.empty())
-    std::filesystem::create_directories(this->Opts.StateDir);
+  // Never throws: without the directory, snapshot writes fail and the
+  // sessions degrade to serving from memory.
+  if (!this->Opts.StateDir.empty()) {
+    std::error_code Ec;
+    std::filesystem::create_directories(this->Opts.StateDir, Ec);
+  }
   if (this->Opts.CheckpointEveryObserves == 0)
     this->Opts.CheckpointEveryObserves = 1;
 }
@@ -222,6 +249,7 @@ void ServeEngine::snapshot(const std::string &Id, Session &S) {
   W.writeU64(S.Events.size());
   for (const std::vector<double> &Costs : S.Events)
     W.writeDoubles(Costs);
+  W.writeChecksum();
   Status St;
   FailOutcome F = ALIC_FAILPOINT("snapshot.write");
   if (F.Fire)
@@ -437,7 +465,7 @@ size_t ServeEngine::restoreSessions(size_t *Skipped) {
     uint64_t NumEvents = 0;
     if (ALIC_FAILPOINT("snapshot.restore").Fire)
       goto corrupt; // injected unreadable snapshot
-    if (!ByteReader::fromFile(Path, R))
+    if (!ByteReader::fromFile(Path, R) || !R.verifyChecksum())
       goto corrupt;
     R.readU32(Magic);
     R.readU32(Version);

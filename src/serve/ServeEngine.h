@@ -83,8 +83,9 @@ struct SessionSpec {
 
 /// Engine construction knobs.
 struct ServeOptions {
-  /// Directory for session snapshots (created on demand).  Empty
-  /// disables checkpointing and restoreSessions().
+  /// Directory for session snapshots (created on demand; if that fails,
+  /// snapshot writes fail and degrade as documented).  Empty disables
+  /// checkpointing and restoreSessions().
   std::string StateDir;
   /// Dataset blob cache handed to loadOrBuildDataset; empty disables the
   /// on-disk layer (the in-memory layer always applies).
@@ -177,8 +178,9 @@ public:
   /// Loads every `sess-*.alsv` snapshot under StateDir and replays each
   /// observation log through a fresh learner, reconstructing all session
   /// states bit-identically (see file comment).  Unreadable or corrupt
-  /// snapshots are skipped — a crash mid-rename cannot take the daemon
-  /// down — and their count is reported via \p Skipped.  Returns the
+  /// snapshots (a checksum mismatch, or a spec no session can run) are
+  /// skipped — a crash mid-rename cannot take the daemon down — and
+  /// their count is reported via \p Skipped.  Returns the
   /// number of sessions restored.  Call once, before serving.
   size_t restoreSessions(size_t *Skipped = nullptr);
 

@@ -1,8 +1,9 @@
 //===- spapt/Kernels.cpp --------------------------------------*- C++ -*-===//
 //
 // IR builders for the eleven SPAPT kernels.  Parameter ranges are sized so
-// that each space's cardinality matches the paper's Table 1 (documented in
-// EXPERIMENTS.md); loop-bound parameters carry the LoopVarId they act on.
+// that each space's cardinality matches the paper's Table 1 (bench_paper_
+// campaign's Table 1 prints both side by side); loop-bound parameters
+// carry the LoopVarId they act on.
 //
 //===----------------------------------------------------------------------===//
 

@@ -10,12 +10,12 @@
 /// (Table 1): adi, atax, bicgkernel, correlation, dgemv3, gemver, hessian,
 /// jacobi, lu, mm, mvt.  Each builder returns the kernel's loop nests plus
 /// the tunable parameters bound to its loops; the parameter ranges are
-/// chosen so the space cardinalities match Table 1 of the paper (see
-/// EXPERIMENTS.md for the exact values side by side).
+/// chosen so the space cardinalities match Table 1 of the paper
+/// (bench_paper_campaign's Table 1 prints the exact values side by side).
 ///
 /// Builders take explicit problem dimensions: Suite.cpp instantiates the
-/// full-size spaces, while the tests interpret miniature instances (the
-/// kernels' semantics do not depend on the dimensions).
+/// full-size spaces, while the tests build miniature instances (the
+/// kernels' structure does not depend on the dimensions).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -37,7 +37,8 @@ NoiseProfile noiseFor(const char *Name, double BaseRelSigma, double Amp,
 std::unique_ptr<SpaptBenchmark>
 alic::createSpaptBenchmark(const std::string &Name) {
   // Noise calibration targets Table 2 of the paper: per-benchmark spreads
-  // of variance and 95% CI / mean (see EXPERIMENTS.md for the comparison).
+  // of variance and 95% CI / mean (bench_paper_campaign's Table 2 prints
+  // the spreads this calibration reaches).
   // Broadly: correlation is extremely noisy, adi noisy over wide regions,
   // gemver/atax/dgemv3 quiet with small loud pockets, lu/mm/mvt quiet.
   if (Name == "adi")

@@ -6,7 +6,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace alic;
 
@@ -28,55 +27,6 @@ double alic::logGamma(double X) {
   double T = Z + 7.5;
   return 0.5 * std::log(2.0 * M_PI) + (Z + 0.5) * std::log(T) - T +
          std::log(Sum);
-}
-
-/// Lower incomplete gamma via its power series, valid for X < A + 1.
-static double gammaPSeries(double A, double X) {
-  double Term = 1.0 / A;
-  double Sum = Term;
-  double N = A;
-  for (int I = 0; I != 500; ++I) {
-    N += 1.0;
-    Term *= X / N;
-    Sum += Term;
-    if (std::fabs(Term) < std::fabs(Sum) * 1e-15)
-      break;
-  }
-  return Sum * std::exp(-X + A * std::log(X) - logGamma(A));
-}
-
-/// Upper incomplete gamma via Lentz's continued fraction, valid X >= A + 1.
-static double gammaQContinuedFraction(double A, double X) {
-  const double Tiny = 1e-300;
-  double B = X + 1.0 - A;
-  double C = 1.0 / Tiny;
-  double D = 1.0 / B;
-  double H = D;
-  for (int I = 1; I != 500; ++I) {
-    double An = -I * (I - A);
-    B += 2.0;
-    D = An * D + B;
-    if (std::fabs(D) < Tiny)
-      D = Tiny;
-    C = B + An / C;
-    if (std::fabs(C) < Tiny)
-      C = Tiny;
-    D = 1.0 / D;
-    double Delta = D * C;
-    H *= Delta;
-    if (std::fabs(Delta - 1.0) < 1e-15)
-      break;
-  }
-  return std::exp(-X + A * std::log(X) - logGamma(A)) * H;
-}
-
-double alic::regularizedGammaP(double A, double X) {
-  assert(A > 0.0 && "shape must be positive");
-  if (X <= 0.0)
-    return 0.0;
-  if (X < A + 1.0)
-    return gammaPSeries(A, X);
-  return 1.0 - gammaQContinuedFraction(A, X);
 }
 
 /// Continued fraction for the regularized incomplete beta (Lentz).
@@ -217,30 +167,4 @@ double alic::studentTQuantile(double P, double Df) {
       break;
   }
   return X;
-}
-
-double alic::chiSquareCdf(double X, double Df) {
-  assert(Df > 0.0 && "degrees of freedom must be positive");
-  if (X <= 0.0)
-    return 0.0;
-  return regularizedGammaP(0.5 * Df, 0.5 * X);
-}
-
-double alic::chiSquareQuantile(double P, double Df) {
-  assert(P > 0.0 && P < 1.0 && "quantile domain is (0, 1)");
-  // Bisection: robust and plenty fast for the handful of calls we make.
-  double Lo = 0.0;
-  double Hi = Df + 10.0 * std::sqrt(2.0 * Df) + 10.0;
-  while (chiSquareCdf(Hi, Df) < P)
-    Hi *= 2.0;
-  for (int I = 0; I != 200; ++I) {
-    double Mid = 0.5 * (Lo + Hi);
-    if (chiSquareCdf(Mid, Df) < P)
-      Lo = Mid;
-    else
-      Hi = Mid;
-    if (Hi - Lo < 1e-12 * (1.0 + Hi))
-      break;
-  }
-  return 0.5 * (Lo + Hi);
 }

@@ -7,13 +7,12 @@
 ///
 /// \file
 /// Hand-rolled density, distribution, and quantile functions for the
-/// distributions the reproduction needs: Normal (noise and leaf posteriors),
-/// Student-t (confidence intervals and dynamic-tree predictive), and the
-/// Gamma family (chi-square variance intervals, Bayesian posteriors).
-/// The paper's experiments lean on R internals for these; we reimplement
-/// them with standard numerical methods (Lentz continued fractions for the
-/// incomplete beta/gamma, Acklam's rational approximation plus a Halley
-/// polish for the normal quantile).
+/// distributions the reproduction needs: Normal (noise and leaf posteriors)
+/// and Student-t (confidence intervals and dynamic-tree predictive), plus
+/// logGamma for the Bayesian posteriors.  The paper's experiments lean on
+/// R internals for these; we reimplement them with standard numerical
+/// methods (a Lentz continued fraction for the incomplete beta, Acklam's
+/// rational approximation plus a Halley polish for the normal quantile).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +23,6 @@ namespace alic {
 
 /// Natural log of the Gamma function (Lanczos approximation).
 double logGamma(double X);
-
-/// Regularized lower incomplete gamma P(a, x).
-double regularizedGammaP(double A, double X);
 
 /// Regularized incomplete beta I_x(a, b).
 double regularizedBeta(double X, double A, double B);
@@ -48,12 +44,6 @@ double studentTCdf(double X, double Df);
 
 /// Student-t quantile with \p Df degrees of freedom; \p P in (0, 1).
 double studentTQuantile(double P, double Df);
-
-/// Chi-square CDF with \p Df degrees of freedom.
-double chiSquareCdf(double X, double Df);
-
-/// Chi-square quantile with \p Df degrees of freedom; \p P in (0, 1).
-double chiSquareQuantile(double P, double Df);
 
 } // namespace alic
 

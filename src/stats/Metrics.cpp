@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -20,34 +19,6 @@ double alic::rootMeanSquaredError(const std::vector<double> &Predicted,
     Sum += Diff * Diff;
   }
   return std::sqrt(Sum / double(Actual.size()));
-}
-
-double alic::meanAbsoluteError(const std::vector<double> &Predicted,
-                               const std::vector<double> &Actual) {
-  assert(Predicted.size() == Actual.size() && !Actual.empty() &&
-         "MAE needs equally sized, non-empty vectors");
-  double Sum = 0.0;
-  for (size_t I = 0; I != Actual.size(); ++I)
-    Sum += std::fabs(Predicted[I] - Actual[I]);
-  return Sum / double(Actual.size());
-}
-
-double alic::rSquared(const std::vector<double> &Predicted,
-                      const std::vector<double> &Actual) {
-  assert(Predicted.size() == Actual.size() && !Actual.empty() &&
-         "R^2 needs equally sized, non-empty vectors");
-  double Mean = arithmeticMean(Actual);
-  double Sse = 0.0;
-  double Sst = 0.0;
-  for (size_t I = 0; I != Actual.size(); ++I) {
-    double E = Predicted[I] - Actual[I];
-    double D = Actual[I] - Mean;
-    Sse += E * E;
-    Sst += D * D;
-  }
-  if (Sst == 0.0)
-    return Sse == 0.0 ? 1.0 : 0.0;
-  return 1.0 - Sse / Sst;
 }
 
 double alic::geometricMean(const std::vector<double> &Values) {
@@ -72,17 +43,4 @@ double alic::arithmeticMean(const double *Values, std::size_t Count) {
   for (size_t I = 0; I != Count; ++I)
     Sum += Values[I];
   return Sum / double(Count);
-}
-
-double alic::quantile(std::vector<double> Values, double Q) {
-  assert(!Values.empty() && "quantile of empty sample");
-  assert(Q >= 0.0 && Q <= 1.0 && "quantile order must be in [0,1]");
-  std::sort(Values.begin(), Values.end());
-  if (Values.size() == 1)
-    return Values.front();
-  double Pos = Q * double(Values.size() - 1);
-  size_t Lo = static_cast<size_t>(Pos);
-  size_t Hi = std::min(Lo + 1, Values.size() - 1);
-  double Frac = Pos - double(Lo);
-  return Values[Lo] * (1.0 - Frac) + Values[Hi] * Frac;
 }

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Prediction-error metrics.  The paper's headline accuracy metric is the
-/// Root Mean Squared Error of predicted vs. observed mean runtimes
-/// (equation (1)); the motivation section uses Mean Absolute Error.
+/// Prediction-error metrics and means.  The paper's headline accuracy
+/// metric is the Root Mean Squared Error of predicted vs. observed mean
+/// runtimes (equation (1)).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +24,6 @@ namespace alic {
 double rootMeanSquaredError(const std::vector<double> &Predicted,
                             const std::vector<double> &Actual);
 
-/// Mean absolute error between \p Predicted and \p Actual.
-double meanAbsoluteError(const std::vector<double> &Predicted,
-                         const std::vector<double> &Actual);
-
-/// Coefficient of determination R^2 (1 - SSE/SST).
-double rSquared(const std::vector<double> &Predicted,
-                const std::vector<double> &Actual);
-
 /// Geometric mean of strictly positive \p Values; 0 when empty.
 double geometricMean(const std::vector<double> &Values);
 
@@ -42,9 +34,6 @@ double arithmeticMean(const std::vector<double> &Values);
 /// Count is 0.  Identical summation order to the vector overload, so
 /// means of a slice match means of a copy bit-for-bit.
 double arithmeticMean(const double *Values, std::size_t Count);
-
-/// \p Q-th quantile (0..1) by linear interpolation of the sorted sample.
-double quantile(std::vector<double> Values, double Q);
 
 } // namespace alic
 

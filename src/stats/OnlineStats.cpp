@@ -18,23 +18,6 @@ void OnlineStats::add(double Value) {
   Max = std::max(Max, Value);
 }
 
-void OnlineStats::merge(const OnlineStats &Other) {
-  if (Other.N == 0)
-    return;
-  if (N == 0) {
-    *this = Other;
-    return;
-  }
-  double Delta = Other.Mean - Mean;
-  uint64_t Total = N + Other.N;
-  M2 += Other.M2 +
-        Delta * Delta * (double(N) * double(Other.N)) / double(Total);
-  Mean += Delta * double(Other.N) / double(Total);
-  N = Total;
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-}
-
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double OnlineStats::stderrOfMean() const {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Welford streaming mean/variance with min/max tracking, mergeable across
-/// partitions, plus Student-t confidence intervals.  Sequential analysis
+/// Welford streaming mean/variance with min/max tracking, plus Student-t
+/// confidence intervals.  Sequential analysis
 /// revolves around exactly these quantities: the paper's baseline validates
 /// sample counts post hoc with the 95% CI / mean ratio (Section 4.3).
 ///
@@ -35,9 +35,6 @@ class OnlineStats {
 public:
   /// Adds one observation.
   void add(double Value);
-
-  /// Merges another accumulator (Chan's parallel combination).
-  void merge(const OnlineStats &Other);
 
   /// Number of observations.
   uint64_t count() const { return N; }

@@ -23,50 +23,6 @@ void BigUInt::trim() {
     Limbs.pop_back();
 }
 
-BigUInt BigUInt::operator+(const BigUInt &Rhs) const {
-  BigUInt Result;
-  size_t N = std::max(Limbs.size(), Rhs.Limbs.size());
-  Result.Limbs.resize(N, 0);
-  uint64_t Carry = 0;
-  for (size_t I = 0; I != N; ++I) {
-    uint64_t Sum = Carry;
-    if (I < Limbs.size())
-      Sum += Limbs[I];
-    if (I < Rhs.Limbs.size())
-      Sum += Rhs.Limbs[I];
-    Result.Limbs[I] = static_cast<uint32_t>(Sum);
-    Carry = Sum >> 32;
-  }
-  if (Carry)
-    Result.Limbs.push_back(static_cast<uint32_t>(Carry));
-  return Result;
-}
-
-BigUInt BigUInt::operator*(const BigUInt &Rhs) const {
-  if (isZero() || Rhs.isZero())
-    return BigUInt();
-  BigUInt Result;
-  Result.Limbs.assign(Limbs.size() + Rhs.Limbs.size(), 0);
-  for (size_t I = 0; I != Limbs.size(); ++I) {
-    uint64_t Carry = 0;
-    for (size_t J = 0; J != Rhs.Limbs.size(); ++J) {
-      uint64_t Cur = Result.Limbs[I + J] +
-                     static_cast<uint64_t>(Limbs[I]) * Rhs.Limbs[J] + Carry;
-      Result.Limbs[I + J] = static_cast<uint32_t>(Cur);
-      Carry = Cur >> 32;
-    }
-    size_t K = I + Rhs.Limbs.size();
-    while (Carry) {
-      uint64_t Cur = Result.Limbs[K] + Carry;
-      Result.Limbs[K] = static_cast<uint32_t>(Cur);
-      Carry = Cur >> 32;
-      ++K;
-    }
-  }
-  Result.trim();
-  return Result;
-}
-
 BigUInt &BigUInt::mulScalar(uint32_t Factor) {
   if (Factor == 0) {
     Limbs.clear();
@@ -75,20 +31,6 @@ BigUInt &BigUInt::mulScalar(uint32_t Factor) {
   uint64_t Carry = 0;
   for (uint32_t &Limb : Limbs) {
     uint64_t Cur = static_cast<uint64_t>(Limb) * Factor + Carry;
-    Limb = static_cast<uint32_t>(Cur);
-    Carry = Cur >> 32;
-  }
-  if (Carry)
-    Limbs.push_back(static_cast<uint32_t>(Carry));
-  return *this;
-}
-
-BigUInt &BigUInt::addScalar(uint32_t Value) {
-  uint64_t Carry = Value;
-  for (uint32_t &Limb : Limbs) {
-    if (!Carry)
-      break;
-    uint64_t Cur = static_cast<uint64_t>(Limb) + Carry;
     Limb = static_cast<uint32_t>(Cur);
     Carry = Cur >> 32;
   }

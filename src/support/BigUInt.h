@@ -8,8 +8,7 @@
 /// \file
 /// A compact arbitrary-precision unsigned integer.  SPAPT search-space
 /// cardinalities reach 1.33e27 (Table 1 of the paper), which overflows
-/// uint64_t, so exact cardinalities and mixed-radix configuration indices
-/// are carried in BigUInt.
+/// uint64_t, so exact cardinalities are carried in BigUInt.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,17 +30,8 @@ public:
   /// Constructs from a 64-bit value.
   BigUInt(uint64_t Value);
 
-  /// Returns this + \p Rhs.
-  BigUInt operator+(const BigUInt &Rhs) const;
-
-  /// Returns this * \p Rhs (schoolbook multiply).
-  BigUInt operator*(const BigUInt &Rhs) const;
-
   /// Multiplies in place by a 32-bit factor.
   BigUInt &mulScalar(uint32_t Factor);
-
-  /// Adds a 32-bit value in place.
-  BigUInt &addScalar(uint32_t Value);
 
   /// Divides in place by a nonzero 32-bit divisor and returns the remainder.
   uint32_t divModScalar(uint32_t Divisor);

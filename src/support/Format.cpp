@@ -70,9 +70,3 @@ std::string alic::padLeft(const std::string &Text, size_t Width) {
     return Text;
   return std::string(Width - Text.size(), ' ') + Text;
 }
-
-std::string alic::padRight(const std::string &Text, size_t Width) {
-  if (Text.size() >= Width)
-    return Text;
-  return Text + std::string(Width - Text.size(), ' ');
-}

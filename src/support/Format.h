@@ -38,9 +38,6 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 /// Pads \p Text on the left with spaces to at least \p Width columns.
 std::string padLeft(const std::string &Text, size_t Width);
 
-/// Pads \p Text on the right with spaces to at least \p Width columns.
-std::string padRight(const std::string &Text, size_t Width);
-
 } // namespace alic
 
 #endif // ALIC_SUPPORT_FORMAT_H

@@ -77,12 +77,6 @@ double Rng::nextUniform(double Lo, double Hi) {
   return Lo + (Hi - Lo) * nextDouble();
 }
 
-int64_t Rng::nextInt(int64_t Lo, int64_t Hi) {
-  assert(Lo <= Hi && "empty integer range");
-  uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;
-  return Lo + static_cast<int64_t>(nextBounded(Span));
-}
-
 double Rng::nextGaussian() {
   if (HasCachedGaussian) {
     HasCachedGaussian = false;
@@ -99,32 +93,6 @@ double Rng::nextGaussian() {
   CachedGaussian = R * std::sin(Theta);
   HasCachedGaussian = true;
   return R * std::cos(Theta);
-}
-
-double Rng::nextGamma(double Shape) {
-  assert(Shape > 0.0 && "gamma shape must be positive");
-  // Marsaglia-Tsang squeeze; boost small shapes via the U^(1/a) trick.
-  if (Shape < 1.0) {
-    double U = 0.0;
-    do {
-      U = nextDouble();
-    } while (U <= 0.0);
-    return nextGamma(Shape + 1.0) * std::pow(U, 1.0 / Shape);
-  }
-  double D = Shape - 1.0 / 3.0;
-  double C = 1.0 / std::sqrt(9.0 * D);
-  while (true) {
-    double X = nextGaussian();
-    double V = 1.0 + C * X;
-    if (V <= 0.0)
-      continue;
-    V = V * V * V;
-    double U = nextDouble();
-    if (U < 1.0 - 0.0331 * X * X * X * X)
-      return D * V;
-    if (U > 0.0 && std::log(U) < 0.5 * X * X + D * (1.0 - V + std::log(V)))
-      return D * V;
-  }
 }
 
 double Rng::nextExponential(double Mean) {
@@ -170,5 +138,3 @@ std::vector<size_t> Rng::sampleIndices(size_t N, size_t K) {
   }
   return Result;
 }
-
-Rng Rng::split() { return Rng(next() ^ 0xd1b54a32d192ed03ull); }

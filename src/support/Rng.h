@@ -52,15 +52,8 @@ public:
   /// Returns a uniform double in [Lo, Hi).
   double nextUniform(double Lo, double Hi);
 
-  /// Returns a uniform integer in the inclusive range [Lo, Hi].
-  int64_t nextInt(int64_t Lo, int64_t Hi);
-
   /// Returns a standard normal deviate (Box-Muller, cached pair).
   double nextGaussian();
-
-  /// Returns a Gamma(\p Shape, scale=1) deviate (Marsaglia-Tsang).
-  /// \p Shape must be positive.
-  double nextGamma(double Shape);
 
   /// Returns an Exponential deviate with the given \p Mean.
   double nextExponential(double Mean);
@@ -79,11 +72,6 @@ public:
   /// Draws \p K distinct indices from [0, N) in uniformly random order.
   /// If \p K >= N, returns a random permutation of all N indices.
   std::vector<size_t> sampleIndices(size_t N, size_t K);
-
-  /// Splits off an independent child generator.  The child stream is a
-  /// deterministic function of the parent state, and advancing the child
-  /// does not perturb the parent beyond the single split draw.
-  Rng split();
 
 private:
   uint64_t State[4];

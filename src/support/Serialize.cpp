@@ -13,6 +13,21 @@
 
 using namespace alic;
 
+namespace {
+
+/// 64-bit FNV-1a over [Data, Data+Size): every single-byte change moves
+/// the result, since each step is a bijection of the running state.
+uint64_t fnv1a(const uint8_t *Data, size_t Size) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I != Size; ++I) {
+    Hash ^= Data[I];
+    Hash *= 0x100000001b3ull;
+  }
+  return Hash;
+}
+
+} // namespace
+
 void ByteWriter::writeU16(uint16_t Value) {
   Buffer.push_back(uint8_t(Value & 0xff));
   Buffer.push_back(uint8_t(Value >> 8));
@@ -50,6 +65,10 @@ void ByteWriter::writeDoubles(const std::vector<double> &Values) {
   writeU64(Values.size());
   for (double V : Values)
     writeDouble(V);
+}
+
+void ByteWriter::writeChecksum() {
+  writeU64(fnv1a(Buffer.data(), Buffer.size()));
 }
 
 namespace {
@@ -157,6 +176,23 @@ bool ByteReader::fromFile(const std::string &Path, ByteReader &Out) {
   if (!Ok)
     return false;
   Out = ByteReader(std::move(Bytes));
+  return true;
+}
+
+bool ByteReader::verifyChecksum() {
+  if (Failed || Pos != 0 || Buffer.size() < 8) {
+    Failed = true;
+    return false;
+  }
+  size_t Payload = Buffer.size() - 8;
+  uint64_t Stored = 0;
+  for (int Byte = 7; Byte >= 0; --Byte)
+    Stored = (Stored << 8) | Buffer[Payload + size_t(Byte)];
+  if (Stored != fnv1a(Buffer.data(), Payload)) {
+    Failed = true;
+    return false;
+  }
+  Buffer.resize(Payload);
   return true;
 }
 

@@ -12,7 +12,9 @@
 /// IEEE-754 bits, so a round trip reproduces values bit-for-bit on any
 /// host this project targets.  Readers are fully bounds-checked: a
 /// truncated or corrupted blob flips a sticky failure flag instead of
-/// reading out of bounds, and callers discard the cache entry.
+/// reading out of bounds, and callers discard the cache entry.  Binary
+/// formats seal their payload with writeChecksum and open it with
+/// verifyChecksum, so a flipped byte that still parses is rejected too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +59,10 @@ public:
   void writeU16s(const std::vector<uint16_t> &Values);
   void writeDoubles(const std::vector<double> &Values);
 
+  /// Appends a 64-bit FNV-1a checksum of every byte written so far.
+  /// Written last; ByteReader::verifyChecksum checks and strips it.
+  void writeChecksum();
+
   const std::vector<uint8_t> &bytes() const { return Buffer; }
   size_t size() const { return Buffer.size(); }
 
@@ -76,11 +82,6 @@ public:
   /// kill-at-every-sync-point chaos tests.
   Status writeFileDurable(const std::string &Path) const;
 
-  /// Compatibility wrapper around writeFileDurable: true on success.
-  bool writeFileAtomic(const std::string &Path) const {
-    return writeFileDurable(Path).ok();
-  }
-
 private:
   std::vector<uint8_t> Buffer;
 };
@@ -95,6 +96,12 @@ public:
 
   /// Loads \p Path into a reader; false when the file cannot be read.
   static bool fromFile(const std::string &Path, ByteReader &Out);
+
+  /// Checks the trailing checksum ByteWriter::writeChecksum appended and
+  /// drops it from the buffer, so atEnd() then means the payload was
+  /// consumed exactly.  Call before any read.  On a short buffer or a
+  /// mismatch, returns false and fails the reader.
+  bool verifyChecksum();
 
   bool readU8(uint8_t &Value);
   bool readU16(uint16_t &Value);

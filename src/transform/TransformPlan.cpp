@@ -2,9 +2,6 @@
 
 #include "transform/TransformPlan.h"
 
-#include "support/Error.h"
-#include "support/Format.h"
-
 #include <cassert>
 
 using namespace alic;
@@ -30,10 +27,6 @@ TransformPlan TransformPlan::fromConfig(const ParamSpace &Space,
       Plan.Factors[static_cast<LoopVarId>(P.loopIndex())].RegisterTile =
           Value;
       break;
-    case ParamKind::Binary:
-    case ParamKind::Generic:
-      Plan.Flags[P.name()] = Value;
-      break;
     }
   }
   return Plan;
@@ -43,26 +36,4 @@ const LoopFactors &TransformPlan::factors(LoopVarId Var) const {
   static const LoopFactors Identity;
   auto It = Factors.find(Var);
   return It == Factors.end() ? Identity : It->second;
-}
-
-int TransformPlan::flag(const std::string &Name) const {
-  auto It = Flags.find(Name);
-  return It == Flags.end() ? 0 : It->second;
-}
-
-double TransformPlan::expansionFactor() const {
-  double Product = 1.0;
-  for (const auto &[Var, F] : Factors)
-    Product *= double(F.Unroll) * double(F.RegisterTile);
-  return Product;
-}
-
-std::string TransformPlan::toString() const {
-  std::vector<std::string> Parts;
-  for (const auto &[Var, F] : Factors)
-    Parts.push_back(formatString("v%u{U=%d,T=%d,RT=%d}", Var, F.Unroll,
-                                 F.CacheTile, F.RegisterTile));
-  for (const auto &[Name, Value] : Flags)
-    Parts.push_back(formatString("%s=%d", Name.c_str(), Value));
-  return joinStrings(Parts, " ");
 }

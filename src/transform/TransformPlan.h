@@ -8,9 +8,8 @@
 /// \file
 /// A TransformPlan assigns unroll / cache-tile / register-tile factors to
 /// the loops of one kernel.  It is the bridge between the tunable space
-/// (what the learner manipulates) and both consumers of a configuration:
-/// the literal IR rewriter (semantics) and the analytic machine model
-/// (performance).
+/// (what the learner manipulates) and the analytic machine model, which
+/// prices the (kernel, plan) pair directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "tunable/ParamSpace.h"
 
 #include <map>
-#include <string>
 
 namespace alic {
 
@@ -32,39 +30,22 @@ struct LoopFactors {
   int RegisterTile = 1;
 };
 
-/// Assignment of factors to loops plus global binary flags.
+/// Assignment of factors to loops.
 class TransformPlan {
 public:
   /// Builds the identity plan (all factors 1).
   TransformPlan() = default;
 
   /// Derives a plan from a configuration: each parameter is routed to its
-  /// bound loop according to its ParamKind.  Binary parameters land in
-  /// flags() keyed by parameter name.
+  /// bound loop according to its ParamKind.
   static TransformPlan fromConfig(const ParamSpace &Space, const Config &C);
 
   /// Factors for loop \p Var (identity if never set).
   const LoopFactors &factors(LoopVarId Var) const;
   LoopFactors &factorsMut(LoopVarId Var) { return Factors[Var]; }
 
-  /// All loops with non-identity factors.
-  const std::map<LoopVarId, LoopFactors> &loopFactors() const {
-    return Factors;
-  }
-
-  /// Value of binary flag \p Name (0 when unset).
-  int flag(const std::string &Name) const;
-  void setFlag(const std::string &Name, int Value) { Flags[Name] = Value; }
-
-  /// Product of all unroll and register-tile factors (code growth proxy).
-  double expansionFactor() const;
-
-  /// Human-readable rendering for logs.
-  std::string toString() const;
-
 private:
   std::map<LoopVarId, LoopFactors> Factors;
-  std::map<std::string, int> Flags;
 };
 
 } // namespace alic

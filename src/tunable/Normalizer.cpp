@@ -50,11 +50,3 @@ std::vector<double> Normalizer::transform(const std::vector<double> &Row) const 
     Out[D] = (Row[D] - Means[D]) / Stds[D];
   return Out;
 }
-
-std::vector<double> Normalizer::inverse(const std::vector<double> &Row) const {
-  assert(Row.size() == Means.size() && "dimension mismatch");
-  std::vector<double> Out(Row.size());
-  for (size_t D = 0; D != Row.size(); ++D)
-    Out[D] = Row[D] * Stds[D] + Means[D];
-  return Out;
-}

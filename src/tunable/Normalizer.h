@@ -39,9 +39,6 @@ public:
   /// Transforms one feature vector.
   std::vector<double> transform(const std::vector<double> &Row) const;
 
-  /// Inverse transform (for diagnostics).
-  std::vector<double> inverse(const std::vector<double> &Row) const;
-
   /// Number of fitted dimensions (0 before fit).
   size_t numDims() const { return Means.size(); }
 

@@ -22,19 +22,6 @@ Param Param::range(std::string Name, ParamKind Kind, int Min, int Max,
   return P;
 }
 
-Param Param::powersOfTwo(std::string Name, ParamKind Kind, int Min, int Max,
-                         int LoopIndex) {
-  assert(Min > 0 && (Min & (Min - 1)) == 0 && "Min must be a power of two");
-  assert(Max >= Min && (Max & (Max - 1)) == 0 && "Max must be a power of two");
-  Param P;
-  P.Name = std::move(Name);
-  P.Kind = Kind;
-  P.LoopIndex = LoopIndex;
-  for (int V = Min; V <= Max; V *= 2)
-    P.Values.push_back(V);
-  return P;
-}
-
 Param Param::fromValues(std::string Name, ParamKind Kind,
                         std::vector<int> Values, int LoopIndex) {
   assert(!Values.empty() && "parameter needs at least one value");
@@ -45,14 +32,6 @@ Param Param::fromValues(std::string Name, ParamKind Kind,
   P.Kind = Kind;
   P.LoopIndex = LoopIndex;
   P.Values = std::move(Values);
-  return P;
-}
-
-Param Param::flag(std::string Name) {
-  Param P;
-  P.Name = std::move(Name);
-  P.Kind = ParamKind::Binary;
-  P.Values = {0, 1};
   return P;
 }
 
@@ -164,14 +143,4 @@ ParamSpace::enumerateAll([[maybe_unused]] size_t Limit) const {
     }
   }
   return Result;
-}
-
-Config ParamSpace::configAtIndex(BigUInt Index) const {
-  assert(Index < cardinality() && "index beyond space cardinality");
-  Config C(Params.size(), 0);
-  for (size_t D = Params.size(); D-- > 0;) {
-    uint32_t Radix = static_cast<uint32_t>(Params[D].numValues());
-    C[D] = static_cast<uint16_t>(Index.divModScalar(Radix));
-  }
-  return C;
 }

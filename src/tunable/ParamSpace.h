@@ -27,14 +27,12 @@
 
 namespace alic {
 
-/// Role a parameter plays in the optimization pipeline.  The transformation
-/// driver (src/transform) interprets values according to this kind.
+/// Role a parameter plays in the optimization pipeline.
+/// TransformPlan::fromConfig routes each value to its loop by this kind.
 enum class ParamKind {
   Unroll,       ///< loop unroll factor
   CacheTile,    ///< cache-level tile size
   RegisterTile, ///< register-level tile factor
-  Binary,       ///< on/off flag (scalar replacement, vector hints, ...)
-  Generic,      ///< plain integer knob
 };
 
 /// One tunable parameter: a named, ordered list of integer values.
@@ -45,17 +43,9 @@ public:
   static Param range(std::string Name, ParamKind Kind, int Min, int Max,
                      int Step = 1, int LoopIndex = -1);
 
-  /// Creates a power-of-two parameter {\p Min, 2*Min, ..., \p Max}; both
-  /// bounds must themselves be powers of two.
-  static Param powersOfTwo(std::string Name, ParamKind Kind, int Min, int Max,
-                           int LoopIndex = -1);
-
   /// Creates a parameter from an explicit strictly increasing value list.
   static Param fromValues(std::string Name, ParamKind Kind,
                           std::vector<int> Values, int LoopIndex = -1);
-
-  /// Creates a binary flag {0, 1}.
-  static Param flag(std::string Name);
 
   const std::string &name() const { return Name; }
   ParamKind kind() const { return Kind; }
@@ -74,7 +64,7 @@ public:
 
 private:
   std::string Name;
-  ParamKind Kind = ParamKind::Generic;
+  ParamKind Kind = ParamKind::Unroll;
   int LoopIndex = -1;
   std::vector<int> Values;
 };
@@ -120,10 +110,6 @@ public:
   /// cardinality fits in memory-friendly bounds (used for small planes
   /// such as Figure 1's 30x30 unroll grid).
   std::vector<Config> enumerateAll(size_t Limit = 1u << 20) const;
-
-  /// Mixed-radix decode of \p Index into a Config (row-major, first param
-  /// slowest).  \p Index must be below the cardinality.
-  Config configAtIndex(BigUInt Index) const;
 
 private:
   std::vector<Param> Params;

@@ -11,6 +11,70 @@
 
 using namespace alic;
 
+namespace alic {
+
+/// The per-particle scoring walk that unique-run deduplication replaces:
+/// every particle walks every probe itself.  DynaTree's predict, ALM and
+/// ALC must match it bit-for-bit on any ensemble state.
+class DynaTreeNaiveReference {
+public:
+  explicit DynaTreeNaiveReference(const DynaTree &M) : M(M) {}
+
+  Prediction predict(RowRef X) const {
+    double MeanSum = 0.0, VarSum = 0.0, Mean2Sum = 0.0;
+    for (const DynaTree::Particle &P : M.Particles) {
+      int32_t Leaf = M.findLeaf(*P.T, X.data());
+      Prediction LeafP = M.leafPredictive(M.leafStats(P, Leaf));
+      MeanSum += LeafP.Mean;
+      VarSum += LeafP.Variance;
+      Mean2Sum += LeafP.Mean * LeafP.Mean;
+    }
+    double Np = double(M.Particles.size());
+    Prediction Out;
+    Out.Mean = MeanSum / Np;
+    Out.Variance = VarSum / Np + Mean2Sum / Np - Out.Mean * Out.Mean;
+    if (Out.Variance < 0.0)
+      Out.Variance = 0.0;
+    return Out;
+  }
+
+  std::vector<double> almScores(const FlatRows &Candidates) const {
+    std::vector<double> Scores(Candidates.size());
+    for (size_t C = 0; C != Candidates.size(); ++C)
+      Scores[C] = predict(Candidates[C]).Variance;
+    return Scores;
+  }
+
+  std::vector<double> alcScores(const FlatRows &Candidates,
+                                const FlatRows &Reference) const {
+    const auto &Particles = M.Particles;
+    std::vector<std::vector<uint32_t>> RefCounts(Particles.size());
+    for (size_t P = 0; P != Particles.size(); ++P) {
+      RefCounts[P].assign(Particles[P].T->Nodes.size(), 0);
+      for (size_t R = 0; R != Reference.size(); ++R)
+        ++RefCounts[P][size_t(M.findLeaf(*Particles[P].T, Reference.row(R)))];
+    }
+    std::vector<double> Scores(Candidates.size());
+    for (size_t C = 0; C != Candidates.size(); ++C) {
+      double Total = 0.0;
+      for (size_t P = 0; P != Particles.size(); ++P) {
+        int32_t Leaf = M.findLeaf(*Particles[P].T, Candidates.row(C));
+        uint32_t Count = RefCounts[P][size_t(Leaf)];
+        if (Count != 0)
+          Total += double(Count) *
+                   M.leafVarianceDrop(M.leafStats(Particles[P], Leaf));
+      }
+      Scores[C] = Total / double(Particles.size());
+    }
+    return Scores;
+  }
+
+private:
+  const DynaTree &M;
+};
+
+} // namespace alic
+
 namespace {
 
 DynaTreeConfig smallConfig(unsigned Particles = 120, uint64_t Seed = 3) {
@@ -363,11 +427,10 @@ TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
   FlatRows Ref(S.X.begin(), S.X.begin() + 60);
 
   // Naive reference on the very same ensemble state.
-  M.setScoringDedup(false);
-  Prediction WantP = M.predict({0.3, -0.4});
-  std::vector<double> WantAlm = M.almScores(Cands);
-  std::vector<double> WantAlc = M.alcScores(Cands, Ref);
-  M.setScoringDedup(true);
+  DynaTreeNaiveReference Naive(M);
+  Prediction WantP = Naive.predict({0.3, -0.4});
+  std::vector<double> WantAlm = Naive.almScores(Cands);
+  std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
 
   Prediction GotP = M.predict({0.3, -0.4});
   EXPECT_EQ(WantP.Mean, GotP.Mean);
@@ -403,13 +466,63 @@ TEST(DynaTreeTest, DedupBitIdenticalWhenModelTrainedUnderPool) {
   S.drive(Pooled);
   EXPECT_EQ(Serial.uniqueRunCount(), Pooled.uniqueRunCount());
   EXPECT_EQ(Serial.duplicateFraction(), Pooled.duplicateFraction());
-  Serial.setScoringDedup(false); // naive reference vs pooled dedup path
+  DynaTreeNaiveReference Naive(Serial); // vs the pooled dedup path
   FlatRows Cands = {{0.3, -0.4}, {-0.6, 0.2}, {0.9, 0.9}};
   FlatRows Ref(S.X.begin(), S.X.begin() + 50);
   ScoreContext Ctx;
   Ctx.Pool = &Pool;
-  EXPECT_EQ(Serial.almScores(Cands), Pooled.almScores(Cands, Ctx));
-  EXPECT_EQ(Serial.alcScores(Cands, Ref), Pooled.alcScores(Cands, Ref, Ctx));
+  EXPECT_EQ(Naive.almScores(Cands), Pooled.almScores(Cands, Ctx));
+  EXPECT_EQ(Naive.alcScores(Cands, Ref), Pooled.alcScores(Cands, Ref, Ctx));
+}
+
+TEST(DynaTreeTest, DedupBitIdenticalOnWeightConcentratedState) {
+  // bench_dynatree_hotpath's second scoring state, at test size: one
+  // strongly surprising observation collapses resampling onto the few
+  // particles that explain it, so nearly every particle aliases an
+  // earlier one — where dedup saves most, and where a run-boundary bug
+  // would show first.  Same 6-d surface and outlier as the bench.
+  auto Truth = [](const std::vector<double> &Row) {
+    return Row[0] * 2.0 + Row[1] * Row[1] - Row[2] +
+           (Row[3] > 0.0 ? 1.5 : 0.0) + (Row[4] > 0.4 ? 2.0 : 0.0);
+  };
+  std::vector<std::vector<double>> X;
+  std::vector<double> Y;
+  Rng R(2027);
+  for (int I = 0; I != 60; ++I) {
+    std::vector<double> Row(6);
+    for (double &V : Row)
+      V = R.nextUniform(-1, 1);
+    double Sigma = Row[5] > 0.3 ? 0.4 : 0.05;
+    Y.push_back(Truth(Row) + Sigma * R.nextGaussian());
+    X.push_back(std::move(Row));
+  }
+  DynaTree M(smallConfig(400, 17));
+  M.fit({X.begin(), X.begin() + 40}, {Y.begin(), Y.begin() + 40});
+  for (size_t I = 40; I != X.size(); ++I)
+    M.update(X[I], Y[I]);
+  M.update({0.9, 0.9, -0.9, 0.9, 0.9, -0.9}, 80.0);
+  ASSERT_GT(M.duplicateFraction(), 0.9) << "outlier did not concentrate";
+
+  FlatRows Cands, Ref;
+  Rng Draw(404);
+  for (int I = 0; I != 60; ++I) {
+    std::vector<double> Row(6);
+    for (double &V : Row)
+      V = Draw.nextUniform(-1, 1);
+    (I < 40 ? Cands : Ref).push(Row);
+  }
+  DynaTreeNaiveReference Naive(M);
+  std::vector<double> WantAlm = Naive.almScores(Cands);
+  std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
+  for (unsigned Threads : {0u, 2u}) {
+    std::unique_ptr<Scheduler> Pool;
+    if (Threads != 0)
+      Pool = std::make_unique<Scheduler>(Threads);
+    ScoreContext Ctx;
+    Ctx.Pool = Pool.get();
+    EXPECT_EQ(WantAlm, M.almScores(Cands, Ctx)) << Threads << " threads";
+    EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref, Ctx)) << Threads << " threads";
+  }
 }
 
 TEST(DynaTreeTest, RunIndexCountersSane) {

@@ -4,8 +4,12 @@
 #include "exp/Runner.h"
 #include "exp/Scale.h"
 #include "spapt/Suite.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
 
 using namespace alic;
 
@@ -72,6 +76,47 @@ TEST(DatasetTest, FeaturesAreNormalized) {
   for (const auto &Row : D.TestFeatures)
     for (double V : Row)
       EXPECT_LT(std::abs(V), 6.0);
+}
+
+TEST(DatasetTest, CorruptCachedOrdinalRebuilds) {
+  // A cached blob whose first train-pool ordinal is out of range must be
+  // rebuilt, never returned: features() would index past the parameter's
+  // values.  The checksum catches the raw flip; the range check catches
+  // the same flip in a blob resealed with a valid checksum.
+  auto B = createSpaptBenchmark("atax");
+  std::string CacheDir = ::testing::TempDir() + "alic_exp_dscorrupt";
+  std::filesystem::remove_all(CacheDir);
+  Dataset Fresh = buildDataset(*B, 200, 0.6, 5, 11);
+  (void)loadOrBuildDataset(*B, 200, 0.6, 5, 11, CacheDir);
+  std::string Path = std::filesystem::directory_iterator(CacheDir)->path();
+  // Header (magic, version, key), the normalizer's two vectors, the
+  // pool count and the first config's length prefix.
+  size_t Dims = B->space().numParams();
+  size_t FirstOrdinal = 16 + 2 * (8 + 8 * Dims) + 8 + 8;
+
+  for (bool Reseal : {false, true}) {
+    std::ifstream In(Path, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    In.close();
+    ASSERT_GT(Bytes.size(), FirstOrdinal + 2);
+    Bytes[FirstOrdinal] = Bytes[FirstOrdinal + 1] = char(0xff); // 65535
+    if (Reseal) {
+      ByteWriter W;
+      for (size_t I = 0; I + 8 < Bytes.size(); ++I)
+        W.writeU8(uint8_t(Bytes[I]));
+      W.writeChecksum();
+      Bytes.assign(W.bytes().begin(), W.bytes().end());
+    }
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+
+    Dataset Got = loadOrBuildDataset(*B, 200, 0.6, 5, 11, CacheDir);
+    EXPECT_EQ(Got.TrainPool, Fresh.TrainPool) << "reseal " << Reseal;
+    EXPECT_EQ(Got.TestConfigs, Fresh.TestConfigs) << "reseal " << Reseal;
+    EXPECT_EQ(Got.TestFeatures, Fresh.TestFeatures) << "reseal " << Reseal;
+    EXPECT_EQ(Got.TestMeans, Fresh.TestMeans) << "reseal " << Reseal;
+  }
+  std::filesystem::remove_all(CacheDir);
 }
 
 TEST(RunnerTest, CurveCostsAreMonotone) {

@@ -15,12 +15,14 @@
 #include "spapt/Suite.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
+#include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -392,6 +394,108 @@ TEST(ServeEngineTest, CorruptSnapshotsAreSkippedNotFatal) {
     EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"good"});
   }
   std::filesystem::remove_all(Dir);
+}
+
+TEST(ServeEngineTest, FlippedSpecByteIsSkippedNotRestoredAsAnother) {
+  // One flipped byte inside a snapshot's spec (here the session seed)
+  // still parses — as a different session.  The checksum must reject it,
+  // while the other snapshot restores unchanged.
+  const uint64_t OddSeed = 0x5eed5eed5eedull;
+  std::string Dir = freshStateDir("flipped");
+  std::string Err;
+  Suggestion Want;
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    ASSERT_TRUE(Engine.openSession("a", tinySpec(OddSeed), Err)) << Err;
+    ASSERT_TRUE(Engine.openSession("b", tinySpec(2), Err)) << Err;
+    Client C("atax");
+    std::vector<std::string> Seen;
+    drain(Engine, "a", C, Seen, 3);
+    drain(Engine, "b", C, Seen, 3);
+    ASSERT_TRUE(Engine.suggest("b", Want, Err)) << Err;
+  }
+  {
+    std::fstream Snap(Dir + "/sess-a.alsv",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(Snap)),
+                      std::istreambuf_iterator<char>());
+    std::string SeedBytes(8, '\0');
+    for (int I = 0; I != 8; ++I)
+      SeedBytes[size_t(I)] = char((OddSeed >> (8 * I)) & 0xff);
+    size_t At = Bytes.find(SeedBytes);
+    ASSERT_NE(At, std::string::npos);
+    Snap.seekp(std::streamoff(At));
+    Snap.put(char(Bytes[At] ^ 0x01));
+  }
+  ServeEngine Engine(engineOptions(Dir, 0));
+  size_t Skipped = 0;
+  EXPECT_EQ(Engine.restoreSessions(&Skipped), 1u);
+  EXPECT_EQ(Skipped, 1u);
+  EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"b"});
+  Suggestion Got;
+  ASSERT_TRUE(Engine.suggest("b", Got, Err)) << Err;
+  EXPECT_EQ(fingerprint(Got), fingerprint(Want));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
+  // A snapshot with a valid checksum but a split fraction no session can
+  // run (1.5 would split past the sampled configurations) is skipped
+  // like any corrupt one.
+  std::string Dir = freshStateDir("unrunnable");
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("a", tinySpec(), Err)) << Err;
+  }
+  auto Bits = [](double V) {
+    std::string Out(sizeof(V), '\0');
+    std::memcpy(&Out[0], &V, sizeof(V));
+    return Out;
+  };
+  std::string Path = Dir + "/sess-a.alsv";
+  std::ifstream In(Path, std::ios::binary);
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  In.close();
+  size_t At = Bytes.find(Bits(tinySpec().Scale.TrainFraction));
+  ASSERT_NE(At, std::string::npos);
+  Bytes.replace(At, 8, Bits(1.5));
+  ByteWriter W;
+  for (size_t I = 0; I + 8 < Bytes.size(); ++I)
+    W.writeU8(uint8_t(Bytes[I]));
+  W.writeChecksum();
+  std::ofstream(Path, std::ios::binary | std::ios::trunc)
+      << std::string(W.bytes().begin(), W.bytes().end());
+
+  ServeEngine Engine(engineOptions(Dir, 0));
+  size_t Skipped = 0;
+  EXPECT_EQ(Engine.restoreSessions(&Skipped), 0u);
+  EXPECT_EQ(Skipped, 1u);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ServeEngineTest, UncreatableStateDirDegradesNotThrows) {
+  // A state dir below a regular file can never be created.  Building the
+  // engine must not throw; sessions serve from memory with every
+  // snapshot write failing, as a full disk would.
+  std::string Base = freshStateDir("notadir");
+  {
+    std::ofstream File(Base);
+    File << "a regular file";
+  }
+  ServeEngine Engine(engineOptions(Base + "/state", 0));
+  std::string Err;
+  ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
+  Client C("atax");
+  std::vector<std::string> Seen;
+  drain(Engine, "s", C, Seen, 2);
+  EXPECT_EQ(Seen.size(), 2u);
+  SessionInfo Info;
+  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
+  EXPECT_TRUE(Info.SnapshotDirty);
+  EXPECT_EQ(Engine.restoreSessions(), 0u);
+  std::filesystem::remove_all(Base);
 }
 
 TEST(ServeEngineTest, SnapshotFailureDegradesAndRetryRecovers) {

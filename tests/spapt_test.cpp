@@ -23,7 +23,7 @@ TEST(SpaptSuiteTest, UnknownNameAborts) {
 
 TEST(SpaptSuiteTest, CardinalitiesApproximateTable1) {
   // Paper Table 1 search-space sizes; ours must match to ~3 significant
-  // figures (see EXPERIMENTS.md for the side-by-side).
+  // figures (bench_paper_campaign's Table 1 prints the side-by-side).
   const std::map<std::string, double> Expected = {
       {"adi", 3.78e14},    {"atax", 2.57e12},       {"bicgkernel", 5.83e8},
       {"correlation", 3.78e14}, {"dgemv3", 1.33e27}, {"gemver", 1.14e16},

@@ -68,31 +68,12 @@ TEST(DistributionsTest, StudentTApproachesNormalForLargeDf) {
     EXPECT_NEAR(studentTQuantile(P, 10000.0), normalQuantile(P), 2e-3);
 }
 
-TEST(DistributionsTest, ChiSquareCdfKnownValues) {
-  // chi2 with df=2 is Exponential(2): cdf(x) = 1 - exp(-x/2).
-  for (double X : {0.5, 1.0, 3.0, 8.0})
-    EXPECT_NEAR(chiSquareCdf(X, 2.0), 1.0 - std::exp(-X / 2.0), 1e-10);
-}
-
-TEST(DistributionsTest, ChiSquareQuantileRoundTrip) {
-  for (double Df : {1.0, 4.0, 10.0, 40.0})
-    for (double P = 0.05; P < 1.0; P += 0.1)
-      EXPECT_NEAR(chiSquareCdf(chiSquareQuantile(P, Df), Df), P, 1e-8);
-}
-
 TEST(DistributionsTest, RegularizedBetaBounds) {
   EXPECT_EQ(regularizedBeta(0.0, 2.0, 3.0), 0.0);
   EXPECT_EQ(regularizedBeta(1.0, 2.0, 3.0), 1.0);
   // I_x(1,1) is the identity.
   for (double X = 0.1; X < 1.0; X += 0.2)
     EXPECT_NEAR(regularizedBeta(X, 1.0, 1.0), X, 1e-12);
-}
-
-TEST(DistributionsTest, RegularizedGammaPBounds) {
-  EXPECT_EQ(regularizedGammaP(2.0, 0.0), 0.0);
-  // P(1, x) = 1 - exp(-x).
-  for (double X : {0.5, 1.0, 2.0, 5.0})
-    EXPECT_NEAR(regularizedGammaP(1.0, X), 1.0 - std::exp(-X), 1e-10);
 }
 
 //===----------------------------------------------------------------------===//
@@ -132,31 +113,6 @@ TEST(OnlineStatsTest, EmptyAndSingle) {
   EXPECT_EQ(S.max(), 5.0);
 }
 
-class OnlineStatsMergeTest : public testing::TestWithParam<size_t> {};
-
-TEST_P(OnlineStatsMergeTest, MergeEqualsSequential) {
-  size_t SplitAt = GetParam();
-  Rng R(19);
-  std::vector<double> Values;
-  for (int I = 0; I != 500; ++I)
-    Values.push_back(R.nextGaussian() * 3.0 + 1.0);
-
-  OnlineStats Whole, Left, Right;
-  for (size_t I = 0; I != Values.size(); ++I) {
-    Whole.add(Values[I]);
-    (I < SplitAt ? Left : Right).add(Values[I]);
-  }
-  Left.merge(Right);
-  EXPECT_NEAR(Left.mean(), Whole.mean(), 1e-10);
-  EXPECT_NEAR(Left.variance(), Whole.variance(), 1e-9);
-  EXPECT_EQ(Left.count(), Whole.count());
-  EXPECT_EQ(Left.min(), Whole.min());
-  EXPECT_EQ(Left.max(), Whole.max());
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, OnlineStatsMergeTest,
-                         testing::Values(0, 1, 7, 100, 250, 499, 500));
-
 TEST(OnlineStatsTest, ConfidenceIntervalContainsMeanForCleanData) {
   OnlineStats S;
   Rng R(23);
@@ -189,37 +145,21 @@ TEST(OnlineStatsTest, CiOverMeanInfiniteWhenUndefined) {
 // Metrics
 //===----------------------------------------------------------------------===//
 
-TEST(MetricsTest, RmseAndMae) {
+TEST(MetricsTest, Rmse) {
   std::vector<double> P = {1.0, 2.0, 3.0};
   std::vector<double> A = {1.0, 4.0, 3.0};
   EXPECT_NEAR(rootMeanSquaredError(P, A), std::sqrt(4.0 / 3.0), 1e-12);
-  EXPECT_NEAR(meanAbsoluteError(P, A), 2.0 / 3.0, 1e-12);
 }
 
 TEST(MetricsTest, PerfectPrediction) {
   std::vector<double> A = {1.0, 2.0, 3.0};
   EXPECT_EQ(rootMeanSquaredError(A, A), 0.0);
-  EXPECT_EQ(meanAbsoluteError(A, A), 0.0);
-  EXPECT_EQ(rSquared(A, A), 1.0);
-}
-
-TEST(MetricsTest, RSquaredOfMeanPredictorIsZero) {
-  std::vector<double> A = {1.0, 2.0, 3.0, 4.0};
-  std::vector<double> P(4, 2.5);
-  EXPECT_NEAR(rSquared(P, A), 0.0, 1e-12);
 }
 
 TEST(MetricsTest, GeometricMean) {
   EXPECT_NEAR(geometricMean({1.0, 4.0}), 2.0, 1e-12);
   EXPECT_NEAR(geometricMean({2.0, 2.0, 2.0}), 2.0, 1e-12);
   EXPECT_EQ(geometricMean({}), 0.0);
-}
-
-TEST(MetricsTest, Quantiles) {
-  std::vector<double> V = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_EQ(quantile(V, 0.0), 1.0);
-  EXPECT_EQ(quantile(V, 1.0), 4.0);
-  EXPECT_NEAR(quantile(V, 0.5), 2.5, 1e-12);
 }
 
 TEST(MetricsTest, ArithmeticMean) {

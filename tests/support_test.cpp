@@ -80,17 +80,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(Sum2 / N, 1.0, 0.03);
 }
 
-TEST(RngTest, GammaMeanMatchesShape) {
-  Rng R(9);
-  for (double Shape : {0.5, 1.0, 2.5, 8.0}) {
-    double Sum = 0.0;
-    const int N = 60000;
-    for (int I = 0; I != N; ++I)
-      Sum += R.nextGamma(Shape);
-    EXPECT_NEAR(Sum / N, Shape, 0.06 * Shape + 0.02);
-  }
-}
-
 TEST(RngTest, ExponentialMean) {
   Rng R(13);
   double Sum = 0.0;
@@ -130,16 +119,6 @@ TEST(RngTest, SampleIndicesFullPermutation) {
   EXPECT_EQ(Unique.size(), 50u);
 }
 
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng A(31);
-  Rng Child = A.split();
-  // The child stream must not track the parent.
-  int Same = 0;
-  for (int I = 0; I != 64; ++I)
-    Same += A.next() == Child.next();
-  EXPECT_LT(Same, 2);
-}
-
 TEST(RngTest, HashCombineSensitiveToOrder) {
   EXPECT_NE(hashCombine({1, 2}), hashCombine({2, 1}));
   EXPECT_NE(hashCombine({1}), hashCombine({1, 0}));
@@ -155,24 +134,6 @@ TEST(BigUIntTest, ConstructAndToString) {
   EXPECT_EQ(BigUInt(1).toString(), "1");
   EXPECT_EQ(BigUInt(123456789).toString(), "123456789");
   EXPECT_EQ(BigUInt(~0ull).toString(), "18446744073709551615");
-}
-
-TEST(BigUIntTest, AdditionMatchesU64) {
-  Rng R(1);
-  for (int I = 0; I != 500; ++I) {
-    uint64_t A = R.next() >> 2, B = R.next() >> 2;
-    EXPECT_EQ((BigUInt(A) + BigUInt(B)).toU64(), A + B);
-  }
-}
-
-TEST(BigUIntTest, MultiplicationMatchesU128) {
-  Rng R(2);
-  for (int I = 0; I != 500; ++I) {
-    uint64_t A = R.next() >> 32, B = R.next() >> 32;
-    __uint128_t Expect = static_cast<__uint128_t>(A) * B;
-    BigUInt Got = BigUInt(A) * BigUInt(B);
-    EXPECT_EQ(Got.toU64(), static_cast<uint64_t>(Expect));
-  }
 }
 
 TEST(BigUIntTest, MulScalarChain) {
@@ -197,8 +158,9 @@ TEST(BigUIntTest, DivModScalarRoundTrip) {
 
 TEST(BigUIntTest, Comparisons) {
   EXPECT_LT(BigUInt(5), BigUInt(7));
-  EXPECT_GT(BigUInt(1) * BigUInt(1ull << 40) * BigUInt(1ull << 40),
-            BigUInt(~0ull));
+  BigUInt Big(1ull << 40);
+  Big.mulScalar(1u << 20).mulScalar(1u << 20); // 2^80
+  EXPECT_GT(Big, BigUInt(~0ull));
   EXPECT_EQ(BigUInt(42), BigUInt(42));
 }
 
@@ -216,12 +178,6 @@ TEST(BigUIntTest, ToScientific) {
   EXPECT_EQ(V.toScientific(3), "3.78e14");
   EXPECT_EQ(BigUInt(0).toScientific(3), "0");
   EXPECT_EQ(BigUInt(7).toScientific(1), "7e0");
-}
-
-TEST(BigUIntTest, AddScalarCarries) {
-  BigUInt V(0xFFFFFFFFull);
-  V.addScalar(1);
-  EXPECT_EQ(V.toU64(), 0x100000000ull);
 }
 
 //===----------------------------------------------------------------------===//
@@ -249,7 +205,6 @@ TEST(FormatTest, Seconds) {
 
 TEST(FormatTest, PadAndJoin) {
   EXPECT_EQ(padLeft("ab", 4), "  ab");
-  EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("abcde", 3), "abcde");
   EXPECT_EQ(joinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(joinStrings({}, ","), "");
@@ -538,7 +493,7 @@ TEST(SerializeTest, AtomicFileRoundTrip) {
   ByteWriter W;
   W.writeString("hello");
   W.writeDouble(2.5);
-  ASSERT_TRUE(W.writeFileAtomic(Path));
+  ASSERT_TRUE(W.writeFileDurable(Path).ok());
 
   ByteReader R({});
   ASSERT_TRUE(ByteReader::fromFile(Path, R));

@@ -1,205 +1,17 @@
-//===- tests/transform_test.cpp - transformation semantics ----*- C++ -*-===//
+//===- tests/transform_test.cpp - transform/ unit tests -------*- C++ -*-===//
 //
-// Every transformation must leave interpreter results bit-identical: the
-// replicated statement instances execute in original order.  These tests
-// sweep kernels x factor combinations (property style).
+// TransformPlan is the bridge from a configuration to the per-loop
+// factors the cost model prices: every parameter kind must land on its
+// bound loop, and loops no parameter names stay at the identity.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/Interp.h"
 #include "spapt/Kernels.h"
-#include "transform/Apply.h"
 #include "transform/TransformPlan.h"
 
 #include <gtest/gtest.h>
 
 using namespace alic;
-
-namespace {
-
-/// Mini builders for each kernel, keyed by name.
-KernelBundle buildMini(const std::string &Name) {
-  if (Name == "mm")
-    return buildMm(10);
-  if (Name == "mvt")
-    return buildMvt(11);
-  if (Name == "jacobi")
-    return buildJacobi(9, 2);
-  if (Name == "hessian")
-    return buildHessian(9);
-  if (Name == "lu")
-    return buildLu(10);
-  if (Name == "bicgkernel")
-    return buildBicgkernel(9);
-  if (Name == "atax")
-    return buildAtax(9);
-  if (Name == "adi")
-    return buildAdi(8, 2);
-  if (Name == "correlation")
-    return buildCorrelation(8, 6);
-  if (Name == "gemver")
-    return buildGemver(9);
-  return buildDgemv3(9);
-}
-
-double checksumOf(const Kernel &K) { return Interpreter(K).run().Checksum; }
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Unroll
-//===----------------------------------------------------------------------===//
-
-class UnrollFactorTest : public testing::TestWithParam<int> {};
-
-TEST_P(UnrollFactorTest, PreservesSemanticsOnMm) {
-  int Factor = GetParam();
-  KernelBundle B = buildMm(10);
-  double Before = checksumOf(B.K);
-  Kernel K(B.K);
-  // Unroll every loop in turn with the same factor.
-  for (LoopVarId V = 0; V != 3; ++V)
-    unrollLoop(K, V, Factor);
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before);
-}
-
-TEST_P(UnrollFactorTest, PreservesSemanticsOnTriangularLu) {
-  int Factor = GetParam();
-  KernelBundle B = buildLu(11);
-  double Before = checksumOf(B.K);
-  Kernel K(B.K);
-  unrollLoop(K, 2, Factor); // i2 (triangular bounds)
-  unrollLoop(K, 3, Factor); // j2
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before);
-}
-
-TEST_P(UnrollFactorTest, PreservesSemanticsOnRecurrence) {
-  int Factor = GetParam();
-  KernelBundle B = buildAdi(8, 2);
-  double Before = checksumOf(B.K);
-  Kernel K(B.K);
-  unrollLoop(K, 2, Factor); // j1: carried recurrence
-  unrollLoop(K, 5, Factor); // i3: carried recurrence
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before);
-}
-
-INSTANTIATE_TEST_SUITE_P(Factors, UnrollFactorTest,
-                         testing::Values(2, 3, 4, 5, 7, 10, 16));
-
-TEST(UnrollTest, DivisibleFastPathEmitsNoGuards) {
-  // Trip 10, factor 2 and 5 divide evenly: body statements replicate
-  // without guard loops.
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  size_t LoopsBefore = K.countLoops();
-  ASSERT_TRUE(unrollLoop(K, 2, 5)); // innermost, trip 10 % 5 == 0
-  EXPECT_EQ(K.countLoops(), LoopsBefore); // no guard loops added
-  EXPECT_EQ(K.countStmts(), 5u);
-}
-
-TEST(UnrollTest, NonDivisibleUsesGuards) {
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  ASSERT_TRUE(unrollLoop(K, 2, 3)); // 10 % 3 != 0
-  EXPECT_EQ(K.countStmts(), 3u);
-  EXPECT_GT(K.countLoops(), 3u); // guard loops appear
-  EXPECT_DOUBLE_EQ(checksumOf(K), checksumOf(B.K));
-}
-
-TEST(UnrollTest, FactorOneIsNoOp) {
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  EXPECT_FALSE(unrollLoop(K, 0, 1));
-  EXPECT_EQ(K.countStmts(), 1u);
-}
-
-TEST(UnrollTest, UnknownLoopReturnsFalse) {
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  EXPECT_FALSE(unrollLoop(K, 42, 4));
-}
-
-//===----------------------------------------------------------------------===//
-// Tiling
-//===----------------------------------------------------------------------===//
-
-class TileFactorTest : public testing::TestWithParam<int> {};
-
-TEST_P(TileFactorTest, PreservesSemanticsOnMm) {
-  int Tile = GetParam();
-  KernelBundle B = buildMm(10);
-  double Before = checksumOf(B.K);
-  Kernel K(B.K);
-  for (LoopVarId V = 0; V != 3; ++V)
-    tileLoop(K, V, Tile);
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before);
-}
-
-TEST_P(TileFactorTest, PreservesSemanticsOnTriangularLu) {
-  int Tile = GetParam();
-  KernelBundle B = buildLu(11);
-  double Before = checksumOf(B.K);
-  Kernel K(B.K);
-  tileLoop(K, 2, Tile);
-  tileLoop(K, 3, Tile);
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before);
-}
-
-INSTANTIATE_TEST_SUITE_P(Tiles, TileFactorTest,
-                         testing::Values(2, 3, 4, 7, 8, 16));
-
-TEST(TileTest, AddsTileCounterLoop) {
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  size_t LoopsBefore = K.countLoops();
-  ASSERT_TRUE(tileLoop(K, 1, 4));
-  EXPECT_EQ(K.countLoops(), LoopsBefore + 1);
-  EXPECT_EQ(K.numLoopVars(), B.K.numLoopVars() + 1);
-}
-
-TEST(TileTest, TileOneIsNoOp) {
-  KernelBundle B = buildMm(10);
-  Kernel K(B.K);
-  EXPECT_FALSE(tileLoop(K, 1, 1));
-  EXPECT_EQ(K.countLoops(), 3u);
-}
-
-//===----------------------------------------------------------------------===//
-// Whole-plan application across the suite (property sweep)
-//===----------------------------------------------------------------------===//
-
-class PlanSemanticsTest
-    : public testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
-
-TEST_P(PlanSemanticsTest, RandomPlanPreservesInterpreterChecksum) {
-  const auto &[Name, Seed] = GetParam();
-  KernelBundle B = buildMini(Name);
-  double Before = checksumOf(B.K);
-
-  ParamSpace Space(B.Params);
-  Rng R(Seed);
-  Config C = Space.sample(R);
-  TransformPlan Plan = TransformPlan::fromConfig(Space, C);
-  Kernel K = applyPlan(B.K, Plan);
-  K.verify();
-  EXPECT_DOUBLE_EQ(checksumOf(K), Before)
-      << "plan: " << Plan.toString() << " on " << Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SuiteSweep, PlanSemanticsTest,
-    testing::Combine(testing::Values("mm", "mvt", "jacobi", "hessian", "lu",
-                                     "bicgkernel", "atax", "adi",
-                                     "correlation", "gemver", "dgemv3"),
-                     testing::Values(1, 2, 3, 4, 5)),
-    [](const testing::TestParamInfo<PlanSemanticsTest::ParamType> &Info) {
-      return std::get<0>(Info.param) + "_seed" +
-             std::to_string(std::get<1>(Info.param));
-    });
-
-//===----------------------------------------------------------------------===//
-// TransformPlan
-//===----------------------------------------------------------------------===//
 
 TEST(TransformPlanTest, FromConfigRoutesKinds) {
   KernelBundle B = buildMm(10);
@@ -214,25 +26,21 @@ TEST(TransformPlanTest, FromConfigRoutesKinds) {
   EXPECT_EQ(Plan.factors(0).CacheTile, 1);
 }
 
-TEST(TransformPlanTest, ExpansionFactor) {
-  TransformPlan Plan;
-  Plan.factorsMut(0).Unroll = 4;
-  Plan.factorsMut(1).RegisterTile = 3;
-  EXPECT_DOUBLE_EQ(Plan.expansionFactor(), 12.0);
-}
-
-TEST(TransformPlanTest, FlagsRoundTrip) {
-  TransformPlan Plan;
-  EXPECT_EQ(Plan.flag("vectorize"), 0);
-  Plan.setFlag("vectorize", 1);
-  EXPECT_EQ(Plan.flag("vectorize"), 1);
-}
-
-TEST(TransformPlanTest, IdentityPlanIsNoOp) {
-  KernelBundle B = buildMm(10);
-  TransformPlan Plan;
-  Kernel K = applyPlan(B.K, Plan);
-  EXPECT_EQ(K.countStmts(), B.K.countStmts());
-  EXPECT_EQ(K.countLoops(), B.K.countLoops());
-  EXPECT_DOUBLE_EQ(checksumOf(K), checksumOf(B.K));
+TEST(TransformPlanTest, EveryKindLandsOnItsLoop) {
+  std::vector<Param> Params;
+  Params.push_back(Param::range("U", ParamKind::Unroll, 1, 4, 1, 0));
+  Params.push_back(
+      Param::fromValues("T", ParamKind::CacheTile, {1, 16, 32}, 1));
+  Params.push_back(Param::range("RT", ParamKind::RegisterTile, 1, 8, 1, 0));
+  ParamSpace Space(std::move(Params));
+  TransformPlan Plan = TransformPlan::fromConfig(Space, {2, 1, 3});
+  EXPECT_EQ(Plan.factors(0).Unroll, 3);
+  EXPECT_EQ(Plan.factors(0).RegisterTile, 4);
+  EXPECT_EQ(Plan.factors(0).CacheTile, 1);
+  EXPECT_EQ(Plan.factors(1).CacheTile, 16);
+  EXPECT_EQ(Plan.factors(1).Unroll, 1);
+  // A loop no parameter names keeps the identity factors.
+  EXPECT_EQ(Plan.factors(2).Unroll, 1);
+  EXPECT_EQ(Plan.factors(2).CacheTile, 1);
+  EXPECT_EQ(Plan.factors(2).RegisterTile, 1);
 }

@@ -58,13 +58,12 @@ WALLCLOCK_TOKENS = (
     # hardware-dependent: ~0.93 on a 1-core box, >1 on real multicore).
     "tail_speedup",
     "fanout_rate",
-    # bench_dynatree_hotpath: wall-clock scoring rates and their dedup
-    # ratios; the file itself is still presence-gated (a committed
-    # baseline with a missing fresh file fails the run), and its
-    # deterministic columns (duplicate_fraction, unique_runs) stay
+    # bench_dynatree_hotpath: wall-clock scoring rates; the file itself
+    # is still presence-gated (a committed baseline with a missing fresh
+    # file fails the run), and its deterministic columns
+    # (duplicate_fraction, unique_runs, walk_dedup_factor) stay
     # comparable in the artifacts.
     "scores_per_second",
-    "dedup_speedup",
     # bench_serve: suggest/observe round-trip rate — wall-clock derived
     # and machine-dependent; BENCH_serve.json stays presence-gated and
     # its round_trips/restored counts are deterministic.

@@ -27,7 +27,9 @@ semantics (docs/SERVE_PROTOCOL.md):
 6. *flag parsing* — malformed numeric flags (`--threads=abc`,
    `--checkpoint-every=-1`, ...) exit 2 with the usage text before
    serving, while `--threads=auto` and an empty `--state-dir=` still
-   start the daemon.
+   start the daemon;
+7. *uncreatable state dir* — a `--state-dir` below a regular file exits
+   1 with one line naming the directory, before the socket is bound.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -236,6 +238,30 @@ def probe_flags(binary, workdir):
           "--threads=auto with an empty --state-dir= serves)")
 
 
+def probe_uncreatable_state_dir(binary, workdir):
+    """A state dir that cannot be created is a startup error, not a
+    crash: exit 1, one stderr line naming it, no socket bound."""
+    blocker = os.path.join(workdir, "not-a-dir")
+    with open(blocker, "w", encoding="utf-8") as handle:
+        handle.write("a regular file\n")
+    state_dir = os.path.join(blocker, "state")
+    sock = os.path.join(workdir, "statedir.sock")
+    proc = subprocess.run([binary, f"--socket={sock}",
+                           f"--state-dir={state_dir}"],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, ALIC_SCALE="smoke"))
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 1 or "READY" in proc.stdout:
+        fail(f"state dir: exited {proc.returncode} with stdout "
+             f"{proc.stdout!r}, want exit 1 before READY")
+    if len(lines) != 1 or state_dir not in lines[0]:
+        fail(f"state dir: want one stderr line naming {state_dir}, got "
+             f"{proc.stderr!r}")
+    if os.path.exists(sock):
+        fail("state dir: the socket was bound before the check")
+    print("serve_smoke: state-dir probe OK (exit 1, one line, no socket)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", required=True,
@@ -291,6 +317,7 @@ def main():
     probe_oversized_request(binary, args.workdir)
     probe_sigterm_drain(binary, args.workdir)
     probe_flags(binary, args.workdir)
+    probe_uncreatable_state_dir(binary, args.workdir)
 
     shutil.rmtree(args.workdir, ignore_errors=True)
     sys.exit(0)
