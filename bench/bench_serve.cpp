@@ -6,11 +6,11 @@
 // driven round-robin through full suggest -> observe round trips.
 //
 // Rows:
-//  * mem-<N>   — N in-memory sessions, no checkpointing, inline scoring;
+//  * mem-<N>   — N in-memory sessions, no session logs, inline scoring;
 //  * mt-1000   — 1000 sessions multiplexed onto one 4-worker scheduler;
-//  * ckpt-1000 — 1000 sessions snapshotting on every observe, plus the
-//                time to restore all of them into a fresh engine, i.e.
-//                the daemon-restart path at scale.
+//  * ckpt-1000 — 1000 sessions appending every observe to their logs,
+//                plus the time to restore all of them into a fresh
+//                engine, i.e. the daemon-restart path at scale.
 //
 // Emits BENCH_serve.json, which tools/check_bench.py gates for
 // *presence* on every CI run; suggestions_per_second is wall-clock
@@ -81,8 +81,9 @@ struct ServeRow {
 
 /// Opens \p Sessions sessions and drives \p Rounds round-robin
 /// suggest/observe rounds (first one is the explore phase).  With a
-/// non-empty \p StateDir every observe snapshots, and the row finishes
-/// by restoring the whole population into a fresh engine.
+/// non-empty \p StateDir every observe appends to its session log, and
+/// the row finishes by restoring the whole population into a fresh
+/// engine.
 ServeRow measureServe(const std::string &Label, size_t Sessions,
                       unsigned Threads, size_t Rounds,
                       const std::string &StateDir) {
@@ -129,7 +130,7 @@ ServeRow measureServe(const std::string &Label, size_t Sessions,
   Row.Rate = Row.ServeWall > 0 ? double(Row.RoundTrips) / Row.ServeWall : 0;
 
   if (!StateDir.empty()) {
-    Engine.reset(); // daemon dies; only the snapshot directory survives
+    Engine.reset(); // daemon dies; only the session logs survive
     ServeEngine Fresh(Opts);
     auto RestoreStart = std::chrono::steady_clock::now();
     size_t Skipped = 0;
@@ -232,7 +233,7 @@ int main() {
       "reading: each round trip is one full suggest -> observe exchange "
       "(the first carries the whole explore batch).  mem rows measure the "
       "engine alone; mt-1000 multiplexes every session onto one shared "
-      "worker pool; ckpt-1000 adds a snapshot per observe and then "
+      "worker pool; ckpt-1000 adds a log append per observe and then "
       "restores all sessions into a fresh engine, i.e. the daemon-restart "
       "path.\n");
   return 0;

@@ -149,9 +149,16 @@ std::vector<T> listFlag(const char *Binary, const char *Flag,
 } // namespace
 
 int main(int argc, char **argv) {
+  // An unknown scale is refused before any work, never run as the default.
+  ScaleKind Scale;
+  if (!parseScaleKind(getEnvString("ALIC_SCALE", "bench"), Scale)) {
+    std::fprintf(stderr, "%s: ALIC_SCALE=%s is not one of smoke|bench|paper\n",
+                 argv[0], std::getenv("ALIC_SCALE"));
+    return 2;
+  }
   CampaignSpec Spec;
-  Spec.Scale = ExperimentScale::fromEnv();
-  Spec.ScaleName = scaleName(getScaleKind());
+  Spec.Scale = ExperimentScale::preset(Scale);
+  Spec.ScaleName = scaleName(Scale);
   Spec.Plans = defaultCampaignPlans(Spec.Scale);
 
   CampaignOptions Options;

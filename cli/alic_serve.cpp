@@ -12,9 +12,10 @@
 //   ALIC_SCALE=smoke alic_serve --socket=/tmp/alic.sock --state-dir=serve &
 //   # wait for the READY line, then exchange one JSON object per line
 //
-// Sessions checkpoint to --state-dir on every observation; on restart the
-// daemon replays every snapshot and resumes each session exactly where it
-// stood (SIGKILL-safe — serve_test and tools/serve_smoke.py pin this).
+// Each session logs to --state-dir: its spec at open, then one fsynced
+// record per observation before the reply.  On restart the daemon replays
+// every log and resumes each session exactly where it stood (SIGKILL-safe
+// — serve_test and tools/serve_smoke.py pin this).
 //
 // The event loop is hardened against hostile and unlucky clients alike:
 // all sockets are nonblocking, replies queue in a bounded per-client
@@ -23,7 +24,7 @@
 // are answered with an error and dropped, and EMFILE-style accept
 // failures back off instead of spinning.  SIGTERM/SIGINT (and the
 // `shutdown` op) trigger a graceful drain: stop accepting, answer every
-// in-flight request, snapshot all sessions, exit 0.  The `serve.accept` /
+// in-flight request, exit 0.  The `serve.accept` /
 // `serve.recv` / `serve.send` failpoints (support/FailPoint.h) inject
 // faults into each syscall site for the chaos tests.
 //
@@ -32,6 +33,7 @@
 #include "serve/ServeEngine.h"
 #include "serve/Wire.h"
 #include "support/Backoff.h"
+#include "support/Env.h"
 #include "support/FailPoint.h"
 #include "support/Parse.h"
 
@@ -65,12 +67,11 @@ namespace {
       "Suggest/observe tuning service over a Unix-domain socket.\n"
       "Scale comes from ALIC_SCALE (smoke|bench|paper; default bench).\n\n"
       "  --socket=PATH         socket to listen on (default: alic-serve.sock)\n"
-      "  --state-dir=DIR       session snapshot directory; empty disables\n"
-      "                        checkpointing (default: alic-serve-state)\n"
+      "  --state-dir=DIR       session log directory; empty keeps sessions\n"
+      "                        in memory only (default: alic-serve-state)\n"
       "  --threads=N|auto      scheduler workers shared by all sessions\n"
       "                        (auto = hardware concurrency; default 0 =\n"
       "                        inline, bit-identical either way)\n"
-      "  --checkpoint-every=K  snapshot every K-th observe (default 1)\n"
       "  --idle-timeout-ms=T   disconnect clients idle for T ms\n"
       "                        (default 60000; 0 disables)\n"
       "  --max-request-bytes=N error+disconnect on a request line over N\n"
@@ -144,6 +145,13 @@ bool flushClient(Client &C) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // An unknown scale is refused before any work, never run as the default.
+  ScaleKind Scale;
+  if (!parseScaleKind(getEnvString("ALIC_SCALE", "bench"), Scale)) {
+    std::fprintf(stderr, "%s: ALIC_SCALE=%s is not one of smoke|bench|paper\n",
+                 Argv[0], std::getenv("ALIC_SCALE"));
+    return 2;
+  }
   std::string SocketPath = "alic-serve.sock";
   ServeOptions Opts;
   Opts.StateDir = "alic-serve-state";
@@ -169,9 +177,6 @@ int main(int Argc, char **Argv) {
     if (parseFlag(Arg, "--threads", Value)) {
       if (!parseThreads(Value, Opts.Threads))
         usage(Argv[0], (std::string("bad value in ") + Arg).c_str());
-    } else if (parseFlag(Arg, "--checkpoint-every", Value)) {
-      Opts.CheckpointEveryObserves =
-          unsigned(Count(std::numeric_limits<unsigned>::max()));
     } else if (parseFlag(Arg, "--idle-timeout-ms", Value)) {
       IdleTimeoutMs = Count(MaxMs);
     } else if (parseFlag(Arg, "--max-request-bytes", Value)) {
@@ -245,8 +250,8 @@ int main(int Argc, char **Argv) {
   const Backoff AcceptBackoff(0xacce97, 100, 1600);
   uint64_t AcceptFailures = 0;
 
-  // Stop accepting, finish in-flight work, then exit through the
-  // post-loop snapshotAll.
+  // Stop accepting and finish in-flight work; every acknowledged observe
+  // is already durable, so nothing is left to write on exit.
   auto StartDrain = [&] {
     if (Draining)
       return;
@@ -441,14 +446,6 @@ int main(int Argc, char **Argv) {
       }
     }
   }
-
-  // Graceful exit: every session snapshot is brought current, whatever
-  // the checkpoint cadence, so a drained daemon never loses observations.
-  size_t Sessions = Engine.sessionCount();
-  size_t Clean = Engine.snapshotAll();
-  if (Sessions)
-    std::fprintf(stderr, "alic_serve: drained; %zu/%zu session(s) snapshotted\n",
-                 Clean, Sessions);
 
   for (const Client &C : Clients)
     ::close(C.Fd);

@@ -2,8 +2,8 @@
 //
 // A full tuning session against the serve engine: open, then loop
 // suggest -> measure -> observe until the learner completes, with a
-// mid-session engine teardown and checkpoint restore along the way —
-// exactly what a daemon restart does, minus the socket.
+// mid-session engine teardown and a restore from the session log along
+// the way — exactly what a daemon restart does, minus the socket.
 //
 // The "measurement" here is the same virtual profiler the experiments
 // use, standing in for a real compile-and-run.  Note who owns what: the
@@ -109,7 +109,7 @@ int main() {
     }
 
     // Mid-session "crash": throw the engine away and rebuild it from the
-    // checkpoint directory.  The client keeps going as if nothing
+    // state directory.  The client keeps going as if nothing
     // happened — the restored session's next suggestion is byte-identical
     // to what the old engine would have sent (serve_test pins this).
     if (Rounds == 15 && !Restarted) {

@@ -35,7 +35,7 @@
 /// a learner driven over a wire by `alic_serve` retraces exactly the
 /// state a local batch loop would.  This is also what makes sessions
 /// replayable: state is a pure function of (config, seed, the sequence
-/// of observed cost vectors), which is all a serve checkpoint stores.
+/// of observed cost vectors), which is all a serve session log stores.
 ///
 //===----------------------------------------------------------------------===//
 

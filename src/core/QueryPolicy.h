@@ -42,8 +42,8 @@
 /// consultation sequence (each consult sees the model's prediction at a
 /// deterministic stream position).  Replaying a recorded cost sequence
 /// through ActiveLearner::observe() therefore reproduces every skip
-/// decision bit-identically — which is what lets serve snapshots restore
-/// sessions by replay at any worker count.
+/// decision bit-identically — which is what lets serve session logs
+/// restore sessions by replay at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +66,8 @@ enum class QueryPolicyKind {
 };
 
 /// Every QueryPolicyKind and the token that names it (the leading segment
-/// of a policy token).  Printing, parsing and snapshot validation all read
-/// this table.
+/// of a policy token).  Printing, parsing and session-log validation all
+/// read this table.
 inline constexpr TokenRow<QueryPolicyKind> PolicyTokens[] = {
     {QueryPolicyKind::Always, "always"},
     {QueryPolicyKind::AlmThreshold, "alm"},
@@ -75,7 +75,7 @@ inline constexpr TokenRow<QueryPolicyKind> PolicyTokens[] = {
 
 /// Serializable description of a query policy.  Travels through
 /// ActiveLearnerConfig, campaign specs, the serve wire (`policy` field of
-/// `open`) and serve snapshots; construct the live policy object with
+/// `open`) and serve session logs; construct the live policy object with
 /// QueryPolicy::create().
 struct QueryPolicyConfig {
   /// Which strategy to run.  Always is the default and is guaranteed to

@@ -8,7 +8,6 @@
 #include "spapt/Suite.h"
 #include "stats/Metrics.h"
 #include "stats/OnlineStats.h"
-#include "support/Backoff.h"
 #include "support/Error.h"
 #include "support/FailPoint.h"
 #include "support/Format.h"
@@ -204,7 +203,7 @@ std::string cellLine(const std::string &Key, CampaignCell::Kind Kind,
       Line += formatJsonDouble(Result.NoiseStats[I]);
     }
     Line += "]}";
-    return Line + "\n";
+    return Line;
   }
   const RunResult &R = Result.Run;
   Line += formatString(",\"iterations\":%zu,\"distinct\":%zu,"
@@ -227,7 +226,7 @@ std::string cellLine(const std::string &Key, CampaignCell::Kind Kind,
     Line += formatJsonDouble(Point.Rmse) + "]";
   }
   Line += "]}";
-  return Line + "\n";
+  return Line;
 }
 
 bool parseCellLine(const std::string &Line, std::string &Key,
@@ -293,54 +292,21 @@ bool parseCellLine(const std::string &Line, std::string &Key,
   return true;
 }
 
-/// What a ledger scan skipped.
-struct LedgerScanStats {
-  size_t TornTails = 0; ///< unterminated trailing lines (crash remnants)
-  size_t Garbage = 0;   ///< complete lines that do not parse as a cell
-};
-
-/// The one ledger line scanner: reads \p Path and calls \p OnCell(Line,
-/// Key, Result) for every complete, parsable cell line in file order
-/// (Line without its newline).  An unterminated trailing line — a crash
-/// remnant, which the next append seals off — and unparsable complete
-/// lines are skipped and counted in \p Stats.  Fails only when the file
-/// cannot be opened or read.
-Status scanLedger(const std::string &Path, LedgerScanStats &Stats,
+/// The ledger's line scanner: scanLogLines over \p Path, calling
+/// \p OnCell(Line, Key, Result) for every complete line that parses as
+/// a cell; a torn tail and unparsable lines are counted in \p Stats.
+Status scanLedger(const std::string &Path, LogScanStats &Stats,
                   const std::function<void(const std::string &,
                                            const std::string &, CellResult &)>
                       &OnCell) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return Status::failure("open ledger " + Path, errno);
-  std::string Content;
-  char Chunk[1 << 16];
-  size_t Got;
-  while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Content.append(Chunk, Got);
-  bool ReadOk = std::ferror(File) == 0;
-  std::fclose(File);
-  if (!ReadOk)
-    return Status::failure("read ledger " + Path, EIO);
-
-  size_t Pos = 0;
-  while (Pos < Content.size()) {
-    size_t Eol = Content.find('\n', Pos);
-    if (Eol == std::string::npos) {
-      ++Stats.TornTails;
-      break;
-    }
-    std::string Line = Content.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    if (Line.empty())
-      continue;
+  return scanLogLines(Path, Stats, [&](const std::string &Line) {
     std::string Key;
     CellResult Result;
-    if (parseCellLine(Line, Key, Result))
-      OnCell(Line, Key, Result);
-    else
-      ++Stats.Garbage;
-  }
-  return Status::success();
+    if (!parseCellLine(Line, Key, Result))
+      return false;
+    OnCell(Line, Key, Result);
+    return true;
+  });
 }
 
 /// Reads the ledger's cells; a missing or unreadable ledger is empty
@@ -348,7 +314,7 @@ Status scanLedger(const std::string &Path, LedgerScanStats &Stats,
 std::unordered_map<std::string, CellResult>
 loadLedger(const std::string &Path) {
   std::unordered_map<std::string, CellResult> Ledger;
-  LedgerScanStats Skipped;
+  LogScanStats Skipped;
   (void)scanLedger(Path, Skipped,
                    [&](const std::string &, const std::string &Key,
                        CellResult &Result) {
@@ -362,7 +328,7 @@ loadLedger(const std::string &Path) {
 std::unordered_set<std::string>
 ledgerKeys(const std::vector<std::string> &Paths) {
   std::unordered_set<std::string> Done;
-  LedgerScanStats Skipped;
+  LogScanStats Skipped;
   for (const std::string &Path : Paths)
     (void)scanLedger(Path, Skipped,
                      [&](const std::string &, const std::string &Key,
@@ -440,74 +406,6 @@ void forEachIndex(Scheduler *Pool, size_t N,
 }
 
 //===----------------------------------------------------------------------===//
-// Durable ledger appends (degrade, never abort)
-//===----------------------------------------------------------------------===//
-
-/// Append attempts per cell before quarantining it.  Retries follow the
-/// shared jittered-exponential schedule (support/Backoff): a 1 ms
-/// envelope doubling to 4 ms — the old 1/2/4 ms ladder's envelope — long
-/// enough to ride out a transient EINTR/EIO blip, short enough that a
-/// truly full disk quarantines a 275-cell campaign in about a second.
-constexpr int LedgerAppendAttempts = 4;
-
-/// Seed of the ledger-retry Backoff stream (any fixed value works; the
-/// schedule never affects results, only sleep lengths).
-constexpr uint64_t LedgerBackoffSeed = 0x1ed6e4ull;
-
-/// One append attempt: write \p Line, flush, fsync.  \p Seal prefixes a
-/// newline — a previous attempt may have torn mid-line, and gluing this
-/// record onto the remnant would lose both; the sealed remnant parses as
-/// garbage and is skipped on resume.  Fault-injection sites:
-/// `ledger.append` (error / torn / crash before the write) and
-/// `ledger.sync` (error / crash at the fsync — data flushed, durability
-/// unknown, exactly the window a power loss hits).
-Status tryAppendLine(std::FILE *Out, const std::string &Path,
-                     const std::string &Line, bool Seal) {
-  std::clearerr(Out);
-  FailOutcome F = ALIC_FAILPOINT("ledger.append");
-  if (F.Fire) {
-    if (F.Mode == FailMode::Torn && F.TornBytes > 0) {
-      std::fwrite(Line.data(), 1, std::min(F.TornBytes, Line.size()), Out);
-      std::fflush(Out);
-    }
-    return Status::failure("append to " + Path + " (injected)", F.Errno);
-  }
-  if (Seal && std::fputc('\n', Out) == EOF)
-    return Status::failure("append to " + Path, errno);
-  if (std::fwrite(Line.data(), 1, Line.size(), Out) != Line.size() ||
-      std::fflush(Out) != 0)
-    return Status::failure("append to " + Path, errno);
-  FailOutcome FS = ALIC_FAILPOINT("ledger.sync");
-  if (FS.Fire)
-    return Status::failure("fsync " + Path + " (injected)", FS.Errno);
-  if (fsync(fileno(Out)) != 0)
-    return Status::failure("fsync " + Path, errno);
-  return Status::success();
-}
-
-/// \p NeedSeal carries torn-remnant state *across cells*: it enters true
-/// when any earlier append of this run failed (its bytes may sit
-/// mid-line), forces a seal on the first attempt too, and leaves true
-/// when this append is given up on.
-Status appendLineWithRetry(std::FILE *Out, const std::string &Path,
-                           const std::string &Line, bool &NeedSeal) {
-  Status St;
-  Backoff Retry(LedgerBackoffSeed, /*BaseMs=*/1, /*CapMs=*/4);
-  for (int Attempt = 0; Attempt != LedgerAppendAttempts; ++Attempt) {
-    if (Attempt)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(Retry.delayMs(uint64_t(Attempt - 1))));
-    St = tryAppendLine(Out, Path, Line, /*Seal=*/NeedSeal || Attempt != 0);
-    if (St.ok()) {
-      NeedSeal = false;
-      return St;
-    }
-  }
-  NeedSeal = true;
-  return St;
-}
-
-//===----------------------------------------------------------------------===//
 // Orchestration pieces
 //===----------------------------------------------------------------------===//
 
@@ -540,30 +438,6 @@ Status prepareStateDir(const CampaignOptions &Options) {
   if (Created)
     (void)syncParentDir(Options.StateDir); // best-effort (EINVAL-tolerant)
   return Status::success();
-}
-
-/// Opens the ledger for appending.  On first create the state dir is
-/// fsync'd (a synced append is worthless if the file's directory entry
-/// vanishes with a power loss), and a torn trailing line a crash left is
-/// sealed into its own skippable line so the next append cannot glue
-/// onto the remnant.
-std::FILE *openLedgerAppend(const std::string &Path) {
-  bool Existed = std::filesystem::exists(Path);
-  std::FILE *Out = std::fopen(Path.c_str(), "ab");
-  if (!Out)
-    return nullptr;
-  if (!Existed)
-    (void)syncParentDir(Path); // best-effort
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (In) {
-    char LastByte = '\n';
-    bool NonEmpty = std::fseek(In, -1, SEEK_END) == 0 &&
-                    std::fread(&LastByte, 1, 1, In) == 1;
-    std::fclose(In);
-    if (NonEmpty && LastByte != '\n')
-      std::fputc('\n', Out);
-  }
-  return Out;
 }
 
 /// Memoizes datasets for any of \p Benchmarks not yet in \p Datasets
@@ -802,7 +676,7 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
   if (Opened.ok())
     Opened = Policy.prepare();
   std::FILE *Out = nullptr;
-  if (Opened.ok() && !(Out = openLedgerAppend(LedgerPath)))
+  if (Opened.ok() && !(Out = openAppendLog(LedgerPath)))
     Opened = Status::failure("cannot open ledger " + LedgerPath +
                              " for append: " + std::strerror(errno));
   if (!Opened.ok()) {
@@ -857,7 +731,8 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
       // still fails after the bounded retries quarantines this cell; the
       // rest of the range keeps running, and a re-launch retries exactly
       // the quarantined keys (they are simply missing from the ledger).
-      Status St = appendLineWithRetry(Out, LedgerPath, Line, NeedSeal);
+      Status St = appendLogLine(Out, LedgerPath, Line, NeedSeal,
+                                "ledger.append", "ledger.sync");
       ++Attempted;
       std::string Count =
           Options.LeaseClaim
@@ -979,7 +854,7 @@ Status alic::mergeLedgers(const CampaignSpec &Spec,
   // still break the byte-identical-aggregate contract downstream.
   std::unordered_map<std::string, std::string> LineByKey;
   std::vector<std::string> Conflicts;
-  LedgerScanStats Skipped;
+  LogScanStats Skipped;
   for (const std::string &Path : Inputs) {
     ++Report.InputFiles;
     FailOutcome F = ALIC_FAILPOINT("merge.read");

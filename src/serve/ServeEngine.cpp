@@ -10,20 +10,23 @@
 #include "support/Serialize.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <initializer_list>
+#include <system_error>
+#include <utility>
 
 using namespace alic;
 
 namespace {
 
-constexpr uint32_t SnapshotMagic = 0x414c5356; // "ALSV"
-// Version 2 added the query-policy fields and version 3 the payload
-// checksum; older snapshots are treated as unreadable (skipped on
-// restore), never misparsed.
-constexpr uint32_t SnapshotVersion = 3;
+constexpr uint32_t SessionLogMagic = 0x414c5356; // "ALSV"
+// Version 2 added the query-policy fields, version 3 the checksum and
+// version 4 the append-only log in place of a whole-session snapshot;
+// other versions are skipped on restore, never misparsed.
+constexpr uint32_t SessionLogVersion = 4;
 
 void writeSpec(ByteWriter &W, const SessionSpec &Spec) {
   W.writeString(Spec.Benchmark);
@@ -127,6 +130,65 @@ bool readSpec(ByteReader &R, SessionSpec &Spec) {
   return runnableSpec(Spec);
 }
 
+/// One session-log line: the lowercase hex of \p W's bytes, which end in
+/// writeChecksum.  Hex keeps a line free of newline bytes.
+std::string hexLine(const ByteWriter &W) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Line;
+  for (uint8_t Byte : W.bytes()) {
+    Line += Digits[Byte >> 4];
+    Line += Digits[Byte & 15];
+  }
+  return Line;
+}
+
+/// Decodes a hexLine into \p Out and verifies its checksum; false on any
+/// other text.
+bool readHexLine(const std::string &Line, ByteReader &Out) {
+  if (Line.size() % 2)
+    return false;
+  std::vector<uint8_t> Bytes(Line.size() / 2);
+  for (size_t I = 0; I != Line.size(); ++I) {
+    char C = Line[I];
+    int Nibble = C >= '0' && C <= '9'   ? C - '0'
+                 : C >= 'a' && C <= 'f' ? C - 'a' + 10
+                                        : -1;
+    if (Nibble < 0)
+      return false;
+    Bytes[I / 2] = uint8_t(Bytes[I / 2] << 4 | Nibble);
+  }
+  Out = ByteReader(std::move(Bytes));
+  return Out.verifyChecksum();
+}
+
+/// A failed durable write as a client reads it: the step, path and errno
+/// (std::strerror is not thread-safe; the category's message is).
+std::string describe(const Status &St) {
+  return St.message() + ": " +
+         std::generic_category().message(St.errnoValue()) + " (errno " +
+         std::to_string(St.errnoValue()) + ")";
+}
+
+/// Appends the record (\p Ticket, \p Costs) to the session log \p Path
+/// and fsyncs it.  Opening per record holds no descriptor between
+/// observes, and openAppendLog seals a remnant an earlier failed append
+/// left.  Fault-injection sites: session.append and session.sync.
+Status appendRecord(const std::string &Path, uint64_t Ticket,
+                    const std::vector<double> &Costs) {
+  ByteWriter W;
+  W.writeU64(Ticket);
+  W.writeDoubles(Costs);
+  W.writeChecksum();
+  std::FILE *Out = openAppendLog(Path);
+  if (!Out)
+    return Status::failure("open " + Path, errno);
+  bool NeedSeal = false;
+  Status St = appendLogLine(Out, Path, hexLine(W), NeedSeal,
+                            "session.append", "session.sync");
+  std::fclose(Out);
+  return St;
+}
+
 /// Raw bits of a double, for cache keys (0.75 and 0.7500001 must not
 /// collide into one key through decimal formatting).
 uint64_t doubleBits(double Value) {
@@ -144,13 +206,8 @@ struct ServeEngine::Session {
   std::shared_ptr<const Dataset> Data;
   std::unique_ptr<SurrogateModel> Model;
   std::unique_ptr<ActiveLearner> Learner;
-  /// Append-only observation log; with Spec, the whole session state.
-  std::vector<std::vector<double>> Events;
   double TotalCostSeconds = 0.0;
-  unsigned SinceSnapshot = 0;
-  /// The last snapshot attempt failed; SinceSnapshot is pinned at the
-  /// cadence so the next observe retries (degrade, never abort).
-  bool DirtySnapshot = false;
+  size_t Observes = 0;
   /// Set (under M) by closeSession.  An in-flight call that resolved the
   /// session just before it left the table sees this after locking M and
   /// reports the session as unknown instead of mutating a closed one.
@@ -165,14 +222,11 @@ ServeEngine::ServeEngine(ServeOptions Opts) : Opts(std::move(Opts)) {
     SO.StealSeed = this->Opts.StealSeed;
     Sched = std::make_unique<Scheduler>(SO);
   }
-  // Never throws: without the directory, snapshot writes fail and the
-  // sessions degrade to serving from memory.
+  // Never throws: without the directory, every open fails and says so.
   if (!this->Opts.StateDir.empty()) {
     std::error_code Ec;
     std::filesystem::create_directories(this->Opts.StateDir, Ec);
   }
-  if (this->Opts.CheckpointEveryObserves == 0)
-    this->Opts.CheckpointEveryObserves = 1;
 }
 
 ServeEngine::~ServeEngine() = default;
@@ -189,7 +243,7 @@ bool ServeEngine::validId(const std::string &Id) const {
   return true;
 }
 
-std::string ServeEngine::snapshotPath(const std::string &Id) const {
+std::string ServeEngine::logPath(const std::string &Id) const {
   return Opts.StateDir + "/sess-" + Id + ".alsv";
 }
 
@@ -238,40 +292,6 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   return S;
 }
 
-void ServeEngine::snapshot(const std::string &Id, Session &S) {
-  if (Opts.StateDir.empty())
-    return;
-  ByteWriter W;
-  W.writeU32(SnapshotMagic);
-  W.writeU32(SnapshotVersion);
-  W.writeString(Id);
-  writeSpec(W, S.Spec);
-  W.writeU64(S.Events.size());
-  for (const std::vector<double> &Costs : S.Events)
-    W.writeDoubles(Costs);
-  W.writeChecksum();
-  Status St;
-  FailOutcome F = ALIC_FAILPOINT("snapshot.write");
-  if (F.Fire)
-    St = Status::failure("snapshot " + snapshotPath(Id) + " (injected)",
-                         F.Errno);
-  else
-    St = W.writeFileDurable(snapshotPath(Id));
-  if (!St.ok()) {
-    // Degrade: the session keeps serving from memory; pinning the counter
-    // at the cadence makes the very next observe (or snapshotAll) retry.
-    S.DirtySnapshot = true;
-    S.SinceSnapshot = Opts.CheckpointEveryObserves;
-    std::fprintf(stderr,
-                 "alic_serve: snapshot of session '%s' failed: %s "
-                 "(errno %d); serving from memory, will retry\n",
-                 Id.c_str(), St.message().c_str(), St.errnoValue());
-    return;
-  }
-  S.DirtySnapshot = false;
-  S.SinceSnapshot = 0;
-}
-
 std::shared_ptr<ServeEngine::Session>
 ServeEngine::find(const std::string &Id) const {
   std::lock_guard<std::mutex> Lock(EngineMutex);
@@ -293,7 +313,27 @@ bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
   std::shared_ptr<Session> S = buildSession(Spec, Err);
   if (!S)
     return false;
-  snapshot(Id, *S);
+  if (!Opts.StateDir.empty()) {
+    // The header, written once and atomically: a log either has it or
+    // does not exist.  It replaces any log a skipped restore left.
+    ByteWriter W;
+    W.writeU32(SessionLogMagic);
+    W.writeU32(SessionLogVersion);
+    W.writeString(Id);
+    writeSpec(W, Spec);
+    W.writeChecksum();
+    ByteWriter File;
+    File.writeRaw(hexLine(W) + "\n");
+    FailOutcome F = ALIC_FAILPOINT("session.header");
+    Status St = F.Fire ? Status::failure("write " + logPath(Id) +
+                                             " (injected)",
+                                         F.Errno)
+                       : File.writeFileDurable(logPath(Id));
+    if (!St.ok()) {
+      Err = "session log not created: " + describe(St);
+      return false;
+    }
+  }
   Sessions.emplace(Id, std::move(S));
   return true;
 }
@@ -343,15 +383,20 @@ bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
           std::to_string(Costs.size());
     return false;
   }
-  if (!S->Learner->observe(Ticket, Costs)) {
-    Err = "learner rejected the observation";
-    return false;
+  // Durable before absorbed: an acknowledged observe survives a crash,
+  // and a refused one leaves the live session as it was.
+  if (!Opts.StateDir.empty()) {
+    Status St = appendRecord(logPath(Id), Ticket, Costs);
+    if (!St.ok()) {
+      Err = "observe not recorded: " + describe(St);
+      return false;
+    }
   }
-  S->Events.push_back(Costs);
+  if (!S->Learner->observe(Ticket, Costs))
+    alic_unreachable("the learner rejected a validated observe");
+  ++S->Observes;
   for (double C : Costs)
     S->TotalCostSeconds += C;
-  if (++S->SinceSnapshot >= Opts.CheckpointEveryObserves)
-    snapshot(Id, *S);
   return true;
 }
 
@@ -395,9 +440,8 @@ bool ServeEngine::sessionInfo(const std::string &Id, SessionInfo &Out,
   }
   Out.Stats = S->Learner->stats();
   Out.TotalCostSeconds = S->TotalCostSeconds;
-  Out.Observes = S->Events.size();
+  Out.Observes = S->Observes;
   Out.Done = S->Learner->done();
-  Out.SnapshotDirty = S->DirtySnapshot;
   if (Out.Done)
     Out.Phase = SuggestPhase::Done;
   else if (!S->Learner->seeded())
@@ -412,38 +456,32 @@ bool ServeEngine::sessionInfo(const std::string &Id, SessionInfo &Out,
 }
 
 bool ServeEngine::closeSession(const std::string &Id) {
-  std::shared_ptr<Session> Doomed;
+  // Under EngineMutex throughout, so no open of the same id can write its
+  // log between the erase and the remove below.
+  std::lock_guard<std::mutex> Lock(EngineMutex);
+  auto It = Sessions.find(Id);
+  if (It == Sessions.end())
+    return false;
   {
-    std::lock_guard<std::mutex> Lock(EngineMutex);
-    auto It = Sessions.find(Id);
-    if (It == Sessions.end())
-      return false;
-    Doomed = std::move(It->second);
-    Sessions.erase(It);
+    // Any in-flight call that resolved the session before it leaves the
+    // table either finishes first (its record, if any, lands before the
+    // remove) or sees Closed and bails; the shared_ptr it holds keeps the
+    // Session alive either way.
+    std::lock_guard<std::mutex> SessionLock(It->second->M);
+    It->second->Closed = true;
   }
-  // Any in-flight call that resolved the session just before it left the
-  // table either finishes before this lock (its snapshot, if any, lands
-  // before the remove below) or sees Closed and bails; the shared_ptr it
-  // holds keeps the Session alive either way.
-  {
-    std::lock_guard<std::mutex> Lock(Doomed->M);
-    Doomed->Closed = true;
-  }
+  Sessions.erase(It);
   if (!Opts.StateDir.empty()) {
     std::error_code Ec;
-    std::filesystem::remove(snapshotPath(Id), Ec);
+    std::filesystem::remove(logPath(Id), Ec);
   }
   return true;
 }
 
 size_t ServeEngine::restoreSessions(size_t *Skipped) {
   size_t Bad = 0, Restored = 0;
-  if (Skipped)
-    *Skipped = 0;
-  if (Opts.StateDir.empty())
-    return 0;
   std::vector<std::string> Paths;
-  {
+  if (!Opts.StateDir.empty()) {
     std::error_code Ec;
     std::filesystem::directory_iterator Dir(Opts.StateDir, Ec);
     if (!Ec)
@@ -451,108 +489,76 @@ size_t ServeEngine::restoreSessions(size_t *Skipped) {
         std::string Name = Entry.path().filename().string();
         if (Name.rfind("sess-", 0) == 0 && Name.size() > 10 &&
             Name.substr(Name.size() - 5) == ".alsv")
-          Paths.push_back(Entry.path().string());
+          Paths.push_back(Opts.StateDir + "/" + Name);
       }
   }
   // Deterministic restore order (directory iteration order is not).
   std::sort(Paths.begin(), Paths.end());
-
-  for (const std::string &Path : Paths) {
-    ByteReader R({});
-    uint32_t Magic = 0, Version = 0;
-    std::string Id;
-    SessionSpec Spec;
-    uint64_t NumEvents = 0;
-    if (ALIC_FAILPOINT("snapshot.restore").Fire)
-      goto corrupt; // injected unreadable snapshot
-    if (!ByteReader::fromFile(Path, R) || !R.verifyChecksum())
-      goto corrupt;
-    R.readU32(Magic);
-    R.readU32(Version);
-    R.readString(Id);
-    if (!R.ok() || Magic != SnapshotMagic || Version != SnapshotVersion ||
-        !validId(Id))
-      goto corrupt;
-    if (!readSpec(R, Spec))
-      goto corrupt;
-    R.readU64(NumEvents);
-    // Each event is at least a u64 length prefix.
-    if (!R.ok() || NumEvents > R.remaining() / 8)
-      goto corrupt;
-    {
-      std::vector<std::vector<double>> Events;
-      Events.resize(size_t(NumEvents));
-      for (std::vector<double> &Costs : Events)
-        if (!R.readDoubles(Costs))
-          goto corrupt;
-      if (!R.atEnd())
-        goto corrupt;
-
-      std::lock_guard<std::mutex> Lock(EngineMutex);
-      if (Sessions.count(Id))
-        goto corrupt; // duplicate snapshot for one id
-      std::string Err;
-      std::shared_ptr<Session> S = buildSession(Spec, Err);
-      if (!S)
-        goto corrupt;
-      // Replay: state is a pure function of (spec, cost sequence), so
-      // driving the recorded costs through the deterministic loop lands
-      // exactly where the previous process stood.
-      bool Replayed = true;
-      for (const std::vector<double> &Costs : Events) {
-        const Suggestion &Want = S->Learner->suggest();
-        if (Want.Phase == SuggestPhase::Done ||
-            !S->Learner->observe(Want.Ticket, Costs)) {
-          Replayed = false;
-          break;
-        }
-        for (double C : Costs)
-          S->TotalCostSeconds += C;
-      }
-      if (!Replayed)
-        goto corrupt;
-      S->Events = std::move(Events);
-      Sessions.emplace(Id, std::move(S));
-      ++Restored;
-      continue;
-    }
-  corrupt:
-    ++Bad;
-  }
+  for (const std::string &Path : Paths)
+    ++(restoreSession(Path) ? Restored : Bad);
   if (Skipped)
     *Skipped = Bad;
   return Restored;
 }
 
-size_t ServeEngine::snapshotAll() {
-  if (Opts.StateDir.empty())
-    return 0;
-  std::vector<std::pair<std::string, std::shared_ptr<Session>>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(EngineMutex);
-    for (const auto &[Id, S] : Sessions)
-      Live.emplace_back(Id, S);
-  }
-  size_t Clean = 0;
-  for (auto &[Id, S] : Live) {
-    std::lock_guard<std::mutex> Lock(S->M);
-    if (S->Closed)
-      continue;
-    if (S->SinceSnapshot > 0 || S->DirtySnapshot)
-      snapshot(Id, *S);
-    if (!S->DirtySnapshot)
-      ++Clean;
-  }
-  return Clean;
-}
+bool ServeEngine::restoreSession(const std::string &Path) {
+  if (ALIC_FAILPOINT("session.restore").Fire)
+    return false; // injected unreadable log
+  // Line 1 must be the header, naming the id this file is named after
+  // (observes append to that name); every later line is a record.  A
+  // record repeating its predecessor's ticket replaces it: the earlier
+  // one reached the disk although its observe was refused.
+  std::string Id;
+  SessionSpec Spec;
+  bool First = true, Header = false;
+  std::vector<std::pair<uint64_t, std::vector<double>>> Records;
+  LogScanStats Scan;
+  Status St = scanLogLines(Path, Scan, [&](const std::string &Line) {
+    ByteReader R({});
+    if (First) {
+      First = false;
+      uint32_t Magic = 0, Version = 0;
+      Header = readHexLine(Line, R) && R.readU32(Magic) &&
+               R.readU32(Version) && R.readString(Id) &&
+               Magic == SessionLogMagic && Version == SessionLogVersion &&
+               validId(Id) && readSpec(R, Spec) && R.atEnd() &&
+               Path == logPath(Id);
+      return Header;
+    }
+    uint64_t Ticket = 0;
+    std::vector<double> Costs;
+    if (!Header || !readHexLine(Line, R) || !R.readU64(Ticket) ||
+        !R.readDoubles(Costs) || !R.atEnd())
+      return false;
+    if (!Records.empty() && Records.back().first == Ticket)
+      Records.back().second = std::move(Costs);
+    else
+      Records.emplace_back(Ticket, std::move(Costs));
+    return true;
+  });
+  if (!St.ok() || !Header)
+    return false;
 
-std::vector<std::string> ServeEngine::sessionIds() const {
   std::lock_guard<std::mutex> Lock(EngineMutex);
-  std::vector<std::string> Ids;
-  Ids.reserve(Sessions.size());
-  for (const auto &[Id, S] : Sessions)
-    Ids.push_back(Id);
-  return Ids;
+  std::string Err;
+  std::shared_ptr<Session> S;
+  if (Sessions.count(Id) || !(S = buildSession(Spec, Err)))
+    return false; // restored already, or an unknown benchmark
+  // Replay: state is a pure function of (spec, cost sequence), so
+  // driving the recorded costs through the deterministic loop lands
+  // exactly where the previous process stood.  Each record must answer
+  // the learner's outstanding ticket (a done learner's is 0, never
+  // recorded); any gap means a lost record.
+  for (const auto &[Ticket, Costs] : Records) {
+    if (S->Learner->suggest().Ticket != Ticket ||
+        !S->Learner->observe(Ticket, Costs))
+      return false;
+    ++S->Observes;
+    for (double C : Costs)
+      S->TotalCostSeconds += C;
+  }
+  Sessions.emplace(Id, std::move(S));
+  return true;
 }
 
 size_t ServeEngine::sessionCount() const {

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The in-process core of `alic_serve`: many concurrent *tuning sessions*
-/// — each an ActiveLearner plus an append-only observation log —
-/// multiplexed onto one work-stealing Scheduler.
+/// — each an ActiveLearner plus, with a state dir, an append-only session
+/// log — multiplexed onto one work-stealing Scheduler.
 ///
 /// A session speaks the request/response shape of the learning loop:
 /// suggest() returns the configuration(s) the learner wants measured next
@@ -18,15 +18,16 @@
 /// first costs arrive the learner serves its sampling-plan seed
 /// configurations without consulting any model (explore-only serving).
 ///
-/// **Crash safety.**  Every session checkpoints to
-/// `<state-dir>/sess-<id>.alsv` through the same tmp+rename discipline as
-/// the campaign ledger.  The snapshot stores only (spec, seed, the
-/// sequence of observed cost vectors) — the learner's full state is a
-/// pure function of those (see core/ActiveLearner.h), so restore *replays*
-/// the log through suggest()/observe() and lands bit-identically where
-/// the killed process stood: the next suggestion after a restore is
-/// byte-identical to the one an uninterrupted engine would have issued,
-/// at any scheduler worker count.  serve_test pins this.
+/// **Crash safety.**  Every session logs to `<state-dir>/sess-<id>.alsv`
+/// through the campaign ledger's append idiom (support/Serialize): line 1
+/// is the header (id and spec), written once at open, and each observe
+/// appends and fsyncs one record (ticket, costs) before the learner
+/// absorbs it.  The learner's full state is a pure function of the spec
+/// and the costs (see core/ActiveLearner.h), so restore *replays* the log
+/// through suggest()/observe() and lands bit-identically where the killed
+/// process stood: the next suggestion after a restore is byte-identical
+/// to the one an uninterrupted engine would have issued, at any scheduler
+/// worker count.  serve_test pins this.
 ///
 /// **Thread-safety.**  All public methods are safe to call concurrently
 /// from any number of threads.  The engine holds one mutex over the
@@ -83,9 +84,9 @@ struct SessionSpec {
 
 /// Engine construction knobs.
 struct ServeOptions {
-  /// Directory for session snapshots (created on demand; if that fails,
-  /// snapshot writes fail and degrade as documented).  Empty disables
-  /// checkpointing and restoreSessions().
+  /// Directory for session logs (created on demand; if that fails, every
+  /// open fails).  Empty keeps sessions in memory only: observe() then
+  /// does no encoding and no I/O, and restoreSessions() restores nothing.
   std::string StateDir;
   /// Dataset blob cache handed to loadOrBuildDataset; empty disables the
   /// on-disk layer (the in-memory layer always applies).
@@ -97,11 +98,6 @@ struct ServeOptions {
   /// Victim-selection seed for the scheduler (stress-test knob; results
   /// never depend on it).
   uint64_t StealSeed = 0x57ea1ull;
-  /// Snapshot every k-th observe() (1 = every observe).  Restores replay
-  /// only what was snapshotted, so larger values trade crash freshness
-  /// for write traffic; the snapshot written by the *next* observe
-  /// catches the session up again.
-  unsigned CheckpointEveryObserves = 1;
 };
 
 /// A point-in-time summary of one session, as reported by sessionInfo().
@@ -116,10 +112,6 @@ struct SessionInfo {
   size_t Observes = 0;
   /// True once the completion criterion is met.
   bool Done = false;
-  /// True when the last snapshot attempt failed (disk full, injected
-  /// fault, ...).  The session keeps serving; the next observe on the
-  /// checkpoint cadence — or a snapshotAll() — retries the write.
-  bool SnapshotDirty = false;
 };
 
 /// The session multiplexer.  One instance per daemon (or per test);
@@ -128,17 +120,18 @@ class ServeEngine {
 public:
   /// Starts the engine (and its scheduler, when Opts.Threads > 0).
   explicit ServeEngine(ServeOptions Opts);
-  /// Drops all sessions (snapshots stay on disk) and joins the scheduler.
+  /// Drops all sessions (their logs stay on disk) and joins the scheduler.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine &) = delete;            ///< non-copyable
   ServeEngine &operator=(const ServeEngine &) = delete; ///< non-copyable
 
   /// Creates session \p Id from \p Spec.  Ids are 1-64 characters from
-  /// [A-Za-z0-9._-] (they name snapshot files).  Fails — returning false
-  /// and setting \p Err — on a malformed id, a duplicate id, or an
-  /// unknown benchmark.  On success the session is immediately
-  /// serveable and (with a StateDir) an empty snapshot is persisted.
+  /// [A-Za-z0-9._-] (they name session logs).  Fails — returning false
+  /// and setting \p Err — on a malformed id, a duplicate id, an unknown
+  /// benchmark, or (with a StateDir) a log header that cannot be written
+  /// durably; the error then names the path and errno.  On success the
+  /// session is immediately serveable.
   bool openSession(const std::string &Id, const SessionSpec &Spec,
                    std::string &Err);
 
@@ -154,11 +147,13 @@ public:
 
   /// Reports measured costs for the outstanding suggestion of session
   /// \p Id.  \p Costs holds ObservationsPerConfig values per suggested
-  /// configuration, grouped by configuration.  Fails on an unknown
-  /// session, a ticket that is not the outstanding one, or a wrong cost
-  /// count; the session is unchanged on failure.  On success the event
-  /// is appended to the session log and, on the configured cadence, the
-  /// session is re-snapshotted atomically.
+  /// configuration, grouped by configuration.  With a StateDir the record
+  /// (ticket, costs) is appended to the session log and fsynced before
+  /// the learner absorbs it, so a successful observe is durable.  Fails,
+  /// leaving the session unchanged, on an unknown session, a ticket that
+  /// is not the outstanding one, a wrong cost count, or an append that
+  /// still fails after its retries (the error names the path and errno;
+  /// the record may have reached the disk, and a retry replaces it).
   bool observe(const std::string &Id, uint64_t Ticket,
                const std::vector<double> &Costs, std::string &Err);
 
@@ -171,44 +166,35 @@ public:
   bool sessionInfo(const std::string &Id, SessionInfo &Out,
                    std::string &Err) const;
 
-  /// Drops session \p Id from memory and deletes its snapshot.  False
-  /// when the id is unknown.
+  /// Drops session \p Id from memory and deletes its log.  False when
+  /// the id is unknown.
   bool closeSession(const std::string &Id);
 
-  /// Loads every `sess-*.alsv` snapshot under StateDir and replays each
-  /// observation log through a fresh learner, reconstructing all session
-  /// states bit-identically (see file comment).  Unreadable or corrupt
-  /// snapshots (a checksum mismatch, or a spec no session can run) are
-  /// skipped — a crash mid-rename cannot take the daemon down — and
-  /// their count is reported via \p Skipped.  Returns the
+  /// Loads every `sess-*.alsv` log under StateDir and replays its records
+  /// through a fresh learner, reconstructing all session states
+  /// bit-identically (see file comment).  Lines are read by the ledger's
+  /// rules (scanLogLines): a torn tail is dropped and an undecodable line
+  /// skipped.  A log whose first line is not a valid header for the id
+  /// in its file name (a checksum mismatch, a spec no session can run,
+  /// another format version), or whose records do not follow the
+  /// replayed learner's tickets, is skipped — never fatal — and counted
+  /// in \p Skipped.  Returns the
   /// number of sessions restored.  Call once, before serving.
   size_t restoreSessions(size_t *Skipped = nullptr);
 
-  /// Snapshots every live session that has unsnapshotted observations or
-  /// a dirty (previously failed) snapshot.  Returns the number of
-  /// sessions whose snapshot is now clean and current.  The daemon's
-  /// SIGTERM drain calls this so a graceful shutdown never loses
-  /// observations, whatever the checkpoint cadence.
-  size_t snapshotAll();
-
-  /// Ids of all live sessions, sorted.
-  std::vector<std::string> sessionIds() const;
-
   /// Number of live sessions.
   size_t sessionCount() const;
-
-  /// The shared scheduler, or nullptr when Threads was 0.
-  Scheduler *scheduler() { return Sched.get(); }
 
 private:
   struct Session;
 
   bool validId(const std::string &Id) const;
-  std::string snapshotPath(const std::string &Id) const;
+  std::string logPath(const std::string &Id) const;
   std::shared_ptr<const Dataset> datasetFor(const SessionSpec &Spec);
   std::shared_ptr<Session> buildSession(const SessionSpec &Spec,
                                         std::string &Err);
-  void snapshot(const std::string &Id, Session &S);
+  /// Restores the session logged at \p Path; false when it is skipped.
+  bool restoreSession(const std::string &Path);
   /// Returns a reference-counted handle copied under EngineMutex, so the
   /// session outlives any concurrent closeSession(); callers must still
   /// take the session mutex and re-check its Closed flag.
@@ -218,7 +204,6 @@ private:
   std::unique_ptr<Scheduler> Sched;
 
   mutable std::mutex EngineMutex;
-  /// Ordered so sessionIds() is deterministic.
   std::map<std::string, std::shared_ptr<Session>> Sessions;
   /// In-memory dataset cache keyed by (benchmark, scale, dataset seed);
   /// 10k sessions over one benchmark share one dataset.

@@ -273,8 +273,6 @@ bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
     Reply += ",\"observes\":" + std::to_string(Info.Observes);
     Reply += ",\"total_cost_seconds\":" + formatJsonDouble(Info.TotalCostSeconds);
     Reply += std::string(",\"done\":") + (Info.Done ? "true" : "false");
-    Reply += std::string(",\"snapshot_dirty\":") +
-             (Info.SnapshotDirty ? "true" : "false");
     Reply += "}";
     return false;
   }

@@ -26,13 +26,19 @@ int64_t alic::getEnvInt(const char *Name, int64_t Default) {
   return Parsed;
 }
 
+bool alic::parseScaleKind(const std::string &Text, ScaleKind &Out) {
+  for (ScaleKind Kind : {ScaleKind::Smoke, ScaleKind::Bench, ScaleKind::Paper})
+    if (Text == scaleName(Kind)) {
+      Out = Kind;
+      return true;
+    }
+  return false;
+}
+
 ScaleKind alic::getScaleKind() {
-  std::string Value = getEnvString("ALIC_SCALE", "bench");
-  if (Value == "smoke")
-    return ScaleKind::Smoke;
-  if (Value == "paper")
-    return ScaleKind::Paper;
-  return ScaleKind::Bench;
+  ScaleKind Kind = ScaleKind::Bench;
+  parseScaleKind(getEnvString("ALIC_SCALE", "bench"), Kind);
+  return Kind;
 }
 
 const char *alic::scaleName(ScaleKind Kind) {

@@ -33,7 +33,12 @@ enum class ScaleKind {
   Paper, ///< the paper's full parameters (hours on one core)
 };
 
-/// Reads ALIC_SCALE ("smoke" | "bench" | "paper"); defaults to Bench.
+/// Parses a scale name: "smoke", "bench" or "paper", exactly.  On failure
+/// \p Out is left unchanged.
+bool parseScaleKind(const std::string &Text, ScaleKind &Out);
+
+/// Reads ALIC_SCALE through parseScaleKind; unset, empty or unknown means
+/// Bench here (the CLIs refuse an unknown value at startup instead).
 ScaleKind getScaleKind();
 
 /// Human-readable name of a scale preset.

@@ -21,10 +21,10 @@
 
 namespace alic {
 
-/// Lightweight success/failure result for the degradable I/O paths (ledger
-/// appends, snapshot writes, dataset-cache blobs).  The library does not
+/// Lightweight success/failure result for the degradable I/O paths (log
+/// appends, whole-file writes, dataset-cache blobs).  The library does not
 /// use exceptions, and a storage failure on these paths is an ordinary
-/// input — callers retry, quarantine, or mark state dirty instead of
+/// input — callers retry, quarantine, or refuse the request instead of
 /// aborting.  A Status carries the failing call's errno (0 when not a
 /// syscall failure) and a human-readable message.
 class [[nodiscard]] Status {

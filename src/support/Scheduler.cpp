@@ -18,17 +18,17 @@
 // only after re-scanning for work against a pre-sleep Epoch snapshot, so
 // wakeups cannot be lost.
 //
-// Helping: TaskGroup::wait() and waitAll() execute pending tasks while
-// they wait — own deque first (the group's own children, LIFO), then
-// the external queue, then steals.  Group waits scope their external-
-// queue pops to their own children: stolen deque tasks are forked
-// shards (bounded work), but external tasks are top-level units (whole
-// campaign cells), and starting one inside a microsecond-scale shard
-// join would stack cell frames to arbitrary depth and invert latency.
-// waitAll — the top-level join — helps with everything.  Progress
-// never deadlocks: a worker parks only with an empty own deque, so
-// forked children are always executed eventually by their forker if
-// nobody steals them first, and every completion bumps the eventcount.
+// Helping: TaskGroup::wait() executes pending tasks while it waits —
+// own deque first (the group's own children, LIFO), then the external
+// queue, then steals.  Group waits scope their external-queue pops to
+// their own children: stolen deque tasks are forked shards (bounded
+// work), but external tasks are top-level units (whole campaign cells),
+// and starting one inside a microsecond-scale shard join would stack
+// cell frames to arbitrary depth and invert latency.  Only idle workers
+// take any external task.  Progress never deadlocks: a worker parks only
+// with an empty own deque, so forked children are always executed
+// eventually by their forker if nobody steals them first, and every
+// completion bumps the eventcount.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,6 @@
 #include "support/Rng.h"
 
 #include <algorithm>
-#include <cassert>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -50,7 +49,7 @@ namespace {
 
 struct Task {
   std::function<void()> Fn;
-  TaskGroup *Group; ///< nullptr: detached submit() task (root-counted)
+  TaskGroup *Group; ///< the group whose join counts this task
 };
 
 /// Chase-Lev work-stealing deque of Task pointers.
@@ -172,12 +171,10 @@ struct Scheduler::Impl {
   Options Opts;
   std::vector<std::unique_ptr<Worker>> Workers;
 
-  /// Tasks from non-worker threads (submit(), forks off external threads).
+  /// Tasks forked from non-worker threads.
   std::mutex ExternalMutex;
   std::deque<Task *> External;
 
-  /// Detached submit() tasks still pending (waitAll's join counter).
-  std::atomic<size_t> RootPending{0};
   /// Steals performed by helping non-worker threads.
   std::atomic<uint64_t> ExternalSteals{0};
   std::atomic<uint64_t> ExternalExecuted{0};
@@ -225,7 +222,7 @@ struct Scheduler::Impl {
   }
 
   /// Pops the oldest external task — any task when \p Restrict is null
-  /// (worker loops, waitAll), else only tasks of that group.  The
+  /// (worker loops), else only tasks of that group.  The
   /// restriction bounds helping: a fine-grained shard join must never
   /// pull an unrelated *top-level* task (a whole campaign cell) off the
   /// external queue, which would stack cell frames to arbitrary depth
@@ -294,20 +291,14 @@ struct Scheduler::Impl {
       Ctx->Self->Executed.fetch_add(1, std::memory_order_relaxed);
     else
       ExternalExecuted.fetch_add(1, std::memory_order_relaxed);
-    if (Group) {
-      if (Group->Pending.fetch_sub(1) == 1)
-        notify(); // the group just completed: wake its waiter
-    } else {
-      if (RootPending.fetch_sub(1) == 1)
-        notify(); // last detached task: wake waitAll
-    }
+    if (Group->Pending.fetch_sub(1) == 1)
+      notify(); // the group just completed: wake its waiter
   }
 
-  /// Helping join loop shared by TaskGroup::wait and waitAll: execute
-  /// tasks until \p Done reports completion, parking via the eventcount
-  /// when nothing is runnable.  \p Restrict scopes external-queue pops
-  /// (group waits help only their own externally queued children plus
-  /// anything stealable; waitAll helps with everything).
+  /// TaskGroup::wait's helping join loop: execute tasks until \p Done
+  /// reports completion, parking via the eventcount when nothing is
+  /// runnable.  External-queue pops are scoped to \p Restrict's own
+  /// children; anything stealable is fair game.
   template <typename DonePredicate>
   void helpUntil(DonePredicate Done, TaskGroup *Restrict) {
     ThreadContext *Ctx = contextHere();
@@ -398,7 +389,6 @@ Scheduler::Scheduler(const Options &Opts) : I(new Impl(Opts)) {
 }
 
 Scheduler::~Scheduler() {
-  waitAll();
   I->ShuttingDown.store(true);
   I->Epoch.fetch_add(1);
   {
@@ -411,16 +401,6 @@ Scheduler::~Scheduler() {
 
 unsigned Scheduler::numThreads() const {
   return unsigned(I->Workers.size());
-}
-
-void Scheduler::submit(std::function<void()> Fn) {
-  I->RootPending.fetch_add(1);
-  I->enqueue(new Task{std::move(Fn), nullptr});
-}
-
-void Scheduler::waitAll() {
-  I->helpUntil([this] { return I->RootPending.load() == 0; },
-               /*Restrict=*/nullptr);
 }
 
 void Scheduler::fork(TaskGroup *Group, std::function<void()> Fn) {

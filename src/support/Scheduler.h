@@ -12,7 +12,7 @@
 /// profiler draws.
 ///
 /// The predecessor (a fixed-size ThreadPool with one shared queue and a
-/// blocking waitAll) spent its whole parallelism budget at whatever
+/// blocking join) spent its whole parallelism budget at whatever
 /// granularity first touched it: a pool task that re-entered the pool
 /// deadlocked or serialized, so campaign cells had to keep their learners
 /// model-internally sequential, and finished workers idled while the last
@@ -92,9 +92,9 @@ struct SchedulerStats {
   uint64_t Steals = 0;   ///< tasks taken from another worker's deque
 };
 
-/// The process-wide worker pool.  API-compatible superset of the old
-/// ThreadPool (submit/waitAll/parallelFor/parallelForShards), plus legal
-/// nesting from inside tasks.
+/// The process-wide worker pool.  All work arrives through TaskGroups
+/// (parallelFor and parallelForShards are TaskGroups too), and groups may
+/// nest from inside tasks.
 class Scheduler {
 public:
   /// Construction knobs beyond the worker count.  StealSeed and
@@ -115,18 +115,12 @@ public:
   explicit Scheduler(unsigned NumThreads = 0);
   explicit Scheduler(const Options &Opts);
 
-  /// Drains outstanding work and joins the workers.
+  /// Stops and joins the workers.  Every TaskGroup joins its children in
+  /// its own destructor, so no task is outstanding by then.
   ~Scheduler();
 
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
-
-  /// Enqueues \p Task for execution (detached; waitAll() joins it).
-  void submit(std::function<void()> Task);
-
-  /// Returns once every submitted task (and, transitively, everything
-  /// those tasks waited on) has finished.  Helps while waiting.
-  void waitAll();
 
   /// Number of worker threads.
   unsigned numThreads() const;

@@ -2,11 +2,16 @@
 
 #include "support/Serialize.h"
 
+#include "support/Backoff.h"
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -162,20 +167,124 @@ Status ByteWriter::writeFileDurable(const std::string &Path) const {
   return syncParentDir(Path);
 }
 
-bool ByteReader::fromFile(const std::string &Path, ByteReader &Out) {
+namespace {
+
+/// Reads all of \p Path into \p Out; false (errno set) when it cannot.
+bool readWholeFile(const std::string &Path, std::string &Out) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
     return false;
-  std::vector<uint8_t> Bytes;
-  uint8_t Chunk[1 << 16];
+  char Chunk[1 << 16];
   size_t Got;
   while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Bytes.insert(Bytes.end(), Chunk, Chunk + Got);
+    Out.append(Chunk, Got);
   bool Ok = std::ferror(File) == 0;
   std::fclose(File);
   if (!Ok)
+    errno = EIO;
+  return Ok;
+}
+
+/// Append attempts per record: a 1 ms backoff envelope doubling to 4 ms
+/// rides out a transient EINTR/EIO blip, yet a truly full disk
+/// quarantines a 275-cell campaign in about a second.
+constexpr int AppendLogAttempts = 4;
+
+/// Seed of the retry Backoff stream (it sets only sleep lengths).
+constexpr uint64_t AppendLogBackoffSeed = 0x1ed6e4ull;
+
+/// One append attempt: write \p Line (ending in its newline), flush,
+/// fsync.  \p Seal prefixes a newline — a previous attempt may have torn
+/// mid-line, and gluing this record onto the remnant would lose both.
+Status tryAppendLine(std::FILE *Out, const std::string &Path,
+                     const std::string &Line, bool Seal,
+                     const char *AppendSite, const char *SyncSite) {
+  std::clearerr(Out);
+  FailOutcome F = ALIC_FAILPOINT(AppendSite);
+  if (F.Fire) {
+    if (F.Mode == FailMode::Torn && F.TornBytes > 0) {
+      std::fwrite(Line.data(), 1, std::min(F.TornBytes, Line.size()), Out);
+      std::fflush(Out);
+    }
+    return Status::failure("append to " + Path + " (injected)", F.Errno);
+  }
+  if (Seal && std::fputc('\n', Out) == EOF)
+    return Status::failure("append to " + Path, errno);
+  if (std::fwrite(Line.data(), 1, Line.size(), Out) != Line.size() ||
+      std::fflush(Out) != 0)
+    return Status::failure("append to " + Path, errno);
+  FailOutcome FS = ALIC_FAILPOINT(SyncSite);
+  if (FS.Fire)
+    return Status::failure("fsync " + Path + " (injected)", FS.Errno);
+  if (::fsync(fileno(Out)) != 0)
+    return Status::failure("fsync " + Path, errno);
+  return Status::success();
+}
+
+} // namespace
+
+// Doc comments in Serialize.h: the append-log idiom.
+std::FILE *alic::openAppendLog(const std::string &Path) {
+  bool Existed = std::filesystem::exists(Path);
+  std::FILE *Out = std::fopen(Path.c_str(), "a+b"); // writes land at the end
+  if (!Out)
+    return nullptr;
+  if (!Existed)
+    (void)syncParentDir(Path); // best-effort
+  bool Torn = std::fseek(Out, -1, SEEK_END) == 0 && std::fgetc(Out) != '\n';
+  std::fseek(Out, 0, SEEK_END); // the switch from reading to writing
+  if (Torn)
+    std::fputc('\n', Out);
+  return Out;
+}
+
+Status alic::appendLogLine(std::FILE *Out, const std::string &Path,
+                           const std::string &Line, bool &NeedSeal,
+                           const char *AppendSite, const char *SyncSite) {
+  const std::string Record = Line + '\n';
+  Status St;
+  Backoff Retry(AppendLogBackoffSeed, /*BaseMs=*/1, /*CapMs=*/4);
+  for (int Attempt = 0; Attempt != AppendLogAttempts; ++Attempt) {
+    if (Attempt)
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(Retry.delayMs(uint64_t(Attempt - 1))));
+    St = tryAppendLine(Out, Path, Record, NeedSeal || Attempt != 0,
+                       AppendSite, SyncSite);
+    if (St.ok()) {
+      NeedSeal = false;
+      return St;
+    }
+  }
+  NeedSeal = true;
+  return St;
+}
+
+Status alic::scanLogLines(
+    const std::string &Path, LogScanStats &Stats,
+    const std::function<bool(const std::string &)> &OnLine) {
+  std::string Content;
+  if (!readWholeFile(Path, Content))
+    return Status::failure("read " + Path, errno);
+  size_t Pos = 0;
+  while (Pos < Content.size()) {
+    size_t Eol = Content.find('\n', Pos);
+    if (Eol == std::string::npos) {
+      ++Stats.TornTails;
+      break;
+    }
+    std::string Line = Content.substr(Pos, Eol - Pos);
+    Pos = Eol + 1;
+    if (!Line.empty() && !OnLine(Line))
+      ++Stats.Garbage;
+  }
+  return Status::success();
+}
+
+bool ByteReader::fromFile(const std::string &Path, ByteReader &Out) {
+  std::string Bytes;
+  if (!readWholeFile(Path, Bytes))
     return false;
-  Out = ByteReader(std::move(Bytes));
+  Out = ByteReader(std::vector<uint8_t>(Bytes.begin(), Bytes.end()));
   return true;
 }
 

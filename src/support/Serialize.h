@@ -16,6 +16,10 @@
 /// formats seal their payload with writeChecksum and open it with
 /// verifyChecksum, so a flipped byte that still parses is rejected too.
 ///
+/// The durable-file primitives live here too: writeFileDurable replaces a
+/// whole file, and the append-log functions grow a line log one fsynced
+/// record at a time (the campaign ledger, every serve session log).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIC_SUPPORT_SERIALIZE_H
@@ -24,6 +28,8 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,12 +38,44 @@ namespace alic {
 /// fsync of the directory containing \p Path, making a completed create,
 /// rename, or unlink inside it durable — the same discipline
 /// ByteWriter::writeFileDurable applies after its rename.  Exposed so
-/// other durable-file protocols (the campaign ledger's first create, the
+/// other durable-file protocols (an append log's first create, the
 /// lease directory's claim/steal transitions) reuse it instead of
 /// re-deriving the fsync rules.  Best-effort on filesystems that reject
 /// directory fsync (errno EINVAL is ignored, the POSIX escape hatch).
 /// Fault-injection site: atomicfile.dirsync.
 Status syncParentDir(const std::string &Path);
+
+/// Opens the line log \p Path for appending, creating it if needed.  On
+/// first create the parent directory is fsync'd (a synced append is
+/// worthless if the file's directory entry vanishes with a power loss),
+/// and a torn trailing line a crash left is sealed behind a newline so
+/// the next append cannot glue onto it.  nullptr (errno set) on failure.
+std::FILE *openAppendLog(const std::string &Path);
+
+/// Appends \p Line and a newline to the log \p Out (\p Path in errors),
+/// flushed and fsync'd, in up to four attempts on a jittered 1-4 ms
+/// backoff (support/Backoff); every retry seals first.  \p NeedSeal
+/// carries torn-remnant state across calls: true on entry seals the
+/// first attempt too, and it leaves true when the last attempt failed.
+/// Fault-injection sites: \p AppendSite (error / torn / crash before the
+/// write) and \p SyncSite (error / crash at the fsync — data flushed,
+/// durability unknown, exactly the window a power loss hits).
+Status appendLogLine(std::FILE *Out, const std::string &Path,
+                     const std::string &Line, bool &NeedSeal,
+                     const char *AppendSite, const char *SyncSite);
+
+/// What a log scan skipped.
+struct LogScanStats {
+  size_t TornTails = 0; ///< unterminated trailing lines (crash remnants)
+  size_t Garbage = 0;   ///< complete lines the caller rejected
+};
+
+/// The one line-log scanner: calls \p OnLine(Line) for every complete,
+/// non-empty line of \p Path in order (without its newline), skipping an
+/// unterminated tail and counting the lines OnLine rejects (returns false
+/// for) as garbage.  Fails only when the file cannot be read.
+Status scanLogLines(const std::string &Path, LogScanStats &Stats,
+                    const std::function<bool(const std::string &)> &OnLine);
 
 /// Appends scalars and vectors to a growing byte buffer.
 class ByteWriter {

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// One idiom for every enum that crosses a text boundary (cell keys,
-/// aggregate JSON, CLI flags, the serve wire, snapshot validation): a
+/// aggregate JSON, CLI flags, the serve wire, session-log validation): a
 /// constexpr table of (enum value, token) rows that printing and parsing
 /// both read, so adding a kind means adding one row.
 ///

@@ -91,20 +91,22 @@ TEST(SchedulerNestingTest, IdleWorkersStealInnerShards) {
   // can run them, so every child must be stolen.
   Scheduler S(2);
   std::atomic<int> Done{0};
-  S.submit([&] {
-    TaskGroup Group(S);
-    for (int I = 0; I != 50; ++I)
-      Group.run([&] { ++Done; });
+  {
+    TaskGroup Root(S);
+    Root.run([&] {
+      TaskGroup Group(S);
+      for (int I = 0; I != 50; ++I)
+        Group.run([&] { ++Done; });
+      while (Done.load() != 50)
+        std::this_thread::yield();
+      Group.wait();
+    });
+    // Spin instead of joining right away: Root's wait() *helps*, and if
+    // the main thread picked the root task up from the external queue,
+    // the children would be externally queued too and need no stealing.
     while (Done.load() != 50)
       std::this_thread::yield();
-    Group.wait();
-  });
-  // Spin instead of joining right away: waitAll() *helps*, and if the
-  // main thread picked the root task up from the external queue, the
-  // children would be externally queued too and need no stealing.
-  while (Done.load() != 50)
-    std::this_thread::yield();
-  S.waitAll();
+  } // Root joins here
   EXPECT_EQ(Done.load(), 50);
   EXPECT_GE(S.stats().Steals, 50u);
   EXPECT_GE(S.stats().Executed, 51u);
@@ -237,22 +239,14 @@ TEST(SchedulerDeterminismTest, ForcedStealInterleavingsChangeNothing) {
 //===----------------------------------------------------------------------===//
 
 TEST(SchedulerStatsTest, ExecutedCountsEveryTask) {
+  // Tasks the helping main thread runs count as much as the workers'.
   Scheduler S(3);
-  for (int I = 0; I != 40; ++I)
-    S.submit([] {});
-  S.waitAll();
-  EXPECT_EQ(S.stats().Executed, 40u);
-}
-
-TEST(SchedulerStatsTest, DestructorDrainsDetachedTasks) {
-  std::atomic<int> Ran{0};
   {
-    Scheduler S(2);
-    for (int I = 0; I != 25; ++I)
-      S.submit([&] { ++Ran; });
-    // No waitAll: the destructor must drain before joining.
+    TaskGroup Group(S);
+    for (int I = 0; I != 40; ++I)
+      Group.run([] {});
   }
-  EXPECT_EQ(Ran.load(), 25);
+  EXPECT_EQ(S.stats().Executed, 40u);
 }
 
 TEST(SchedulerStatsTest, AutoThreadCountUsesHardwareConcurrency) {

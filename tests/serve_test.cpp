@@ -3,8 +3,10 @@
 // Pins the serving contract: the suggest/observe split is bit-identical
 // to the batch step() loop; a killed-and-restored engine resumes every
 // session with byte-identical suggestions, at any worker count and steal
-// seed; suggest is idempotent while a ticket is outstanding; corrupt
-// snapshots are skipped, never fatal; and the NDJSON wire layer maps
+// seed, over generated specs, kill points and torn log tails; each
+// observe appends one line to its session log, and a refused append
+// changes nothing; suggest is idempotent while a ticket is outstanding;
+// corrupt logs are skipped, never fatal; and the NDJSON wire layer maps
 // requests to engine calls and errors to ok:false replies.
 //
 //===----------------------------------------------------------------------===//
@@ -15,10 +17,12 @@
 #include "spapt/Suite.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
+#include "support/Rng.h"
 #include "support/Serialize.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -26,6 +30,8 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+
+#include <sys/stat.h>
 
 using namespace alic;
 
@@ -103,6 +109,57 @@ struct Client {
   std::unique_ptr<SpaptBenchmark> Bench;
   Profiler Lab;
 };
+
+/// The whole content of \p Path.
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Complete lines of a session log.
+size_t lineCount(const std::string &Path) {
+  std::string Bytes = readFile(Path);
+  return size_t(std::count(Bytes.begin(), Bytes.end(), '\n'));
+}
+
+/// Lowercase hex of \p Bytes: session-log lines are this encoding.
+std::string toHex(const std::string &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Hex;
+  for (unsigned char B : Bytes) {
+    Hex += Digits[B >> 4];
+    Hex += Digits[B & 15];
+  }
+  return Hex;
+}
+
+std::string fromHex(const std::string &Hex) {
+  std::string Bytes;
+  for (size_t I = 0; I + 1 < Hex.size(); I += 2)
+    Bytes += char(std::stoi(Hex.substr(I, 2), nullptr, 16));
+  return Bytes;
+}
+
+/// The next suggestion and everything info reports, exactly: what a
+/// restore must reproduce and a refused observe must leave as it was.
+std::string sessionState(ServeEngine &Engine, const std::string &Id) {
+  Suggestion S;
+  SessionInfo Info;
+  std::string Err;
+  EXPECT_TRUE(Engine.suggest(Id, S, Err)) << Err;
+  EXPECT_TRUE(Engine.sessionInfo(Id, Info, Err)) << Err;
+  const LearnerStats &St = Info.Stats;
+  char Total[32];
+  std::snprintf(Total, sizeof(Total), "%a", Info.TotalCostSeconds);
+  return fingerprint(S) + "#" + std::to_string(int(Info.Phase)) + "|" +
+         std::to_string(St.Iterations) + "|" +
+         std::to_string(St.DistinctExamples) + "|" +
+         std::to_string(St.Revisits) + "|" +
+         std::to_string(St.Observations) + "|" + std::to_string(St.Skips) +
+         "|" + std::to_string(Info.Observes) + "|" + Total + "|" +
+         std::to_string(Info.Done);
+}
 
 /// Runs suggest/measure/observe rounds until the session completes or
 /// \p MaxRounds is hit, appending each round's suggestion fingerprint.
@@ -224,8 +281,8 @@ TEST(ServeEngineTest, RestartInvisibleAtAnyWorkerCount) {
       ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
       drain(Engine, "s", C, Seen, KillAfter);
       // Engine dropped here with the session mid-flight: the only state
-      // that survives is the snapshot directory, exactly like SIGKILL
-      // (every observe snapshotted, so nothing is newer than disk).
+      // that survives is the state directory, exactly like SIGKILL
+      // (every acknowledged observe is on disk).
     }
     {
       ServeEngine Engine(engineOptions(Dir, V.Threads, V.StealSeed));
@@ -244,28 +301,30 @@ TEST(ServeEngineTest, RestartInvisibleAtAnyWorkerCount) {
   }
 }
 
-// A snapshot cadence above 1 restores to the last multiple of the
-// cadence; the client's stale ticket is then rejected and a re-suggest
-// resynchronizes.
-TEST(ServeEngineTest, CheckpointCadenceRestoresToLastSnapshot) {
-  std::string Dir = freshStateDir("cadence");
-  ServeOptions Opts = engineOptions(Dir, 0);
-  Opts.CheckpointEveryObserves = 3;
+// The write traffic of a session log: the header at open, then exactly
+// one appended line per observe into the same file (no rewrite, no
+// rename), so a session writes O(record) bytes per observe.
+TEST(ServeEngineTest, EachObserveAppendsOneLineToTheSameFile) {
+  std::string Dir = freshStateDir("traffic");
+  std::string Path = Dir + "/sess-s.alsv";
+  ServeEngine Engine(engineOptions(Dir, 0));
+  std::string Err;
+  ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
+  struct stat Opened;
+  ASSERT_EQ(::stat(Path.c_str(), &Opened), 0);
+  EXPECT_EQ(lineCount(Path), 1u);
   Client C("atax");
-  {
-    ServeEngine Engine(Opts);
-    std::string Err;
-    ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
-    std::vector<std::string> Seen;
-    drain(Engine, "s", C, Seen, 8); // snapshots after observes 3 and 6
-  }
-  {
-    ServeEngine Engine(Opts);
-    ASSERT_EQ(Engine.restoreSessions(), 1u);
-    SessionInfo Info;
-    std::string Err;
-    ASSERT_TRUE(Engine.sessionInfo("s", Info, Err));
-    EXPECT_EQ(Info.Observes, 6u);
+  std::vector<std::string> Seen;
+  for (size_t K = 1; K <= 5; ++K) {
+    std::string Before = readFile(Path);
+    drain(Engine, "s", C, Seen, 1);
+    std::string After = readFile(Path);
+    EXPECT_EQ(lineCount(Path), K + 1);
+    // Appended: the earlier bytes are untouched.
+    EXPECT_EQ(After.compare(0, Before.size(), Before), 0);
+    struct stat Now;
+    ASSERT_EQ(::stat(Path.c_str(), &Now), 0);
+    EXPECT_EQ(Now.st_ino, Opened.st_ino);
   }
   std::filesystem::remove_all(Dir);
 }
@@ -364,7 +423,7 @@ TEST(ServeEngineTest, CloseRacingInFlightCallsIsSafe) {
   EXPECT_EQ(Engine.sessionCount(), 0u);
 }
 
-TEST(ServeEngineTest, CorruptSnapshotsAreSkippedNotFatal) {
+TEST(ServeEngineTest, CorruptLogsAreSkippedNotFatal) {
   std::string Dir = freshStateDir("corrupt");
   {
     ServeEngine Engine(engineOptions(Dir, 0));
@@ -374,32 +433,59 @@ TEST(ServeEngineTest, CorruptSnapshotsAreSkippedNotFatal) {
     std::vector<std::string> Seen;
     drain(Engine, "good", C, Seen, 4);
   }
-  // A non-snapshot file and a truncated real snapshot in the state dir.
+  // A file that is no session log, a real log cut inside its header, a
+  // whole copy under a name its header does not match (sorted before the
+  // original, so it would win the id), and a leftover version-3
+  // whole-session snapshot.
   {
     std::ofstream Bad(Dir + "/sess-bad.alsv", std::ios::binary);
-    Bad << "this is not a snapshot";
+    Bad << "this is not a session log\n";
   }
   {
-    std::ifstream Good(Dir + "/sess-good.alsv", std::ios::binary);
-    std::string Bytes((std::istreambuf_iterator<char>(Good)),
-                      std::istreambuf_iterator<char>());
+    std::string Bytes = readFile(Dir + "/sess-good.alsv");
     std::ofstream Trunc(Dir + "/sess-trunc.alsv", std::ios::binary);
-    Trunc.write(Bytes.data(), std::streamsize(Bytes.size() / 2));
+    Trunc << Bytes.substr(0, Bytes.find('\n') / 2);
+    std::ofstream(Dir + "/sess-copy.alsv", std::ios::binary) << Bytes;
+  }
+  {
+    ByteWriter Old;
+    Old.writeU32(0x414c5356); // "ALSV"
+    Old.writeU32(3);
+    Old.writeString("old");
+    Old.writeU64(0);
+    Old.writeChecksum();
+    ASSERT_TRUE(Old.writeFileDurable(Dir + "/sess-old.alsv").ok());
   }
   {
     ServeEngine Engine(engineOptions(Dir, 0));
     size_t Skipped = 0;
     EXPECT_EQ(Engine.restoreSessions(&Skipped), 1u);
-    EXPECT_EQ(Skipped, 2u);
-    EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"good"});
+    EXPECT_EQ(Skipped, 4u);
+    EXPECT_EQ(Engine.sessionCount(), 1u);
+    SessionInfo Info;
+    std::string Err;
+    ASSERT_TRUE(Engine.sessionInfo("good", Info, Err)) << Err;
+    EXPECT_EQ(Info.Observes, 4u);
+    Client C("atax");
+    std::vector<std::string> Seen;
+    drain(Engine, "good", C, Seen, 1);
+  }
+  {
+    // The stale copy never shadows the log the session appends to.
+    ServeEngine Engine(engineOptions(Dir, 0));
+    EXPECT_EQ(Engine.restoreSessions(), 1u);
+    SessionInfo Info;
+    std::string Err;
+    ASSERT_TRUE(Engine.sessionInfo("good", Info, Err)) << Err;
+    EXPECT_EQ(Info.Observes, 5u);
   }
   std::filesystem::remove_all(Dir);
 }
 
 TEST(ServeEngineTest, FlippedSpecByteIsSkippedNotRestoredAsAnother) {
-  // One flipped byte inside a snapshot's spec (here the session seed)
+  // One flipped byte inside a log header's spec (here the session seed)
   // still parses — as a different session.  The checksum must reject it,
-  // while the other snapshot restores unchanged.
+  // while the other session restores unchanged.
   const uint64_t OddSeed = 0x5eed5eed5eedull;
   std::string Dir = freshStateDir("flipped");
   std::string Err;
@@ -415,23 +501,24 @@ TEST(ServeEngineTest, FlippedSpecByteIsSkippedNotRestoredAsAnother) {
     ASSERT_TRUE(Engine.suggest("b", Want, Err)) << Err;
   }
   {
-    std::fstream Snap(Dir + "/sess-a.alsv",
-                      std::ios::in | std::ios::out | std::ios::binary);
-    std::string Bytes((std::istreambuf_iterator<char>(Snap)),
-                      std::istreambuf_iterator<char>());
+    std::string Path = Dir + "/sess-a.alsv";
+    std::string Bytes = readFile(Path);
     std::string SeedBytes(8, '\0');
     for (int I = 0; I != 8; ++I)
       SeedBytes[size_t(I)] = char((OddSeed >> (8 * I)) & 0xff);
-    size_t At = Bytes.find(SeedBytes);
-    ASSERT_NE(At, std::string::npos);
-    Snap.seekp(std::streamoff(At));
-    Snap.put(char(Bytes[At] ^ 0x01));
+    // The seed's hex, at a byte boundary of the header line.
+    size_t At = Bytes.find(toHex(SeedBytes));
+    while (At != std::string::npos && At % 2)
+      At = Bytes.find(toHex(SeedBytes), At + 1);
+    ASSERT_LT(At, Bytes.find('\n'));
+    Bytes.replace(At, 2, toHex(std::string(1, char(SeedBytes[0] ^ 0x01))));
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
   }
   ServeEngine Engine(engineOptions(Dir, 0));
   size_t Skipped = 0;
   EXPECT_EQ(Engine.restoreSessions(&Skipped), 1u);
   EXPECT_EQ(Skipped, 1u);
-  EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"b"});
+  EXPECT_EQ(Engine.sessionCount(), 1u);
   Suggestion Got;
   ASSERT_TRUE(Engine.suggest("b", Got, Err)) << Err;
   EXPECT_EQ(fingerprint(Got), fingerprint(Want));
@@ -439,7 +526,7 @@ TEST(ServeEngineTest, FlippedSpecByteIsSkippedNotRestoredAsAnother) {
 }
 
 TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
-  // A snapshot with a valid checksum but a split fraction no session can
+  // A header with a valid checksum but a split fraction no session can
   // run (1.5 would split past the sampled configurations) is skipped
   // like any corrupt one.
   std::string Dir = freshStateDir("unrunnable");
@@ -454,19 +541,17 @@ TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
     return Out;
   };
   std::string Path = Dir + "/sess-a.alsv";
-  std::ifstream In(Path, std::ios::binary);
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  In.close();
+  std::string Header = readFile(Path);
+  ASSERT_EQ(Header.back(), '\n');
+  std::string Bytes = fromHex(Header.substr(0, Header.size() - 1));
   size_t At = Bytes.find(Bits(tinySpec().Scale.TrainFraction));
   ASSERT_NE(At, std::string::npos);
   Bytes.replace(At, 8, Bits(1.5));
   ByteWriter W;
-  for (size_t I = 0; I + 8 < Bytes.size(); ++I)
-    W.writeU8(uint8_t(Bytes[I]));
+  W.writeRaw(Bytes.substr(0, Bytes.size() - 8)); // drop the old checksum
   W.writeChecksum();
   std::ofstream(Path, std::ios::binary | std::ios::trunc)
-      << std::string(W.bytes().begin(), W.bytes().end());
+      << toHex(std::string(W.bytes().begin(), W.bytes().end())) << '\n';
 
   ServeEngine Engine(engineOptions(Dir, 0));
   size_t Skipped = 0;
@@ -475,10 +560,10 @@ TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(ServeEngineTest, UncreatableStateDirDegradesNotThrows) {
+TEST(ServeEngineTest, UncreatableStateDirFailsOpenNotConstruction) {
   // A state dir below a regular file can never be created.  Building the
-  // engine must not throw; sessions serve from memory with every
-  // snapshot write failing, as a full disk would.
+  // engine must not throw; every open fails, naming the log it could not
+  // write, and nothing is half-open.
   std::string Base = freshStateDir("notadir");
   {
     std::ofstream File(Base);
@@ -486,20 +571,24 @@ TEST(ServeEngineTest, UncreatableStateDirDegradesNotThrows) {
   }
   ServeEngine Engine(engineOptions(Base + "/state", 0));
   std::string Err;
-  ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
-  Client C("atax");
-  std::vector<std::string> Seen;
-  drain(Engine, "s", C, Seen, 2);
-  EXPECT_EQ(Seen.size(), 2u);
-  SessionInfo Info;
-  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
-  EXPECT_TRUE(Info.SnapshotDirty);
+  EXPECT_FALSE(Engine.openSession("s", tinySpec(), Err));
+  EXPECT_NE(Err.find(Base + "/state/sess-s.alsv"), std::string::npos) << Err;
+  EXPECT_EQ(Engine.sessionCount(), 0u);
   EXPECT_EQ(Engine.restoreSessions(), 0u);
   std::filesystem::remove_all(Base);
 }
 
-TEST(ServeEngineTest, SnapshotFailureDegradesAndRetryRecovers) {
-  std::string Dir = freshStateDir("dirty");
+namespace {
+
+/// Arms \p Site to fail every hit with \p Spec, observes the outstanding
+/// suggestion (refused, leaving \p NewLines more newlines in the log),
+/// disarms, and observes it again with its costs plus \p RetryCost
+/// (accepted).  Then a restored engine must stand exactly where the live
+/// one stands.
+void refuseThenRetry(const char *Name, const char *Site, FailSpec Spec,
+                     size_t NewLines, double RetryCost) {
+  std::string Dir = freshStateDir(Name);
+  std::string Path = Dir + "/sess-s.alsv";
   ServeEngine Engine(engineOptions(Dir, 0));
   std::string Err;
   ASSERT_TRUE(Engine.openSession("s", tinySpec(), Err)) << Err;
@@ -507,42 +596,62 @@ TEST(ServeEngineTest, SnapshotFailureDegradesAndRetryRecovers) {
   std::vector<std::string> Seen;
   drain(Engine, "s", C, Seen, 2);
 
-  // Every snapshot write now fails: observes must keep succeeding (the
-  // session serves from memory) with the session reported dirty.
+  std::string Before = sessionState(Engine, "s");
+  size_t Lines = lineCount(Path);
+  Suggestion S;
+  ASSERT_TRUE(Engine.suggest("s", S, Err)) << Err;
+  std::vector<double> Costs = C.measure(S);
+  armFailPoint(Site, Spec);
+  EXPECT_FALSE(Engine.observe("s", S.Ticket, Costs, Err));
+  disarmAllFailPoints();
+  EXPECT_NE(Err.find(Path), std::string::npos) << Err;
+  EXPECT_NE(Err.find("errno " + std::to_string(Spec.Errno)),
+            std::string::npos)
+      << Err;
+  EXPECT_EQ(sessionState(Engine, "s"), Before);
+  EXPECT_EQ(lineCount(Path), Lines + NewLines);
+
+  // The client's retry is the retry, here with (possibly) new costs.
+  for (double &Cost : Costs)
+    Cost += RetryCost;
+  ASSERT_TRUE(Engine.observe("s", S.Ticket, Costs, Err)) << Err;
+  drain(Engine, "s", C, Seen, 1);
+
+  ServeEngine Restored(engineOptions(Dir, 0));
+  size_t Skipped = 99;
+  ASSERT_EQ(Restored.restoreSessions(&Skipped), 1u);
+  EXPECT_EQ(Skipped, 0u);
+  EXPECT_EQ(sessionState(Restored, "s"), sessionState(Engine, "s"));
+  std::filesystem::remove_all(Dir);
+}
+
+} // namespace
+
+// Every attempt of the append fails before writing: the observe is
+// refused with the path and errno, and nothing changed.
+TEST(ServeEngineTest, FailedAppendRefusesObserveAndRetrySucceeds) {
   FailSpec Fault;
   Fault.Errno = ENOSPC;
-  armFailPoint("snapshot.write", Fault);
-  drain(Engine, "s", C, Seen, 2);
-  SessionInfo Info;
-  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
-  EXPECT_TRUE(Info.SnapshotDirty);
-  disarmAllFailPoints();
+  refuseThenRetry("append_fails", "session.append", Fault, 0, 0.0);
+}
 
-  // The next observe on the cadence retries and recovers...
-  drain(Engine, "s", C, Seen, 1);
-  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
-  EXPECT_FALSE(Info.SnapshotDirty);
+// Every attempt tears after 9 bytes, leaving an unterminated remnant
+// that the retry's open seals into a line restore skips.
+TEST(ServeEngineTest, TornAppendsAreSealedAndCleanRetrySucceeds) {
+  FailSpec Fault;
+  Fault.Mode = FailMode::Torn;
+  Fault.TornBytes = 9;
+  Fault.Errno = EIO;
+  refuseThenRetry("append_torn", "session.append", Fault, 0, 0.0);
+}
 
-  // ...and so does snapshotAll (the SIGTERM drain path).
-  armFailPoint("snapshot.write", Fault);
-  drain(Engine, "s", C, Seen, 1);
-  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
-  EXPECT_TRUE(Info.SnapshotDirty);
-  disarmAllFailPoints();
-  EXPECT_EQ(Engine.snapshotAll(), 1u);
-  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
-  EXPECT_FALSE(Info.SnapshotDirty);
-
-  // The recovered snapshot is current: a restored engine's next
-  // suggestion is byte-identical to the live engine's.
-  Suggestion Live;
-  ASSERT_TRUE(Engine.suggest("s", Live, Err)) << Err;
-  ServeEngine Restored(engineOptions(Dir, 0));
-  ASSERT_EQ(Restored.restoreSessions(), 1u);
-  Suggestion FromDisk;
-  ASSERT_TRUE(Restored.suggest("s", FromDisk, Err)) << Err;
-  EXPECT_EQ(fingerprint(FromDisk), fingerprint(Live));
-  std::filesystem::remove_all(Dir);
+// Every fsync fails after a complete write: four refused records sit on
+// disk (each retry sealed first), and the retry with other costs must
+// win, as the last record of its ticket.
+TEST(ServeEngineTest, FailedSyncLeavesRecordsAndTheRetryWins) {
+  FailSpec Fault;
+  Fault.Errno = EIO;
+  refuseThenRetry("sync_fails", "session.sync", Fault, 7, 0.25);
 }
 
 TEST(ServeEngineTest, InjectedRestoreFaultSkipsNotFatal) {
@@ -553,17 +662,20 @@ TEST(ServeEngineTest, InjectedRestoreFaultSkipsNotFatal) {
     ASSERT_TRUE(Engine.openSession("a", tinySpec(1), Err)) << Err;
     ASSERT_TRUE(Engine.openSession("b", tinySpec(2), Err)) << Err;
   }
-  // The first snapshot read fails (as an unreadable file would); the
-  // daemon must skip it and still restore the other session.
+  // The first log read fails (as an unreadable file would); the daemon
+  // must skip it and still restore the other session.
   FailSpec Fault;
   Fault.Errno = EIO;
   Fault.Count = 1;
-  armFailPoint("snapshot.restore", Fault);
+  armFailPoint("session.restore", Fault);
   ServeEngine Engine(engineOptions(Dir, 0));
   size_t Skipped = 0;
   EXPECT_EQ(Engine.restoreSessions(&Skipped), 1u);
   EXPECT_EQ(Skipped, 1u);
-  EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"b"});
+  EXPECT_EQ(Engine.sessionCount(), 1u);
+  SessionInfo Info;
+  std::string Err;
+  EXPECT_TRUE(Engine.sessionInfo("b", Info, Err)) << Err;
   disarmAllFailPoints();
   std::filesystem::remove_all(Dir);
 }
@@ -762,6 +874,138 @@ TEST(ServeEngineTest, PolicySkipsReplayIdenticallyAcrossRestarts) {
       drain(Engine, "s", C, Seen);
     }
     EXPECT_EQ(Seen, Reference);
+    std::filesystem::remove_all(Dir);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Generated restore cases
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One generated case: a session spec, where the engine dies, and what
+/// the crash left at the end of the session log.
+struct RestoreCase {
+  SessionSpec Spec;
+  unsigned Threads = 0;
+  double KillFraction = 0.0; ///< of the uninterrupted run's rounds
+  enum Damage { None, CutLastLine, GarbageFragment } Tail = None;
+};
+
+RestoreCase drawCase(Rng &Gen) {
+  RestoreCase Case;
+  Case.Spec = tinySpec(1 + Gen.nextBounded(1000));
+  QueryPolicyConfig &Q = Case.Spec.Query;
+  switch (Gen.nextBounded(3)) {
+  case 0:
+    break; // always
+  case 1:
+    Q.Kind = QueryPolicyKind::AlmThreshold;
+    Q.AbsFloor = 0.01 * Gen.nextDouble();
+    Q.RelFloor = 0.2 * Gen.nextDouble();
+    break;
+  default:
+    Q.Kind = QueryPolicyKind::CostRange;
+    Q.Mellowness = 0.001 + 0.1 * Gen.nextDouble();
+    Q.RangeC1 = 0.01 + 0.1 * Gen.nextDouble();
+  }
+  Case.Spec.BatchSize = unsigned(1 + Gen.nextBounded(3));
+  Case.Spec.Plan = Gen.nextBounded(2)
+                       ? SamplingPlan::sequential(35)
+                       : SamplingPlan::fixed(unsigned(1 + Gen.nextBounded(5)));
+  Case.Threads = Gen.nextBounded(2) ? 2 : 0;
+  Case.KillFraction = Gen.nextDouble();
+  Case.Tail = RestoreCase::Damage(Gen.nextBounded(3));
+  return Case;
+}
+
+/// The client's measurement: a pure function of (round, slot), so a
+/// re-sent round carries the same costs, varied enough for the cost
+/// policy to skip.
+std::vector<double> roundCosts(const Suggestion &S, size_t Round) {
+  std::vector<double> Costs(S.Configs.size() * S.ObservationsPerConfig);
+  for (size_t Slot = 0; Slot != Costs.size(); ++Slot)
+    Costs[Slot] = 0.4 + 0.2 * Rng(hashCombine({Round, Slot})).nextDouble();
+  return Costs;
+}
+
+/// Plays rounds [Round, Stop) or until done, recording fingerprints.
+void play(ServeEngine &Engine, size_t &Round, size_t Stop,
+          std::vector<std::string> &Seen) {
+  std::string Err;
+  for (; Round != Stop; ++Round) {
+    Suggestion S;
+    ASSERT_TRUE(Engine.suggest("s", S, Err)) << Err;
+    if (S.Phase == SuggestPhase::Done)
+      return;
+    Seen.push_back(fingerprint(S));
+    ASSERT_TRUE(Engine.observe("s", S.Ticket, roundCosts(S, Round), Err))
+        << Err;
+  }
+}
+
+} // namespace
+
+// Seeded cases over spec, policy, batch, plan, workers, kill point and
+// tail damage: a session killed and restored from its log, driven on by
+// the protocol's client rule, must emit every suggestion and end with
+// the info of the uninterrupted in-memory run.
+TEST(ServeRestoreGenerated, RestoredRunsMatchUninterruptedOnes) {
+  Rng Gen(0x9e57ca5e);
+  for (int Index = 0; Index != 24; ++Index) {
+    RestoreCase Case = drawCase(Gen);
+    SCOPED_TRACE("case " + std::to_string(Index));
+    std::string Err;
+
+    std::vector<std::string> Reference;
+    std::string ReferenceState;
+    {
+      ServeEngine Engine(engineOptions("", 0));
+      ASSERT_TRUE(Engine.openSession("s", Case.Spec, Err)) << Err;
+      size_t Round = 0;
+      play(Engine, Round, size_t(-1), Reference);
+      ReferenceState = sessionState(Engine, "s");
+    }
+    ASSERT_GE(Reference.size(), 2u);
+    size_t Kill = 1 + size_t(Case.KillFraction * double(Reference.size() - 1));
+
+    std::string Dir = freshStateDir("generated_" + std::to_string(Index));
+    std::vector<std::string> Seen;
+    size_t Round = 0;
+    {
+      ServeEngine Engine(engineOptions(Dir, Case.Threads));
+      ASSERT_TRUE(Engine.openSession("s", Case.Spec, Err)) << Err;
+      play(Engine, Round, Kill, Seen);
+    }
+    std::string Path = Dir + "/sess-s.alsv";
+    std::string Bytes = readFile(Path);
+    if (Case.Tail == RestoreCase::CutLastLine) {
+      // The last record's write was torn by the crash: it is lost.
+      size_t Start = Bytes.rfind('\n', Bytes.size() - 2) + 1;
+      Bytes.resize(Start + (Bytes.size() - Start) / 2);
+    } else if (Case.Tail == RestoreCase::GarbageFragment) {
+      Bytes += "0f1e2d3c4b5a69"; // no newline: a write the crash cut off
+    }
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+
+    ServeEngine Engine(engineOptions(Dir, Case.Threads));
+    size_t Skipped = 99;
+    ASSERT_EQ(Engine.restoreSessions(&Skipped), 1u);
+    EXPECT_EQ(Skipped, 0u);
+    // The client rule: re-suggest; a byte-identical reply means the
+    // observe was lost, so the same costs are sent again.
+    Suggestion S;
+    ASSERT_TRUE(Engine.suggest("s", S, Err)) << Err;
+    bool Lost = fingerprint(S) == Seen.back();
+    EXPECT_EQ(Lost, Case.Tail == RestoreCase::CutLastLine);
+    if (Lost) {
+      ASSERT_TRUE(Engine.observe("s", S.Ticket, roundCosts(S, Round - 1), Err))
+          << Err;
+    }
+    play(Engine, Round, size_t(-1), Seen);
+    EXPECT_EQ(Seen, Reference);
+    EXPECT_EQ(sessionState(Engine, "s"), ReferenceState);
     std::filesystem::remove_all(Dir);
   }
 }

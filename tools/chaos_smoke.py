@@ -29,13 +29,19 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    BENCH_campaign.json must be byte-identical to a single-process
    reference.
 
-4. *serve snapshot crash loop* — a suggest/observe client drives
-   `alic_serve` while `snapshot.write=nth:K,mode:crash` kills the daemon
-   at its K-th snapshot; the client restarts the daemon and resumes with
-   the documented at-least-once retry (re-suggest; a reply equal to the
-   lost round's suggestion means the observe was lost and is re-sent).
-   Every suggestion across all crashes must be byte-identical to an
+4. *serve session-log crash loops* — for every durable write a session
+   makes (session.header at the open, session.append and session.sync
+   for each observe's record), a suggest/observe client drives
+   `alic_serve` while `<site>=nth:K,mode:crash` kills the daemon at the
+   K-th hit; the client restarts the daemon and resumes with the
+   documented at-least-once rule (re-suggest; a reply equal to the
+   unacknowledged round means the observe was lost and is re-sent, a
+   different one means it landed and is the next round).  Every
+   suggestion across all crashes must be byte-identical to an
    uninterrupted reference run.
+
+5. *scale typo* — `ALIC_SCALE=smok alic_campaign ...` exits 2 with one
+   line naming smoke|bench|paper and writes nothing.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -63,6 +69,8 @@ CAMPAIGN_SITES = [
     "atomicfile.rename",
     "atomicfile.dirsync",
 ]
+
+SESSION_SITES = ["session.header", "session.append", "session.sync"]
 
 SERVE_ROUNDS = 5
 SERVE_SPEC = {
@@ -311,7 +319,7 @@ class ChaosDaemon:
             env["ALIC_FAILPOINTS"] = failpoints
         self.proc = subprocess.Popen(
             [binary, f"--socket={sock_path}", f"--state-dir={state_dir}",
-             "--threads=0", "--checkpoint-every=1"],
+             "--threads=0"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
             text=True)
         ready = self.proc.stdout.readline()
@@ -379,44 +387,50 @@ def serve_reference(binary, workdir):
     return suggestions
 
 
-def serve_snapshot_crash_loop(binary, workdir, reference):
-    """Crash the daemon at its K-th snapshot write for K = 1, 2, ...
+def serve_crash_loop(binary, workdir, reference, site):
+    """Crash the daemon at the K-th hit of `site` for K = 1, 2, ...
 
-    The client follows the at-least-once retry the protocol documents:
-    after a restart it re-suggests, and a reply byte-equal to the round
-    it already recorded means the observe was lost — re-send the same
-    costs.  A reply it has not seen is the next round.
+    The client follows the at-least-once rule the protocol documents:
+    after a restart it re-suggests.  A reply byte-equal to the round
+    whose observe went unanswered means that observe was lost: re-send
+    the same costs.  A different reply means it landed (the crash came
+    after the write, before the reply): the round counts, and the reply
+    is the next round, checked against the reference.
     """
-    sock = os.path.join(workdir, "serve_chaos.sock")
-    state_dir = os.path.join(workdir, "serve_chaos")
-    suggestions = []
-    acked = 0  # observes the daemon has answered
+    tag = site.replace(".", "_")
+    sock = os.path.join(workdir, f"serve_{tag}.sock")
+    state_dir = os.path.join(workdir, f"serve_{tag}")
+    suggestions = []  # every round's suggestion seen so far
+    acked = 0  # rounds whose observe is known to have landed
     crashes = 0
     iteration = 0
     while acked < SERVE_ROUNDS:
         iteration += 1
         if iteration > MAX_CRASH_ITERATIONS:
-            fail("serve chaos made no progress "
+            fail(f"serve {site} made no progress "
                  f"({acked}/{SERVE_ROUNDS} rounds after {crashes} crashes)")
-        daemon = ChaosDaemon(
-            binary, sock, state_dir,
-            failpoints=f"snapshot.write=nth:{iteration},mode:crash")
+        daemon = ChaosDaemon(binary, sock, state_dir,
+                             failpoints=f"{site}=nth:{iteration},mode:crash")
         try:
             _, ping = daemon.must({"op": "ping"})
             if ping.get("sessions") == 0:
-                # Crashed before the open's snapshot landed: open again.
+                # Crashed before the open's header landed: open again.
+                if acked or suggestions:
+                    fail(f"serve {site}: the session vanished after "
+                         f"{acked} acknowledged round(s)")
                 daemon.must({"op": "open", "session": "s",
                              "spec": SERVE_SPEC})
             while acked < SERVE_ROUNDS:
                 line, reply = daemon.must({"op": "suggest", "session": "s"})
-                if acked < len(suggestions):
-                    # Re-suggest after a crash mid-observe: the lost
-                    # round must come back byte-identical.
-                    if line != suggestions[acked]:
-                        fail(f"round {acked} diverged after crash:\n"
-                             f"  before: {suggestions[acked]}\n"
-                             f"  after:  {line}")
-                else:
+                if acked < len(suggestions) and line != suggestions[acked]:
+                    acked += 1  # the unanswered observe landed
+                    if acked == SERVE_ROUNDS:
+                        break
+                if acked == len(suggestions):
+                    if line != reference[acked]:
+                        fail(f"serve {site}: round {acked} diverged:\n"
+                             f"  reference: {reference[acked]}\n"
+                             f"  chaos:     {line}")
                     suggestions.append(line)
                 count = (len(reply["configs"]) *
                          reply["observations_per_config"])
@@ -429,24 +443,40 @@ def serve_snapshot_crash_loop(binary, workdir, reference):
             crashes += 1
             continue
         daemon.terminate()
-
-    if suggestions != reference:
-        for index, (chaos, ref) in enumerate(zip(suggestions, reference)):
-            if chaos != ref:
-                fail(f"serve suggestion {index} diverged from reference:\n"
-                     f"  reference: {ref}\n  chaos:     {chaos}")
-        fail(f"serve round count diverged: {len(suggestions)} vs "
-             f"{len(reference)}")
+    if crashes == 0:
+        fail(f"serve {site}: the failpoint never fired")
 
     # A final clean restart still restores the fully-observed session.
     daemon = ChaosDaemon(binary, sock, state_dir)
     _, info = daemon.must({"op": "info", "session": "s"})
     if info.get("observes") != SERVE_ROUNDS:
-        fail(f"restored session has {info.get('observes')} observes, "
-             f"want {SERVE_ROUNDS}")
+        fail(f"serve {site}: restored session has {info.get('observes')} "
+             f"observes, want {SERVE_ROUNDS}")
     daemon.terminate()
-    print(f"chaos_smoke: serve snapshot.write: {SERVE_ROUNDS} rounds "
+    print(f"chaos_smoke: serve {site}: {SERVE_ROUNDS} rounds "
           f"byte-identical across {crashes} crash(es)")
+
+
+def campaign_scale_typo(binary, workdir):
+    """An unknown ALIC_SCALE is refused before any work."""
+    state_dir = os.path.join(workdir, "scale_typo")
+    out = os.path.join(workdir, "scale_typo.json")
+    env = dict(os.environ, ALIC_SCALE="smok")
+    env.pop("ALIC_FAILPOINTS", None)
+    proc = subprocess.run(
+        [binary, "--benchmarks=atax", "--models=dynatree", "--scorers=alm",
+         "--seeds=1", "--no-noise", f"--state-dir={state_dir}",
+         f"--out={out}"], env=env, capture_output=True, text=True)
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 2:
+        fail(f"ALIC_SCALE=smok campaign exited {proc.returncode}, want 2\n"
+             f"{proc.stderr}")
+    if len(lines) != 1 or "smoke|bench|paper" not in lines[0]:
+        fail(f"ALIC_SCALE=smok wants one line naming smoke|bench|paper, "
+             f"got {proc.stderr!r}")
+    if proc.stdout or os.path.exists(state_dir) or os.path.exists(out):
+        fail("ALIC_SCALE=smok campaign did work before refusing the scale")
+    print("chaos_smoke: campaign ALIC_SCALE=smok: exit 2 before any work")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +511,10 @@ def main():
     campaign_enospc_quarantine(campaign, args.workdir,
                                small=args.small_enospc)
     campaign_sharded_kill(campaign, args.workdir, small=args.small_shard)
+    campaign_scale_typo(campaign, args.workdir)
     reference = serve_reference(serve, args.workdir)
-    serve_snapshot_crash_loop(serve, args.workdir, reference)
+    for site in SESSION_SITES:
+        serve_crash_loop(serve, args.workdir, reference, site)
 
     print("chaos_smoke: OK")
     shutil.rmtree(args.workdir, ignore_errors=True)

@@ -12,7 +12,7 @@ deterministic client behaviour:
 
 The kill run's reply lines must equal the reference run's byte for byte
 — the serving layer's restart-invisibility contract, checked end to end
-through the socket, the wire protocol, the snapshot files, and the
+through the socket, the wire protocol, the session logs, and the
 restore-by-replay path.
 
 Three hardening probes then pin the daemon's client-misbehaviour
@@ -22,12 +22,13 @@ semantics (docs/SERVE_PROTOCOL.md):
    --idle-timeout-ms while the daemon keeps serving everyone else;
 4. *oversized request* — a request over --max-request-bytes gets one
    error reply and a disconnect, and the daemon stays up;
-5. *SIGTERM drain* — with a lazy --checkpoint-every cadence, SIGTERM
-   exits 0 and snapshots every session, so no observation is lost;
-6. *flag parsing* — malformed numeric flags (`--threads=abc`,
-   `--checkpoint-every=-1`, ...) exit 2 with the usage text before
-   serving, while `--threads=auto` and an empty `--state-dir=` still
-   start the daemon;
+5. *SIGTERM drain* — SIGTERM exits 0, and a restarted daemon still
+   holds every acknowledged observation;
+6. *flag parsing* — malformed numeric flags (`--threads=abc`, ...) and
+   unknown flags (`--checkpoint-every=1`, gone with whole-session
+   snapshots) exit 2 with the usage text before serving, an unknown
+   `ALIC_SCALE` exits 2 with one line naming the valid scales, while
+   `--threads=auto` and an empty `--state-dir=` still start the daemon;
 7. *uncreatable state dir* — a `--state-dir` below a regular file exits
    1 with one line naming the directory, before the socket is bound.
 
@@ -187,13 +188,10 @@ def probe_oversized_request(binary, workdir):
 
 
 def probe_sigterm_drain(binary, workdir):
-    """SIGTERM snapshots sessions the lazy cadence has not persisted."""
+    """SIGTERM drains cleanly; acknowledged observes survive it."""
     sock = os.path.join(workdir, "drain.sock")
     state = os.path.join(workdir, "drain")
-    # --checkpoint-every=5 with 2 observes: only the drain's snapshotAll
-    # can make these observations durable.
-    daemon = Daemon(binary, sock, state, "drain",
-                    extra_args=["--checkpoint-every=5"])
+    daemon = Daemon(binary, sock, state, "drain")
     daemon.must({"op": "open", "session": "s", "spec": SPEC})
     drained = []
     run_rounds(daemon, 0, 2, drained)
@@ -210,16 +208,16 @@ def probe_sigterm_drain(binary, workdir):
              f"observes, want 2 — the drain lost data")
     daemon.shutdown()
     print("serve_smoke: SIGTERM-drain probe OK "
-          "(2 unsnapshotted observes survived)")
+          "(2 acknowledged observes survived)")
 
 
 def probe_flags(binary, workdir):
-    """Bad numeric flags are usage errors; auto threads and no state dir
-    are not."""
+    """Bad numeric and unknown flags are usage errors, and so is an
+    unknown scale; auto threads and no state dir are not."""
     env = dict(os.environ, ALIC_SCALE="smoke")
     sock = os.path.join(workdir, "flags.sock")
-    for bad in (["--threads=abc", "--checkpoint-every=-1"],
-                ["--threads=-1"], ["--checkpoint-every=1x"],
+    for bad in (["--threads=abc"], ["--threads=-1"],
+                ["--checkpoint-every=1"],
                 ["--idle-timeout-ms=99999999999999999999"],
                 ["--max-request-bytes="]):
         proc = subprocess.run([binary, f"--socket={sock}", *bad],
@@ -230,12 +228,23 @@ def probe_flags(binary, workdir):
                  f"{proc.stdout!r}, want exit 2 before READY")
         if "usage:" not in proc.stderr:
             fail(f"flags: {bad} printed no usage text: {proc.stderr!r}")
+    proc = subprocess.run([binary, f"--socket={sock}"], capture_output=True,
+                          text=True, env=dict(env, ALIC_SCALE="smok"),
+                          timeout=30)
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 2 or "READY" in proc.stdout:
+        fail(f"flags: ALIC_SCALE=smok exited {proc.returncode} with stdout "
+             f"{proc.stdout!r}, want exit 2 before READY")
+    if len(lines) != 1 or "smoke|bench|paper" not in lines[0]:
+        fail(f"flags: ALIC_SCALE=smok wants one line naming "
+             f"smoke|bench|paper, got {proc.stderr!r}")
     daemon = Daemon(binary, sock, "", "flags",
                     extra_args=["--threads=auto"])
     daemon.must({"op": "ping"})
     daemon.shutdown()
-    print("serve_smoke: flag probe OK (bad numbers exit 2 with usage; "
-          "--threads=auto with an empty --state-dir= serves)")
+    print("serve_smoke: flag probe OK (bad numbers and unknown flags exit "
+          "2 with usage, an unknown scale exits 2; --threads=auto with an "
+          "empty --state-dir= serves)")
 
 
 def probe_uncreatable_state_dir(binary, workdir):
