@@ -48,24 +48,22 @@ PickOutcome pickOutcome(const SamplingPlan &Plan, bool Revisit,
 } // namespace
 
 ActiveLearner::ActiveLearner(const WorkloadOracle &Oracle,
-                             SurrogateModel &Model, Normalizer Norm,
-                             std::vector<Config> Pool, SamplingPlan Plan,
+                             SurrogateModel &Model, const Normalizer &Norm,
+                             const ConfigPool &Pool, SamplingPlan Plan,
                              ActiveLearnerConfig Cfg, Scheduler *Workers)
-    : Oracle(Oracle), Model(Model), Norm(std::move(Norm)),
-      Pool(std::move(Pool)), Plan(Plan), Cfg(Cfg),
+    : Model(Model), Pool(Pool), Plan(Plan), Cfg(Cfg),
       Prof(Oracle, hashCombine({Cfg.Seed, 0x50524f46ull})),
       Generator(Cfg.Seed), Workers(Workers),
       Policy(QueryPolicy::create(Cfg.Query)) {
-  assert(!this->Pool.empty() && "training pool must not be empty");
+  assert(!Pool.empty() && "training pool must not be empty");
+  assert(Pool.rows().dim() == Norm.numDims() &&
+         "pool rows were not derived with this normalizer");
+  (void)Norm;
   assert(Cfg.NumInitial >= 1 && "need at least one seed example");
   setScheduler(Workers);
-  Unseen.resize(this->Pool.size());
-  for (size_t I = 0; I != this->Pool.size(); ++I)
+  Unseen.resize(Pool.size());
+  for (size_t I = 0; I != Pool.size(); ++I)
     Unseen[I] = uint32_t(I);
-}
-
-std::vector<double> ActiveLearner::featuresOf(const Config &C) const {
-  return Norm.transform(Oracle.space().features(C));
 }
 
 bool ActiveLearner::done() const {
@@ -145,12 +143,13 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
         Candidates.size(), std::min<size_t>(Batch, Candidates.size()));
     Chosen = Order;
   } else {
-    // Candidate and reference features go straight into contiguous
-    // FlatRows buffers — the layout every surrogate scores from.
+    // Candidate and reference rows are copied from the pool's derived
+    // rows into contiguous FlatRows buffers — the layout every surrogate
+    // scores from.
     FlatRows CandFeatures;
     CandFeatures.reserveRows(Candidates.size());
     for (const Candidate &C : Candidates)
-      CandFeatures.push(featuresOf(Pool[C.PoolIdx]));
+      CandFeatures.push(Pool.row(C.PoolIdx));
 
     std::vector<double> Scores;
     if (Cfg.Scorer == ScorerKind::Alm) {
@@ -161,7 +160,7 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
       FlatRows Ref;
       Ref.reserveRows(NumRef);
       for (size_t Slot : Generator.sampleIndices(Pool.size(), NumRef))
-        Ref.push(featuresOf(Pool[Slot]));
+        Ref.push(Pool.row(Slot));
       Scores = Model.alcScores(CandFeatures, Ref, Ctx);
     }
 
@@ -199,7 +198,7 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
       const Candidate &C = Candidates[Pick];
       bool Label = true;
       if (Policy) {
-        Prediction P = Model.predict(featuresOf(Pool[C.PoolIdx]));
+        Prediction P = Model.predict(Pool.row(C.PoolIdx));
         QueryDecision D;
         D.Mean = P.Mean;
         D.Variance = P.Variance;
@@ -265,10 +264,9 @@ bool ActiveLearner::observe(uint64_t Ticket,
     FlatRows X;
     std::vector<double> Y;
     for (size_t I = 0; I != PendingIdx.size(); ++I) {
-      const Config &C = Pool[PendingIdx[I]];
       Stats.Observations += PerConfig;
       ++Stats.DistinctExamples;
-      X.push(featuresOf(C));
+      X.push(Pool.row(PendingIdx[I]));
       Y.push_back(arithmeticMean(Costs.data() + I * PerConfig, PerConfig));
       if (Policy)
         Policy->onLabel(Y.back());
@@ -288,7 +286,6 @@ bool ActiveLearner::observe(uint64_t Ticket,
     uint32_t PoolIdx = PendingIdx[Slot];
     bool Revisit = PendingRevisit[Slot] != 0;
     bool Labelled = PendingQueried.empty() || PendingQueried[Slot] != 0;
-    const Config &Conf = Pool[PoolIdx];
     PickOutcome O = [&] {
       if (!Labelled)
         return PickOutcome{!Revisit, false, Revisit};
@@ -304,13 +301,13 @@ bool ActiveLearner::observe(uint64_t Ticket,
       Cursor += PerConfig;
       Stats.Observations += PerConfig;
       ++Stats.DistinctExamples;
-      Model.update(featuresOf(Conf), Y);
+      Model.update(Pool.row(PoolIdx), Y);
       if (Policy)
         Policy->onLabel(Y);
     } else {
       double Y = Costs[Cursor++];
       ++Stats.Observations;
-      Model.update(featuresOf(Conf), Y);
+      Model.update(Pool.row(PoolIdx), Y);
       if (Policy)
         Policy->onLabel(Y);
       ++ObsCount[PoolIdx];

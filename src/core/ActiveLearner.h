@@ -45,8 +45,8 @@
 #include "core/QueryPolicy.h"
 #include "measure/Profiler.h"
 #include "model/SurrogateModel.h"
+#include "tunable/ConfigPool.h"
 #include "tunable/Normalizer.h"
-#include "tunable/ParamSpace.h"
 
 #include <cstdint>
 #include <memory>
@@ -172,21 +172,27 @@ struct Suggestion {
 /// function of its constructor arguments and the sequence of cost
 /// vectors passed to observe().
 ///
-/// **Ownership:** the oracle and model are borrowed and must outlive the
-/// learner; the pool and normalizer are copied in.
+/// **Ownership:** the oracle, model and pool are borrowed and must
+/// outlive the learner, at a fixed address.  The pool is normally a
+/// dataset's TrainPool (exp/Dataset.h), whose normalized rows the
+/// learner reads by pool index; many learners share one pool, so it is
+/// never copied, and the dataset must outlive every learner built on it.
 class ActiveLearner {
 public:
-  /// \p Pool is the set F of configurations available for training;
-  /// \p Norm maps raw feature vectors to model space.  The model must be
-  /// unfitted; seeding happens on the first step()/suggest().  When
+  /// \p Pool is the set F of configurations available for training,
+  /// with the feature rows the model is trained and scored on; \p Norm
+  /// is the normalizer those rows were derived with (the dataset's own —
+  /// the learner checks its width and keeps no reference).  The model
+  /// must be unfitted; seeding happens on the first step()/suggest().  When
   /// \p Workers is non-null, candidate scoring is sharded across it; the
   /// loop's results are bit-identical with or without a scheduler, at any
   /// worker count.  The loop itself may run inside a scheduler task (a
   /// campaign cell): its inner shards fork onto the same pool and idle
   /// workers steal them.
   ActiveLearner(const WorkloadOracle &Oracle, SurrogateModel &Model,
-                Normalizer Norm, std::vector<Config> Pool, SamplingPlan Plan,
-                ActiveLearnerConfig Cfg, Scheduler *Workers = nullptr);
+                const Normalizer &Norm, const ConfigPool &Pool,
+                SamplingPlan Plan, ActiveLearnerConfig Cfg,
+                Scheduler *Workers = nullptr);
 
   /// Runs one loop iteration (the first call performs the seeding phase)
   /// labelling Cfg.BatchSize examples.  Returns false when the completion
@@ -269,17 +275,12 @@ public:
   const Profiler &profiler() const { return Prof; }
   /// The surrogate being trained.
   SurrogateModel &model() { return Model; }
-  /// The feature normalizer examples are transformed through.
-  const Normalizer &normalizer() const { return Norm; }
 
 private:
-  std::vector<double> featuresOf(const Config &C) const;
   const Suggestion &suggestSeed();
 
-  const WorkloadOracle &Oracle;
   SurrogateModel &Model;
-  Normalizer Norm;
-  std::vector<Config> Pool;
+  const ConfigPool &Pool;
   SamplingPlan Plan;
   ActiveLearnerConfig Cfg;
   Profiler Prof;

@@ -61,6 +61,15 @@ void DynaTree::ensureMarginalTables(size_t MaxN) {
   for (size_t N = LogGammaAnTable.size(); N <= MaxN; ++N) {
     LogGammaAnTable.push_back(logGamma(Config.PriorShape + 0.5 * double(N)));
     LogKnTable.push_back(std::log(Config.PriorKappa + double(N)));
+    // Df spelled as posteriorOf() and logPredictive() spell it, and the
+    // normalizer as studentTPdf() does.
+    double Df = 2.0 * (Config.PriorShape + 0.5 * double(N));
+    LogStudentTNormTable.push_back(logGamma(0.5 * (Df + 1.0)) -
+                                   logGamma(0.5 * Df) -
+                                   0.5 * std::log(Df * M_PI));
+    double Pd = splitProbability(unsigned(N));
+    LogSplitTable.push_back(std::log(Pd));
+    Log1mSplitTable.push_back(std::log(1.0 - Pd));
   }
 }
 
@@ -109,12 +118,17 @@ static LeafPosterior posteriorOf(uint32_t N, double SumY, double SumY2,
 double DynaTree::logPredictive(const LeafStats &S, double Y) const {
   LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, Config.PriorKappa,
                                 Config.PriorShape, PriorScale, PriorMean);
-  // Student-t with df = 2*An, location Mn, scale^2 = Bn (Kn+1) / (An Kn).
+  // Student-t with df = 2*An, location Mn, scale^2 = Bn (Kn+1) / (An Kn):
+  // studentTPdf()'s arithmetic, with its count-only log normalizer read
+  // from the table.
+  assert(S.Count < LogStudentTNormTable.size() && "t tables not extended");
   double Df = 2.0 * P.An;
   double Scale2 = P.Bn * (P.Kn + 1.0) / (P.An * P.Kn);
   double Scale = std::sqrt(Scale2);
   double Z = (Y - P.Mn) / Scale;
-  return std::log(studentTPdf(Z, Df) / Scale);
+  double Pdf = std::exp(LogStudentTNormTable[S.Count] -
+                        0.5 * (Df + 1.0) * std::log1p(Z * Z / Df));
+  return std::log(Pdf / Scale);
 }
 
 Prediction DynaTree::leafPredictive(const LeafStats &S) const {
@@ -416,10 +430,9 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
   if (S.CanGrow && !S.Spread.empty()) {
     constexpr unsigned NumTries = 4;
     double BestL = -1e300;
-    double Pd = splitProbability(D);
-    double Pd1 = splitProbability(D + 1);
-    double PriorTerm = std::log(Pd) + 2.0 * std::log(1.0 - Pd1) -
-                       std::log(1.0 - Pd);
+    assert(D + 1 < LogSplitTable.size() && "split tables not extended");
+    double PriorTerm = LogSplitTable[D] + 2.0 * Log1mSplitTable[D + 1] -
+                       Log1mSplitTable[D];
     // Draw every (dimension, cut) proposal first, then score all of them
     // branchless (a predicated accumulate — random cuts mispredict ~50%
     // of data-dependent branches) over the packed columns.  Each try's
@@ -491,11 +504,10 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
       LeafStats Sib = leafStats(P, SiblingIdx);
       // Relative to stay, pruning trades the parent's split factor and the
       // two leaf marginals for one merged-leaf marginal; the leaf+new
-      // marginal shared with LStay cancels in the sampling ratio.
-      double PParent = splitProbability(D - 1);
-      double PHere = splitProbability(D);
-      LPrune = std::log(1.0 - PParent) - std::log(PParent) -
-               2.0 * std::log(1.0 - PHere) +
+      // marginal shared with LStay cancels in the sampling ratio.  A leaf
+      // with a parent has D >= 1.
+      LPrune = Log1mSplitTable[D - 1] - LogSplitTable[D - 1] -
+               2.0 * Log1mSplitTable[D] +
                logMarginal(Eff.Count + Sib.Count + 1, Eff.SumY + Sib.SumY + NewY,
                            Eff.SumY2 + Sib.SumY2 + NewY * NewY) -
                logMarginal(Sib.Count, Sib.SumY, Sib.SumY2);
@@ -702,6 +714,36 @@ void DynaTree::update(RowRef X, double Y) {
   ingest(PointIdx, /*Resample=*/true);
 }
 
+std::vector<size_t> DynaTree::runNodeBases() const {
+  size_t NumRuns = uniqueRunCount();
+  std::vector<size_t> Base(NumRuns + 1, 0);
+  for (size_t Run = 0; Run != NumRuns; ++Run)
+    Base[Run + 1] = Base[Run] + Particles[RunOffsets[Run]].T->Nodes.size();
+  return Base;
+}
+
+namespace {
+/// One leaf's contribution to the particle mixture: predict()'s three
+/// per-particle addends.
+struct LeafMoments {
+  double Mean = 0.0, Variance = 0.0, Mean2 = 0.0;
+};
+
+/// The mixture's mean and variance (law of total variance) from the
+/// per-particle sums; predict() and almScores() share it so their
+/// variances stay bitwise equal.
+Prediction mixtureOf(double MeanSum, double VarSum, double Mean2Sum,
+                     size_t NumParticles) {
+  double Np = double(NumParticles);
+  Prediction Out;
+  Out.Mean = MeanSum / Np;
+  Out.Variance = VarSum / Np + Mean2Sum / Np - Out.Mean * Out.Mean;
+  if (Out.Variance < 0.0)
+    Out.Variance = 0.0;
+  return Out;
+}
+} // namespace
+
 Prediction DynaTree::predict(RowRef X) const {
   assert(!Particles.empty() && "model not fitted");
   const double *Xp = X.data();
@@ -723,21 +765,54 @@ Prediction DynaTree::predict(RowRef X) const {
       Mean2Sum += Mean2;
     }
   }
-  double Np = double(Particles.size());
-  Prediction Out;
-  Out.Mean = MeanSum / Np;
-  Out.Variance = VarSum / Np + Mean2Sum / Np - Out.Mean * Out.Mean;
-  if (Out.Variance < 0.0)
-    Out.Variance = 0.0;
-  return Out;
+  return mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size());
 }
 
 std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
                                         const ScoreContext &Ctx) const {
   assert(!Particles.empty() && "model not fitted");
-  // Sharded predict() per candidate — predict() itself dedupes by unique
-  // run; this override only adds the instrumentation accounting.
-  std::vector<double> Scores = SurrogateModel::almScores(Candidates, Ctx);
+  // predict()'s variance per candidate.  A leaf's moments do not depend
+  // on the candidate, so they are computed once per (run, live leaf) into
+  // one flat table; a candidate then walks each run's tree and adds the
+  // looked-up moments per alias in particle order — predict()'s addends
+  // in predict()'s order.  Dead nodes (pruned children) are unreachable
+  // and keep their zero entries.
+  size_t NumGroups = uniqueRunCount();
+  std::vector<size_t> Base = runNodeBases();
+  std::vector<LeafMoments> Table(Base[NumGroups]);
+  shardedFor(Ctx.Pool, NumGroups, 8, [&](size_t, size_t Begin, size_t End) {
+    for (size_t G = Begin; G != End; ++G) {
+      const Particle &P = Particles[RunOffsets[G]];
+      const std::vector<Node> &Nodes = P.T->Nodes;
+      for (size_t I = 0; I != Nodes.size(); ++I) {
+        if (Nodes[I].Left >= 0 || (I != 0 && Nodes[I].Parent < 0))
+          continue;
+        Prediction LeafP = leafPredictive(leafStats(P, int32_t(I)));
+        Table[Base[G] + I] = {LeafP.Mean, LeafP.Variance,
+                              LeafP.Mean * LeafP.Mean};
+      }
+    }
+  });
+
+  std::vector<double> Scores(Candidates.size());
+  shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
+             [&](size_t, size_t Begin, size_t End) {
+    for (size_t C = Begin; C != End; ++C) {
+      const double *Row = Candidates.row(C);
+      double MeanSum = 0.0, VarSum = 0.0, Mean2Sum = 0.0;
+      for (size_t G = 0; G != NumGroups; ++G) {
+        const Particle &P = Particles[RunOffsets[G]];
+        const LeafMoments &L = Table[Base[G] + size_t(findLeaf(*P.T, Row))];
+        for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I) {
+          MeanSum += L.Mean;
+          VarSum += L.Variance;
+          Mean2Sum += L.Mean2;
+        }
+      }
+      Scores[C] =
+          mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size()).Variance;
+    }
+  });
   if (Ctx.Stats) {
     Ctx.Stats->CandidatesScored.fetch_add(Candidates.size(),
                                           std::memory_order_relaxed);
@@ -757,20 +832,27 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
   assert(!Particles.empty() && "model not fitted");
   // Each candidate's score is the particle average of refCount(leaf) *
   // expected variance drop — the closed form of Cohn's ALC under constant
-  // leaves.  The reference occupancy of every tree's leaves is
-  // candidate-independent, so it is computed once up front (one disjoint
-  // write per unique run — aliases share the counts); candidates then
+  // leaves.  That term depends on the run and the leaf only, so the
+  // reference pass computes it once per (run, leaf holding a reference
+  // point) into one flat table (one disjoint slice per unique run —
+  // aliases share it).  Candidates then look their leaf's term up and
   // accumulate over particles in index order, repeating each run's term
   // per alias, which matches a per-particle summation bit-for-bit.
   size_t Np = Particles.size();
   size_t NumGroups = uniqueRunCount();
-  std::vector<std::vector<uint32_t>> RefCounts(NumGroups);
+  std::vector<size_t> Base = runNodeBases();
+  std::vector<double> Terms(Base[NumGroups], 0.0);
   shardedFor(Ctx.Pool, NumGroups, 8, [&](size_t, size_t Begin, size_t End) {
     for (size_t G = Begin; G != End; ++G) {
       const Particle &P = Particles[RunOffsets[G]];
-      RefCounts[G].assign(P.T->Nodes.size(), 0);
+      double *Term = Terms.data() + Base[G];
+      // Count first (exact in a double), then scale each occupied leaf:
+      // Count * leafVarianceDrop, the per-(candidate, run) product.
       for (size_t R = 0; R != Reference.size(); ++R)
-        ++RefCounts[G][size_t(findLeaf(*P.T, Reference.row(R)))];
+        Term[size_t(findLeaf(*P.T, Reference.row(R)))] += 1.0;
+      for (size_t I = 0; I != P.T->Nodes.size(); ++I)
+        if (Term[I] != 0.0)
+          Term[I] *= leafVarianceDrop(leafStats(P, int32_t(I)));
     }
   });
 
@@ -782,11 +864,11 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
       double Total = 0.0;
       for (size_t G = 0; G != NumGroups; ++G) {
         const Particle &P = Particles[RunOffsets[G]];
-        int32_t Leaf = findLeaf(*P.T, Row);
-        uint32_t Count = RefCounts[G][size_t(Leaf)];
-        if (Count == 0)
+        double Term = Terms[Base[G] + size_t(findLeaf(*P.T, Row))];
+        // No reference point in the leaf.  (A zero product would add
+        // nothing either: Total starts at +0.0 and never becomes -0.0.)
+        if (Term == 0.0)
           continue;
-        double Term = double(Count) * leafVarianceDrop(leafStats(P, Leaf));
         for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I)
           Total += Term;
       }

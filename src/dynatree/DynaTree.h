@@ -60,6 +60,16 @@
 ///    at a fraction of the walks.  The same index lets propagate() reuse
 ///    its packed grow-scan gather across consecutive aliases.
 ///
+///  * **Scoring from per-leaf tables.**  A leaf's ALC term (reference
+///    count times expected variance drop) and its ALM moments depend on
+///    the run and the leaf, never on the candidate.  alcScores() and
+///    almScores() fill one flat (run, leaf) table per call, then a
+///    candidate costs one leaf walk and one lookup per run.  The SMC
+///    moves read the split prior and the Student-t normalizer from
+///    depth- and count-indexed tables.  Every table entry is the exact
+///    expression the direct call evaluates, so scores and updates are
+///    bitwise unchanged.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIC_DYNATREE_DYNATREE_H
@@ -235,8 +245,12 @@ private:
   /// Expected drop in a leaf's predictive variance from one extra sample.
   double leafVarianceDrop(const LeafStats &S) const;
 
-  /// p_split at \p Depth.
+  /// p_split at \p Depth; only ensureMarginalTables() evaluates it.
   double splitProbability(unsigned Depth) const;
+
+  /// Start of each unique run's slice in a flat per-(run, node) table:
+  /// run R's nodes occupy [Base[R], Base[R + 1]).
+  std::vector<size_t> runNodeBases() const;
 
   /// Gives \p P sole ownership of its tree with all pending points
   /// flushed: in place when already unique, by cloning when shared.
@@ -302,9 +316,11 @@ private:
   /// count nor particle scheduling order can perturb the draws.
   Rng particleRng(uint64_t Step, size_t Index) const;
 
-  /// Extends the count-indexed logMarginal term tables to cover leaf
-  /// counts up to \p MaxN.  Called single-threaded (fit/update) before
-  /// any parallel phase reads them.
+  /// Extends the count-indexed logMarginal and Student-t tables to leaf
+  /// counts up to \p MaxN, and the depth-indexed split-prior tables to
+  /// depths up to \p MaxN (a depth-d leaf holds at least d + 1 points).
+  /// Called single-threaded (fit/update) before any parallel phase reads
+  /// them.
   void ensureMarginalTables(size_t MaxN);
 
   DynaTreeConfig Config;
@@ -321,6 +337,12 @@ private:
   // exact values the direct evaluation would produce (bit-identical).
   std::vector<double> LogGammaAnTable; ///< logGamma(A0 + 0.5 * N)
   std::vector<double> LogKnTable;      ///< log(K0 + N)
+  /// Student-t log normalizer at Df = 2 (A0 + 0.5 N), the degrees of
+  /// freedom of a leaf holding N points (logPredictive()).
+  std::vector<double> LogStudentTNormTable;
+  // The split prior by depth d, for propagate()'s grow and prune terms.
+  std::vector<double> LogSplitTable;   ///< log(p_split(d))
+  std::vector<double> Log1mSplitTable; ///< log(1 - p_split(d))
   double LogGammaA0 = 0.0;
   double LogB0 = 0.0;
   double LogK0 = 0.0;

@@ -70,7 +70,7 @@ void serializeDataset(const Dataset &D, ByteWriter &W) {
   }
   W.writeDoubles(Means);
   W.writeDoubles(Stds);
-  writeConfigs(W, D.TrainPool);
+  writeConfigs(W, D.TrainPool.configs());
   writeConfigs(W, D.TestConfigs);
   W.writeU64(D.TestFeatures.size());
   for (const std::vector<double> &Row : D.TestFeatures)
@@ -88,8 +88,8 @@ bool deserializeDataset(ByteReader &R, const ParamSpace &Space, Dataset &D) {
     if (!(Sd > 0.0))
       return false;
   D.Norm = Normalizer::fromMoments(std::move(Means), std::move(Stds));
-  if (!readConfigs(R, Space, D.TrainPool) ||
-      !readConfigs(R, Space, D.TestConfigs))
+  std::vector<Config> Train;
+  if (!readConfigs(R, Space, Train) || !readConfigs(R, Space, D.TestConfigs))
     return false;
   uint64_t NumRows;
   if (!R.readU64(NumRows) || NumRows > R.remaining() / 8)
@@ -102,8 +102,12 @@ bool deserializeDataset(ByteReader &R, const ParamSpace &Space, Dataset &D) {
   if (!R.readDoubles(D.TestMeans))
     return false;
   // Cross-field sanity: the blob must describe one coherent dataset.
-  return R.ok() && R.atEnd() && D.TestFeatures.size() == D.TestConfigs.size() &&
-         D.TestMeans.size() == D.TestConfigs.size();
+  if (!R.ok() || !R.atEnd() || D.TestFeatures.size() != D.TestConfigs.size() ||
+      D.TestMeans.size() != D.TestConfigs.size())
+    return false;
+  // The pool rows are not stored: derive them as buildDataset() does.
+  D.TrainPool = ConfigPool(std::move(Train), Space, D.Norm);
+  return true;
 }
 
 } // namespace
@@ -126,7 +130,8 @@ Dataset alic::buildDataset(const SpaptBenchmark &B, size_t NumConfigs,
     RawFeatures.push_back(Space.features(C));
   D.Norm = Normalizer::fit(RawFeatures);
 
-  D.TrainPool.assign(All.begin(), All.begin() + NumTrain);
+  D.TrainPool = ConfigPool({All.begin(), All.begin() + NumTrain}, Space,
+                           D.Norm);
   D.TestConfigs.assign(All.begin() + NumTrain, All.end());
 
   // Test labels: observed means over MeanObservations noisy runs, using a

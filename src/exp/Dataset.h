@@ -12,12 +12,19 @@
 /// harness would measure it); split into a training pool and a held-out
 /// test set; z-score the features.
 ///
+/// The training pool carries its normalized feature rows (a ConfigPool),
+/// derived once per dataset — when it is built and when it is loaded
+/// from the cache — and borrowed by every learner trained on it.  A
+/// dataset must therefore outlive, and stay in place under, every
+/// ActiveLearner and serve session built on it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIC_EXP_DATASET_H
 #define ALIC_EXP_DATASET_H
 
 #include "spapt/Benchmark.h"
+#include "tunable/ConfigPool.h"
 #include "tunable/Normalizer.h"
 
 #include <cstdint>
@@ -28,7 +35,7 @@ namespace alic {
 
 /// One benchmark's sampled dataset.
 struct Dataset {
-  std::vector<Config> TrainPool;               ///< configurations for AL
+  ConfigPool TrainPool;                        ///< configurations for AL
   std::vector<Config> TestConfigs;             ///< held-out configurations
   std::vector<std::vector<double>> TestFeatures; ///< normalized
   std::vector<double> TestMeans;               ///< observed mean runtimes

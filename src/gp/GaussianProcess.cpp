@@ -303,50 +303,65 @@ std::vector<double> GaussianProcess::alcScores(const FlatRows &Candidates,
     return alcScoresSor(Candidates, Reference, Ctx);
   assert(Factor && "GP not fitted");
   // Exact GP ALC: adding candidate x reduces Var(ref r) by
-  //   cov(r, x | data)^2 / (var(x | data) + noise).
+  //   cov(r, x | data)^2 / (var(x | data) + noise),
+  // computed in forward-solve form: with v = L^-1 k(., data),
+  //   var(x | data)    = s - v_x . v_x   and
+  //   cov(r, x | data) = k(r, x) - v_r . v_x.
   size_t N = Alpha.size(); // fitted prefix (see predictExact())
+  size_t NumRef = Reference.size();
 
-  // The reference-to-data kernel rows are candidate-independent; computing
-  // them once turns the hot loop from O(nc * nr * n) kernel evaluations
-  // into O(nr * n), and each row is an independent write, so the sharded
-  // and sequential paths agree bitwise.
-  Matrix RefK(Reference.size(), N);
-  shardedFor(Ctx.Pool, Reference.size(), Ctx.ShardSize,
-             [&](size_t, size_t Begin, size_t End) {
-               for (size_t R = Begin; R != End; ++R)
-                 kernelRow(DataX, Reference[R], &RefK.at(R, 0), N);
-             });
+  // v_r per reference is candidate-independent: kernel rows and one
+  // batched forward solve per reference shard, each row an independent
+  // write, so the sharded and sequential paths agree bitwise.  The
+  // vectors are then copied i-major (RefVT[I * NumRef + R] = v_r[I]) so
+  // the cross term below runs its inner loop across references.
+  std::vector<double> RefVT(N * NumRef);
+  {
+    std::vector<double> RefV(NumRef * N);
+    shardedFor(Ctx.Pool, NumRef, Ctx.ShardSize,
+               [&](size_t, size_t Begin, size_t End) {
+                 for (size_t R = Begin; R != End; ++R)
+                   kernelRow(DataX, Reference[R], RefV.data() + R * N, N);
+                 Factor->solveLowerManyInPlace(RefV.data() + Begin * N,
+                                               End - Begin);
+               });
+    for (size_t R = 0; R != NumRef; ++R)
+      for (size_t I = 0; I != N; ++I)
+        RefVT[I * NumRef + R] = RefV[R * N + I];
+  }
 
   // Candidates are scored in fixed-grid shards; each shard batches its
-  // kernel rows through one blocked multi-RHS solve, and every
-  // candidate's inner loops then run in the same order as the sequential
-  // per-candidate implementation, so the scores are bit-identical at any
-  // thread count.
+  // kernel rows through one blocked forward solve.  Every Cov[R] takes
+  // its addends in index order I whichever loop runs outermost, so the
+  // scores are bit-identical at any thread count.
   std::vector<double> Scores(Candidates.size(), 0.0);
   shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
-    thread_local std::vector<double> KxBuf, WxBuf;
+    thread_local std::vector<double> VxBuf, Cov;
     size_t Num = End - Begin;
-    KxBuf.resize(Num * N);
+    VxBuf.resize(Num * N);
+    Cov.resize(NumRef);
     for (size_t C = Begin; C != End; ++C)
-      kernelRow(DataX, Candidates[C], KxBuf.data() + (C - Begin) * N, N);
-    WxBuf.assign(KxBuf.begin(), KxBuf.begin() + Num * N);
-    Factor->solveManyInPlace(WxBuf.data(), Num);
+      kernelRow(DataX, Candidates[C], VxBuf.data() + (C - Begin) * N, N);
+    Factor->solveLowerManyInPlace(VxBuf.data(), Num);
     for (size_t C = Begin; C != End; ++C) {
       RowRef X = Candidates[C];
-      const double *Kx = KxBuf.data() + (C - Begin) * N;
-      const double *Wx = WxBuf.data() + (C - Begin) * N;
+      const double *Vx = VxBuf.data() + (C - Begin) * N;
       double VarX = Params.SignalVariance;
       for (size_t I = 0; I != N; ++I)
-        VarX -= Kx[I] * Wx[I];
+        VarX -= Vx[I] * Vx[I];
       VarX = std::max(VarX, 1e-12) + Params.NoiseVariance;
-      double Total = 0.0;
-      for (size_t R = 0; R != Reference.size(); ++R) {
-        double Cov = kernel(Reference[R], X);
-        for (size_t I = 0; I != N; ++I)
-          Cov -= RefK.at(R, I) * Wx[I];
-        Total += Cov * Cov / VarX;
+      for (size_t R = 0; R != NumRef; ++R)
+        Cov[R] = kernel(Reference[R], X);
+      for (size_t I = 0; I != N; ++I) {
+        const double *Col = RefVT.data() + I * NumRef;
+        double V = Vx[I];
+        for (size_t R = 0; R != NumRef; ++R)
+          Cov[R] -= Col[R] * V;
       }
+      double Total = 0.0;
+      for (size_t R = 0; R != NumRef; ++R)
+        Total += Cov[R] * Cov[R] / VarX;
       Scores[C] = Total;
     }
   });

@@ -23,7 +23,10 @@
 ///    extension reproduces factorize()'s arithmetic bit-for-bit.  The
 ///    full refit — the cost the paper's Section 3.2 attributes to GPs —
 ///    is still what hyperparameter re-optimization pays;
-///    bench_ablation_model_cost times refit() against update().
+///    bench_ablation_model_cost times refit() against update().  ALC
+///    scores in forward-solve form: v = L^-1 k by batched forward
+///    substitution, then var(x) = s - v_x.v_x and
+///    cov(r, x) = k(r, x) - v_r.v_x, with no back substitution.
 ///
 ///  * SoR — subset of regressors (Quinonero-Candela & Rasmussen 2005):
 ///    inference through the m x m projected system
@@ -138,6 +141,10 @@ public:
   void refit();
 
 private:
+  /// The back-substitution ALC in tests/gp_test.cpp, which the
+  /// forward-solve alcScores() must match to rounding.
+  friend class GpBackSubstitutionReference;
+
   double kernel(RowRef A, RowRef B) const;
   /// Fills Out[0..Num) with kernel(X, Rows[I]) — the one kernel-row
   /// loop every batched path shares.

@@ -200,10 +200,23 @@ uint64_t doubleBits(double Value) {
 
 } // namespace
 
+/// One dataset and the benchmark it samples, shared by every session on
+/// that (benchmark, scale, dataset seed).  The first caller builds both
+/// outside every engine lock; concurrent callers for the same key wait on
+/// Built, callers for other keys do not wait at all.  Both are immutable
+/// once built: the learners read the benchmark through const calls only
+/// and borrow the dataset's pool rows.
+struct ServeEngine::DatasetEntry {
+  std::once_flag Built;
+  std::unique_ptr<const SpaptBenchmark> Bench;
+  Dataset Data;
+};
+
 struct ServeEngine::Session {
   SessionSpec Spec;
-  std::unique_ptr<SpaptBenchmark> Bench;
-  std::shared_ptr<const Dataset> Data;
+  /// Declared before the learner, which borrows the entry's benchmark
+  /// and pool, so it is destroyed after it.
+  std::shared_ptr<const DatasetEntry> Entry;
   std::unique_ptr<SurrogateModel> Model;
   std::unique_ptr<ActiveLearner> Learner;
   double TotalCostSeconds = 0.0;
@@ -247,24 +260,30 @@ std::string ServeEngine::logPath(const std::string &Id) const {
   return Opts.StateDir + "/sess-" + Id + ".alsv";
 }
 
-std::shared_ptr<const Dataset>
+std::shared_ptr<const ServeEngine::DatasetEntry>
 ServeEngine::datasetFor(const SessionSpec &Spec) {
-  // Keyed on everything buildDataset consumes; called under EngineMutex.
+  // Keyed on everything buildDataset consumes.  Only the slot lookup
+  // holds a lock; the build runs outside it, once per key.
   const ExperimentScale &S = Spec.Scale;
   std::string Key = Spec.Benchmark + "|" + std::to_string(S.NumConfigs) +
                     "|" + std::to_string(doubleBits(S.TrainFraction)) + "|" +
                     std::to_string(S.MeanObservations) + "|" +
                     std::to_string(Spec.DatasetSeed);
-  auto It = Datasets.find(Key);
-  if (It != Datasets.end())
-    return It->second;
-  auto B = createSpaptBenchmark(Spec.Benchmark);
-  auto D = std::make_shared<Dataset>(
-      loadOrBuildDataset(*B, S.NumConfigs, S.TrainFraction,
-                         S.MeanObservations, Spec.DatasetSeed,
-                         Opts.DatasetCacheDir));
-  Datasets.emplace(Key, D);
-  return D;
+  std::shared_ptr<DatasetEntry> Entry;
+  {
+    std::lock_guard<std::mutex> Lock(DatasetsMutex);
+    std::shared_ptr<DatasetEntry> &Slot = Datasets[Key];
+    if (!Slot)
+      Slot = std::make_shared<DatasetEntry>();
+    Entry = Slot;
+  }
+  std::call_once(Entry->Built, [&] {
+    Entry->Bench = createSpaptBenchmark(Spec.Benchmark);
+    Entry->Data = loadOrBuildDataset(*Entry->Bench, S.NumConfigs,
+                                     S.TrainFraction, S.MeanObservations,
+                                     Spec.DatasetSeed, Opts.DatasetCacheDir);
+  });
+  return Entry;
 }
 
 std::shared_ptr<ServeEngine::Session>
@@ -276,8 +295,7 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   }
   auto S = std::make_shared<Session>();
   S->Spec = Spec;
-  S->Bench = createSpaptBenchmark(Spec.Benchmark);
-  S->Data = datasetFor(Spec);
+  S->Entry = datasetFor(Spec);
   S->Model = makeSurrogateModel(Spec.Model, Spec.Scale, Spec.Seed);
 
   ActiveLearnerConfig Cfg;
@@ -286,9 +304,10 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   Cfg.BatchSize = std::max(1u, Spec.BatchSize);
   Cfg.Seed = Spec.Seed;
   Cfg.Query = Spec.Query;
+  const Dataset &D = S->Entry->Data;
   S->Learner = std::make_unique<ActiveLearner>(
-      *S->Bench, *S->Model, S->Data->Norm, S->Data->TrainPool, Spec.Plan,
-      Cfg, Sched.get());
+      *S->Entry->Bench, *S->Model, D.Norm, D.TrainPool, Spec.Plan, Cfg,
+      Sched.get());
   return S;
 }
 
@@ -305,13 +324,24 @@ bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
     Err = "invalid session id (want 1-64 chars of [A-Za-z0-9._-])";
     return false;
   }
-  std::lock_guard<std::mutex> Lock(EngineMutex);
-  if (Sessions.count(Id)) {
+  auto Exists = [&] {
+    if (!Sessions.count(Id))
+      return false;
     Err = "session '" + Id + "' already exists";
-    return false;
+    return true;
+  };
+  {
+    std::lock_guard<std::mutex> Lock(EngineMutex);
+    if (Exists())
+      return false;
   }
+  // Built outside EngineMutex: the first open of a benchmark builds its
+  // dataset without blocking calls on other sessions.
   std::shared_ptr<Session> S = buildSession(Spec, Err);
   if (!S)
+    return false;
+  std::lock_guard<std::mutex> Lock(EngineMutex);
+  if (Exists()) // opened concurrently while this one was built
     return false;
   if (!Opts.StateDir.empty()) {
     // The header, written once and atomically: a log either has it or
@@ -416,7 +446,7 @@ bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
     Err = "session has no model yet (still exploring)";
     return false;
   }
-  const Dataset &D = *S->Data;
+  const Dataset &D = S->Entry->Data;
   size_t NumEval = std::min(S->Spec.Scale.TestSubset, D.TestFeatures.size());
   if (NumEval == 0) {
     Err = "empty test subset";
@@ -539,11 +569,15 @@ bool ServeEngine::restoreSession(const std::string &Path) {
   if (!St.ok() || !Header)
     return false;
 
-  std::lock_guard<std::mutex> Lock(EngineMutex);
+  {
+    std::lock_guard<std::mutex> Lock(EngineMutex);
+    if (Sessions.count(Id))
+      return false; // restored already
+  }
   std::string Err;
-  std::shared_ptr<Session> S;
-  if (Sessions.count(Id) || !(S = buildSession(Spec, Err)))
-    return false; // restored already, or an unknown benchmark
+  std::shared_ptr<Session> S = buildSession(Spec, Err);
+  if (!S)
+    return false; // an unknown benchmark
   // Replay: state is a pure function of (spec, cost sequence), so
   // driving the recorded costs through the deterministic loop lands
   // exactly where the previous process stood.  Each record must answer
@@ -557,8 +591,8 @@ bool ServeEngine::restoreSession(const std::string &Path) {
     for (double C : Costs)
       S->TotalCostSeconds += C;
   }
-  Sessions.emplace(Id, std::move(S));
-  return true;
+  std::lock_guard<std::mutex> Lock(EngineMutex);
+  return Sessions.emplace(Id, std::move(S)).second;
 }
 
 size_t ServeEngine::sessionCount() const {

@@ -37,6 +37,9 @@
 /// observes the session as closed).  A session's learner additionally
 /// fans its internal work out across the shared scheduler (nested
 /// parallelism — safe because inner shards never take session locks).
+/// Sessions on one (benchmark, scale, dataset seed) share one immutable
+/// dataset and benchmark object, built once per key outside the session
+/// table's mutex, so the first open of a benchmark blocks no other call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,10 +190,13 @@ public:
 
 private:
   struct Session;
+  struct DatasetEntry;
 
   bool validId(const std::string &Id) const;
   std::string logPath(const std::string &Id) const;
-  std::shared_ptr<const Dataset> datasetFor(const SessionSpec &Spec);
+  /// The shared dataset and benchmark of \p Spec, built on first use
+  /// without holding EngineMutex.
+  std::shared_ptr<const DatasetEntry> datasetFor(const SessionSpec &Spec);
   std::shared_ptr<Session> buildSession(const SessionSpec &Spec,
                                         std::string &Err);
   /// Restores the session logged at \p Path; false when it is skipped.
@@ -206,8 +212,10 @@ private:
   mutable std::mutex EngineMutex;
   std::map<std::string, std::shared_ptr<Session>> Sessions;
   /// In-memory dataset cache keyed by (benchmark, scale, dataset seed);
-  /// 10k sessions over one benchmark share one dataset.
-  std::map<std::string, std::shared_ptr<const Dataset>> Datasets;
+  /// 10k sessions over one benchmark share one dataset, one pool view
+  /// and one benchmark object.  DatasetsMutex guards only the map.
+  std::mutex DatasetsMutex;
+  std::map<std::string, std::shared_ptr<DatasetEntry>> Datasets;
 };
 
 } // namespace alic

@@ -91,7 +91,7 @@ TEST(ActiveLearnerTest, SequentialNeverExceedsObservationCap) {
   // Seed examples receive InitObservations up front (they are never
   // revisited); every loop-selected example must respect the cap.
   size_t OverCap = 0;
-  for (const Config &C : F.D.TrainPool) {
+  for (const Config &C : F.D.TrainPool.configs()) {
     unsigned N = L.profiler().observationCount(C);
     if (N > Cap) {
       EXPECT_EQ(N, Cfg.InitObservations) << F.B->space().toString(C);

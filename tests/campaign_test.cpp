@@ -202,7 +202,7 @@ TEST(CampaignTest, DatasetCacheReturnsBitIdenticalDatasets) {
   Dataset Hit = loadOrBuildDataset(*B, 200, 0.6, 5, 11, CacheDir);
 
   for (const Dataset *D : {&Miss, &Hit}) {
-    EXPECT_EQ(D->TrainPool, Fresh.TrainPool);
+    EXPECT_EQ(D->TrainPool.configs(), Fresh.TrainPool.configs());
     EXPECT_EQ(D->TestConfigs, Fresh.TestConfigs);
     EXPECT_EQ(D->TestFeatures, Fresh.TestFeatures);
     EXPECT_EQ(D->TestMeans, Fresh.TestMeans);

@@ -1,12 +1,14 @@
 //===- tests/dynatree_test.cpp - dynamic-tree model tests -----*- C++ -*-===//
 
 #include "dynatree/DynaTree.h"
+#include "stats/Distributions.h"
 #include "support/Rng.h"
 #include "support/Scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 using namespace alic;
@@ -69,6 +71,63 @@ public:
     return Scores;
   }
 
+  /// Particles deferring at least one "stay" absorption.
+  size_t particlesWithPendingStays() const {
+    size_t Count = 0;
+    for (const DynaTree::Particle &P : M.Particles)
+      Count += P.NumPending != 0;
+    return Count;
+  }
+
+  /// Extends \p Model's depth- and count-indexed tables to \p MaxN.
+  static void extendTables(DynaTree &Model, size_t MaxN) {
+    Model.ensureMarginalTables(MaxN);
+  }
+
+  /// The tables' entries at depth or count \p I, and the expressions the
+  /// SMC moves evaluated before the tables existed.
+  double logSplit(size_t I) const { return M.LogSplitTable.at(I); }
+  double log1mSplit(size_t I) const { return M.Log1mSplitTable.at(I); }
+  double logStudentTNorm(size_t I) const {
+    return M.LogStudentTNormTable.at(I);
+  }
+  double directLogSplit(unsigned D) const {
+    return std::log(M.splitProbability(D));
+  }
+  double directLog1mSplit(unsigned D) const {
+    return std::log(1.0 - M.splitProbability(D));
+  }
+  /// studentTPdf()'s log normalizer at a leaf of \p N points, with Df
+  /// spelled as the posterior spells it.
+  double directLogStudentTNorm(uint32_t N) const {
+    double An = M.Config.PriorShape + 0.5 * double(N);
+    double Df = 2.0 * An;
+    return logGamma(0.5 * (Df + 1.0)) - logGamma(0.5 * Df) -
+           0.5 * std::log(Df * M_PI);
+  }
+
+  /// logPredictive() of the model, and as it read before the Student-t
+  /// table: the leaf posterior followed by a direct studentTPdf() call.
+  double logPredictive(uint32_t N, double SumY, double SumY2, double Y) const {
+    return M.logPredictive({N, SumY, SumY2}, Y);
+  }
+  double directLogPredictive(uint32_t N, double SumY, double SumY2,
+                             double Y) const {
+    double K0 = M.Config.PriorKappa, A0 = M.Config.PriorShape;
+    double B0 = M.PriorScale, M0 = M.PriorMean;
+    double Nd = double(N);
+    double Mean = N ? SumY / Nd : 0.0;
+    double Ss = N ? std::max(0.0, SumY2 - Nd * Mean * Mean) : 0.0;
+    double Kn = K0 + Nd;
+    double Mn = (K0 * M0 + SumY) / Kn;
+    double An = A0 + 0.5 * Nd;
+    double Bn = B0 + 0.5 * Ss + 0.5 * K0 * Nd * (Mean - M0) * (Mean - M0) / Kn;
+    double Df = 2.0 * An;
+    double Scale = std::sqrt(Bn * (Kn + 1.0) / (An * Kn));
+    double Z = (Y - Mn) / Scale;
+    return std::log(studentTPdf(Z, Df) / Scale);
+  }
+
 private:
   const DynaTree &M;
 };
@@ -86,6 +145,13 @@ DynaTreeConfig smallConfig(unsigned Particles = 120, uint64_t Seed = 3) {
 
 /// Step function in 1D: 0 below 0, 5 above.
 double stepFn(double X) { return X < 0.0 ? 0.0 : 5.0; }
+
+/// The raw bits of \p V: EXPECT_EQ on these is bitwise equality.
+uint64_t bits(double V) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof(B));
+  return B;
+}
 
 } // namespace
 
@@ -411,14 +477,23 @@ TEST(DynaTreeTest, ThreadedLearningMatchesSerialUnderResampling) {
 
 TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
   // The unique-run contract: predict/almScores/alcScores walk each
-  // (tree, pending) run once and repeat the accumulation per alias, so
-  // they must be *bit-identical* to the naive per-particle reference —
-  // serially, across worker counts, and under varied steal seeds.
+  // (tree, pending) run once and repeat the accumulation per alias, and
+  // the scorers read each run's leaf terms from a per-(run, leaf) table,
+  // so they must be *bit-identical* to the naive per-particle reference
+  // — serially, across worker counts, and under varied steal seeds.  Two
+  // states: a long sequential run, and one a few updates after the seed
+  // batch, where particles still carry deferred "stay" absorptions that
+  // the tables must fold into their leaves.
   Scenario S(260);
   DynaTreeConfig C = smallConfig(250, 13);
-  DynaTree M(C);
-  S.drive(M);
-  ASSERT_GT(M.duplicateFraction(), 0.0) << "scenario never aliased a tree";
+  DynaTree Long(C), Pending(C);
+  S.drive(Long);
+  ASSERT_GT(Long.duplicateFraction(), 0.0) << "scenario never aliased a tree";
+  Pending.fit({S.X.begin(), S.X.begin() + 40}, {S.Y.begin(), S.Y.begin() + 40});
+  for (size_t I = 40; I != 45; ++I)
+    Pending.update(S.X[I], S.Y[I]);
+  ASSERT_GT(DynaTreeNaiveReference(Pending).particlesWithPendingStays(), 0u)
+      << "no particle defers a stay";
 
   FlatRows Cands;
   Rng R(23);
@@ -426,31 +501,73 @@ TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
     Cands.push({R.nextUniform(-1, 1), R.nextUniform(-1, 1)});
   FlatRows Ref(S.X.begin(), S.X.begin() + 60);
 
-  // Naive reference on the very same ensemble state.
-  DynaTreeNaiveReference Naive(M);
-  Prediction WantP = Naive.predict({0.3, -0.4});
-  std::vector<double> WantAlm = Naive.almScores(Cands);
-  std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
+  for (const DynaTree *M : {&Long, &Pending}) {
+    const char *State = M == &Long ? "long run" : "pending stays";
+    // Naive reference on the very same ensemble state.
+    DynaTreeNaiveReference Naive(*M);
+    Prediction WantP = Naive.predict({0.3, -0.4});
+    std::vector<double> WantAlm = Naive.almScores(Cands);
+    std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
 
-  Prediction GotP = M.predict({0.3, -0.4});
-  EXPECT_EQ(WantP.Mean, GotP.Mean);
-  EXPECT_EQ(WantP.Variance, GotP.Variance);
-  EXPECT_EQ(WantAlm, M.almScores(Cands));
-  EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref));
+    Prediction GotP = M->predict({0.3, -0.4});
+    EXPECT_EQ(WantP.Mean, GotP.Mean) << State;
+    EXPECT_EQ(WantP.Variance, GotP.Variance) << State;
+    EXPECT_EQ(WantAlm, M->almScores(Cands)) << State;
+    EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref)) << State;
 
-  for (uint64_t StealSeed : {0x57ea1ull, 0xfeedull}) {
-    for (unsigned Threads : {1u, 8u}) {
-      Scheduler::Options O;
-      O.Threads = Threads;
-      O.StealSeed = StealSeed;
-      Scheduler Pool(O);
-      ScoreContext Ctx;
-      Ctx.Pool = &Pool;
-      EXPECT_EQ(WantAlm, M.almScores(Cands, Ctx))
-          << Threads << " threads, steal seed " << StealSeed;
-      EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref, Ctx))
-          << Threads << " threads, steal seed " << StealSeed;
+    for (uint64_t StealSeed : {0x57ea1ull, 0xfeedull}) {
+      for (unsigned Threads : {1u, 8u}) {
+        Scheduler::Options O;
+        O.Threads = Threads;
+        O.StealSeed = StealSeed;
+        Scheduler Pool(O);
+        ScoreContext Ctx;
+        Ctx.Pool = &Pool;
+        EXPECT_EQ(WantAlm, M->almScores(Cands, Ctx))
+            << State << ", " << Threads << " threads, steal seed "
+            << StealSeed;
+        EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref, Ctx))
+            << State << ", " << Threads << " threads, steal seed "
+            << StealSeed;
+      }
     }
+  }
+}
+
+TEST(DynaTreeTest, SmcTablesEqualDirectExpressions) {
+  // propagate() and logPredictive() read the split prior by depth and
+  // the Student-t normalizer by leaf count from tables; each entry must
+  // be bitwise the expression the moves evaluated directly.
+  Scenario S(60);
+  DynaTree M(smallConfig(40, 5));
+  S.drive(M);
+  DynaTreeNaiveReference::extendTables(M, 4096);
+  DynaTreeNaiveReference Ref(M);
+  for (unsigned I = 0; I <= 4096; ++I) {
+    EXPECT_EQ(bits(Ref.logSplit(I)), bits(Ref.directLogSplit(I))) << I;
+    EXPECT_EQ(bits(Ref.log1mSplit(I)), bits(Ref.directLog1mSplit(I))) << I;
+    EXPECT_EQ(bits(Ref.logStudentTNorm(I)), bits(Ref.directLogStudentTNorm(I)))
+        << I;
+  }
+  // And the whole predictive density, on leaves of many sizes and probes.
+  Rng R(99);
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    uint32_t N = uint32_t(R.nextBounded(4097));
+    double SumY = 0.0, SumY2 = 0.0;
+    double Mu = R.nextUniform(-3, 8), Sd = R.nextUniform(0.01, 2.0);
+    for (uint32_t K = 0; K != std::min<uint32_t>(N, 64); ++K) {
+      double Y = Mu + Sd * R.nextGaussian();
+      SumY += Y;
+      SumY2 += Y * Y;
+    }
+    if (N > 64) { // scale a 64-point sample up to N points
+      SumY *= double(N) / 64.0;
+      SumY2 *= double(N) / 64.0;
+    }
+    double Y = R.nextUniform(-5, 10);
+    EXPECT_EQ(bits(Ref.logPredictive(N, SumY, SumY2, Y)),
+              bits(Ref.directLogPredictive(N, SumY, SumY2, Y)))
+        << "N=" << N << " Y=" << Y;
   }
 }
 

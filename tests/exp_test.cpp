@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -78,6 +79,36 @@ TEST(DatasetTest, FeaturesAreNormalized) {
       EXPECT_LT(std::abs(V), 6.0);
 }
 
+TEST(DatasetTest, PoolRowsAreNormalizedFeatures) {
+  // Learners read the train pool's rows instead of deriving features per
+  // pick, so every row must be bitwise the derivation it replaces — for
+  // a fresh build and for a dataset loaded from its cached blob, which
+  // stores only the configurations.
+  auto B = createSpaptBenchmark("gemver");
+  std::string CacheDir = ::testing::TempDir() + "alic_exp_poolrows";
+  std::filesystem::remove_all(CacheDir);
+  Dataset Fresh = buildDataset(*B, 240, 0.75, 5, 17);
+  Dataset Miss = loadOrBuildDataset(*B, 240, 0.75, 5, 17, CacheDir);
+  Dataset Hit = loadOrBuildDataset(*B, 240, 0.75, 5, 17, CacheDir);
+  for (const Dataset *D : {&Fresh, &Miss, &Hit}) {
+    const char *Which = D == &Fresh ? "fresh" : D == &Miss ? "miss" : "hit";
+    const ConfigPool &Pool = D->TrainPool;
+    ASSERT_EQ(Pool.size(), 180u) << Which;
+    ASSERT_EQ(Pool.rows().size(), Pool.size()) << Which;
+    for (size_t I = 0; I != Pool.size(); ++I) {
+      std::vector<double> Want =
+          D->Norm.transform(B->space().features(Pool[I]));
+      RowRef Got = Pool.row(I);
+      ASSERT_EQ(Got.size(), Want.size()) << Which << " row " << I;
+      EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                            Want.size() * sizeof(double)),
+                0)
+          << Which << " row " << I;
+    }
+  }
+  std::filesystem::remove_all(CacheDir);
+}
+
 TEST(DatasetTest, CorruptCachedOrdinalRebuilds) {
   // A cached blob whose first train-pool ordinal is out of range must be
   // rebuilt, never returned: features() would index past the parameter's
@@ -111,7 +142,8 @@ TEST(DatasetTest, CorruptCachedOrdinalRebuilds) {
     std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
 
     Dataset Got = loadOrBuildDataset(*B, 200, 0.6, 5, 11, CacheDir);
-    EXPECT_EQ(Got.TrainPool, Fresh.TrainPool) << "reseal " << Reseal;
+    EXPECT_EQ(Got.TrainPool.configs(), Fresh.TrainPool.configs())
+        << "reseal " << Reseal;
     EXPECT_EQ(Got.TestConfigs, Fresh.TestConfigs) << "reseal " << Reseal;
     EXPECT_EQ(Got.TestFeatures, Fresh.TestFeatures) << "reseal " << Reseal;
     EXPECT_EQ(Got.TestMeans, Fresh.TestMeans) << "reseal " << Reseal;

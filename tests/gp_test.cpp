@@ -10,6 +10,50 @@
 
 using namespace alic;
 
+namespace alic {
+
+/// Exact ALC in back-substitution form, as alcScores() computed it before
+/// the forward-solve form: w_x = K^-1 k_x by a full solve, then
+/// var(x) = s - k_x . w_x and cov(r, x) = k(r, x) - k_r . w_x.  The two
+/// forms are equal in exact arithmetic; this one rounds differently.
+class GpBackSubstitutionReference {
+public:
+  explicit GpBackSubstitutionReference(const GaussianProcess &M) : M(M) {}
+
+  std::vector<double> alcScores(const FlatRows &Candidates,
+                                const FlatRows &Reference) const {
+    size_t N = M.Alpha.size();
+    const GpHyperParams &P = M.Params;
+    std::vector<double> Scores(Candidates.size());
+    for (size_t C = 0; C != Candidates.size(); ++C) {
+      RowRef X = Candidates[C];
+      std::vector<double> Kx(N);
+      M.kernelRow(M.DataX, X, Kx.data(), N);
+      std::vector<double> Wx = M.Factor->solve(Kx);
+      double VarX = P.SignalVariance;
+      for (size_t I = 0; I != N; ++I)
+        VarX -= Kx[I] * Wx[I];
+      VarX = std::max(VarX, 1e-12) + P.NoiseVariance;
+      double Total = 0.0;
+      for (size_t R = 0; R != Reference.size(); ++R) {
+        std::vector<double> Kr(N);
+        M.kernelRow(M.DataX, Reference[R], Kr.data(), N);
+        double Cov = M.kernel(Reference[R], X);
+        for (size_t I = 0; I != N; ++I)
+          Cov -= Kr[I] * Wx[I];
+        Total += Cov * Cov / VarX;
+      }
+      Scores[C] = Total;
+    }
+    return Scores;
+  }
+
+private:
+  const GaussianProcess &M;
+};
+
+} // namespace alic
+
 namespace {
 
 GpConfig fixedConfig(double Length = 0.7, double Noise = 1e-4) {
@@ -194,6 +238,41 @@ TEST(GpTest, ParallelAlcBitIdenticalToSequential) {
     Ctx.Pool = &Pool;
     EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Sequential)
         << "thread count " << Threads;
+  }
+}
+
+TEST(GpTest, ForwardSolveAlcMatchesBackSubstitution) {
+  // alcScores() scores in forward-solve form (v = L^-1 k); the
+  // back-substitution form it replaced must agree to rounding, and the
+  // forward-solve scores must be bitwise equal at any worker count.
+  for (size_t N : {50u, 500u}) {
+    std::vector<std::vector<double>> X;
+    std::vector<double> Y;
+    makeSample(N, 41, X, Y);
+    GaussianProcess M(fixedConfig(0.7, 1e-2));
+    M.fit(X, Y);
+    std::vector<std::vector<double>> Cands, Ref;
+    Rng R(42);
+    for (int I = 0; I != 70; ++I)
+      Cands.push_back({R.nextUniform(-2.5, 2.5), R.nextUniform(-2.5, 2.5)});
+    for (int I = 0; I != 40; ++I)
+      Ref.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
+
+    std::vector<double> Want =
+        GpBackSubstitutionReference(M).alcScores(Cands, Ref);
+    std::vector<double> Got = M.alcScores(Cands, Ref);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t C = 0; C != Got.size(); ++C)
+      EXPECT_NEAR(Got[C], Want[C], 1e-9 * std::abs(Want[C]))
+          << "n=" << N << " candidate " << C;
+
+    for (unsigned Threads : {1u, 8u}) {
+      Scheduler Pool(Threads);
+      ScoreContext Ctx;
+      Ctx.Pool = &Pool;
+      EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Got)
+          << "n=" << N << ", " << Threads << " workers";
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 // seed, over generated specs, kill points and torn log tails; each
 // observe appends one line to its session log, and a refused append
 // changes nothing; suggest is idempotent while a ticket is outstanding;
+// sessions opened concurrently over every benchmark, sharing datasets
+// built outside the engine lock, match a sequential engine;
 // corrupt logs are skipped, never fatal; and the NDJSON wire layer maps
 // requests to engine calls and errors to ok:false replies.
 //
@@ -421,6 +423,63 @@ TEST(ServeEngineTest, CloseRacingInFlightCallsIsSafe) {
   for (std::thread &H : Hammers)
     H.join();
   EXPECT_EQ(Engine.sessionCount(), 0u);
+}
+
+TEST(ServeEngineTest, ConcurrentOpensMatchASequentialEngine) {
+  // Datasets are built outside the engine lock, once per key, and every
+  // session on a key shares one dataset, pool view and benchmark.  Eight
+  // threads open 44 sessions over all 11 benchmarks at once (four per
+  // benchmark, so each dataset is asked for concurrently), then drive
+  // them to completion; every session's suggestions must equal those of
+  // a sequential engine with no scheduler.
+  const std::vector<std::string> &Names = spaptBenchmarkNames();
+  constexpr size_t NumSessions = 44, NumThreads = 8;
+  auto specOf = [&](size_t K) {
+    SessionSpec Spec = tinySpec(100 + K);
+    Spec.Benchmark = Names[K % Names.size()];
+    return Spec;
+  };
+  auto idOf = [](size_t K) { return "c" + std::to_string(K); };
+
+  std::vector<std::vector<std::string>> Want(NumSessions), Got(NumSessions);
+  {
+    ServeEngine Sequential(engineOptions("", 0));
+    for (size_t K = 0; K != NumSessions; ++K) {
+      std::string Err;
+      ASSERT_TRUE(Sequential.openSession(idOf(K), specOf(K), Err)) << Err;
+      Client C(specOf(K).Benchmark);
+      drain(Sequential, idOf(K), C, Want[K]);
+      ASSERT_FALSE(Want[K].empty());
+    }
+  }
+
+  ServeEngine Engine(engineOptions("", 2));
+  std::atomic<bool> Go{false};
+  std::atomic<size_t> Opened{0};
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (size_t K = T; K < NumSessions; K += NumThreads) {
+        std::string Err;
+        if (Engine.openSession(idOf(K), specOf(K), Err))
+          ++Opened;
+        else
+          ADD_FAILURE() << idOf(K) << ": " << Err;
+      }
+      for (size_t K = T; K < NumSessions; K += NumThreads) {
+        Client C(specOf(K).Benchmark);
+        drain(Engine, idOf(K), C, Got[K]);
+      }
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Opened.load(), NumSessions);
+  EXPECT_EQ(Engine.sessionCount(), NumSessions);
+  for (size_t K = 0; K != NumSessions; ++K)
+    EXPECT_EQ(Got[K], Want[K]) << idOf(K) << " on " << specOf(K).Benchmark;
 }
 
 TEST(ServeEngineTest, CorruptLogsAreSkippedNotFatal) {

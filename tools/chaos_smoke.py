@@ -21,13 +21,14 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    cells and render a byte-identical aggregate.
 
 3. *sharded kill loop* — for every lease failpoint (lease.acquire,
-   lease.renew, lease.steal), three `--lease-claim` workers cooperate on
-   the 275-cell smoke spec while one of them is killed mid-syscall at the
-   armed site; the survivors steal the dead worker's expired range
-   leases, the union of shard ledgers is merged with `--merge-ledgers`,
-   and the merged canonical ledger plus the re-aggregated
-   BENCH_campaign.json must be byte-identical to a single-process
-   reference.
+   lease.renew, lease.steal), `--lease-claim` worker w0 runs the
+   275-cell smoke spec alone and is killed mid-syscall at the armed
+   site; then two survivors start, steal the dead worker's expired range
+   leases and finish; the union of shard ledgers is merged with
+   `--merge-ledgers`, and the merged canonical ledger plus the
+   re-aggregated BENCH_campaign.json must be byte-identical to a
+   single-process reference.  w0 runs alone so that no cell cost lets
+   the survivors drain the spec before its armed site is reached.
 
 4. *serve session-log crash loops* — for every durable write a session
    makes (session.header at the open, session.append and session.sync
@@ -200,13 +201,37 @@ SHARD_WORKERS = 3
 LEASE_TTL_MS = 800
 
 
-def lease_worker_cmd(binary, state_dir, out, small, worker, range_cells):
-    # The 25 ms heartbeat makes lease.renew fire early in a range even on
-    # fast specs (the default ttl/4 cadence can outlive a whole range).
+def lease_worker_cmd(binary, state_dir, out, small, worker, range_cells,
+                     heartbeat_ms=25):
     return campaign_cmd(binary, state_dir, out, small) + [
         "--lease-claim", f"--lease-ttl-ms={LEASE_TTL_MS}",
-        "--lease-heartbeat-ms=25",
+        f"--lease-heartbeat-ms={heartbeat_ms}",
         f"--lease-range-cells={range_cells}", f"--worker-id=w{worker}"]
+
+
+def start_lease_worker(binary, state_dir, workdir, tag, small, worker,
+                       range_cells, failpoints=None, heartbeat_ms=25,
+                       extra=()):
+    env = dict(os.environ, ALIC_SCALE="smoke")
+    env.pop("ALIC_FAILPOINTS", None)
+    if failpoints:
+        env["ALIC_FAILPOINTS"] = failpoints
+    out = os.path.join(workdir, f"shard_{tag}_w{worker}.json")
+    return subprocess.Popen(
+        lease_worker_cmd(binary, state_dir, out, small, worker, range_cells,
+                         heartbeat_ms) + list(extra),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def wait_worker(proc, site, worker, procs):
+    try:
+        _, stderr = proc.communicate(timeout=900)
+    except subprocess.TimeoutExpired:
+        for p in procs:
+            p.kill()
+        fail(f"{site}: worker w{worker} wedged (survivors failed to reclaim "
+             f"the dead worker's leases?)")
+    return proc.returncode, stderr
 
 
 def plant_expired_leases(state_dir, range_cells, cell_count):
@@ -226,9 +251,10 @@ def plant_expired_leases(state_dir, range_cells, cell_count):
 
 
 def campaign_sharded_kill(binary, workdir, small):
-    """3 lease workers, one killed at every lease site; survivors reclaim."""
+    """Lease worker w0 killed at every lease site; two survivors reclaim."""
     label = "small" if small else "275-cell"
-    cell_count = 14 if small else 275
+    # Small: 2 benchmarks x 3 plans + 2 noise cells.
+    cell_count = 8 if small else 275
     range_cells = 2 if small else 16
     ref_dir = os.path.join(workdir, "shard_ref")
     ref_out = os.path.join(workdir, "shard_ref.json")
@@ -243,38 +269,43 @@ def campaign_sharded_kill(binary, workdir, small):
         state_dir = os.path.join(workdir, f"shard_{tag}")
         if site == "lease.steal":
             plant_expired_leases(state_dir, range_cells, cell_count)
-        # Arm the failpoint in worker w0 only; w1/w2 run clean.  nth:2 for
-        # renew (the first renewal happens mid-range, after real work has
-        # been appended — the dead worker leaves a partial shard ledger).
-        nth = 2 if site == "lease.renew" else 1
-        procs = []
-        for worker in range(SHARD_WORKERS):
-            env = dict(os.environ, ALIC_SCALE="smoke")
-            env.pop("ALIC_FAILPOINTS", None)
-            if worker == 0:
-                env["ALIC_FAILPOINTS"] = f"{site}=nth:{nth},mode:crash"
-            out = os.path.join(workdir, f"shard_{tag}_w{worker}.json")
-            procs.append(subprocess.Popen(
-                lease_worker_cmd(binary, state_dir, out, small, worker,
-                                 range_cells),
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                text=True))
-        codes = []
-        for worker, proc in enumerate(procs):
-            try:
-                stdout, stderr = proc.communicate(timeout=900)
-            except subprocess.TimeoutExpired:
-                for p in procs:
-                    p.kill()
-                fail(f"{site}: worker w{worker} wedged (survivors failed "
-                     f"to reclaim the dead worker's leases?)")
-            codes.append(proc.returncode)
-            if worker and proc.returncode != 0:
-                fail(f"{site}: survivor w{worker} exited {proc.returncode}"
-                     f"\n{stderr}")
-        if codes[0] != CRASH_EXIT:
-            fail(f"{site}: armed worker w0 exited {codes[0]}, want "
+        heartbeat_ms = 25
+        if site == "lease.renew":
+            # A clean w0 first lands exactly one cell in its shard ledger
+            # (--max-cells=1 releases its lease and exits 75), so the
+            # armed w0 below dies with a partial ledger however fast
+            # cells are.  The armed w0 renews every millisecond it holds
+            # a range, so its first renewal fires inside the first range
+            # that runs for 1 ms.
+            proc = start_lease_worker(binary, state_dir, workdir, tag, small,
+                                      0, range_cells, extra=["--max-cells=1"])
+            code, stderr = wait_worker(proc, site, 0, [proc])
+            if code != 75:
+                fail(f"{site}: one-cell w0 exited {code}, want 75\n{stderr}")
+            heartbeat_ms = 1
+        # Arm the failpoint in w0, which runs alone until it dies: the
+        # first claim fires lease.acquire (and, over the planted ghost
+        # leases, lease.steal), and lease.renew fires as described above.
+        w0 = start_lease_worker(binary, state_dir, workdir, tag, small, 0,
+                                range_cells,
+                                failpoints=f"{site}=nth:1,mode:crash",
+                                heartbeat_ms=heartbeat_ms)
+        code, _ = wait_worker(w0, site, 0, [w0])
+        if code != CRASH_EXIT:
+            fail(f"{site}: armed worker w0 exited {code}, want "
                  f"{CRASH_EXIT} (the failpoint never fired?)")
+        # The survivors steal w0's abandoned lease once it expires.
+        procs = [start_lease_worker(binary, state_dir, workdir, tag, small,
+                                    worker, range_cells)
+                 for worker in range(1, SHARD_WORKERS)]
+        for worker, proc in enumerate(procs, start=1):
+            code, stderr = wait_worker(proc, site, worker, procs)
+            if code != 0:
+                fail(f"{site}: survivor w{worker} exited {code}\n{stderr}")
+        if site == "lease.renew":
+            ledger = os.path.join(state_dir, "cells.w0.jsonl")
+            if not os.path.exists(ledger) or not read_bytes(ledger):
+                fail(f"{site}: the dead worker left no partial shard ledger")
 
         # Merge the survivors' (and the victim's partial) shard ledgers:
         # the canonical ledger must be byte-identical to the
