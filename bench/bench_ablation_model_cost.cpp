@@ -10,13 +10,12 @@
 // cost, and sequential against thread-pool-sharded ALC candidate scoring.
 //
 // Before the google-benchmark suite, a custom GP throughput section
-// sweeps the linalg/gp overhaul at n in {500, 2000, 8000}: blocked
-// factorize across worker counts (bit-identity asserted against the
-// serial factor), fit/update/predict/ALC throughput for the exact GP and
-// the subset-of-regressors approximation, and a deterministic quality
-// ablation (held-out RMSE, log marginal likelihood) of SoR against
-// exact.  Emits BENCH_gp.json; its wall-clock columns are classified out
-// of tools/check_bench.py's default gate (shared CI runners), while the
+// sweeps the exact GP at n in {500, 2000, 8000} (8000 outside smoke
+// scale): blocked factorize across worker counts (bit-identity asserted
+// against the serial factor), fit/update/predict/ALC throughput, and the
+// deterministic held-out RMSE and log marginal likelihood of each fit.
+// Emits BENCH_gp.json; its wall-clock columns are classified out of
+// tools/check_bench.py's default gate (shared CI runners), while the
 // rmse columns are deterministic and gated.
 //
 //===----------------------------------------------------------------------===//
@@ -31,7 +30,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -238,13 +236,12 @@ struct FactorizeRow {
 };
 
 struct GpRow {
-  const char *Approx = "";
   size_t N = 0;
   unsigned Workers = 0;
   double FitSeconds = 0.0;
   double AlcCandidatesPerSecond = 0.0;
   // Serial-path columns, measured on the Workers == 0 row only (the
-  // rank-1/extend update and predictBatch never fork).
+  // extend update and predictBatch never fork).
   bool HasSerialColumns = false;
   double UpdateSeconds = 0.0;
   double PredictsPerSecond = 0.0;
@@ -252,16 +249,9 @@ struct GpRow {
 
 struct QualityRow {
   size_t N = 0;
-  bool HasExact = false, HasSor = false;
-  double ExactRmse = 0.0, SorRmse = 0.0;
-  double ExactLogMl = 0.0, SorLogMl = 0.0;
+  double Rmse = 0.0;
+  double LogMl = 0.0;
 };
-
-GpConfig sweepGpConfig(GpApprox Approx) {
-  GpConfig C = plainGpConfig();
-  C.Approx = Approx;
-  return C;
-}
 
 /// Blocked-factorize sweep: one SPD matrix per n (low-rank + dominant
 /// diagonal, deterministic), factored serially and across worker counts.
@@ -333,17 +323,14 @@ bool runFactorizeSweep(const std::vector<size_t> &Sizes,
 }
 
 int runGpThroughputSection() {
-  printScaleBanner("bench_ablation_model_cost: GP throughput sweep "
-                   "(exact vs subset-of-regressors)");
+  printScaleBanner("bench_ablation_model_cost: GP throughput sweep");
 
-  // The sweep sizes are the tentpole's n targets; smoke keeps the O(n^3)
-  // exact path off the n=8000 point so CI stays inside its budget, while
-  // SoR reaches n=8000 in every scale — that contrast is the point.
-  std::vector<size_t> ExactSizes = {500, 2000};
-  std::vector<size_t> SorSizes = {500, 2000, 8000};
+  // Smoke keeps the O(n^3) fit off the n=8000 point so CI stays inside
+  // its budget.
+  std::vector<size_t> Sizes = {500, 2000};
   unsigned Reps = 1;
   if (getScaleKind() != ScaleKind::Smoke)
-    ExactSizes.push_back(8000);
+    Sizes.push_back(8000);
   if (getScaleKind() == ScaleKind::Paper)
     Reps = 3;
   const std::vector<unsigned> WorkerCounts = {0, 2, 4};
@@ -367,110 +354,82 @@ int runGpThroughputSection() {
                             Y.end());
 
   std::vector<FactorizeRow> FactorizeRows;
-  if (!runFactorizeSweep(ExactSizes, WorkerCounts, Reps, FactorizeRows))
+  if (!runFactorizeSweep(Sizes, WorkerCounts, Reps, FactorizeRows))
     return EXIT_FAILURE;
-
-  struct ApproxCase {
-    const char *Name;
-    GpApprox Approx;
-    const std::vector<size_t> *Sizes;
-  };
-  ApproxCase Cases[] = {{"exact", GpApprox::Exact, &ExactSizes},
-                        {"sor", GpApprox::SoR, &SorSizes}};
 
   std::vector<GpRow> GpRows;
   std::vector<QualityRow> QualityRows;
-  Table GpOut({"approx", "n", "workers", "fit s", "alc cand/s", "upd s",
-               "pred/s"});
-  for (const ApproxCase &Case : Cases) {
-    for (size_t N : *Case.Sizes) {
-      FlatRows Train(X.begin(), X.begin() + long(N));
-      std::vector<double> TrainY(Y.begin(), Y.begin() + long(N));
-      std::vector<double> SerialAlc;
-      for (unsigned Workers : WorkerCounts) {
-        std::unique_ptr<Scheduler> Pool; // outlives the model wired to it
-        if (Workers != 0)
-          Pool = std::make_unique<Scheduler>(Workers);
-        GaussianProcess M(sweepGpConfig(Case.Approx));
-        if (Pool)
-          M.setScheduler(Pool.get());
+  Table GpOut({"n", "workers", "fit s", "alc cand/s", "upd s", "pred/s"});
+  for (size_t N : Sizes) {
+    FlatRows Train(X.begin(), X.begin() + long(N));
+    std::vector<double> TrainY(Y.begin(), Y.begin() + long(N));
+    std::vector<double> SerialAlc;
+    for (unsigned Workers : WorkerCounts) {
+      std::unique_ptr<Scheduler> Pool; // outlives the model wired to it
+      if (Workers != 0)
+        Pool = std::make_unique<Scheduler>(Workers);
+      GaussianProcess M(plainGpConfig());
+      if (Pool)
+        M.setScheduler(Pool.get());
 
-        GpRow Row;
-        Row.Approx = Case.Name;
-        Row.N = N;
-        Row.Workers = Workers;
-        Row.FitSeconds = timeReps(Reps, [&] { M.fit(Train, TrainY); });
+      GpRow Row;
+      Row.N = N;
+      Row.Workers = Workers;
+      Row.FitSeconds = timeReps(Reps, [&] { M.fit(Train, TrainY); });
 
-        ScoreContext Ctx;
-        Ctx.Pool = Pool.get();
-        std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
-        if (Workers == 0)
-          SerialAlc = Alc;
-        else if (Alc != SerialAlc) {
-          std::fprintf(stderr,
-                       "FATAL: %s ALC diverged from the sequential path "
-                       "at n=%zu workers=%u\n",
-                       Case.Name, N, Workers);
-          return EXIT_FAILURE;
-        }
-        Row.AlcCandidatesPerSecond =
-            double(NumCands) /
-            timeReps(Reps, [&] { M.alcScores(Cands, Ref, Ctx); });
-
-        if (Workers == 0) {
-          Row.HasSerialColumns = true;
-          std::vector<Prediction> Preds(NumProbes);
-          Row.PredictsPerSecond =
-              double(NumProbes) /
-              timeReps(Reps, [&] {
-                M.predictBatch(Probes, NumProbes, Preds.data());
-              });
-
-          // Deterministic quality ablation on the pre-update fit.
-          std::vector<Prediction> HeldPreds(NumHeld);
-          M.predictBatch(Held, NumHeld, HeldPreds.data());
-          double Sum2 = 0.0;
-          for (size_t I = 0; I != NumHeld; ++I) {
-            double E = HeldPreds[I].Mean - HeldY[I];
-            Sum2 += E * E;
-          }
-          double Rmse = std::sqrt(Sum2 / double(NumHeld));
-          auto Quality =
-              std::find_if(QualityRows.begin(), QualityRows.end(),
-                           [&](const QualityRow &Q) { return Q.N == N; });
-          if (Quality == QualityRows.end()) {
-            QualityRows.push_back(QualityRow{});
-            Quality = QualityRows.end() - 1;
-            Quality->N = N;
-          }
-          if (Case.Approx == GpApprox::Exact) {
-            Quality->HasExact = true;
-            Quality->ExactRmse = Rmse;
-            Quality->ExactLogMl = M.logMarginalLikelihood();
-          } else {
-            Quality->HasSor = true;
-            Quality->SorRmse = Rmse;
-            Quality->SorLogMl = M.logMarginalLikelihood();
-          }
-
-          // Amortized per-observation absorption: n -> n + NumUpdates.
-          // Mutates the model, so it runs last.
-          auto Start = std::chrono::steady_clock::now();
-          for (size_t I = 0; I != NumUpdates; ++I)
-            M.update(X[MaxN + I], Y[MaxN + I]);
-          Row.UpdateSeconds = secondsSince(Start) / double(NumUpdates);
-        }
-        GpRows.push_back(Row);
-        GpOut.addRow({Row.Approx, std::to_string(N), std::to_string(Workers),
-                      formatString("%.4f", Row.FitSeconds),
-                      formatString("%.1f", Row.AlcCandidatesPerSecond),
-                      Row.HasSerialColumns
-                          ? formatString("%.5f", Row.UpdateSeconds)
-                          : std::string("-"),
-                      Row.HasSerialColumns
-                          ? formatString("%.1f", Row.PredictsPerSecond)
-                          : std::string("-")});
+      ScoreContext Ctx;
+      Ctx.Pool = Pool.get();
+      std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+      if (Workers == 0)
+        SerialAlc = Alc;
+      else if (Alc != SerialAlc) {
+        std::fprintf(stderr,
+                     "FATAL: ALC diverged from the sequential path at n=%zu "
+                     "workers=%u\n",
+                     N, Workers);
+        return EXIT_FAILURE;
       }
+      Row.AlcCandidatesPerSecond =
+          double(NumCands) /
+          timeReps(Reps, [&] { M.alcScores(Cands, Ref, Ctx); });
+
+      if (Workers == 0) {
+        Row.HasSerialColumns = true;
+        std::vector<Prediction> Preds(NumProbes);
+        Row.PredictsPerSecond =
+            double(NumProbes) /
+            timeReps(Reps, [&] {
+              M.predictBatch(Probes, NumProbes, Preds.data());
+            });
+
+        // Deterministic quality of the pre-update fit.
+        std::vector<Prediction> HeldPreds(NumHeld);
+        M.predictBatch(Held, NumHeld, HeldPreds.data());
+        double Sum2 = 0.0;
+        for (size_t I = 0; I != NumHeld; ++I) {
+          double E = HeldPreds[I].Mean - HeldY[I];
+          Sum2 += E * E;
+        }
+        QualityRows.push_back({N, std::sqrt(Sum2 / double(NumHeld)),
+                               M.logMarginalLikelihood()});
+
+        // Amortized per-observation absorption: n -> n + NumUpdates.
+        // Mutates the model, so it runs last.
+        auto Start = std::chrono::steady_clock::now();
+        for (size_t I = 0; I != NumUpdates; ++I)
+          M.update(X[MaxN + I], Y[MaxN + I]);
+        Row.UpdateSeconds = secondsSince(Start) / double(NumUpdates);
+      }
+      GpRows.push_back(Row);
+      GpOut.addRow({std::to_string(N), std::to_string(Workers),
+                    formatString("%.4f", Row.FitSeconds),
+                    formatString("%.1f", Row.AlcCandidatesPerSecond),
+                    Row.HasSerialColumns
+                        ? formatString("%.5f", Row.UpdateSeconds)
+                        : std::string("-"),
+                    Row.HasSerialColumns
+                        ? formatString("%.1f", Row.PredictsPerSecond)
+                        : std::string("-")});
     }
   }
   std::printf("\nGP throughput (%zu ALC candidates x %zu reference, "
@@ -478,18 +437,11 @@ int runGpThroughputSection() {
               NumCands, NumRef, NumProbes);
   GpOut.print();
 
-  Table QualOut({"n", "exact rmse", "sor rmse", "exact logml", "sor logml"});
+  Table QualOut({"n", "rmse", "logml"});
   for (const QualityRow &Q : QualityRows)
-    QualOut.addRow({std::to_string(Q.N),
-                    Q.HasExact ? formatString("%.4f", Q.ExactRmse)
-                               : std::string("-"),
-                    Q.HasSor ? formatString("%.4f", Q.SorRmse)
-                             : std::string("-"),
-                    Q.HasExact ? formatString("%.1f", Q.ExactLogMl)
-                               : std::string("-"),
-                    Q.HasSor ? formatString("%.1f", Q.SorLogMl)
-                             : std::string("-")});
-  std::printf("\nQuality ablation (held-out RMSE over %zu points, "
+    QualOut.addRow({std::to_string(Q.N), formatString("%.4f", Q.Rmse),
+                    formatString("%.1f", Q.LogMl)});
+  std::printf("\nFit quality (held-out RMSE over %zu points, "
               "deterministic):\n",
               NumHeld);
   QualOut.print();
@@ -516,11 +468,10 @@ int runGpThroughputSection() {
     for (size_t I = 0; I != GpRows.size(); ++I) {
       const GpRow &R = GpRows[I];
       std::fprintf(Json,
-                   "    {\"approx\": \"%s\", \"n\": %zu, \"workers\": %u, "
+                   "    {\"n\": %zu, \"workers\": %u, "
                    "\"fit_seconds\": %.6f, "
                    "\"alc_candidates_per_second\": %.1f",
-                   R.Approx, R.N, R.Workers, R.FitSeconds,
-                   R.AlcCandidatesPerSecond);
+                   R.N, R.Workers, R.FitSeconds, R.AlcCandidatesPerSecond);
       if (R.HasSerialColumns)
         std::fprintf(Json,
                      ", \"update_seconds\": %.6f, "
@@ -531,14 +482,11 @@ int runGpThroughputSection() {
     std::fprintf(Json, "  ],\n  \"quality\": [\n");
     for (size_t I = 0; I != QualityRows.size(); ++I) {
       const QualityRow &Q = QualityRows[I];
-      std::fprintf(Json, "    {\"n\": %zu", Q.N);
-      if (Q.HasExact)
-        std::fprintf(Json, ", \"exact_rmse\": %.6f, \"exact_logml\": %.4f",
-                     Q.ExactRmse, Q.ExactLogMl);
-      if (Q.HasSor)
-        std::fprintf(Json, ", \"sor_rmse\": %.6f, \"sor_logml\": %.4f",
-                     Q.SorRmse, Q.SorLogMl);
-      std::fprintf(Json, "}%s\n", I + 1 == QualityRows.size() ? "" : ",");
+      std::fprintf(Json,
+                   "    {\"n\": %zu, \"exact_rmse\": %.6f, "
+                   "\"exact_logml\": %.4f}%s\n",
+                   Q.N, Q.Rmse, Q.LogMl,
+                   I + 1 == QualityRows.size() ? "" : ",");
     }
     std::fprintf(Json, "  ]\n}\n");
     std::fclose(Json);

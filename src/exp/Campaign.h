@@ -357,8 +357,7 @@ std::string campaignJson(const CampaignSpec &Spec,
 /// table, so adding a model means adding one row.
 inline constexpr TokenRow<ModelKind> ModelTokens[] = {
     {ModelKind::DynaTree, "dynatree"},
-    {ModelKind::Gp, "gp"},
-    {ModelKind::GpSor, "gp_sor"}};
+    {ModelKind::Gp, "gp"}};
 
 /// Every ScorerKind and its token (see ModelTokens).
 inline constexpr TokenRow<ScorerKind> ScorerTokens[] = {

@@ -73,8 +73,8 @@ void serializeDataset(const Dataset &D, ByteWriter &W) {
   writeConfigs(W, D.TrainPool.configs());
   writeConfigs(W, D.TestConfigs);
   W.writeU64(D.TestFeatures.size());
-  for (const std::vector<double> &Row : D.TestFeatures)
-    W.writeDoubles(Row);
+  for (size_t I = 0; I != D.TestFeatures.size(); ++I)
+    W.writeDoubles(D.TestFeatures[I]);
   W.writeDoubles(D.TestMeans);
 }
 
@@ -94,11 +94,13 @@ bool deserializeDataset(ByteReader &R, const ParamSpace &Space, Dataset &D) {
   uint64_t NumRows;
   if (!R.readU64(NumRows) || NumRows > R.remaining() / 8)
     return false;
-  D.TestFeatures.clear();
-  D.TestFeatures.resize(size_t(NumRows));
-  for (std::vector<double> &Row : D.TestFeatures)
+  D.TestFeatures = FlatRows(Dims);
+  std::vector<double> Row;
+  for (uint64_t I = 0; I != NumRows; ++I) {
     if (!R.readDoubles(Row) || Row.size() != Dims)
       return false;
+    D.TestFeatures.push(Row);
+  }
   if (!R.readDoubles(D.TestMeans))
     return false;
   // Cross-field sanity: the blob must describe one coherent dataset.
@@ -136,10 +138,10 @@ Dataset alic::buildDataset(const SpaptBenchmark &B, size_t NumConfigs,
 
   // Test labels: observed means over MeanObservations noisy runs, using a
   // measurement stream independent of any learner's profiler.
-  D.TestFeatures.reserve(D.TestConfigs.size());
+  D.TestFeatures.reserveRows(D.TestConfigs.size());
   D.TestMeans.reserve(D.TestConfigs.size());
   for (const Config &C : D.TestConfigs) {
-    D.TestFeatures.push_back(D.Norm.transform(Space.features(C)));
+    D.TestFeatures.push(D.Norm.transform(Space.features(C)));
     double Mean = B.meanRuntimeSeconds(C);
     double SigmaRel = noiseSigmaRel(B.noise(), Space, C);
     uint64_t Stream = hashCombine({Seed, Space.key(C), 0x7e57ull});

@@ -24,6 +24,7 @@
 #define ALIC_EXP_DATASET_H
 
 #include "spapt/Benchmark.h"
+#include "support/FlatRows.h"
 #include "tunable/ConfigPool.h"
 #include "tunable/Normalizer.h"
 
@@ -37,7 +38,7 @@ namespace alic {
 struct Dataset {
   ConfigPool TrainPool;                        ///< configurations for AL
   std::vector<Config> TestConfigs;             ///< held-out configurations
-  std::vector<std::vector<double>> TestFeatures; ///< normalized
+  FlatRows TestFeatures;                       ///< normalized
   std::vector<double> TestMeans;               ///< observed mean runtimes
   Normalizer Norm;                             ///< fitted on all configs
 };

@@ -45,13 +45,9 @@ private:
 std::unique_ptr<SurrogateModel>
 alic::makeSurrogateModel(ModelKind Kind, const ExperimentScale &S,
                          uint64_t Seed) {
-  if (Kind == ModelKind::Gp || Kind == ModelKind::GpSor) {
+  if (Kind == ModelKind::Gp) {
     GpConfig G;
-    // Same hyperparameter-search stream for both GP modes, so the SoR
-    // ablation isolates the inference approximation, not the seed.
     G.Seed = hashCombine({Seed, 0x6770ull});
-    if (Kind == ModelKind::GpSor)
-      G.Approx = GpApprox::SoR;
     return std::make_unique<GaussianProcess>(G);
   }
   DynaTreeConfig C;

@@ -30,7 +30,6 @@ namespace alic {
 enum class ModelKind {
   DynaTree, ///< the paper's dynamic-tree particle filter
   Gp,       ///< exact incremental Gaussian process comparator
-  GpSor,    ///< subset-of-regressors GP (m inducing points, O(n m^2) fit)
 };
 
 /// Builds an unfitted surrogate of \p Kind sized by \p S (DynaTree

@@ -1,4 +1,4 @@
-//===- gp/GaussianProcess.h - GP regression (exact + SoR) ------*- C++ -*-===//
+//===- gp/GaussianProcess.h - Exact GP regression --------------*- C++ -*-===//
 //
 // Part of the ALIC project: a reproduction of "Minimizing the Cost of
 // Iterative Compilation with Active Learning" (Ogilvie et al., CGO 2017).
@@ -13,29 +13,17 @@
 /// (bench_ablation_model_cost) and as an alternative surrogate for the
 /// active learner.
 ///
-/// Two inference modes (GpApprox):
-///
-///  * Exact — full n x n Cholesky inference over the packed triangular
-///    factor (linalg/Cholesky.h).  update() grows the factor by one
-///    bordered row (Cholesky::extend, O(n^2) per observation and
-///    amortized O(n) copies) and re-solves for the weights, which is
-///    numerically identical to a from-scratch O(n^3) refit because the
-///    extension reproduces factorize()'s arithmetic bit-for-bit.  The
-///    full refit — the cost the paper's Section 3.2 attributes to GPs —
-///    is still what hyperparameter re-optimization pays;
-///    bench_ablation_model_cost times refit() against update().  ALC
-///    scores in forward-solve form: v = L^-1 k by batched forward
-///    substitution, then var(x) = s - v_x.v_x and
-///    cov(r, x) = k(r, x) - v_r.v_x, with no back substitution.
-///
-///  * SoR — subset of regressors (Quinonero-Candela & Rasmussen 2005):
-///    inference through the m x m projected system
-///    A = K_mm + sigma^-2 K_mn K_nm over m inducing points drawn
-///    deterministically from the training set.  Fit is O(n m^2) (one
-///    streamed pass over the data), update O(m^2) (rank-1 Cholesky
-///    update), predict O(m) — the low-rank escape hatch for nmax-scale
-///    training sets, ablated against the exact mode in
-///    bench_ablation_model_cost.
+/// Inference is exact: full n x n Cholesky inference over the packed
+/// triangular factor (linalg/Cholesky.h).  update() grows the factor by
+/// one bordered row (Cholesky::extend, O(n^2) per observation and
+/// amortized O(n) copies) and re-solves for the weights, which is
+/// numerically identical to a from-scratch O(n^3) refit because the
+/// extension reproduces factorize()'s arithmetic bit-for-bit.  The full
+/// refit — the cost the paper's Section 3.2 attributes to GPs — is still
+/// what hyperparameter optimization pays; bench_ablation_model_cost
+/// times refit() against update().  ALC scores in forward-solve form:
+/// v = L^-1 k by batched forward substitution, then var(x) = s - v_x.v_x
+/// and cov(r, x) = k(r, x) - v_r.v_x, with no back substitution.
 ///
 /// Hot paths allocate nothing per call: kernel rows land in reused
 /// (thread-local, for the const scoring paths) scratch, and candidate
@@ -64,45 +52,17 @@ struct GpHyperParams {
   double NoiseVariance = 0.01;  ///< sigma_n^2 (nugget)
 };
 
-/// Which inference path the GP runs.
-enum class GpApprox {
-  /// Full n x n Cholesky inference — the paper's O(n^3) comparator, and
-  /// the mode every committed campaign baseline pins bit-identically.
-  Exact,
-  /// Subset of regressors: m inducing points, O(n m^2) fit, O(m^2)
-  /// update, O(m) predict.  Approximate (variance is the projected
-  /// k_*^T A^-1 k_* + noise, which under-covers far from the inducing
-  /// set) but deterministic: the inducing subset is a pure function of
-  /// (Seed, n, m).
-  SoR,
-};
-
 /// Configuration of the GP surrogate.
 struct GpConfig {
   GpHyperParams Init;
   /// If true, fit() runs a random search over hyperparameters maximizing
-  /// the log marginal likelihood (the SoR marginal under GpApprox::SoR).
+  /// the log marginal likelihood.
   bool OptimizeHyperParams = true;
   unsigned OptimizerRestarts = 24;
   uint64_t Seed = 23;
-  /// Warm-start re-optimization: after the first optimized fit(), every
-  /// later fit() evaluates the previous optimum as restart 0 before the
-  /// random restarts (which draw the exact same stream as a cold
-  /// search).  The selected log marginal likelihood is therefore never
-  /// worse than a cold search over the same restarts, which lets
-  /// repeated-fit workflows (periodic re-optimization as data grows)
-  /// shrink OptimizerRestarts — the expensive part, one O(n^3) refit
-  /// each — without quality regressions.  The single-fit learner loop
-  /// never re-optimizes, and the first fit() is bit-identical to the
-  /// pre-warm-start behavior, so campaign results are untouched.
-  bool WarmStart = true;
-  /// Inference mode: exact O(n^3) or subset-of-regressors.
-  GpApprox Approx = GpApprox::Exact;
-  /// Inducing-point budget m of GpApprox::SoR (clamped to n).
-  unsigned InducingPoints = 256;
 };
 
-/// GP regression surrogate (exact or subset-of-regressors inference).
+/// Exact GP regression surrogate.
 class GaussianProcess : public SurrogateModel {
 public:
   explicit GaussianProcess(GpConfig Config = GpConfig());
@@ -126,15 +86,10 @@ public:
   /// any worker count (see linalg/Cholesky.h).
   void setScheduler(Scheduler *W) override { Workers = W; }
 
-  /// Log marginal likelihood of the current fit (the SoR marginal under
-  /// GpApprox::SoR).
+  /// Log marginal likelihood of the current fit.
   double logMarginalLikelihood() const { return LogMl; }
 
   const GpHyperParams &hyperParams() const { return Params; }
-
-  /// Training-set indices of the SoR inducing points (sorted; empty in
-  /// exact mode or before fitting).  Exposed for determinism tests.
-  const std::vector<uint32_t> &inducingIndices() const { return Inducing; }
 
   /// Re-solves the linear system with the stored data (exposed so the
   /// cost ablation can time one refit in isolation).
@@ -150,29 +105,16 @@ private:
   /// loop every batched path shares.
   void kernelRow(const FlatRows &Rows, RowRef X, double *Out,
                  size_t Num) const;
-  double refitWith(const GpHyperParams &P);  ///< dispatch on Config.Approx
-  double refitWithExact(const GpHyperParams &P);
-  double refitWithSor(const GpHyperParams &P);
+  /// Refactorizes the kernel matrix of the stored data under \p P
+  /// (O(n^3)) and returns the log marginal likelihood, or -1e300 when
+  /// the kernel matrix is not positive definite.
+  double refitWith(const GpHyperParams &P);
   /// Recomputes the data mean, weights, and log marginal likelihood from
   /// the current factor (O(n^2)); shared by the refit and incremental
   /// update paths so both produce identical state.
   double recomputeWeights();
-  /// SoR counterpart of recomputeWeights(): weights and marginal from
-  /// the projected system's factor and running sums (O(m^2)).
-  double recomputeSorWeights();
   /// Extends the factorization by the newest data point (O(n^2)).
   void updateIncremental();
-  /// Rank-1-updates the SoR projected system by the newest point (O(m^2)).
-  void updateIncrementalSor();
-  /// Draws the deterministic inducing subset for the current data size.
-  void chooseInducing();
-  Prediction predictExact(RowRef X) const;
-  Prediction predictSor(RowRef X) const;
-  std::vector<double> almScoresSor(const FlatRows &Candidates,
-                                   const ScoreContext &Ctx) const;
-  std::vector<double> alcScoresSor(const FlatRows &Candidates,
-                                   const FlatRows &Reference,
-                                   const ScoreContext &Ctx) const;
 
   GpConfig Config;
   GpHyperParams Params;
@@ -183,25 +125,9 @@ private:
   std::optional<Cholesky> Factor;
   std::vector<double> Alpha; ///< K^-1 (y - mean)
   double LogMl = 0.0;
-  /// Optimum of the previous fit(): the warm-start candidate evaluated
-  /// as restart 0 of the next re-optimization.
-  std::optional<GpHyperParams> PrevOptimum;
-  /// Reused update()-path scratch (border row / SoR kernel row); the
-  /// const prediction/scoring paths use thread-local scratch instead.
+  /// Reused update()-path scratch (the border row); the const
+  /// prediction/scoring paths use thread-local scratch instead.
   std::vector<double> UpdateScratch;
-  std::vector<double> UpdateScratch2;
-
-  // --- Subset-of-regressors state (GpApprox::SoR only) ---
-  std::vector<uint32_t> Inducing; ///< sorted training-row indices
-  FlatRows InducingX;             ///< copies of the inducing rows
-  /// Factor of A = K_mm + sigma^-2 K_mn K_nm (+ jitter).
-  std::optional<Cholesky> AFactor;
-  double KmmLogDet = 0.0;      ///< log det K_mm of the current fit
-  std::vector<double> BRaw;    ///< K_mn y (uncentered)
-  std::vector<double> SVec;    ///< K_mn 1 (recenters BRaw as MeanY moves)
-  std::vector<double> SorW;    ///< sigma^-2 A^-1 (BRaw - MeanY SVec)
-  double SumY = 0.0, SumY2 = 0.0; ///< running moments for mean/marginal
-  size_t SorFittedN = 0;       ///< observations folded into AFactor
 };
 
 } // namespace alic

@@ -105,27 +105,6 @@ bool Cholesky::extend(RowRef B, double C) {
   return true;
 }
 
-void Cholesky::rankOneUpdate(RowRef V) {
-  assert(V.size() == N && "update vector size mismatch");
-  // Classic Givens-style positive update: eliminate W against the
-  // diagonal one column at a time.  O(n^2); the factor stays valid
-  // because A + V V^T is positive definite whenever A is.
-  std::vector<double> W(V.begin(), V.end());
-  for (size_t K = 0; K != N; ++K) {
-    double Lkk = at(K, K);
-    double R = std::sqrt(Lkk * Lkk + W[K] * W[K]);
-    double Cos = R / Lkk;
-    double Sin = W[K] / Lkk;
-    row(K)[K] = R;
-    for (size_t I = K + 1; I != N; ++I) {
-      double Lik = (at(I, K) + Sin * W[I]) / Cos;
-      row(I)[K] = Lik;
-      // The workspace rotates against the *updated* column entry.
-      W[I] = Cos * W[I] - Sin * Lik;
-    }
-  }
-}
-
 void Cholesky::solveLowerInPlace(double *B) const {
   for (size_t I = 0; I != N; ++I) {
     const double *RowI = row(I);
@@ -153,27 +132,6 @@ void Cholesky::solveLowerManyInPlace(double *B, size_t NumRhs) const {
     for (size_t R = 0; R != NumRhs; ++R) {
       double *Rhs = B + R * N;
       Rhs[I] = dotSubtract(Rhs[I], RowI, Rhs, I) / RowI[I];
-    }
-  }
-}
-
-void Cholesky::solveManyInPlace(double *B, size_t NumRhs) const {
-  solveLowerManyInPlace(B, NumRhs);
-  if (N == 0)
-    return;
-  // Back substitution: gather column I of L once, then stream it
-  // unit-stride through every right-hand side (same values in the same
-  // order as solveInPlace()'s strided walk).
-  std::vector<double> Col(N);
-  for (size_t I = N; I-- > 0;) {
-    for (size_t K = I + 1; K != N; ++K)
-      Col[K] = at(K, I);
-    double Dii = at(I, I);
-    for (size_t R = 0; R != NumRhs; ++R) {
-      double *Rhs = B + R * N;
-      Rhs[I] = dotSubtract(Rhs[I], Col.data() + I + 1, Rhs + I + 1,
-                           N - I - 1) /
-               Dii;
     }
   }
 }

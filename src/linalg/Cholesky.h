@@ -79,15 +79,6 @@ public:
   /// run of extend() calls performs no reallocation at all.
   void reserve(size_t Rows) { Packed.reserve(Rows * (Rows + 1) / 2); }
 
-  /// Applies the symmetric rank-1 update A -> A + V V^T to the factor in
-  /// O(n^2) via the classic sequence of Givens-style eliminations.  The
-  /// dimension is unchanged (contrast extend(), which borders the
-  /// matrix).  Unlike extend() this is *not* bitwise-equal to a
-  /// refactorization — it is the numerically stable update the
-  /// subset-of-regressors GP uses to absorb an observation into its
-  /// m x m projected system.
-  void rankOneUpdate(RowRef V);
-
   /// Solves A x = \p B via the factor.
   std::vector<double> solve(const std::vector<double> &B) const;
 
@@ -111,13 +102,6 @@ public:
   /// simply reused across all of them from cache — so the results are
   /// bit-identical to NumRhs independent solves.
   void solveLowerManyInPlace(double *B, size_t NumRhs) const;
-
-  /// Blocked multi-RHS full solve (forward then transposed-backward
-  /// substitution) over \p NumRhs row-major right-hand sides; the
-  /// back-substitution gathers each column of L once into scratch and
-  /// streams it unit-stride through every right-hand side.
-  /// Bit-identical to NumRhs independent solveInPlace() calls.
-  void solveManyInPlace(double *B, size_t NumRhs) const;
 
   /// log(det A) = 2 * sum(log diag L).
   double logDeterminant() const;

@@ -71,15 +71,6 @@ double Matrix::maxAbsDiff(const Matrix &Rhs) const {
   return Max;
 }
 
-double alic::dotProduct(const std::vector<double> &A,
-                        const std::vector<double> &B) {
-  assert(A.size() == B.size() && "dot product size mismatch");
-  double Sum = 0.0;
-  for (size_t I = 0; I != A.size(); ++I)
-    Sum += A[I] * B[I];
-  return Sum;
-}
-
 double alic::squaredDistance(RowRef A, RowRef B) {
   assert(A.size() == B.size() && "distance size mismatch");
   double Sum = 0.0;

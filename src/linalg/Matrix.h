@@ -66,9 +66,6 @@ private:
   std::vector<double> Data;
 };
 
-/// Dot product of equally sized vectors.
-double dotProduct(const std::vector<double> &A, const std::vector<double> &B);
-
 /// Squared Euclidean distance between equally sized rows (accepts
 /// std::vector<double> and FlatRows rows alike via RowRef).
 double squaredDistance(RowRef A, RowRef B);

@@ -32,10 +32,6 @@ double alic::geometricMean(const std::vector<double> &Values) {
   return std::exp(LogSum / double(Values.size()));
 }
 
-double alic::arithmeticMean(const std::vector<double> &Values) {
-  return arithmeticMean(Values.data(), Values.size());
-}
-
 double alic::arithmeticMean(const double *Values, std::size_t Count) {
   if (Count == 0)
     return 0.0;

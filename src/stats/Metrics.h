@@ -27,12 +27,8 @@ double rootMeanSquaredError(const std::vector<double> &Predicted,
 /// Geometric mean of strictly positive \p Values; 0 when empty.
 double geometricMean(const std::vector<double> &Values);
 
-/// Arithmetic mean; 0 when empty.
-double arithmeticMean(const std::vector<double> &Values);
-
-/// Arithmetic mean of \p Count values starting at \p Values; 0 when
-/// Count is 0.  Identical summation order to the vector overload, so
-/// means of a slice match means of a copy bit-for-bit.
+/// Arithmetic mean of \p Count values starting at \p Values, summed in
+/// index order; 0 when Count is 0.
 double arithmeticMean(const double *Values, std::size_t Count);
 
 } // namespace alic

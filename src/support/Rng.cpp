@@ -6,7 +6,7 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
+#include <numeric>
 
 using namespace alic;
 
@@ -120,21 +120,14 @@ std::vector<size_t> Rng::sampleIndices(size_t N, size_t K) {
     shuffle(All);
     return All;
   }
-  // Partial Fisher-Yates over a lazily materialized identity permutation:
-  // only displaced positions are stored.
-  std::vector<size_t> Result;
-  Result.reserve(K);
-  std::unordered_map<size_t, size_t> Overrides;
-  auto valueAt = [&](size_t I) {
-    auto It = Overrides.find(I);
-    return It == Overrides.end() ? I : It->second;
-  };
+  // Partial Fisher-Yates over the identity permutation: K swaps, then
+  // the first K positions are the draw.
+  std::vector<size_t> Result(N);
+  std::iota(Result.begin(), Result.end(), size_t(0));
   for (size_t I = 0; I != K; ++I) {
     size_t J = I + static_cast<size_t>(nextBounded(N - I));
-    size_t ValJ = valueAt(J);
-    Result.push_back(ValJ);
-    // Position J now holds what position I held.
-    Overrides[J] = valueAt(I);
+    std::swap(Result[I], Result[J]);
   }
+  Result.resize(K);
   return Result;
 }

@@ -66,7 +66,7 @@ void ByteWriter::writeU16s(const std::vector<uint16_t> &Values) {
     writeU16(V);
 }
 
-void ByteWriter::writeDoubles(const std::vector<double> &Values) {
+void ByteWriter::writeDoubles(RowRef Values) {
   writeU64(Values.size());
   for (double V : Values)
     writeDouble(V);

@@ -26,6 +26,7 @@
 #define ALIC_SUPPORT_SERIALIZE_H
 
 #include "support/Error.h"
+#include "support/FlatRows.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -95,7 +96,7 @@ public:
     Buffer.insert(Buffer.end(), Value.begin(), Value.end());
   }
   void writeU16s(const std::vector<uint16_t> &Values);
-  void writeDoubles(const std::vector<double> &Values);
+  void writeDoubles(RowRef Values);
 
   /// Appends a 64-bit FNV-1a checksum of every byte written so far.
   /// Written last; ByteReader::verifyChecksum checks and strips it.

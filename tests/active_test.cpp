@@ -194,7 +194,7 @@ TEST(ActiveLearnerTest, ParallelAlcBitIdenticalToSequential) {
     }
     return std::make_tuple(L.cumulativeCostSeconds(), L.stats().Revisits,
                            L.stats().DistinctExamples,
-                           M.predict(F.D.TestFeatures.front()).Mean);
+                           M.predict(F.D.TestFeatures[0]).Mean);
   };
 
   auto Sequential = runWith(nullptr);
@@ -211,7 +211,7 @@ TEST(ActiveLearnerTest, ParallelAlcScoresBitIdenticalOnModel) {
   std::vector<std::vector<double>> X;
   std::vector<double> Y;
   for (size_t I = 0; I != 80; ++I) {
-    X.push_back(F.D.TestFeatures[I % F.D.TestFeatures.size()]);
+    X.push_back(F.D.TestFeatures[I % F.D.TestFeatures.size()].toVector());
     Y.push_back(double(I % 7));
   }
   M.fit(X, Y);
@@ -242,7 +242,7 @@ TEST(ActiveLearnerTest, GpSurrogateLoopMatchesAcrossPools) {
     while (L.step()) {
     }
     return std::make_pair(L.cumulativeCostSeconds(),
-                          M.predict(F.D.TestFeatures.front()).Mean);
+                          M.predict(F.D.TestFeatures[0]).Mean);
   };
 
   Scheduler Pool(3);
@@ -308,7 +308,7 @@ TEST(ActiveLearnerTest, AlwaysPolicyBitIdenticalToDefault) {
     EXPECT_EQ(L.stats().Skips, 0u);
     return std::make_tuple(L.cumulativeCostSeconds(), L.stats().Observations,
                            L.stats().Revisits,
-                           M.predict(F.D.TestFeatures.front()).Mean);
+                           M.predict(F.D.TestFeatures[0]).Mean);
   };
   EXPECT_EQ(runWith(Default), runWith(Explicit));
 }
@@ -329,7 +329,7 @@ TEST(ActiveLearnerTest, CostRangeSkipsDeterministicAcrossPools) {
     }
     return std::make_tuple(L.stats().Skips, L.stats().Observations,
                            L.cumulativeCostSeconds(),
-                           M.predict(F.D.TestFeatures.front()).Mean);
+                           M.predict(F.D.TestFeatures[0]).Mean);
   };
 
   auto Sequential = runWith(nullptr);

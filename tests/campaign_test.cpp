@@ -46,6 +46,14 @@ CampaignSpec tinySpec() {
   return Spec;
 }
 
+/// True when \p A and \p B hold the same rows, bit for bit.
+bool sameRowBits(const FlatRows &A, const FlatRows &B) {
+  return A.size() == B.size() && A.dim() == B.dim() &&
+         (A.raw().empty() ||
+          std::memcmp(A.raw().data(), B.raw().data(),
+                      A.raw().size() * sizeof(double)) == 0);
+}
+
 /// Fresh per-test state directory under the gtest temp root.
 std::string freshStateDir(const std::string &Name) {
   std::string Dir = ::testing::TempDir() + "alic_campaign_" + Name;
@@ -204,7 +212,7 @@ TEST(CampaignTest, DatasetCacheReturnsBitIdenticalDatasets) {
   for (const Dataset *D : {&Miss, &Hit}) {
     EXPECT_EQ(D->TrainPool.configs(), Fresh.TrainPool.configs());
     EXPECT_EQ(D->TestConfigs, Fresh.TestConfigs);
-    EXPECT_EQ(D->TestFeatures, Fresh.TestFeatures);
+    EXPECT_TRUE(sameRowBits(D->TestFeatures, Fresh.TestFeatures));
     EXPECT_EQ(D->TestMeans, Fresh.TestMeans);
     ASSERT_EQ(D->Norm.numDims(), Fresh.Norm.numDims());
     for (size_t I = 0; I != Fresh.Norm.numDims(); ++I) {

@@ -65,14 +65,6 @@ GpConfig fixedConfig(double Length = 0.7, double Noise = 1e-4) {
   return C;
 }
 
-GpConfig sorConfig(unsigned InducingPoints, double Length = 0.7,
-                   double Noise = 1e-2) {
-  GpConfig C = fixedConfig(Length, Noise);
-  C.Approx = GpApprox::SoR;
-  C.InducingPoints = InducingPoints;
-  return C;
-}
-
 /// Deterministic regression sample in 2 dims.
 void makeSample(size_t N, uint64_t Seed, std::vector<std::vector<double>> &X,
                 std::vector<double> &Y) {
@@ -284,58 +276,6 @@ TEST(GpTest, HandlesDuplicateInputsViaNugget) {
   EXPECT_NEAR(P.Mean, 3.1, 0.2);
 }
 
-TEST(GpTest, WarmStartReoptimizationNeverWorseThanCold) {
-  // Re-optimization (a second fit on the same model) seeds restart 0
-  // from the previous optimum; the random restarts draw the same stream
-  // as a cold search, so the selected log marginal likelihood is
-  // numerically no worse than a freshly constructed model's.
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(50, 17, X, Y);
-
-  GpConfig Opt;
-  Opt.OptimizeHyperParams = true;
-  Opt.OptimizerRestarts = 8;
-
-  GaussianProcess Warm(Opt);
-  Warm.fit(X, Y); // first fit: establishes the warm-start candidate
-  std::vector<std::vector<double>> X2 = X;
-  std::vector<double> Y2 = Y;
-  makeSample(20, 18, X, Y); // grow the training set a little
-  X2.insert(X2.end(), X.begin(), X.end());
-  Y2.insert(Y2.end(), Y.begin(), Y.end());
-  Warm.fit(X2, Y2);
-
-  GaussianProcess Cold(Opt);
-  Cold.fit(X2, Y2);
-  EXPECT_GE(Warm.logMarginalLikelihood(), Cold.logMarginalLikelihood());
-}
-
-TEST(GpTest, FirstOptimizedFitUnaffectedByWarmStartFlag) {
-  // No previous optimum exists on the first fit, so the flag must not
-  // change anything — the campaign ledger stays byte-identical.
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(40, 23, X, Y);
-
-  GpConfig WarmCfg;
-  WarmCfg.OptimizeHyperParams = true;
-  WarmCfg.OptimizerRestarts = 8;
-  GpConfig ColdCfg = WarmCfg;
-  ColdCfg.WarmStart = false;
-
-  GaussianProcess Warm(WarmCfg), Cold(ColdCfg);
-  Warm.fit(X, Y);
-  Cold.fit(X, Y);
-  EXPECT_EQ(Warm.logMarginalLikelihood(), Cold.logMarginalLikelihood());
-  EXPECT_EQ(Warm.hyperParams().SignalVariance,
-            Cold.hyperParams().SignalVariance);
-  EXPECT_EQ(Warm.hyperParams().LengthScale, Cold.hyperParams().LengthScale);
-  EXPECT_EQ(Warm.hyperParams().NoiseVariance,
-            Cold.hyperParams().NoiseVariance);
-  EXPECT_EQ(Warm.predict({0.1, -0.2}).Mean, Cold.predict({0.1, -0.2}).Mean);
-}
-
 TEST(GpTest, ExtendMatchesFromScratchFitBitwiseAtN500) {
   // The tentpole pin: 400 incremental O(n^2) extensions produce exactly
   // the state of one O(n^3) batch fit — bit for bit, at the scale where
@@ -374,17 +314,14 @@ TEST(GpTest, PredictBatchBitIdenticalToPredict) {
     ProbeRows.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
   FlatRows Probes(ProbeRows);
 
-  for (bool Sor : {false, true}) {
-    GaussianProcess M(Sor ? sorConfig(24) : fixedConfig());
-    M.fit(X, Y);
-    std::vector<Prediction> Batch(Probes.size());
-    M.predictBatch(Probes, Probes.size(), Batch.data());
-    for (size_t I = 0; I != Probes.size(); ++I) {
-      Prediction One = M.predict(Probes[I]);
-      EXPECT_EQ(Batch[I].Mean, One.Mean) << (Sor ? "sor " : "exact ") << I;
-      EXPECT_EQ(Batch[I].Variance, One.Variance)
-          << (Sor ? "sor " : "exact ") << I;
-    }
+  GaussianProcess M(fixedConfig());
+  M.fit(X, Y);
+  std::vector<Prediction> Batch(Probes.size());
+  M.predictBatch(Probes, Probes.size(), Batch.data());
+  for (size_t I = 0; I != Probes.size(); ++I) {
+    Prediction One = M.predict(Probes[I]);
+    EXPECT_EQ(Batch[I].Mean, One.Mean) << I;
+    EXPECT_EQ(Batch[I].Variance, One.Variance) << I;
   }
 }
 
@@ -398,131 +335,18 @@ TEST(GpTest, BatchedAlmScoresBitIdenticalToPredictLoop) {
     CandRows.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
   FlatRows Cands(CandRows);
 
-  for (bool Sor : {false, true}) {
-    GaussianProcess M(Sor ? sorConfig(24) : fixedConfig());
-    M.fit(X, Y);
-    // The blocked multi-RHS path must equal per-candidate predict()...
-    std::vector<double> Scores = M.almScores(Cands);
-    ASSERT_EQ(Scores.size(), Cands.size());
-    for (size_t I = 0; I != Cands.size(); ++I)
-      EXPECT_EQ(Scores[I], M.predict(Cands[I]).Variance)
-          << (Sor ? "sor " : "exact ") << I;
-    // ...and stay bit-identical when sharded across workers.
-    for (unsigned Threads : {1u, 7u}) {
-      Scheduler Pool(Threads);
-      ScoreContext Ctx;
-      Ctx.Pool = &Pool;
-      EXPECT_EQ(M.almScores(Cands, Ctx), Scores)
-          << (Sor ? "sor" : "exact") << " thread count " << Threads;
-    }
-  }
-}
-
-TEST(GpTest, SorDeterministicAcrossWorkersAndStealSeeds) {
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(150, 35, X, Y);
-  std::vector<std::vector<double>> Cands, Ref;
-  Rng R(36);
-  for (int I = 0; I != 60; ++I)
-    Cands.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
-  for (int I = 0; I != 20; ++I)
-    Ref.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
-
-  GaussianProcess Base(sorConfig(32));
-  Base.fit(X, Y);
-  std::vector<double> BaseAlm = Base.almScores(Cands);
-  std::vector<double> BaseAlc = Base.alcScores(Cands, Ref);
-
-  for (unsigned Threads : {1u, 8u}) {
-    for (uint64_t StealSeed : {0x5eedull, 0xabcdefull}) {
-      Scheduler::Options Opts;
-      Opts.Threads = Threads;
-      Opts.StealSeed = StealSeed;
-      Opts.JitterSeed = hashCombine({StealSeed, 0x11ffull});
-      Scheduler Pool(Opts);
-      GaussianProcess M(sorConfig(32));
-      M.setScheduler(&Pool);
-      M.fit(X, Y);
-      EXPECT_EQ(M.inducingIndices(), Base.inducingIndices());
-      EXPECT_EQ(M.logMarginalLikelihood(), Base.logMarginalLikelihood());
-      Rng P(37);
-      for (int Probe = 0; Probe != 10; ++Probe) {
-        std::vector<double> Pt = {P.nextUniform(-2, 2), P.nextUniform(-2, 2)};
-        EXPECT_EQ(M.predict(Pt).Mean, Base.predict(Pt).Mean);
-        EXPECT_EQ(M.predict(Pt).Variance, Base.predict(Pt).Variance);
-      }
-      ScoreContext Ctx;
-      Ctx.Pool = &Pool;
-      EXPECT_EQ(M.almScores(Cands, Ctx), BaseAlm)
-          << Threads << " workers, steal seed " << StealSeed;
-      EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), BaseAlc)
-          << Threads << " workers, steal seed " << StealSeed;
-    }
-  }
-}
-
-TEST(GpTest, SorWithFullInducingSetTracksExact) {
-  // With m = n the subset-of-regressors system is algebraically the
-  // exact GP (A = sigma^-2 K (sigma^2 I + K)); only jitter and rounding
-  // separate the two implementations.
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(40, 38, X, Y);
-
-  GaussianProcess Exact(fixedConfig(0.7, 1e-2));
-  Exact.fit(X, Y);
-  GaussianProcess Sor(sorConfig(64)); // > n: every point is inducing
-  Sor.fit(X, Y);
-  ASSERT_EQ(Sor.inducingIndices().size(), 40u);
-
-  Rng R(39);
-  for (int Probe = 0; Probe != 30; ++Probe) {
-    std::vector<double> P = {R.nextUniform(-2, 2), R.nextUniform(-2, 2)};
-    EXPECT_NEAR(Sor.predict(P).Mean, Exact.predict(P).Mean, 5e-3);
-  }
-  EXPECT_NEAR(Sor.logMarginalLikelihood(), Exact.logMarginalLikelihood(),
-              1e-2 * std::abs(Exact.logMarginalLikelihood()) + 1e-2);
-}
-
-TEST(GpTest, SorIncrementalUpdateAbsorbsObservations) {
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(60, 40, X, Y);
-
-  GaussianProcess M(sorConfig(32));
-  M.fit({X.begin(), X.begin() + 40}, {Y.begin(), Y.begin() + 40});
-  std::vector<double> Target = {0.8, 0.4};
-  double ErrBefore = std::abs(M.predict(Target).Mean - 3.0);
-  // Consistent new evidence near an in-range point: the O(m^2) rank-1
-  // updates must pull the posterior toward it without a refit.
-  for (int I = 0; I != 6; ++I)
-    M.update({0.8 + 0.01 * I, 0.4}, 3.0);
-  EXPECT_EQ(M.numObservations(), 46u);
-  double ErrAfter = std::abs(M.predict(Target).Mean - 3.0);
-  EXPECT_LT(ErrAfter, ErrBefore);
-  EXPECT_TRUE(std::isfinite(M.logMarginalLikelihood()));
-
-  // The update path is deterministic: an identical replay agrees bitwise.
-  GaussianProcess M2(sorConfig(32));
-  M2.fit({X.begin(), X.begin() + 40}, {Y.begin(), Y.begin() + 40});
-  for (int I = 0; I != 6; ++I)
-    M2.update({0.8 + 0.01 * I, 0.4}, 3.0);
-  EXPECT_EQ(M2.predict(Target).Mean, M.predict(Target).Mean);
-  EXPECT_EQ(M2.logMarginalLikelihood(), M.logMarginalLikelihood());
-}
-
-TEST(GpTest, SorDropsNonFiniteObservation) {
-  GaussianProcess M(sorConfig(8));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeSample(20, 41, X, Y);
+  GaussianProcess M(fixedConfig());
   M.fit(X, Y);
-  double Before = M.predict({0.5, 0.5}).Mean;
-  M.update({std::nan(""), 0.0}, 2.0);
-  EXPECT_EQ(M.numObservations(), 20u);
-  EXPECT_EQ(M.predict({0.5, 0.5}).Mean, Before);
-  M.update({0.3, 0.3}, 1.0);
-  EXPECT_EQ(M.numObservations(), 21u);
-  EXPECT_TRUE(std::isfinite(M.predict({0.5, 0.5}).Mean));
+  // The blocked multi-RHS path must equal per-candidate predict()...
+  std::vector<double> Scores = M.almScores(Cands);
+  ASSERT_EQ(Scores.size(), Cands.size());
+  for (size_t I = 0; I != Cands.size(); ++I)
+    EXPECT_EQ(Scores[I], M.predict(Cands[I]).Variance) << I;
+  // ...and stay bit-identical when sharded across workers.
+  for (unsigned Threads : {1u, 7u}) {
+    Scheduler Pool(Threads);
+    ScoreContext Ctx;
+    Ctx.Pool = &Pool;
+    EXPECT_EQ(M.almScores(Cands, Ctx), Scores) << "thread count " << Threads;
+  }
 }

@@ -76,10 +76,9 @@ TEST(MatrixTest, TransposeInvolution) {
   EXPECT_NEAR(A.transpose().transpose().maxAbsDiff(A), 0.0, 0.0);
 }
 
-TEST(MatrixTest, DotAndDistance) {
+TEST(MatrixTest, SquaredDistance) {
   std::vector<double> A = {1.0, 2.0};
   std::vector<double> B = {3.0, -1.0};
-  EXPECT_NEAR(dotProduct(A, B), 1.0, 1e-14);
   EXPECT_NEAR(squaredDistance(A, B), 4.0 + 9.0, 1e-14);
 }
 
@@ -237,41 +236,14 @@ TEST(CholeskyTest, SolveManyBitIdenticalToIndependentSolves) {
   for (double &V : Rhs)
     V = R.nextGaussian();
 
-  std::vector<double> Lower = Rhs, Full = Rhs;
+  std::vector<double> Lower = Rhs;
   F->solveLowerManyInPlace(Lower.data(), NumRhs);
-  F->solveManyInPlace(Full.data(), NumRhs);
   for (size_t I = 0; I != NumRhs; ++I) {
     std::vector<double> B(Rhs.begin() + I * N, Rhs.begin() + (I + 1) * N);
     std::vector<double> Y = F->solveLower(B);
-    std::vector<double> X = F->solve(B);
-    for (size_t J = 0; J != N; ++J) {
-      EXPECT_EQ(Lower[I * N + J], Y[J]) << "rhs " << I << " entry " << J;
-      EXPECT_EQ(Full[I * N + J], X[J]) << "rhs " << I << " entry " << J;
-    }
-  }
-}
-
-TEST(CholeskyTest, RankOneUpdateMatchesRefactorization) {
-  Rng R(44);
-  const size_t N = 30;
-  Matrix A = randomSpd(N, R);
-  std::vector<double> V(N);
-  for (double &Vi : V)
-    Vi = R.nextGaussian();
-
-  auto Updated = Cholesky::factorize(A);
-  ASSERT_TRUE(Updated.has_value());
-  Updated->rankOneUpdate(V);
-
-  for (size_t I = 0; I != N; ++I)
     for (size_t J = 0; J != N; ++J)
-      A.at(I, J) += V[I] * V[J];
-  auto Direct = Cholesky::factorize(A);
-  ASSERT_TRUE(Direct.has_value());
-  // Unlike extend(), the rank-1 update takes a different arithmetic
-  // route than refactorization — equal only within rounding.
-  EXPECT_LT(Updated->factor().maxAbsDiff(Direct->factor()), 1e-9);
-  EXPECT_NEAR(Updated->logDeterminant(), Direct->logDeterminant(), 1e-9);
+      EXPECT_EQ(Lower[I * N + J], Y[J]) << "rhs " << I << " entry " << J;
+  }
 }
 
 TEST(CholeskyTest, SolveLowerForwardSubstitution) {

@@ -585,38 +585,56 @@ TEST(ServeEngineTest, FlippedSpecByteIsSkippedNotRestoredAsAnother) {
 }
 
 TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
-  // A header with a valid checksum but a split fraction no session can
-  // run (1.5 would split past the sampled configurations) is skipped
-  // like any corrupt one.
-  std::string Dir = freshStateDir("unrunnable");
-  {
-    ServeEngine Engine(engineOptions(Dir, 0));
-    std::string Err;
-    ASSERT_TRUE(Engine.openSession("a", tinySpec(), Err)) << Err;
-  }
+  // A header with a valid checksum but a spec no session can run is
+  // skipped like any corrupt one: a split fraction of 1.5 would split
+  // past the sampled configurations, and model byte 2 names no model
+  // (the retired gp_sor).
   auto Bits = [](double V) {
     std::string Out(sizeof(V), '\0');
     std::memcpy(&Out[0], &V, sizeof(V));
     return Out;
   };
-  std::string Path = Dir + "/sess-a.alsv";
-  std::string Header = readFile(Path);
-  ASSERT_EQ(Header.back(), '\n');
-  std::string Bytes = fromHex(Header.substr(0, Header.size() - 1));
-  size_t At = Bytes.find(Bits(tinySpec().Scale.TrainFraction));
-  ASSERT_NE(At, std::string::npos);
-  Bytes.replace(At, 8, Bits(1.5));
-  ByteWriter W;
-  W.writeRaw(Bytes.substr(0, Bytes.size() - 8)); // drop the old checksum
-  W.writeChecksum();
-  std::ofstream(Path, std::ios::binary | std::ios::trunc)
-      << toHex(std::string(W.bytes().begin(), W.bytes().end())) << '\n';
+  // The benchmark string (u64 length, then its bytes) precedes the model
+  // byte.
+  const std::string Benchmark = tinySpec().Benchmark;
+  std::string BenchmarkField(8, '\0');
+  BenchmarkField[0] = char(Benchmark.size());
+  BenchmarkField += Benchmark;
+  for (bool EditModel : {false, true}) {
+    SCOPED_TRACE(EditModel ? "model byte 2" : "split fraction 1.5");
+    std::string Dir = freshStateDir("unrunnable");
+    {
+      ServeEngine Engine(engineOptions(Dir, 0));
+      std::string Err;
+      ASSERT_TRUE(Engine.openSession("a", tinySpec(), Err)) << Err;
+    }
+    std::string Path = Dir + "/sess-a.alsv";
+    std::string Header = readFile(Path);
+    ASSERT_EQ(Header.back(), '\n');
+    std::string Bytes = fromHex(Header.substr(0, Header.size() - 1));
+    if (EditModel) {
+      size_t At = Bytes.find(BenchmarkField);
+      ASSERT_NE(At, std::string::npos);
+      At += BenchmarkField.size();
+      ASSERT_EQ(Bytes[At], char(ModelKind::DynaTree));
+      Bytes[At] = char(2);
+    } else {
+      size_t At = Bytes.find(Bits(tinySpec().Scale.TrainFraction));
+      ASSERT_NE(At, std::string::npos);
+      Bytes.replace(At, 8, Bits(1.5));
+    }
+    ByteWriter W;
+    W.writeRaw(Bytes.substr(0, Bytes.size() - 8)); // drop the old checksum
+    W.writeChecksum();
+    std::ofstream(Path, std::ios::binary | std::ios::trunc)
+        << toHex(std::string(W.bytes().begin(), W.bytes().end())) << '\n';
 
-  ServeEngine Engine(engineOptions(Dir, 0));
-  size_t Skipped = 0;
-  EXPECT_EQ(Engine.restoreSessions(&Skipped), 0u);
-  EXPECT_EQ(Skipped, 1u);
-  std::filesystem::remove_all(Dir);
+    ServeEngine Engine(engineOptions(Dir, 0));
+    size_t Skipped = 0;
+    EXPECT_EQ(Engine.restoreSessions(&Skipped), 0u);
+    EXPECT_EQ(Skipped, 1u);
+    std::filesystem::remove_all(Dir);
+  }
 }
 
 TEST(ServeEngineTest, UncreatableStateDirFailsOpenNotConstruction) {
@@ -848,7 +866,8 @@ TEST(ServeWireTest, ErrorsAndShutdown) {
   // number outside its field's range is refused, never truncated; a
   // policy number must be a finite, unsigned JSON number.
   for (const char *Spec :
-       {"\"model\":\"svm\"", "\"plan\":\"always\"",
+       {"\"model\":\"svm\"", "\"model\":\"gp_sor\"",
+        "\"plan\":\"always\"",
         "\"plan\":\"seq:35junk\"", "\"plan\":\"seq:-1\"",
         "\"plan\":\"fixed:4294967296\"", "\"batch\":4294967297",
         "\"batch\":2.5", "\"batch\":0", "\"max_examples\":4294967297",

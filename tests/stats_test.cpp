@@ -163,6 +163,7 @@ TEST(MetricsTest, GeometricMean) {
 }
 
 TEST(MetricsTest, ArithmeticMean) {
-  EXPECT_EQ(arithmeticMean({}), 0.0);
-  EXPECT_NEAR(arithmeticMean({1.0, 2.0, 6.0}), 3.0, 1e-12);
+  EXPECT_EQ(arithmeticMean(nullptr, 0), 0.0);
+  const double Values[] = {1.0, 2.0, 6.0};
+  EXPECT_NEAR(arithmeticMean(Values, 3), 3.0, 1e-12);
 }

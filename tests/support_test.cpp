@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <set>
+#include <unordered_map>
 
 using namespace alic;
 
@@ -117,6 +118,44 @@ TEST(RngTest, SampleIndicesFullPermutation) {
   std::vector<size_t> S = R.sampleIndices(50, 50);
   std::set<size_t> Unique(S.begin(), S.end());
   EXPECT_EQ(Unique.size(), 50u);
+}
+
+namespace {
+
+/// Partial Fisher-Yates that stores only the displaced positions, in a
+/// hash map.  sampleIndices() materializes the identity permutation
+/// instead; for K < N the two must draw the same indices and leave the
+/// generator in the same state.
+std::vector<size_t> sampleIndicesByMap(Rng &R, size_t N, size_t K) {
+  std::vector<size_t> Result;
+  std::unordered_map<size_t, size_t> Overrides;
+  auto valueAt = [&](size_t I) {
+    auto It = Overrides.find(I);
+    return It == Overrides.end() ? I : It->second;
+  };
+  for (size_t I = 0; I != K; ++I) {
+    size_t J = I + static_cast<size_t>(R.nextBounded(N - I));
+    Result.push_back(valueAt(J));
+    Overrides[J] = valueAt(I); // position J now holds what I held
+  }
+  return Result;
+}
+
+} // namespace
+
+TEST(RngTest, SampleIndicesMatchesDisplacedPositionMap) {
+  Rng Cases(0x5a3dull);
+  for (int Case = 0; Case != 400; ++Case) {
+    // Alternate small and learner-pool-sized populations; K < N always.
+    size_t N = 1 + size_t(Cases.nextBounded(Case % 2 ? 64 : 8000));
+    size_t K = size_t(Cases.nextBounded(N));
+    uint64_t Seed = Cases.next();
+    Rng Flat(Seed), Map(Seed);
+    ASSERT_EQ(Flat.sampleIndices(N, K), sampleIndicesByMap(Map, N, K))
+        << "N=" << N << " K=" << K << " seed=" << Seed;
+    ASSERT_EQ(Flat.next(), Map.next())
+        << "N=" << N << " K=" << K << " seed=" << Seed;
+  }
 }
 
 TEST(RngTest, HashCombineSensitiveToOrder) {

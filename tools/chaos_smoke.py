@@ -41,8 +41,10 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    suggestion across all crashes must be byte-identical to an
    uninterrupted reference run.
 
-5. *scale typo* — `ALIC_SCALE=smok alic_campaign ...` exits 2 with one
-   line naming smoke|bench|paper and writes nothing.
+5. *refused input* — `ALIC_SCALE=smok alic_campaign ...` exits 2 with one
+   line naming smoke|bench|paper, and `--models=gp_sor` (a retired model
+   token) exits 2 with usage text naming dynatree,gp; neither writes
+   anything.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -488,26 +490,37 @@ def serve_crash_loop(binary, workdir, reference, site):
           f"byte-identical across {crashes} crash(es)")
 
 
-def campaign_scale_typo(binary, workdir):
-    """An unknown ALIC_SCALE is refused before any work."""
-    state_dir = os.path.join(workdir, "scale_typo")
-    out = os.path.join(workdir, "scale_typo.json")
-    env = dict(os.environ, ALIC_SCALE="smok")
-    env.pop("ALIC_FAILPOINTS", None)
-    proc = subprocess.run(
-        [binary, "--benchmarks=atax", "--models=dynatree", "--scorers=alm",
-         "--seeds=1", "--no-noise", f"--state-dir={state_dir}",
-         f"--out={out}"], env=env, capture_output=True, text=True)
-    lines = proc.stderr.splitlines()
-    if proc.returncode != 2:
-        fail(f"ALIC_SCALE=smok campaign exited {proc.returncode}, want 2\n"
-             f"{proc.stderr}")
-    if len(lines) != 1 or "smoke|bench|paper" not in lines[0]:
-        fail(f"ALIC_SCALE=smok wants one line naming smoke|bench|paper, "
-             f"got {proc.stderr!r}")
-    if proc.stdout or os.path.exists(state_dir) or os.path.exists(out):
-        fail("ALIC_SCALE=smok campaign did work before refusing the scale")
-    print("chaos_smoke: campaign ALIC_SCALE=smok: exit 2 before any work")
+def campaign_refusals(binary, workdir):
+    """Bad input is refused with exit 2 before any work."""
+    probes = [
+        # (name, ALIC_SCALE, --models entry, stderr check, its wording)
+        ("ALIC_SCALE=smok", "smok", "dynatree",
+         lambda err: (len(err.splitlines()) == 1 and
+                      "smoke|bench|paper" in err),
+         "one line naming smoke|bench|paper"),
+        ("--models=gp_sor", "smoke", "gp_sor",
+         lambda err: ("unknown --models entry 'gp_sor'" in err and
+                      "dynatree,gp" in err),
+         "usage text naming dynatree,gp"),
+    ]
+    for index, (name, scale, models, check, wanted) in enumerate(probes):
+        state_dir = os.path.join(workdir, f"refused{index}")
+        out = os.path.join(workdir, f"refused{index}.json")
+        env = dict(os.environ, ALIC_SCALE=scale)
+        env.pop("ALIC_FAILPOINTS", None)
+        proc = subprocess.run(
+            [binary, "--benchmarks=atax", f"--models={models}",
+             "--scorers=alm", "--seeds=1", "--no-noise",
+             f"--state-dir={state_dir}", f"--out={out}"],
+            env=env, capture_output=True, text=True)
+        if proc.returncode != 2:
+            fail(f"{name} campaign exited {proc.returncode}, want 2\n"
+                 f"{proc.stderr}")
+        if not check(proc.stderr):
+            fail(f"{name} wants {wanted}, got {proc.stderr!r}")
+        if proc.stdout or os.path.exists(state_dir) or os.path.exists(out):
+            fail(f"{name} campaign did work before refusing")
+        print(f"chaos_smoke: campaign {name}: exit 2 before any work")
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +555,7 @@ def main():
     campaign_enospc_quarantine(campaign, args.workdir,
                                small=args.small_enospc)
     campaign_sharded_kill(campaign, args.workdir, small=args.small_shard)
-    campaign_scale_typo(campaign, args.workdir)
+    campaign_refusals(campaign, args.workdir)
     reference = serve_reference(serve, args.workdir)
     for site in SESSION_SITES:
         serve_crash_loop(serve, args.workdir, reference, site)

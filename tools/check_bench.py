@@ -13,6 +13,10 @@ segment:
   "speedup")  -> fail when fresh < baseline * (1 - threshold);
 * anything else is informational and skipped.
 
+Every numeric leaf of a fresh file, gated or not, must also exist in its
+baseline: a field the baseline lacks would never be compared, so it
+fails until the baseline is regenerated with it.
+
 Wall-clock metrics (google-benchmark real/cpu time, updates/items/bytes
 per second) are skipped by default because shared CI runners make them
 noisy; pass --include-wallclock to gate them too.  Curve interior points
@@ -25,7 +29,8 @@ threshold only absorbs cross-toolchain libm wobble.
 
 stdlib-only by design: CI runs it with a bare python3.
 
-Exit codes: 0 ok, 1 regression or missing file, 2 usage error.
+Exit codes: 0 ok, 1 regression, missing file or missing baseline field,
+2 usage error.
 """
 
 import argparse
@@ -40,7 +45,7 @@ import sys
 # growing the cross-product can never silently pair unrelated metrics —
 # a shape mismatch surfaces as "missing from fresh output".
 ID_KEYS = ("benchmark", "model", "scorer", "batch", "plan", "policy",
-           "particles", "state", "threads", "approx", "n", "workers")
+           "particles", "state", "threads", "n", "workers")
 
 # "labels" gates BENCH_query.json's labels_spent (a query policy that
 # starts buying more labels regressed); "saved" must precede it in the
@@ -71,8 +76,8 @@ WALLCLOCK_TOKENS = (
     # bench_ablation_model_cost's GP throughput sweep: pure wall clocks
     # and their ratios (the committed baseline is a 1-core box, so even
     # factorize_speedup is hardware-dependent).  BENCH_gp.json stays
-    # presence-gated and its quality columns (exact_rmse/sor_rmse) are
-    # deterministic and remain in the gate.
+    # presence-gated and its quality column (exact_rmse) is
+    # deterministic and remains in the gate.
     "fit_seconds",
     "update_seconds",
     "predict_seconds",
@@ -173,6 +178,11 @@ def compare_file(name, baseline, fresh, threshold, include_wallclock):
             notes.append(
                 f"{name}: {path} improved {ratio:.2f}x — consider "
                 f"refreshing the baseline")
+    for path, fresh_value in sorted(fresh.items()):
+        if path not in baseline:
+            regressions.append(
+                f"{name}: {path} missing from the baseline "
+                f"(fresh {fresh_value:g})")
     return regressions, notes
 
 
