@@ -14,6 +14,10 @@
 // scale): blocked factorize across worker counts (bit-identity asserted
 // against the serial factor), fit/update/predict/ALC throughput, and the
 // deterministic held-out RMSE and log marginal likelihood of each fit.
+// A learner-shaped row per n then scores a fixed 1000-point pool with
+// pool ids after each of 16 one-point updates, against the same calls
+// without ids (asserted bitwise equal), with the kernel evaluations and
+// forward-solve terms each spends per candidate.
 // Emits BENCH_gp.json; its wall-clock columns are classified out of
 // tools/check_bench.py's default gate (shared CI runners), while the
 // rmse columns are deterministic and gated.
@@ -30,6 +34,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -253,6 +258,85 @@ struct QualityRow {
   double LogMl = 0.0;
 };
 
+/// The learner-shaped ALC row at one n: steady-state rates with and
+/// without pool ids, and the work each spends per candidate (exact
+/// counts, deterministic).
+struct LoopRow {
+  size_t N = 0;
+  double PooledCandidatesPerSecond = 0.0;
+  double FreshCandidatesPerSecond = 0.0;
+  double PooledKernelEvals = 0.0; ///< per candidate
+  double PooledSolveTerms = 0.0;
+  double FreshKernelEvals = 0.0;
+  double FreshSolveTerms = 0.0;
+};
+
+/// Scores ALC the way the active learner does: a fixed pool, warmed by
+/// one untimed ALM pass over every id, then \p Rounds rounds that each
+/// draw candidate and reference ids, score them with ids and again
+/// without (the two must agree bitwise), and absorb the top candidate.
+bool runLoopRow(size_t N, const FlatRows &Train,
+                const std::vector<double> &TrainY, const FlatRows &Pool,
+                const std::vector<double> &PoolY, size_t Rounds,
+                size_t NumCands, size_t NumRef, LoopRow &Row) {
+  GaussianProcess M(plainGpConfig());
+  M.fit(Train, TrainY);
+  std::vector<uint32_t> AllIds(Pool.size());
+  for (size_t I = 0; I != AllIds.size(); ++I)
+    AllIds[I] = uint32_t(I);
+  ScoreContext Warm;
+  Warm.CandidateIds = AllIds.data();
+  M.almScores(Pool, Warm);
+
+  Rng R(hashCombine({0x100bull, N}));
+  ScoreStats Pooled, Fresh;
+  double PooledSeconds = 0.0, FreshSeconds = 0.0;
+  for (size_t K = 0; K != Rounds; ++K) {
+    std::vector<uint32_t> CandIds, RefIds;
+    FlatRows Cands, Ref;
+    for (size_t Slot : R.sampleIndices(Pool.size(), NumCands)) {
+      CandIds.push_back(uint32_t(Slot));
+      Cands.push(Pool[Slot]);
+    }
+    for (size_t Slot : R.sampleIndices(Pool.size(), NumRef)) {
+      RefIds.push_back(uint32_t(Slot));
+      Ref.push(Pool[Slot]);
+    }
+    ScoreContext WithIds;
+    WithIds.Stats = &Pooled;
+    WithIds.CandidateIds = CandIds.data();
+    WithIds.ReferenceIds = RefIds.data();
+    ScoreContext NoIds;
+    NoIds.Stats = &Fresh;
+
+    auto Start = std::chrono::steady_clock::now();
+    std::vector<double> Got = M.alcScores(Cands, Ref, WithIds);
+    PooledSeconds += secondsSince(Start);
+    Start = std::chrono::steady_clock::now();
+    std::vector<double> Want = M.alcScores(Cands, Ref, NoIds);
+    FreshSeconds += secondsSince(Start);
+    if (Got != Want) {
+      std::fprintf(stderr,
+                   "FATAL: ALC with pool ids diverged from ALC without at "
+                   "n=%zu round %zu\n",
+                   N, K);
+      return false;
+    }
+    size_t Best = size_t(std::max_element(Got.begin(), Got.end()) -
+                         Got.begin());
+    M.update(Cands[Best], PoolY[CandIds[Best]]);
+  }
+  double Scored = double(Rounds * NumCands);
+  Row.N = N;
+  Row.PooledCandidatesPerSecond = Scored / PooledSeconds;
+  Row.FreshCandidatesPerSecond = Scored / FreshSeconds;
+  Row.PooledKernelEvals = double(Pooled.KernelEvals.load()) / Scored;
+  Row.PooledSolveTerms = double(Pooled.SolveTerms.load()) / Scored;
+  Row.FreshKernelEvals = double(Fresh.KernelEvals.load()) / Scored;
+  Row.FreshSolveTerms = double(Fresh.SolveTerms.load()) / Scored;
+  return true;
+}
+
 /// Blocked-factorize sweep: one SPD matrix per n (low-rank + dominant
 /// diagonal, deterministic), factored serially and across worker counts.
 /// The parallel factors are asserted bit-identical to the serial one —
@@ -335,11 +419,14 @@ int runGpThroughputSection() {
     Reps = 3;
   const std::vector<unsigned> WorkerCounts = {0, 2, 4};
   constexpr size_t MaxN = 8000, NumUpdates = 16, NumProbes = 256,
-                   NumCands = 200, NumRef = 50, NumHeld = 500;
+                   NumCands = 200, NumRef = 50, NumHeld = 500,
+                   NumPool = 1000, LoopRounds = 16;
 
   std::vector<std::vector<double>> X;
   std::vector<double> Y;
-  makeData(MaxN + NumUpdates + NumProbes + NumCands + NumRef + NumHeld, X, Y);
+  makeData(MaxN + NumUpdates + NumProbes + NumCands + NumRef + NumHeld +
+               NumPool,
+           X, Y);
   auto Tail = [&](size_t Skip, size_t Count) {
     return FlatRows(X.begin() + long(MaxN + Skip),
                     X.begin() + long(MaxN + Skip + Count));
@@ -347,11 +434,13 @@ int runGpThroughputSection() {
   FlatRows Probes = Tail(NumUpdates, NumProbes);
   FlatRows Cands = Tail(NumUpdates + NumProbes, NumCands);
   FlatRows Ref = Tail(NumUpdates + NumProbes + NumCands, NumRef);
-  FlatRows Held = Tail(NumUpdates + NumProbes + NumCands + NumRef, NumHeld);
-  std::vector<double> HeldY(Y.begin() +
-                                long(MaxN + NumUpdates + NumProbes +
-                                     NumCands + NumRef),
-                            Y.end());
+  size_t HeldAt = NumUpdates + NumProbes + NumCands + NumRef;
+  FlatRows Held = Tail(HeldAt, NumHeld);
+  std::vector<double> HeldY(Y.begin() + long(MaxN + HeldAt),
+                            Y.begin() + long(MaxN + HeldAt + NumHeld));
+  FlatRows LoopPool = Tail(HeldAt + NumHeld, NumPool);
+  std::vector<double> LoopPoolY(Y.begin() + long(MaxN + HeldAt + NumHeld),
+                                Y.end());
 
   std::vector<FactorizeRow> FactorizeRows;
   if (!runFactorizeSweep(Sizes, WorkerCounts, Reps, FactorizeRows))
@@ -359,6 +448,7 @@ int runGpThroughputSection() {
 
   std::vector<GpRow> GpRows;
   std::vector<QualityRow> QualityRows;
+  std::vector<LoopRow> LoopRows;
   Table GpOut({"n", "workers", "fit s", "alc cand/s", "upd s", "pred/s"});
   for (size_t N : Sizes) {
     FlatRows Train(X.begin(), X.begin() + long(N));
@@ -431,11 +521,32 @@ int runGpThroughputSection() {
                         ? formatString("%.1f", Row.PredictsPerSecond)
                         : std::string("-")});
     }
+    LoopRows.emplace_back();
+    if (!runLoopRow(N, Train, TrainY, LoopPool, LoopPoolY, LoopRounds,
+                    NumCands, NumRef, LoopRows.back()))
+      return EXIT_FAILURE;
   }
   std::printf("\nGP throughput (%zu ALC candidates x %zu reference, "
               "%zu-probe predict blocks):\n",
               NumCands, NumRef, NumProbes);
   GpOut.print();
+
+  Table LoopOut({"n", "ids cand/s", "no-ids cand/s", "ratio",
+                 "kernel/cand", "solve terms/cand", "no-ids solve/cand"});
+  for (const LoopRow &L : LoopRows)
+    LoopOut.addRow(
+        {std::to_string(L.N), formatString("%.1f", L.PooledCandidatesPerSecond),
+         formatString("%.1f", L.FreshCandidatesPerSecond),
+         formatString("%.1fx", L.PooledCandidatesPerSecond /
+                                   L.FreshCandidatesPerSecond),
+         formatString("%.2f", L.PooledKernelEvals),
+         formatString("%.1f", L.PooledSolveTerms),
+         formatString("%.1f", L.FreshSolveTerms)});
+  std::printf("\nLearner-shaped ALC (%zu-point pool warmed once, %zu rounds "
+              "of %zu candidates x %zu reference, one update each; scores "
+              "with ids == without, bitwise):\n",
+              NumPool, LoopRounds, NumCands, NumRef);
+  LoopOut.print();
 
   Table QualOut({"n", "rmse", "logml"});
   for (const QualityRow &Q : QualityRows)
@@ -452,8 +563,10 @@ int runGpThroughputSection() {
                  "{\n  \"schema\": \"alic-gp-throughput-v1\",\n"
                  "  \"alc_candidates\": %zu,\n  \"alc_reference\": %zu,\n"
                  "  \"predict_probes\": %zu,\n  \"updates\": %zu,\n"
-                 "  \"heldout\": %zu,\n",
-                 NumCands, NumRef, NumProbes, NumUpdates, NumHeld);
+                 "  \"heldout\": %zu,\n  \"loop_pool\": %zu,\n"
+                 "  \"loop_rounds\": %zu,\n",
+                 NumCands, NumRef, NumProbes, NumUpdates, NumHeld, NumPool,
+                 LoopRounds);
     std::fprintf(Json, "  \"factorize\": [\n");
     for (size_t I = 0; I != FactorizeRows.size(); ++I) {
       const FactorizeRow &F = FactorizeRows[I];
@@ -487,6 +600,22 @@ int runGpThroughputSection() {
                    "\"exact_logml\": %.4f}%s\n",
                    Q.N, Q.Rmse, Q.LogMl,
                    I + 1 == QualityRows.size() ? "" : ",");
+    }
+    std::fprintf(Json, "  ],\n  \"gp_loop\": [\n");
+    for (size_t I = 0; I != LoopRows.size(); ++I) {
+      const LoopRow &L = LoopRows[I];
+      std::fprintf(Json,
+                   "    {\"n\": %zu, "
+                   "\"pooled_alc_candidates_per_second\": %.1f, "
+                   "\"fresh_alc_candidates_per_second\": %.1f, "
+                   "\"pooled_kernel_evals_per_candidate\": %.4f, "
+                   "\"pooled_solve_terms_per_candidate\": %.4f, "
+                   "\"fresh_kernel_evals_per_candidate\": %.4f, "
+                   "\"fresh_solve_terms_per_candidate\": %.4f}%s\n",
+                   L.N, L.PooledCandidatesPerSecond,
+                   L.FreshCandidatesPerSecond, L.PooledKernelEvals,
+                   L.PooledSolveTerms, L.FreshKernelEvals, L.FreshSolveTerms,
+                   I + 1 == LoopRows.size() ? "" : ",");
     }
     std::fprintf(Json, "  ]\n}\n");
     std::fclose(Json);

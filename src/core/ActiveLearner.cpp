@@ -113,21 +113,22 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
   Batch = std::max(1u, Batch);
 
   // --- Assemble the candidate set (Alg. 1 lines 7-11) -------------------
-  // nc never-observed configurations ...
-  struct Candidate {
-    uint32_t PoolIdx;
-    bool Revisit;
-  };
-  std::vector<Candidate> Candidates;
+  // Ids[0..NumCand) are the candidates' pool indices: nc never-observed
+  // configurations, then every visited example still short of the
+  // observation cap (the revisits, Pick >= NumFresh).  ALC appends its
+  // reference sample's pool indices to the same buffer, so the ids the
+  // model is handed cost no allocation of their own.
   unsigned Nc = std::min<size_t>(Cfg.CandidatesPerIteration, Unseen.size());
   std::vector<size_t> Fresh = Generator.sampleIndices(Unseen.size(), Nc);
-  Candidates.reserve(Fresh.size() + Revisitable.size());
+  size_t NumFresh = Fresh.size();
+  size_t NumCand = NumFresh + Revisitable.size();
+  unsigned NumRef = std::min<size_t>(Cfg.ReferenceSetSize, Pool.size());
+  std::vector<uint32_t> Ids;
+  Ids.reserve(NumCand + (Cfg.Scorer == ScorerKind::Alc ? NumRef : 0));
   for (size_t Slot : Fresh)
-    Candidates.push_back({Unseen[Slot], false});
-  // ... plus every visited example still short of the observation cap.
-  for (uint32_t PoolIdx : Revisitable)
-    Candidates.push_back({PoolIdx, true});
-  if (Candidates.empty())
+    Ids.push_back(Unseen[Slot]);
+  Ids.insert(Ids.end(), Revisitable.begin(), Revisitable.end());
+  if (NumCand == 0)
     return Outstanding; // unreachable given !done(), kept as a safeguard
 
   // --- Score the candidates (Alg. 1 lines 12-20) ------------------------
@@ -139,34 +140,39 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
 
   std::vector<size_t> Chosen;
   if (Cfg.Scorer == ScorerKind::Random) {
-    std::vector<size_t> Order = Generator.sampleIndices(
-        Candidates.size(), std::min<size_t>(Batch, Candidates.size()));
+    std::vector<size_t> Order =
+        Generator.sampleIndices(NumCand, std::min<size_t>(Batch, NumCand));
     Chosen = Order;
   } else {
     // Candidate and reference rows are copied from the pool's derived
     // rows into contiguous FlatRows buffers — the layout every surrogate
-    // scores from.
+    // scores from — and their pool indices ride along as ids, so a model
+    // can key per-point caches by them.
     FlatRows CandFeatures;
-    CandFeatures.reserveRows(Candidates.size());
-    for (const Candidate &C : Candidates)
-      CandFeatures.push(Pool.row(C.PoolIdx));
+    CandFeatures.reserveRows(NumCand);
+    for (size_t C = 0; C != NumCand; ++C)
+      CandFeatures.push(Pool.row(Ids[C]));
 
     std::vector<double> Scores;
     if (Cfg.Scorer == ScorerKind::Alm) {
+      Ctx.CandidateIds = Ids.data();
       Scores = Model.almScores(CandFeatures, Ctx);
     } else {
       // Reference sample over which the average variance is minimized.
-      unsigned NumRef = std::min<size_t>(Cfg.ReferenceSetSize, Pool.size());
       FlatRows Ref;
       Ref.reserveRows(NumRef);
-      for (size_t Slot : Generator.sampleIndices(Pool.size(), NumRef))
+      for (size_t Slot : Generator.sampleIndices(Pool.size(), NumRef)) {
         Ref.push(Pool.row(Slot));
+        Ids.push_back(uint32_t(Slot));
+      }
+      Ctx.CandidateIds = Ids.data();
+      Ctx.ReferenceIds = Ids.data() + NumCand;
       Scores = Model.alcScores(CandFeatures, Ref, Ctx);
     }
 
     // Top-Batch scores (selecting several examples per loop iteration is
     // the parallel variant the paper mentions after Alg. 1).
-    std::vector<size_t> Order(Candidates.size());
+    std::vector<size_t> Order(NumCand);
     for (size_t I = 0; I != Order.size(); ++I)
       Order[I] = I;
     std::partial_sort(Order.begin(),
@@ -195,24 +201,25 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
       if (Iter >= Cfg.MaxTrainingExamples ||
           (UnseenLeft == 0 && RevisitableLeft == 0))
         break;
-      const Candidate &C = Candidates[Pick];
+      uint32_t PoolIdx = Ids[Pick];
+      bool Revisit = Pick >= NumFresh;
       bool Label = true;
       if (Policy) {
-        Prediction P = Model.predict(Pool.row(C.PoolIdx));
+        Prediction P = Model.predict(Pool.row(PoolIdx));
         QueryDecision D;
         D.Mean = P.Mean;
         D.Variance = P.Variance;
         D.StreamPosition = Iter;
         Label = Policy->shouldQuery(D);
       }
-      auto It = ObsCount.find(C.PoolIdx);
+      auto It = ObsCount.find(PoolIdx);
       // A declined pick is consumed unlabelled: a fresh one leaves the
       // unseen pool without joining the revisit set, a revisit is retired
       // (the policy judged further measurements there uninformative).
       PickOutcome O =
-          Label ? pickOutcome(Plan, C.Revisit,
+          Label ? pickOutcome(Plan, Revisit,
                               It == ObsCount.end() ? 0 : It->second)
-                : PickOutcome{!C.Revisit, false, C.Revisit};
+                : PickOutcome{!Revisit, false, Revisit};
       UnseenLeft -= O.TakesUnseen;
       RevisitableLeft += O.JoinsRevisitable;
       RevisitableLeft -= O.LeavesRevisitable;
@@ -240,12 +247,12 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
   Outstanding.Configs.reserve(NumQueried);
   Outstanding.Skipped.reserve(Chosen.size() - NumQueried);
   for (size_t I = 0; I != Chosen.size(); ++I) {
-    const Candidate &C = Candidates[Chosen[I]];
-    PendingIdx.push_back(C.PoolIdx);
-    PendingRevisit.push_back(C.Revisit);
+    uint32_t PoolIdx = Ids[Chosen[I]];
+    PendingIdx.push_back(PoolIdx);
+    PendingRevisit.push_back(Chosen[I] >= NumFresh);
     PendingQueried.push_back(Queried[I]);
     (Queried[I] ? Outstanding.Configs : Outstanding.Skipped)
-        .push_back(Pool[C.PoolIdx]);
+        .push_back(Pool[PoolIdx]);
   }
   Outstanding.Ticket = NextTicket++;
   HasOutstanding = true;

@@ -37,8 +37,8 @@ double GaussianProcess::kernel(RowRef A, RowRef B) const {
 }
 
 void GaussianProcess::kernelRow(const FlatRows &Rows, RowRef X, double *Out,
-                                size_t Num) const {
-  for (size_t I = 0; I != Num; ++I)
+                                size_t Begin, size_t End) const {
+  for (size_t I = Begin; I != End; ++I)
     Out[I] = kernel(X, Rows[I]);
 }
 
@@ -63,6 +63,7 @@ double GaussianProcess::recomputeWeights() {
 }
 
 double GaussianProcess::refitWith(const GpHyperParams &P) {
+  ++FactorGen;
   Params = P;
   size_t N = DataX.size();
   // Only the lower triangle is filled — factorize() never reads above
@@ -96,7 +97,7 @@ void GaussianProcess::updateIncremental() {
   }
   RowRef X = DataX[N - 1];
   UpdateScratch.resize(N - 1);
-  kernelRow(DataX, X, UpdateScratch.data(), N - 1);
+  kernelRow(DataX, X, UpdateScratch.data(), 0, N - 1);
   double Diag = kernel(X, X) + Params.NoiseVariance + 1e-10;
   if (!Factor->extend(UpdateScratch, Diag)) {
     // Numerically non-PD border: fall back to a full refactorization.
@@ -169,7 +170,7 @@ Prediction GaussianProcess::predict(RowRef X) const {
   // after the mean is accumulated.
   thread_local std::vector<double> Ks;
   Ks.resize(N);
-  kernelRow(DataX, X, Ks.data(), N);
+  kernelRow(DataX, X, Ks.data(), 0, N);
   Prediction Out;
   Out.Mean = MeanY;
   for (size_t I = 0; I != N; ++I)
@@ -192,11 +193,14 @@ void GaussianProcess::predictBatch(const FlatRows &X, size_t Count,
   // then the blocked forward solve overwrites it for the variances —
   // per point, exactly predict()'s arithmetic.
   thread_local std::vector<double> Ks;
+  double *Rhs[PredictBlock];
   for (size_t B0 = 0; B0 < Count; B0 += PredictBlock) {
     size_t Num = std::min(PredictBlock, Count - B0);
     Ks.resize(Num * N);
-    for (size_t C = 0; C != Num; ++C)
-      kernelRow(DataX, X[B0 + C], Ks.data() + C * N, N);
+    for (size_t C = 0; C != Num; ++C) {
+      Rhs[C] = Ks.data() + C * N;
+      kernelRow(DataX, X[B0 + C], Rhs[C], 0, N);
+    }
     for (size_t C = 0; C != Num; ++C) {
       const double *Row = Ks.data() + C * N;
       double Mean = MeanY;
@@ -204,9 +208,9 @@ void GaussianProcess::predictBatch(const FlatRows &X, size_t Count,
         Mean += Row[I] * Alpha[I];
       Out[B0 + C].Mean = Mean;
     }
-    Factor->solveLowerManyInPlace(Ks.data(), Num);
+    Factor->solveLowerManyInPlace(Rhs, nullptr, Num);
     for (size_t C = 0; C != Num; ++C) {
-      const double *Row = Ks.data() + C * N;
+      const double *Row = Rhs[C];
       double Reduction = 0.0;
       for (size_t I = 0; I != N; ++I)
         Reduction += Row[I] * Row[I];
@@ -217,34 +221,112 @@ void GaussianProcess::predictBatch(const FlatRows &X, size_t Count,
   }
 }
 
+std::vector<const GaussianProcess::SolvedRow *>
+GaussianProcess::solveRows(std::initializer_list<RowBlock> Blocks,
+                           const ScoreContext &Ctx,
+                           std::vector<SolvedRow> &Scratch) const {
+  size_t N = Alpha.size(); // fitted prefix (see predict())
+  // Size the cache and the scratch first: entries are addressed by
+  // pointer from here on.
+  size_t NumRows = 0, NumScratch = 0;
+  for (const RowBlock &B : Blocks) {
+    NumRows += B.Rows.size();
+    if (!B.Ids)
+      NumScratch += B.Rows.size();
+    for (size_t I = 0; B.Ids && I != B.Rows.size(); ++I)
+      if (B.Ids[I] >= Solved.size())
+        Solved.resize(size_t(B.Ids[I]) + 1);
+  }
+  Scratch.resize(NumScratch);
+
+  // Collect each distinct entry short of the factor, with the row that
+  // feeds it and the row its solve resumes from.  Setting Len to N here
+  // marks it, so a repeated id is queued once.
+  struct Stale {
+    SolvedRow *E;
+    RowRef X;
+    size_t Start;
+  };
+  std::vector<const SolvedRow *> Entries;
+  Entries.reserve(NumRows);
+  std::vector<Stale> Work;
+  uint64_t KernelEvals = 0, SolveTerms = 0;
+  size_t NextScratch = 0;
+  for (const RowBlock &B : Blocks)
+    for (size_t I = 0; I != B.Rows.size(); ++I) {
+      SolvedRow &E = B.Ids ? Solved[B.Ids[I]] : Scratch[NextScratch++];
+      Entries.push_back(&E);
+      if (E.Gen != FactorGen) {
+        E.Len = 0;
+        E.Gen = FactorGen;
+      }
+      size_t Start = E.Len;
+      assert(Start <= N && "forward solve outgrew the factor");
+      if (Start == N)
+        continue;
+      if (Start == 0) {
+        E.SumSq = 0.0;
+        E.VarLeft = Params.SignalVariance;
+      }
+      if (E.V.size() < N) // headroom: most touches grow by a few rows
+        E.V.resize(N + std::max<size_t>(N / 8, 32));
+      E.Len = N;
+      Work.push_back({&E, B.Rows[I], Start});
+      KernelEvals += N - Start;
+      SolveTerms += (N - Start) * (N + Start - 1) / 2; // rows Start..N-1
+    }
+
+  // Extend the stale entries in fixed-grid shards: kernel rows for the
+  // missing rows, one blocked forward solve from each entry's start row,
+  // then the running sums continued in index order.  Each shard writes
+  // only its own entries, so the result does not depend on the grid or
+  // on the order; sorting by start row keeps each shard's solve from
+  // walking factor rows that most of its entries already cover.
+  std::stable_sort(Work.begin(), Work.end(),
+                   [](const Stale &A, const Stale &B) {
+                     return A.Start > B.Start;
+                   });
+  shardedFor(Ctx.Pool, Work.size(), Ctx.ShardSize,
+             [&](size_t, size_t Begin, size_t End) {
+               thread_local std::vector<double *> Rhs;
+               thread_local std::vector<size_t> Starts;
+               Rhs.clear();
+               Starts.clear();
+               for (size_t W = Begin; W != End; ++W) {
+                 kernelRow(DataX, Work[W].X, Work[W].E->V.data(),
+                           Work[W].Start, N);
+                 Rhs.push_back(Work[W].E->V.data());
+                 Starts.push_back(Work[W].Start);
+               }
+               Factor->solveLowerManyInPlace(Rhs.data(), Starts.data(),
+                                             End - Begin);
+               for (size_t W = Begin; W != End; ++W) {
+                 SolvedRow &E = *Work[W].E;
+                 for (size_t I = Work[W].Start; I != N; ++I) {
+                   E.SumSq += E.V[I] * E.V[I];
+                   E.VarLeft -= E.V[I] * E.V[I];
+                 }
+               }
+             });
+  if (Ctx.Stats) {
+    Ctx.Stats->KernelEvals.fetch_add(KernelEvals, std::memory_order_relaxed);
+    Ctx.Stats->SolveTerms.fetch_add(SolveTerms, std::memory_order_relaxed);
+  }
+  return Entries;
+}
+
 std::vector<double> GaussianProcess::almScores(const FlatRows &Candidates,
                                                const ScoreContext &Ctx) const {
   assert(Factor && "GP not fitted");
-  size_t N = Alpha.size();
-  // Per shard: one batch of kernel rows, one blocked forward solve.
-  // Every candidate receives the same floating-point sequence as a
-  // standalone predict(), so scores are bit-identical to the default
-  // per-candidate path at any worker count.
+  // predict()'s variance: its forward solve and its sum of squares, in
+  // the same order, read from the candidate's entry.
+  std::vector<SolvedRow> Scratch;
+  std::vector<const SolvedRow *> Solves =
+      solveRows({{Candidates, Ctx.CandidateIds}}, Ctx, Scratch);
   std::vector<double> Scores(Candidates.size());
-  shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
-             [&](size_t, size_t Begin, size_t End) {
-               thread_local std::vector<double> Buf;
-               size_t Num = End - Begin;
-               Buf.resize(Num * N);
-               for (size_t C = Begin; C != End; ++C)
-                 kernelRow(DataX, Candidates[C], Buf.data() + (C - Begin) * N,
-                           N);
-               Factor->solveLowerManyInPlace(Buf.data(), Num);
-               for (size_t C = Begin; C != End; ++C) {
-                 const double *V = Buf.data() + (C - Begin) * N;
-                 double Reduction = 0.0;
-                 for (size_t I = 0; I != N; ++I)
-                   Reduction += V[I] * V[I];
-                 Scores[C] =
-                     std::max(0.0, Params.SignalVariance - Reduction) +
-                     Params.NoiseVariance;
-               }
-             });
+  for (size_t C = 0; C != Candidates.size(); ++C)
+    Scores[C] = std::max(0.0, Params.SignalVariance - Solves[C]->SumSq) +
+                Params.NoiseVariance;
   return Scores;
 }
 
@@ -258,54 +340,38 @@ std::vector<double> GaussianProcess::alcScores(const FlatRows &Candidates,
   //   var(x | data)    = s - v_x . v_x   and
   //   cov(r, x | data) = k(r, x) - v_r . v_x.
   size_t N = Alpha.size(); // fitted prefix (see predict())
-  size_t NumRef = Reference.size();
+  size_t NumCand = Candidates.size(), NumRef = Reference.size();
+  std::vector<SolvedRow> Scratch;
+  std::vector<const SolvedRow *> Solves = solveRows(
+      {{Candidates, Ctx.CandidateIds}, {Reference, Ctx.ReferenceIds}}, Ctx,
+      Scratch);
 
-  // v_r per reference is candidate-independent: kernel rows and one
-  // batched forward solve per reference shard, each row an independent
-  // write, so the sharded and sequential paths agree bitwise.  The
-  // vectors are then copied i-major (RefVT[I * NumRef + R] = v_r[I]) so
-  // the cross term below runs its inner loop across references.
+  // The v_r are copied i-major (RefVT[I * NumRef + R] = v_r[I]) so the
+  // cross term below runs its inner loop across references.
   std::vector<double> RefVT(N * NumRef);
-  {
-    std::vector<double> RefV(NumRef * N);
-    shardedFor(Ctx.Pool, NumRef, Ctx.ShardSize,
-               [&](size_t, size_t Begin, size_t End) {
-                 for (size_t R = Begin; R != End; ++R)
-                   kernelRow(DataX, Reference[R], RefV.data() + R * N, N);
-                 Factor->solveLowerManyInPlace(RefV.data() + Begin * N,
-                                               End - Begin);
-               });
-    for (size_t R = 0; R != NumRef; ++R)
-      for (size_t I = 0; I != N; ++I)
-        RefVT[I * NumRef + R] = RefV[R * N + I];
+  for (size_t R = 0; R != NumRef; ++R) {
+    const double *V = Solves[NumCand + R]->V.data();
+    for (size_t I = 0; I != N; ++I)
+      RefVT[I * NumRef + R] = V[I];
   }
 
-  // Candidates are scored in fixed-grid shards; each shard batches its
-  // kernel rows through one blocked forward solve.  Every Cov[R] takes
-  // its addends in index order I whichever loop runs outermost, so the
+  // Candidates are scored in fixed-grid shards.  Every Cov[R] takes its
+  // addends in index order I whichever loop runs outermost, so the
   // scores are bit-identical at any thread count.
-  std::vector<double> Scores(Candidates.size(), 0.0);
-  shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
+  std::vector<double> Scores(NumCand, 0.0);
+  shardedFor(Ctx.Pool, NumCand, Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
-    thread_local std::vector<double> VxBuf, Cov;
-    size_t Num = End - Begin;
-    VxBuf.resize(Num * N);
+    thread_local std::vector<double> Cov;
     Cov.resize(NumRef);
-    for (size_t C = Begin; C != End; ++C)
-      kernelRow(DataX, Candidates[C], VxBuf.data() + (C - Begin) * N, N);
-    Factor->solveLowerManyInPlace(VxBuf.data(), Num);
     for (size_t C = Begin; C != End; ++C) {
       RowRef X = Candidates[C];
-      const double *Vx = VxBuf.data() + (C - Begin) * N;
-      double VarX = Params.SignalVariance;
-      for (size_t I = 0; I != N; ++I)
-        VarX -= Vx[I] * Vx[I];
-      VarX = std::max(VarX, 1e-12) + Params.NoiseVariance;
+      const SolvedRow &S = *Solves[C];
+      double VarX = std::max(S.VarLeft, 1e-12) + Params.NoiseVariance;
       for (size_t R = 0; R != NumRef; ++R)
         Cov[R] = kernel(Reference[R], X);
       for (size_t I = 0; I != N; ++I) {
         const double *Col = RefVT.data() + I * NumRef;
-        double V = Vx[I];
+        double V = S.V[I];
         for (size_t R = 0; R != NumRef; ++R)
           Cov[R] -= Col[R] * V;
       }

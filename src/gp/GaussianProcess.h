@@ -21,16 +21,32 @@
 /// extension reproduces factorize()'s arithmetic bit-for-bit.  The full
 /// refit — the cost the paper's Section 3.2 attributes to GPs — is still
 /// what hyperparameter optimization pays; bench_ablation_model_cost
-/// times refit() against update().  ALC scores in forward-solve form:
-/// v = L^-1 k by batched forward substitution, then var(x) = s - v_x.v_x
-/// and cov(r, x) = k(r, x) - v_r.v_x, with no back substitution.
+/// times refit() against update().  ALM and ALC score in forward-solve
+/// form: v = L^-1 k by batched forward substitution, then
+/// var(x) = s - v_x.v_x and cov(r, x) = k(r, x) - v_r.v_x, with no back
+/// substitution.
 ///
-/// Hot paths allocate nothing per call: kernel rows land in reused
-/// (thread-local, for the const scoring paths) scratch, and candidate
-/// batches go through the blocked multi-RHS triangular solves, so the
-/// factor rows stream from cache once per shard instead of once per
-/// candidate.  Scoring results remain bit-identical to the sequential
-/// per-candidate path at any worker count.
+/// Scoring keeps the forward solves of pool points.  When a call carries
+/// pool ids (ScoreContext::CandidateIds / ReferenceIds, filled by the
+/// active learner) the model keeps, per id, v and the running sums
+/// 0 + v.v and s - v.v, valid for the factor's first |v| rows.
+/// Row i of a forward solve reads only rows < i of L, and extend() only
+/// appends rows, so a touched point is extended by the rows added since
+/// its last use — (gap) kernel evaluations and O(gap n) multiply-adds
+/// instead of n and O(n^2) — and every score is bitwise the one a
+/// from-scratch solve gives.  refitWith() (fit(), the hyperparameter
+/// search, refit(), update()'s fallback) bumps a generation that voids
+/// every entry.  A call without ids runs the same code over entries that
+/// start empty.  The cache holds at most |pool| x n doubles, plus growth
+/// headroom of max(n/8, 32) per point: 0.23 MB at smoke scale, 6 MB at
+/// bench, 150 MB at paper.  Scoring with ids writes the cache, so one model
+/// must not be scored from two threads at once (its learner never does).
+///
+/// Candidate batches go through the blocked multi-RHS triangular solve,
+/// so the factor rows stream from cache once per shard instead of once
+/// per candidate, and each shard writes only its own entries.  Scoring
+/// results remain bit-identical to the sequential per-candidate path at
+/// any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +57,9 @@
 #include "model/SurrogateModel.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <vector>
 
 namespace alic {
 
@@ -100,11 +118,33 @@ private:
   /// forward-solve alcScores() must match to rounding.
   friend class GpBackSubstitutionReference;
 
+  /// One row's forward solve v = L^-1 k(x, data) over the factor's
+  /// first Len rows, valid while Gen equals FactorGen.
+  struct SolvedRow {
+    std::vector<double> V; ///< V[0..Len) solved; the rest is headroom
+    size_t Len = 0;
+    double SumSq = 0.0;   ///< 0 + V[0]^2 + ... + V[Len-1]^2 in index order
+    double VarLeft = 0.0; ///< s - V[0]^2 - ... - V[Len-1]^2 in index order
+    uint64_t Gen = 0;
+  };
+  /// Rows to score and their pool ids (null: no identity).
+  struct RowBlock {
+    const FlatRows &Rows;
+    const uint32_t *Ids;
+  };
+
   double kernel(RowRef A, RowRef B) const;
-  /// Fills Out[0..Num) with kernel(X, Rows[I]) — the one kernel-row
-  /// loop every batched path shares.
-  void kernelRow(const FlatRows &Rows, RowRef X, double *Out,
-                 size_t Num) const;
+  /// Fills Out[I] with kernel(X, Rows[I]) for I in [Begin, End) — the
+  /// one kernel-row loop every batched path shares.
+  void kernelRow(const FlatRows &Rows, RowRef X, double *Out, size_t Begin,
+                 size_t End) const;
+  /// Brings the forward solve of every row of \p Blocks up to the
+  /// current factor and returns one entry per row, block after block.
+  /// Rows with ids use the cache (an id seen twice is extended once);
+  /// rows without use entries of \p Scratch, which start empty.
+  std::vector<const SolvedRow *>
+  solveRows(std::initializer_list<RowBlock> Blocks, const ScoreContext &Ctx,
+            std::vector<SolvedRow> &Scratch) const;
   /// Refactorizes the kernel matrix of the stored data under \p P
   /// (O(n^3)) and returns the log marginal likelihood, or -1e300 when
   /// the kernel matrix is not positive definite.
@@ -128,6 +168,10 @@ private:
   /// Reused update()-path scratch (the border row); the const
   /// prediction/scoring paths use thread-local scratch instead.
   std::vector<double> UpdateScratch;
+  /// Bumped by every refitWith(): a new factor voids every SolvedRow.
+  uint64_t FactorGen = 0;
+  /// Forward solves by pool id (see the file comment).
+  mutable std::vector<SolvedRow> Solved;
 };
 
 } // namespace alic

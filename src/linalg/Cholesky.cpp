@@ -123,15 +123,21 @@ void Cholesky::solveInPlace(double *B) const {
   }
 }
 
-void Cholesky::solveLowerManyInPlace(double *B, size_t NumRhs) const {
+void Cholesky::solveLowerManyInPlace(double *const *Rhs, const size_t *Start,
+                                     size_t NumRhs) const {
+  size_t First = Start ? N : 0;
+  for (size_t R = 0; Start && R != NumRhs; ++R)
+    First = std::min(First, Start[R]);
   // Factor-row outer loop: row I streams from cache through every
-  // right-hand side.  Per right-hand side the arithmetic is exactly
-  // solveLowerInPlace()'s.
-  for (size_t I = 0; I != N; ++I) {
+  // right-hand side not yet solved past it.  Per right-hand side the
+  // arithmetic is exactly solveLowerInPlace()'s.
+  for (size_t I = First; I < N; ++I) {
     const double *RowI = row(I);
     for (size_t R = 0; R != NumRhs; ++R) {
-      double *Rhs = B + R * N;
-      Rhs[I] = dotSubtract(Rhs[I], RowI, Rhs, I) / RowI[I];
+      if (Start && I < Start[R])
+        continue;
+      double *B = Rhs[R];
+      B[I] = dotSubtract(B[I], RowI, B, I) / RowI[I];
     }
   }
 }

@@ -95,13 +95,19 @@ public:
   /// allocation.
   void solveInPlace(double *B) const;
 
-  /// Blocked multi-RHS forward substitution: \p B holds \p NumRhs
-  /// row-major right-hand sides of size() entries each, each overwritten
-  /// with its solution of L y = b.  Each right-hand side receives
-  /// exactly the arithmetic of solveLowerInPlace() — the factor row is
-  /// simply reused across all of them from cache — so the results are
-  /// bit-identical to NumRhs independent solves.
-  void solveLowerManyInPlace(double *B, size_t NumRhs) const;
+  /// Blocked multi-RHS forward substitution from a start row per
+  /// right-hand side: \p Rhs[R] points to size() entries, of which the
+  /// first \p Start[R] already hold the solution of L y = b and the rest
+  /// hold b; rows Start[R]..size()-1 are overwritten with the solution.
+  /// A null \p Start solves every right-hand side from row 0.  Row I of
+  /// a forward solve reads only rows < I of L and y, and extend() never
+  /// changes an existing row, so a prefix solved against a smaller factor
+  /// that extend() grew into this one is a valid start.  Each right-hand
+  /// side receives exactly the arithmetic of solveLowerInPlace() — the
+  /// factor row is simply reused across all of them from cache — so the
+  /// results are bit-identical to NumRhs independent full solves.
+  void solveLowerManyInPlace(double *const *Rhs, const size_t *Start,
+                             size_t NumRhs) const;
 
   /// log(det A) = 2 * sum(log diag L).
   double logDeterminant() const;

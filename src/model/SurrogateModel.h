@@ -43,9 +43,11 @@ struct Prediction {
 /// pending list, so their per-candidate contributions are equal) record
 /// here both the terms a naive per-member evaluation would accumulate
 /// and the leaf walks actually performed; their ratio is the dedup
-/// factor benches and tests report.  Counters are cumulative across
-/// calls and thread-safe (relaxed atomics — purely observational, so
-/// results never depend on them).
+/// factor benches and tests report.  The exact GP records the kernel
+/// evaluations and forward-solve terms its scoring performs, computed
+/// once per call.  Counters are cumulative across calls and thread-safe
+/// (relaxed atomics — purely observational, so results never depend on
+/// them).
 struct ScoreStats {
   /// Candidates scored (alm + alc calls).
   std::atomic<uint64_t> CandidatesScored{0};
@@ -54,6 +56,14 @@ struct ScoreStats {
   std::atomic<uint64_t> ParticleTerms{0};
   /// findLeaf + leaf-posterior evaluations actually executed.
   std::atomic<uint64_t> UniqueLeafWalks{0};
+  /// Kernel evaluations against training rows that fill forward-solve
+  /// right-hand sides (the GP's k(x, x_i)).  A cached solve that already
+  /// covers the factor costs none; ALC's candidate-reference kernels
+  /// k(r, x) are fixed by the call's shape and not counted.
+  std::atomic<uint64_t> KernelEvals{0};
+  /// Forward-substitution multiply-adds (the GP's v = L^-1 k solves):
+  /// solving rows [S, n) of a right-hand side costs sum_{i=S}^{n-1} i.
+  std::atomic<uint64_t> SolveTerms{0};
 
   /// Naive-terms / walks-performed ratio (1.0 when nothing was saved).
   double dedupFactor() const {
@@ -81,8 +91,20 @@ struct ScoreContext {
   size_t ShardSize = 32;
 
   /// Optional counter sink for score-path instrumentation (dedup
-  /// factors); null means don't count.  Never affects results.
+  /// factors, kernel evaluations, solve terms); null means don't count.
+  /// Never affects results.
   ScoreStats *Stats = nullptr;
+
+  /// Pool identities of the candidate rows, one per row; null means the
+  /// rows have no identity.  Ids index one fixed pool for the model's
+  /// lifetime: rows that carry the same id, in any call, hold the same
+  /// features.  A model may key per-point caches by id — the exact GP
+  /// keeps each pool point's forward solve and extends it as its factor
+  /// grows — but scores are bitwise the same with or without ids.
+  const uint32_t *CandidateIds = nullptr;
+  /// Pool identities of the reference rows (ALC), under the same
+  /// contract; an id may also appear among the candidates.
+  const uint32_t *ReferenceIds = nullptr;
 };
 
 /// Interface of all runtime-prediction surrogates.

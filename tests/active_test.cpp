@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace alic;
 
 namespace {
@@ -39,6 +41,59 @@ struct Fixture {
     C.Seed = 13;
     return C;
   }
+};
+
+/// Forwards to a wrapped model, checking that every id the learner
+/// passes names the pool row it scores, then dropping the ids.
+class IdCheckingModel final : public SurrogateModel {
+public:
+  IdCheckingModel(SurrogateModel &Inner, const ConfigPool &Pool)
+      : Inner(Inner), Pool(Pool) {}
+
+  void fit(const FlatRows &X, const std::vector<double> &Y) override {
+    Inner.fit(X, Y);
+  }
+  void update(RowRef X, double Y) override { Inner.update(X, Y); }
+  Prediction predict(RowRef X) const override { return Inner.predict(X); }
+  std::vector<double> almScores(const FlatRows &Candidates,
+                                const ScoreContext &Ctx) const override {
+    check(Candidates, Ctx.CandidateIds);
+    return Inner.almScores(Candidates, stripped(Ctx));
+  }
+  std::vector<double> alcScores(const FlatRows &Candidates,
+                                const FlatRows &Reference,
+                                const ScoreContext &Ctx) const override {
+    check(Candidates, Ctx.CandidateIds);
+    check(Reference, Ctx.ReferenceIds);
+    return Inner.alcScores(Candidates, Reference, stripped(Ctx));
+  }
+  size_t numObservations() const override { return Inner.numObservations(); }
+  void setScheduler(Scheduler *Workers) override {
+    Inner.setScheduler(Workers);
+  }
+
+  mutable size_t RowsChecked = 0;
+
+private:
+  void check(const FlatRows &Rows, const uint32_t *Ids) const {
+    ASSERT_NE(Ids, nullptr);
+    for (size_t I = 0; I != Rows.size(); ++I) {
+      ASSERT_LT(Ids[I], Pool.size());
+      RowRef Want = Pool.row(Ids[I]);
+      ASSERT_TRUE(std::equal(Want.begin(), Want.end(), Rows[I].begin()))
+          << "row " << I << " is not pool row " << Ids[I];
+      ++RowsChecked;
+    }
+  }
+  static ScoreContext stripped(const ScoreContext &Ctx) {
+    ScoreContext Out = Ctx;
+    Out.CandidateIds = nullptr;
+    Out.ReferenceIds = nullptr;
+    return Out;
+  }
+
+  SurrogateModel &Inner;
+  const ConfigPool &Pool;
 };
 
 } // namespace
@@ -247,6 +302,49 @@ TEST(ActiveLearnerTest, GpSurrogateLoopMatchesAcrossPools) {
 
   Scheduler Pool(3);
   EXPECT_EQ(runWith(nullptr), runWith(&Pool));
+}
+
+TEST(ActiveLearnerTest, GpLoopWithPoolIdsMatchesLoopWithout) {
+  // The learner hands the model the pool index of every scored row; a GP
+  // that caches forward solves by those ids must pick exactly what a GP
+  // that never sees them picks, under ALM and ALC, with or without a
+  // scheduler.
+  Fixture F("atax", 250);
+  GpConfig G;
+  G.OptimizeHyperParams = false;
+  G.Init.LengthScale = 0.8;
+  G.Init.NoiseVariance = 1e-3;
+  for (ScorerKind Scorer : {ScorerKind::Alm, ScorerKind::Alc}) {
+    ActiveLearnerConfig Cfg = F.config(40);
+    Cfg.Scorer = Scorer;
+    auto runWith = [&](bool Strip, Scheduler *Pool) {
+      GaussianProcess M(G);
+      IdCheckingModel Checked(M, F.D.TrainPool);
+      SurrogateModel &Used = Strip ? static_cast<SurrogateModel &>(Checked)
+                                   : M;
+      ActiveLearner L(*F.B, Used, F.D.Norm, F.D.TrainPool,
+                      SamplingPlan::sequential(35), Cfg, Pool);
+      std::vector<Config> Picks;
+      while (true) {
+        const Suggestion &S = L.suggest();
+        if (S.Phase == SuggestPhase::Done)
+          break;
+        Picks.insert(Picks.end(), S.Configs.begin(), S.Configs.end());
+        std::vector<double> Costs(S.Configs.size() * S.ObservationsPerConfig);
+        for (size_t I = 0; I != Costs.size(); ++I)
+          Costs[I] = 1.0 + 0.01 * double((Picks.size() * 7 + I) % 13);
+        EXPECT_TRUE(L.observe(S.Ticket, Costs));
+      }
+      if (Strip) {
+        EXPECT_GT(Checked.RowsChecked, 0u);
+      }
+      return std::make_pair(Picks, M.predict(F.D.TestFeatures[0]).Variance);
+    };
+    auto Want = runWith(true, nullptr);
+    EXPECT_EQ(runWith(false, nullptr), Want);
+    Scheduler Pool(3);
+    EXPECT_EQ(runWith(false, &Pool), Want);
+  }
 }
 
 TEST(ActiveLearnerTest, ExplicitBatchStepLabelsAndChargesLedger) {

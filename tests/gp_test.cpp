@@ -28,7 +28,7 @@ public:
     for (size_t C = 0; C != Candidates.size(); ++C) {
       RowRef X = Candidates[C];
       std::vector<double> Kx(N);
-      M.kernelRow(M.DataX, X, Kx.data(), N);
+      M.kernelRow(M.DataX, X, Kx.data(), 0, N);
       std::vector<double> Wx = M.Factor->solve(Kx);
       double VarX = P.SignalVariance;
       for (size_t I = 0; I != N; ++I)
@@ -37,7 +37,7 @@ public:
       double Total = 0.0;
       for (size_t R = 0; R != Reference.size(); ++R) {
         std::vector<double> Kr(N);
-        M.kernelRow(M.DataX, Reference[R], Kr.data(), N);
+        M.kernelRow(M.DataX, Reference[R], Kr.data(), 0, N);
         double Cov = M.kernel(Reference[R], X);
         for (size_t I = 0; I != N; ++I)
           Cov -= Kr[I] * Wx[I];
@@ -349,4 +349,199 @@ TEST(GpTest, BatchedAlmScoresBitIdenticalToPredictLoop) {
     Ctx.Pool = &Pool;
     EXPECT_EQ(M.almScores(Cands, Ctx), Scores) << "thread count " << Threads;
   }
+}
+
+namespace {
+
+/// A fixed pool of feature rows with their targets, addressed by id.
+struct IdPool {
+  FlatRows Rows;
+  std::vector<double> Y;
+
+  IdPool(size_t N, uint64_t Seed) {
+    std::vector<std::vector<double>> X;
+    makeSample(N, Seed, X, Y);
+    Rows = FlatRows(X);
+  }
+
+  FlatRows gather(const std::vector<uint32_t> &Ids) const {
+    FlatRows Out;
+    for (uint32_t Id : Ids)
+      Out.push(Rows[Id]);
+    return Out;
+  }
+};
+
+/// One round's draw: candidate ids with repeats, and reference ids that
+/// repeat and overlap the candidates.
+void drawIds(Rng &R, size_t PoolSize, std::vector<uint32_t> &Cand,
+             std::vector<uint32_t> &Ref) {
+  Cand.clear();
+  Ref.clear();
+  for (int I = 0; I != 40; ++I)
+    Cand.push_back(uint32_t(R.nextBounded(PoolSize)));
+  for (int I = 0; I != 5; ++I)
+    Cand.push_back(Cand[size_t(I) * 3]);
+  for (int I = 0; I != 20; ++I)
+    Ref.push_back(uint32_t(R.nextBounded(PoolSize)));
+  Ref.push_back(Ref.front());
+  for (int I = 0; I != 4; ++I)
+    Ref.push_back(Cand[size_t(I) * 7]);
+}
+
+} // namespace
+
+TEST(GpTest, PooledScoresBitIdenticalToFresh) {
+  // Scores with pool ids come from per-id forward solves extended as the
+  // factor grows; they must equal a twin's from-scratch solves bitwise,
+  // round after round of updates, at any worker count and steal order.
+  IdPool P(300, 51);
+  std::vector<std::vector<double>> X;
+  std::vector<double> Y;
+  makeSample(40, 52, X, Y);
+  constexpr int Rounds = 32;
+
+  // The twin gets no ids: its scores are the from-scratch reference.
+  std::vector<std::vector<double>> WantAlm, WantAlc;
+  {
+    GaussianProcess Twin(fixedConfig(0.7, 1e-3));
+    Twin.fit(X, Y);
+    Rng R(53);
+    std::vector<uint32_t> Cand, Ref;
+    for (int Round = 0; Round != Rounds; ++Round) {
+      drawIds(R, P.Rows.size(), Cand, Ref);
+      WantAlm.push_back(Twin.almScores(P.gather(Cand)));
+      WantAlc.push_back(Twin.alcScores(P.gather(Cand), P.gather(Ref)));
+      Twin.update(P.Rows[Cand[0]], P.Y[Cand[0]]);
+    }
+  }
+
+  auto runPooled = [&](Scheduler *Pool, const char *Label) {
+    GaussianProcess M(fixedConfig(0.7, 1e-3));
+    M.setScheduler(Pool);
+    M.fit(X, Y);
+    Rng R(53);
+    std::vector<uint32_t> Cand, Ref;
+    for (int Round = 0; Round != Rounds; ++Round) {
+      drawIds(R, P.Rows.size(), Cand, Ref);
+      ScoreContext Ctx;
+      Ctx.Pool = Pool;
+      Ctx.ShardSize = 8;
+      Ctx.CandidateIds = Cand.data();
+      Ctx.ReferenceIds = Ref.data();
+      FlatRows CandRows = P.gather(Cand), RefRows = P.gather(Ref);
+      ASSERT_EQ(M.almScores(CandRows, Ctx), WantAlm[size_t(Round)])
+          << Label << ", round " << Round;
+      ASSERT_EQ(M.alcScores(CandRows, RefRows, Ctx), WantAlc[size_t(Round)])
+          << Label << ", round " << Round;
+      M.update(P.Rows[Cand[0]], P.Y[Cand[0]]);
+    }
+  };
+
+  runPooled(nullptr, "sequential");
+  for (unsigned Threads : {1u, 8u})
+    for (uint64_t StealSeed : {0x5eedull, 0xabcdefull}) {
+      Scheduler::Options Opts;
+      Opts.Threads = Threads;
+      Opts.StealSeed = StealSeed;
+      Opts.JitterSeed = hashCombine({StealSeed, 0x11ffull});
+      Scheduler Pool(Opts);
+      std::string Label = std::to_string(Threads) + " workers, steal seed " +
+                          std::to_string(StealSeed);
+      runPooled(&Pool, Label.c_str());
+    }
+}
+
+TEST(GpTest, PooledScoresFollowRefitAndFallback) {
+  // A second fit() on new data, and an update() whose extension falls
+  // back and restores the old factor, both void the per-id solves: the
+  // next scores with ids equal a fresh model's without them.
+  IdPool P(120, 61);
+  std::vector<std::vector<double>> XA, XB;
+  std::vector<double> YA, YB;
+  makeSample(30, 62, XA, YA);
+  makeSample(45, 63, XB, YB);
+  std::vector<uint32_t> Cand, Ref;
+  Rng R(64);
+  drawIds(R, P.Rows.size(), Cand, Ref);
+  FlatRows CandRows = P.gather(Cand), RefRows = P.gather(Ref);
+  ScoreContext Ctx;
+  Ctx.CandidateIds = Cand.data();
+  Ctx.ReferenceIds = Ref.data();
+
+  GaussianProcess M(fixedConfig(0.7, 1e-3));
+  M.fit(XA, YA);
+  M.alcScores(CandRows, RefRows, Ctx); // fills the solves for fit A
+  M.almScores(CandRows, Ctx);
+
+  GaussianProcess Fresh(fixedConfig(0.7, 1e-3));
+  Fresh.fit(XB, YB);
+  M.fit(XB, YB);
+  EXPECT_EQ(M.alcScores(CandRows, RefRows, Ctx),
+            Fresh.alcScores(CandRows, RefRows));
+  EXPECT_EQ(M.almScores(CandRows, Ctx), Fresh.almScores(CandRows));
+
+  // A NaN feature defeats the extension and the fallback refit; the
+  // model drops the point and restores its factor.
+  M.update({std::nan(""), 0.0}, 1.0);
+  ASSERT_EQ(M.numObservations(), XB.size());
+  EXPECT_EQ(M.alcScores(CandRows, RefRows, Ctx),
+            Fresh.alcScores(CandRows, RefRows));
+  EXPECT_EQ(M.almScores(CandRows, Ctx), Fresh.almScores(CandRows));
+
+  // And the solves keep extending after the restore.
+  M.update(P.Rows[Cand[1]], P.Y[Cand[1]]);
+  Fresh.update(P.Rows[Cand[1]], P.Y[Cand[1]]);
+  EXPECT_EQ(M.alcScores(CandRows, RefRows, Ctx),
+            Fresh.alcScores(CandRows, RefRows));
+  EXPECT_EQ(M.almScores(CandRows, Ctx), Fresh.almScores(CandRows));
+}
+
+TEST(GpTest, WorkCountersCountOnlyMissingRows) {
+  IdPool P(200, 71);
+  std::vector<std::vector<double>> X;
+  std::vector<double> Y;
+  makeSample(50, 72, X, Y);
+  GaussianProcess M(fixedConfig(0.7, 1e-3));
+  M.fit(X, Y);
+
+  // Distinct ids, none shared between candidates and references.
+  std::vector<uint32_t> Cand, Ref;
+  for (uint32_t I = 0; I != 30; ++I)
+    Cand.push_back(I * 5);
+  for (uint32_t I = 0; I != 12; ++I)
+    Ref.push_back(I * 5 + 2);
+  FlatRows CandRows = P.gather(Cand), RefRows = P.gather(Ref);
+  ScoreContext WithIds;
+  WithIds.CandidateIds = Cand.data();
+  WithIds.ReferenceIds = Ref.data();
+
+  auto counts = [](const ScoreStats &S) {
+    return std::make_pair(S.KernelEvals.load(), S.SolveTerms.load());
+  };
+  const uint64_t N = 50, Rows = 42;
+
+  ScoreStats Fresh;
+  ScoreContext NoIds;
+  NoIds.Stats = &Fresh;
+  M.alcScores(CandRows, RefRows, NoIds);
+  EXPECT_EQ(counts(Fresh), std::make_pair(Rows * N, Rows * N * (N - 1) / 2));
+
+  // The first call with ids adds what a call without them adds; a second
+  // identical call at the same n adds nothing.
+  ScoreStats Pooled;
+  WithIds.Stats = &Pooled;
+  M.alcScores(CandRows, RefRows, WithIds);
+  EXPECT_EQ(counts(Pooled), counts(Fresh));
+  M.alcScores(CandRows, RefRows, WithIds);
+  M.almScores(CandRows, WithIds);
+  EXPECT_EQ(counts(Pooled), counts(Fresh));
+
+  // One update costs each touched row one kernel evaluation and the new
+  // factor row's N multiply-adds.
+  M.update(P.Rows[199], P.Y[199]);
+  ScoreStats Step;
+  WithIds.Stats = &Step;
+  M.alcScores(CandRows, RefRows, WithIds);
+  EXPECT_EQ(counts(Step), std::make_pair(Rows, Rows * N));
 }

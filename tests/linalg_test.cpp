@@ -237,7 +237,10 @@ TEST(CholeskyTest, SolveManyBitIdenticalToIndependentSolves) {
     V = R.nextGaussian();
 
   std::vector<double> Lower = Rhs;
-  F->solveLowerManyInPlace(Lower.data(), NumRhs);
+  std::vector<double *> Ptrs;
+  for (size_t I = 0; I != NumRhs; ++I)
+    Ptrs.push_back(Lower.data() + I * N);
+  F->solveLowerManyInPlace(Ptrs.data(), nullptr, NumRhs);
   for (size_t I = 0; I != NumRhs; ++I) {
     std::vector<double> B(Rhs.begin() + I * N, Rhs.begin() + (I + 1) * N);
     std::vector<double> Y = F->solveLower(B);
@@ -256,4 +259,52 @@ TEST(CholeskyTest, SolveLowerForwardSubstitution) {
   std::vector<double> Y = F->solveLower({2.0, 6.0});
   EXPECT_NEAR(Y[0], 1.0, 1e-14);
   EXPECT_NEAR(Y[1], 2.0, 1e-14);
+}
+
+TEST(CholeskyTest, StartRowSolveExtendsPrefixFromGrownFactor) {
+  // Right-hand sides solved against a leading factor, whose factor then
+  // grows by extend(), resume from their start rows and must equal full
+  // solves against the grown factor bit for bit.
+  Rng R(44);
+  const size_t N = 61, Lead = 37;
+  Matrix A = randomSpd(N, R);
+  Matrix Small(Lead, Lead);
+  for (size_t I = 0; I != Lead; ++I)
+    for (size_t J = 0; J != Lead; ++J)
+      Small.at(I, J) = A.at(I, J);
+  auto F = Cholesky::factorize(Small);
+  ASSERT_TRUE(F.has_value());
+
+  // Right-hand sides 0 and 1 are solved on the leading factor; 2 stays
+  // unsolved (start 0); 3 is solved in full after the growth (start N).
+  const size_t NumRhs = 4;
+  std::vector<std::vector<double>> B(NumRhs, std::vector<double>(N));
+  for (auto &Rhs : B)
+    for (double &V : Rhs)
+      V = R.nextGaussian();
+  std::vector<std::vector<double>> Work = B;
+  std::vector<double *> Ptrs;
+  for (auto &Rhs : Work)
+    Ptrs.push_back(Rhs.data());
+  F->solveLowerManyInPlace(Ptrs.data(), nullptr, 2);
+
+  for (size_t M = Lead; M != N; ++M) {
+    std::vector<double> Border(M);
+    for (size_t I = 0; I != M; ++I)
+      Border[I] = A.at(M, I);
+    ASSERT_TRUE(F->extend(Border, A.at(M, M)));
+  }
+  F->solveLowerInPlace(Ptrs[3]);
+  std::vector<double> Solved3 = Work[3];
+  std::vector<size_t> Start = {Lead, Lead, 0, N};
+  F->solveLowerManyInPlace(Ptrs.data(), Start.data(), NumRhs);
+
+  auto Full = Cholesky::factorize(A);
+  ASSERT_TRUE(Full.has_value());
+  for (size_t K = 0; K != NumRhs; ++K) {
+    std::vector<double> Want = Full->solveLower(B[K]);
+    for (size_t I = 0; I != N; ++I)
+      EXPECT_EQ(Work[K][I], Want[I]) << "rhs " << K << " entry " << I;
+  }
+  EXPECT_EQ(Work[3], Solved3);
 }
