@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the bench binaries: scale banner, dataset
-/// construction, and the shared campaign the paper renderers read.
+/// Helpers shared by the bench binaries: the wall-clock timer, scale
+/// banner, dataset construction, and the shared campaign the paper
+/// renderers read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +24,24 @@
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <chrono>
 #include <cstdio>
 
 namespace alic {
+
+/// Wall-clock seconds per call of \p F over \p Reps calls.  At Reps > 1
+/// one extra call runs first, outside the clock, to warm caches.
+template <typename Fn> double timeReps(unsigned Reps, Fn &&F) {
+  if (Reps > 1)
+    F();
+  auto Start = std::chrono::steady_clock::now();
+  for (unsigned I = 0; I != Reps; ++I)
+    F();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+             .count() /
+         Reps;
+}
 
 /// Seed shared by all replication binaries (datasets decouple from the
 /// learners' measurement streams internally).  Aliases the campaign

@@ -1,19 +1,14 @@
 //===- bench/bench_ablation_model_cost.cpp - GP vs dynatree ---*- C++ -*-===//
 //
 // The paper's Section 3.2 rationale, measured: Gaussian-process inference
-// refits at O(n^3) per new observation, while a dynamic tree absorbs a
-// point in O(particles x depth) independent of n.  google-benchmark
-// micro-benchmarks over growing training-set sizes.
-//
-// Two ablations of our own ride along: the GP's incremental rank-1
-// Cholesky update (O(n^2)) against the paper's refit-per-observation
-// cost, and sequential against thread-pool-sharded ALC candidate scoring.
-//
-// Before the google-benchmark suite, a custom GP throughput section
-// sweeps the exact GP at n in {500, 2000, 8000} (8000 outside smoke
-// scale): blocked factorize across worker counts (bit-identity asserted
-// against the serial factor), fit/update/predict/ALC throughput, and the
-// deterministic held-out RMSE and log marginal likelihood of each fit.
+// pays an O(n^3) refit, while a dynamic tree absorbs a new observation
+// without one.  One sweep over the exact GP at n in {500, 2000, 8000}
+// (8000 outside smoke scale): blocked factorize across worker counts
+// (bit-identity asserted against the serial factor), fit/update/predict/
+// ALC throughput, and the deterministic held-out RMSE and log marginal
+// likelihood of each fit.  Beside the GP's per-observation update cost,
+// each serial row times the update of a 300-particle dynamic tree fit to
+// the same n points, so the two update costs read against one n.
 // A learner-shaped row per n then scores a fixed 1000-point pool with
 // pool ids after each of 16 one-point updates, against the same calls
 // without ids (asserted bitwise equal), with the kernel evaluations and
@@ -32,10 +27,7 @@
 #include "support/Rng.h"
 #include "support/Scheduler.h"
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,55 +54,6 @@ void makeData(size_t N, std::vector<std::vector<double>> &X,
   }
 }
 
-void BM_DynaTreeUpdate(benchmark::State &State) {
-  size_t N = size_t(State.range(0));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(N + 64, X, Y);
-  DynaTreeConfig C;
-  C.NumParticles = 300;
-  DynaTree M(C);
-  M.fit({X.begin(), X.begin() + long(N)}, {Y.begin(), Y.begin() + long(N)});
-  size_t Next = N;
-  for (auto _ : State) {
-    M.update(X[Next % X.size()], Y[Next % Y.size()]);
-    ++Next;
-  }
-  State.SetLabel("O(particles x depth), independent of n");
-}
-
-void BM_DynaTreeUpdateParticles(benchmark::State &State) {
-  // The tentpole measurement: SMC update throughput of the rebuilt
-  // particle engine at the paper's ensemble sizes.  Arg(0) = particles,
-  // Arg(1) = update threads (0 = serial).  The parallel rows are
-  // bit-identical to the serial ones — per-particle counter-derived RNG
-  // streams on a fixed shard grid — so this isolates pure speedup.
-  unsigned Particles = unsigned(State.range(0));
-  unsigned Threads = unsigned(State.range(1));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(640, X, Y);
-  DynaTreeConfig C;
-  C.NumParticles = Particles;
-  std::unique_ptr<Scheduler> Pool; // outlives the model it is wired to
-  DynaTree M(C);
-  if (Threads != 0) {
-    Pool = std::make_unique<Scheduler>(Threads);
-    M.setScheduler(Pool.get());
-  }
-  M.fit({X.begin(), X.begin() + 400}, {Y.begin(), Y.begin() + 400});
-  size_t Next = 400;
-  for (auto _ : State) {
-    M.update(X[Next % X.size()], Y[Next % Y.size()]);
-    ++Next;
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()));
-  State.SetLabel(Threads == 0
-                     ? "serial"
-                     : "sharded over " + std::to_string(Threads) +
-                           " threads (bit-identical)");
-}
-
 GpConfig plainGpConfig() {
   GpConfig C;
   C.OptimizeHyperParams = false;
@@ -119,119 +62,9 @@ GpConfig plainGpConfig() {
   return C;
 }
 
-void BM_GpRefitUpdate(benchmark::State &State) {
-  size_t N = size_t(State.range(0));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(N + 64, X, Y);
-  GaussianProcess M(plainGpConfig());
-  M.fit({X.begin(), X.begin() + long(N)}, {Y.begin(), Y.begin() + long(N)});
-  for (auto _ : State) {
-    M.refit(); // the O(n^3) solve a GP pays on every new observation
-    benchmark::DoNotOptimize(M.logMarginalLikelihood());
-  }
-  State.SetLabel("O(n^3) refit per observation");
-}
-
-void BM_GpIncrementalUpdate(benchmark::State &State) {
-  // One update() through the rank-1 Cholesky extension, always absorbing
-  // the (n+1)-th point into an n-point model: the model is restored from
-  // a pre-fitted copy outside the timed region so the measured cost
-  // corresponds to the labelled n (unlike naive growth, which would let
-  // the framework's iteration count inflate n).
-  size_t N = size_t(State.range(0));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(N + 64, X, Y);
-  GaussianProcess Fitted(plainGpConfig());
-  Fitted.fit({X.begin(), X.begin() + long(N)},
-             {Y.begin(), Y.begin() + long(N)});
-  for (auto _ : State) {
-    State.PauseTiming();
-    GaussianProcess M = Fitted;
-    State.ResumeTiming();
-    M.update(X[N], Y[N]);
-    benchmark::DoNotOptimize(M.logMarginalLikelihood());
-  }
-  State.SetLabel("O(n^2) rank-1 Cholesky extension");
-}
-
-void BM_GpAlcScoring(benchmark::State &State) {
-  // The active learner's per-iteration hot path: score nc candidates
-  // against a reference sample.  Arg(0) = training-set size, Arg(1) =
-  // scoring threads (0 = sequential).
-  size_t N = size_t(State.range(0));
-  unsigned Threads = unsigned(State.range(1));
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(N + 600, X, Y);
-  GaussianProcess M(plainGpConfig());
-  M.fit({X.begin(), X.begin() + long(N)}, {Y.begin(), Y.begin() + long(N)});
-  std::vector<std::vector<double>> Cands(X.end() - 500, X.end());
-  std::vector<std::vector<double>> Ref(X.end() - 600, X.end() - 500);
-  std::unique_ptr<Scheduler> Pool;
-  ScoreContext Ctx;
-  if (Threads != 0) {
-    Pool = std::make_unique<Scheduler>(Threads);
-    Ctx.Pool = Pool.get();
-  }
-  for (auto _ : State)
-    benchmark::DoNotOptimize(M.alcScores(Cands, Ref, Ctx).front());
-  State.SetLabel(Threads == 0 ? "sequential"
-                              : "sharded over " + std::to_string(Threads) +
-                                    " threads (bit-identical)");
-}
-
-void BM_DynaTreePredict(benchmark::State &State) {
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(size_t(State.range(0)), X, Y);
-  DynaTreeConfig C;
-  C.NumParticles = 300;
-  DynaTree M(C);
-  M.fit(X, Y);
-  std::vector<double> Probe = {0.1, -0.2, 0.3, 0.0, 0.5, -0.5};
-  for (auto _ : State)
-    benchmark::DoNotOptimize(M.predict(Probe).Mean);
-}
-
-void BM_DynaTreeAlcScoring(benchmark::State &State) {
-  std::vector<std::vector<double>> X;
-  std::vector<double> Y;
-  makeData(400, X, Y);
-  DynaTreeConfig C;
-  C.NumParticles = 300;
-  DynaTree M(C);
-  M.fit(X, Y);
-  size_t NumCands = size_t(State.range(0));
-  std::vector<std::vector<double>> Cands(X.begin(),
-                                         X.begin() + long(NumCands));
-  std::vector<std::vector<double>> Ref(X.begin() + 100, X.begin() + 200);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(M.alcScores(Cands, Ref).front());
-  State.SetLabel("leaf-cached Cohn ALC");
-}
-
 //===----------------------------------------------------------------------===//
 // GP throughput sweep (BENCH_gp.json)
 //===----------------------------------------------------------------------===//
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Times Fn over \p Reps repetitions and returns seconds per repetition
-/// (first rep warm-started outside the clock at Reps > 1).
-template <typename Fn> double timeReps(unsigned Reps, Fn &&F) {
-  if (Reps > 1)
-    F(); // warm caches; excluded from the clock
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned I = 0; I != Reps; ++I)
-    F();
-  return secondsSince(Start) / Reps;
-}
 
 struct FactorizeRow {
   size_t N = 0;
@@ -250,6 +83,7 @@ struct GpRow {
   bool HasSerialColumns = false;
   double UpdateSeconds = 0.0;
   double PredictsPerSecond = 0.0;
+  double DynaTreeUpdateSeconds = 0.0;
 };
 
 struct QualityRow {
@@ -309,12 +143,11 @@ bool runLoopRow(size_t N, const FlatRows &Train,
     ScoreContext NoIds;
     NoIds.Stats = &Fresh;
 
-    auto Start = std::chrono::steady_clock::now();
-    std::vector<double> Got = M.alcScores(Cands, Ref, WithIds);
-    PooledSeconds += secondsSince(Start);
-    Start = std::chrono::steady_clock::now();
-    std::vector<double> Want = M.alcScores(Cands, Ref, NoIds);
-    FreshSeconds += secondsSince(Start);
+    std::vector<double> Got, Want;
+    PooledSeconds +=
+        timeReps(1, [&] { Got = M.alcScores(Cands, Ref, WithIds); });
+    FreshSeconds +=
+        timeReps(1, [&] { Want = M.alcScores(Cands, Ref, NoIds); });
     if (Got != Want) {
       std::fprintf(stderr,
                    "FATAL: ALC with pool ids diverged from ALC without at "
@@ -406,7 +239,9 @@ bool runFactorizeSweep(const std::vector<size_t> &Sizes,
   return true;
 }
 
-int runGpThroughputSection() {
+} // namespace
+
+int main() {
   printScaleBanner("bench_ablation_model_cost: GP throughput sweep");
 
   // Smoke keeps the O(n^3) fit off the n=8000 point so CI stays inside
@@ -449,7 +284,8 @@ int runGpThroughputSection() {
   std::vector<GpRow> GpRows;
   std::vector<QualityRow> QualityRows;
   std::vector<LoopRow> LoopRows;
-  Table GpOut({"n", "workers", "fit s", "alc cand/s", "upd s", "pred/s"});
+  Table GpOut({"n", "workers", "fit s", "alc cand/s", "upd s", "pred/s",
+               "tree upd s"});
   for (size_t N : Sizes) {
     FlatRows Train(X.begin(), X.begin() + long(N));
     std::vector<double> TrainY(Y.begin(), Y.begin() + long(N));
@@ -505,10 +341,24 @@ int runGpThroughputSection() {
 
         // Amortized per-observation absorption: n -> n + NumUpdates.
         // Mutates the model, so it runs last.
-        auto Start = std::chrono::steady_clock::now();
-        for (size_t I = 0; I != NumUpdates; ++I)
-          M.update(X[MaxN + I], Y[MaxN + I]);
-        Row.UpdateSeconds = secondsSince(Start) / double(NumUpdates);
+        Row.UpdateSeconds =
+            timeReps(1, [&] {
+              for (size_t I = 0; I != NumUpdates; ++I)
+                M.update(X[MaxN + I], Y[MaxN + I]);
+            }) /
+            double(NumUpdates);
+
+        // The same absorption by a dynamic tree fit to the same n points.
+        DynaTreeConfig TreeConfig;
+        TreeConfig.NumParticles = 300;
+        DynaTree Tree(TreeConfig);
+        Tree.fit(Train, TrainY);
+        Row.DynaTreeUpdateSeconds =
+            timeReps(1, [&] {
+              for (size_t I = 0; I != NumUpdates; ++I)
+                Tree.update(X[MaxN + I], Y[MaxN + I]);
+            }) /
+            double(NumUpdates);
       }
       GpRows.push_back(Row);
       GpOut.addRow({std::to_string(N), std::to_string(Workers),
@@ -519,6 +369,9 @@ int runGpThroughputSection() {
                         : std::string("-"),
                     Row.HasSerialColumns
                         ? formatString("%.1f", Row.PredictsPerSecond)
+                        : std::string("-"),
+                    Row.HasSerialColumns
+                        ? formatString("%.5f", Row.DynaTreeUpdateSeconds)
                         : std::string("-")});
     }
     LoopRows.emplace_back();
@@ -527,7 +380,8 @@ int runGpThroughputSection() {
       return EXIT_FAILURE;
   }
   std::printf("\nGP throughput (%zu ALC candidates x %zu reference, "
-              "%zu-probe predict blocks):\n",
+              "%zu-probe predict blocks; tree = 300-particle dynamic "
+              "tree):\n",
               NumCands, NumRef, NumProbes);
   GpOut.print();
 
@@ -588,8 +442,10 @@ int runGpThroughputSection() {
       if (R.HasSerialColumns)
         std::fprintf(Json,
                      ", \"update_seconds\": %.6f, "
-                     "\"predicts_per_second\": %.1f",
-                     R.UpdateSeconds, R.PredictsPerSecond);
+                     "\"predicts_per_second\": %.1f, "
+                     "\"dynatree_update_seconds\": %.6f",
+                     R.UpdateSeconds, R.PredictsPerSecond,
+                     R.DynaTreeUpdateSeconds);
       std::fprintf(Json, "}%s\n", I + 1 == GpRows.size() ? "" : ",");
     }
     std::fprintf(Json, "  ],\n  \"quality\": [\n");
@@ -624,33 +480,3 @@ int runGpThroughputSection() {
   return EXIT_SUCCESS;
 }
 
-} // namespace
-
-BENCHMARK(BM_DynaTreeUpdate)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
-BENCHMARK(BM_DynaTreeUpdateParticles)
-    ->Args({1000, 0})->Args({1000, 8})
-    ->Args({5000, 0})->Args({5000, 2})->Args({5000, 4})->Args({5000, 8})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GpRefitUpdate)->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(500)
-    ->Arg(800)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GpIncrementalUpdate)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
-    ->Arg(500)->Arg(800)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GpAlcScoring)
-    ->Args({200, 0})->Args({200, 2})->Args({200, 4})
-    ->Args({500, 0})->Args({500, 2})->Args({500, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DynaTreePredict)->Arg(100)->Arg(400);
-BENCHMARK(BM_DynaTreeAlcScoring)->Arg(50)->Arg(200);
-
-// Custom main instead of BENCHMARK_MAIN(): the GP throughput sweep runs
-// first (emitting BENCH_gp.json), then the google-benchmark suite with
-// whatever --benchmark_* flags CI passed.
-int main(int argc, char **argv) {
-  if (runGpThroughputSection() != EXIT_SUCCESS)
-    return EXIT_FAILURE;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return EXIT_FAILURE;
-  benchmark::RunSpecifiedBenchmarks();
-  return EXIT_SUCCESS;
-}

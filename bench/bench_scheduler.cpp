@@ -27,7 +27,6 @@
 #include "support/Rng.h"
 #include "support/Scheduler.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -35,12 +34,6 @@
 using namespace alic;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
 
 /// ~1us of deterministic integer work per inner index.
 uint64_t spinWork(uint64_t Seed) {
@@ -63,18 +56,18 @@ FanoutRow measureFanout(unsigned Workers) {
   constexpr size_t Outer = 16, Inner = 256, ShardSize = 16, Rounds = 40;
   Scheduler S(Workers);
   std::vector<uint64_t> Sink(Outer * Inner);
-  auto Start = std::chrono::steady_clock::now();
-  for (size_t Round = 0; Round != Rounds; ++Round)
-    S.parallelFor(Outer, [&](size_t O) {
-      S.parallelForShards(Inner, ShardSize,
-                          [&](size_t, size_t Begin, size_t End) {
-                            for (size_t I = Begin; I != End; ++I)
-                              Sink[O * Inner + I] =
-                                  spinWork(Round * 1315423911ull + O * Inner +
-                                           I);
-                          });
-    });
-  double Wall = secondsSince(Start);
+  double Wall = timeReps(1, [&] {
+    for (size_t Round = 0; Round != Rounds; ++Round)
+      S.parallelFor(Outer, [&](size_t O) {
+        S.parallelForShards(Inner, ShardSize,
+                            [&](size_t, size_t Begin, size_t End) {
+                              for (size_t I = Begin; I != End; ++I)
+                                Sink[O * Inner + I] =
+                                    spinWork(Round * 1315423911ull +
+                                             O * Inner + I);
+                            });
+      });
+  });
   size_t InnerShards = (Inner + ShardSize - 1) / ShardSize;
   size_t Tasks = Rounds * (Outer + Outer * InnerShards);
   return {Workers, Tasks, double(Tasks) / Wall};
@@ -151,9 +144,9 @@ int main() {
       Tail.StateDir = Scratch;
       Tail.Threads = Nested ? TailWorkers : 0;
       Tail.Quiet = true;
-      auto Start = std::chrono::steady_clock::now();
-      CampaignProgress Progress = runCampaignCells(Spec, Tail);
-      double Wall = secondsSince(Start);
+      CampaignProgress Progress;
+      double Wall =
+          timeReps(1, [&] { Progress = runCampaignCells(Spec, Tail); });
       if (!Progress.Complete)
         fatalError("tail run did not complete the campaign");
       if (Nested) {

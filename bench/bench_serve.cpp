@@ -25,7 +25,6 @@
 #include "support/FailPoint.h"
 #include "support/Rng.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -33,12 +32,6 @@
 using namespace alic;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
 
 /// A micro session: big enough to exercise the full explore -> refine
 /// path, small enough that serving (not model math) dominates.  All
@@ -100,42 +93,41 @@ ServeRow measureServe(const std::string &Label, size_t Sessions,
 
   auto Engine = std::make_unique<ServeEngine>(Opts);
   std::string Err;
-  auto OpenStart = std::chrono::steady_clock::now();
-  for (size_t I = 0; I != Sessions; ++I)
-    if (!Engine->openSession("s" + std::to_string(I), microSpec(1000 + I),
-                             Err))
-      fatalError("open s%zu failed: %s", I, Err.c_str());
-  Row.OpenWall = secondsSince(OpenStart);
+  Row.OpenWall = timeReps(1, [&] {
+    for (size_t I = 0; I != Sessions; ++I)
+      if (!Engine->openSession("s" + std::to_string(I), microSpec(1000 + I),
+                               Err))
+        fatalError("open s%zu failed: %s", I, Err.c_str());
+  });
 
-  auto ServeStart = std::chrono::steady_clock::now();
-  for (size_t Round = 0; Round != Rounds; ++Round) {
-    for (size_t I = 0; I != Sessions; ++I) {
-      std::string Id = "s" + std::to_string(I);
-      Suggestion S;
-      if (!Engine->suggest(Id, S, Err))
-        fatalError("suggest %s failed: %s", Id.c_str(), Err.c_str());
-      if (S.Phase == SuggestPhase::Done)
-        continue;
-      std::vector<double> Costs;
-      Costs.reserve(S.Configs.size() * S.ObservationsPerConfig);
-      for (size_t Slot = 0;
-           Slot != S.Configs.size() * S.ObservationsPerConfig; ++Slot)
-        Costs.push_back(syntheticCost(I, S.Ticket, Slot));
-      if (!Engine->observe(Id, S.Ticket, Costs, Err))
-        fatalError("observe %s failed: %s", Id.c_str(), Err.c_str());
-      ++Row.RoundTrips;
+  Row.ServeWall = timeReps(1, [&] {
+    for (size_t Round = 0; Round != Rounds; ++Round) {
+      for (size_t I = 0; I != Sessions; ++I) {
+        std::string Id = "s" + std::to_string(I);
+        Suggestion S;
+        if (!Engine->suggest(Id, S, Err))
+          fatalError("suggest %s failed: %s", Id.c_str(), Err.c_str());
+        if (S.Phase == SuggestPhase::Done)
+          continue;
+        std::vector<double> Costs;
+        Costs.reserve(S.Configs.size() * S.ObservationsPerConfig);
+        for (size_t Slot = 0;
+             Slot != S.Configs.size() * S.ObservationsPerConfig; ++Slot)
+          Costs.push_back(syntheticCost(I, S.Ticket, Slot));
+        if (!Engine->observe(Id, S.Ticket, Costs, Err))
+          fatalError("observe %s failed: %s", Id.c_str(), Err.c_str());
+        ++Row.RoundTrips;
+      }
     }
-  }
-  Row.ServeWall = secondsSince(ServeStart);
+  });
   Row.Rate = Row.ServeWall > 0 ? double(Row.RoundTrips) / Row.ServeWall : 0;
 
   if (!StateDir.empty()) {
     Engine.reset(); // daemon dies; only the session logs survive
     ServeEngine Fresh(Opts);
-    auto RestoreStart = std::chrono::steady_clock::now();
     size_t Skipped = 0;
-    Row.Restored = Fresh.restoreSessions(&Skipped);
-    Row.RestoreWall = secondsSince(RestoreStart);
+    Row.RestoreWall =
+        timeReps(1, [&] { Row.Restored = Fresh.restoreSessions(&Skipped); });
     if (Row.Restored != Sessions || Skipped)
       fatalError("restore recovered %zu/%zu sessions (%zu skipped)",
                  Row.Restored, Sessions, Skipped);
@@ -154,10 +146,11 @@ double checkDisarmedFailpointOverhead() {
   constexpr size_t Evaluations = 100'000'000;
   constexpr double MaxNsPerOp = 25.0;
   size_t Fired = 0;
-  auto Start = std::chrono::steady_clock::now();
-  for (size_t I = 0; I != Evaluations; ++I)
-    Fired += ALIC_FAILPOINT("bench.serve.disarmed").Fire;
-  double NsPerOp = secondsSince(Start) * 1e9 / double(Evaluations);
+  double NsPerOp = timeReps(1, [&] {
+                     for (size_t I = 0; I != Evaluations; ++I)
+                       Fired += ALIC_FAILPOINT("bench.serve.disarmed").Fire;
+                   }) *
+                   1e9 / double(Evaluations);
   if (Fired != 0)
     fatalError("disarmed failpoint fired %zu time(s)", Fired);
   std::printf("failpoint check: %zuM disarmed evaluations, %.2f ns/op\n",

@@ -37,12 +37,12 @@ constexpr size_t ParticleShardSize = 64;
 } // namespace
 
 DynaTree::DynaTree(DynaTreeConfig Config) : Config(Config) {
+  static_assert(MinLeafSize >= 1, "leaves need at least one observation");
   assert(Config.NumParticles >= 1 && "need at least one particle");
-  assert(Config.MinLeafSize >= 1 && "leaves need at least one observation");
 }
 
 double DynaTree::splitProbability(unsigned Depth) const {
-  return Config.SplitAlpha * std::pow(1.0 + double(Depth), -Config.SplitBeta);
+  return SplitAlpha * std::pow(1.0 + double(Depth), -SplitBeta);
 }
 
 Rng DynaTree::particleRng(uint64_t Step, size_t Index) const {
@@ -59,11 +59,11 @@ void DynaTree::ensureMarginalTables(size_t MaxN) {
   // Geometric push_back growth on purpose: update() extends by one entry
   // per step, and an exact reserve here would reallocate every call.
   for (size_t N = LogGammaAnTable.size(); N <= MaxN; ++N) {
-    LogGammaAnTable.push_back(logGamma(Config.PriorShape + 0.5 * double(N)));
-    LogKnTable.push_back(std::log(Config.PriorKappa + double(N)));
+    LogGammaAnTable.push_back(logGamma(PriorShape + 0.5 * double(N)));
+    LogKnTable.push_back(std::log(PriorKappa + double(N)));
     // Df spelled as posteriorOf() and logPredictive() spell it, and the
     // normalizer as studentTPdf() does.
-    double Df = 2.0 * (Config.PriorShape + 0.5 * double(N));
+    double Df = 2.0 * (PriorShape + 0.5 * double(N));
     LogStudentTNormTable.push_back(logGamma(0.5 * (Df + 1.0)) -
                                    logGamma(0.5 * Df) -
                                    0.5 * std::log(Df * M_PI));
@@ -77,8 +77,8 @@ double DynaTree::logMarginal(uint32_t N, double SumY, double SumY2) const {
   if (N == 0)
     return 0.0;
   assert(N < LogGammaAnTable.size() && "marginal tables not extended");
-  double K0 = Config.PriorKappa;
-  double A0 = Config.PriorShape;
+  double K0 = PriorKappa;
+  double A0 = PriorShape;
   double B0 = PriorScale;
   double M0 = PriorMean;
   double Nd = double(N);
@@ -116,8 +116,8 @@ static LeafPosterior posteriorOf(uint32_t N, double SumY, double SumY2,
 }
 
 double DynaTree::logPredictive(const LeafStats &S, double Y) const {
-  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, Config.PriorKappa,
-                                Config.PriorShape, PriorScale, PriorMean);
+  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, PriorKappa,
+                                PriorShape, PriorScale, PriorMean);
   // Student-t with df = 2*An, location Mn, scale^2 = Bn (Kn+1) / (An Kn):
   // studentTPdf()'s arithmetic, with its count-only log normalizer read
   // from the table.
@@ -132,8 +132,8 @@ double DynaTree::logPredictive(const LeafStats &S, double Y) const {
 }
 
 Prediction DynaTree::leafPredictive(const LeafStats &S) const {
-  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, Config.PriorKappa,
-                                Config.PriorShape, PriorScale, PriorMean);
+  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, PriorKappa,
+                                PriorShape, PriorScale, PriorMean);
   double Df = 2.0 * P.An;
   double Scale2 = P.Bn * (P.Kn + 1.0) / (P.An * P.Kn);
   Prediction Out;
@@ -143,8 +143,8 @@ Prediction DynaTree::leafPredictive(const LeafStats &S) const {
 }
 
 double DynaTree::leafVarianceDrop(const LeafStats &S) const {
-  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, Config.PriorKappa,
-                                Config.PriorShape, PriorScale, PriorMean);
+  LeafPosterior P = posteriorOf(S.Count, S.SumY, S.SumY2, PriorKappa,
+                                PriorShape, PriorScale, PriorMean);
   // sigma2_hat * [ (Kn+1)/Kn - (Kn+2)/(Kn+1) ]: the expected shrink of the
   // predictive variance when the leaf absorbs one more observation.
   double Sigma2 = P.An > 1.0 ? P.Bn / (P.An - 1.0) : P.Bn;
@@ -359,7 +359,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     S.Eff = leafStats(P, S.LeafIdx);
     S.LStay = logMarginal(S.Eff.Count + 1, S.Eff.SumY + NewY,
                           S.Eff.SumY2 + NewY * NewY);
-    S.CanGrow = S.Eff.Count + 1 >= 2 * Config.MinLeafSize;
+    S.CanGrow = S.Eff.Count + 1 >= 2 * MinLeafSize;
     S.Spread.clear();
     if (S.CanGrow) {
       // The leaf's per-dimension ranges come from its cached bounding box
@@ -479,7 +479,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     double TotalS2 = Eff.SumY2 + NewY * NewY;
     for (const TryAcc &T : Tries) {
       uint32_t Nr = TotalN - T.Nl;
-      if (T.Nl < Config.MinLeafSize || Nr < Config.MinLeafSize)
+      if (T.Nl < MinLeafSize || Nr < MinLeafSize)
         continue;
       double L = PriorTerm + logMarginal(T.Nl, T.Sl, T.Sl2) +
                  logMarginal(Nr, TotalS - T.Sl, TotalS2 - T.Sl2);
@@ -682,10 +682,10 @@ void DynaTree::fit(const FlatRows &X, const std::vector<double> &Y) {
                      : 1.0;
   // E[sigma^2] = B0/(A0-1) == PriorScaleFactor * seed variance: the prior
   // expects leaves to explain most of the global variance.
-  PriorScale = Config.PriorScaleFactor * Var * (Config.PriorShape - 1.0);
-  LogGammaA0 = logGamma(Config.PriorShape);
+  PriorScale = PriorScaleFactor * Var * (PriorShape - 1.0);
+  LogGammaA0 = logGamma(PriorShape);
   LogB0 = std::log(PriorScale);
-  LogK0 = std::log(Config.PriorKappa);
+  LogK0 = std::log(PriorKappa);
   ensureMarginalTables(Y.size() + 2);
 
   // Batched seed ingestion: all particles share ONE empty root tree

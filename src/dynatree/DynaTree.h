@@ -22,10 +22,12 @@
 ///      of the paper) — drawn from their local posterior;
 ///   4. absorbs (x, y) into the affected leaf's sufficient statistics.
 ///
-/// This gives O(particles * depth) updates (no refit), calibrated
-/// predictive variance, and closed-form ALM/ALC scores — the properties
-/// the paper's Section 3.2 lists as the reasons to prefer dynamic trees
-/// over GPs for active learning.
+/// Each update walks every particle's tree to the new point's leaf and,
+/// for a grow proposal, scans that leaf's points: O(particles * (depth +
+/// leaf size)) with no refit.  Together with calibrated predictive
+/// variance and closed-form ALM/ALC scores, these are the properties the
+/// paper's Section 3.2 lists as the reasons to prefer dynamic trees over
+/// GPs for active learning.
 ///
 /// The particle engine is built for throughput at the paper's N = 5000:
 ///
@@ -87,29 +89,11 @@ namespace alic {
 
 class Scheduler;
 
-/// Tuning constants of the dynamic-tree model.
+/// Settable values of the dynamic-tree model; its priors are fixed
+/// constants of DynaTree.
 struct DynaTreeConfig {
   /// Number of SMC particles (the paper's Section 4.4 value).
   unsigned NumParticles = 5000;
-
-  /// Tree prior: p_split(depth) = SplitAlpha * (1 + depth)^-SplitBeta
-  /// (Chipman, George & McCulloch).
-  double SplitAlpha = 0.95;
-  double SplitBeta = 1.5;
-
-  /// Minimum observations per leaf for a grow move.
-  unsigned MinLeafSize = 3;
-
-  /// Normal-Inverse-Gamma prior strength (pseudo-observations of the
-  /// mean) and variance shape; the scale is set empirically from the
-  /// seed data in fit().
-  double PriorKappa = 0.1;
-  double PriorShape = 3.0;
-
-  /// Fraction of the seed variance used as the prior expected leaf
-  /// variance: small values expect leaves to explain most variance and
-  /// make splits cheap to justify.
-  double PriorScaleFactor = 0.01;
 
   /// RNG seed (the whole model is deterministic given the data order).
   uint64_t Seed = 17;
@@ -157,6 +141,25 @@ private:
   /// The naive per-particle scoring walk in tests/dynatree_test.cpp, which
   /// the unique-run paths must match bit-for-bit.
   friend class DynaTreeNaiveReference;
+
+  /// Tree prior: p_split(depth) = SplitAlpha * (1 + depth)^-SplitBeta
+  /// (Chipman, George & McCulloch).
+  static constexpr double SplitAlpha = 0.95;
+  static constexpr double SplitBeta = 1.5;
+
+  /// Minimum observations per leaf for a grow move.
+  static constexpr unsigned MinLeafSize = 3;
+
+  /// Normal-Inverse-Gamma prior strength (pseudo-observations of the
+  /// mean) and variance shape; the scale is set empirically from the
+  /// seed data in fit().
+  static constexpr double PriorKappa = 0.1;
+  static constexpr double PriorShape = 3.0;
+
+  /// Fraction of the seed variance used as the prior expected leaf
+  /// variance: small values expect leaves to explain most variance and
+  /// make splits cheap to justify.
+  static constexpr double PriorScaleFactor = 0.01;
 
   /// Point-index chunks per leaf are linked lists of fixed-size blocks in
   /// the tree's pooled chunk arena: appending a point never reallocates

@@ -85,8 +85,6 @@ double GaussianProcess::refitWith(const GpHyperParams &P) {
   return recomputeWeights();
 }
 
-void GaussianProcess::refit() { refitWith(Params); }
-
 void GaussianProcess::updateIncremental() {
   size_t N = DataX.size(); // includes the point just pushed
   if (!Factor || Factor->size() != N - 1) {

@@ -20,8 +20,8 @@
 /// numerically identical to a from-scratch O(n^3) refit because the
 /// extension reproduces factorize()'s arithmetic bit-for-bit.  The full
 /// refit — the cost the paper's Section 3.2 attributes to GPs — is still
-/// what hyperparameter optimization pays; bench_ablation_model_cost
-/// times refit() against update().  ALM and ALC score in forward-solve
+/// what fit() and its hyperparameter search pay; bench_ablation_model_cost
+/// times fit() against update().  ALM and ALC score in forward-solve
 /// form: v = L^-1 k by batched forward substitution, then
 /// var(x) = s - v_x.v_x and cov(r, x) = k(r, x) - v_r.v_x, with no back
 /// substitution.
@@ -35,7 +35,7 @@
 /// its last use — (gap) kernel evaluations and O(gap n) multiply-adds
 /// instead of n and O(n^2) — and every score is bitwise the one a
 /// from-scratch solve gives.  refitWith() (fit(), the hyperparameter
-/// search, refit(), update()'s fallback) bumps a generation that voids
+/// search, update()'s fallback) bumps a generation that voids
 /// every entry.  A call without ids runs the same code over entries that
 /// start empty.  The cache holds at most |pool| x n doubles, plus growth
 /// headroom of max(n/8, 32) per point: 0.23 MB at smoke scale, 6 MB at
@@ -108,10 +108,6 @@ public:
   double logMarginalLikelihood() const { return LogMl; }
 
   const GpHyperParams &hyperParams() const { return Params; }
-
-  /// Re-solves the linear system with the stored data (exposed so the
-  /// cost ablation can time one refit in isolation).
-  void refit();
 
 private:
   /// The back-substitution ALC in tests/gp_test.cpp, which the

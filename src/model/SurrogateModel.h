@@ -136,10 +136,10 @@ public:
                             Prediction *Out) const;
 
   /// ALM scores: predictive variance per candidate (higher = more useful).
-  /// The default implementation shards predict() over \p Ctx.
+  /// Implementations must honor \p Ctx as alcScores() does.
   virtual std::vector<double>
   almScores(const FlatRows &Candidates,
-            const ScoreContext &Ctx = ScoreContext()) const;
+            const ScoreContext &Ctx = ScoreContext()) const = 0;
 
   /// ALC scores: expected reduction of summed predictive variance over
   /// \p Reference if the candidate were observed (higher = more useful).

@@ -311,11 +311,31 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   return S;
 }
 
-std::shared_ptr<ServeEngine::Session>
-ServeEngine::find(const std::string &Id) const {
-  std::lock_guard<std::mutex> Lock(EngineMutex);
-  auto It = Sessions.find(Id);
-  return It == Sessions.end() ? nullptr : It->second;
+struct ServeEngine::LockedSession {
+  std::shared_ptr<Session> S;
+  /// Declared after S, so the mutex is released before S can free it.
+  std::unique_lock<std::mutex> Lock;
+
+  explicit operator bool() const { return S != nullptr; }
+  Session *operator->() const { return S.get(); }
+};
+
+ServeEngine::LockedSession
+ServeEngine::lockSession(const std::string &Id, std::string &Err) const {
+  LockedSession L;
+  {
+    std::lock_guard<std::mutex> Lock(EngineMutex);
+    auto It = Sessions.find(Id);
+    if (It != Sessions.end())
+      L.S = It->second;
+  }
+  if (L.S) {
+    L.Lock = std::unique_lock<std::mutex>(L.S->M);
+    if (!L.S->Closed)
+      return L;
+  }
+  Err = "unknown session '" + Id + "'";
+  return {};
 }
 
 bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
@@ -370,16 +390,9 @@ bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
 
 bool ServeEngine::suggest(const std::string &Id, Suggestion &Out,
                           std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  LockedSession S = lockSession(Id, Err);
+  if (!S)
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   Out = S->Learner->suggest();
   return true;
 }
@@ -387,16 +400,9 @@ bool ServeEngine::suggest(const std::string &Id, Suggestion &Out,
 bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
                           const std::vector<double> &Costs,
                           std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  LockedSession S = lockSession(Id, Err);
+  if (!S)
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   if (!S->Learner->suggestionOutstanding()) {
     Err = "no suggestion outstanding (call suggest first)";
     return false;
@@ -432,16 +438,9 @@ bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
 
 bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
                            std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  LockedSession S = lockSession(Id, Err);
+  if (!S)
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   if (!S->Learner->seeded()) {
     Err = "session has no model yet (still exploring)";
     return false;
@@ -458,16 +457,9 @@ bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
 
 bool ServeEngine::sessionInfo(const std::string &Id, SessionInfo &Out,
                               std::string &Err) const {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  LockedSession S = lockSession(Id, Err);
+  if (!S)
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   Out.Stats = S->Learner->stats();
   Out.TotalCostSeconds = S->TotalCostSeconds;
   Out.Observes = S->Observes;

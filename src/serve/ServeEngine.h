@@ -191,6 +191,7 @@ public:
 private:
   struct Session;
   struct DatasetEntry;
+  struct LockedSession;
 
   bool validId(const std::string &Id) const;
   std::string logPath(const std::string &Id) const;
@@ -201,10 +202,12 @@ private:
                                         std::string &Err);
   /// Restores the session logged at \p Path; false when it is skipped.
   bool restoreSession(const std::string &Path);
-  /// Returns a reference-counted handle copied under EngineMutex, so the
-  /// session outlives any concurrent closeSession(); callers must still
-  /// take the session mutex and re-check its Closed flag.
-  std::shared_ptr<Session> find(const std::string &Id) const;
+  /// Session \p Id, locked and open: a reference-counted handle copied
+  /// under EngineMutex (so the session outlives a concurrent
+  /// closeSession()) plus a hold on its mutex, taken after EngineMutex is
+  /// released.  Empty, with \p Err naming the id, when the id is unknown
+  /// or the session closed before its mutex was taken.
+  LockedSession lockSession(const std::string &Id, std::string &Err) const;
 
   ServeOptions Opts;
   std::unique_ptr<Scheduler> Sched;

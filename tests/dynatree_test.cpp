@@ -100,7 +100,7 @@ public:
   /// studentTPdf()'s log normalizer at a leaf of \p N points, with Df
   /// spelled as the posterior spells it.
   double directLogStudentTNorm(uint32_t N) const {
-    double An = M.Config.PriorShape + 0.5 * double(N);
+    double An = DynaTree::PriorShape + 0.5 * double(N);
     double Df = 2.0 * An;
     return logGamma(0.5 * (Df + 1.0)) - logGamma(0.5 * Df) -
            0.5 * std::log(Df * M_PI);
@@ -113,7 +113,7 @@ public:
   }
   double directLogPredictive(uint32_t N, double SumY, double SumY2,
                              double Y) const {
-    double K0 = M.Config.PriorKappa, A0 = M.Config.PriorShape;
+    double K0 = DynaTree::PriorKappa, A0 = DynaTree::PriorShape;
     double B0 = M.PriorScale, M0 = M.PriorMean;
     double Nd = double(N);
     double Mean = N ? SumY / Nd : 0.0;

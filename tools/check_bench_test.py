@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Tests for tools/check_bench.py, the CI perf-regression gate.
+
+The exit-code cases run the gate as CI does, as a subprocess over a
+baseline and a fresh directory: the committed baselines against
+themselves, and against copies with one edit each.  The classification
+cases read the committed baselines and check which of their metrics
+the default gate compares.
+
+stdlib-only, like the gate:  python3 tools/check_bench_test.py
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BASELINES = os.path.join(os.path.dirname(HERE), "bench", "baselines")
+CHECK = os.path.join(HERE, "check_bench.py")
+
+sys.path.insert(0, HERE)
+import check_bench  # noqa: E402
+
+
+def run_gate(baseline_dir, fresh_dir):
+    """The gate's exit code for one baseline/fresh directory pair."""
+    return subprocess.run(
+        [sys.executable, CHECK, "--baseline-dir", baseline_dir,
+         "--fresh-dir", fresh_dir],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def gated_by_key(name):
+    """{final key: set of gated? flags} over a committed baseline."""
+    metrics = check_bench.load_metrics(os.path.join(BASELINES, name))
+    out = {}
+    for path in metrics:
+        gated = check_bench.classify(path, include_wallclock=False)
+        out.setdefault(check_bench.last_key(path), set()).add(
+            gated is not None)
+    return out
+
+
+class ExitCodes(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.fresh = os.path.join(self.tmp.name, "fresh")
+        shutil.copytree(BASELINES, self.fresh)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def edit(self, name, change):
+        path = os.path.join(self.fresh, name)
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        change(document)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+    def scale_gp_rmse(self, factor):
+        def change(document):
+            for row in document["quality"]:
+                row["exact_rmse"] *= factor
+        self.edit("BENCH_gp.json", change)
+
+    def test_baselines_pass_against_themselves(self):
+        self.assertEqual(run_gate(BASELINES, BASELINES), 0)
+
+    def test_fresh_leaf_missing_from_baseline_fails(self):
+        self.edit("BENCH_gp.json", lambda d: d.update(new_counter=1))
+        self.assertEqual(run_gate(BASELINES, self.fresh), 1)
+
+    def test_missing_fresh_file_fails(self):
+        os.remove(os.path.join(self.fresh, "BENCH_machine.json"))
+        self.assertEqual(run_gate(BASELINES, self.fresh), 1)
+
+    def test_gated_cost_30_percent_worse_fails(self):
+        self.scale_gp_rmse(1.3)
+        self.assertEqual(run_gate(BASELINES, self.fresh), 1)
+
+    def test_gated_cost_20_percent_worse_passes(self):
+        self.scale_gp_rmse(1.2)
+        self.assertEqual(run_gate(BASELINES, self.fresh), 0)
+
+
+class Classification(unittest.TestCase):
+    # Deterministic quality metrics the gate must compare.
+    GATED = {
+        "BENCH_gp.json": ("exact_rmse",),
+        "BENCH_dynatree.json": ("rmse",),
+        "BENCH_campaign.json": ("final_rmse", "speedup"),
+        "BENCH_query.json": ("labels_spent",),
+    }
+    # Files whose timings are wall clock (the campaign, batch and query
+    # files time virtual profiling costs, which are deterministic).
+    WALLCLOCK_FILES = ("BENCH_gp.json", "BENCH_dynatree.json",
+                       "BENCH_machine.json", "BENCH_sched.json",
+                       "BENCH_serve.json")
+
+    @staticmethod
+    def is_timing(key):
+        return (key.endswith(("_seconds", "_wall", "_ns", "_rate"))
+                or "per_second" in key or "speedup" in key)
+
+    def test_quality_metrics_are_gated(self):
+        for name, keys in self.GATED.items():
+            found = gated_by_key(name)
+            for key in keys:
+                with self.subTest(file=name, key=key):
+                    self.assertEqual(found.get(key), {True})
+
+    def test_no_wallclock_timing_is_gated(self):
+        timings = 0
+        for name in self.WALLCLOCK_FILES:
+            for key, gated in gated_by_key(name).items():
+                if self.is_timing(key):
+                    timings += 1
+                    with self.subTest(file=name, key=key):
+                        self.assertEqual(gated, {False})
+        self.assertGreater(timings, 0)
+
+
+if __name__ == "__main__":
+    unittest.main()
