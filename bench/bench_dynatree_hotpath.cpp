@@ -24,11 +24,18 @@
 // survivors) representative of the high duplicate fractions surprise
 // observations produce in real campaigns.
 //
+// A long run then grows an N = 5000 ensemble to n = 400 observations at
+// every scale and takes the census of its distinct trees: live and dead
+// nodes and point chunks, and the bytes their arenas hold.  Trees compact
+// on every grow and prune, so the dead counts read 0.
+//
 // Emits BENCH_dynatree.json.  tools/check_bench.py gates the update rows'
-// probe RMSE, which is deterministic; the rates (updates/s, predicts/s,
-// scores/s) are wall clock and classified out of the default gate, like
-// BENCH_sched.json's.  The duplicate-fraction, ESS, unique-run and
-// walk-dedup columns are deterministic and informational.
+// probe RMSE, which is deterministic, and fails any dead_* census count
+// above its baseline; the rates (updates/s, predicts/s, scores/s) are
+// wall clock and classified out of the default gate, like
+// BENCH_sched.json's.  The duplicate-fraction, ESS, unique-run,
+// walk-dedup and live-storage columns are deterministic and
+// informational.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +73,11 @@ FlatRows uniformRows(Rng &R, size_t N) {
   return Rows;
 }
 
-/// Ensemble size whose models seed the scoring states.
+/// Ensemble size whose models seed the scoring states and the census.
 constexpr unsigned ScoringParticles = 5000;
+
+/// Observations the census ensemble is grown to, at every scale.
+constexpr size_t LongRunN = 400;
 
 struct UpdateRow {
   unsigned Particles = 0;
@@ -123,15 +133,25 @@ int main() {
   FlatRows SeedX, X; // the fit batch, then the update stream
   std::vector<double> SeedY, Y;
   Rng DataRng(2027);
-  for (size_t I = 0; I != SeedPoints + Updates; ++I) {
+  auto drawPoint = [&DataRng](FlatRows &Rows, std::vector<double> &Ys) {
     std::vector<double> Row(6);
     for (double &V : Row)
       V = DataRng.nextUniform(-1, 1);
     double Sigma = Row[5] > 0.3 ? 0.4 : 0.05;
-    (I < SeedPoints ? SeedY : Y)
-        .push_back(truth(Row) + Sigma * DataRng.nextGaussian());
-    (I < SeedPoints ? SeedX : X).push(Row);
+    Ys.push_back(truth(Row) + Sigma * DataRng.nextGaussian());
+    Rows.push(Row);
+  };
+  for (size_t I = 0; I != SeedPoints + Updates; ++I)
+    drawPoint(I < SeedPoints ? SeedX : X, I < SeedPoints ? SeedY : Y);
+  // The long run's stream: the sweep's updates, then further draws.
+  FlatRows LongX;
+  std::vector<double> LongY;
+  for (size_t I = 0; I != std::min(Updates, LongRunN - SeedPoints); ++I) {
+    LongX.push(X[I]);
+    LongY.push_back(Y[I]);
   }
+  while (SeedPoints + LongY.size() < LongRunN)
+    drawPoint(LongX, LongY);
   Rng CandRng(404), ProbeRng(7);
   FlatRows Cands = uniformRows(CandRng, NumCands);
   FlatRows Ref = uniformRows(CandRng, NumRef);
@@ -250,10 +270,42 @@ int main() {
               ScoringParticles, NumCands, NumRef);
   ScoreOut.print();
 
+  // The long run: tree storage once the ensemble has absorbed LongRunN
+  // observations, on the sweep's largest pool.
+  std::unique_ptr<Scheduler> LongPool;
+  if (ThreadCounts.back() != 0)
+    LongPool = std::make_unique<Scheduler>(ThreadCounts.back());
+  DynaTreeConfig LongConfig;
+  LongConfig.NumParticles = ScoringParticles;
+  LongConfig.Seed = 17;
+  DynaTree Long(LongConfig);
+  Long.setScheduler(LongPool.get());
+  Long.fit(SeedX, SeedY);
+  double LongSeconds = timeReps(1, [&] {
+    for (size_t I = 0; I != LongX.size(); ++I)
+      Long.update(LongX[I], LongY[I]);
+  });
+  double LongRate = double(LongX.size()) / LongSeconds;
+  DynaTree::TreeCensus Census = Long.treeCensus();
+  double PerTree = 1.0 / double(Census.Trees);
+  std::printf("\nTree census at N=%u, n=%zu (%u threads, %.1f upd/s), per "
+              "distinct tree of %zu:\n",
+              ScoringParticles, LongRunN, ThreadCounts.back(), LongRate,
+              Census.Trees);
+  Table CensusOut({"live nodes", "dead nodes", "live chunks", "dead chunks",
+                   "KiB"});
+  CensusOut.addRow({formatString("%.2f", double(Census.LiveNodes) * PerTree),
+                    formatString("%.2f", double(Census.DeadNodes) * PerTree),
+                    formatString("%.2f", double(Census.LiveChunks) * PerTree),
+                    formatString("%.2f", double(Census.DeadChunks) * PerTree),
+                    formatString("%.2f", double(Census.TreeBytes) * PerTree /
+                                             1024.0)});
+  CensusOut.print();
+
   std::FILE *Json = std::fopen("BENCH_dynatree.json", "w");
   if (Json) {
     std::fprintf(Json,
-                 "{\n  \"schema\": \"alic-dynatree-hotpath-v2\",\n"
+                 "{\n  \"schema\": \"alic-dynatree-hotpath-v3\",\n"
                  "  \"seed_points\": %zu,\n  \"updates\": %zu,\n"
                  "  \"probes\": %zu,\n  \"scoring_particles\": %u,\n"
                  "  \"candidates\": %zu,\n  \"reference\": %zu,\n",
@@ -287,7 +339,16 @@ int main() {
           R.PredictRate, R.AlmRate, R.AlcRate, R.WalkDedupFactor,
           I + 1 == ScoringRows.size() ? "" : ",");
     }
-    std::fprintf(Json, "  ]\n}\n");
+    std::fprintf(Json,
+                 "  ],\n  \"census\": {\"particles\": %u, "
+                 "\"observations\": %zu, \"threads\": %u, "
+                 "\"updates_per_second\": %.3f, \"trees\": %zu, "
+                 "\"live_nodes\": %zu, \"dead_nodes\": %zu, "
+                 "\"live_chunks\": %zu, \"dead_chunks\": %zu, "
+                 "\"tree_bytes\": %zu}\n}\n",
+                 ScoringParticles, LongRunN, ThreadCounts.back(), LongRate,
+                 Census.Trees, Census.LiveNodes, Census.DeadNodes,
+                 Census.LiveChunks, Census.DeadChunks, Census.TreeBytes);
     std::fclose(Json);
     std::printf("written: BENCH_dynatree.json\n");
   }

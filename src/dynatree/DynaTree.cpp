@@ -229,6 +229,63 @@ void DynaTree::absorbInto(Tree &T, int32_t LeafIdx, uint32_t PointIdx) {
   Leaf.PtsHead = int32_t(T.Chunks.size() - 1);
 }
 
+size_t DynaTree::livePreorder(const Tree &T, std::vector<int32_t> &Order) {
+  thread_local std::vector<int32_t> Stack;
+  Order.clear();
+  Stack.assign(1, 0);
+  size_t NumChunks = 0;
+  while (!Stack.empty()) {
+    int32_t Idx = Stack.back();
+    Stack.pop_back();
+    Order.push_back(Idx);
+    const Node &N = T.Nodes[size_t(Idx)];
+    if (N.Left >= 0) {
+      Stack.push_back(N.Right);
+      Stack.push_back(N.Left);
+    }
+    for (int32_t C = N.PtsHead; C >= 0; C = T.Chunks[size_t(C)].Next)
+      ++NumChunks;
+  }
+  return NumChunks;
+}
+
+void DynaTree::compact(Tree &T) const {
+  // Count first, so the rebuilt arenas are allocated once at their exact
+  // sizes.
+  thread_local std::vector<int32_t> Order, NewIdx;
+  size_t NumChunks = livePreorder(T, Order);
+  NewIdx.resize(T.Nodes.size());
+  for (size_t I = 0; I != Order.size(); ++I)
+    NewIdx[size_t(Order[I])] = int32_t(I);
+
+  Tree Out;
+  Out.Nodes.reserve(Order.size());
+  Out.Chunks.reserve(NumChunks);
+  Out.Bounds.reserve(Order.size() * 2 * Dims);
+  for (int32_t Old : Order) {
+    Node N = T.Nodes[size_t(Old)];
+    if (N.Parent >= 0)
+      N.Parent = NewIdx[size_t(N.Parent)];
+    if (N.Left >= 0) {
+      N.Left = NewIdx[size_t(N.Left)];
+      N.Right = NewIdx[size_t(N.Right)];
+    }
+    // Copy the chunk list head first, the order forEachLeafPoint walks.
+    int32_t OldChunk = N.PtsHead;
+    int32_t *Link = &N.PtsHead;
+    for (; OldChunk >= 0; OldChunk = T.Chunks[size_t(OldChunk)].Next) {
+      *Link = int32_t(Out.Chunks.size());
+      Out.Chunks.push_back(T.Chunks[size_t(OldChunk)]);
+      Link = &Out.Chunks.back().Next; // stable: the arena is pre-sized
+    }
+    *Link = -1;
+    Out.Nodes.push_back(N);
+    auto Box = T.Bounds.begin() + ptrdiff_t(size_t(Old) * 2 * Dims);
+    Out.Bounds.insert(Out.Bounds.end(), Box, Box + ptrdiff_t(2 * Dims));
+  }
+  T = std::move(Out);
+}
+
 void DynaTree::materialize(Particle &P) {
   // use_count() == 1 proves sole ownership: during the parallel propagate
   // phase other threads only *release* references (when their particles
@@ -553,9 +610,8 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     NewInternal.SplitValue = GrowCut;
     NewInternal.Count = 0;
     NewInternal.SumY = NewInternal.SumY2 = 0.0;
-    // The old leaf's chunks become unreachable pool garbage; compaction is
-    // not worth the bookkeeping (same policy as dead nodes below).
     NewInternal.PtsHead = -1;
+    compact(T); // drops the old leaf's chunks
     return;
   }
 
@@ -591,11 +647,8 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
         Tail = T.Chunks[size_t(Tail)].Next;
       T.Chunks[size_t(Tail)].Next = Sibling.PtsHead;
     }
-    // Old child nodes become unreachable; absorb the new point and leave
-    // them in place (compaction is not worth the bookkeeping).
-    Self = Node();
-    Sibling = Node();
     absorbInto(T, ParentIdx, PointIdx);
+    compact(T); // drops the two child nodes
     return;
   }
 
@@ -730,8 +783,8 @@ struct LeafMoments {
 };
 
 /// The mixture's mean and variance (law of total variance) from the
-/// per-particle sums; predict() and almScores() share it so their
-/// variances stay bitwise equal.
+/// per-particle sums; predict() and mixtureBatch() share it so their
+/// outputs stay bitwise equal.
 Prediction mixtureOf(double MeanSum, double VarSum, double Mean2Sum,
                      size_t NumParticles) {
   double Np = double(NumParticles);
@@ -768,15 +821,12 @@ Prediction DynaTree::predict(RowRef X) const {
   return mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size());
 }
 
-std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
-                                        const ScoreContext &Ctx) const {
+void DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
+                            const ScoreContext &Ctx, Prediction *Out) const {
   assert(!Particles.empty() && "model not fitted");
-  // predict()'s variance per candidate.  A leaf's moments do not depend
-  // on the candidate, so they are computed once per (run, live leaf) into
-  // one flat table; a candidate then walks each run's tree and adds the
-  // looked-up moments per alias in particle order — predict()'s addends
-  // in predict()'s order.  Dead nodes (pruned children) are unreachable
-  // and keep their zero entries.
+  assert(Count <= Rows.size() && "batch count out of range");
+  // A row walks each run's tree and adds the looked-up moments per alias
+  // in particle order: predict()'s addends in predict()'s order.
   size_t NumGroups = uniqueRunCount();
   std::vector<size_t> Base = runNodeBases();
   std::vector<LeafMoments> Table(Base[NumGroups]);
@@ -785,7 +835,7 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
       const Particle &P = Particles[RunOffsets[G]];
       const std::vector<Node> &Nodes = P.T->Nodes;
       for (size_t I = 0; I != Nodes.size(); ++I) {
-        if (Nodes[I].Left >= 0 || (I != 0 && Nodes[I].Parent < 0))
+        if (Nodes[I].Left >= 0)
           continue;
         Prediction LeafP = leafPredictive(leafStats(P, int32_t(I)));
         Table[Base[G] + I] = {LeafP.Mean, LeafP.Variance,
@@ -794,11 +844,10 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
     }
   });
 
-  std::vector<double> Scores(Candidates.size());
-  shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
+  shardedFor(Ctx.Pool, Count, Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
     for (size_t C = Begin; C != End; ++C) {
-      const double *Row = Candidates.row(C);
+      const double *Row = Rows.row(C);
       double MeanSum = 0.0, VarSum = 0.0, Mean2Sum = 0.0;
       for (size_t G = 0; G != NumGroups; ++G) {
         const Particle &P = Particles[RunOffsets[G]];
@@ -809,10 +858,26 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
           Mean2Sum += L.Mean2;
         }
       }
-      Scores[C] =
-          mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size()).Variance;
+      Out[C] = mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size());
     }
   });
+}
+
+void DynaTree::predictBatch(const FlatRows &X, size_t Count,
+                            Prediction *Out) const {
+  ScoreContext Ctx;
+  Ctx.Pool = Workers;
+  mixtureBatch(X, Count, Ctx, Out);
+}
+
+std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
+                                        const ScoreContext &Ctx) const {
+  // predict()'s variance per candidate.
+  std::vector<Prediction> Mixture(Candidates.size());
+  mixtureBatch(Candidates, Candidates.size(), Ctx, Mixture.data());
+  std::vector<double> Scores(Candidates.size());
+  for (size_t C = 0; C != Candidates.size(); ++C)
+    Scores[C] = Mixture[C].Variance;
   if (Ctx.Stats) {
     Ctx.Stats->CandidatesScored.fetch_add(Candidates.size(),
                                           std::memory_order_relaxed);
@@ -897,21 +962,37 @@ double DynaTree::averageLeafCount() const {
   // per-particle walk.
   double Total = 0.0;
   for (size_t Run = 0; Run + 1 < RunOffsets.size(); ++Run) {
-    const Particle &P = Particles[RunOffsets[Run]];
     unsigned Leaves = 0;
-    const std::vector<Node> &Nodes = P.T->Nodes;
-    for (size_t I = 0; I != Nodes.size(); ++I) {
-      const Node &N = Nodes[I];
-      if (N.Left >= 0)
-        continue;
-      uint32_t EffCount = leafStats(P, int32_t(I)).Count;
-      if (EffCount > 0 || N.Parent >= 0 || Nodes.size() == 1)
-        ++Leaves;
-    }
+    for (const Node &N : Particles[RunOffsets[Run]].T->Nodes)
+      Leaves += N.Left < 0;
     for (size_t I = RunOffsets[Run]; I != RunOffsets[Run + 1]; ++I)
       Total += double(Leaves);
   }
   return Total / double(Particles.size());
+}
+
+DynaTree::TreeCensus DynaTree::treeCensus() const {
+  std::vector<const Tree *> Trees;
+  Trees.reserve(Particles.size());
+  for (const Particle &P : Particles)
+    Trees.push_back(P.T.get());
+  std::sort(Trees.begin(), Trees.end());
+  Trees.erase(std::unique(Trees.begin(), Trees.end()), Trees.end());
+
+  TreeCensus Out;
+  Out.Trees = Trees.size();
+  std::vector<int32_t> Order;
+  for (const Tree *T : Trees) {
+    size_t Chunks = livePreorder(*T, Order);
+    Out.LiveNodes += Order.size();
+    Out.DeadNodes += T->Nodes.size() - Order.size();
+    Out.LiveChunks += Chunks;
+    Out.DeadChunks += T->Chunks.size() - Chunks;
+    Out.TreeBytes += T->Nodes.capacity() * sizeof(Node) +
+                     T->Chunks.capacity() * sizeof(PtsChunk) +
+                     T->Bounds.capacity() * sizeof(double);
+  }
+  return Out;
 }
 
 double DynaTree::averageDepth() const {

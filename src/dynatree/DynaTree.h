@@ -31,11 +31,15 @@
 ///
 /// The particle engine is built for throughput at the paper's N = 5000:
 ///
-///  * **Flat storage.**  Training rows live in one contiguous FlatRows
-///    buffer; each particle's tree is a POD node arena, a pooled chunk
-///    list of per-leaf point indices, and cached leaf bounding boxes.
-///    Copying a tree is three vector copies — no per-leaf heap
-///    allocations.
+///  * **Flat storage, live only.**  Training rows live in one contiguous
+///    FlatRows buffer; each particle's tree is a POD node arena, a pooled
+///    chunk list of per-leaf point indices, and cached leaf bounding
+///    boxes.  Copying a tree is three vector copies — no per-leaf heap
+///    allocations.  A grow abandons the old leaf's chunks and a prune
+///    its two children, so each rebuilds the tree in preorder right away,
+///    keeping only what the root reaches: no tree at rest holds dead
+///    storage, and clones, sessions and per-(run, node) scoring tables
+///    are sized by live state.  treeCensus() counts both kinds.
 ///
 ///  * **Copy-on-write resampling.**  Systematic resampling only copies a
 ///    shared_ptr per offspring.  The common post-resample move ("stay")
@@ -64,9 +68,9 @@
 ///
 ///  * **Scoring from per-leaf tables.**  A leaf's ALC term (reference
 ///    count times expected variance drop) and its ALM moments depend on
-///    the run and the leaf, never on the candidate.  alcScores() and
-///    almScores() fill one flat (run, leaf) table per call, then a
-///    candidate costs one leaf walk and one lookup per run.  The SMC
+///    the run and the leaf, never on the candidate.  alcScores(),
+///    almScores() and predictBatch() fill one flat (run, leaf) table per
+///    call, then a row costs one leaf walk and one lookup per run.  The SMC
 ///    moves read the split prior and the Student-t normalizer from
 ///    depth- and count-indexed tables.  Every table entry is the exact
 ///    expression the direct call evaluates, so scores and updates are
@@ -107,6 +111,10 @@ public:
   void fit(const FlatRows &X, const std::vector<double> &Y) override;
   void update(RowRef X, double Y) override;
   Prediction predict(RowRef X) const override;
+  /// Shards the rows over the model's scheduler and reads each leaf's
+  /// moments from almScores()'s per-(run, leaf) table: bitwise predict().
+  void predictBatch(const FlatRows &X, size_t Count,
+                    Prediction *Out) const override;
   std::vector<double> almScores(const FlatRows &Candidates,
                                 const ScoreContext &Ctx = ScoreContext())
       const override;
@@ -121,6 +129,18 @@ public:
   double averageLeafCount() const;
   double averageDepth() const;
   double effectiveSampleSize() const { return LastEss; }
+
+  /// Storage of the ensemble's distinct trees, each counted once however
+  /// many particles share it.  A node is live when the root reaches it, a
+  /// chunk when a live leaf's list does; the rest of each arena is dead.
+  /// TreeBytes is the arenas' allocated capacity.
+  struct TreeCensus {
+    size_t Trees = 0;
+    size_t LiveNodes = 0, DeadNodes = 0;
+    size_t LiveChunks = 0, DeadChunks = 0;
+    size_t TreeBytes = 0;
+  };
+  TreeCensus treeCensus() const;
 
   /// Number of unique-particle runs: maximal groups of consecutive
   /// particles sharing one tree and one pending list.  Scoring cost
@@ -189,7 +209,9 @@ private:
   /// point-chunk arena its leaves index into, and per-node bounding boxes
   /// ([Dims lows, Dims highs] per node, expanded incrementally on absorb
   /// so grow proposals never rescan a leaf to bound it).  POD vectors
-  /// only, so a clone is three memcpy-style copies.
+  /// only, so a clone is three memcpy-style copies.  Every node and chunk
+  /// is live: compact() runs after each grow and prune, the only moves
+  /// that strand storage.
   struct Tree {
     std::vector<Node> Nodes;
     std::vector<PtsChunk> Chunks;
@@ -255,6 +277,14 @@ private:
   /// run R's nodes occupy [Base[R], Base[R + 1]).
   std::vector<size_t> runNodeBases() const;
 
+  /// predict() at each of the first \p Count rows of \p Rows, sharded
+  /// over \p Ctx's pool and grid.  A leaf's mixture addends depend on the
+  /// run and the leaf only, so they fill one flat (run, leaf) table first;
+  /// a row then costs one leaf walk and one lookup per run.  The one path
+  /// behind almScores() and predictBatch().
+  void mixtureBatch(const FlatRows &Rows, size_t Count,
+                    const ScoreContext &Ctx, Prediction *Out) const;
+
   /// Gives \p P sole ownership of its tree with all pending points
   /// flushed: in place when already unique, by cloning when shared.
   /// Either path produces bit-identical tree contents.
@@ -266,6 +296,17 @@ private:
 
   /// Appends one node's (empty) bounding-box slot to \p T.
   void pushBoundsSlot(Tree &T) const;
+
+  /// Fills \p Order with the nodes of \p T the root reaches, in preorder
+  /// (left subtree first), and returns how many chunks their leaves hold.
+  static size_t livePreorder(const Tree &T, std::vector<int32_t> &Order);
+
+  /// Rebuilds the sole-owned, pending-free \p T from its root in preorder,
+  /// keeping only live nodes and chunks in exactly sized arenas.  Each
+  /// node keeps its bounds slot and each leaf its chunk list in list
+  /// order, so forEachLeafPoint order — and with it every sum — is
+  /// unchanged.
+  void compact(Tree &T) const;
 
   /// Candidate-independent context of one propagate() call, cacheable
   /// across the consecutive aliases of a unique-particle run (same tree,

@@ -193,6 +193,26 @@ ShardLease::Claim ShardLease::tryClaim(size_t RangeIndex,
         Path + ".steal-" + sanitizeForFilename(Opts.OwnerToken);
     if (::rename(Path.c_str(), Moved.c_str()) != 0)
       return errno == ENOENT ? Claim::Held : Claim::Error;
+    // A rival may have stolen the stale file and claimed afresh between
+    // our stat() and rename(): then we moved *its* lease.  The mtime
+    // tells them apart even when the file system hands the freed stale
+    // inode's number to the rival's file (ext4 does so at once): a fresh
+    // claim's mtime is its claim time, never the expired one.  Put a
+    // rival's lease back with link(), which fails with EEXIST rather than
+    // clobber a newer claim, and lose.  One window stays open: a
+    // first-time O_EXCL claim that lands between the rename and the link
+    // keeps the path, and the rival we moved learns of the loss at its
+    // next renew().
+    struct stat MovedSt;
+    if (::lstat(Moved.c_str(), &MovedSt) != 0)
+      return Claim::Error;
+    if (MovedSt.st_dev != St.st_dev || MovedSt.st_ino != St.st_ino ||
+        MovedSt.st_mtim.tv_sec != St.st_mtim.tv_sec ||
+        MovedSt.st_mtim.tv_nsec != St.st_mtim.tv_nsec) {
+      (void)::link(Moved.c_str(), Path.c_str());
+      ::unlink(Moved.c_str());
+      return Claim::Held;
+    }
     ::unlink(Moved.c_str());
     (void)syncParentDir(Path); // revocation durable before re-claiming
     // The path is free now — but a third worker may O_EXCL it first.

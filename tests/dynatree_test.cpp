@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 
 using namespace alic;
 
@@ -69,6 +71,49 @@ public:
       Scores[C] = Total / double(Particles.size());
     }
     return Scores;
+  }
+
+  /// Empty when every distinct tree of the ensemble is compact: a walk
+  /// from the root, left before right, reaches the nodes in index order
+  /// and each node and chunk exactly once, and every Parent link names
+  /// the node that points to it.  Otherwise the first violation found.
+  std::string compactionViolation() const {
+    std::set<const DynaTree::Tree *> Seen;
+    for (const DynaTree::Particle &P : M.Particles) {
+      const DynaTree::Tree &T = *P.T;
+      if (!Seen.insert(&T).second)
+        continue;
+      if (T.Bounds.size() != T.Nodes.size() * 2 * M.Dims)
+        return "bounds slots do not match the nodes";
+      std::vector<uint8_t> ChunkSeen(T.Chunks.size(), 0);
+      std::vector<std::pair<int32_t, int32_t>> Stack = {{0, -1}};
+      size_t Visited = 0;
+      while (!Stack.empty()) {
+        auto [Idx, Parent] = Stack.back();
+        Stack.pop_back();
+        if (Idx != int32_t(Visited++))
+          return "node " + std::to_string(Idx) + " out of preorder";
+        const DynaTree::Node &N = T.Nodes[size_t(Idx)];
+        if (N.Parent != Parent)
+          return "node " + std::to_string(Idx) + " has a stale parent link";
+        if (N.Left >= 0) {
+          if (N.PtsHead >= 0)
+            return "internal node " + std::to_string(Idx) + " holds points";
+          Stack.push_back({N.Right, Idx});
+          Stack.push_back({N.Left, Idx});
+        }
+        for (int32_t C = N.PtsHead; C >= 0; C = T.Chunks[size_t(C)].Next) {
+          if (size_t(C) >= T.Chunks.size() || ChunkSeen[size_t(C)]++)
+            return "chunk " + std::to_string(C) + " reached twice or missing";
+        }
+      }
+      if (Visited != T.Nodes.size())
+        return std::to_string(T.Nodes.size() - Visited) + " dead nodes";
+      for (size_t C = 0; C != T.Chunks.size(); ++C)
+        if (!ChunkSeen[C])
+          return "chunk " + std::to_string(C) + " is dead";
+    }
+    return "";
   }
 
   /// Particles deferring at least one "stay" absorption.
@@ -476,11 +521,12 @@ TEST(DynaTreeTest, ThreadedLearningMatchesSerialUnderResampling) {
 }
 
 TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
-  // The unique-run contract: predict/almScores/alcScores walk each
-  // (tree, pending) run once and repeat the accumulation per alias, and
-  // the scorers read each run's leaf terms from a per-(run, leaf) table,
-  // so they must be *bit-identical* to the naive per-particle reference
-  // — serially, across worker counts, and under varied steal seeds.  Two
+  // The unique-run contract: predict/predictBatch/almScores/alcScores
+  // walk each (tree, pending) run once and repeat the accumulation per
+  // alias, and the batch paths read each run's leaf terms from a
+  // per-(run, leaf) table, so they must be *bit-identical* to the naive
+  // per-particle reference — serially, across worker counts, and under
+  // varied steal seeds.  Two
   // states: a long sequential run, and one a few updates after the seed
   // batch, where particles still carry deferred "stay" absorptions that
   // the tables must fold into their leaves.
@@ -501,19 +547,36 @@ TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
     Cands.push({R.nextUniform(-1, 1), R.nextUniform(-1, 1)});
   FlatRows Ref(S.X.begin(), S.X.begin() + 60);
 
-  for (const DynaTree *M : {&Long, &Pending}) {
+  // predictBatch over a prefix that ends inside its second shard.
+  size_t BatchCount = Cands.size() - 3;
+  auto BatchBits = [&](const DynaTree &M) {
+    std::vector<Prediction> Out(BatchCount);
+    M.predictBatch(Cands, BatchCount, Out.data());
+    std::vector<uint64_t> Bits;
+    for (const Prediction &P : Out)
+      Bits.insert(Bits.end(), {bits(P.Mean), bits(P.Variance)});
+    return Bits;
+  };
+
+  for (DynaTree *M : {&Long, &Pending}) {
     const char *State = M == &Long ? "long run" : "pending stays";
     // Naive reference on the very same ensemble state.
     DynaTreeNaiveReference Naive(*M);
     Prediction WantP = Naive.predict({0.3, -0.4});
     std::vector<double> WantAlm = Naive.almScores(Cands);
     std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
+    std::vector<uint64_t> WantBatch;
+    for (size_t C = 0; C != BatchCount; ++C) {
+      Prediction P = Naive.predict(Cands[C]);
+      WantBatch.insert(WantBatch.end(), {bits(P.Mean), bits(P.Variance)});
+    }
 
     Prediction GotP = M->predict({0.3, -0.4});
     EXPECT_EQ(WantP.Mean, GotP.Mean) << State;
     EXPECT_EQ(WantP.Variance, GotP.Variance) << State;
     EXPECT_EQ(WantAlm, M->almScores(Cands)) << State;
     EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref)) << State;
+    EXPECT_EQ(WantBatch, BatchBits(*M)) << State;
 
     for (uint64_t StealSeed : {0x57ea1ull, 0xfeedull}) {
       for (unsigned Threads : {1u, 8u}) {
@@ -529,6 +592,11 @@ TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
         EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref, Ctx))
             << State << ", " << Threads << " threads, steal seed "
             << StealSeed;
+        M->setScheduler(&Pool); // predictBatch shards on the model's pool
+        EXPECT_EQ(WantBatch, BatchBits(*M))
+            << State << ", " << Threads << " threads, steal seed "
+            << StealSeed;
+        M->setScheduler(nullptr);
       }
     }
   }
@@ -714,4 +782,73 @@ TEST(DynaTreeTest, TreesGrowWithStructuredData) {
   M.fit(X, Y);
   EXPECT_GT(M.averageLeafCount(), 3.0);
   EXPECT_GT(M.averageDepth(), 1.0);
+}
+
+TEST(DynaTreeTest, TreesHoldOnlyLiveStorageAfterLongRuns) {
+  // Grows abandon a leaf's chunks and prunes two nodes; each compacts its
+  // tree at once, so at any point between updates every distinct tree
+  // holds exactly what its root reaches, in preorder.
+  Scenario S(300);
+  for (unsigned Particles : {60u, 250u}) {
+    DynaTree M(smallConfig(Particles, 29));
+    M.fit({S.X.begin(), S.X.begin() + 40}, {S.Y.begin(), S.Y.begin() + 40});
+    DynaTreeNaiveReference Ref(M);
+    for (size_t I = 40; I != S.X.size(); ++I) {
+      M.update(S.X[I], S.Y[I]);
+      if (I % 26 == 0 || I + 1 == S.X.size()) {
+        ASSERT_EQ(Ref.compactionViolation(), "")
+            << Particles << " particles, after point " << I;
+      }
+    }
+    DynaTree::TreeCensus Census = M.treeCensus();
+    EXPECT_EQ(Census.DeadNodes, 0u) << Particles << " particles";
+    EXPECT_EQ(Census.DeadChunks, 0u) << Particles << " particles";
+    EXPECT_GT(Census.LiveNodes, Census.Trees) << "no tree ever grew";
+    EXPECT_GE(Census.Trees, 1u);
+    EXPECT_LE(Census.Trees, M.uniqueRunCount());
+  }
+}
+
+TEST(DynaTreeTest, LongRunScoresMatchRecordedGoldens) {
+  // predict, ALM and ALC after 220 updates, pinned to hex-float values
+  // recorded before trees were compacted.  The naive reference compares
+  // scoring on one state; these goldens also cover the update path
+  // (grows, prunes, clones, compaction) that built the state, at any
+  // worker count.
+  Scenario S(260);
+  FlatRows Cands = {{0.3, -0.4}, {-0.6, 0.2}, {0.9, 0.9}};
+  FlatRows Ref(S.X.begin(), S.X.begin() + 60);
+  // {predict mean, predict variance, ALM, ALC} per candidate.
+  const double Want[3][4] = {
+      {0x1.2322b4141e643p+2, 0x1.2e49fc902e98p-3, 0x1.2e49fc902e98p-3,
+       0x1.863a05c361b25p-10},
+      {0x1.31efe77cda938p-2, 0x1.4dedbc3300712p-4, 0x1.4dedbc3300712p-4,
+       0x1.a7f30b298c774p-11},
+      {0x1.b187e14fdd3e6p+2, 0x1.e95058e2532p-3, 0x1.e95058e2532p-3,
+       0x1.9ce0a21c317fep-10}};
+  for (unsigned Workers : {0u, 1u, 8u}) {
+    std::unique_ptr<Scheduler> Pool;
+    if (Workers != 0)
+      Pool = std::make_unique<Scheduler>(Workers);
+    DynaTree M(smallConfig(250, 13));
+    M.setScheduler(Pool.get());
+    S.drive(M);
+    EXPECT_EQ(bits(M.averageLeafCount()), bits(0x1.96c8b43958106p+3))
+        << Workers << " workers";
+    EXPECT_EQ(bits(M.averageDepth()), bits(0x1.8872b020c49bap+2))
+        << Workers << " workers";
+    EXPECT_EQ(bits(M.effectiveSampleSize()), bits(0x1.e59198401081ap+7))
+        << Workers << " workers";
+    ScoreContext Ctx;
+    Ctx.Pool = Pool.get();
+    std::vector<double> Alm = M.almScores(Cands, Ctx);
+    std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+    for (size_t C = 0; C != Cands.size(); ++C) {
+      Prediction P = M.predict(Cands[C]);
+      EXPECT_EQ(bits(P.Mean), bits(Want[C][0])) << C << ", " << Workers;
+      EXPECT_EQ(bits(P.Variance), bits(Want[C][1])) << C << ", " << Workers;
+      EXPECT_EQ(bits(Alm[C]), bits(Want[C][2])) << C << ", " << Workers;
+      EXPECT_EQ(bits(Alc[C]), bits(Want[C][3])) << C << ", " << Workers;
+    }
+  }
 }

@@ -11,6 +11,10 @@ segment:
   "time")  -> fail when fresh > baseline * (1 + threshold);
 * throughput-like (higher is better: contains "per_second" or
   "speedup")  -> fail when fresh < baseline * (1 - threshold);
+* dead storage (the key starts with "dead_": BENCH_dynatree.json's
+  census of tree nodes and chunks no root reaches)  -> fail whenever
+  fresh > baseline, with no threshold: the counts are deterministic and
+  a structure that starts leaking has regressed whatever the amount;
 * anything else is informational and skipped.
 
 Every numeric leaf of a fresh file, gated or not, must also exist in its
@@ -87,6 +91,8 @@ WALLCLOCK_TOKENS = (
     "candidates_per_second",
 )
 SKIP_PATH_TOKENS = ("curve",)
+# Unreachable storage: any increase over the baseline fails.
+DEAD_PREFIX = "dead_"
 
 # Ignore denominators this small: ratios of near-zero costs are noise.
 TINY = 1e-12
@@ -122,12 +128,14 @@ def last_key(path):
 
 
 def classify(path, include_wallclock):
-    """Returns "cost", "throughput", or None (not gated)."""
+    """Returns "cost", "throughput", "dead", or None (not gated)."""
     segments = path.lower().split(".")
     if any(tok in seg.split("[", 1)[0] for seg in segments
            for tok in SKIP_PATH_TOKENS):
         return None
     key = last_key(path).lower()
+    if key.startswith(DEAD_PREFIX):
+        return "dead"
     if not include_wallclock and any(tok in key for tok in WALLCLOCK_TOKENS):
         return None
     if any(tok in key for tok in THROUGHPUT_TOKENS):
@@ -159,6 +167,12 @@ def compare_file(name, baseline, fresh, threshold, include_wallclock):
                 f"(baseline {base_value:g})")
             continue
         fresh_value = fresh[path]
+        if kind == "dead":
+            if fresh_value > base_value:
+                regressions.append(
+                    f"{name}: {path} rose above its baseline "
+                    f"({base_value:g} -> {fresh_value:g})")
+            continue
         if abs(base_value) < TINY:
             continue
         ratio = fresh_value / base_value

@@ -87,12 +87,46 @@ class ExitCodes(unittest.TestCase):
         self.scale_gp_rmse(1.2)
         self.assertEqual(run_gate(BASELINES, self.fresh), 0)
 
+    def test_dead_storage_above_baseline_fails(self):
+        def change(document):
+            document["census"]["dead_chunks"] += 1
+        self.edit("BENCH_dynatree.json", change)
+        self.assertEqual(run_gate(BASELINES, self.fresh), 1)
+
+
+class DeadStorage(unittest.TestCase):
+    """A dead_* count fails on any rise, however small, and never on a
+    fall; the relative threshold and the near-zero skip do not apply."""
+
+    def regressions(self, base, fresh):
+        found, _ = check_bench.compare_file(
+            "BENCH_x.json", {"census.dead_nodes": base},
+            {"census.dead_nodes": fresh}, threshold=0.25,
+            include_wallclock=False)
+        return found
+
+    def test_rise_from_zero_fails(self):
+        self.assertEqual(len(self.regressions(0, 1)), 1)
+
+    def test_rise_inside_threshold_fails(self):
+        self.assertEqual(len(self.regressions(100, 101)), 1)
+
+    def test_equal_or_lower_passes(self):
+        self.assertEqual(self.regressions(0, 0), [])
+        self.assertEqual(self.regressions(100, 100), [])
+        self.assertEqual(self.regressions(100, 3), [])
+
+    def test_only_dead_keys_classify_as_dead(self):
+        self.assertEqual(
+            check_bench.classify("census.dead_chunks", False), "dead")
+        self.assertIsNone(check_bench.classify("census.live_chunks", False))
+
 
 class Classification(unittest.TestCase):
     # Deterministic quality metrics the gate must compare.
     GATED = {
         "BENCH_gp.json": ("exact_rmse",),
-        "BENCH_dynatree.json": ("rmse",),
+        "BENCH_dynatree.json": ("rmse", "dead_nodes", "dead_chunks"),
         "BENCH_campaign.json": ("final_rmse", "speedup"),
         "BENCH_query.json": ("labels_spent",),
     }
