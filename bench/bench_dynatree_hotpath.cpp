@@ -6,8 +6,8 @@
 //    over ensemble size N (the paper's Section 4.4 runs N = 5000) and
 //    update thread count, with the ensemble's ESS, mean leaves and depth
 //    and its held-out probe RMSE.  Reweighting dedupes by unique run and
-//    the grow proposal scans packed unit-stride columns reused across
-//    resampling aliases.  Thread rows are bit-identical to serial ones —
+//    the grow proposal scores its four tries in one vector pass over the
+//    leaf.  Thread rows are bit-identical to serial ones —
 //    every particle draws from its own (seed, step, index) RNG stream on
 //    a fixed shard grid — so they isolate pure speedup;
 //
@@ -33,9 +33,10 @@
 // probe RMSE, which is deterministic, and fails any dead_* census count
 // above its baseline; the rates (updates/s, predicts/s, scores/s) are
 // wall clock and classified out of the default gate, like
-// BENCH_sched.json's.  The duplicate-fraction, ESS, unique-run,
-// walk-dedup and live-storage columns are deterministic and
-// informational.
+// BENCH_sched.json's.  The duplicate-fraction, ESS, leaves, depth,
+// unique-run, walk-dedup and live-census columns are deterministic
+// functions of the seeded stream, and the gate fails any difference in
+// them, up or down.
 //
 //===----------------------------------------------------------------------===//
 

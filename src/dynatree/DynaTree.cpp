@@ -395,20 +395,74 @@ void DynaTree::resampleParticles(const std::vector<double> &LogWeights) {
   Particles = std::move(Next);
 }
 
+namespace {
+/// Two doubles, one grow try per lane (the GCC/Clang vector extension:
+/// element-wise arithmetic and comparisons, SSE2 on x86-64).
+typedef double TryLanes __attribute__((vector_size(16)));
+} // namespace
+
+void DynaTree::scoreGrowTries(const Particle &P, int32_t LeafIdx,
+                              uint32_t PointIdx,
+                              GrowTry (&Tries)[NumGrowTries]) const {
+  static_assert(NumGrowTries == 4, "the scan holds the tries in two vectors");
+  const size_t D0 = size_t(Tries[0].Dim), D1 = size_t(Tries[1].Dim);
+  const size_t D2 = size_t(Tries[2].Dim), D3 = size_t(Tries[3].Dim);
+  const TryLanes CutA = {Tries[0].Cut, Tries[1].Cut};
+  const TryLanes CutB = {Tries[2].Cut, Tries[3].Cut};
+  // A comparison yields all-ones lanes where it holds: subtracting it
+  // counts the points sent left, and ANDing Y with it adds Y there and
+  // +0.0 elsewhere.  A scalar scan of one try adding Mask * Y would add
+  // -0.0 for a negative (finite) Y on the right instead; that cannot
+  // change a sum, which starts at +0.0, never becomes -0.0 under
+  // round-to-nearest, and is unchanged by adding a zero of either sign.
+  // So each lane is bitwise that scan.
+  using LaneMask = decltype(CutA <= CutB);
+  LaneMask NlA = {0, 0}, NlB = {0, 0};
+  TryLanes SlA = {0.0, 0.0}, SlB = {0.0, 0.0};
+  TryLanes Sl2A = {0.0, 0.0}, Sl2B = {0.0, 0.0};
+  auto Add = [&](uint32_t Pt) {
+    const double *Row = DataX.row(Pt);
+    double Y = DataY[Pt];
+    double Y2 = Y * Y;
+    const TryLanes XA = {Row[D0], Row[D1]};
+    const TryLanes XB = {Row[D2], Row[D3]};
+    const TryLanes Ys = {Y, Y};
+    const TryLanes Y2s = {Y2, Y2};
+    auto LeftA = XA <= CutA;
+    auto LeftB = XB <= CutB;
+    NlA -= LeftA;
+    NlB -= LeftB;
+    SlA += (TryLanes)((LaneMask)Ys & LeftA);
+    SlB += (TryLanes)((LaneMask)Ys & LeftB);
+    Sl2A += (TryLanes)((LaneMask)Y2s & LeftA);
+    Sl2B += (TryLanes)((LaneMask)Y2s & LeftB);
+  };
+  forEachLeafPoint(P, LeafIdx, Add);
+  Add(PointIdx); // the new point, last
+  for (unsigned K = 0; K != 2; ++K) {
+    Tries[K].Nl = uint32_t(NlA[K]);
+    Tries[K].Sl = SlA[K];
+    Tries[K].Sl2 = Sl2A[K];
+    Tries[K + 2].Nl = uint32_t(NlB[K]);
+    Tries[K + 2].Sl = SlB[K];
+    Tries[K + 2].Sl2 = Sl2B[K];
+  }
+}
+
 void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
                          GrowScratch &S, bool ReuseScan) {
   const double *X = DataX.row(PointIdx);
   double NewY = DataY[PointIdx];
 
-  // Candidate-independent preamble — leaf location, effective stats,
-  // bounds, and the packed leaf columns for the grow scan.  Every alias
-  // of a unique-particle run (same tree, same pending list) computes the
-  // exact same values here, so the caller lets consecutive aliases reuse
-  // the scratch: only the RNG draws below differ between them.  Siblings
-  // cannot invalidate the cache mid-run — a clone never touches the
-  // shared tree, in-place materialization requires sole ownership (and a
-  // pending alias still holds a reference), and a sibling's "stay" only
-  // appends to its *own* pending list.
+  // Candidate-independent preamble — leaf location, effective stats and
+  // bounds.  Every alias of a unique-particle run (same tree, same
+  // pending list) computes the exact same values here, so the caller lets
+  // consecutive aliases reuse the scratch: only the RNG draws below
+  // differ between them.  Siblings cannot invalidate the cache mid-run —
+  // a clone never touches the shared tree, in-place materialization
+  // requires sole ownership (and a pending alias still holds a
+  // reference), and a sibling's "stay" only appends to its *own* pending
+  // list.
   if (!ReuseScan)
     S.Valid = false;
   if (!S.Valid) {
@@ -439,33 +493,6 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
       for (size_t Dim = 0; Dim != Dims; ++Dim)
         if (S.Hi[Dim] > S.Lo[Dim])
           S.Spread.push_back(int(Dim));
-      if (!S.Spread.empty()) {
-        // Pack the leaf's rows — pending included, new point last, in
-        // forEachLeafPoint order — into one unit-stride column per
-        // spread dimension plus Y and Y^2.  The multi-try scan below
-        // then reads packed arrays instead of chasing PtsChunk links
-        // and Dims-strided DataX gathers per try, and aliased particles
-        // reuse the gather outright.
-        S.Pts.clear();
-        forEachLeafPoint(P, S.LeafIdx,
-                         [&](uint32_t Pt) { S.Pts.push_back(Pt); });
-        size_t NumPts = S.Pts.size() + 1; // + the new point, appended last
-        S.Ys.resize(NumPts);
-        S.Y2s.resize(NumPts);
-        for (size_t I = 0; I != S.Pts.size(); ++I) {
-          double Y = DataY[S.Pts[I]];
-          S.Ys[I] = Y;
-          S.Y2s[I] = Y * Y;
-        }
-        S.Ys[NumPts - 1] = NewY;
-        S.Y2s[NumPts - 1] = NewY * NewY;
-        // Columns are gathered lazily when a try first draws their
-        // dimension (ColDone memoizes per run): a unique particle pays
-        // for at most the <= 4 dimensions its tries touch, while long
-        // alias runs still amortize every gather they need.
-        S.Cols.resize(S.Spread.size() * NumPts);
-        S.ColDone.assign(S.Spread.size(), 0);
-      }
     }
     S.Valid = true;
   }
@@ -485,56 +512,22 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
   double GrowCut = 0.0;
   double LGrow = -1e300;
   if (S.CanGrow && !S.Spread.empty()) {
-    constexpr unsigned NumTries = 4;
     double BestL = -1e300;
     assert(D + 1 < LogSplitTable.size() && "split tables not extended");
     double PriorTerm = LogSplitTable[D] + 2.0 * Log1mSplitTable[D + 1] -
                        Log1mSplitTable[D];
-    // Draw every (dimension, cut) proposal first, then score all of them
-    // branchless (a predicated accumulate — random cuts mispredict ~50%
-    // of data-dependent branches) over the packed columns.  Each try's
-    // accumulators see the exact point order of the historical row-outer
-    // loop, so the FP sums are bit-identical; only the left side is
-    // accumulated — the right side falls out of the leaf totals.
-    struct TryAcc {
-      int Dim;
-      double Cut;
-      uint32_t Nl = 0;
-      double Sl = 0, Sl2 = 0;
-    };
-    TryAcc Tries[NumTries];
-    for (TryAcc &T : Tries) {
+    // Draw every (dimension, cut) proposal first, then score them all in
+    // one pass over the leaf.
+    GrowTry Tries[NumGrowTries];
+    for (GrowTry &T : Tries) {
       T.Dim = S.Spread[R.nextBounded(S.Spread.size())];
       T.Cut = R.nextUniform(S.Lo[size_t(T.Dim)], S.Hi[size_t(T.Dim)]);
     }
-    size_t NumPts = S.Ys.size();
-    for (TryAcc &T : Tries) {
-      size_t ColIdx = 0;
-      while (S.Spread[ColIdx] != T.Dim)
-        ++ColIdx;
-      double *Col = S.Cols.data() + ColIdx * NumPts;
-      if (!S.ColDone[ColIdx]) {
-        DataX.gatherColumn(size_t(T.Dim), S.Pts.data(), S.Pts.size(), Col);
-        Col[NumPts - 1] = X[size_t(T.Dim)];
-        S.ColDone[ColIdx] = 1;
-      }
-      uint32_t Nl = 0;
-      double Sl = 0.0, Sl2 = 0.0;
-      for (size_t I = 0; I != NumPts; ++I) {
-        bool Left = Col[I] <= T.Cut;
-        double Mask = Left ? 1.0 : 0.0;
-        Nl += unsigned(Left);
-        Sl += Mask * S.Ys[I];
-        Sl2 += Mask * S.Y2s[I];
-      }
-      T.Nl = Nl;
-      T.Sl = Sl;
-      T.Sl2 = Sl2;
-    }
+    scoreGrowTries(P, LeafIdx, PointIdx, Tries);
     uint32_t TotalN = Eff.Count + 1;
     double TotalS = Eff.SumY + NewY;
     double TotalS2 = Eff.SumY2 + NewY * NewY;
-    for (const TryAcc &T : Tries) {
+    for (const GrowTry &T : Tries) {
       uint32_t Nr = TotalN - T.Nl;
       if (T.Nl < MinLeafSize || Nr < MinLeafSize)
         continue;
@@ -581,10 +574,13 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
 
   if (Draw < WGrow && GrowDim >= 0) {
     // Grow: the leaf becomes internal with two fresh children.  The
-    // repartition reuses the scratch's packed gather — S.Pts holds the
-    // leaf's points (pending included) in the pre-materialize traversal
-    // order, with the new point appended below, so the order stays a
-    // pure function of the particle's history.
+    // repartition takes the leaf's points (pending included) in the
+    // pre-materialize traversal order, with the new point appended
+    // below, so the order stays a pure function of the particle's
+    // history.
+    thread_local std::vector<uint32_t> Pts;
+    Pts.clear();
+    forEachLeafPoint(P, LeafIdx, [](uint32_t Pt) { Pts.push_back(Pt); });
     materialize(P);
     Tree &T = *P.T;
     int32_t L = int32_t(T.Nodes.size());
@@ -597,7 +593,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     T.Nodes.push_back(RightChild);
     pushBoundsSlot(T); // children's boxes fill in via absorbInto below
     pushBoundsSlot(T);
-    for (uint32_t Pt : S.Pts) {
+    for (uint32_t Pt : Pts) {
       bool GoesLeft = DataX.row(Pt)[GrowDim] <= GrowCut;
       absorbInto(T, GoesLeft ? L : Rr, Pt);
     }
@@ -692,9 +688,9 @@ void DynaTree::ingest(uint32_t PointIdx, bool Resample) {
 
   // 3-4. Propagate every particle with a local stay/prune/grow move, each
   // from its own counter-derived RNG stream.  Consecutive particles of
-  // one run share their packed grow-scan scratch (the run index proves
-  // the reuse bit-safe); the thread_local only amortizes allocations —
-  // validity never crosses a shard boundary.
+  // one run share their leaf, stats and bounds scratch (the run index
+  // proves the reuse bit-safe); the thread_local only amortizes
+  // allocations — validity never crosses a shard boundary.
   uint64_t Step = StepCounter;
   shardedFor(Workers, Np, ParticleShardSize,
              [&](size_t, size_t Begin, size_t End) {

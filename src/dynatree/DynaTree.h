@@ -64,7 +64,12 @@
 ///    run once and accumulate the result per particle in original index
 ///    order — bit-for-bit the sums the naive per-particle path produces,
 ///    at a fraction of the walks.  The same index lets propagate() reuse
-///    its packed grow-scan gather across consecutive aliases.
+///    the new point's leaf, stats and bounds across consecutive aliases.
+///
+///  * **One-pass grow scans.**  A grow proposal draws four (dimension,
+///    cut) tries and scores them in one pass over the leaf's points, two
+///    tries to a 2-lane double vector, reading each row in place.  Each
+///    try's sums are bitwise those of a scan of that try alone.
 ///
 ///  * **Scoring from per-leaf tables.**  A leaf's ALC term (reference
 ///    count times expected variance drop) and its ALM moments depend on
@@ -311,32 +316,46 @@ private:
   /// Candidate-independent context of one propagate() call, cacheable
   /// across the consecutive aliases of a unique-particle run (same tree,
   /// same pending list => same leaf for the new point, same effective
-  /// stats, same bounds, same leaf rows).  The packed columns turn the
-  /// multi-try grow scan into unit-stride passes: leaf rows (pending
-  /// included, new point last, in forEachLeafPoint order) are gathered
-  /// once into one column per spread dimension plus Y and Y**2, instead
-  /// of chasing PtsChunk links and strided DataX gathers per try.  Only
-  /// the validity flag carries semantics; the vectors are reusable
-  /// buffers that live in thread-local storage to amortize allocation.
+  /// stats, same bounds).  Only the validity flag carries semantics; the
+  /// vectors are reusable buffers that live in thread-local storage to
+  /// amortize allocation.
   struct GrowScratch {
-    bool Valid = false;   ///< pack describes the current run
+    bool Valid = false;   ///< scratch describes the current run
     bool CanGrow = false; ///< leaf large enough for a grow proposal
     int32_t LeafIdx = -1;
     LeafStats Eff;
     double LStay = 0.0;
-    std::vector<double> Lo, Hi;    ///< leaf bounds incl. pending + new point
-    std::vector<int> Spread;       ///< dimensions with Hi > Lo
-    std::vector<uint32_t> Pts;     ///< leaf rows in traversal order (no new pt)
-    std::vector<double> Cols;      ///< Spread.size() x NumPts, column-major
-    std::vector<uint8_t> ColDone;  ///< column J gathered yet? (lazy fill)
-    std::vector<double> Ys, Y2s;   ///< NumPts each (new point last)
+    std::vector<double> Lo, Hi; ///< leaf bounds incl. pending + new point
+    std::vector<int> Spread;    ///< dimensions with Hi > Lo
   };
+
+  /// (dimension, cut) pairs a grow proposal draws and scores.
+  static constexpr unsigned NumGrowTries = 4;
+
+  /// One grow try: a cut of dimension Dim at Cut, and the count and the Y
+  /// sums of the points it sends left (a point equal to the cut goes
+  /// left).  The right side falls out of the leaf totals.
+  struct GrowTry {
+    int Dim = 0;
+    double Cut = 0.0;
+    uint32_t Nl = 0;
+    double Sl = 0.0, Sl2 = 0.0;
+  };
+
+  /// Fills every try's Nl/Sl/Sl2 over the points of leaf \p LeafIdx of
+  /// \p P, pending included, in forEachLeafPoint order, then the new point
+  /// \p PointIdx: one pass scores all tries, two to a vector, reading
+  /// each row from DataX and each Y from DataY.  Each try's sums receive
+  /// the addends of a scan of that try alone, in the same order, so they
+  /// are bitwise the same.
+  void scoreGrowTries(const Particle &P, int32_t LeafIdx, uint32_t PointIdx,
+                      GrowTry (&Tries)[NumGrowTries]) const;
 
   /// Applies one stay/prune/grow move for the new point \p PointIdx.
   /// \p ReuseScan says the caller knows \p P continues the unique run
   /// \p Scratch was built for (the run index pins this); otherwise the
-  /// scratch is rebuilt.  Reuse changes no arithmetic — the cached pack
-  /// is bitwise the one this particle would gather itself.
+  /// scratch is rebuilt.  Reuse changes no arithmetic — the cached leaf,
+  /// stats and bounds are bitwise the ones this particle would compute.
   void propagate(Particle &P, uint32_t PointIdx, Rng &R, GrowScratch &Scratch,
                  bool ReuseScan);
 

@@ -16,9 +16,7 @@
 /// hot paths:
 ///
 ///  * every forward-substitution and factorization inner loop is a dot
-///    product of two packed rows — contiguous, cache-linear reads (the
-///    same discipline FlatRows::gatherColumn brought to the dynamic
-///    tree's leaf scans);
+///    product of two packed rows — contiguous, cache-linear reads;
 ///
 ///  * extend() grows the factor by appending one packed row *in place*
 ///    (amortized O(n) writes via the buffer's geometric growth), where

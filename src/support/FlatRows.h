@@ -163,22 +163,6 @@ public:
       Data.reserve(Rows * Dim);
   }
 
-  /// Packs column \p Column of the rows selected by \p RowIdx into
-  /// \p Out: Out[I] = row(RowIdx[I])[Column].  Hot-loop helper for scans
-  /// that revisit one feature of a gathered row set many times (the
-  /// dynamic tree's grow-proposal cut scoring): gathering once turns
-  /// every later pass into a unit-stride read of \p Out instead of a
-  /// Dim-strided gather through this buffer.
-  void gatherColumn(size_t Column, const uint32_t *RowIdx, size_t Num,
-                    double *Out) const {
-    assert(Column < Dim && "column index out of range");
-    const double *Base = Data.data() + Column;
-    for (size_t I = 0; I != Num; ++I) {
-      assert(RowIdx[I] < NumRows && "row index out of range");
-      Out[I] = Base[size_t(RowIdx[I]) * Dim];
-    }
-  }
-
   /// The raw row-major buffer (size() * dim() entries).
   const std::vector<double> &raw() const { return Data; }
 

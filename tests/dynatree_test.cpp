@@ -173,7 +173,107 @@ public:
     return std::log(studentTPdf(Z, Df) / Scale);
   }
 
+  /// One grow-scan case: rows X/Y whose last row is the new point, a
+  /// two-leaf tree whose leaf 1 absorbs the rows Stored in order and leaf
+  /// 2 the rows Elsewhere, deferred {leaf, row} stays in FIFO order, and
+  /// the {dimension, cut} of every try.
+  struct GrowScan {
+    FlatRows X;
+    std::vector<double> Y;
+    std::vector<uint32_t> Stored, Elsewhere;
+    std::vector<std::pair<int32_t, uint32_t>> Pending;
+    std::vector<std::pair<int, double>> Tries;
+  };
+  static constexpr unsigned MaxPending = DynaTree::MaxPending;
+  static constexpr unsigned NumGrowTries = DynaTree::NumGrowTries;
+
+  /// The count and Y sums one grow try sends left.
+  struct TrySums {
+    uint32_t Nl = 0;
+    double Sl = 0.0, Sl2 = 0.0;
+  };
+
+  /// DynaTree::scoreGrowTries() over leaf 1 of \p Case's tree.
+  static std::vector<TrySums> scoreGrowTries(const GrowScan &Case) {
+    DynaTree Model;
+    DynaTree::Particle P = growScanState(Case, Model);
+    DynaTree::GrowTry Tries[DynaTree::NumGrowTries];
+    for (unsigned K = 0; K != NumGrowTries; ++K) {
+      Tries[K].Dim = Case.Tries[K].first;
+      Tries[K].Cut = Case.Tries[K].second;
+    }
+    Model.scoreGrowTries(P, 1, uint32_t(Case.Y.size() - 1), Tries);
+    std::vector<TrySums> Out;
+    for (const DynaTree::GrowTry &T : Tries)
+      Out.push_back({T.Nl, T.Sl, T.Sl2});
+    return Out;
+  }
+
+  /// The per-try grow scan scoreGrowTries() must match: the leaf's
+  /// points (its chunks from the list head, then its pending stays, then
+  /// the new point) packed into Y and Y**2 arrays and one gathered column
+  /// per try, then one predicated pass per try that adds Mask * Y.
+  static std::vector<TrySums> perTryScan(const GrowScan &Case) {
+    DynaTree Model;
+    DynaTree::Particle P = growScanState(Case, Model);
+    const DynaTree::Tree &T = *P.T;
+    std::vector<uint32_t> Pts;
+    for (int32_t C = T.Nodes[1].PtsHead; C >= 0; C = T.Chunks[size_t(C)].Next)
+      for (uint32_t I = 0; I != T.Chunks[size_t(C)].Used; ++I)
+        Pts.push_back(T.Chunks[size_t(C)].Entries[I]);
+    for (unsigned I = 0; I != P.NumPending; ++I)
+      if (P.Pending[I].LeafIdx == 1)
+        Pts.push_back(P.Pending[I].PointIdx);
+    Pts.push_back(uint32_t(Case.Y.size() - 1));
+    std::vector<double> Ys, Y2s, Col(Pts.size());
+    for (uint32_t Pt : Pts) {
+      Ys.push_back(Model.DataY[Pt]);
+      Y2s.push_back(Model.DataY[Pt] * Model.DataY[Pt]);
+    }
+    std::vector<TrySums> Out;
+    for (auto [Dim, Cut] : Case.Tries) {
+      for (size_t I = 0; I != Pts.size(); ++I)
+        Col[I] = Model.DataX.row(Pts[I])[Dim];
+      TrySums T;
+      for (size_t I = 0; I != Pts.size(); ++I) {
+        bool Left = Col[I] <= Cut;
+        double Mask = Left ? 1.0 : 0.0;
+        T.Nl += unsigned(Left);
+        T.Sl += Mask * Ys[I];
+        T.Sl2 += Mask * Y2s[I];
+      }
+      Out.push_back(T);
+    }
+    return Out;
+  }
+
 private:
+  /// Loads \p Case's rows into \p Model and builds its particle.
+  static DynaTree::Particle growScanState(const GrowScan &Case,
+                                          DynaTree &Model) {
+    Model.DataX = Case.X;
+    Model.DataY = Case.Y;
+    Model.Dims = Case.X.dim();
+    DynaTree::Particle P;
+    P.T = std::make_shared<DynaTree::Tree>();
+    DynaTree::Tree &T = *P.T;
+    T.Nodes.resize(3);
+    T.Nodes[0].Left = 1;
+    T.Nodes[0].Right = 2;
+    T.Nodes[0].SplitDim = 0;
+    T.Nodes[1].Parent = T.Nodes[2].Parent = 0;
+    T.Nodes[1].Depth = T.Nodes[2].Depth = 1;
+    for (int I = 0; I != 3; ++I)
+      Model.pushBoundsSlot(T);
+    for (uint32_t Pt : Case.Stored)
+      Model.absorbInto(T, 1, Pt);
+    for (uint32_t Pt : Case.Elsewhere)
+      Model.absorbInto(T, 2, Pt);
+    for (auto [Leaf, Pt] : Case.Pending)
+      P.Pending[P.NumPending++] = {Leaf, Pt};
+    return P;
+  }
+
   const DynaTree &M;
 };
 
@@ -710,6 +810,91 @@ TEST(DynaTreeTest, DedupBitIdenticalOnWeightConcentratedState) {
   }
 }
 
+TEST(DynaTreeTest, GrowScanMatchesPerTryScan) {
+  // scoreGrowTries() scores all tries in one vector pass; each try's sums
+  // must be bitwise those of a scan of that try alone.  Generated
+  // leaves of 6 to 300 scanned points (stored, pending and the new point),
+  // with pending stays on and off the leaf, tries sharing a dimension,
+  // cuts equal to a coordinate (the tie goes left), coordinates on a
+  // coarse grid so ties are common, and Y values that are negative, +0.0
+  // or -0.0.
+  using Ref = DynaTreeNaiveReference;
+  Rng R(0x9ca7);
+  for (int Case = 0; Case != 400; ++Case) {
+    Ref::GrowScan S;
+    size_t Dims = 1 + R.nextBounded(6);
+    size_t Scanned = 6 + R.nextBounded(295); // new point included
+    size_t Elsewhere = R.nextBounded(12);
+    size_t PendingOn =
+        R.nextBounded(std::min<size_t>(Ref::MaxPending, Scanned - 1) + 1);
+    size_t PendingOff = R.nextBounded(Ref::MaxPending - PendingOn + 1);
+    bool Grid = R.nextBounded(2) == 0;
+    size_t NumRows = Scanned + Elsewhere + PendingOff;
+    for (size_t I = 0; I != NumRows; ++I) {
+      std::vector<double> Row(Dims);
+      for (double &V : Row)
+        V = Grid ? double(R.nextBounded(9)) * 0.25 - 1.0 : R.nextUniform(-1, 1);
+      S.X.push(Row);
+      switch (R.nextBounded(5)) {
+      case 0:
+        S.Y.push_back(0.0);
+        break;
+      case 1:
+        S.Y.push_back(-0.0);
+        break;
+      default:
+        S.Y.push_back(3.0 * R.nextGaussian());
+      }
+    }
+    // Rows: stored on leaf 1, stored on leaf 2, pending on leaf 1,
+    // pending on leaf 2, then the new point.  Scan lists leaf 1's rows.
+    std::vector<uint32_t> Scan;
+    uint32_t Row = 0;
+    for (size_t I = 0; I + PendingOn + 1 != Scanned; ++I)
+      S.Stored.push_back(Row++);
+    Scan = S.Stored;
+    for (size_t I = 0; I != Elsewhere; ++I)
+      S.Elsewhere.push_back(Row++);
+    std::vector<std::pair<int32_t, uint32_t>> On, Off;
+    for (size_t I = 0; I != PendingOn; ++I) {
+      Scan.push_back(Row);
+      On.push_back({1, Row++});
+    }
+    for (size_t I = 0; I != PendingOff; ++I)
+      Off.push_back({2, Row++});
+    Scan.push_back(Row); // the new point
+    ASSERT_EQ(size_t(Row) + 1, S.Y.size());
+    while (!On.empty() || !Off.empty()) { // interleave, FIFO within each
+      auto &From = Off.empty() || (!On.empty() && R.nextBounded(2)) ? On : Off;
+      S.Pending.push_back(From.front());
+      From.erase(From.begin());
+    }
+
+    int SharedDim = int(R.nextBounded(Dims));
+    bool OneDim = R.nextBounded(3) == 0;
+    for (unsigned K = 0; K != Ref::NumGrowTries; ++K) {
+      int Dim = OneDim ? SharedDim : int(R.nextBounded(Dims));
+      // A cut on a scanned point's coordinate (the new point's included)
+      // or anywhere in the range.
+      double Cut = R.nextUniform(-1, 1);
+      if (R.nextBounded(2))
+        Cut = S.X.row(Scan[R.nextBounded(Scan.size())])[Dim];
+      S.Tries.push_back({Dim, Cut});
+    }
+
+    std::vector<Ref::TrySums> Got = Ref::scoreGrowTries(S);
+    std::vector<Ref::TrySums> Want = Ref::perTryScan(S);
+    for (unsigned K = 0; K != Ref::NumGrowTries; ++K) {
+      SCOPED_TRACE("case " + std::to_string(Case) + ", try " +
+                   std::to_string(K) + ", " + std::to_string(Scanned) +
+                   " points");
+      EXPECT_EQ(std::memcmp(&Got[K].Nl, &Want[K].Nl, sizeof(uint32_t)), 0);
+      EXPECT_EQ(std::memcmp(&Got[K].Sl, &Want[K].Sl, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&Got[K].Sl2, &Want[K].Sl2, sizeof(double)), 0);
+    }
+  }
+}
+
 TEST(DynaTreeTest, RunIndexCountersSane) {
   // A seed batch too small to grow (needs 2*MinLeafSize effective points)
   // or overflow the pending list keeps every particle aliasing the one
@@ -838,6 +1023,75 @@ TEST(DynaTreeTest, LongRunScoresMatchRecordedGoldens) {
     EXPECT_EQ(bits(M.averageDepth()), bits(0x1.8872b020c49bap+2))
         << Workers << " workers";
     EXPECT_EQ(bits(M.effectiveSampleSize()), bits(0x1.e59198401081ap+7))
+        << Workers << " workers";
+    ScoreContext Ctx;
+    Ctx.Pool = Pool.get();
+    std::vector<double> Alm = M.almScores(Cands, Ctx);
+    std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+    for (size_t C = 0; C != Cands.size(); ++C) {
+      Prediction P = M.predict(Cands[C]);
+      EXPECT_EQ(bits(P.Mean), bits(Want[C][0])) << C << ", " << Workers;
+      EXPECT_EQ(bits(P.Variance), bits(Want[C][1])) << C << ", " << Workers;
+      EXPECT_EQ(bits(Alm[C]), bits(Want[C][2])) << C << ", " << Workers;
+      EXPECT_EQ(bits(Alc[C]), bits(Want[C][3])) << C << ", " << Workers;
+    }
+  }
+}
+
+TEST(DynaTreeTest, AliasHeavyUpdatesMatchRecordedGoldens) {
+  // Updates that start from bench_dynatree_hotpath's weight-concentrated
+  // state, at test size: one outlier collapses resampling onto a few
+  // survivors, so the propagate phases that follow walk long runs of
+  // particles aliasing one tree.  predict, ALM, ALC, ESS and leaves are
+  // pinned to hex-float values recorded before the grow scan became one
+  // pass over the leaf, at any worker count.
+  auto Truth = [](const std::vector<double> &Row) {
+    return Row[0] * 2.0 + Row[1] * Row[1] - Row[2] +
+           (Row[3] > 0.0 ? 1.5 : 0.0) + (Row[4] > 0.4 ? 2.0 : 0.0);
+  };
+  std::vector<std::vector<double>> X;
+  std::vector<double> Y;
+  Rng R(2027);
+  for (int I = 0; I != 100; ++I) {
+    std::vector<double> Row(6);
+    for (double &V : Row)
+      V = R.nextUniform(-1, 1);
+    double Sigma = Row[5] > 0.3 ? 0.4 : 0.05;
+    Y.push_back(Truth(Row) + Sigma * R.nextGaussian());
+    X.push_back(std::move(Row));
+  }
+  FlatRows Cands, Ref;
+  Rng Draw(404);
+  for (int I = 0; I != 43; ++I) {
+    std::vector<double> Row(6);
+    for (double &V : Row)
+      V = Draw.nextUniform(-1, 1);
+    (I < 3 ? Cands : Ref).push(Row);
+  }
+  // {predict mean, predict variance, ALM, ALC} per candidate.
+  const double Want[3][4] = {
+      {0x1.a850086d5d71ap+1, 0x1.236f2d0fedddbp+4, 0x1.236f2d0fedddbp+4,
+       0x1.54720cb27be61p-1},
+      {0x1.28d8b29d3205dp+1, 0x1.ba7757430fd5cp+0, 0x1.ba7757430fd5cp+0,
+       0x1.17297a7facb47p-5},
+      {0x1.10521ade41378p-1, 0x1.20d4fafec9559p+1, 0x1.20d4fafec9559p+1,
+       0x1.668021226e8b8p-7}};
+  for (unsigned Workers : {0u, 1u, 8u}) {
+    std::unique_ptr<Scheduler> Pool;
+    if (Workers != 0)
+      Pool = std::make_unique<Scheduler>(Workers);
+    DynaTree M(smallConfig(400, 17));
+    M.setScheduler(Pool.get());
+    M.fit({X.begin(), X.begin() + 40}, {Y.begin(), Y.begin() + 40});
+    for (size_t I = 40; I != 60; ++I)
+      M.update(X[I], Y[I]);
+    M.update({0.9, 0.9, -0.9, 0.9, 0.9, -0.9}, 80.0);
+    ASSERT_GT(M.duplicateFraction(), 0.9) << "outlier did not concentrate";
+    for (size_t I = 60; I != X.size(); ++I)
+      M.update(X[I], Y[I]);
+    EXPECT_EQ(bits(M.averageLeafCount()), bits(0x1.0733333333333p+2))
+        << Workers << " workers";
+    EXPECT_EQ(bits(M.effectiveSampleSize()), bits(0x1.8b6cf6f4b8225p+8))
         << Workers << " workers";
     ScoreContext Ctx;
     Ctx.Pool = Pool.get();

@@ -15,6 +15,11 @@ segment:
   census of tree nodes and chunks no root reaches)  -> fail whenever
   fresh > baseline, with no threshold: the counts are deterministic and
   a structure that starts leaking has regressed whatever the amount;
+* model state (the EXACT_KEYS columns of a file: BENCH_dynatree.json's
+  ensemble statistics, unique runs, walk dedup and live tree census)
+  -> fail on any difference, up or down: they are pure functions of the
+  seeded update stream, so a change means the model computes something
+  else, whichever way it moved;
 * anything else is informational and skipped.
 
 Every numeric leaf of a fresh file, gated or not, must also exist in its
@@ -68,9 +73,8 @@ WALLCLOCK_TOKENS = (
     "fanout_rate",
     # bench_dynatree_hotpath: wall-clock scoring rates; the file itself
     # is still presence-gated (a committed baseline with a missing fresh
-    # file fails the run), its probe rmse is gated, and its other
-    # deterministic columns (duplicate_fraction, ess, unique_runs,
-    # walk_dedup_factor) stay comparable in the artifacts.
+    # file fails the run), its probe rmse is gated, and its model-state
+    # columns are gated exactly (EXACT_KEYS).
     "scores_per_second",
     # bench_serve: suggest/observe round-trip rate — wall-clock derived
     # and machine-dependent; BENCH_serve.json stays presence-gated and
@@ -93,6 +97,13 @@ WALLCLOCK_TOKENS = (
 SKIP_PATH_TOKENS = ("curve",)
 # Unreachable storage: any increase over the baseline fails.
 DEAD_PREFIX = "dead_"
+# Deterministic model-state columns, per file: any difference fails.
+EXACT_KEYS = {
+    "BENCH_dynatree.json": (
+        "duplicate_fraction", "ess", "avg_leaves", "avg_depth",
+        "unique_runs", "walk_dedup_factor",
+        "trees", "live_nodes", "live_chunks", "tree_bytes"),
+}
 
 # Ignore denominators this small: ratios of near-zero costs are noise.
 TINY = 1e-12
@@ -127,13 +138,16 @@ def last_key(path):
     return tail.split("[", 1)[0]
 
 
-def classify(path, include_wallclock):
-    """Returns "cost", "throughput", "dead", or None (not gated)."""
+def classify(path, include_wallclock, name=None):
+    """Returns "cost", "throughput", "dead", "exact", or None (not gated).
+    name is the file the path comes from: EXACT_KEYS are per file."""
     segments = path.lower().split(".")
     if any(tok in seg.split("[", 1)[0] for seg in segments
            for tok in SKIP_PATH_TOKENS):
         return None
     key = last_key(path).lower()
+    if key in EXACT_KEYS.get(name, ()):
+        return "exact"
     if key.startswith(DEAD_PREFIX):
         return "dead"
     if not include_wallclock and any(tok in key for tok in WALLCLOCK_TOKENS):
@@ -158,7 +172,7 @@ def compare_file(name, baseline, fresh, threshold, include_wallclock):
     regressions = []
     notes = []
     for path, base_value in sorted(baseline.items()):
-        kind = classify(path, include_wallclock)
+        kind = classify(path, include_wallclock, name)
         if kind is None:
             continue
         if path not in fresh:
@@ -167,6 +181,13 @@ def compare_file(name, baseline, fresh, threshold, include_wallclock):
                 f"(baseline {base_value:g})")
             continue
         fresh_value = fresh[path]
+        if kind == "exact":
+            if fresh_value != base_value:
+                regressions.append(
+                    f"{name}: {path} changed ({base_value:g} -> "
+                    f"{fresh_value:g}); deterministic model state must "
+                    "match its baseline exactly")
+            continue
         if kind == "dead":
             if fresh_value > base_value:
                 regressions.append(
@@ -236,7 +257,7 @@ def main():
             name, baseline, fresh, args.threshold, args.include_wallclock)
         gated = sum(
             1 for path in baseline
-            if classify(path, args.include_wallclock) is not None)
+            if classify(path, args.include_wallclock, name) is not None)
         print(f"{name}: checked {gated} gated metric(s), "
               f"{len(regressions)} regression(s)")
         for note in notes:

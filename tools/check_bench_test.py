@@ -39,7 +39,8 @@ def gated_by_key(name):
     metrics = check_bench.load_metrics(os.path.join(BASELINES, name))
     out = {}
     for path in metrics:
-        gated = check_bench.classify(path, include_wallclock=False)
+        gated = check_bench.classify(path, include_wallclock=False,
+                                     name=name)
         out.setdefault(check_bench.last_key(path), set()).add(
             gated is not None)
     return out
@@ -93,6 +94,36 @@ class ExitCodes(unittest.TestCase):
         self.edit("BENCH_dynatree.json", change)
         self.assertEqual(run_gate(BASELINES, self.fresh), 1)
 
+    def test_model_state_change_in_either_direction_fails(self):
+        edits = {
+            "ess": lambda d, s: d["update"][0].update(
+                ess=d["update"][0]["ess"] + s * 0.001),
+            "unique_runs": lambda d, s: d["scoring"][1].update(
+                unique_runs=d["scoring"][1]["unique_runs"] + s),
+            "tree_bytes": lambda d, s: d["census"].update(
+                tree_bytes=d["census"]["tree_bytes"] + s * 8),
+        }
+        for key, change in edits.items():
+            for sign in (1, -1):
+                with self.subTest(key=key, sign=sign):
+                    shutil.copy(os.path.join(BASELINES, "BENCH_dynatree.json"),
+                                self.fresh)
+                    self.edit("BENCH_dynatree.json",
+                              lambda d: change(d, sign))
+                    self.assertEqual(run_gate(BASELINES, self.fresh), 1)
+
+    def test_dynatree_rates_stay_ungated(self):
+        def change(document):
+            for row in document["update"]:
+                row["updates_per_second"] *= 0.1
+            for row in document["scoring"]:
+                for key in ("predicts_per_second", "alm_scores_per_second",
+                            "alc_scores_per_second"):
+                    row[key] *= 0.1
+            document["census"]["updates_per_second"] *= 10.0
+        self.edit("BENCH_dynatree.json", change)
+        self.assertEqual(run_gate(BASELINES, self.fresh), 0)
+
 
 class DeadStorage(unittest.TestCase):
     """A dead_* count fails on any rise, however small, and never on a
@@ -122,11 +153,41 @@ class DeadStorage(unittest.TestCase):
         self.assertIsNone(check_bench.classify("census.live_chunks", False))
 
 
+class ModelState(unittest.TestCase):
+    """An EXACT_KEYS column fails on any difference, up or down, and the
+    class applies only to the file that lists it."""
+
+    def regressions(self, base, fresh, name="BENCH_dynatree.json"):
+        found, _ = check_bench.compare_file(
+            name, {"update[particles=250].avg_depth": base},
+            {"update[particles=250].avg_depth": fresh}, threshold=0.25,
+            include_wallclock=False)
+        return found
+
+    def test_any_difference_fails(self):
+        self.assertEqual(len(self.regressions(3.56, 3.561)), 1)
+        self.assertEqual(len(self.regressions(3.56, 3.559)), 1)
+        self.assertEqual(len(self.regressions(0, 0.001)), 1)
+
+    def test_equal_passes(self):
+        self.assertEqual(self.regressions(3.56, 3.56), [])
+
+    def test_exact_keys_are_per_file(self):
+        for key in check_bench.EXACT_KEYS["BENCH_dynatree.json"]:
+            with self.subTest(key=key):
+                self.assertEqual(
+                    check_bench.classify(f"x.{key}", False,
+                                         "BENCH_dynatree.json"), "exact")
+                self.assertIsNone(
+                    check_bench.classify(f"x.{key}", False, "BENCH_x.json"))
+
+
 class Classification(unittest.TestCase):
     # Deterministic quality metrics the gate must compare.
     GATED = {
         "BENCH_gp.json": ("exact_rmse",),
-        "BENCH_dynatree.json": ("rmse", "dead_nodes", "dead_chunks"),
+        "BENCH_dynatree.json": ("rmse", "dead_nodes", "dead_chunks") +
+        check_bench.EXACT_KEYS["BENCH_dynatree.json"],
         "BENCH_campaign.json": ("final_rmse", "speedup"),
         "BENCH_query.json": ("labels_spent",),
     }
