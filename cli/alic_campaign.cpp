@@ -88,13 +88,12 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "\nScale-out (N independent processes, one spec — see ARCHITECTURE.md):\n"
       "  --shard=I/N           run only static shard I of N (0-based); this\n"
       "                        worker appends to cells.shard<I>of<N>.jsonl\n"
-      "  --lease-claim         claim cell ranges dynamically through lease\n"
-      "                        files in <state-dir>/leases, stealing ranges\n"
-      "                        from dead workers; returns when the whole\n"
-      "                        spec is in the union of worker ledgers\n"
-      "  --lease-ttl-ms=MS     steal leases idle longer than MS (2000)\n"
-      "  --lease-heartbeat-ms=MS  renewal cadence (default: ttl/4)\n"
-      "  --lease-range-cells=K cells per claimable range (16)\n"
+      "  --lease-claim         claim cell ranges dynamically by locking\n"
+      "                        lease files in <state-dir>/leases; a dead\n"
+      "                        worker's ranges are free at once; returns\n"
+      "                        when the whole spec is in the union of\n"
+      "                        worker ledgers\n"
+      "  --lease-range-cells=K cells per claimable range, K >= 1 (16)\n"
       "  --worker-id=ID        per-worker ledger tag (cells.<ID>.jsonl)\n"
       "  --merge-ledgers       union every cells*.jsonl shard ledger into\n"
       "                        the canonical cells.jsonl and exit; byte-\n"
@@ -237,16 +236,9 @@ int main(int argc, char **argv) {
         usage(argv[0], "--shard index must be 0-based and below the count");
     } else if (std::strcmp(argv[I], "--lease-claim") == 0) {
       Options.LeaseClaim = true;
-    } else if (parseFlag(argv[I], "--lease-ttl-ms", Value)) {
-      Options.LeaseTtlMs = countFlag(argv[0], "--lease-ttl-ms", Value, 1,
-                                     std::numeric_limits<uint64_t>::max());
-    } else if (parseFlag(argv[I], "--lease-heartbeat-ms", Value)) {
-      Options.LeaseHeartbeatMs =
-          countFlag(argv[0], "--lease-heartbeat-ms", Value, 0,
-                    std::numeric_limits<uint64_t>::max());
     } else if (parseFlag(argv[I], "--lease-range-cells", Value)) {
       Options.LeaseRangeCells =
-          unsigned(countFlag(argv[0], "--lease-range-cells", Value));
+          unsigned(countFlag(argv[0], "--lease-range-cells", Value, 1));
     } else if (parseFlag(argv[I], "--worker-id", Value)) {
       if (Value.empty() ||
           Value.find_first_of("/\n") != std::string::npos)
@@ -306,14 +298,8 @@ int main(int argc, char **argv) {
     std::printf("# static shard %u of %u -> %s\n", Options.ShardIndex,
                 Options.ShardCount, Options.ledgerPath().c_str());
   else if (Options.LeaseClaim)
-    std::printf("# lease claiming: ttl %llu ms, heartbeat %llu ms, %u "
-                "cell(s)/range, leases in %s\n",
-                (unsigned long long)Options.LeaseTtlMs,
-                (unsigned long long)(Options.LeaseHeartbeatMs
-                                         ? Options.LeaseHeartbeatMs
-                                         : Options.LeaseTtlMs / 4),
-                Options.LeaseRangeCells ? Options.LeaseRangeCells : 16,
-                Options.leaseDir().c_str());
+    std::printf("# lease claiming: %u cell(s)/range, leases in %s\n",
+                Options.LeaseRangeCells, Options.leaseDir().c_str());
 
   CampaignProgress Progress = runCampaignCells(Spec, Options);
   std::printf("cells: %zu total, %zu already checkpointed, %zu run now\n",

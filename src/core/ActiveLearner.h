@@ -24,18 +24,19 @@
 /// ablations.
 ///
 /// The loop runs in one of two shapes.  The batch shape, step(), selects,
-/// measures, and absorbs in one call — what `alic_run` and the campaigns
-/// use.  The request/response shape splits the same iteration at the
-/// measurement boundary: suggest() picks the next configuration(s) and
-/// hands back a ticket; the caller measures however it likes; and
-/// observe() folds the costs in.  step() is implemented *on* the split
-/// (suggest → Profiler → observe), and because every pseudo-random draw
-/// the learner makes happens inside suggest() while the virtual
-/// profiler's draws are counter-based, the two shapes are bit-identical —
-/// a learner driven over a wire by `alic_serve` retraces exactly the
-/// state a local batch loop would.  This is also what makes sessions
-/// replayable: state is a pure function of (config, seed, the sequence
-/// of observed cost vectors), which is all a serve session log stores.
+/// measures, and absorbs in one call — what `runLearning` (exp/Runner)
+/// and, through it, the campaigns use.  The request/response shape splits
+/// the same iteration at the measurement boundary: suggest() picks the
+/// next configuration(s) and hands back a ticket; the caller measures
+/// however it likes; and observe() folds the costs in.  step() is
+/// implemented *on* the split (suggest → Profiler → observe), and
+/// because every pseudo-random draw the learner makes happens inside
+/// suggest() while the virtual profiler's draws are counter-based, the
+/// two shapes are bit-identical — a learner driven over a wire by
+/// `alic_serve` retraces exactly the state a local batch loop would.
+/// This is also what makes sessions replayable: state is a pure function
+/// of (config, seed, the sequence of observed cost vectors), which is all
+/// a serve session log stores.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -477,15 +477,18 @@ CellResult computeCell(const CampaignSpec &Spec, const CampaignCell &Cell,
                               CellWorkers);
 }
 
+/// How often a lease worker that finds every missing range held rescans.
+constexpr std::chrono::milliseconds LeaseRescanInterval(500);
+
 /// How one invocation obtains ranges of the canonical unique-cell list:
 /// the only thing the default run, `--shard=i/N` and `--lease-claim` do
 /// differently.
 ///  * The default run offers the whole list once, and a static shard
 ///    offers splitRanges(N)[i] once.
 ///  * Lease claiming claims splitRangesByCells ranges through
-///    exp/ShardLease, cycling from a token-derived offset, holds each
-///    under a heartbeat while it runs, and rescans the union of worker
-///    ledgers before every claim until nothing is missing.
+///    exp/ShardLease, cycling from a WorkerId-derived offset, rescans the
+///    union of worker ledgers after every claim, and repeats until
+///    nothing is missing.
 /// The done-set is the canonical ledger unsharded and the union of every
 /// worker ledger when sharded (a rebalanced or re-split fleet may have
 /// left our cells in another worker's ledger).
@@ -495,20 +498,15 @@ public:
               const std::vector<std::string> &Keys)
       : Options(Options), Keys(Keys) {
     if (Options.LeaseClaim) {
-      Ranges = splitRangesByCells(
-          Keys.size(), Options.LeaseRangeCells ? Options.LeaseRangeCells : 16);
-      LeaseOptions LOpts;
-      LOpts.Dir = Options.leaseDir();
-      LOpts.OwnerToken = makeLeaseOwnerToken(Options.WorkerId);
-      LOpts.TtlMs = Options.LeaseTtlMs ? Options.LeaseTtlMs : 2000;
-      LOpts.HeartbeatMs = Options.LeaseHeartbeatMs;
-      Leases.emplace(LOpts);
-      // Start the cyclic claim scan at a token-derived offset so K workers
-      // spread across the range list instead of all contending for range 0.
-      uint64_t TokenHash = 0;
-      for (char C : LOpts.OwnerToken)
-        TokenHash = TokenHash * 131 + uint8_t(C);
-      ScanStart = Ranges.empty() ? 0 : size_t(TokenHash % Ranges.size());
+      Ranges = splitRangesByCells(Keys.size(), Options.LeaseRangeCells);
+      Leases.emplace(Options.leaseDir());
+      // Start the cyclic claim scan at a WorkerId-derived offset so K
+      // workers spread across the range list instead of all contending
+      // for range 0.
+      uint64_t IdHash = 0;
+      for (char C : Options.WorkerId)
+        IdHash = IdHash * 131 + uint8_t(C);
+      ScanStart = Ranges.empty() ? 0 : size_t(IdHash % Ranges.size());
     } else {
       // Every worker computes the same split locally, so static shards are
       // disjoint and exhaustive with no coordination.
@@ -518,9 +516,6 @@ public:
     Retired.assign(Ranges.size(), 0);
     Done = loadDone();
   }
-  // The heartbeat thread holds the address of Lease.
-  RangePolicy(const RangePolicy &) = delete;
-  RangePolicy &operator=(const RangePolicy &) = delete;
 
   /// The cells this invocation answers for: all of them, or a static
   /// shard's (CampaignProgress::ShardCells).
@@ -536,30 +531,36 @@ public:
   Status prepare() const { return Leases ? Leases->init() : Status::success(); }
 
   /// Obtains the next range to run: its missing cells in canonical order,
-  /// leased and heartbeating when claiming.  False when none is left to
-  /// run; allDone() then tells whether nothing is missing.  With \p MayRun
-  /// false (the MaxCells cap is spent) it only checks completion.
+  /// leased when claiming.  False when none is left to run; allDone() then
+  /// tells whether nothing is missing.  With \p MayRun false (the
+  /// MaxCells cap is spent) it only checks completion.
   bool next(bool MayRun, std::vector<size_t> &Missing) {
     while (true) {
-      bool AnyMissing = false, AnyOpen = false;
+      bool AnyMissing = false, AnyHeld = false;
       for (size_t Off = 0; Off != Ranges.size(); ++Off) {
         size_t P = (ScanStart + Off) % Ranges.size();
-        std::vector<size_t> RangeMissing =
-            missingIn(Ranges[P].Begin, Ranges[P].End);
-        if (RangeMissing.empty())
+        Missing = missingIn(Ranges[P].Begin, Ranges[P].End);
+        if (Missing.empty())
           continue;
-        AnyMissing = true;
-        if (Retired[P] || !MayRun)
+        if (Retired[P] || !MayRun) {
+          AnyMissing = true;
           continue;
-        AnyOpen = true;
-        if (Leases && Leases->tryClaim(Ranges[P].Index, Lease) !=
-                          ShardLease::Claim::Acquired)
-          continue; // live owner, or we lost a claim/steal race
-        Current = P;
-        Retired[P] = !Leases; // static ranges are offered once
-        Missing = std::move(RangeMissing);
+        }
         if (Leases) {
-          Heartbeat.emplace(Lease, Leases->options());
+          if (Leases->tryClaim(Ranges[P].Index, Lease) !=
+              ShardLease::Claim::Acquired) {
+            AnyMissing = AnyHeld = true;
+            continue;
+          }
+          // Rescan under the lock: a previous holder appended and fsynced
+          // every cell it ran before it released, so while exclusion holds
+          // no live worker reruns a finished cell.
+          Done = loadDone();
+          Missing = missingIn(Ranges[P].Begin, Ranges[P].End);
+          if (Missing.empty()) {
+            Lease.release();
+            continue;
+          }
           if (!Options.Quiet)
             std::fprintf(stderr,
                          "  campaign[%s] leased range %zu (%zu missing "
@@ -567,37 +568,29 @@ public:
                          Options.WorkerId.c_str(), Ranges[P].Index,
                          Missing.size());
         }
+        Current = P;
+        Retired[P] = !Leases; // static ranges are offered once
         return true;
       }
       AllDone = !AnyMissing;
-      if (AllDone || !AnyOpen)
+      if (!AnyHeld)
         return false;
-      // Only ranges leased by (apparently) live owners are left: wait one
-      // heartbeat and rescan.  A dead owner's lease expires TtlMs after
-      // its last renewal and a later scan steals it.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(Leases->options().heartbeatMs()));
+      // Every missing range is held by another worker: wait and rescan.
+      // A dead holder's lock is gone already; the rescan claims its range.
+      std::this_thread::sleep_for(LeaseRescanInterval);
       Done = loadDone();
     }
   }
 
-  /// True once the current range's lease was stolen: the thief recomputes
-  /// its remaining cells (safe, just duplicated work), so skip them.
-  bool lost() const { return Heartbeat && Heartbeat->lost(); }
   /// Records a durable append.
   void markDone(const std::string &Key) { Done.insert(Key); }
   /// Ends the range next() returned last.  \p Failed retires it for this
   /// worker: a re-launch, or another lease worker, retries its
   /// quarantined cells.
   void finish(bool Failed) {
-    Heartbeat.reset(); // stopped (joined) before the lease is touched
     Lease.release();
     if (Failed)
       Retired[Current] = 1;
-    // Rescan what is done anywhere before the next claim, so a lease
-    // worker never claims a range another worker finished meanwhile.
-    if (Leases)
-      Done = loadDone();
   }
   /// True once next() found no cell of the slice missing.
   bool allDone() const { return AllDone; }
@@ -621,8 +614,7 @@ private:
   std::vector<ShardRange> Ranges;
   std::vector<char> Retired; ///< per range: never offer it again
   std::optional<ShardLease> Leases;
-  RangeLease Lease;                        ///< the current range's lease
-  std::optional<LeaseHeartbeat> Heartbeat; ///< renews Lease; destroyed first
+  RangeLease Lease; ///< the current range's lease
   std::unordered_set<std::string> Done;
   size_t ScanStart = 0, Current = 0;
   bool AllDone = false;
@@ -718,8 +710,6 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
 
     bool RangeFailed = false;
     forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
-      if (Policy.lost())
-        return;
       const CampaignCell &Cell = *Unique[Missing[I]];
       const std::string &Key = Keys[Missing[I]];
       std::string Line = cellLine(

@@ -204,15 +204,13 @@ struct CampaignOptions {
   unsigned ShardCount = 0;
   /// Static sharding: this worker's shard in [0, ShardCount).
   unsigned ShardIndex = 0;
-  /// Dynamic sharding: claim cell ranges at runtime through lease files
-  /// in leaseDir(), stealing ranges whose owner died or wedged (stopped
-  /// heartbeating for LeaseTtlMs).  The invocation returns when every
+  /// Dynamic sharding: claim cell ranges at runtime by taking an
+  /// exclusive flock on their lease files in leaseDir().  The kernel
+  /// drops a dead worker's locks at once, so survivors claim its ranges
+  /// at their next scan; a stopped (SIGSTOP, paused VM) worker keeps its
+  /// ranges until it resumes or dies.  The invocation returns when every
   /// spec cell is in the union of worker ledgers, whoever ran it.
   bool LeaseClaim = false;
-  /// Lease expiry: a lease untouched for this long may be stolen.
-  uint64_t LeaseTtlMs = 2000;
-  /// Lease renewal cadence; 0 derives LeaseTtlMs / 4.
-  uint64_t LeaseHeartbeatMs = 0;
   /// Target cells per claimable range in lease mode (floor 1).
   unsigned LeaseRangeCells = 16;
   /// Per-worker ledger tag: appends go to cells.<WorkerId>.jsonl.  Empty

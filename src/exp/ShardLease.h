@@ -9,25 +9,26 @@
 /// The coordination substrate that lets N independent alic_campaign
 /// processes (same box or a shared filesystem) cooperatively complete one
 /// spec: the canonical cell list is split into contiguous ranges, and a
-/// worker claims a range by creating `<state-dir>/leases/range-<I>.lease`
-/// with O_CREAT|O_EXCL — the filesystem arbitrates, no server, no locks.
-/// A held lease is renewed by bumping the file's mtime on a
-/// monotonic-clock cadence (LeaseHeartbeat); a lease whose mtime is older
-/// than the TTL belongs to a dead or wedged worker and may be *stolen*:
-/// the stealer renames the stale file away to a per-stealer name, and
-/// because rename of an already-moved source fails with ENOENT, exactly
-/// one of any number of concurrent stealers wins.  Every create/rename is
-/// made durable with the same directory-fsync discipline as
-/// ByteWriter::writeFileDurable.
+/// worker claims a range by opening `<state-dir>/leases/range-<I>.lease`
+/// and taking `flock(LOCK_EX | LOCK_NB)` on its own descriptor.  The
+/// worker releases the range by closing the descriptor, and the kernel
+/// releases it the moment the worker dies, however it dies: nothing
+/// expires, is renewed or is stolen.  Lease files are created on first
+/// use and never unlinked: unlink plus re-create would let two workers
+/// lock two different inodes at one path.
+///
+/// `flock` locks belong to the open file description, so two descriptors
+/// in one process exclude each other (tests run lease workers as
+/// threads); POSIX `fcntl` record locks would not.  A lock is not durable
+/// state: after a crash or power loss nobody holds it, which is the
+/// correct state, so claims write and fsync nothing.
 ///
 /// Safety does NOT rest on the leases: campaign cells are pure functions
 /// of their keys and the ledger merge tolerates byte-identical duplicate
-/// lines, so the worst outcome of any race (a stolen-but-still-running
-/// owner, clock skew, a crashed stealer) is duplicated work, never a
-/// wrong result.  Leases are purely an efficiency mechanism; this is the
-/// "steal safety argument" in ARCHITECTURE.md's Scale-out section.
+/// lines, so the worst outcome of a failure of exclusion is duplicated
+/// work, never a wrong result.  See ARCHITECTURE.md's Scale-out section.
 ///
-/// Fault-injection sites: lease.acquire, lease.renew, lease.steal.
+/// Fault-injection site: lease.acquire.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +37,8 @@
 
 #include "support/Error.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace alic {
@@ -70,132 +67,61 @@ std::vector<ShardRange> splitRanges(size_t NumItems, size_t NumRanges);
 std::vector<ShardRange> splitRangesByCells(size_t NumItems,
                                            size_t TargetCells);
 
-/// Configuration of the lease-directory protocol.
-struct LeaseOptions {
-  std::string Dir;        ///< the `<state-dir>/leases` directory
-  std::string OwnerToken; ///< unique per worker process (content of leases)
-  /// A lease whose mtime is older than this is considered abandoned and
-  /// may be stolen.  Must comfortably exceed the heartbeat cadence.
-  uint64_t TtlMs = 2000;
-  /// Renewal cadence; 0 derives TtlMs / 4 (floor 1 ms).
-  uint64_t HeartbeatMs = 0;
-
-  /// The effective heartbeat cadence.
-  uint64_t heartbeatMs() const {
-    uint64_t Ms = HeartbeatMs ? HeartbeatMs : TtlMs / 4;
-    return Ms ? Ms : 1;
-  }
-};
-
-/// A held lease on one range.  Move-only; releases (unlinks) on
-/// destruction if still held.  Not thread-safe: stop any LeaseHeartbeat
-/// driving it before calling renew()/release() from another thread.
+/// A held lease on one range: an open descriptor carrying the range's
+/// exclusive flock.  Releases on destruction.
 class RangeLease {
 public:
   RangeLease() = default;
   ~RangeLease() { release(); }
-  RangeLease(RangeLease &&Other) noexcept { *this = std::move(Other); }
-  RangeLease &operator=(RangeLease &&Other) noexcept;
   RangeLease(const RangeLease &) = delete;
   RangeLease &operator=(const RangeLease &) = delete;
 
-  /// True while this process believes it owns the lease file.
+  /// True while this lease holds its range.
   bool held() const { return Fd >= 0; }
 
-  /// Bumps the lease file's mtime and verifies ownership (the path must
-  /// still resolve to the inode this process created — a mismatch means
-  /// the lease was stolen).  Returns false and drops the lease when
-  /// ownership was lost or the renewal failed; the caller must stop
-  /// claiming the range's remaining cells are exclusively its own.
-  /// Fault-injection site: lease.renew (error = renewal failure, crash =
-  /// the worker dies mid-heartbeat — the SIGKILL chaos scenario).
-  bool renew();
-
-  /// Unlinks the lease file (if still owned) and closes it.  Idempotent.
+  /// Closes the descriptor, which drops the lock.  The lease file stays.
+  /// Idempotent.
   void release();
-
-  /// Closes the descriptor *without* unlinking — the on-disk lease file
-  /// stays behind exactly as a SIGKILLed owner would leave it.  Crash
-  /// simulation for tests.
-  void abandon();
-
-  /// The lease file path ("" when not held).
-  const std::string &path() const { return Path; }
 
 private:
   friend class ShardLease;
 
   int Fd = -1;
-  std::string Path;
-  uint64_t Dev = 0; ///< st_dev of the created file (ownership check)
-  uint64_t Ino = 0; ///< st_ino of the created file (ownership check)
 };
 
-/// The lease-directory protocol: claim ranges, steal expired ones.
-/// Stateless between calls (all state lives in the filesystem), so any
-/// number of ShardLease instances — across processes or threads — can
-/// point at the same directory.
+/// The lease-directory protocol: claim a range by locking its file.
+/// Stateless between calls (all state lives in the kernel's lock table),
+/// so any number of ShardLease instances — across processes or threads —
+/// can point at the same directory.
 class ShardLease {
 public:
-  explicit ShardLease(LeaseOptions Options) : Opts(std::move(Options)) {}
+  /// Leases live in \p Dir, the `<state-dir>/leases` directory.
+  explicit ShardLease(std::string Dir) : Dir(std::move(Dir)) {}
 
-  /// Creates the lease directory (durably: parent fsync'd) if missing.
+  /// Creates the lease directory if missing.
   Status init() const;
 
   /// What one claim attempt concluded.
   enum class Claim {
     Acquired, ///< \p Out holds the lease; the range is ours
-    Held,     ///< a live owner holds it (or we lost a claim/steal race)
-    Error     ///< transient I/O failure; treat like Held and retry later
+    Held,     ///< another descriptor holds the lock (EWOULDBLOCK)
+    Error     ///< any other failure; treat like Held and retry later
   };
 
-  /// Tries to claim range \p RangeIndex: O_EXCL-create the lease file,
-  /// or steal it if the existing one has expired.  Never blocks.
-  /// Fault-injection sites: lease.acquire (the create), lease.steal (the
-  /// rename-away) — both accept mode:crash for the chaos kill loops.
+  /// Tries to claim range \p RangeIndex: opens its lease file (creating
+  /// it on first use) and takes a non-blocking exclusive flock.  Never
+  /// blocks.  On Acquired, \p Out releases what it held before and holds
+  /// the new lease; otherwise \p Out is unchanged.  Fault-injection site:
+  /// lease.acquire, in place of the open (mode:crash for the chaos kill
+  /// loop).
   Claim tryClaim(size_t RangeIndex, RangeLease &Out) const;
 
   /// The lease file path for range \p RangeIndex.
   std::string leasePath(size_t RangeIndex) const;
 
-  const LeaseOptions &options() const { return Opts; }
-
 private:
-  LeaseOptions Opts;
+  std::string Dir;
 };
-
-/// Background renewal of one held lease: a thread bumps the lease mtime
-/// every heartbeatMs until stop() (or destruction), flagging lost() when
-/// a renewal discovers the lease was stolen.  The owner must call stop()
-/// before releasing or moving the lease (RangeLease is not thread-safe).
-class LeaseHeartbeat {
-public:
-  LeaseHeartbeat(RangeLease &Lease, const LeaseOptions &Opts);
-  ~LeaseHeartbeat() { stop(); }
-  LeaseHeartbeat(const LeaseHeartbeat &) = delete;
-  LeaseHeartbeat &operator=(const LeaseHeartbeat &) = delete;
-
-  /// Stops and joins the renewal thread.  Idempotent.
-  void stop();
-
-  /// True once a renewal observed the lease stolen (or failing): the
-  /// range is no longer exclusively ours, finish the current cell and
-  /// abandon the rest (recomputation elsewhere is safe — see the steal
-  /// safety argument).
-  bool lost() const { return Lost.load(std::memory_order_acquire); }
-
-private:
-  RangeLease &Lease;
-  std::atomic<bool> Lost{false};
-  bool Stopped = false;
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  std::thread Thread;
-};
-
-/// A process-unique owner token for LeaseOptions (pid + monotonic clock;
-/// uniqueness is all that matters, tokens never affect results).
-std::string makeLeaseOwnerToken(const std::string &Hint);
 
 } // namespace alic
 

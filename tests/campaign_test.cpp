@@ -11,9 +11,11 @@
 #include "exp/Dataset.h"
 #include "spapt/Suite.h"
 #include "support/FailPoint.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -418,50 +420,93 @@ TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
   std::string RefBytes = readFileBytes(Ref.canonicalLedgerPath());
   std::vector<std::string> Lines = ledgerLines(Ref.canonicalLedgerPath());
   ASSERT_GT(Lines.size(), 5u);
-
-  // Deal the reference lines across three shards in reversed order, with
-  // one line duplicated into two shards, one garbage line, and a torn
-  // tail — everything a killed worker fleet can leave behind.
-  CampaignOptions Sharded;
-  Sharded.StateDir = freshStateDir("merge_shards");
-  std::filesystem::create_directories(Sharded.StateDir);
-  std::vector<std::string> A, B, C;
-  for (size_t I = Lines.size(); I-- > 0;)
-    (I % 3 == 0 ? A : I % 3 == 1 ? B : C).push_back(Lines[I]);
-  A.push_back(Lines[1]); // byte-identical duplicate of a shard-B line
-  B.push_back("this is not a json cell line\n");
-  writeShard(Sharded.StateDir + "/cells.w0.jsonl", A);
-  writeShard(Sharded.StateDir + "/cells.w1.jsonl", B,
-             "{\"cell\":\"run|torn-mid-app"); // torn tail, no newline
-  writeShard(Sharded.StateDir + "/cells.w2.jsonl", C);
-
-  LedgerMergeReport Report;
-  ASSERT_TRUE(mergeLedgers(Spec, Sharded, Report).ok());
-  EXPECT_TRUE(Report.Wrote);
-  EXPECT_TRUE(Report.ConflictKeys.empty());
-  EXPECT_EQ(Report.InputFiles, 3u);
-  EXPECT_EQ(Report.UniqueCells, Lines.size());
-  EXPECT_EQ(Report.DuplicateCells, 1u);
-  EXPECT_EQ(Report.TornTails, 1u);
-  EXPECT_EQ(Report.SkippedGarbage, 1u);
-  EXPECT_EQ(Report.ForeignCells, 0u);
-
-  // The merged canonical ledger is byte-identical to the single-process
-  // one, and aggregates to the same JSON.
-  EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
-  CampaignResult RefResult, MergedResult;
+  CampaignResult RefResult;
   ASSERT_TRUE(aggregateCampaign(Spec, Ref, RefResult));
-  ASSERT_TRUE(aggregateCampaign(Spec, Sharded, MergedResult));
-  EXPECT_EQ(campaignJson(Spec, MergedResult), campaignJson(Spec, RefResult));
+  std::string RefJson = campaignJson(Spec, RefResult);
 
-  // Merging is idempotent: a second merge over its own output changes
-  // nothing (the canonical ledger is itself an input).
-  LedgerMergeReport Again;
-  ASSERT_TRUE(mergeLedgers(Spec, Sharded, Again).ok());
-  EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
+  // Seeded deals of the reference lines (each ends in '\n') into 1-5
+  // shard ledgers, each line in a random shard, each shard in random
+  // order, plus what a killed worker fleet leaves behind in random
+  // numbers: byte-identical duplicates, sealed garbage lines and torn
+  // tails.
+  auto AnyLine = [&](Rng &R) -> const std::string & {
+    return Lines[R.nextBounded(Lines.size())];
+  };
+  size_t PlantedDuplicates = 0, PlantedGarbage = 0, PlantedTorn = 0;
+  size_t MinShards = 5, MaxShards = 1;
+  for (uint64_t Deal = 0; Deal != 32; ++Deal) {
+    SCOPED_TRACE("deal " + std::to_string(Deal));
+    Rng R(hashCombine({0xdea1ull, Deal}));
+    std::vector<std::vector<std::string>> Shards(1 + R.nextBounded(5));
+    auto AnyShard = [&]() -> std::vector<std::string> & {
+      return Shards[R.nextBounded(Shards.size())];
+    };
+    for (const std::string &Line : Lines)
+      AnyShard().push_back(Line);
+    size_t Duplicates = R.nextBounded(4), Garbage = R.nextBounded(4), Torn = 0;
+    for (size_t I = 0; I != Duplicates; ++I)
+      AnyShard().push_back(AnyLine(R));
+    // A sealed crash remnant: a line cut before its closing brace, then
+    // sealed with a newline.
+    for (size_t I = 0; I != Garbage; ++I) {
+      const std::string &Line = AnyLine(R);
+      AnyShard().push_back(Line.substr(0, 1 + R.nextBounded(Line.size() - 2)) +
+                           "\n");
+    }
+    CampaignOptions Sharded;
+    Sharded.StateDir = freshStateDir("merge_shards");
+    std::filesystem::create_directories(Sharded.StateDir);
+    for (size_t S = 0; S != Shards.size(); ++S) {
+      R.shuffle(Shards[S]);
+      // A torn tail: a line cut anywhere before its newline.
+      std::string Tail;
+      if (R.nextBernoulli(0.5)) {
+        const std::string &Line = AnyLine(R);
+        Tail = Line.substr(0, 1 + R.nextBounded(Line.size() - 1));
+        ++Torn;
+      }
+      writeShard(Sharded.StateDir + "/cells.w" + std::to_string(S) + ".jsonl",
+                 Shards[S], Tail);
+    }
+    PlantedDuplicates += Duplicates;
+    PlantedGarbage += Garbage;
+    PlantedTorn += Torn;
+    MinShards = std::min(MinShards, Shards.size());
+    MaxShards = std::max(MaxShards, Shards.size());
 
+    LedgerMergeReport Report;
+    ASSERT_TRUE(mergeLedgers(Spec, Sharded, Report).ok());
+    EXPECT_TRUE(Report.Wrote);
+    EXPECT_TRUE(Report.ConflictKeys.empty());
+    EXPECT_EQ(Report.InputFiles, Shards.size());
+    EXPECT_EQ(Report.Lines, Lines.size() + Duplicates);
+    EXPECT_EQ(Report.UniqueCells, Lines.size());
+    EXPECT_EQ(Report.DuplicateCells, Duplicates);
+    EXPECT_EQ(Report.TornTails, Torn);
+    EXPECT_EQ(Report.SkippedGarbage, Garbage);
+    EXPECT_EQ(Report.ForeignCells, 0u);
+
+    // The merged canonical ledger is byte-identical to the single-process
+    // one, and aggregates to the same JSON.
+    EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
+    CampaignResult MergedResult;
+    ASSERT_TRUE(aggregateCampaign(Spec, Sharded, MergedResult));
+    EXPECT_EQ(campaignJson(Spec, MergedResult), RefJson);
+
+    // Merging is idempotent: a second merge over its own output changes
+    // nothing (the canonical ledger is itself an input).
+    LedgerMergeReport Again;
+    ASSERT_TRUE(mergeLedgers(Spec, Sharded, Again).ok());
+    EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
+    std::filesystem::remove_all(Sharded.StateDir);
+  }
+  // The deals span 1 to 5 shards and planted every kind of debris.
+  EXPECT_EQ(MinShards, 1u);
+  EXPECT_EQ(MaxShards, 5u);
+  EXPECT_GT(PlantedDuplicates, 0u);
+  EXPECT_GT(PlantedGarbage, 0u);
+  EXPECT_GT(PlantedTorn, 0u);
   std::filesystem::remove_all(RefDir);
-  std::filesystem::remove_all(Sharded.StateDir);
 }
 
 TEST(CampaignMergeTest, ConflictingDuplicateQuarantinesTheMerge) {
@@ -541,12 +586,13 @@ TEST(CampaignMergeTest, LeaseWorkersCooperateToByteIdenticalUnion) {
   std::string RefBytes = readFileBytes(Ref.canonicalLedgerPath());
 
   // Two lease-claiming workers race over one state dir (threads here,
-  // processes in tools/chaos_smoke.py — the protocol is all filesystem).
+  // processes in tools/chaos_smoke.py; flock locks belong to the open
+  // file description, so two descriptors in one process exclude each
+  // other).
   CampaignOptions Base;
   Base.StateDir = freshStateDir("lease_workers");
   Base.Quiet = true;
   Base.LeaseClaim = true;
-  Base.LeaseTtlMs = 5000;
   Base.LeaseRangeCells = 2;
   CampaignProgress Progress[2];
   std::thread Workers[2];
@@ -566,12 +612,14 @@ TEST(CampaignMergeTest, LeaseWorkersCooperateToByteIdenticalUnion) {
     EXPECT_TRUE(P.QuarantinedCells.empty());
     NewlyRun += P.NewlyRun;
   }
-  EXPECT_GE(NewlyRun, expandCells(Spec).size());
+  // Each claim rescans the ledgers under its lock, so no cell ran twice.
+  EXPECT_EQ(NewlyRun, expandCells(Spec).size());
 
   LedgerMergeReport Report;
   ASSERT_TRUE(mergeLedgers(Spec, Base, Report).ok());
   EXPECT_TRUE(Report.Wrote);
   EXPECT_TRUE(Report.ConflictKeys.empty());
+  EXPECT_EQ(Report.DuplicateCells, 0u);
   EXPECT_EQ(readFileBytes(Base.canonicalLedgerPath()), RefBytes);
 
   std::filesystem::remove_all(RefDir);
@@ -636,7 +684,6 @@ std::vector<CampaignOptions> invocationsFor(RangeMode Mode,
       Invocations.back().LeaseClaim = true;
       Invocations.back().WorkerId = "w0";
       Invocations.back().LeaseRangeCells = 4;
-      Invocations.back().LeaseTtlMs = 60000;
     }
   }
   return Invocations;

@@ -1,11 +1,11 @@
 //===- tests/shardlease_test.cpp - range lease protocol tests -*- C++ -*-===//
 //
-// Pins the lease-directory protocol of exp/ShardLease: O_EXCL claims are
-// exclusive, renewal keeps ownership, expired leases are stolen by
-// exactly one of any number of concurrent stealers, and a SIGKILLed
-// owner's lease (simulated by abandon()) is reclaimed after the TTL.
-// Runs under TSan in CI — the concurrent-claim tests double as data-race
-// fodder for the heartbeat thread.
+// Pins the lease protocol of exp/ShardLease: a claim is an exclusive
+// flock on the range's lease file, so a second claimant bounces off it
+// until the holder releases, even within one process; concurrent
+// claimants of one free range elect exactly one winner; a holder that
+// dies frees its range at once, with no TTL; and the lease.acquire
+// failpoint degrades to Error.  Runs under TSan in CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,15 +16,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/stat.h>
+#include <signal.h>
+#include <sys/file.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace alic;
 
@@ -34,29 +35,6 @@ std::string freshLeaseDir(const std::string &Name) {
   std::string Dir = ::testing::TempDir() + "alic_lease_" + Name;
   std::filesystem::remove_all(Dir);
   return Dir + "/leases";
-}
-
-LeaseOptions leaseOptions(const std::string &Name, uint64_t TtlMs = 2000) {
-  LeaseOptions Opts;
-  Opts.Dir = freshLeaseDir(Name);
-  Opts.OwnerToken = makeLeaseOwnerToken(Name);
-  Opts.TtlMs = TtlMs;
-  return Opts;
-}
-
-/// Backdates a lease file's mtime by \p AgeMs, as if its owner stopped
-/// heartbeating that long ago — makes expiry tests instant instead of
-/// sleeping through real TTLs.
-void backdateLease(const std::string &Path, uint64_t AgeMs) {
-  timespec Now{};
-  ::clock_gettime(CLOCK_REALTIME, &Now);
-  int64_t Ns = int64_t(Now.tv_sec) * 1000000000 + Now.tv_nsec -
-               int64_t(AgeMs) * 1000000;
-  timespec Times[2];
-  Times[0].tv_sec = Ns / 1000000000;
-  Times[0].tv_nsec = Ns % 1000000000;
-  Times[1] = Times[0];
-  ASSERT_EQ(::utimensat(AT_FDCWD, Path.c_str(), Times, 0), 0);
 }
 
 } // namespace
@@ -116,176 +94,101 @@ TEST(ShardRangeTest, SplitByCellsHonorsTargetSize) {
 // Claiming
 //===----------------------------------------------------------------------===//
 
-TEST(ShardLeaseTest, ClaimIsExclusiveUntilReleased) {
-  LeaseOptions Opts = leaseOptions("exclusive");
-  ShardLease Leases(Opts);
+TEST(ShardLeaseTest, ClaimExcludesASecondClaimantUntilReleased) {
+  std::string Dir = freshLeaseDir("exclusive");
+  ShardLease Leases(Dir);
   ASSERT_TRUE(Leases.init().ok());
-
   RangeLease Mine;
   ASSERT_EQ(Leases.tryClaim(0, Mine), ShardLease::Claim::Acquired);
   EXPECT_TRUE(Mine.held());
-  EXPECT_EQ(Mine.path(), Leases.leasePath(0));
 
-  // A second claimant (same or another process) bounces off the O_EXCL.
-  LeaseOptions Other = Opts;
-  Other.OwnerToken = makeLeaseOwnerToken("rival");
-  ShardLease Rival(Other);
+  // A second ShardLease in the same process opens its own descriptor,
+  // and flock locks belong to the open file description: it bounces.
+  ShardLease Rival(Dir);
   RangeLease Theirs;
   EXPECT_EQ(Rival.tryClaim(0, Theirs), ShardLease::Claim::Held);
   EXPECT_FALSE(Theirs.held());
 
-  // Another range is free, and release() frees ours for re-claiming.
+  // Another range is free.  Releasing ours keeps the lease file, and the
+  // rival can claim the range again.
   EXPECT_EQ(Rival.tryClaim(1, Theirs), ShardLease::Claim::Acquired);
   Mine.release();
   EXPECT_FALSE(Mine.held());
+  EXPECT_TRUE(std::filesystem::exists(Leases.leasePath(0)));
   EXPECT_EQ(Rival.tryClaim(0, Theirs), ShardLease::Claim::Acquired);
+  // Acquiring range 0 released the rival's range 1.
+  EXPECT_EQ(Leases.tryClaim(1, Mine), ShardLease::Claim::Acquired);
 }
 
-TEST(ShardLeaseTest, RenewKeepsOwnershipAndBumpsMtime) {
-  LeaseOptions Opts = leaseOptions("renew", 10000);
-  ShardLease Leases(Opts);
+TEST(ShardLeaseTest, ConcurrentClaimsOfOneFreeRangeElectOneWinner) {
+  // Even rounds race for a range whose lease file does not exist yet, odd
+  // rounds for range 0, whose file every earlier round left behind.
+  std::string Dir = freshLeaseDir("race");
+  ASSERT_TRUE(ShardLease(Dir).init().ok());
+  constexpr int NumThreads = 8, NumRounds = 200;
+  for (int Round = 0; Round != NumRounds; ++Round) {
+    size_t Range = Round % 2 ? 0 : size_t(Round);
+    std::atomic<int> Ready{0}, Winners{0}, Errors{0};
+    std::vector<RangeLease> Held(NumThreads);
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != NumThreads; ++T)
+      Threads.emplace_back([&, T] {
+        ShardLease Claimant(Dir);
+        Ready.fetch_add(1);
+        while (Ready.load() != NumThreads)
+          std::this_thread::yield();
+        switch (Claimant.tryClaim(Range, Held[T])) {
+        case ShardLease::Claim::Acquired:
+          Winners.fetch_add(1);
+          break;
+        case ShardLease::Claim::Held:
+          break;
+        case ShardLease::Claim::Error:
+          Errors.fetch_add(1);
+          break;
+        }
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    ASSERT_EQ(Winners.load(), 1) << "round " << Round;
+    ASSERT_EQ(Errors.load(), 0) << "round " << Round;
+  } // Held goes out of scope: the winner releases before the next round.
+}
+
+TEST(ShardLeaseTest, DeadHolderFreesItsRangeAtOnce) {
+  ShardLease Leases(freshLeaseDir("dead-holder"));
   ASSERT_TRUE(Leases.init().ok());
-  RangeLease Lease;
-  ASSERT_EQ(Leases.tryClaim(3, Lease), ShardLease::Claim::Acquired);
-
-  // Backdate as if the heartbeat stalled, then renew: the lease must
-  // look fresh again.
-  backdateLease(Lease.path(), 9000);
-  ASSERT_TRUE(Lease.renew());
-  struct stat St{};
-  ASSERT_EQ(::stat(Lease.path().c_str(), &St), 0);
-  timespec Now{};
-  ::clock_gettime(CLOCK_REALTIME, &Now);
-  EXPECT_LT(Now.tv_sec - St.st_mtim.tv_sec, 5);
-  EXPECT_TRUE(Lease.held());
-}
-
-TEST(ShardLeaseTest, ExpiredLeaseIsStolenAndFreshOneIsNot) {
-  LeaseOptions Opts = leaseOptions("steal", 1000);
-  ShardLease Owner(Opts);
-  ASSERT_TRUE(Owner.init().ok());
-  RangeLease Dead;
-  ASSERT_EQ(Owner.tryClaim(0, Dead), ShardLease::Claim::Acquired);
-  // abandon() = SIGKILL simulation: the file stays, nobody renews it.
-  Dead.abandon();
-
-  LeaseOptions TheirOpts = Opts;
-  TheirOpts.OwnerToken = makeLeaseOwnerToken("thief");
-  ShardLease Thief(TheirOpts);
-  RangeLease Stolen;
-  // Fresh: not stealable.
-  EXPECT_EQ(Thief.tryClaim(0, Stolen), ShardLease::Claim::Held);
-  // Expired: stolen.
-  backdateLease(Owner.leasePath(0), Opts.TtlMs + 500);
-  EXPECT_EQ(Thief.tryClaim(0, Stolen), ShardLease::Claim::Acquired);
-  EXPECT_TRUE(Stolen.held());
-  // The steal left no remnant files behind.
-  size_t Remnants = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(Opts.Dir))
-    if (Entry.path().filename().string().find(".steal-") !=
-        std::string::npos)
-      ++Remnants;
-  EXPECT_EQ(Remnants, 0u);
-}
-
-TEST(ShardLeaseTest, ConcurrentClaimsOfOneExpiredRangeElectOneWinner) {
-  // The two-stealers race: any number of threads converge on one expired
-  // lease; the rename-away handoff must elect exactly one winner.
-  LeaseOptions Opts = leaseOptions("race", 500);
-  ShardLease Owner(Opts);
-  ASSERT_TRUE(Owner.init().ok());
-  RangeLease Dead;
-  ASSERT_EQ(Owner.tryClaim(0, Dead), ShardLease::Claim::Acquired);
-  Dead.abandon();
-  backdateLease(Owner.leasePath(0), Opts.TtlMs + 500);
-
-  constexpr int NumThreads = 8;
-  std::atomic<int> Winners{0}, Errors{0};
-  std::vector<RangeLease> Held(NumThreads);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      LeaseOptions Mine = Opts;
-      Mine.OwnerToken = makeLeaseOwnerToken("t" + std::to_string(T));
-      ShardLease Stealer(Mine);
-      switch (Stealer.tryClaim(0, Held[T])) {
-      case ShardLease::Claim::Acquired:
-        Winners.fetch_add(1);
-        break;
-      case ShardLease::Claim::Held:
-        break;
-      case ShardLease::Claim::Error:
-        Errors.fetch_add(1);
-        break;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Winners.load(), 1);
-  EXPECT_EQ(Errors.load(), 0);
-}
-
-TEST(ShardLeaseTest, HeartbeatRenewsUntilStopped) {
-  LeaseOptions Opts = leaseOptions("heartbeat", 400);
-  Opts.HeartbeatMs = 20;
-  ShardLease Leases(Opts);
-  ASSERT_TRUE(Leases.init().ok());
-  RangeLease Lease;
-  ASSERT_EQ(Leases.tryClaim(0, Lease), ShardLease::Claim::Acquired);
-  {
-    LeaseHeartbeat Heartbeat(Lease, Opts);
-    // Outlive the TTL by 2x: without renewals the lease would expire.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2 * Opts.TtlMs));
-    EXPECT_FALSE(Heartbeat.lost());
+  const std::string Path = Leases.leasePath(0); // built before fork()
+  int Pipe[2];
+  ASSERT_EQ(::pipe(Pipe), 0);
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    // The holder: async-signal-safe calls only, then wait to be killed.
+    ::close(Pipe[0]);
+    int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    char Locked = Fd >= 0 && ::flock(Fd, LOCK_EX | LOCK_NB) == 0 ? '1' : '0';
+    if (::write(Pipe[1], &Locked, 1) != 1)
+      ::_exit(1);
+    for (;;)
+      ::pause();
   }
-  // Still fresh after the heartbeat stopped: a rival cannot steal it.
-  LeaseOptions TheirOpts = Opts;
-  TheirOpts.OwnerToken = makeLeaseOwnerToken("rival");
-  ShardLease Rival(TheirOpts);
-  RangeLease Stolen;
-  EXPECT_EQ(Rival.tryClaim(0, Stolen), ShardLease::Claim::Held);
-  EXPECT_TRUE(Lease.held());
-}
-
-TEST(ShardLeaseTest, HeartbeatFlagsTheftInsteadOfFightingIt) {
-  LeaseOptions Opts = leaseOptions("theft", 300);
-  Opts.HeartbeatMs = 20;
-  ShardLease Leases(Opts);
-  ASSERT_TRUE(Leases.init().ok());
+  ::close(Pipe[1]);
+  char Locked = 0;
+  ssize_t Got = ::read(Pipe[0], &Locked, 1);
+  ::close(Pipe[0]);
   RangeLease Lease;
-  ASSERT_EQ(Leases.tryClaim(0, Lease), ShardLease::Claim::Acquired);
-
-  LeaseHeartbeat Heartbeat(Lease, Opts);
-  // A thief replaces the lease out from under us (expired from the
-  // thief's point of view after a clock jump, say).
-  LeaseOptions TheirOpts = Opts;
-  TheirOpts.OwnerToken = makeLeaseOwnerToken("thief");
-  ShardLease Thief(TheirOpts);
-  backdateLease(Lease.path(), Opts.TtlMs + 500);
-  RangeLease Stolen;
-  ASSERT_EQ(Thief.tryClaim(0, Stolen), ShardLease::Claim::Acquired);
-
-  // The next renewal notices the inode changed and flags the loss.
-  for (int I = 0; I != 200 && !Heartbeat.lost(); ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(Heartbeat.lost());
-  Heartbeat.stop();
-  EXPECT_FALSE(Lease.held());
-  // The thief's lease survived the loser's discovery.
-  EXPECT_TRUE(Stolen.held());
-  EXPECT_TRUE(Stolen.renew());
-}
-
-TEST(ShardLeaseTest, InitSweepsStaleStealRemnants) {
-  LeaseOptions Opts = leaseOptions("sweep", 500);
-  ShardLease Leases(Opts);
-  ASSERT_TRUE(Leases.init().ok());
-  // A crashed stealer's remnant: renamed away but never unlinked.
-  std::string Remnant = Leases.leasePath(0) + ".steal-crashed";
-  { std::ofstream(Remnant) << "crashed\n"; }
-  backdateLease(Remnant, Opts.TtlMs + 1000);
-  ASSERT_TRUE(Leases.init().ok());
-  EXPECT_FALSE(std::filesystem::exists(Remnant));
+  ShardLease::Claim WhileAlive = Leases.tryClaim(0, Lease);
+  ::kill(Child, SIGKILL);
+  int WaitStatus = 0;
+  ASSERT_EQ(::waitpid(Child, &WaitStatus, 0), Child);
+  ASSERT_EQ(Got, 1);
+  ASSERT_EQ(Locked, '1') << "the child could not take the lock";
+  EXPECT_EQ(WhileAlive, ShardLease::Claim::Held);
+  EXPECT_TRUE(WIFSIGNALED(WaitStatus) && WTERMSIG(WaitStatus) == SIGKILL);
+  // Reaped means its descriptors are closed: the range is free now, with
+  // no sleep and no expiry.
+  EXPECT_EQ(Leases.tryClaim(0, Lease), ShardLease::Claim::Acquired);
 }
 
 //===----------------------------------------------------------------------===//
@@ -293,8 +196,7 @@ TEST(ShardLeaseTest, InitSweepsStaleStealRemnants) {
 //===----------------------------------------------------------------------===//
 
 TEST(ShardLeaseTest, AcquireFailpointDegradesToError) {
-  LeaseOptions Opts = leaseOptions("fp-acquire");
-  ShardLease Leases(Opts);
+  ShardLease Leases(freshLeaseDir("fp-acquire"));
   ASSERT_TRUE(Leases.init().ok());
 
   FailSpec Spec;
@@ -306,42 +208,4 @@ TEST(ShardLeaseTest, AcquireFailpointDegradesToError) {
   EXPECT_FALSE(Lease.held());
   // The injected failure left nothing behind: the next claim succeeds.
   EXPECT_EQ(Leases.tryClaim(0, Lease), ShardLease::Claim::Acquired);
-}
-
-TEST(ShardLeaseTest, StealFailpointLeavesTheStaleLeaseClaimable) {
-  LeaseOptions Opts = leaseOptions("fp-steal", 500);
-  ShardLease Owner(Opts);
-  ASSERT_TRUE(Owner.init().ok());
-  RangeLease Dead;
-  ASSERT_EQ(Owner.tryClaim(0, Dead), ShardLease::Claim::Acquired);
-  Dead.abandon();
-  backdateLease(Owner.leasePath(0), Opts.TtlMs + 500);
-
-  LeaseOptions TheirOpts = Opts;
-  TheirOpts.OwnerToken = makeLeaseOwnerToken("thief");
-  ShardLease Thief(TheirOpts);
-  RangeLease Stolen;
-  {
-    FailSpec Spec;
-    Spec.Nth = 1;
-    ScopedFailPoint Armed("lease.steal", Spec);
-    EXPECT_EQ(Thief.tryClaim(0, Stolen), ShardLease::Claim::Error);
-    EXPECT_FALSE(Stolen.held());
-  }
-  // The stale lease is still there and still stealable.
-  EXPECT_EQ(Thief.tryClaim(0, Stolen), ShardLease::Claim::Acquired);
-}
-
-TEST(ShardLeaseTest, RenewFailpointDropsTheLease) {
-  LeaseOptions Opts = leaseOptions("fp-renew");
-  ShardLease Leases(Opts);
-  ASSERT_TRUE(Leases.init().ok());
-  RangeLease Lease;
-  ASSERT_EQ(Leases.tryClaim(0, Lease), ShardLease::Claim::Acquired);
-
-  FailSpec Spec;
-  Spec.Nth = 1;
-  ScopedFailPoint Armed("lease.renew", Spec);
-  EXPECT_FALSE(Lease.renew());
-  EXPECT_FALSE(Lease.held());
 }

@@ -20,13 +20,15 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    (EX_IOERR), and a clean re-launch must retry exactly the quarantined
    cells and render a byte-identical aggregate.
 
-3. *sharded kill loop* — for every lease failpoint (lease.acquire,
-   lease.renew, lease.steal), `--lease-claim` worker w0 runs the
-   275-cell smoke spec alone and is killed mid-syscall at the armed
-   site; then two survivors start, steal the dead worker's expired range
-   leases and finish; the union of shard ledgers is merged with
-   `--merge-ledgers`, and the merged canonical ledger plus the
-   re-aggregated BENCH_campaign.json must be byte-identical to a
+3. *sharded kill loop* — `--lease-claim` worker w0 runs the 275-cell
+   smoke spec alone and is killed at one of two sites: at `lease.acquire`
+   (its first claim), and at its second `ledger.append`, which kills it
+   while it holds a range and leaves a one-line `cells.w0.jsonl`.  Two
+   survivors start at once: the kernel dropped the dead worker's range
+   locks when it died, so they claim its ranges with no expiry and
+   finish.  The union of shard ledgers is merged with `--merge-ledgers`;
+   the merge must report 0 duplicates, and the merged canonical ledger
+   plus the re-aggregated BENCH_campaign.json must be byte-identical to a
    single-process reference.  w0 runs alone so that no cell cost lets
    the survivors drain the spec before its armed site is reached.
 
@@ -42,9 +44,10 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    uninterrupted reference run.
 
 5. *refused input* — `ALIC_SCALE=smok alic_campaign ...` exits 2 with one
-   line naming smoke|bench|paper, and `--models=gp_sor` (a retired model
-   token) exits 2 with usage text naming dynatree,gp; neither writes
-   anything.
+   line naming smoke|bench|paper; `--models=gp_sor` (a retired model
+   token) exits 2 with usage text naming dynatree,gp; the two retired
+   lease-expiry flags each exit 2 with the usage text, and so does
+   `--lease-range-cells=0`.  None writes anything.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -198,30 +201,24 @@ def campaign_enospc_quarantine(binary, workdir, small):
 # Sharded campaign chaos
 # ---------------------------------------------------------------------------
 
-LEASE_SITES = ["lease.acquire", "lease.renew", "lease.steal"]
+# Where the armed w0 dies: on its first claim, or at its second ledger
+# append, holding a range with one cell appended.
+LEASE_KILLS = ["lease.acquire=nth:1,mode:crash",
+               "ledger.append=nth:2,mode:crash"]
 SHARD_WORKERS = 3
-LEASE_TTL_MS = 800
-
-
-def lease_worker_cmd(binary, state_dir, out, small, worker, range_cells,
-                     heartbeat_ms=25):
-    return campaign_cmd(binary, state_dir, out, small) + [
-        "--lease-claim", f"--lease-ttl-ms={LEASE_TTL_MS}",
-        f"--lease-heartbeat-ms={heartbeat_ms}",
-        f"--lease-range-cells={range_cells}", f"--worker-id=w{worker}"]
 
 
 def start_lease_worker(binary, state_dir, workdir, tag, small, worker,
-                       range_cells, failpoints=None, heartbeat_ms=25,
-                       extra=()):
+                       range_cells, failpoints=None):
     env = dict(os.environ, ALIC_SCALE="smoke")
     env.pop("ALIC_FAILPOINTS", None)
     if failpoints:
         env["ALIC_FAILPOINTS"] = failpoints
     out = os.path.join(workdir, f"shard_{tag}_w{worker}.json")
     return subprocess.Popen(
-        lease_worker_cmd(binary, state_dir, out, small, worker, range_cells,
-                         heartbeat_ms) + list(extra),
+        campaign_cmd(binary, state_dir, out, small)
+        + ["--lease-claim", f"--lease-range-cells={range_cells}",
+           f"--worker-id=w{worker}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
 
 
@@ -231,32 +228,15 @@ def wait_worker(proc, site, worker, procs):
     except subprocess.TimeoutExpired:
         for p in procs:
             p.kill()
-        fail(f"{site}: worker w{worker} wedged (survivors failed to reclaim "
-             f"the dead worker's leases?)")
+        fail(f"{site}: worker w{worker} wedged (survivors failed to claim "
+             f"the dead worker's ranges?)")
     return proc.returncode, stderr
 
 
-def plant_expired_leases(state_dir, range_cells, cell_count):
-    """Ghost leases from a fleet that was SIGKILLed wholesale: one expired
-    lease file per range, so every worker's first claim goes through the
-    steal path (the only way to make lease.steal fire deterministically).
-    """
-    lease_dir = os.path.join(state_dir, "leases")
-    os.makedirs(lease_dir, exist_ok=True)
-    ranges = (cell_count + range_cells - 1) // range_cells
-    long_ago = time.time() - 60
-    for index in range(ranges):
-        path = os.path.join(lease_dir, f"range-{index}.lease")
-        with open(path, "w") as stream:
-            stream.write("ghost-fleet\n")
-        os.utime(path, (long_ago, long_ago))
-
-
 def campaign_sharded_kill(binary, workdir, small):
-    """Lease worker w0 killed at every lease site; two survivors reclaim."""
+    """Lease worker w0 killed at each kill site; two survivors reclaim."""
     label = "small" if small else "275-cell"
-    # Small: 2 benchmarks x 3 plans + 2 noise cells.
-    cell_count = 8 if small else 275
+    # Small: 2 benchmarks x 3 plans + 2 noise cells, in 4 ranges.
     range_cells = 2 if small else 16
     ref_dir = os.path.join(workdir, "shard_ref")
     ref_out = os.path.join(workdir, "shard_ref.json")
@@ -266,37 +246,24 @@ def campaign_sharded_kill(binary, workdir, small):
     reference_json = read_bytes(ref_out)
     reference_ledger = read_bytes(os.path.join(ref_dir, "cells.jsonl"))
 
-    for site in LEASE_SITES:
+    for failpoints in LEASE_KILLS:
+        site = failpoints.split("=")[0]
         tag = site.replace(".", "_")
         state_dir = os.path.join(workdir, f"shard_{tag}")
-        if site == "lease.steal":
-            plant_expired_leases(state_dir, range_cells, cell_count)
-        heartbeat_ms = 25
-        if site == "lease.renew":
-            # A clean w0 first lands exactly one cell in its shard ledger
-            # (--max-cells=1 releases its lease and exits 75), so the
-            # armed w0 below dies with a partial ledger however fast
-            # cells are.  The armed w0 renews every millisecond it holds
-            # a range, so its first renewal fires inside the first range
-            # that runs for 1 ms.
-            proc = start_lease_worker(binary, state_dir, workdir, tag, small,
-                                      0, range_cells, extra=["--max-cells=1"])
-            code, stderr = wait_worker(proc, site, 0, [proc])
-            if code != 75:
-                fail(f"{site}: one-cell w0 exited {code}, want 75\n{stderr}")
-            heartbeat_ms = 1
-        # Arm the failpoint in w0, which runs alone until it dies: the
-        # first claim fires lease.acquire (and, over the planted ghost
-        # leases, lease.steal), and lease.renew fires as described above.
+        # Arm the failpoint in w0, which runs alone until it dies.
         w0 = start_lease_worker(binary, state_dir, workdir, tag, small, 0,
-                                range_cells,
-                                failpoints=f"{site}=nth:1,mode:crash",
-                                heartbeat_ms=heartbeat_ms)
+                                range_cells, failpoints=failpoints)
         code, _ = wait_worker(w0, site, 0, [w0])
         if code != CRASH_EXIT:
             fail(f"{site}: armed worker w0 exited {code}, want "
                  f"{CRASH_EXIT} (the failpoint never fired?)")
-        # The survivors steal w0's abandoned lease once it expires.
+        if site == "ledger.append":
+            ledger = os.path.join(state_dir, "cells.w0.jsonl")
+            if (not os.path.exists(ledger)
+                    or read_bytes(ledger).count(b"\n") != 1):
+                fail(f"{site}: the dead worker did not leave a one-line "
+                     f"shard ledger")
+        # The survivors start at once: w0's locks died with it.
         procs = [start_lease_worker(binary, state_dir, workdir, tag, small,
                                     worker, range_cells)
                  for worker in range(1, SHARD_WORKERS)]
@@ -304,10 +271,6 @@ def campaign_sharded_kill(binary, workdir, small):
             code, stderr = wait_worker(proc, site, worker, procs)
             if code != 0:
                 fail(f"{site}: survivor w{worker} exited {code}\n{stderr}")
-        if site == "lease.renew":
-            ledger = os.path.join(state_dir, "cells.w0.jsonl")
-            if not os.path.exists(ledger) or not read_bytes(ledger):
-                fail(f"{site}: the dead worker left no partial shard ledger")
 
         # Merge the survivors' (and the victim's partial) shard ledgers:
         # the canonical ledger must be byte-identical to the
@@ -319,6 +282,10 @@ def campaign_sharded_kill(binary, workdir, small):
             text=True)
         if merge.returncode != 0:
             fail(f"{site}: merge exited {merge.returncode}\n{merge.stderr}")
+        # Each claim rescans the ledgers under its lock, so no cell ran
+        # twice, not even the dead worker's.
+        if "(0 duplicate(s)," not in merge.stdout:
+            fail(f"{site}: the merge found duplicate cells: {merge.stdout}")
         merged_ledger = read_bytes(os.path.join(state_dir, "cells.jsonl"))
         if merged_ledger != reference_ledger:
             fail(f"{site}: merged ledger diverged from the single-process "
@@ -331,7 +298,7 @@ def campaign_sharded_kill(binary, workdir, small):
         if read_bytes(out) != reference_json:
             fail(f"{site}: aggregate diverged from reference after merge")
         print(f"chaos_smoke: campaign sharded ({label}) {site}: w0 killed, "
-              f"survivors reclaimed, merge byte-identical")
+              f"survivors reclaimed, merge byte-identical, 0 duplicates")
 
 
 # ---------------------------------------------------------------------------
@@ -492,26 +459,39 @@ def serve_crash_loop(binary, workdir, reference, site):
 
 def campaign_refusals(binary, workdir):
     """Bad input is refused with exit 2 before any work."""
+    def usage_naming(text):
+        return lambda err: text in err and "usage:" in err
+
     probes = [
-        # (name, ALIC_SCALE, --models entry, stderr check, its wording)
-        ("ALIC_SCALE=smok", "smok", "dynatree",
+        # (name, ALIC_SCALE, extra flags, stderr check, its wording)
+        ("ALIC_SCALE=smok", "smok", [],
          lambda err: (len(err.splitlines()) == 1 and
                       "smoke|bench|paper" in err),
          "one line naming smoke|bench|paper"),
-        ("--models=gp_sor", "smoke", "gp_sor",
+        ("--models=gp_sor", "smoke", ["--models=gp_sor"],
          lambda err: ("unknown --models entry 'gp_sor'" in err and
                       "dynatree,gp" in err),
          "usage text naming dynatree,gp"),
+        # Lease expiry flags, retired: the kernel frees a dead worker's
+        # ranges, so nothing expires.
+        *[(flag, "smoke", ["--lease-claim", flag],
+           usage_naming(f"unknown option: {flag}"),
+           "usage text naming the unknown option")
+          for flag in ("--lease-ttl-ms=1", "--lease-heartbeat-ms=1")],
+        ("--lease-range-cells=0", "smoke",
+         ["--lease-claim", "--lease-range-cells=0"],
+         usage_naming("bad --lease-range-cells value '0'"),
+         "usage text naming the bad value"),
     ]
-    for index, (name, scale, models, check, wanted) in enumerate(probes):
+    for index, (name, scale, extra, check, wanted) in enumerate(probes):
         state_dir = os.path.join(workdir, f"refused{index}")
         out = os.path.join(workdir, f"refused{index}.json")
         env = dict(os.environ, ALIC_SCALE=scale)
         env.pop("ALIC_FAILPOINTS", None)
         proc = subprocess.run(
-            [binary, "--benchmarks=atax", f"--models={models}",
-             "--scorers=alm", "--seeds=1", "--no-noise",
-             f"--state-dir={state_dir}", f"--out={out}"],
+            [binary, "--benchmarks=atax", "--scorers=alm", "--seeds=1",
+             "--no-noise", f"--state-dir={state_dir}", f"--out={out}"]
+            + extra,
             env=env, capture_output=True, text=True)
         if proc.returncode != 2:
             fail(f"{name} campaign exited {proc.returncode}, want 2\n"
