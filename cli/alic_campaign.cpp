@@ -86,15 +86,15 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "                        order\n"
       "  --no-noise            skip the per-benchmark noise-summary cells\n"
       "\nScale-out (N independent processes, one spec — see ARCHITECTURE.md):\n"
-      "  --shard=I/N           run only static shard I of N (0-based); this\n"
-      "                        worker appends to cells.shard<I>of<N>.jsonl\n"
       "  --lease-claim         claim cell ranges dynamically by locking\n"
       "                        lease files in <state-dir>/leases; a dead\n"
       "                        worker's ranges are free at once; returns\n"
       "                        when the whole spec is in the union of\n"
       "                        worker ledgers\n"
-      "  --lease-range-cells=K cells per claimable range, K >= 1 (16)\n"
-      "  --worker-id=ID        per-worker ledger tag (cells.<ID>.jsonl)\n"
+      "  --lease-range-cells=K cells per claimable range, K >= 1 (16);\n"
+      "                        needs --lease-claim\n"
+      "  --worker-id=ID        this worker's ledger tag, cells.<ID>.jsonl\n"
+      "                        (default w<pid>); needs --lease-claim\n"
       "  --merge-ledgers       union every cells*.jsonl shard ledger into\n"
       "                        the canonical cells.jsonl and exit; byte-\n"
       "                        conflicting duplicates quarantine (exit %d)\n",
@@ -164,6 +164,7 @@ int main(int argc, char **argv) {
   Options.StateDir = defaultCampaignStateDir(Spec.ScaleName);
   std::string OutPath = "BENCH_campaign.json";
   bool MergeMode = false;
+  const char *LeaseOnlyFlag = nullptr; // the last flag that needs --lease-claim
 
   for (int I = 1; I != argc; ++I) {
     std::string Value;
@@ -224,25 +225,17 @@ int main(int argc, char **argv) {
                                       std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[I], "--no-noise") == 0) {
       Spec.NoiseCells = false;
-    } else if (parseFlag(argv[I], "--shard", Value)) {
-      size_t Slash = Value.find('/');
-      if (Slash == std::string::npos)
-        usage(argv[0], "--shard wants I/N (e.g. --shard=0/3)");
-      Options.ShardIndex =
-          unsigned(countFlag(argv[0], "--shard index", Value.substr(0, Slash)));
-      Options.ShardCount = unsigned(
-          countFlag(argv[0], "--shard count", Value.substr(Slash + 1), 1));
-      if (Options.ShardIndex >= Options.ShardCount)
-        usage(argv[0], "--shard index must be 0-based and below the count");
     } else if (std::strcmp(argv[I], "--lease-claim") == 0) {
       Options.LeaseClaim = true;
     } else if (parseFlag(argv[I], "--lease-range-cells", Value)) {
+      LeaseOnlyFlag = "--lease-range-cells";
       Options.LeaseRangeCells =
           unsigned(countFlag(argv[0], "--lease-range-cells", Value, 1));
     } else if (parseFlag(argv[I], "--worker-id", Value)) {
       if (Value.empty() ||
           Value.find_first_of("/\n") != std::string::npos)
         usage(argv[0], "--worker-id must be a non-empty filename fragment");
+      LeaseOnlyFlag = "--worker-id";
       Options.WorkerId = Value;
     } else if (std::strcmp(argv[I], "--merge-ledgers") == 0) {
       MergeMode = true;
@@ -254,9 +247,11 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (Options.ShardCount && Options.LeaseClaim)
-    usage(argv[0], "--shard and --lease-claim are alternative sharding "
-                   "modes; pick one");
+  // Both flags only steer lease claiming: refuse them rather than ignore
+  // them.
+  if (LeaseOnlyFlag && !Options.LeaseClaim)
+    usage(argv[0],
+          formatString("%s needs --lease-claim", LeaseOnlyFlag).c_str());
 
   if (MergeMode) {
     LedgerMergeReport Report;
@@ -294,19 +289,13 @@ int main(int argc, char **argv) {
               Spec.ScaleName.c_str(), Spec.benchmarkList().size(),
               Spec.Models.size(), Spec.Scorers.size(), Spec.BatchSizes.size(),
               Spec.repetitions(), Options.StateDir.c_str(), Options.Threads);
-  if (Options.ShardCount)
-    std::printf("# static shard %u of %u -> %s\n", Options.ShardIndex,
-                Options.ShardCount, Options.ledgerPath().c_str());
-  else if (Options.LeaseClaim)
+  if (Options.LeaseClaim)
     std::printf("# lease claiming: %u cell(s)/range, leases in %s\n",
                 Options.LeaseRangeCells, Options.leaseDir().c_str());
 
   CampaignProgress Progress = runCampaignCells(Spec, Options);
   std::printf("cells: %zu total, %zu already checkpointed, %zu run now\n",
               Progress.TotalCells, Progress.AlreadyDone, Progress.NewlyRun);
-  if (Options.ShardCount)
-    std::printf("shard slice: %zu of %zu cell(s)\n", Progress.ShardCells,
-                Progress.TotalCells);
   if (Progress.WorkersUsed)
     std::printf("scheduler: %u worker(s), %llu task(s) executed "
                 "(%zu cells + nested shards), %llu steal(s)\n",
@@ -315,8 +304,8 @@ int main(int argc, char **argv) {
                 (unsigned long long)Progress.Steals);
   if (!Progress.QuarantinedCells.empty()) {
     std::fprintf(stderr,
-                 "campaign: %zu cell(s) quarantined by ledger I/O "
-                 "failures:\n",
+                 "campaign: %zu cell(s) quarantined by ledger append or "
+                 "lease claim failures:\n",
                  Progress.QuarantinedCells.size());
     for (const std::string &Key : Progress.QuarantinedCells)
       std::fprintf(stderr, "  quarantined: %s\n", Key.c_str());
@@ -332,8 +321,8 @@ int main(int argc, char **argv) {
                 Options.ledgerPath().c_str());
     return ExitIncomplete;
   }
-  if (Options.sharded()) {
-    // Sharded workers never aggregate — that would race the other
+  if (Options.LeaseClaim) {
+    // Lease workers never aggregate — that would race the other
     // workers' appends.  Merge once the fleet is done, then aggregate
     // from the canonical ledger (plain re-run or the bench renderers).
     std::printf("shard ledger complete: %s; when all workers are done, "

@@ -394,17 +394,6 @@ CellResult computeRunCell(const CampaignSpec &Spec, const CampaignCell &Cell,
   return Result;
 }
 
-/// Runs \p Fn(I) for every index either inline or across \p Pool.
-void forEachIndex(Scheduler *Pool, size_t N,
-                  const std::function<void(size_t)> &Fn) {
-  if (!Pool) {
-    for (size_t I = 0; I != N; ++I)
-      Fn(I);
-    return;
-  }
-  Pool->parallelFor(N, Fn);
-}
-
 //===----------------------------------------------------------------------===//
 // Orchestration pieces
 //===----------------------------------------------------------------------===//
@@ -456,7 +445,7 @@ void ensureDatasets(const CampaignSpec &Spec, const CampaignOptions &Options,
     return;
   std::mutex DatasetMutex;
   const ExperimentScale &S = Spec.Scale;
-  forEachIndex(Pool, Needed.size(), [&](size_t I) {
+  shardedFor(Pool, Needed.size(), 1, [&](size_t I, size_t, size_t) {
     const std::string &Name = Needed[I];
     auto B = createSpaptBenchmark(Name);
     Dataset D = loadOrBuildDataset(*B, S.NumConfigs, S.TrainFraction,
@@ -481,52 +470,40 @@ CellResult computeCell(const CampaignSpec &Spec, const CampaignCell &Cell,
 constexpr std::chrono::milliseconds LeaseRescanInterval(500);
 
 /// How one invocation obtains ranges of the canonical unique-cell list:
-/// the only thing the default run, `--shard=i/N` and `--lease-claim` do
-/// differently.
-///  * The default run offers the whole list once, and a static shard
-///    offers splitRanges(N)[i] once.
+/// the only thing the default run and `--lease-claim` do differently.
+///  * The default run offers the whole list once; its done-set is the
+///    canonical ledger.
 ///  * Lease claiming claims splitRangesByCells ranges through
-///    exp/ShardLease, cycling from a WorkerId-derived offset, rescans the
-///    union of worker ledgers after every claim, and repeats until
-///    nothing is missing.
-/// The done-set is the canonical ledger unsharded and the union of every
-/// worker ledger when sharded (a rebalanced or re-split fleet may have
-/// left our cells in another worker's ledger).
+///    exp/ShardLease, cycling from a worker-id-derived offset, rescans the
+///    union of worker ledgers (its done-set) after every claim, and
+///    repeats until nothing is missing.  A claim that fails with an error
+///    quarantines the range's missing cells and retires the range: nobody
+///    holds that lock, so waiting for it would never end.
 class RangePolicy {
 public:
   RangePolicy(const CampaignOptions &Options,
-              const std::vector<std::string> &Keys)
-      : Options(Options), Keys(Keys) {
+              const std::vector<std::string> &Keys,
+              std::vector<std::string> &Quarantined)
+      : Options(Options), Keys(Keys), Quarantined(Quarantined) {
     if (Options.LeaseClaim) {
       Ranges = splitRangesByCells(Keys.size(), Options.LeaseRangeCells);
       Leases.emplace(Options.leaseDir());
-      // Start the cyclic claim scan at a WorkerId-derived offset so K
+      // Start the cyclic claim scan at a worker-id-derived offset so K
       // workers spread across the range list instead of all contending
       // for range 0.
       uint64_t IdHash = 0;
-      for (char C : Options.WorkerId)
+      for (char C : Options.workerId())
         IdHash = IdHash * 131 + uint8_t(C);
       ScanStart = Ranges.empty() ? 0 : size_t(IdHash % Ranges.size());
     } else {
-      // Every worker computes the same split locally, so static shards are
-      // disjoint and exhaustive with no coordination.
-      unsigned Shards = std::max(1u, Options.ShardCount);
-      Ranges = {splitRanges(Keys.size(), Shards)[Options.ShardIndex % Shards]};
+      Ranges = {{0, 0, Keys.size()}};
     }
     Retired.assign(Ranges.size(), 0);
     Done = loadDone();
   }
 
-  /// The cells this invocation answers for: all of them, or a static
-  /// shard's (CampaignProgress::ShardCells).
-  size_t sliceCells() const {
-    return Ranges.empty() ? 0 : Ranges.back().End - Ranges.front().Begin;
-  }
-  /// Indices of slice cells missing from the done-set, in canonical order.
-  std::vector<size_t> missing() const {
-    return Ranges.empty() ? std::vector<size_t>()
-                          : missingIn(Ranges.front().Begin, Ranges.back().End);
-  }
+  /// Indices of spec cells missing from the done-set, in canonical order.
+  std::vector<size_t> missing() const { return missingIn(0, Keys.size()); }
   /// Creates what claiming needs on disk (the lease directory).
   Status prepare() const { return Leases ? Leases->init() : Status::success(); }
 
@@ -547,9 +524,24 @@ public:
           continue;
         }
         if (Leases) {
-          if (Leases->tryClaim(Ranges[P].Index, Lease) !=
-              ShardLease::Claim::Acquired) {
+          ShardLease::Claim Claim = Leases->tryClaim(Ranges[P].Index, Lease);
+          if (Claim == ShardLease::Claim::Held) {
             AnyMissing = AnyHeld = true;
+            continue;
+          }
+          if (Claim == ShardLease::Claim::Error) {
+            // Nobody holds this lock, so rescanning would wait forever:
+            // give the range up for this worker; a re-run retries its
+            // quarantined cells.
+            AnyMissing = true;
+            Retired[P] = 1;
+            for (size_t I : Missing) {
+              Quarantined.push_back(Keys[I]);
+              std::fprintf(stderr,
+                           "  campaign[%s] QUARANTINED %s: lease claim "
+                           "failed\n",
+                           Options.workerId().c_str(), Keys[I].c_str());
+            }
             continue;
           }
           // Rescan under the lock: a previous holder appended and fsynced
@@ -565,11 +557,11 @@ public:
             std::fprintf(stderr,
                          "  campaign[%s] leased range %zu (%zu missing "
                          "cell(s))\n",
-                         Options.WorkerId.c_str(), Ranges[P].Index,
+                         Options.workerId().c_str(), Ranges[P].Index,
                          Missing.size());
         }
         Current = P;
-        Retired[P] = !Leases; // static ranges are offered once
+        Retired[P] = !Leases; // the default run's range is offered once
         return true;
       }
       AllDone = !AnyMissing;
@@ -592,14 +584,15 @@ public:
     if (Failed)
       Retired[Current] = 1;
   }
-  /// True once next() found no cell of the slice missing.
+  /// True once next() found no spec cell missing.
   bool allDone() const { return AllDone; }
 
 private:
   std::unordered_set<std::string> loadDone() const {
-    return ledgerKeys(Options.sharded()
-                          ? shardLedgerPaths(Options.StateDir)
-                          : std::vector<std::string>{Options.ledgerPath()});
+    return ledgerKeys(
+        Options.LeaseClaim
+            ? shardLedgerPaths(Options.StateDir)
+            : std::vector<std::string>{Options.canonicalLedgerPath()});
   }
   std::vector<size_t> missingIn(size_t Begin, size_t End) const {
     std::vector<size_t> Missing;
@@ -611,6 +604,7 @@ private:
 
   const CampaignOptions &Options;
   const std::vector<std::string> &Keys;
+  std::vector<std::string> &Quarantined; ///< keys of unclaimable cells
   std::vector<ShardRange> Ranges;
   std::vector<char> Retired; ///< per range: never offer it again
   std::optional<ShardLease> Leases;
@@ -622,20 +616,19 @@ private:
 
 } // namespace
 
+std::string CampaignOptions::workerId() const {
+  return WorkerId.empty() ? "w" + std::to_string(int(::getpid())) : WorkerId;
+}
+
 //===----------------------------------------------------------------------===//
 // Orchestration: one loop over ranges of the canonical cell list
 //===----------------------------------------------------------------------===//
 
 CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
-                                        const CampaignOptions &BaseOptions) {
-  // Every lease worker appends to its own ledger; default a unique tag
-  // when the caller did not pick one.
-  CampaignOptions Options = BaseOptions;
-  if (Options.LeaseClaim && Options.WorkerId.empty())
-    Options.WorkerId = "w" + std::to_string(int(::getpid()));
+                                        const CampaignOptions &Options) {
   const std::string LedgerPath = Options.ledgerPath();
   const std::string Tag =
-      Options.LeaseClaim ? "[" + Options.WorkerId + "]" : "";
+      Options.LeaseClaim ? "[" + Options.workerId() + "]" : "";
 
   // The canonical unique-cell list (unique keys, so a pathological spec
   // with duplicates still completes).
@@ -650,12 +643,11 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
       Keys.push_back(std::move(Key));
     }
   }
-  RangePolicy Policy(Options, Keys);
   CampaignProgress Progress;
+  RangePolicy Policy(Options, Keys, Progress.QuarantinedCells);
   Progress.TotalCells = Unique.size();
-  Progress.ShardCells = Policy.sliceCells();
   std::vector<size_t> Missing = Policy.missing();
-  Progress.AlreadyDone = Progress.ShardCells - Missing.size();
+  Progress.AlreadyDone = Progress.TotalCells - Missing.size();
   if (Missing.empty()) {
     Progress.Complete = true;
     return Progress;
@@ -709,7 +701,7 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
     ensureDatasets(Spec, Options, Pool.get(), Benchmarks, Datasets);
 
     bool RangeFailed = false;
-    forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
+    shardedFor(Pool.get(), Missing.size(), 1, [&](size_t I, size_t, size_t) {
       const CampaignCell &Cell = *Unique[Missing[I]];
       const std::string &Key = Keys[Missing[I]];
       std::string Line = cellLine(
@@ -728,7 +720,7 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
           Options.LeaseClaim
               ? formatString("+%zu", Attempted)
               : formatString("%zu/%zu", Progress.AlreadyDone + Attempted,
-                             Progress.ShardCells);
+                             Progress.TotalCells);
       if (St.ok()) {
         ++Progress.NewlyRun;
         Policy.markDone(Key);

@@ -191,45 +191,33 @@ struct CampaignOptions {
   /// Suppress per-cell progress lines on stderr.
   bool Quiet = false;
 
-  // --- scale-out sharding (exp/ShardLease, ARCHITECTURE.md "Scale-out").
-  // Sharded invocations append to a per-worker ledger
-  // (cells.<worker>.jsonl) and skip nothing else: cells stay pure
-  // functions of their keys, so N processes produce the same bytes one
-  // process would, and mergeLedgers() proves it.
+  // --- scale-out (exp/ShardLease, ARCHITECTURE.md "Scale-out").  A lease
+  // worker appends to its own ledger (cells.<worker>.jsonl) and skips
+  // nothing else: cells stay pure functions of their keys, so N workers
+  // produce the same bytes one process would, and mergeLedgers() proves
+  // it.
 
-  /// Static sharding: the total worker count.  Non-zero restricts this
-  /// invocation to shard ShardIndex of the canonical cell list, split
-  /// into ShardCount contiguous near-equal ranges (every worker computes
-  /// the same split locally — no coordination).
-  unsigned ShardCount = 0;
-  /// Static sharding: this worker's shard in [0, ShardCount).
-  unsigned ShardIndex = 0;
-  /// Dynamic sharding: claim cell ranges at runtime by taking an
-  /// exclusive flock on their lease files in leaseDir().  The kernel
-  /// drops a dead worker's locks at once, so survivors claim its ranges
-  /// at their next scan; a stopped (SIGSTOP, paused VM) worker keeps its
-  /// ranges until it resumes or dies.  The invocation returns when every
-  /// spec cell is in the union of worker ledgers, whoever ran it.
+  /// Claim cell ranges at runtime by taking an exclusive flock on their
+  /// lease files in leaseDir().  The kernel drops a dead worker's locks
+  /// at once, so survivors claim its ranges at their next scan; a stopped
+  /// (SIGSTOP, paused VM) worker keeps its ranges until it resumes or
+  /// dies.  The invocation returns when every spec cell is in the union
+  /// of worker ledgers, whoever ran it, or when no range it could still
+  /// claim has a missing cell.
   bool LeaseClaim = false;
-  /// Target cells per claimable range in lease mode (floor 1).
+  /// Target cells per claimable range when lease claiming (floor 1).
   unsigned LeaseRangeCells = 16;
-  /// Per-worker ledger tag: appends go to cells.<WorkerId>.jsonl.  Empty
-  /// defaults to the canonical ledger (unsharded), a shard<i>of<N> tag
-  /// (static sharding), or w<pid> (lease claiming).
+  /// A lease worker's ledger tag (see workerId()).
   std::string WorkerId;
 
-  /// True when this invocation runs as one worker of a sharded campaign.
-  bool sharded() const { return ShardCount > 0 || LeaseClaim; }
-
-  /// The ledger this invocation appends to: the canonical ledger, or the
-  /// per-worker ledger when sharded (see WorkerId).
+  /// WorkerId, or w<pid> when it is empty.
+  std::string workerId() const;
+  /// The ledger this invocation appends to: the lease worker's
+  /// cells.<workerId()>.jsonl when LeaseClaim is set, else the canonical
+  /// ledger.
   std::string ledgerPath() const {
-    std::string Tag = WorkerId;
-    if (Tag.empty() && ShardCount)
-      Tag = "shard" + std::to_string(ShardIndex) + "of" +
-            std::to_string(ShardCount);
-    return Tag.empty() ? canonicalLedgerPath()
-                       : StateDir + "/cells." + Tag + ".jsonl";
+    return LeaseClaim ? StateDir + "/cells." + workerId() + ".jsonl"
+                      : canonicalLedgerPath();
   }
   /// The canonical (merged / single-process) ledger path under StateDir.
   std::string canonicalLedgerPath() const { return StateDir + "/cells.jsonl"; }
@@ -242,21 +230,18 @@ struct CampaignOptions {
 /// What one runCampaignCells invocation did.
 struct CampaignProgress {
   size_t TotalCells = 0;   ///< cells the spec expands to
-  /// Cells this invocation is responsible for: TotalCells unsharded, the
-  /// static shard's slice under --shard (lease workers own whatever they
-  /// claim, so there it equals TotalCells too).
-  size_t ShardCells = 0;
-  size_t AlreadyDone = 0;  ///< of ShardCells, found complete in the ledger(s)
+  size_t AlreadyDone = 0;  ///< of TotalCells, found complete in the ledger(s)
   size_t NewlyRun = 0;     ///< computed and durably appended by this invocation
-  /// Unsharded / lease mode: every spec cell is now in the (union of)
-  /// ledger(s).  Static shard mode: every cell of *this shard's slice*.
+  /// Every spec cell is now in the ledger (lease claiming: in the union
+  /// of worker ledgers).
   bool Complete = false;
-  /// Keys of cells whose ledger append failed even after the bounded
-  /// retry/backoff (e.g. the disk filled up).  The campaign *finishes the
-  /// remaining cells* instead of aborting; quarantined cells are simply
-  /// absent from the ledger, so re-launching the same spec retries
-  /// exactly those and the final aggregate is byte-identical to an
-  /// uninterrupted run.  Non-empty implies !Complete.
+  /// Keys of cells this invocation gave up on: their ledger append failed
+  /// even after the bounded retry/backoff (e.g. the disk filled up), or
+  /// their range's lease claim failed with an error.  The campaign
+  /// *finishes the remaining cells* instead of aborting; quarantined
+  /// cells are simply absent from the ledger, so re-launching the same
+  /// spec retries exactly those and the final aggregate is byte-identical
+  /// to an uninterrupted run.  Non-empty implies !Complete.
   std::vector<std::string> QuarantinedCells;
   // Scheduler observability (never part of any result).
   unsigned WorkersUsed = 0;  ///< scheduler worker threads (0 = inline)
@@ -273,25 +258,27 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 /// Options.Threads workers; each completed cell is appended to the ledger
 /// crash-safely (single flushed+synced write).
 ///
-/// One loop serves every mode: take a range of the canonical unique-cell
+/// One loop serves both modes: take a range of the canonical unique-cell
 /// list, run its missing cells, append them, repeat.  The modes differ
 /// only in how a range is obtained — the default run offers the whole
-/// list once; with ShardCount set, this worker's static slice is offered
-/// once; with LeaseClaim set, ranges are claimed through exp/ShardLease
-/// and the union of worker ledgers is rescanned until no spec cell is
-/// missing.  Sharded appends go to the per-worker ledger, and
-/// mergeLedgers() folds the shards back into the canonical one.  In
-/// every mode ShuffleSeed orders each range's missing cells and MaxCells
-/// caps the cells attempted.  A spec with nothing missing opens no file
-/// for writing and starts no scheduler.
+/// list once; with LeaseClaim set, ranges are claimed through
+/// exp/ShardLease and the union of worker ledgers is rescanned until no
+/// spec cell is missing.  A lease worker appends to its own ledger, and
+/// mergeLedgers() folds the worker ledgers back into the canonical one.
+/// In both modes ShuffleSeed orders each range's missing cells and
+/// MaxCells caps the cells attempted.  A spec with nothing missing opens
+/// no file for writing and starts no scheduler.
 ///
-/// Ledger I/O failures *degrade* instead of aborting: a failed append is
+/// I/O failures *degrade* instead of aborting: a failed append is
 /// retried with bounded exponential backoff (fault-injection sites
 /// `ledger.append` / `ledger.sync`), and a cell whose append still fails
 /// is quarantined (Progress.QuarantinedCells) while the rest of the range
 /// and campaign completes (a lease worker stops claiming that range).  A
-/// state dir or ledger that cannot be opened at all quarantines every
-/// missing cell without computing any.
+/// lease claim that fails with an error (not because another worker
+/// holds the range) quarantines that range's missing cells unrun, and
+/// the worker stops claiming it.  A state dir, lease dir or ledger that
+/// cannot be opened at all quarantines every missing cell without
+/// computing any.
 CampaignProgress runCampaignCells(const CampaignSpec &Spec,
                                   const CampaignOptions &Options);
 

@@ -17,30 +17,20 @@ using namespace alic;
 // Range splitting
 //===----------------------------------------------------------------------===//
 
-std::vector<ShardRange> alic::splitRanges(size_t NumItems, size_t NumRanges) {
-  if (!NumRanges)
-    NumRanges = 1;
-  // Always exactly NumRanges entries (trailing ones may be empty): static
-  // --shard i/N needs range i to exist even when N exceeds the cell count.
+std::vector<ShardRange> alic::splitRangesByCells(size_t NumItems,
+                                                size_t TargetCells) {
+  if (!TargetCells)
+    TargetCells = 1;
+  size_t NumRanges = (NumItems + TargetCells - 1) / TargetCells;
   std::vector<ShardRange> Ranges;
   Ranges.reserve(NumRanges);
-  size_t Base = NumItems / NumRanges, Extra = NumItems % NumRanges;
   size_t Begin = 0;
   for (size_t I = 0; I != NumRanges; ++I) {
-    size_t Length = Base + (I < Extra ? 1 : 0);
+    size_t Length = NumItems / NumRanges + (I < NumItems % NumRanges ? 1 : 0);
     Ranges.push_back({I, Begin, Begin + Length});
     Begin += Length;
   }
   return Ranges;
-}
-
-std::vector<ShardRange> alic::splitRangesByCells(size_t NumItems,
-                                                size_t TargetCells) {
-  if (!NumItems)
-    return {};
-  if (!TargetCells)
-    TargetCells = 1;
-  return splitRanges(NumItems, (NumItems + TargetCells - 1) / TargetCells);
 }
 
 //===----------------------------------------------------------------------===//

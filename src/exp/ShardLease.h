@@ -52,18 +52,13 @@ struct ShardRange {
   size_t size() const { return End - Begin; }
 };
 
-/// Splits \p NumItems into \p NumRanges contiguous near-equal ranges in
-/// order (the first NumItems % NumRanges ranges get one extra item).
+/// Splits \p NumItems into ceil(NumItems / TargetCells) contiguous
+/// near-equal ranges in order, numbered from 0: the first
+/// NumItems % NumRanges ranges get one extra item, and none holds more
+/// than \p TargetCells (floor 1).  Zero items give no ranges.
 /// Deterministic: equal inputs give equal splits on every process, which
-/// is what lets workers agree on range boundaries without talking.
-/// NumRanges of 0 is treated as 1.  Always returns exactly NumRanges
-/// entries — trailing ones are empty when items run out, so static
-/// --shard i/N addressing works even when N exceeds the item count.
-std::vector<ShardRange> splitRanges(size_t NumItems, size_t NumRanges);
-
-/// Range partition for lease claiming: ceil(NumItems / TargetCells)
-/// ranges of roughly \p TargetCells cells each (floor 1); zero items
-/// give no ranges.
+/// is what lets workers agree on range boundaries (and lease file names)
+/// without talking.
 std::vector<ShardRange> splitRangesByCells(size_t NumItems,
                                            size_t TargetCells);
 
@@ -105,7 +100,11 @@ public:
   enum class Claim {
     Acquired, ///< \p Out holds the lease; the range is ours
     Held,     ///< another descriptor holds the lock (EWOULDBLOCK)
-    Error     ///< any other failure; treat like Held and retry later
+    /// Any other open/flock failure (EACCES, EMFILE, ENOSPC, ENOLCK,
+    /// EIO, ...).  Nobody holds the lock, so waiting for it would never
+    /// end: the campaign gives the range up for this worker and
+    /// quarantines its missing cells, which a re-run retries.
+    Error
   };
 
   /// Tries to claim range \p RangeIndex: opens its lease file (creating

@@ -39,9 +39,9 @@ namespace alic {
 /// fsync of the directory containing \p Path, making a completed create,
 /// rename, or unlink inside it durable — the same discipline
 /// ByteWriter::writeFileDurable applies after its rename.  Exposed so
-/// other durable-file protocols (an append log's first create, the
-/// lease directory's claim/steal transitions) reuse it instead of
-/// re-deriving the fsync rules.  Best-effort on filesystems that reject
+/// other creates reuse it instead of re-deriving the fsync rules:
+/// openAppendLog's first create of a log, and the campaign state dir's
+/// first create (exp/Campaign).  Best-effort on filesystems that reject
 /// directory fsync (errno EINVAL is ignored, the POSIX escape hatch).
 /// Fault-injection site: atomicfile.dirsync.
 Status syncParentDir(const std::string &Path);

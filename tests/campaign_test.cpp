@@ -9,6 +9,7 @@
 
 #include "exp/Campaign.h"
 #include "exp/Dataset.h"
+#include "exp/ShardLease.h"
 #include "spapt/Suite.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
@@ -545,39 +546,6 @@ TEST(CampaignMergeTest, ConflictingDuplicateQuarantinesTheMerge) {
   std::filesystem::remove_all(Sharded.StateDir);
 }
 
-TEST(CampaignMergeTest, StaticShardsUnionMergesByteIdentical) {
-  CampaignSpec Spec = tinySpec();
-  std::string RefDir = referenceCampaign(Spec, "static_ref");
-  CampaignOptions Ref;
-  Ref.StateDir = RefDir;
-  std::string RefBytes = readFileBytes(Ref.canonicalLedgerPath());
-
-  CampaignOptions Sharded;
-  Sharded.StateDir = freshStateDir("static_shards");
-  Sharded.Quiet = true;
-  Sharded.ShardCount = 3;
-  size_t SliceSum = 0;
-  for (unsigned I = 0; I != 3; ++I) {
-    CampaignOptions Worker = Sharded;
-    Worker.ShardIndex = I;
-    CampaignProgress Progress = runCampaignCells(Spec, Worker);
-    EXPECT_TRUE(Progress.Complete) << "shard " << I;
-    EXPECT_EQ(Progress.NewlyRun, Progress.ShardCells);
-    SliceSum += Progress.ShardCells;
-    EXPECT_TRUE(std::filesystem::exists(Worker.ledgerPath()));
-  }
-  EXPECT_EQ(SliceSum, expandCells(Spec).size());
-
-  LedgerMergeReport Report;
-  ASSERT_TRUE(mergeLedgers(Spec, Sharded, Report).ok());
-  EXPECT_TRUE(Report.Wrote);
-  EXPECT_EQ(Report.DuplicateCells, 0u);
-  EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
-
-  std::filesystem::remove_all(RefDir);
-  std::filesystem::remove_all(Sharded.StateDir);
-}
-
 TEST(CampaignMergeTest, LeaseWorkersCooperateToByteIdenticalUnion) {
   CampaignSpec Spec = tinySpec();
   std::string RefDir = referenceCampaign(Spec, "lease_ref");
@@ -648,10 +616,9 @@ TEST(CampaignMergeTest, MergeReadFailpointFailsTheMergeCleanly) {
 
 namespace {
 
-/// The three ways runCampaignCells obtains ranges of the cell list.
+/// The two ways runCampaignCells obtains ranges of the cell list.
 enum class RangeMode {
-  Default, ///< one invocation, the whole list once
-  Static3, ///< --shard=i/3 for every i, then mergeLedgers
+  Default, ///< the whole list once
   Lease    ///< one --lease-claim worker over 4-cell ranges, then merge
 };
 
@@ -659,59 +626,35 @@ std::string modeName(const ::testing::TestParamInfo<RangeMode> &Info) {
   switch (Info.param) {
   case RangeMode::Default:
     return "Default";
-  case RangeMode::Static3:
-    return "Static3";
   case RangeMode::Lease:
     return "Lease";
   }
   return "Unknown";
 }
 
-/// The runCampaignCells invocations \p Mode makes of one campaign.
-std::vector<CampaignOptions> invocationsFor(RangeMode Mode,
-                                            CampaignOptions Options) {
+/// The runCampaignCells invocation \p Mode makes of one campaign.
+CampaignOptions invocationFor(RangeMode Mode, CampaignOptions Options) {
   Options.Quiet = true;
-  std::vector<CampaignOptions> Invocations;
-  if (Mode == RangeMode::Static3) {
-    for (unsigned I = 0; I != 3; ++I) {
-      Invocations.push_back(Options);
-      Invocations.back().ShardCount = 3;
-      Invocations.back().ShardIndex = I;
-    }
-  } else {
-    Invocations.push_back(Options);
-    if (Mode == RangeMode::Lease) {
-      Invocations.back().LeaseClaim = true;
-      Invocations.back().WorkerId = "w0";
-      Invocations.back().LeaseRangeCells = 4;
-    }
+  if (Mode == RangeMode::Lease) {
+    Options.LeaseClaim = true;
+    Options.WorkerId = "w0";
+    Options.LeaseRangeCells = 4;
   }
-  return Invocations;
+  return Options;
 }
 
-/// Runs the campaign in \p Options.StateDir under \p Mode — every
-/// invocation the mode needs, then a merge into the canonical ledger when
-/// sharded — and returns the invocations' progress summed.
+/// Runs the campaign in \p Options.StateDir under \p Mode, then merges
+/// into the canonical ledger when lease claiming.
 CampaignProgress runUnder(RangeMode Mode, const CampaignSpec &Spec,
                           const CampaignOptions &Options) {
-  CampaignProgress Sum;
-  Sum.Complete = true;
-  for (const CampaignOptions &Invocation : invocationsFor(Mode, Options)) {
-    CampaignProgress P = runCampaignCells(Spec, Invocation);
-    Sum.TotalCells = P.TotalCells;
-    Sum.AlreadyDone += P.AlreadyDone;
-    Sum.NewlyRun += P.NewlyRun;
-    Sum.Complete = Sum.Complete && P.Complete;
-    Sum.QuarantinedCells.insert(Sum.QuarantinedCells.end(),
-                                P.QuarantinedCells.begin(),
-                                P.QuarantinedCells.end());
-  }
-  if (Mode != RangeMode::Default) {
+  CampaignProgress Progress =
+      runCampaignCells(Spec, invocationFor(Mode, Options));
+  if (Mode == RangeMode::Lease) {
     LedgerMergeReport Report;
     EXPECT_TRUE(mergeLedgers(Spec, Options, Report).ok());
     EXPECT_TRUE(Report.ConflictKeys.empty());
   }
-  return Sum;
+  return Progress;
 }
 
 
@@ -750,8 +693,7 @@ TEST_P(CampaignPolicyTest, InterruptAndResumeMatchesUninterrupted) {
   Interrupted.MaxCells = 3;
   CampaignProgress First = runUnder(GetParam(), Spec, Interrupted);
   EXPECT_FALSE(First.Complete);
-  EXPECT_EQ(First.NewlyRun,
-            3u * invocationsFor(GetParam(), Interrupted).size());
+  EXPECT_EQ(First.NewlyRun, 3u);
   CampaignResult ShouldFail;
   EXPECT_FALSE(aggregateCampaign(Spec, Interrupted, ShouldFail));
 
@@ -887,21 +829,19 @@ TEST_P(CampaignPolicyTest, RelaunchWithNothingMissingWritesNothing) {
     return Files;
   };
   auto Before = listing();
-  for (CampaignOptions Invocation : invocationsFor(GetParam(), Options)) {
-    if (Invocation.LeaseClaim)
-      Invocation.WorkerId = "w1";
-    CampaignProgress Again = runCampaignCells(Spec, Invocation);
-    EXPECT_TRUE(Again.Complete);
-    EXPECT_EQ(Again.NewlyRun, 0u);
-    EXPECT_EQ(Again.WorkersUsed, 0u);
-  }
+  CampaignOptions Invocation = invocationFor(GetParam(), Options);
+  if (Invocation.LeaseClaim)
+    Invocation.WorkerId = "w1";
+  CampaignProgress Again = runCampaignCells(Spec, Invocation);
+  EXPECT_TRUE(Again.Complete);
+  EXPECT_EQ(Again.NewlyRun, 0u);
+  EXPECT_EQ(Again.WorkersUsed, 0u);
   EXPECT_EQ(listing(), Before);
   std::filesystem::remove_all(Options.StateDir);
 }
 
 INSTANTIATE_TEST_SUITE_P(RangePolicies, CampaignPolicyTest,
                          ::testing::Values(RangeMode::Default,
-                                           RangeMode::Static3,
                                            RangeMode::Lease),
                          modeName);
 
@@ -956,6 +896,54 @@ TEST(CampaignPolicyRulesTest, InlineLeaseRangeShufflesLikeAnUnshardedRun) {
   EXPECT_NE(Appended, SpecOrder);
   std::filesystem::remove_all(Unsharded.StateDir);
   std::filesystem::remove_all(Lease.StateDir);
+}
+
+TEST(CampaignPolicyRulesTest, FailedLeaseClaimsQuarantineTheirRangesAndReturn) {
+  // A claim that fails with an error (EACCES, EMFILE, ENOLCK, EIO, ...;
+  // here the lease.acquire failpoint) leaves the lock held by nobody, so
+  // the worker must not wait for it: it quarantines that range's missing
+  // cells unrun, runs every range it can claim, and returns.  A relaunch
+  // without the fault runs exactly the quarantined cells.
+  CampaignSpec Spec = tinySpec();
+  std::string Clean = cleanJson(Spec, "claimfail_clean");
+  std::vector<std::string> Keys;
+  for (const CampaignCell &Cell : expandCells(Spec))
+    Keys.push_back(Cell.key(Spec));
+  for (uint64_t Fires : {~0ull, 1ull}) {
+    CampaignOptions Options;
+    Options.StateDir = freshStateDir("claimfail" + std::to_string(Fires));
+    FailSpec Fault;
+    Fault.Count = Fires; // every claim, or only the first
+    armFailPoint("lease.acquire", Fault);
+    CampaignProgress Failed = runUnder(RangeMode::Lease, Spec, Options);
+    disarmAllFailPoints();
+
+    EXPECT_FALSE(Failed.Complete);
+    EXPECT_EQ(Failed.NewlyRun + Failed.QuarantinedCells.size(), Keys.size());
+    if (Fires == 1) {
+      // Exactly the cells of the one range whose claim failed.
+      bool OneRange = false;
+      for (const ShardRange &R : splitRangesByCells(
+               Keys.size(),
+               invocationFor(RangeMode::Lease, Options).LeaseRangeCells)) {
+        std::vector<std::string> RangeKeys(Keys.begin() + R.Begin,
+                                           Keys.begin() + R.End);
+        std::sort(RangeKeys.begin(), RangeKeys.end());
+        OneRange = OneRange || RangeKeys == Failed.QuarantinedCells;
+      }
+      EXPECT_TRUE(OneRange) << Failed.QuarantinedCells.size()
+                            << " quarantined cell(s) are not one range";
+    } else {
+      EXPECT_EQ(Failed.NewlyRun, 0u);
+    }
+
+    CampaignProgress Resumed = runUnder(RangeMode::Lease, Spec, Options);
+    EXPECT_TRUE(Resumed.Complete);
+    EXPECT_TRUE(Resumed.QuarantinedCells.empty());
+    EXPECT_EQ(Resumed.NewlyRun, Failed.QuarantinedCells.size());
+    EXPECT_EQ(aggregateJson(Spec, Options), Clean);
+    std::filesystem::remove_all(Options.StateDir);
+  }
 }
 
 //===----------------------------------------------------------------------===//

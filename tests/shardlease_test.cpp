@@ -45,49 +45,43 @@ std::string freshLeaseDir(const std::string &Name) {
 
 TEST(ShardRangeTest, SplitCoversEveryItemExactlyOnce) {
   for (size_t Items : {0u, 1u, 7u, 30u, 275u})
-    for (size_t Ranges : {1u, 2u, 3u, 8u, 300u}) {
-      std::vector<ShardRange> Split = splitRanges(Items, Ranges);
-      ASSERT_EQ(Split.size(), Ranges) << Items << "/" << Ranges;
-      size_t Next = 0, Total = 0;
+    for (size_t Target : {0u, 1u, 2u, 3u, 16u, 300u}) {
+      std::vector<ShardRange> Split = splitRangesByCells(Items, Target);
+      size_t Cap = std::max<size_t>(Target, 1); // a target of 0 means 1
+      ASSERT_EQ(Split.size(), (Items + Cap - 1) / Cap)
+          << Items << "/" << Target;
+      size_t Next = 0;
       for (size_t I = 0; I != Split.size(); ++I) {
+        // Numbered in order, contiguous, non-empty, at most the target.
         EXPECT_EQ(Split[I].Index, I);
         EXPECT_EQ(Split[I].Begin, Next);
-        EXPECT_LE(Split[I].Begin, Split[I].End);
+        EXPECT_GT(Split[I].size(), 0u);
+        EXPECT_LE(Split[I].size(), Cap);
+        // Longer ranges first (with near-equal sizes below, this makes
+        // the split, and so the cells each range-<I>.lease names, unique).
+        if (I) {
+          EXPECT_LE(Split[I].size(), Split[I - 1].size());
+        }
         Next = Split[I].End;
-        Total += Split[I].size();
       }
       EXPECT_EQ(Next, Items);
-      EXPECT_EQ(Total, Items);
       // Near-equal: sizes differ by at most one.
-      size_t Min = SIZE_MAX, Max = 0;
-      for (const ShardRange &R : Split) {
-        Min = std::min(Min, R.size());
-        Max = std::max(Max, R.size());
+      if (!Split.empty()) {
+        EXPECT_LE(Split.front().size() - Split.back().size(), 1u);
       }
-      EXPECT_LE(Max - Min, 1u);
     }
 }
 
 TEST(ShardRangeTest, SplitIsDeterministic) {
   // Workers agree on boundaries without coordinating: equal inputs must
   // give equal splits.
-  std::vector<ShardRange> A = splitRanges(275, 18);
-  std::vector<ShardRange> B = splitRanges(275, 18);
+  std::vector<ShardRange> A = splitRangesByCells(275, 16);
+  std::vector<ShardRange> B = splitRangesByCells(275, 16);
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
     EXPECT_EQ(A[I].Begin, B[I].Begin);
     EXPECT_EQ(A[I].End, B[I].End);
   }
-}
-
-TEST(ShardRangeTest, SplitByCellsHonorsTargetSize) {
-  std::vector<ShardRange> Split = splitRangesByCells(275, 16);
-  EXPECT_EQ(Split.size(), (275 + 15) / 16);
-  for (const ShardRange &R : Split)
-    EXPECT_LE(R.size(), 16u);
-  // Degenerate targets clamp instead of dividing by zero.
-  EXPECT_EQ(splitRangesByCells(5, 0).size(), 5u);
-  EXPECT_EQ(splitRangesByCells(0, 16).size(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

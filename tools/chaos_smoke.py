@@ -46,8 +46,9 @@ the real binaries, checking the repo's degrade-don't-abort contract:
 5. *refused input* — `ALIC_SCALE=smok alic_campaign ...` exits 2 with one
    line naming smoke|bench|paper; `--models=gp_sor` (a retired model
    token) exits 2 with usage text naming dynatree,gp; the two retired
-   lease-expiry flags each exit 2 with the usage text, and so does
-   `--lease-range-cells=0`.  None writes anything.
+   lease-expiry flags and the retired `--shard=0/3` each exit 2 with the
+   usage text, and so do `--lease-range-cells=0`, and `--worker-id=w0` or
+   `--lease-range-cells=4` without `--lease-claim`.  None writes anything.
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -482,6 +483,16 @@ def campaign_refusals(binary, workdir):
          ["--lease-claim", "--lease-range-cells=0"],
          usage_naming("bad --lease-range-cells value '0'"),
          "usage text naming the bad value"),
+        # Static sharding, retired: lease workers run every sharded
+        # campaign.
+        ("--shard=0/3", "smoke", ["--shard=0/3"],
+         usage_naming("unknown option: --shard=0/3"),
+         "usage text naming the unknown option"),
+        # Lease-worker flags mean nothing without --lease-claim.
+        *[(flag, "smoke", [flag],
+           usage_naming(f"{flag.split('=')[0]} needs --lease-claim"),
+           "usage text naming the flag")
+          for flag in ("--worker-id=w0", "--lease-range-cells=4")],
     ]
     for index, (name, scale, extra, check, wanted) in enumerate(probes):
         state_dir = os.path.join(workdir, f"refused{index}")
