@@ -11,10 +11,12 @@
 //    every particle draws from its own (seed, step, index) RNG stream on
 //    a fixed shard grid — so they isolate pure speedup;
 //
-//  * candidate scoring (predict, ALM and Cohn's ALC) at N = 5000, where
-//    predict/almScores/alcScores walk each unique (tree, pending) run
-//    once and accumulate per particle.  The walk-dedup column is the
-//    ratio of per-particle terms to walks performed (ScoreStats);
+//  * candidate scoring (predictBatch, ALM and Cohn's ALC) at N = 5000,
+//    where each row is walked once per split lineage — trees that share
+//    every split since their last grow or prune — tree-major, and each
+//    unique (tree, pending) run adds its leaf terms per particle.  The
+//    walk-dedup column is the ratio of per-particle terms to walks
+//    performed (ScoreStats), so it grows with particles per lineage;
 //    tests/dynatree_test.cpp pins the scores bitwise to a per-particle
 //    reference on both states.
 //
@@ -103,8 +105,8 @@ struct ScoringRow {
 } // namespace
 
 int main() {
-  printScaleBanner("bench_dynatree_hotpath: SMC update sweep + unique-run "
-                   "dedup scoring at N = 5000");
+  printScaleBanner("bench_dynatree_hotpath: SMC update sweep + lineage "
+                   "walk scoring at N = 5000");
 
   // The scale sizes the update stream, the ensemble sizes and the timing
   // reps; every scale keeps the paper's N = 5000 for the scoring states.
@@ -266,7 +268,7 @@ int main() {
               "%zu probes; thread rows bit-identical to serial):\n",
               SeedPoints, Updates, NumProbes);
   UpdOut.print();
-  std::printf("\nScoring at N=%u: unique-run dedup (%zu candidates, "
+  std::printf("\nScoring at N=%u: one walk per lineage (%zu candidates, "
               "%zu reference points):\n",
               ScoringParticles, NumCands, NumRef);
   ScoreOut.print();

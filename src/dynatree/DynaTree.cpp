@@ -158,10 +158,13 @@ double DynaTree::leafVarianceDrop(const LeafStats &S) const {
 //===----------------------------------------------------------------------===//
 
 int32_t DynaTree::findLeaf(const Tree &T, const double *X) const {
+  const Node *Nodes = T.Nodes.data();
   int32_t Idx = 0;
-  while (T.Nodes[Idx].Left >= 0) {
-    const Node &N = T.Nodes[Idx];
-    Idx = X[N.SplitDim] <= N.SplitValue ? N.Left : N.Right;
+  while (Nodes[Idx].Left >= 0) {
+    const Node &N = Nodes[Idx];
+    // All ones when the row goes left; a NaN compares false and goes right.
+    int32_t Left = -int32_t(X[N.SplitDim] <= N.SplitValue);
+    Idx = N.Right ^ ((N.Left ^ N.Right) & Left);
   }
   return Idx;
 }
@@ -259,6 +262,7 @@ void DynaTree::compact(Tree &T) const {
     NewIdx[size_t(Order[I])] = int32_t(I);
 
   Tree Out;
+  Out.Lineage = T.Lineage;
   Out.Nodes.reserve(Order.size());
   Out.Chunks.reserve(NumChunks);
   Out.Bounds.reserve(Order.size() * 2 * Dims);
@@ -450,7 +454,7 @@ void DynaTree::scoreGrowTries(const Particle &P, int32_t LeafIdx,
 }
 
 void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
-                         GrowScratch &S, bool ReuseScan) {
+                         GrowScratch &S, bool ReuseScan, uint64_t NewLineage) {
   const double *X = DataX.row(PointIdx);
   double NewY = DataY[PointIdx];
 
@@ -608,6 +612,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     NewInternal.SumY = NewInternal.SumY2 = 0.0;
     NewInternal.PtsHead = -1;
     compact(T); // drops the old leaf's chunks
+    T.Lineage = NewLineage;
     return;
   }
 
@@ -645,6 +650,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     }
     absorbInto(T, ParentIdx, PointIdx);
     compact(T); // drops the two child nodes
+    T.Lineage = T.Nodes.size() == 1 ? 0 : NewLineage;
     return;
   }
 
@@ -699,7 +705,8 @@ void DynaTree::ingest(uint32_t PointIdx, bool Resample) {
                for (size_t I = Begin; I != End; ++I) {
                  Rng R = particleRng(Step, I);
                  bool Reuse = I != Begin && RunOf[I] == RunOf[I - 1];
-                 propagate(Particles[I], PointIdx, R, Scratch, Reuse);
+                 propagate(Particles[I], PointIdx, R, Scratch, Reuse,
+                           freshLineage(Step, I));
                }
              });
   ++StepCounter;
@@ -771,7 +778,56 @@ std::vector<size_t> DynaTree::runNodeBases() const {
   return Base;
 }
 
+DynaTree::LineageGroups DynaTree::lineageGroups() const {
+  size_t NumRuns = uniqueRunCount();
+  std::vector<std::pair<uint64_t, uint32_t>> Keys(NumRuns);
+  for (size_t Run = 0; Run != NumRuns; ++Run)
+    Keys[Run] = {Particles[RunOffsets[Run]].T->Lineage, uint32_t(Run)};
+  std::sort(Keys.begin(), Keys.end());
+  LineageGroups Lin;
+  Lin.Of.resize(NumRuns);
+  Lin.Runs.resize(NumRuns);
+  for (size_t I = 0; I != NumRuns; ++I) {
+    uint32_t Run = Keys[I].second;
+    if (I == 0 || Keys[I].first != Keys[I - 1].first) {
+      Lin.Offsets.push_back(uint32_t(I));
+      Lin.Trees.push_back(Particles[RunOffsets[Run]].T.get());
+    }
+    Lin.Runs[I] = Run;
+    Lin.Of[Run] = uint32_t(Lin.Trees.size() - 1);
+  }
+  Lin.Offsets.push_back(uint32_t(NumRuns));
+  return Lin;
+}
+
+void DynaTree::walkLineages(const LineageGroups &Lin, const FlatRows &Rows,
+                            size_t Begin, size_t End, size_t Stride,
+                            int32_t *Out) const {
+  for (const Tree *T : Lin.Trees) {
+    for (size_t R = Begin; R != End; ++R)
+      Out[R - Begin] = findLeaf(*T, Rows.row(R));
+    Out += Stride;
+  }
+}
+
 namespace {
+/// Two rows' sums side by side, one per lane (the GCC/Clang vector
+/// extension, SSE2 on x86-64): each lane receives exactly the addends of
+/// its row's scalar sum, in the same order.
+typedef double RowPair __attribute__((vector_size(16)));
+
+/// Rows a scoring shard sums together, in two RowPairs: four independent
+/// add chains hide the add latency of a long run's repeated terms.
+constexpr size_t RowBlock = 4;
+static_assert(RowBlock == 2 * sizeof(RowPair) / sizeof(double),
+              "the scoring loops hold a row block in two RowPairs");
+
+/// \p Len rounded up to whole row blocks.  The padding lanes read leaf 0,
+/// whose table entry always exists, and their sums are dropped.
+size_t paddedRows(size_t Len) {
+  return (Len + RowBlock - 1) / RowBlock * RowBlock;
+}
+
 /// One leaf's contribution to the particle mixture: predict()'s three
 /// per-particle addends.
 struct LeafMoments {
@@ -817,16 +873,15 @@ Prediction DynaTree::predict(RowRef X) const {
   return mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size());
 }
 
-void DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
-                            const ScoreContext &Ctx, Prediction *Out) const {
+size_t DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
+                              const ScoreContext &Ctx, Prediction *Out) const {
   assert(!Particles.empty() && "model not fitted");
   assert(Count <= Rows.size() && "batch count out of range");
-  // A row walks each run's tree and adds the looked-up moments per alias
-  // in particle order: predict()'s addends in predict()'s order.
-  size_t NumGroups = uniqueRunCount();
+  size_t NumRuns = uniqueRunCount();
+  LineageGroups Lin = lineageGroups();
   std::vector<size_t> Base = runNodeBases();
-  std::vector<LeafMoments> Table(Base[NumGroups]);
-  shardedFor(Ctx.Pool, NumGroups, 8, [&](size_t, size_t Begin, size_t End) {
+  std::vector<LeafMoments> Table(Base[NumRuns]);
+  shardedFor(Ctx.Pool, NumRuns, 8, [&](size_t, size_t Begin, size_t End) {
     for (size_t G = Begin; G != End; ++G) {
       const Particle &P = Particles[RunOffsets[G]];
       const std::vector<Node> &Nodes = P.T->Nodes;
@@ -840,23 +895,44 @@ void DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
     }
   });
 
+  // Each shard walks its rows once per lineage, then adds every run's
+  // looked-up moments once per alias, runs in particle order: each row's
+  // sums get predict()'s addends in predict()'s order.
   shardedFor(Ctx.Pool, Count, Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
-    for (size_t C = Begin; C != End; ++C) {
-      const double *Row = Rows.row(C);
-      double MeanSum = 0.0, VarSum = 0.0, Mean2Sum = 0.0;
-      for (size_t G = 0; G != NumGroups; ++G) {
-        const Particle &P = Particles[RunOffsets[G]];
-        const LeafMoments &L = Table[Base[G] + size_t(findLeaf(*P.T, Row))];
+    size_t Len = End - Begin, Stride = paddedRows(Len);
+    std::vector<int32_t> Leaves(Lin.size() * Stride, 0);
+    walkLineages(Lin, Rows, Begin, End, Stride, Leaves.data());
+    for (size_t C = 0; C < Len; C += RowBlock) {
+      RowPair MeanA = {}, MeanB = {}, VarA = {}, VarB = {}, Mean2A = {},
+              Mean2B = {};
+      for (size_t G = 0; G != NumRuns; ++G) {
+        const int32_t *Leaf = Leaves.data() + size_t(Lin.Of[G]) * Stride + C;
+        const LeafMoments *Run = Table.data() + Base[G];
+        const LeafMoments &L0 = Run[Leaf[0]], &L1 = Run[Leaf[1]],
+                          &L2 = Run[Leaf[2]], &L3 = Run[Leaf[3]];
+        RowPair MA = {L0.Mean, L1.Mean}, MB = {L2.Mean, L3.Mean};
+        RowPair VA = {L0.Variance, L1.Variance};
+        RowPair VB = {L2.Variance, L3.Variance};
+        RowPair M2A = {L0.Mean2, L1.Mean2}, M2B = {L2.Mean2, L3.Mean2};
         for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I) {
-          MeanSum += L.Mean;
-          VarSum += L.Variance;
-          Mean2Sum += L.Mean2;
+          MeanA += MA;
+          MeanB += MB;
+          VarA += VA;
+          VarB += VB;
+          Mean2A += M2A;
+          Mean2B += M2B;
         }
       }
-      Out[C] = mixtureOf(MeanSum, VarSum, Mean2Sum, Particles.size());
+      double Mean[RowBlock] = {MeanA[0], MeanA[1], MeanB[0], MeanB[1]};
+      double Var[RowBlock] = {VarA[0], VarA[1], VarB[0], VarB[1]};
+      double Mean2[RowBlock] = {Mean2A[0], Mean2A[1], Mean2B[0], Mean2B[1]};
+      for (size_t K = 0; K != RowBlock && C + K != Len; ++K)
+        Out[Begin + C + K] =
+            mixtureOf(Mean[K], Var[K], Mean2[K], Particles.size());
     }
   });
+  return Lin.size();
 }
 
 void DynaTree::predictBatch(const FlatRows &X, size_t Count,
@@ -870,7 +946,8 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
                                         const ScoreContext &Ctx) const {
   // predict()'s variance per candidate.
   std::vector<Prediction> Mixture(Candidates.size());
-  mixtureBatch(Candidates, Candidates.size(), Ctx, Mixture.data());
+  size_t NumLineages =
+      mixtureBatch(Candidates, Candidates.size(), Ctx, Mixture.data());
   std::vector<double> Scores(Candidates.size());
   for (size_t C = 0; C != Candidates.size(); ++C)
     Scores[C] = Mixture[C].Variance;
@@ -881,7 +958,7 @@ std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
                                            Particles.size(),
                                        std::memory_order_relaxed);
     Ctx.Stats->UniqueLeafWalks.fetch_add(uint64_t(Candidates.size()) *
-                                             uniqueRunCount(),
+                                             NumLineages,
                                          std::memory_order_relaxed);
   }
   return Scores;
@@ -893,59 +970,71 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
   assert(!Particles.empty() && "model not fitted");
   // Each candidate's score is the particle average of refCount(leaf) *
   // expected variance drop — the closed form of Cohn's ALC under constant
-  // leaves.  That term depends on the run and the leaf only, so the
-  // reference pass computes it once per (run, leaf holding a reference
-  // point) into one flat table (one disjoint slice per unique run —
-  // aliases share it).  Candidates then look their leaf's term up and
-  // accumulate over particles in index order, repeating each run's term
-  // per alias, which matches a per-particle summation bit-for-bit.
+  // leaves.  The counts depend on the splits only, so the reference rows
+  // are walked once per lineage; each run of the lineage then scales the
+  // counts by its own leaves' drops into one flat (run, leaf) table (one
+  // disjoint slice per unique run — aliases share it).  Candidates look
+  // their leaf's term up and accumulate over particles in index order,
+  // repeating each run's term per alias, which matches a per-particle
+  // summation bit-for-bit.
   size_t Np = Particles.size();
-  size_t NumGroups = uniqueRunCount();
+  size_t NumRuns = uniqueRunCount();
+  LineageGroups Lin = lineageGroups();
   std::vector<size_t> Base = runNodeBases();
-  std::vector<double> Terms(Base[NumGroups], 0.0);
-  shardedFor(Ctx.Pool, NumGroups, 8, [&](size_t, size_t Begin, size_t End) {
-    for (size_t G = Begin; G != End; ++G) {
-      const Particle &P = Particles[RunOffsets[G]];
-      double *Term = Terms.data() + Base[G];
+  std::vector<double> Terms(Base[NumRuns], 0.0);
+  shardedFor(Ctx.Pool, Lin.size(), 8, [&](size_t, size_t Begin, size_t End) {
+    std::vector<double> Counts;
+    for (size_t L = Begin; L != End; ++L) {
       // Count first (exact in a double), then scale each occupied leaf:
       // Count * leafVarianceDrop, the per-(candidate, run) product.
+      const Tree &T = *Lin.Trees[L];
+      Counts.assign(T.Nodes.size(), 0.0);
       for (size_t R = 0; R != Reference.size(); ++R)
-        Term[size_t(findLeaf(*P.T, Reference.row(R)))] += 1.0;
-      for (size_t I = 0; I != P.T->Nodes.size(); ++I)
-        if (Term[I] != 0.0)
-          Term[I] *= leafVarianceDrop(leafStats(P, int32_t(I)));
+        Counts[size_t(findLeaf(T, Reference.row(R)))] += 1.0;
+      for (uint32_t K = Lin.Offsets[L]; K != Lin.Offsets[L + 1]; ++K) {
+        size_t G = Lin.Runs[K];
+        const Particle &P = Particles[RunOffsets[G]];
+        double *Term = Terms.data() + Base[G];
+        for (size_t I = 0; I != Counts.size(); ++I)
+          if (Counts[I] != 0.0)
+            Term[I] = Counts[I] * leafVarianceDrop(leafStats(P, int32_t(I)));
+      }
     }
   });
 
   std::vector<double> Scores(Candidates.size(), 0.0);
   shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
-    for (size_t C = Begin; C != End; ++C) {
-      const double *Row = Candidates.row(C);
-      double Total = 0.0;
-      for (size_t G = 0; G != NumGroups; ++G) {
-        const Particle &P = Particles[RunOffsets[G]];
-        double Term = Terms[Base[G] + size_t(findLeaf(*P.T, Row))];
-        // No reference point in the leaf.  (A zero product would add
-        // nothing either: Total starts at +0.0 and never becomes -0.0.)
-        if (Term == 0.0)
-          continue;
-        for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I)
-          Total += Term;
+    size_t Len = End - Begin, Stride = paddedRows(Len);
+    std::vector<int32_t> Leaves(Lin.size() * Stride, 0);
+    walkLineages(Lin, Candidates, Begin, End, Stride, Leaves.data());
+    for (size_t C = 0; C < Len; C += RowBlock) {
+      // A leaf without reference points reads +0.0, which adds nothing:
+      // a total starts at +0.0 and never becomes -0.0.
+      RowPair TotalA = {}, TotalB = {};
+      for (size_t G = 0; G != NumRuns; ++G) {
+        const int32_t *Leaf = Leaves.data() + size_t(Lin.Of[G]) * Stride + C;
+        const double *Run = Terms.data() + Base[G];
+        RowPair TermA = {Run[Leaf[0]], Run[Leaf[1]]};
+        RowPair TermB = {Run[Leaf[2]], Run[Leaf[3]]};
+        for (size_t I = RunOffsets[G]; I != RunOffsets[G + 1]; ++I) {
+          TotalA += TermA;
+          TotalB += TermB;
+        }
       }
-      Scores[C] = Total / double(Np);
+      double Total[RowBlock] = {TotalA[0], TotalA[1], TotalB[0], TotalB[1]};
+      for (size_t K = 0; K != RowBlock && C + K != Len; ++K)
+        Scores[Begin + C + K] = Total[K] / double(Np);
     }
   });
   if (Ctx.Stats) {
     // Both phases count: the per-candidate walks and the reference pass.
-    uint64_t NaiveWalks =
-        uint64_t(Np) * (Candidates.size() + Reference.size());
-    uint64_t DoneWalks =
-        uint64_t(NumGroups) * (Candidates.size() + Reference.size());
+    uint64_t Rows = Candidates.size() + Reference.size();
     Ctx.Stats->CandidatesScored.fetch_add(Candidates.size(),
                                           std::memory_order_relaxed);
-    Ctx.Stats->ParticleTerms.fetch_add(NaiveWalks, std::memory_order_relaxed);
-    Ctx.Stats->UniqueLeafWalks.fetch_add(DoneWalks,
+    Ctx.Stats->ParticleTerms.fetch_add(uint64_t(Np) * Rows,
+                                       std::memory_order_relaxed);
+    Ctx.Stats->UniqueLeafWalks.fetch_add(uint64_t(Lin.size()) * Rows,
                                          std::memory_order_relaxed);
   }
   return Scores;

@@ -57,14 +57,25 @@
 ///
 ///  * **Unique-run deduplicated scoring.**  Copy-on-write resampling
 ///    leaves duplicate particles *contiguous*, sharing one tree pointer
-///    and identical pending lists, so their per-candidate leaf walks and
-///    posteriors are equal by construction.  A run index groups
-///    consecutive particles by (tree identity, pending fingerprint);
-///    reweighting, predict(), almScores(), and alcScores() evaluate each
-///    run once and accumulate the result per particle in original index
-///    order — bit-for-bit the sums the naive per-particle path produces,
-///    at a fraction of the walks.  The same index lets propagate() reuse
-///    the new point's leaf, stats and bounds across consecutive aliases.
+///    and identical pending lists, so their leaf posteriors are equal by
+///    construction.  A run index groups consecutive particles by (tree
+///    identity, pending fingerprint); reweighting, predict(), almScores(),
+///    and alcScores() evaluate each run once and accumulate the result
+///    per particle in original index order — bit-for-bit the sums the
+///    naive per-particle path produces.  The same index lets propagate()
+///    reuse the new point's leaf, stats and bounds across consecutive
+///    aliases.
+///
+///  * **One leaf walk per split lineage.**  Only grow and prune change a
+///    tree's splits, and each compacts the tree in preorder and gives it
+///    a fresh lineage id; stays, clones and flushes keep it.  Trees of
+///    one lineage therefore send every row to the same node index, however
+///    their leaf statistics have drifted apart.  almScores(), alcScores()
+///    and predictBatch() group the unique runs by lineage and walk every
+///    row once per lineage, tree-major (one tree, many rows), into a
+///    per-lineage slice of leaf indices.  Each run then reads its leaves'
+///    terms through its lineage's slice and adds them, in particle order,
+///    to four rows' sums at once in vector lanes.
 ///
 ///  * **One-pass grow scans.**  A grow proposal draws four (dimension,
 ///    cut) tries and scores them in one pass over the leaf's points, two
@@ -75,7 +86,7 @@
 ///    count times expected variance drop) and its ALM moments depend on
 ///    the run and the leaf, never on the candidate.  alcScores(),
 ///    almScores() and predictBatch() fill one flat (run, leaf) table per
-///    call, then a row costs one leaf walk and one lookup per run.  The SMC
+///    call, then a row costs one lookup per run.  The SMC
 ///    moves read the split prior and the Student-t normalizer from
 ///    depth- and count-indexed tables.  Every table entry is the exact
 ///    expression the direct call evaluates, so scores and updates are
@@ -221,6 +232,11 @@ private:
     std::vector<Node> Nodes;
     std::vector<PtsChunk> Chunks;
     std::vector<double> Bounds;
+    /// Split lineage: 0 for a one-leaf tree, else the freshLineage() of
+    /// the grow or prune that last changed the splits.  Copies keep it and
+    /// only those two moves reset it, each right after compact(), so
+    /// trees of one lineage hold equal splits at equal node indices.
+    uint64_t Lineage = 0;
   };
 
   /// A data point absorbed by a "stay" move but not yet written into the
@@ -253,7 +269,9 @@ private:
   };
 
   /// Index of the leaf of \p T containing \p X (pending points never
-  /// change structure, so the walk needs no overlay checks).
+  /// change structure, so the walk needs no overlay checks).  The child is
+  /// an arithmetic select, not a branch: tree-major callers walk one tree
+  /// for many rows, whose turns no predictor can learn.
   int32_t findLeaf(const Tree &T, const double *X) const;
 
   LeafStats leafStats(const Particle &P, int32_t LeafIdx) const;
@@ -282,13 +300,32 @@ private:
   /// run R's nodes occupy [Base[R], Base[R + 1]).
   std::vector<size_t> runNodeBases() const;
 
+  /// The unique runs grouped by tree lineage, in lineage-id order: run R
+  /// belongs to lineage Of[R]; lineage L holds runs
+  /// Runs[Offsets[L], Offsets[L + 1]) in particle order and is walked
+  /// through Trees[L], the tree of its first run.
+  struct LineageGroups {
+    std::vector<uint32_t> Of, Runs, Offsets;
+    std::vector<const Tree *> Trees;
+    size_t size() const { return Trees.size(); }
+  };
+  LineageGroups lineageGroups() const;
+
+  /// Walks rows [Begin, End) of \p Rows through every lineage's tree,
+  /// tree-major: Out[L * Stride + R - Begin] is the leaf of row R in
+  /// lineage L (Stride >= End - Begin).
+  void walkLineages(const LineageGroups &Lin, const FlatRows &Rows,
+                    size_t Begin, size_t End, size_t Stride,
+                    int32_t *Out) const;
+
   /// predict() at each of the first \p Count rows of \p Rows, sharded
-  /// over \p Ctx's pool and grid.  A leaf's mixture addends depend on the
+  /// over \p Ctx's pool and grid; returns the number of lineages, each of
+  /// which walks every row once.  A leaf's mixture addends depend on the
   /// run and the leaf only, so they fill one flat (run, leaf) table first;
-  /// a row then costs one leaf walk and one lookup per run.  The one path
-  /// behind almScores() and predictBatch().
-  void mixtureBatch(const FlatRows &Rows, size_t Count,
-                    const ScoreContext &Ctx, Prediction *Out) const;
+  /// a row then costs one lookup per run.  The one path behind
+  /// almScores() and predictBatch().
+  size_t mixtureBatch(const FlatRows &Rows, size_t Count,
+                      const ScoreContext &Ctx, Prediction *Out) const;
 
   /// Gives \p P sole ownership of its tree with all pending points
   /// flushed: in place when already unique, by cloning when shared.
@@ -356,8 +393,10 @@ private:
   /// \p Scratch was built for (the run index pins this); otherwise the
   /// scratch is rebuilt.  Reuse changes no arithmetic — the cached leaf,
   /// stats and bounds are bitwise the ones this particle would compute.
+  /// A grow, or a prune that leaves more than one leaf, gives the tree
+  /// lineage \p NewLineage.
   void propagate(Particle &P, uint32_t PointIdx, Rng &R, GrowScratch &Scratch,
-                 bool ReuseScan);
+                 bool ReuseScan, uint64_t NewLineage);
 
   /// Recomputes the unique-particle run index (RunOffsets / RunOf) by
   /// grouping consecutive particles with one tree identity and one
@@ -378,6 +417,13 @@ private:
   /// a pure function of (Config.Seed, Step, Index), so neither thread
   /// count nor particle scheduling order can perturb the draws.
   Rng particleRng(uint64_t Step, size_t Index) const;
+
+  /// The lineage a grow or prune by particle \p Index at SMC step \p Step
+  /// starts: nonzero and distinct for every (Step, Index).  A particle
+  /// moves once per step, so no two moves share an id.
+  static uint64_t freshLineage(uint64_t Step, size_t Index) {
+    return ((Step + 1) << 32) | uint64_t(Index);
+  }
 
   /// Extends the count-indexed logMarginal and Student-t tables to leaf
   /// counts up to \p MaxN, and the depth-indexed split-prior tables to

@@ -12,7 +12,6 @@
 #include "support/FailPoint.h"
 #include "support/Format.h"
 #include "support/Json.h"
-#include "support/Parse.h"
 #include "support/Rng.h"
 #include "support/Scheduler.h"
 #include "support/Serialize.h"
@@ -36,46 +35,8 @@
 using namespace alic;
 
 //===----------------------------------------------------------------------===//
-// Tokens, keys, fingerprints
+// Keys, fingerprints
 //===----------------------------------------------------------------------===//
-
-const char *alic::modelToken(ModelKind Kind) {
-  if (const char *Token = tokenOf(ModelTokens, Kind))
-    return Token;
-  alic_unreachable("unknown model kind");
-}
-
-const char *alic::scorerToken(ScorerKind Kind) {
-  if (const char *Token = tokenOf(ScorerTokens, Kind))
-    return Token;
-  alic_unreachable("unknown scorer kind");
-}
-
-std::string alic::planToken(const SamplingPlan &Plan) {
-  const char *Family = tokenOf(PlanTokens, Plan.PlanKind);
-  if (!Family)
-    alic_unreachable("unknown plan kind");
-  unsigned Count = Plan.PlanKind == SamplingPlan::Kind::Fixed
-                       ? Plan.FixedObservations
-                       : Plan.MaxObservationsPerExample;
-  return std::string(Family) + ":" + std::to_string(Count);
-}
-
-bool alic::parsePlanToken(const std::string &Text, SamplingPlan &Out) {
-  size_t Colon = Text.find(':');
-  SamplingPlan::Kind Kind;
-  uint64_t Count = 0;
-  if (Colon == std::string::npos ||
-      !parseToken(PlanTokens, Text.substr(0, Colon), Kind) ||
-      !parseCount(Text.substr(Colon + 1), std::numeric_limits<unsigned>::max(),
-                  Count) ||
-      Count == 0)
-    return false;
-  Out = Kind == SamplingPlan::Kind::Fixed
-            ? SamplingPlan::fixed(unsigned(Count))
-            : SamplingPlan::sequential(unsigned(Count));
-  return true;
-}
 
 std::vector<SamplingPlan> alic::defaultCampaignPlans(const ExperimentScale &S) {
   return {SamplingPlan::fixed(35), SamplingPlan::fixed(1),

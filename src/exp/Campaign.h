@@ -43,7 +43,6 @@
 
 #include "exp/Runner.h"
 #include "support/Error.h"
-#include "support/TokenTable.h"
 
 #include <string>
 #include <vector>
@@ -337,35 +336,6 @@ bool runCampaign(const CampaignSpec &Spec, const CampaignOptions &Options,
 /// timestamps or host details; equal results render to equal bytes.
 std::string campaignJson(const CampaignSpec &Spec,
                          const CampaignResult &Result);
-
-/// Every ModelKind and its token.  Printing and parsing both read this
-/// table, so adding a model means adding one row.
-inline constexpr TokenRow<ModelKind> ModelTokens[] = {
-    {ModelKind::DynaTree, "dynatree"},
-    {ModelKind::Gp, "gp"}};
-
-/// Every ScorerKind and its token (see ModelTokens).
-inline constexpr TokenRow<ScorerKind> ScorerTokens[] = {
-    {ScorerKind::Alc, "alc"},
-    {ScorerKind::Alm, "alm"},
-    {ScorerKind::Random, "random"}};
-
-/// Every sampling-plan family and the token that prefixes its count in a
-/// plan token ("fixed:35", "seq:35").
-inline constexpr TokenRow<SamplingPlan::Kind> PlanTokens[] = {
-    {SamplingPlan::Kind::Fixed, "fixed"},
-    {SamplingPlan::Kind::Sequential, "seq"}};
-
-/// The model's token from ModelTokens.
-const char *modelToken(ModelKind Kind);
-/// The scorer's token from ScorerTokens.
-const char *scorerToken(ScorerKind Kind);
-/// The plan's token: its PlanTokens prefix, ':', and its count.
-std::string planToken(const SamplingPlan &Plan);
-/// Parses a planToken: a PlanTokens prefix, ':', and a positive 32-bit
-/// decimal count with nothing after it.  False (\p Out unchanged)
-/// otherwise.
-bool parsePlanToken(const std::string &Text, SamplingPlan &Out);
 
 /// The default plan list at scale \p S — the three Figure 6 sampling
 /// plans with the scale's sequential cap.  The alic_campaign CLI and the

@@ -19,6 +19,7 @@
 #include "core/ActiveLearner.h"
 #include "exp/Dataset.h"
 #include "exp/Scale.h"
+#include "support/TokenTable.h"
 
 #include <memory>
 #include <string>
@@ -31,6 +32,35 @@ enum class ModelKind {
   DynaTree, ///< the paper's dynamic-tree particle filter
   Gp,       ///< exact incremental Gaussian process comparator
 };
+
+/// Every ModelKind and its token.  Printing and parsing both read this
+/// table, so adding a model means adding one row.
+inline constexpr TokenRow<ModelKind> ModelTokens[] = {
+    {ModelKind::DynaTree, "dynatree"},
+    {ModelKind::Gp, "gp"}};
+
+/// Every ScorerKind and its token (see ModelTokens).
+inline constexpr TokenRow<ScorerKind> ScorerTokens[] = {
+    {ScorerKind::Alc, "alc"},
+    {ScorerKind::Alm, "alm"},
+    {ScorerKind::Random, "random"}};
+
+/// Every sampling-plan family and the token that prefixes its count in a
+/// plan token ("fixed:35", "seq:35").
+inline constexpr TokenRow<SamplingPlan::Kind> PlanTokens[] = {
+    {SamplingPlan::Kind::Fixed, "fixed"},
+    {SamplingPlan::Kind::Sequential, "seq"}};
+
+/// The model's token from ModelTokens.
+const char *modelToken(ModelKind Kind);
+/// The scorer's token from ScorerTokens.
+const char *scorerToken(ScorerKind Kind);
+/// The plan's token: its PlanTokens prefix, ':', and its count.
+std::string planToken(const SamplingPlan &Plan);
+/// Parses a planToken: a PlanTokens prefix, ':', and a positive 32-bit
+/// decimal count with nothing after it.  False (\p Out unchanged)
+/// otherwise.
+bool parsePlanToken(const std::string &Text, SamplingPlan &Out);
 
 /// Builds an unfitted surrogate of \p Kind sized by \p S (DynaTree
 /// particle count) and seeded deterministically from \p Seed — the one

@@ -38,23 +38,24 @@ struct Prediction {
 };
 
 /// Optional instrumentation sink for the scoring hot path.  Ensemble
-/// models that deduplicate work across identical members (DynaTree's
-/// unique-particle runs: post-resample aliases share one tree and one
-/// pending list, so their per-candidate contributions are equal) record
-/// here both the terms a naive per-member evaluation would accumulate
-/// and the leaf walks actually performed; their ratio is the dedup
-/// factor benches and tests report.  The exact GP records the kernel
-/// evaluations and forward-solve terms its scoring performs, computed
-/// once per call.  Counters are cumulative across calls and thread-safe
-/// (relaxed atomics — purely observational, so results never depend on
-/// them).
+/// models that deduplicate work across members (DynaTree walks a row once
+/// per tree lineage: members whose trees share every split land it in
+/// the same node) record here both the terms a naive per-member
+/// evaluation would accumulate and the leaf walks actually performed;
+/// their ratio is the dedup factor benches and tests report.  The exact
+/// GP records the kernel evaluations and forward-solve terms its scoring
+/// performs, computed once per call.  Counters are cumulative across
+/// calls and thread-safe (relaxed atomics — purely observational, so
+/// results never depend on them).
 struct ScoreStats {
   /// Candidates scored (alm + alc calls).
   std::atomic<uint64_t> CandidatesScored{0};
   /// Per-(candidate, ensemble-member) terms accumulated into scores —
   /// the work a naive per-member path performs.
   std::atomic<uint64_t> ParticleTerms{0};
-  /// findLeaf + leaf-posterior evaluations actually executed.
+  /// findLeaf walks actually done: DynaTree walks every scored row
+  /// (candidates, and ALC's reference rows) once per tree lineage, so
+  /// this is lineages x rows.
   std::atomic<uint64_t> UniqueLeafWalks{0};
   /// Kernel evaluations against training rows that fill forward-solve
   /// right-hand sides (the GP's k(x, x_i)).  A cached solve that already

@@ -2,7 +2,6 @@
 
 #include "serve/ServeEngine.h"
 
-#include "exp/Campaign.h"
 #include "spapt/Suite.h"
 #include "support/Error.h"
 #include "support/FailPoint.h"

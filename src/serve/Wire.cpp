@@ -2,7 +2,6 @@
 
 #include "serve/Wire.h"
 
-#include "exp/Campaign.h"
 #include "serve/ServeEngine.h"
 #include "support/Json.h"
 

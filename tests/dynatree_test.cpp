@@ -9,9 +9,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 
 using namespace alic;
 
@@ -114,6 +116,71 @@ public:
           return "chunk " + std::to_string(C) + " is dead";
     }
     return "";
+  }
+
+  /// Empty when every two trees of one lineage hold equal splits at every
+  /// node and every lineage-0 tree is a single leaf.  Otherwise the first
+  /// violation found.
+  std::string lineageViolation() const {
+    std::map<uint64_t, const DynaTree::Tree *> First;
+    for (const DynaTree::Particle &P : M.Particles) {
+      const DynaTree::Tree &T = *P.T;
+      if (T.Lineage == 0 && T.Nodes.size() != 1)
+        return "lineage 0 on a tree of " + std::to_string(T.Nodes.size()) +
+               " nodes";
+      const DynaTree::Tree &Want = *First.emplace(T.Lineage, &T).first->second;
+      if (T.Nodes.size() != Want.Nodes.size())
+        return "lineage " + std::to_string(T.Lineage) + " node counts differ";
+      for (size_t I = 0; I != T.Nodes.size(); ++I) {
+        const DynaTree::Node &A = T.Nodes[I], &B = Want.Nodes[I];
+        if (A.Left != B.Left || A.Right != B.Right ||
+            A.SplitDim != B.SplitDim ||
+            std::memcmp(&A.SplitValue, &B.SplitValue, sizeof(double)) != 0)
+          return "lineage " + std::to_string(T.Lineage) +
+                 " splits differ at node " + std::to_string(I);
+      }
+    }
+    return "";
+  }
+
+  /// Distinct lineages among the particles' trees.
+  size_t lineageCount() const {
+    std::set<uint64_t> Ids;
+    for (const DynaTree::Particle &P : M.Particles)
+      Ids.insert(P.T->Lineage);
+    return Ids.size();
+  }
+
+  /// Lineages whose particles hold two or more distinct tree objects:
+  /// copies whose leaf statistics may have drifted apart.
+  size_t lineagesOverSeveralTrees() const {
+    std::map<uint64_t, std::set<const DynaTree::Tree *>> Trees;
+    for (const DynaTree::Particle &P : M.Particles)
+      Trees[P.T->Lineage].insert(P.T.get());
+    size_t Count = 0;
+    for (const auto &[Lineage, Set] : Trees)
+      Count += Set.size() > 1;
+    return Count;
+  }
+
+  /// Particle \p I's tree: its lineage and its (Left, Right, SplitDim,
+  /// SplitValue bits) per node.
+  uint64_t lineage(size_t I) const { return M.Particles[I].T->Lineage; }
+  std::vector<std::tuple<int32_t, int32_t, int16_t, uint64_t>>
+  splits(size_t I) const {
+    std::vector<std::tuple<int32_t, int32_t, int16_t, uint64_t>> Out;
+    for (const DynaTree::Node &N : M.Particles[I].T->Nodes) {
+      uint64_t Bits;
+      std::memcpy(&Bits, &N.SplitValue, sizeof(Bits));
+      Out.emplace_back(N.Left, N.Right, N.SplitDim, Bits);
+    }
+    return Out;
+  }
+
+  /// The lineage a grow or prune of particle \p I starts in the model's
+  /// next update.
+  uint64_t nextFreshLineage(size_t I) const {
+    return DynaTree::freshLineage(M.StepCounter, I);
   }
 
   /// Particles deferring at least one "stay" absorption.
@@ -810,6 +877,136 @@ TEST(DynaTreeTest, DedupBitIdenticalOnWeightConcentratedState) {
   }
 }
 
+TEST(DynaTreeTest, TreesOfOneLineageHoldEqualSplits) {
+  // Scoring walks a row once per lineage and reads every run of that
+  // lineage through the one walk, so any two trees sharing a lineage must
+  // hold the same splits at the same node indices, whatever their leaf
+  // statistics.  Generated streams over several ensemble sizes and seeds,
+  // with outliers that concentrate resampling, serial and pooled; checked
+  // after every update.
+  Scenario S(200);
+  Scheduler Pool(4);
+  for (int Case = 0; Case != 6; ++Case) {
+    DynaTree M(smallConfig(Case % 2 ? 60u : 250u, 41 + uint64_t(Case)));
+    if (Case >= 4)
+      M.setScheduler(&Pool);
+    DynaTreeNaiveReference Ref(M);
+    M.fit({S.X.begin(), S.X.begin() + 40}, {S.Y.begin(), S.Y.begin() + 40});
+    ASSERT_EQ(Ref.lineageViolation(), "") << "case " << Case << ", fit";
+    Rng Outliers{uint64_t(Case)};
+    for (size_t I = 40; I != S.X.size(); ++I) {
+      bool Outlier = Outliers.nextBounded(25) == 0;
+      M.update(S.X[I], Outlier ? 40.0 : S.Y[I]);
+      ASSERT_EQ(Ref.lineageViolation(), "")
+          << "case " << Case << ", after point " << I;
+    }
+    EXPECT_GT(Ref.lineageCount(), 1u) << "case " << Case << ": no grow";
+  }
+}
+
+TEST(DynaTreeTest, GrowAndPruneStartNewLineages) {
+  // One-particle ensembles keep a single line of descent, so each update
+  // is one visible move: a grow adds two nodes, a prune removes two, a
+  // stay keeps the splits.  A grow or a prune must start the lineage
+  // freshLineage() names for that step and particle, a prune back to one
+  // leaf must set 0, and a stay must keep both lineage and splits.
+  unsigned Grows = 0, Prunes = 0, PrunesToRoot = 0, Stays = 0;
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    Rng R(Seed);
+    std::vector<std::vector<double>> X;
+    std::vector<double> Y;
+    for (int I = 0; I != 70; ++I) {
+      double A = R.nextUniform(-1, 1);
+      X.push_back({A, R.nextUniform(-1, 1)});
+      Y.push_back(stepFn(A) + R.nextGaussian());
+    }
+    DynaTree M(smallConfig(1, Seed));
+    DynaTreeNaiveReference Ref(M);
+    M.fit({X.begin(), X.begin() + 6}, {Y.begin(), Y.begin() + 6});
+    for (size_t I = 6; I != X.size(); ++I) {
+      uint64_t Before = Ref.lineage(0), Fresh = Ref.nextFreshLineage(0);
+      auto OldSplits = Ref.splits(0);
+      M.update(X[I], Y[I]);
+      auto NewSplits = Ref.splits(0);
+      SCOPED_TRACE("seed " + std::to_string(Seed) + ", point " +
+                   std::to_string(I));
+      if (NewSplits.size() == OldSplits.size() + 2) {
+        ++Grows;
+        EXPECT_EQ(Ref.lineage(0), Fresh);
+      } else if (NewSplits.size() + 2 == OldSplits.size()) {
+        ++Prunes;
+        PrunesToRoot += NewSplits.size() == 1;
+        EXPECT_EQ(Ref.lineage(0), NewSplits.size() == 1 ? 0 : Fresh);
+      } else {
+        ++Stays;
+        EXPECT_EQ(Ref.lineage(0), Before);
+        EXPECT_EQ(NewSplits, OldSplits);
+      }
+    }
+  }
+  EXPECT_GT(Grows, 0u);
+  EXPECT_GT(Prunes, PrunesToRoot) << "no prune kept a split";
+  EXPECT_GT(PrunesToRoot, 0u);
+  EXPECT_GT(Stays, 0u);
+}
+
+TEST(DynaTreeTest, LineageScoringBitIdenticalToNaiveReference) {
+  // The state lineage scoring exists for: a weight-concentrating outlier
+  // collapses resampling onto a few trees, then stays fill the aliases'
+  // pending lists until they flush into private copies, so one lineage
+  // spans several runs and several tree objects whose leaf statistics
+  // differ.  alcScores, almScores and predictBatch walk each row once
+  // per lineage and must still match the per-particle reference bitwise,
+  // serially and on a pool, and count exactly the walks they do.
+  Scenario S(160);
+  DynaTree M(smallConfig(300, 23));
+  M.fit({S.X.begin(), S.X.begin() + 40}, {S.Y.begin(), S.Y.begin() + 40});
+  for (size_t I = 40; I != 120; ++I)
+    M.update(S.X[I], S.Y[I]);
+  M.update({0.9, 0.9}, 60.0);
+  for (size_t I = 120; I != 132; ++I) // more stays than a pending list holds
+    M.update(S.X[I], S.Y[I]);
+  DynaTreeNaiveReference Naive(M);
+  size_t Lineages = Naive.lineageCount();
+  ASSERT_LT(Lineages, M.uniqueRunCount()) << "no lineage spans two runs";
+  ASSERT_GT(Naive.lineagesOverSeveralTrees(), 0u)
+      << "no lineage spans two tree objects";
+
+  FlatRows Cands, Ref(S.X.begin() + 100, S.X.begin() + 150);
+  Rng Draw(77);
+  for (int I = 0; I != 45; ++I) // a partial row block and a partial shard
+    Cands.push({Draw.nextUniform(-1, 1), Draw.nextUniform(-1, 1)});
+  std::vector<double> WantAlm = Naive.almScores(Cands);
+  std::vector<double> WantAlc = Naive.alcScores(Cands, Ref);
+  std::vector<uint64_t> WantBatch;
+  for (size_t C = 0; C != Cands.size(); ++C) {
+    Prediction P = Naive.predict(Cands[C]);
+    WantBatch.insert(WantBatch.end(), {bits(P.Mean), bits(P.Variance)});
+  }
+  for (unsigned Workers : {0u, 4u}) {
+    std::unique_ptr<Scheduler> Pool;
+    if (Workers != 0)
+      Pool = std::make_unique<Scheduler>(Workers);
+    ScoreStats Stats;
+    ScoreContext Ctx;
+    Ctx.Pool = Pool.get();
+    Ctx.Stats = &Stats;
+    EXPECT_EQ(WantAlm, M.almScores(Cands, Ctx)) << Workers << " workers";
+    EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref, Ctx)) << Workers << " workers";
+    EXPECT_EQ(Stats.UniqueLeafWalks.load(),
+              Lineages * (2 * Cands.size() + Ref.size()))
+        << Workers << " workers";
+    M.setScheduler(Pool.get()); // predictBatch shards on the model's pool
+    std::vector<Prediction> Batch(Cands.size());
+    M.predictBatch(Cands, Cands.size(), Batch.data());
+    M.setScheduler(nullptr);
+    std::vector<uint64_t> GotBatch;
+    for (const Prediction &P : Batch)
+      GotBatch.insert(GotBatch.end(), {bits(P.Mean), bits(P.Variance)});
+    EXPECT_EQ(WantBatch, GotBatch) << Workers << " workers";
+  }
+}
+
 TEST(DynaTreeTest, GrowScanMatchesPerTryScan) {
   // scoreGrowTries() scores all tries in one vector pass; each try's sums
   // must be bitwise those of a scan of that try alone.  Generated
@@ -917,7 +1114,10 @@ TEST(DynaTreeTest, RunIndexCountersSane) {
   EXPECT_LE(M.duplicateFraction(), 1.0);
 
   // The instrumentation must account walks exactly: naive terms are
-  // candidates * particles; the dedup path walks candidates * runs.
+  // candidates * particles; the scoring paths walk each row once per
+  // tree lineage, and lineages never outnumber runs.
+  size_t Lineages = DynaTreeNaiveReference(M).lineageCount();
+  EXPECT_LE(Lineages, M.uniqueRunCount());
   ScoreStats Stats;
   ScoreContext Ctx;
   Ctx.Stats = &Stats;
@@ -925,15 +1125,14 @@ TEST(DynaTreeTest, RunIndexCountersSane) {
   M.almScores(Cands, Ctx);
   EXPECT_EQ(Stats.CandidatesScored.load(), 3u);
   EXPECT_EQ(Stats.ParticleTerms.load(), 3u * 300u);
-  EXPECT_EQ(Stats.UniqueLeafWalks.load(), 3u * M.uniqueRunCount());
+  EXPECT_EQ(Stats.UniqueLeafWalks.load(), 3u * Lineages);
   EXPECT_GE(Stats.dedupFactor(), 1.0);
 
   FlatRows Ref = {{-0.8}, {-0.2}, {0.4}, {0.9}};
   M.alcScores(Cands, Ref, Ctx);
   EXPECT_EQ(Stats.CandidatesScored.load(), 6u);
   EXPECT_EQ(Stats.ParticleTerms.load(), 3u * 300u + (3u + 4u) * 300u);
-  EXPECT_EQ(Stats.UniqueLeafWalks.load(),
-            (3u + 3u + 4u) * M.uniqueRunCount());
+  EXPECT_EQ(Stats.UniqueLeafWalks.load(), (3u + 3u + 4u) * Lineages);
 }
 
 TEST(DynaTreeTest, PostResampleRunsAreContiguousAliases) {
