@@ -303,9 +303,7 @@ int main() {
       Row.Workers = Workers;
       Row.FitSeconds = timeReps(Reps, [&] { M.fit(Train, TrainY); });
 
-      ScoreContext Ctx;
-      Ctx.Pool = Pool.get();
-      std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+      std::vector<double> Alc = M.alcScores(Cands, Ref);
       if (Workers == 0)
         SerialAlc = Alc;
       else if (Alc != SerialAlc) {
@@ -317,7 +315,7 @@ int main() {
       }
       Row.AlcCandidatesPerSecond =
           double(NumCands) /
-          timeReps(Reps, [&] { M.alcScores(Cands, Ref, Ctx); });
+          timeReps(Reps, [&] { M.alcScores(Cands, Ref); });
 
       if (Workers == 0) {
         Row.HasSerialColumns = true;

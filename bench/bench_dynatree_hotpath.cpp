@@ -230,8 +230,7 @@ int main() {
       for (const StateCase &Case : Cases) {
         DynaTree &Model = *Case.Model;
         ScoreStats Stats;
-        ScoreContext Ctx;
-        Ctx.Pool = Pool.get();
+        ScoreContext Ctx; // scoring shards on the model's scheduler
         Ctx.Stats = &Stats;
 
         Model.almScores(Cands, Ctx);

@@ -1,12 +1,10 @@
 //===- bench/bench_scheduler.cpp - nested scheduler benchmarks ------------===//
 //
-// Two measurements of the work-stealing scheduler that replaced the
-// fixed ThreadPool:
+// Two measurements of the nested fork-join scheduler:
 //
 //  * nested fan-out throughput — tasks/second through an outer
-//    parallelFor whose every task forks an inner parallelForShards onto
-//    the same pool (the shape the old pool could not run at all), at 1,
-//    2, and 4 workers;
+//    shardedFor whose every task forks an inner shardedFor onto the same
+//    pool, at 1, 2, and 4 workers;
 //
 //  * campaign tail latency — the motivating workload: complete the
 //    275-cell smoke campaign except for a handful of straggler cells,
@@ -58,14 +56,13 @@ FanoutRow measureFanout(unsigned Workers) {
   std::vector<uint64_t> Sink(Outer * Inner);
   double Wall = timeReps(1, [&] {
     for (size_t Round = 0; Round != Rounds; ++Round)
-      S.parallelFor(Outer, [&](size_t O) {
-        S.parallelForShards(Inner, ShardSize,
-                            [&](size_t, size_t Begin, size_t End) {
-                              for (size_t I = Begin; I != End; ++I)
-                                Sink[O * Inner + I] =
-                                    spinWork(Round * 1315423911ull +
-                                             O * Inner + I);
-                            });
+      shardedFor(&S, Outer, 1, [&](size_t O, size_t, size_t) {
+        shardedFor(&S, Inner, ShardSize,
+                   [&](size_t, size_t Begin, size_t End) {
+                     for (size_t I = Begin; I != End; ++I)
+                       Sink[O * Inner + I] =
+                           spinWork(Round * 1315423911ull + O * Inner + I);
+                   });
       });
   });
   size_t InnerShards = (Inner + ShardSize - 1) / ShardSize;
@@ -91,7 +88,7 @@ int main() {
   for (unsigned Workers : {1u, 2u, 4u})
     Fanout.push_back(measureFanout(Workers));
 
-  printBanner("nested fan-out (outer parallelFor x inner parallelForShards)");
+  printBanner("nested fan-out (outer x inner shardedFor)");
   Table FanTable({"workers", "tasks", "tasks/s"});
   for (const FanoutRow &Row : Fanout)
     FanTable.addRow({std::to_string(Row.Workers), std::to_string(Row.Tasks),

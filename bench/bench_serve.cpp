@@ -76,7 +76,9 @@ struct ServeRow {
 /// suggest/observe rounds (first one is the explore phase).  With a
 /// non-empty \p StateDir every observe appends to its session log, and
 /// the row finishes by restoring the whole population into a fresh
-/// engine.
+/// engine.  The logs stay behind (the next run clears them first):
+/// deleting 1,000 files after the timed restore took 45-65 s on a disk
+/// that discards freed blocks synchronously, and none of it was timed.
 ServeRow measureServe(const std::string &Label, size_t Sessions,
                       unsigned Threads, size_t Rounds,
                       const std::string &StateDir) {
@@ -131,7 +133,6 @@ ServeRow measureServe(const std::string &Label, size_t Sessions,
     if (Row.Restored != Sessions || Skipped)
       fatalError("restore recovered %zu/%zu sessions (%zu skipped)",
                  Row.Restored, Sessions, Skipped);
-    std::filesystem::remove_all(StateDir);
   }
   return Row;
 }

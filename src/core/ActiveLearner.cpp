@@ -53,8 +53,7 @@ ActiveLearner::ActiveLearner(const WorkloadOracle &Oracle,
                              ActiveLearnerConfig Cfg, Scheduler *Workers)
     : Model(Model), Pool(Pool), Plan(Plan), Cfg(Cfg),
       Prof(Oracle, hashCombine({Cfg.Seed, 0x50524f46ull})),
-      Generator(Cfg.Seed), Workers(Workers),
-      Policy(QueryPolicy::create(Cfg.Query)) {
+      Generator(Cfg.Seed), Policy(QueryPolicy::create(Cfg.Query)) {
   assert(!Pool.empty() && "training pool must not be empty");
   assert(Pool.rows().dim() == Norm.numDims() &&
          "pool rows were not derived with this normalizer");
@@ -132,11 +131,10 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
     return Outstanding; // unreachable given !done(), kept as a safeguard
 
   // --- Score the candidates (Alg. 1 lines 12-20) ------------------------
-  // Scorers are closed-form and shard on a fixed grid, so installing a
-  // thread pool (or changing its size) can never perturb the learner's
-  // random streams.
+  // Scorers are closed-form and shard on a fixed grid over the model's
+  // scheduler, so installing a thread pool (or changing its size) can
+  // never perturb the learner's random streams.
   ScoreContext Ctx;
-  Ctx.Pool = Workers;
 
   std::vector<size_t> Chosen;
   if (Cfg.Scorer == ScorerKind::Random) {
@@ -360,18 +358,10 @@ bool ActiveLearner::step(unsigned Batch) {
   // suggestion has nothing to measure: the empty cost vector still has
   // to be observed to advance past the declined picks.
   std::vector<double> Costs;
-  if (S.Configs.empty()) {
-    // nothing to measure
-  } else if (S.Phase == SuggestPhase::Refine &&
-             Plan.PlanKind == SamplingPlan::Kind::Sequential) {
-    // One observation per pick; sharded across the scheduler.
-    Costs = Prof.measureBatch(S.Configs, Workers);
-  } else {
-    Costs.reserve(S.Configs.size() * S.ObservationsPerConfig);
-    for (const Config &C : S.Configs) {
-      std::vector<double> Obs = Prof.measure(C, S.ObservationsPerConfig);
-      Costs.insert(Costs.end(), Obs.begin(), Obs.end());
-    }
+  Costs.reserve(S.Configs.size() * S.ObservationsPerConfig);
+  for (const Config &C : S.Configs) {
+    std::vector<double> Obs = Prof.measure(C, S.ObservationsPerConfig);
+    Costs.insert(Costs.end(), Obs.begin(), Obs.end());
   }
 
   bool Absorbed = observe(S.Ticket, Costs);

@@ -184,12 +184,10 @@ public:
   /// with the feature rows the model is trained and scored on; \p Norm
   /// is the normalizer those rows were derived with (the dataset's own —
   /// the learner checks its width and keeps no reference).  The model
-  /// must be unfitted; seeding happens on the first step()/suggest().  When
-  /// \p Workers is non-null, candidate scoring is sharded across it; the
-  /// loop's results are bit-identical with or without a scheduler, at any
-  /// worker count.  The loop itself may run inside a scheduler task (a
-  /// campaign cell): its inner shards fork onto the same pool and idle
-  /// workers steal them.
+  /// must be unfitted; seeding happens on the first step()/suggest().
+  /// \p Workers goes to setScheduler().  The loop itself may run inside
+  /// a scheduler task (a campaign cell): its inner shards fork onto the
+  /// same pool and idle workers steal them.
   ActiveLearner(const WorkloadOracle &Oracle, SurrogateModel &Model,
                 const Normalizer &Norm, const ConfigPool &Pool,
                 SamplingPlan Plan, ActiveLearnerConfig Cfg,
@@ -240,14 +238,12 @@ public:
   /// every skip decision) bit-identically.
   bool observe(uint64_t Ticket, const std::vector<double> &Costs);
 
-  /// Installs (or removes, with nullptr) the scheduler.  It shards
-  /// candidate scoring, batched measurement, and the model's internal
-  /// work (the dynamic tree's per-particle SMC update); results stay
-  /// bit-identical at any worker count.
-  void setScheduler(Scheduler *Workers) {
-    this->Workers = Workers;
-    Model.setScheduler(Workers);
-  }
+  /// Installs (or removes, with nullptr) the scheduler on the model, the
+  /// one channel of the loop's parallel work: the model shards candidate
+  /// scoring and its own updates (the dynamic tree's per-particle SMC
+  /// update) on it with shardedFor, and results stay bit-identical at
+  /// any worker count, including none.  Measurement runs serially.
+  void setScheduler(Scheduler *Workers) { Model.setScheduler(Workers); }
 
   /// True when nmax training examples have been absorbed.
   bool done() const;
@@ -286,7 +282,6 @@ private:
   ActiveLearnerConfig Cfg;
   Profiler Prof;
   Rng Generator;
-  Scheduler *Workers = nullptr;
 
   /// Indices into Pool that have never been selected.
   std::vector<uint32_t> Unseen;

@@ -881,7 +881,7 @@ size_t DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
   LineageGroups Lin = lineageGroups();
   std::vector<size_t> Base = runNodeBases();
   std::vector<LeafMoments> Table(Base[NumRuns]);
-  shardedFor(Ctx.Pool, NumRuns, 8, [&](size_t, size_t Begin, size_t End) {
+  shardedFor(Workers, NumRuns, 8, [&](size_t, size_t Begin, size_t End) {
     for (size_t G = Begin; G != End; ++G) {
       const Particle &P = Particles[RunOffsets[G]];
       const std::vector<Node> &Nodes = P.T->Nodes;
@@ -898,7 +898,7 @@ size_t DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
   // Each shard walks its rows once per lineage, then adds every run's
   // looked-up moments once per alias, runs in particle order: each row's
   // sums get predict()'s addends in predict()'s order.
-  shardedFor(Ctx.Pool, Count, Ctx.ShardSize,
+  shardedFor(Workers, Count, Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
     size_t Len = End - Begin, Stride = paddedRows(Len);
     std::vector<int32_t> Leaves(Lin.size() * Stride, 0);
@@ -937,9 +937,7 @@ size_t DynaTree::mixtureBatch(const FlatRows &Rows, size_t Count,
 
 void DynaTree::predictBatch(const FlatRows &X, size_t Count,
                             Prediction *Out) const {
-  ScoreContext Ctx;
-  Ctx.Pool = Workers;
-  mixtureBatch(X, Count, Ctx, Out);
+  mixtureBatch(X, Count, ScoreContext(), Out);
 }
 
 std::vector<double> DynaTree::almScores(const FlatRows &Candidates,
@@ -982,7 +980,7 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
   LineageGroups Lin = lineageGroups();
   std::vector<size_t> Base = runNodeBases();
   std::vector<double> Terms(Base[NumRuns], 0.0);
-  shardedFor(Ctx.Pool, Lin.size(), 8, [&](size_t, size_t Begin, size_t End) {
+  shardedFor(Workers, Lin.size(), 8, [&](size_t, size_t Begin, size_t End) {
     std::vector<double> Counts;
     for (size_t L = Begin; L != End; ++L) {
       // Count first (exact in a double), then scale each occupied leaf:
@@ -1003,7 +1001,7 @@ std::vector<double> DynaTree::alcScores(const FlatRows &Candidates,
   });
 
   std::vector<double> Scores(Candidates.size(), 0.0);
-  shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
+  shardedFor(Workers, Candidates.size(), Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
     size_t Len = End - Begin, Stride = paddedRows(Len);
     std::vector<int32_t> Leaves(Lin.size() * Stride, 0);

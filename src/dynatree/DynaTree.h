@@ -319,11 +319,11 @@ private:
                     int32_t *Out) const;
 
   /// predict() at each of the first \p Count rows of \p Rows, sharded
-  /// over \p Ctx's pool and grid; returns the number of lineages, each of
-  /// which walks every row once.  A leaf's mixture addends depend on the
-  /// run and the leaf only, so they fill one flat (run, leaf) table first;
-  /// a row then costs one lookup per run.  The one path behind
-  /// almScores() and predictBatch().
+  /// on \p Ctx's grid over the installed scheduler; returns the number of
+  /// lineages, each of which walks every row once.  A leaf's mixture
+  /// addends depend on the run and the leaf only, so they fill one flat
+  /// (run, leaf) table first; a row then costs one lookup per run.  The
+  /// one path behind almScores() and predictBatch().
   size_t mixtureBatch(const FlatRows &Rows, size_t Count,
                       const ScoreContext &Ctx, Prediction *Out) const;
 

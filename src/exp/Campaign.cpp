@@ -344,10 +344,10 @@ CellResult computeRunCell(const CampaignSpec &Spec, const CampaignCell &Cell,
   Options.Learner.BatchSize = Cell.BatchSize;
   Options.Learner.Query = Cell.Policy;
   // Nested parallelism: this cell already runs as a scheduler task, and
-  // its learner forks particle shards, scoring shards, and batched
-  // profiler draws back onto the same pool — TaskGroup::wait helps
-  // instead of blocking, so idle workers steal the inner shards at the
-  // campaign tail.  Results are bit-identical with or without Workers.
+  // its model forks particle and scoring shards back onto the same pool
+  // — TaskGroup::wait helps instead of blocking, so idle workers steal
+  // the inner shards at the campaign tail.  Results are bit-identical
+  // with or without Workers.
   Options.Workers = Workers;
   uint64_t Seed = hashCombine({Spec.BaseRunSeed, uint64_t(Cell.Rep)});
   CellResult Result;

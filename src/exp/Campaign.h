@@ -13,10 +13,10 @@
 /// cells, submits the cells as top-level tasks of a work-stealing
 /// Scheduler, and checkpoints every completed cell to a crash-safe JSONL
 /// ledger.  Cells are *nested-parallel*: each cell's learner forks its
-/// inner work (DynaTree particle shards, GP scoring shards, batched
-/// profiler draws) onto the same scheduler, so when the campaign tail
-/// leaves fewer cells than workers, the idle workers steal the straggler
-/// cells' inner shards instead of spinning down.
+/// inner work (DynaTree particle shards, GP and DynaTree scoring shards)
+/// onto the same scheduler, so when the campaign tail leaves fewer cells
+/// than workers, the idle workers steal the straggler cells' inner
+/// shards instead of spinning down.
 ///
 /// Determinism contract (regression-tested):
 ///  * every cell is a pure function of its key — cells never share mutable

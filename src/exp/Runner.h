@@ -108,8 +108,8 @@ struct RunOptions {
   /// Multiplies every drawn measurement's noise (future-work experiment);
   /// 1.0 = the benchmark's calibrated noise.
   double NoiseScale = 1.0;
-  /// Shards candidate scoring, batched measurement, and model-internal
-  /// work across this scheduler when non-null; curves are bit-identical
+  /// Installed on the model, which shards candidate scoring and its
+  /// updates across it when non-null; curves are bit-identical
   /// with or without it.  The run may itself execute inside a task of
   /// the same scheduler (nested parallelism — the campaign path).
   Scheduler *Workers = nullptr;

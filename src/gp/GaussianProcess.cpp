@@ -284,7 +284,7 @@ GaussianProcess::solveRows(std::initializer_list<RowBlock> Blocks,
                    [](const Stale &A, const Stale &B) {
                      return A.Start > B.Start;
                    });
-  shardedFor(Ctx.Pool, Work.size(), Ctx.ShardSize,
+  shardedFor(Workers, Work.size(), Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
                thread_local std::vector<double *> Rhs;
                thread_local std::vector<size_t> Starts;
@@ -357,7 +357,7 @@ std::vector<double> GaussianProcess::alcScores(const FlatRows &Candidates,
   // addends in index order I whichever loop runs outermost, so the
   // scores are bit-identical at any thread count.
   std::vector<double> Scores(NumCand, 0.0);
-  shardedFor(Ctx.Pool, NumCand, Ctx.ShardSize,
+  shardedFor(Workers, NumCand, Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
     thread_local std::vector<double> Cov;
     Cov.resize(NumRef);

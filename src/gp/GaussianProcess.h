@@ -100,8 +100,9 @@ public:
   size_t numObservations() const override { return DataX.size(); }
 
   /// Blocked factorization: refits fork panel trailing updates (and the
-  /// kernel-matrix fill) onto \p Workers; results are bit-identical at
-  /// any worker count (see linalg/Cholesky.h).
+  /// kernel-matrix fill) onto \p W, and scoring shards its solves and
+  /// candidates on it; results are bit-identical at any worker count
+  /// (see linalg/Cholesky.h).
   void setScheduler(Scheduler *W) override { Workers = W; }
 
   /// Log marginal likelihood of the current fit.

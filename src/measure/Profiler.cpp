@@ -3,7 +3,6 @@
 #include "measure/Profiler.h"
 
 #include "support/Error.h"
-#include "support/Scheduler.h"
 
 #include <cassert>
 
@@ -60,44 +59,11 @@ std::vector<double> Profiler::measure(const Config &C, unsigned Count) {
   return Observations;
 }
 
-std::vector<double> Profiler::measureBatch(const std::vector<Config> &Batch,
-                                           Scheduler *Pool) {
-  // Serial pass: resolve per-config state (charging compilations in batch
-  // order) and assign each entry its observation index.  Duplicated
-  // configurations get consecutive indices, exactly as sequential
-  // measureOnce calls would.
-  struct Draw {
-    double Mean;
-    double SigmaRel;
-    uint64_t Stream;
-    uint64_t Index;
-  };
-  std::vector<Draw> Draws;
-  Draws.reserve(Batch.size());
-  for (const Config &C : Batch) {
-    ConfigState &State = stateFor(C, /*ChargeCompile=*/true);
-    Draws.push_back({State.CachedMean, State.CachedSigmaRel,
-                     hashCombine({StreamSeed, Oracle.space().key(C)}),
-                     State.Observations});
-    ++State.Observations;
-  }
-
-  // Parallel pass: the draws are pure functions of their stream and
-  // index, so sharding writes disjoint outputs with no shared state.
-  std::vector<double> Observations(Batch.size());
-  const NoiseProfile &Noise = Oracle.noise();
-  shardedFor(Pool, Draws.size(), 16, [&](size_t, size_t Begin, size_t End) {
-    for (size_t I = Begin; I != End; ++I)
-      Observations[I] = drawMeasurement(Noise, Draws[I].Mean,
-                                        Draws[I].SigmaRel, Draws[I].Stream,
-                                        Draws[I].Index);
-  });
-
-  // Serial pass: charge the ledger in batch order.
-  for (double Observation : Observations) {
-    Ledger.RunSeconds += Observation;
-    ++Ledger.Runs;
-  }
+std::vector<double> Profiler::measureBatch(const std::vector<Config> &Batch) {
+  std::vector<double> Observations;
+  Observations.reserve(Batch.size());
+  for (const Config &C : Batch)
+    Observations.push_back(measureOnce(C));
   return Observations;
 }
 

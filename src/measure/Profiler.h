@@ -27,8 +27,6 @@
 
 namespace alic {
 
-class Scheduler;
-
 /// Ground-truth provider for one tunable workload.
 class WorkloadOracle {
 public:
@@ -79,15 +77,10 @@ public:
   /// Profiles \p C \p Count times and returns all observations.
   std::vector<double> measure(const Config &C, unsigned Count);
 
-  /// Profiles every configuration of \p Batch once, sharding the noise
-  /// draws across \p Pool (nullptr measures inline).  Bit-identical to
-  /// calling measureOnce on each entry in order — duplicates in the batch
-  /// receive consecutive per-config observation indices — because samples
-  /// are counter-based; the ledger is charged serially in batch order.
-  /// May be called from inside a scheduler task: the draw shards fork
-  /// onto the same pool.
-  std::vector<double> measureBatch(const std::vector<Config> &Batch,
-                                   Scheduler *Pool = nullptr);
+  /// Profiles every configuration of \p Batch once, in batch order:
+  /// the same as calling measureOnce on each entry (duplicates in the
+  /// batch receive consecutive per-config observation indices).
+  std::vector<double> measureBatch(const std::vector<Config> &Batch);
 
   /// The value observation \p SampleIndex of \p C would have: a pure
   /// function of (StreamSeed, key(C), SampleIndex).  Does not advance the

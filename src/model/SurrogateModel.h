@@ -74,19 +74,17 @@ struct ScoreStats {
   }
 };
 
-/// Execution context for batched candidate scoring.  The active learner
-/// scores a 500-candidate pool against a 100-point reference set every
-/// iteration; this context lets models shard that work across the
-/// work-stealing scheduler while staying bit-identical to the sequential
-/// path: shards are cut on a grid that depends only on the candidate
-/// count (never the worker count), and each shard writes disjoint
-/// outputs.  Scoring may itself run inside a scheduler task (a campaign
-/// cell): the shards then fork onto the same pool, and idle workers
-/// steal them.
+/// Context for batched candidate scoring.  The active learner scores a
+/// 500-candidate pool against a 100-point reference set every iteration.
+/// Models shard that work with shardedFor on the scheduler setScheduler()
+/// installed (none means score sequentially), the one channel their
+/// updates and predictBatch() use too, and stay bit-identical to the
+/// sequential path: shards are cut on a grid that depends only on the
+/// candidate count and ShardSize (never the worker count), and each
+/// shard writes disjoint outputs.  Scoring may itself run inside a
+/// scheduler task (a campaign cell): the shards then fork onto the same
+/// pool, and idle workers steal them.
 struct ScoreContext {
-  /// Scheduler to shard the scoring over; null means score sequentially.
-  Scheduler *Pool = nullptr;
-
   /// Candidates per shard.  Fixed by the caller, not derived from the
   /// thread count, so the shard grid is reproducible everywhere.
   size_t ShardSize = 32;
@@ -144,8 +142,9 @@ public:
 
   /// ALC scores: expected reduction of summed predictive variance over
   /// \p Reference if the candidate were observed (higher = more useful).
-  /// Implementations must honor \p Ctx: scored in parallel over its pool,
-  /// the result must be bit-identical to the sequential run.
+  /// Implementations must honor \p Ctx: scored in parallel on the
+  /// installed scheduler, the result must be bit-identical to the
+  /// sequential run.
   virtual std::vector<double>
   alcScores(const FlatRows &Candidates, const FlatRows &Reference,
             const ScoreContext &Ctx = ScoreContext()) const = 0;
@@ -154,11 +153,12 @@ public:
   virtual size_t numObservations() const = 0;
 
   /// Installs (or removes, with nullptr) the scheduler models may use to
-  /// parallelize their *internal* work — e.g. the dynamic tree shards its
-  /// per-particle SMC update.  Nesting is legal: when the model already
-  /// runs inside a scheduler task, its inner shards fork onto the same
-  /// pool.  Implementations must keep results bit-identical at any
-  /// worker count, including none.
+  /// parallelize their work — e.g. the dynamic tree shards its
+  /// per-particle SMC update, and the models shard candidate scoring on
+  /// it.  Nesting is legal: when the model already runs inside a
+  /// scheduler task, its inner shards fork onto the same pool.
+  /// Implementations must keep results bit-identical at any worker
+  /// count, including none.
   virtual void setScheduler(Scheduler *Workers) { (void)Workers; }
 };
 

@@ -1,4 +1,4 @@
-//===- support/Scheduler.h - Work-stealing nested scheduler ---*- C++ -*-===//
+//===- support/Scheduler.h - Nested fork-join scheduler -------*- C++ -*-===//
 //
 // Part of the ALIC project: a reproduction of "Minimizing the Cost of
 // Iterative Compilation with Active Learning" (Ogilvie et al., CGO 2017).
@@ -6,43 +6,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A work-stealing scheduler that makes *nested* parallelism legal: one
+/// A fork-join scheduler that makes *nested* parallelism legal: one
 /// worker pool serves every layer of the system, from campaign cells down
-/// to DynaTree particle shards, GP scoring shards, and batched
-/// profiler draws.
+/// to DynaTree particle shards, GP kernel and Cholesky shards, and
+/// scoring shards.
 ///
-/// The predecessor (a fixed-size ThreadPool with one shared queue and a
-/// blocking join) spent its whole parallelism budget at whatever
-/// granularity first touched it: a pool task that re-entered the pool
-/// deadlocked or serialized, so campaign cells had to keep their learners
-/// model-internally sequential, and finished workers idled while the last
-/// straggler cells ran alone.  This scheduler removes that restriction:
+/// shardedFor is the one fork-join entry point.  It cuts [0, N) into a
+/// fixed shard grid once; given a scheduler and more than one shard it
+/// forks the shards through a TaskGroup and joins them, otherwise it runs
+/// them inline in shard order.  A shard may call shardedFor again on the
+/// same scheduler, from a worker or from any other thread, to any depth:
+/// TaskGroup::wait() *helps* (runs pending tasks) instead of blocking, so
+/// a join never consumes a worker.
 ///
-///  * every worker owns a Chase-Lev-style deque; it pushes forked child
-///    tasks to the bottom and pops them LIFO, while idle workers steal
-///    FIFO from the top — classic work-stealing locality;
-///  * TaskGroup is the fork-join primitive; its wait() *helps* (executes
-///    pending tasks — its own children first, then anything stealable)
-///    instead of blocking, so a task may fork-and-wait on the same
-///    scheduler to any depth without consuming a worker;
-///  * parallelFor / parallelForShards are TaskGroups under the hood and
-///    may be called from anywhere: an external thread, a worker, or a
-///    task already running inside either of the two.
+/// The pool is one mutex and one condition variable.  Under the lock sit
+/// one deque of tasks per worker (its owner pushes and pops the back,
+/// thieves take the front) and an external queue for tasks forked by
+/// non-worker threads.  The traffic needs nothing lock-free: a pass of
+/// the 275-cell smoke campaign runs 94,153 tasks and steals at most a
+/// few hundred of them.
 ///
-/// Determinism contract (unchanged from the ThreadPool it replaces, and
-/// regression-tested): shard grids depend only on (N, ShardSize), shards
-/// write disjoint outputs, and stochastic shard work draws from per-shard
-/// counter-derived seeds.  Results are therefore bit-identical at any
-/// worker count, under any steal interleaving, and whether the scheduler
-/// exists at all (shardedFor(nullptr, ...) runs inline).  Steal order is
-/// observable only through stats().
+/// Determinism contract (regression-tested): shard grids depend only on
+/// (N, ShardSize), shards write disjoint outputs, and stochastic shard
+/// work draws from per-shard counter-derived seeds.  Results are
+/// therefore bit-identical at any worker count, under any steal
+/// interleaving, and whether the scheduler exists at all
+/// (shardedFor(nullptr, ...) runs inline).  Steal order is observable
+/// only through stats().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIC_SUPPORT_SCHEDULER_H
 #define ALIC_SUPPORT_SCHEDULER_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -73,7 +69,7 @@ public:
   /// Returns once every forked child has finished.  Never blocks a
   /// worker: the calling thread executes pending tasks (its own deque
   /// first, then this group's externally queued children, then steals)
-  /// while it waits, and parks only when there is nothing runnable.
+  /// while it waits, and parks only when there is nothing it may run.
   /// Helping is scoped so a fine-grained join never starts an unrelated
   /// *top-level* task (e.g. a whole campaign cell) — stolen shards are
   /// bounded work, external tasks are not.
@@ -82,7 +78,7 @@ public:
 private:
   friend class Scheduler;
   Scheduler &Sched;
-  std::atomic<size_t> Pending{0};
+  size_t Pending = 0; ///< unfinished children; guarded by the pool's lock
 };
 
 /// Aggregate scheduler counters (monotonic over the scheduler lifetime).
@@ -93,8 +89,8 @@ struct SchedulerStats {
 };
 
 /// The process-wide worker pool.  All work arrives through TaskGroups
-/// (parallelFor and parallelForShards are TaskGroups too), and groups may
-/// nest from inside tasks.
+/// (shardedFor forks through one), and groups may nest from inside
+/// tasks.
 class Scheduler {
 public:
   /// Construction knobs beyond the worker count.  StealSeed and
@@ -125,35 +121,23 @@ public:
   /// Number of worker threads.
   unsigned numThreads() const;
 
-  /// Runs \p Fn(I) for I in [0, N), distributing across the pool, and
-  /// waits.  Legal from inside a task (the old pool deadlocked here).
-  void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
-
-  /// Runs \p Fn(Shard, Begin, End) over ceil(N / ShardSize) contiguous
-  /// shards of [0, N) and waits.  Shard boundaries depend only on \p N
-  /// and \p ShardSize — never on the worker count or steal order — so
-  /// deterministic work (and per-shard pre-derived RNG seeds keyed on the
-  /// shard index) produces bit-identical results at any parallelism.
-  void parallelForShards(size_t N, size_t ShardSize,
-                         const std::function<void(size_t, size_t, size_t)> &Fn);
-
-  /// Lifetime counters (sampled racily; exact once the pool is idle).
+  /// Lifetime counters (exact for every task that has finished).
   SchedulerStats stats() const;
 
 private:
   friend class TaskGroup;
   struct Impl;
-
-  void fork(TaskGroup *Group, std::function<void()> Fn);
-  void waitGroup(TaskGroup &Group);
-
   std::unique_ptr<Impl> I;
 };
 
-/// Runs \p Fn(Shard, Begin, End) over the fixed shard grid of [0, N) — on
-/// \p Workers when non-null, inline (in shard order) when null.  The grid
-/// is identical either way, so code written against this helper is
-/// bit-reproducible between its sequential and parallel executions.
+/// Runs \p Fn(Shard, Begin, End) over the ceil(N / ShardSize) contiguous
+/// shards of [0, N) and returns when all have run.  With a non-null
+/// \p Workers and more than one shard, the shards are forked onto it and
+/// joined; otherwise they run inline, in shard order.  Shard boundaries
+/// depend only on \p N and \p ShardSize (0 reads as 1) — never on the
+/// worker count or steal order — so deterministic shard work (with RNG
+/// seeds keyed on the shard index) is bit-identical between the
+/// sequential and parallel runs.  Legal from inside a task.
 void shardedFor(Scheduler *Workers, size_t N, size_t ShardSize,
                 const std::function<void(size_t, size_t, size_t)> &Fn);
 

@@ -275,10 +275,11 @@ TEST(ActiveLearnerTest, ParallelAlcScoresBitIdenticalOnModel) {
 
   std::vector<double> Sequential = M.alcScores(Cands, Ref);
   Scheduler Pool(5);
+  M.setScheduler(&Pool);
   ScoreContext Ctx;
-  Ctx.Pool = &Pool;
   Ctx.ShardSize = 16;
   EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Sequential);
+  M.setScheduler(nullptr);
 }
 
 TEST(ActiveLearnerTest, GpSurrogateLoopMatchesAcrossPools) {

@@ -613,10 +613,8 @@ TEST(DynaTreeTest, ParallelUpdatesBitIdenticalAcrossThreadCounts) {
         << Threads << " threads";
     EXPECT_EQ(Serial.averageLeafCount(), M.averageLeafCount())
         << Threads << " threads";
-    ScoreContext Ctx;
-    Ctx.Pool = &Pool;
     EXPECT_EQ(WantAlc, M.alcScores({{0.3, -0.4}, {-0.6, 0.2}},
-                                   {S.X.begin(), S.X.begin() + 60}, Ctx))
+                                   {S.X.begin(), S.X.begin() + 60}))
         << Threads << " threads";
   }
 }
@@ -751,15 +749,13 @@ TEST(DynaTreeTest, DedupScoringBitIdenticalToNaiveReference) {
         O.Threads = Threads;
         O.StealSeed = StealSeed;
         Scheduler Pool(O);
-        ScoreContext Ctx;
-        Ctx.Pool = &Pool;
-        EXPECT_EQ(WantAlm, M->almScores(Cands, Ctx))
+        M->setScheduler(&Pool);
+        EXPECT_EQ(WantAlm, M->almScores(Cands))
             << State << ", " << Threads << " threads, steal seed "
             << StealSeed;
-        EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref, Ctx))
+        EXPECT_EQ(WantAlc, M->alcScores(Cands, Ref))
             << State << ", " << Threads << " threads, steal seed "
             << StealSeed;
-        M->setScheduler(&Pool); // predictBatch shards on the model's pool
         EXPECT_EQ(WantBatch, BatchBits(*M))
             << State << ", " << Threads << " threads, steal seed "
             << StealSeed;
@@ -821,10 +817,8 @@ TEST(DynaTreeTest, DedupBitIdenticalWhenModelTrainedUnderPool) {
   DynaTreeNaiveReference Naive(Serial); // vs the pooled dedup path
   FlatRows Cands = {{0.3, -0.4}, {-0.6, 0.2}, {0.9, 0.9}};
   FlatRows Ref(S.X.begin(), S.X.begin() + 50);
-  ScoreContext Ctx;
-  Ctx.Pool = &Pool;
-  EXPECT_EQ(Naive.almScores(Cands), Pooled.almScores(Cands, Ctx));
-  EXPECT_EQ(Naive.alcScores(Cands, Ref), Pooled.alcScores(Cands, Ref, Ctx));
+  EXPECT_EQ(Naive.almScores(Cands), Pooled.almScores(Cands));
+  EXPECT_EQ(Naive.alcScores(Cands, Ref), Pooled.alcScores(Cands, Ref));
 }
 
 TEST(DynaTreeTest, DedupBitIdenticalOnWeightConcentratedState) {
@@ -870,10 +864,10 @@ TEST(DynaTreeTest, DedupBitIdenticalOnWeightConcentratedState) {
     std::unique_ptr<Scheduler> Pool;
     if (Threads != 0)
       Pool = std::make_unique<Scheduler>(Threads);
-    ScoreContext Ctx;
-    Ctx.Pool = Pool.get();
-    EXPECT_EQ(WantAlm, M.almScores(Cands, Ctx)) << Threads << " threads";
-    EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref, Ctx)) << Threads << " threads";
+    M.setScheduler(Pool.get());
+    EXPECT_EQ(WantAlm, M.almScores(Cands)) << Threads << " threads";
+    EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref)) << Threads << " threads";
+    M.setScheduler(nullptr);
   }
 }
 
@@ -987,16 +981,15 @@ TEST(DynaTreeTest, LineageScoringBitIdenticalToNaiveReference) {
     std::unique_ptr<Scheduler> Pool;
     if (Workers != 0)
       Pool = std::make_unique<Scheduler>(Workers);
+    M.setScheduler(Pool.get());
     ScoreStats Stats;
     ScoreContext Ctx;
-    Ctx.Pool = Pool.get();
     Ctx.Stats = &Stats;
     EXPECT_EQ(WantAlm, M.almScores(Cands, Ctx)) << Workers << " workers";
     EXPECT_EQ(WantAlc, M.alcScores(Cands, Ref, Ctx)) << Workers << " workers";
     EXPECT_EQ(Stats.UniqueLeafWalks.load(),
               Lineages * (2 * Cands.size() + Ref.size()))
         << Workers << " workers";
-    M.setScheduler(Pool.get()); // predictBatch shards on the model's pool
     std::vector<Prediction> Batch(Cands.size());
     M.predictBatch(Cands, Cands.size(), Batch.data());
     M.setScheduler(nullptr);
@@ -1223,10 +1216,8 @@ TEST(DynaTreeTest, LongRunScoresMatchRecordedGoldens) {
         << Workers << " workers";
     EXPECT_EQ(bits(M.effectiveSampleSize()), bits(0x1.e59198401081ap+7))
         << Workers << " workers";
-    ScoreContext Ctx;
-    Ctx.Pool = Pool.get();
-    std::vector<double> Alm = M.almScores(Cands, Ctx);
-    std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+    std::vector<double> Alm = M.almScores(Cands);
+    std::vector<double> Alc = M.alcScores(Cands, Ref);
     for (size_t C = 0; C != Cands.size(); ++C) {
       Prediction P = M.predict(Cands[C]);
       EXPECT_EQ(bits(P.Mean), bits(Want[C][0])) << C << ", " << Workers;
@@ -1292,10 +1283,8 @@ TEST(DynaTreeTest, AliasHeavyUpdatesMatchRecordedGoldens) {
         << Workers << " workers";
     EXPECT_EQ(bits(M.effectiveSampleSize()), bits(0x1.8b6cf6f4b8225p+8))
         << Workers << " workers";
-    ScoreContext Ctx;
-    Ctx.Pool = Pool.get();
-    std::vector<double> Alm = M.almScores(Cands, Ctx);
-    std::vector<double> Alc = M.alcScores(Cands, Ref, Ctx);
+    std::vector<double> Alm = M.almScores(Cands);
+    std::vector<double> Alc = M.alcScores(Cands, Ref);
     for (size_t C = 0; C != Cands.size(); ++C) {
       Prediction P = M.predict(Cands[C]);
       EXPECT_EQ(bits(P.Mean), bits(Want[C][0])) << C << ", " << Workers;

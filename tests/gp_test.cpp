@@ -226,10 +226,10 @@ TEST(GpTest, ParallelAlcBitIdenticalToSequential) {
   std::vector<double> Sequential = M.alcScores(Cands, Ref);
   for (unsigned Threads : {1u, 3u, 7u}) {
     Scheduler Pool(Threads);
-    ScoreContext Ctx;
-    Ctx.Pool = &Pool;
-    EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Sequential)
+    M.setScheduler(&Pool);
+    EXPECT_EQ(M.alcScores(Cands, Ref), Sequential)
         << "thread count " << Threads;
+    M.setScheduler(nullptr);
   }
 }
 
@@ -260,10 +260,10 @@ TEST(GpTest, ForwardSolveAlcMatchesBackSubstitution) {
 
     for (unsigned Threads : {1u, 8u}) {
       Scheduler Pool(Threads);
-      ScoreContext Ctx;
-      Ctx.Pool = &Pool;
-      EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Got)
+      M.setScheduler(&Pool);
+      EXPECT_EQ(M.alcScores(Cands, Ref), Got)
           << "n=" << N << ", " << Threads << " workers";
+      M.setScheduler(nullptr);
     }
   }
 }
@@ -345,9 +345,9 @@ TEST(GpTest, BatchedAlmScoresBitIdenticalToPredictLoop) {
   // ...and stay bit-identical when sharded across workers.
   for (unsigned Threads : {1u, 7u}) {
     Scheduler Pool(Threads);
-    ScoreContext Ctx;
-    Ctx.Pool = &Pool;
-    EXPECT_EQ(M.almScores(Cands, Ctx), Scores) << "thread count " << Threads;
+    M.setScheduler(&Pool);
+    EXPECT_EQ(M.almScores(Cands), Scores) << "thread count " << Threads;
+    M.setScheduler(nullptr);
   }
 }
 
@@ -425,7 +425,6 @@ TEST(GpTest, PooledScoresBitIdenticalToFresh) {
     for (int Round = 0; Round != Rounds; ++Round) {
       drawIds(R, P.Rows.size(), Cand, Ref);
       ScoreContext Ctx;
-      Ctx.Pool = Pool;
       Ctx.ShardSize = 8;
       Ctx.CandidateIds = Cand.data();
       Ctx.ReferenceIds = Ref.data();

@@ -4,7 +4,6 @@
 #include "measure/Profiler.h"
 #include "spapt/Suite.h"
 #include "stats/OnlineStats.h"
-#include "support/Scheduler.h"
 
 #include <gtest/gtest.h>
 
@@ -228,14 +227,12 @@ TEST(ProfilerTest, MeasureBatchMatchesSequentialBitwise) {
     Batch.push_back(B->space().sample(R));
   Batch.push_back(Batch.front()); // duplicate: gets the next sample index
 
-  Profiler Sequential(*B, 17), Batched(*B, 17), Sharded(*B, 17);
+  Profiler Sequential(*B, 17), Batched(*B, 17);
   std::vector<double> Want;
   for (const Config &C : Batch)
     Want.push_back(Sequential.measureOnce(C));
 
   EXPECT_EQ(Want, Batched.measureBatch(Batch));
-  Scheduler Pool(3);
-  EXPECT_EQ(Want, Sharded.measureBatch(Batch, &Pool));
 
   EXPECT_EQ(Sequential.ledger().Runs, Batched.ledger().Runs);
   EXPECT_EQ(Sequential.ledger().Compilations, Batched.ledger().Compilations);

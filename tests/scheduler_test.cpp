@@ -1,4 +1,4 @@
-//===- tests/scheduler_test.cpp - work-stealing scheduler tests -*- C++ -*-===//
+//===- tests/scheduler_test.cpp - nested scheduler tests -------*- C++ -*-===//
 //
 // Pins the scheduler's two contracts:
 //
@@ -32,14 +32,14 @@ using namespace alic;
 // Nesting
 //===----------------------------------------------------------------------===//
 
-TEST(SchedulerNestingTest, TaskMayParallelForOnItsOwnPool) {
+TEST(SchedulerNestingTest, TaskMayForkJoinOnItsOwnPool) {
   // The exact shape that deadlocked the fixed ThreadPool: a pool task
-  // calling parallelForShards on the same pool.
+  // forking shards onto the same pool and joining them.
   for (unsigned Workers : {1u, 2u, 8u}) {
     Scheduler S(Workers);
     std::vector<std::atomic<int>> Hits(512);
-    S.parallelFor(8, [&](size_t Outer) {
-      S.parallelForShards(64, 7, [&](size_t, size_t Begin, size_t End) {
+    shardedFor(&S, 8, 1, [&](size_t Outer, size_t, size_t) {
+      shardedFor(&S, 64, 7, [&](size_t, size_t Begin, size_t End) {
         for (size_t I = Begin; I != End; ++I)
           ++Hits[Outer * 64 + I];
       });
@@ -77,9 +77,9 @@ TEST(SchedulerNestingTest, SingleWorkerNestedWaitHelps) {
   // test — CI's timeout is the detector).
   Scheduler S(1);
   std::atomic<int> Leaves{0};
-  S.parallelFor(4, [&](size_t) {
-    S.parallelFor(4, [&](size_t) {
-      S.parallelFor(4, [&](size_t) { ++Leaves; });
+  shardedFor(&S, 4, 1, [&](size_t, size_t, size_t) {
+    shardedFor(&S, 4, 1, [&](size_t, size_t, size_t) {
+      shardedFor(&S, 4, 1, [&](size_t, size_t, size_t) { ++Leaves; });
     });
   });
   EXPECT_EQ(Leaves.load(), 64);
@@ -118,8 +118,8 @@ TEST(SchedulerNestingTest, ExternalThreadsShareOnePool) {
   Scheduler S(2);
   std::vector<std::atomic<int>> Hits(256);
   auto Drive = [&](size_t Base) {
-    S.parallelFor(16, [&, Base](size_t Outer) {
-      S.parallelFor(8, [&, Base, Outer](size_t Inner) {
+    shardedFor(&S, 16, 1, [&, Base](size_t Outer, size_t, size_t) {
+      shardedFor(&S, 8, 1, [&, Base, Outer](size_t Inner, size_t, size_t) {
         ++Hits[Base + Outer * 8 + Inner];
       });
     });
@@ -130,6 +130,37 @@ TEST(SchedulerNestingTest, ExternalThreadsShareOnePool) {
   B.join();
   for (auto &H : Hits)
     EXPECT_EQ(H.load(), 1);
+}
+
+TEST(SchedulerNestingTest, ExternalThreadChurnLosesNoWakeup) {
+  // Many short nested joins from more external threads than workers.
+  // Each shard yields, so joiners often park while their last children
+  // run elsewhere, and a lost wakeup in the park protocol hangs this test
+  // (CI's timeout is the detector; dropping the group-completion notify
+  // hung it in every trial).  Every index must run once and every forked
+  // task count.
+  constexpr size_t Threads = 4, Rounds = 2000, Outer = 2, Inner = 4;
+  constexpr size_t PerRound = Outer * Inner;
+  Scheduler S(2);
+  std::vector<std::atomic<int>> Hits(Threads * Rounds * PerRound);
+  std::vector<std::thread> Callers;
+  for (size_t T = 0; T != Threads; ++T)
+    Callers.emplace_back([&, T] {
+      for (size_t Round = 0; Round != Rounds; ++Round) {
+        size_t Base = (T * Rounds + Round) * PerRound;
+        shardedFor(&S, Outer, 1, [&, Base](size_t O, size_t, size_t) {
+          shardedFor(&S, Inner, 1, [&, Base, O](size_t I, size_t, size_t) {
+            ++Hits[Base + O * Inner + I];
+            std::this_thread::yield();
+          });
+        });
+      }
+    });
+  for (std::thread &C : Callers)
+    C.join();
+  for (auto &H : Hits)
+    ASSERT_EQ(H.load(), 1);
+  EXPECT_EQ(S.stats().Executed, Threads * Rounds * (Outer + Outer * Inner));
 }
 
 //===----------------------------------------------------------------------===//
@@ -171,11 +202,9 @@ std::vector<double> runNestedEnsembles(Scheduler *S) {
         Out.push_back(P.Mean);
         Out.push_back(P.Variance);
       }
-    ScoreContext Ctx;
-    Ctx.Pool = S;
     std::vector<double> Alc =
         M.alcScores({{0.3, -0.4}, {-0.6, 0.2}, {0.1, 0.8}},
-                    {X.begin(), X.begin() + 30}, Ctx);
+                    {X.begin(), X.begin() + 30});
     Out.insert(Out.end(), Alc.begin(), Alc.end());
     Out.push_back(M.effectiveSampleSize());
     Out.push_back(M.averageLeafCount());
@@ -183,11 +212,7 @@ std::vector<double> runNestedEnsembles(Scheduler *S) {
   };
   // Cells are top-level tasks when a scheduler exists (the campaign
   // shape); inline otherwise (the reference).
-  if (S)
-    S->parallelFor(NumCells, Cell);
-  else
-    for (size_t I = 0; I != NumCells; ++I)
-      Cell(I);
+  shardedFor(S, NumCells, 1, [&](size_t I, size_t, size_t) { Cell(I); });
 
   std::vector<double> All;
   for (const std::vector<double> &Cell : PerCell)
@@ -246,6 +271,9 @@ TEST(SchedulerStatsTest, ExecutedCountsEveryTask) {
     for (int I = 0; I != 40; ++I)
       Group.run([] {});
   }
+  EXPECT_EQ(S.stats().Executed, 40u);
+  // A one-shard grid runs inline on the caller: nothing is forked.
+  shardedFor(&S, 5, 8, [](size_t, size_t, size_t) {});
   EXPECT_EQ(S.stats().Executed, 40u);
 }
 

@@ -338,23 +338,19 @@ TEST(EnvTest, ScaleNamesParseExactly) {
 // scheduler_test.cpp)
 //===----------------------------------------------------------------------===//
 
-TEST(SchedulerTest, ParallelForCoversRange) {
+TEST(SchedulerTest, ShardedForCoversRangeExactlyOnce) {
+  // Shard size 1 is the one-task-per-index loop (campaign cells).
   Scheduler Pool(3);
-  std::vector<std::atomic<int>> Hits(64);
-  Pool.parallelFor(64, [&Hits](size_t I) { ++Hits[I]; });
-  for (auto &H : Hits)
-    EXPECT_EQ(H.load(), 1);
-}
-
-TEST(SchedulerTest, ParallelForShardsCoversRangeExactlyOnce) {
-  Scheduler Pool(3);
-  std::vector<std::atomic<int>> Hits(100);
-  Pool.parallelForShards(100, 7, [&Hits](size_t, size_t Begin, size_t End) {
-    for (size_t I = Begin; I != End; ++I)
-      ++Hits[I];
-  });
-  for (auto &H : Hits)
-    EXPECT_EQ(H.load(), 1);
+  for (auto [N, ShardSize] : {std::pair<size_t, size_t>{100, 7}, {64, 1}}) {
+    std::vector<std::atomic<int>> Hits(N);
+    shardedFor(&Pool, N, ShardSize,
+               [&Hits](size_t, size_t Begin, size_t End) {
+                 for (size_t I = Begin; I != End; ++I)
+                   ++Hits[I];
+               });
+    for (auto &H : Hits)
+      EXPECT_EQ(H.load(), 1) << N << " / " << ShardSize;
+  }
 }
 
 TEST(SchedulerTest, ShardGridIndependentOfWorkerCount) {
