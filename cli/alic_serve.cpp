@@ -32,8 +32,8 @@
 
 #include "serve/ServeEngine.h"
 #include "serve/Wire.h"
-#include "support/Backoff.h"
 #include "support/Env.h"
+#include "support/Error.h"
 #include "support/FailPoint.h"
 #include "support/Parse.h"
 
@@ -244,10 +244,8 @@ int main(int Argc, char **Argv) {
   uint64_t DrainDeadlineMs = 0;
   uint64_t AcceptBackoffUntilMs = 0;
   // Escalating accept backoff: consecutive resource-exhaustion failures
-  // (EMFILE and friends) wait 100 ms doubling to 1.6 s, jittered so a
-  // fleet of daemons starved by the same global descriptor table does not
-  // retry in lockstep.  One successful accept resets the ladder.
-  const Backoff AcceptBackoff(0xacce97, 100, 1600);
+  // (EMFILE and friends) wait 100 ms doubling to 1.6 s.  One successful
+  // accept resets the ladder.
   uint64_t AcceptFailures = 0;
 
   // Stop accepting and finish in-flight work; every acknowledged observe
@@ -434,7 +432,7 @@ int main(int Argc, char **Argv) {
             errno == ENOMEM) {
           // Out of descriptors/buffers: back off instead of spinning on a
           // level-triggered POLLIN we cannot service.
-          uint64_t Delay = AcceptBackoff.delayMs(AcceptFailures++);
+          uint64_t Delay = backoffDelayMs(100, 1600, AcceptFailures++);
           AcceptBackoffUntilMs = nowMs() + Delay;
           std::fprintf(stderr,
                        "alic_serve: accept: %s; backing off %llu ms\n",

@@ -44,10 +44,6 @@ class AlmThresholdPolicy : public QueryPolicy {
 public:
   explicit AlmThresholdPolicy(const QueryPolicyConfig &Cfg) : Cfg(Cfg) {}
 
-  QueryPolicyKind kind() const override {
-    return QueryPolicyKind::AlmThreshold;
-  }
-
   bool shouldQuery(const QueryDecision &D) override {
     double Var = std::max(D.Variance, 0.0);
     PeakVariance = std::max(PeakVariance, Var);
@@ -66,8 +62,6 @@ private:
 class CostRangePolicy : public QueryPolicy {
 public:
   explicit CostRangePolicy(const QueryPolicyConfig &Cfg) : Cfg(Cfg) {}
-
-  QueryPolicyKind kind() const override { return QueryPolicyKind::CostRange; }
 
   bool shouldQuery(const QueryDecision &D) override {
     double Range = CostMax - CostMin;

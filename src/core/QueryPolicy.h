@@ -135,9 +135,6 @@ class QueryPolicy {
 public:
   virtual ~QueryPolicy(); ///< out-of-line anchor for the vtable
 
-  /// Which strategy this object implements.
-  virtual QueryPolicyKind kind() const = 0;
-
   /// True to measure the candidate, false to skip it.  May update the
   /// policy's internal statistics; the learner consults exactly once per
   /// consumed pick, in pick order.

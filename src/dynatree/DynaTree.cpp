@@ -200,25 +200,12 @@ void DynaTree::forEachLeafPoint(const Particle &P, int32_t LeafIdx,
       F(P.Pending[I].PointIdx);
 }
 
-void DynaTree::pushBoundsSlot(Tree &T) const {
-  T.Bounds.insert(T.Bounds.end(), Dims, 1e300);  // lows
-  T.Bounds.insert(T.Bounds.end(), Dims, -1e300); // highs
-}
-
 void DynaTree::absorbInto(Tree &T, int32_t LeafIdx, uint32_t PointIdx) {
   Node &Leaf = T.Nodes[size_t(LeafIdx)];
   double Y = DataY[PointIdx];
   Leaf.SumY += Y;
   Leaf.SumY2 += Y * Y;
   ++Leaf.Count;
-  // Expand the leaf's bounding box — the cached ranges grow proposals cut.
-  const double *Row = DataX.row(PointIdx);
-  double *Lo = T.Bounds.data() + size_t(LeafIdx) * 2 * Dims;
-  double *Hi = Lo + Dims;
-  for (size_t Dim = 0; Dim != Dims; ++Dim) {
-    Lo[Dim] = std::min(Lo[Dim], Row[Dim]);
-    Hi[Dim] = std::max(Hi[Dim], Row[Dim]);
-  }
   if (Leaf.PtsHead >= 0 && T.Chunks[size_t(Leaf.PtsHead)].Used < ChunkCapacity) {
     PtsChunk &Head = T.Chunks[size_t(Leaf.PtsHead)];
     Head.Entries[Head.Used++] = PointIdx;
@@ -265,7 +252,6 @@ void DynaTree::compact(Tree &T) const {
   Out.Lineage = T.Lineage;
   Out.Nodes.reserve(Order.size());
   Out.Chunks.reserve(NumChunks);
-  Out.Bounds.reserve(Order.size() * 2 * Dims);
   for (int32_t Old : Order) {
     Node N = T.Nodes[size_t(Old)];
     if (N.Parent >= 0)
@@ -284,8 +270,6 @@ void DynaTree::compact(Tree &T) const {
     }
     *Link = -1;
     Out.Nodes.push_back(N);
-    auto Box = T.Bounds.begin() + ptrdiff_t(size_t(Old) * 2 * Dims);
-    Out.Bounds.insert(Out.Bounds.end(), Box, Box + ptrdiff_t(2 * Dims));
   }
   T = std::move(Out);
 }
@@ -400,10 +384,45 @@ void DynaTree::resampleParticles(const std::vector<double> &LogWeights) {
 }
 
 namespace {
-/// Two doubles, one grow try per lane (the GCC/Clang vector extension:
-/// element-wise arithmetic and comparisons, SSE2 on x86-64).
+/// Two doubles (the GCC/Clang vector extension: element-wise arithmetic,
+/// comparisons and selects, SSE2 on x86-64): one grow try per lane in
+/// scoreGrowTries(), one dimension per lane in boundLeaf().
 typedef double TryLanes __attribute__((vector_size(16)));
 } // namespace
+
+void DynaTree::boundLeaf(const Particle &P, int32_t LeafIdx, const double *X,
+                         std::vector<double> &Lo,
+                         std::vector<double> &Hi) const {
+  Lo.resize(Dims);
+  Hi.resize(Dims);
+  // Eight dimensions per walk of the leaf, in four vectors of lows and
+  // four of highs that stay in registers.  Lanes past the last dimension
+  // repeat it, which min and max ignore, and are dropped.
+  for (size_t Base = 0; Base < Dims; Base += 8) {
+    size_t Dim[8];
+    for (size_t K = 0; K != 8; ++K)
+      Dim[K] = std::min(Base + K, Dims - 1);
+    TryLanes Low[4], High[4];
+    for (unsigned V = 0; V != 4; ++V) {
+      Low[V] = TryLanes{1e300, 1e300};
+      High[V] = TryLanes{-1e300, -1e300};
+    }
+    // Lane for lane std::min(Low, X) and std::max(High, X).
+    auto Fold = [&](const double *Row) {
+      for (unsigned V = 0; V != 4; ++V) {
+        const TryLanes Xs = {Row[Dim[2 * V]], Row[Dim[2 * V + 1]]};
+        Low[V] = Xs < Low[V] ? Xs : Low[V];
+        High[V] = High[V] < Xs ? Xs : High[V];
+      }
+    };
+    forEachLeafPoint(P, LeafIdx, [&](uint32_t Pt) { Fold(DataX.row(Pt)); });
+    Fold(X);
+    for (size_t K = 0; K != 8 && Base + K != Dims; ++K) {
+      Lo[Base + K] = Low[K / 2][K % 2];
+      Hi[Base + K] = High[K / 2][K % 2];
+    }
+  }
+}
 
 void DynaTree::scoreGrowTries(const Particle &P, int32_t LeafIdx,
                               uint32_t PointIdx,
@@ -477,23 +496,7 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     S.CanGrow = S.Eff.Count + 1 >= 2 * MinLeafSize;
     S.Spread.clear();
     if (S.CanGrow) {
-      // The leaf's per-dimension ranges come from its cached bounding box
-      // (expanded on every absorb) folded with the pending points and the
-      // new point — no pass over the leaf's data is needed to bound it.
-      const double *BaseLo = P.T->Bounds.data() + size_t(S.LeafIdx) * 2 * Dims;
-      const double *BaseHi = BaseLo + Dims;
-      S.Lo.assign(BaseLo, BaseLo + Dims);
-      S.Hi.assign(BaseHi, BaseHi + Dims);
-      auto Expand = [&](const double *Row) {
-        for (size_t Dim = 0; Dim != Dims; ++Dim) {
-          S.Lo[Dim] = std::min(S.Lo[Dim], Row[Dim]);
-          S.Hi[Dim] = std::max(S.Hi[Dim], Row[Dim]);
-        }
-      };
-      for (unsigned I = 0; I != P.NumPending; ++I)
-        if (P.Pending[I].LeafIdx == S.LeafIdx)
-          Expand(DataX.row(P.Pending[I].PointIdx));
-      Expand(X);
+      boundLeaf(P, S.LeafIdx, X, S.Lo, S.Hi);
       for (size_t Dim = 0; Dim != Dims; ++Dim)
         if (S.Hi[Dim] > S.Lo[Dim])
           S.Spread.push_back(int(Dim));
@@ -595,8 +598,6 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     LeftChild.Depth = RightChild.Depth = uint16_t(D + 1);
     T.Nodes.push_back(LeftChild);
     T.Nodes.push_back(RightChild);
-    pushBoundsSlot(T); // children's boxes fill in via absorbInto below
-    pushBoundsSlot(T);
     for (uint32_t Pt : Pts) {
       bool GoesLeft = DataX.row(Pt)[GrowDim] <= GrowCut;
       absorbInto(T, GoesLeft ? L : Rr, Pt);
@@ -628,16 +629,6 @@ void DynaTree::propagate(Particle &P, uint32_t PointIdx, Rng &R,
     Parent.Count = Self.Count + Sibling.Count;
     Parent.SumY = Self.SumY + Sibling.SumY;
     Parent.SumY2 = Self.SumY2 + Sibling.SumY2;
-    // The merged leaf's box is the union of its children's boxes.
-    {
-      double *PLo = T.Bounds.data() + size_t(ParentIdx) * 2 * Dims;
-      const double *ALo = T.Bounds.data() + size_t(LeafIdx) * 2 * Dims;
-      const double *BLo = T.Bounds.data() + size_t(SiblingIdx) * 2 * Dims;
-      for (size_t Dim = 0; Dim != Dims; ++Dim) {
-        PLo[Dim] = std::min(ALo[Dim], BLo[Dim]);
-        PLo[Dims + Dim] = std::max(ALo[Dims + Dim], BLo[Dims + Dim]);
-      }
-    }
     // Splice the two chunk lists (both privately owned after materialize).
     Parent.PtsHead = Self.PtsHead;
     if (Parent.PtsHead < 0) {
@@ -751,7 +742,6 @@ void DynaTree::fit(const FlatRows &X, const std::vector<double> &Y) {
   // posterior.  SMC reweighting starts with the first update().
   auto Root = std::make_shared<Tree>();
   Root->Nodes.emplace_back();
-  pushBoundsSlot(*Root);
   Particles.assign(Config.NumParticles, Particle());
   for (Particle &P : Particles)
     P.T = Root;
@@ -1072,8 +1062,7 @@ DynaTree::TreeCensus DynaTree::treeCensus() const {
     Out.LiveChunks += Chunks;
     Out.DeadChunks += T->Chunks.size() - Chunks;
     Out.TreeBytes += T->Nodes.capacity() * sizeof(Node) +
-                     T->Chunks.capacity() * sizeof(PtsChunk) +
-                     T->Bounds.capacity() * sizeof(double);
+                     T->Chunks.capacity() * sizeof(PtsChunk);
   }
   return Out;
 }

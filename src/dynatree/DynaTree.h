@@ -32,14 +32,14 @@
 /// The particle engine is built for throughput at the paper's N = 5000:
 ///
 ///  * **Flat storage, live only.**  Training rows live in one contiguous
-///    FlatRows buffer; each particle's tree is a POD node arena, a pooled
-///    chunk list of per-leaf point indices, and cached leaf bounding
-///    boxes.  Copying a tree is three vector copies — no per-leaf heap
-///    allocations.  A grow abandons the old leaf's chunks and a prune
-///    its two children, so each rebuilds the tree in preorder right away,
-///    keeping only what the root reaches: no tree at rest holds dead
-///    storage, and clones, sessions and per-(run, node) scoring tables
-///    are sized by live state.  treeCensus() counts both kinds.
+///    FlatRows buffer; each particle's tree is a POD node arena and a
+///    pooled chunk list of per-leaf point indices.  Copying a tree is two
+///    vector copies — no per-leaf heap allocations.  A grow abandons the
+///    old leaf's chunks and a prune its two children, so each rebuilds the
+///    tree in preorder right away, keeping only what the root reaches: no
+///    tree at rest holds dead storage, and clones, sessions and per-(run,
+///    node) scoring tables are sized by live state.  treeCensus() counts
+///    both kinds.
 ///
 ///  * **Copy-on-write resampling.**  Systematic resampling only copies a
 ///    shared_ptr per offspring.  The common post-resample move ("stay")
@@ -77,10 +77,12 @@
 ///    terms through its lineage's slice and adds them, in particle order,
 ///    to four rows' sums at once in vector lanes.
 ///
-///  * **One-pass grow scans.**  A grow proposal draws four (dimension,
-///    cut) tries and scores them in one pass over the leaf's points, two
-///    tries to a 2-lane double vector, reading each row in place.  Each
-///    try's sums are bitwise those of a scan of that try alone.
+///  * **Two-pass grow scans.**  A grow proposal bounds its leaf in one
+///    pass over the leaf's points, eight dimensions at a time in vector
+///    lanes, draws four (dimension, cut) tries inside those bounds, and
+///    scores them all in a second pass, two tries to a 2-lane double
+///    vector, reading each row in place.  Each try's sums are bitwise
+///    those of a scan of that try alone.
 ///
 ///  * **Scoring from per-leaf tables.**  A leaf's ALC term (reference
 ///    count times expected variance drop) and its ALM moments depend on
@@ -221,17 +223,14 @@ private:
     int32_t PtsHead = -1; ///< head of the leaf's point-chunk list
   };
 
-  /// One tree: a flat node arena (node 0 is the root), the pooled
-  /// point-chunk arena its leaves index into, and per-node bounding boxes
-  /// ([Dims lows, Dims highs] per node, expanded incrementally on absorb
-  /// so grow proposals never rescan a leaf to bound it).  POD vectors
-  /// only, so a clone is three memcpy-style copies.  Every node and chunk
-  /// is live: compact() runs after each grow and prune, the only moves
-  /// that strand storage.
+  /// One tree: a flat node arena (node 0 is the root) and the pooled
+  /// point-chunk arena its leaves index into.  POD vectors only, so a
+  /// clone is two memcpy-style copies.  Every node and chunk is live:
+  /// compact() runs after each grow and prune, the only moves that strand
+  /// storage.
   struct Tree {
     std::vector<Node> Nodes;
     std::vector<PtsChunk> Chunks;
-    std::vector<double> Bounds;
     /// Split lineage: 0 for a one-leaf tree, else the freshLineage() of
     /// the grow or prune that last changed the splits.  Copies keep it and
     /// only those two moves reset it, each right after compact(), so
@@ -333,11 +332,8 @@ private:
   void materialize(Particle &P);
 
   /// Absorbs point \p PointIdx into leaf \p LeafIdx of the (uniquely
-  /// owned) tree \p T, expanding the leaf's bounding box.
+  /// owned) tree \p T: its stats and its chunk list.
   void absorbInto(Tree &T, int32_t LeafIdx, uint32_t PointIdx);
-
-  /// Appends one node's (empty) bounding-box slot to \p T.
-  void pushBoundsSlot(Tree &T) const;
 
   /// Fills \p Order with the nodes of \p T the root reaches, in preorder
   /// (left subtree first), and returns how many chunks their leaves hold.
@@ -345,17 +341,17 @@ private:
 
   /// Rebuilds the sole-owned, pending-free \p T from its root in preorder,
   /// keeping only live nodes and chunks in exactly sized arenas.  Each
-  /// node keeps its bounds slot and each leaf its chunk list in list
-  /// order, so forEachLeafPoint order — and with it every sum — is
-  /// unchanged.
+  /// leaf keeps its chunk list in list order, so forEachLeafPoint order —
+  /// and with it every sum — is unchanged.
   void compact(Tree &T) const;
 
   /// Candidate-independent context of one propagate() call, cacheable
   /// across the consecutive aliases of a unique-particle run (same tree,
   /// same pending list => same leaf for the new point, same effective
-  /// stats, same bounds).  Only the validity flag carries semantics; the
-  /// vectors are reusable buffers that live in thread-local storage to
-  /// amortize allocation.
+  /// stats, same bounds).  boundLeaf() fills the bounds when the leaf can
+  /// grow.  Only the validity flag carries semantics; the vectors are
+  /// reusable buffers that live in thread-local storage to amortize
+  /// allocation.
   struct GrowScratch {
     bool Valid = false;   ///< scratch describes the current run
     bool CanGrow = false; ///< leaf large enough for a grow proposal
@@ -365,6 +361,13 @@ private:
     std::vector<double> Lo, Hi; ///< leaf bounds incl. pending + new point
     std::vector<int> Spread;    ///< dimensions with Hi > Lo
   };
+
+  /// Sets \p Lo and \p Hi to the per-dimension min and max over the
+  /// points of leaf \p LeafIdx of \p P, pending included, in
+  /// forEachLeafPoint order, then the row \p X: the box a grow proposal
+  /// draws its cuts in.
+  void boundLeaf(const Particle &P, int32_t LeafIdx, const double *X,
+                 std::vector<double> &Lo, std::vector<double> &Hi) const;
 
   /// (dimension, cut) pairs a grow proposal draws and scores.
   static constexpr unsigned NumGrowTries = 4;
@@ -391,7 +394,7 @@ private:
   /// Applies one stay/prune/grow move for the new point \p PointIdx.
   /// \p ReuseScan says the caller knows \p P continues the unique run
   /// \p Scratch was built for (the run index pins this); otherwise the
-  /// scratch is rebuilt.  Reuse changes no arithmetic — the cached leaf,
+  /// scratch is rebuilt.  Reuse changes no arithmetic — the scratch's leaf,
   /// stats and bounds are bitwise the ones this particle would compute.
   /// A grow, or a prune that leaves more than one leaf, gives the tree
   /// lineage \p NewLineage.

@@ -65,17 +65,17 @@ struct ReadTerm {
 
 /// Shape of a statement's right-hand side.
 enum class RhsKind {
-  Sum,     ///< write (+)= Sum_i Coeff_i * Read_i + Bias
-  Product, ///< write (+)= Scale * Prod_i Read_i
+  Sum,     ///< write (+)= Sum_i Coeff_i * Read_i
+  Product, ///< write (+)= c * Prod_i Read_i (flops() charges c's multiply)
 };
 
 /// An array assignment statement.
 class StmtNode : public IrNode {
 public:
   StmtNode(ArrayAccess Write, bool Accumulate, RhsKind Rhs,
-           std::vector<ReadTerm> Reads, double Scale = 1.0, double Bias = 0.0)
+           std::vector<ReadTerm> Reads)
       : IrNode(NodeKind::Stmt), Write(std::move(Write)), Accumulate(Accumulate),
-        Rhs(Rhs), Reads(std::move(Reads)), Scale(Scale), Bias(Bias) {}
+        Rhs(Rhs), Reads(std::move(Reads)) {}
 
   static bool classof(const IrNode *Node) {
     return Node->kind() == NodeKind::Stmt;
@@ -88,8 +88,6 @@ public:
   bool Accumulate = false;
   RhsKind Rhs = RhsKind::Sum;
   std::vector<ReadTerm> Reads;
-  double Scale = 1.0;
-  double Bias = 0.0;
 
   /// Marks statements whose real-world counterpart contains an FP divide
   /// (ADI sweeps, LU pivot scaling).  The IR keeps the polynomial form;

@@ -300,7 +300,7 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   ActiveLearnerConfig Cfg;
   Spec.Scale.applyTo(Cfg);
   Cfg.Scorer = Spec.Scorer;
-  Cfg.BatchSize = std::max(1u, Spec.BatchSize);
+  Cfg.BatchSize = Spec.BatchSize;
   Cfg.Seed = Spec.Seed;
   Cfg.Query = Spec.Query;
   const Dataset &D = S->Entry->Data;
@@ -341,6 +341,13 @@ bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
                               std::string &Err) {
   if (!validId(Id)) {
     Err = "invalid session id (want 1-64 chars of [A-Za-z0-9._-])";
+    return false;
+  }
+  // Restore skips a spec no session can run, so open must refuse it
+  // rather than log observes that would be lost.
+  if (!runnableSpec(Spec)) {
+    Err = "spec not runnable (want positive counts, a split fraction in "
+          "(0, 1), and finite non-negative policy numbers)";
     return false;
   }
   auto Exists = [&] {

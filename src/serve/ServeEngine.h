@@ -131,10 +131,12 @@ public:
 
   /// Creates session \p Id from \p Spec.  Ids are 1-64 characters from
   /// [A-Za-z0-9._-] (they name session logs).  Fails — returning false
-  /// and setting \p Err — on a malformed id, a duplicate id, an unknown
-  /// benchmark, or (with a StateDir) a log header that cannot be written
-  /// durably; the error then names the path and errno.  On success the
-  /// session is immediately serveable.
+  /// and setting \p Err — on a malformed id, a spec restore would skip (a
+  /// zero count, a split fraction outside (0, 1), a negative or non-finite
+  /// policy number), a duplicate id, an unknown benchmark, or (with a
+  /// StateDir) a log header that cannot be written durably; the error then
+  /// names the path and errno.  On success the session is immediately
+  /// serveable.
   bool openSession(const std::string &Id, const SessionSpec &Spec,
                    std::string &Err);
 

@@ -34,16 +34,15 @@ std::unique_ptr<LoopNode> mkLoop(LoopVarId V, AffineExpr Lo, AffineExpr Hi) {
   return std::make_unique<LoopNode>(V, std::move(Lo), std::move(Hi), 1);
 }
 
-/// write (+)= Scale * prod(reads)
+/// write (+)= c * prod(reads), for a constant c the IR does not keep
 std::unique_ptr<StmtNode> prodStmt(ArrayAccess Write, bool Accumulate,
-                                   std::vector<ArrayAccess> Reads,
-                                   double Scale = 1.0) {
+                                   std::vector<ArrayAccess> Reads) {
   std::vector<ReadTerm> Terms;
   Terms.reserve(Reads.size());
   for (ArrayAccess &R : Reads)
     Terms.push_back({std::move(R), 1.0});
   return std::make_unique<StmtNode>(std::move(Write), Accumulate,
-                                    RhsKind::Product, std::move(Terms), Scale);
+                                    RhsKind::Product, std::move(Terms));
 }
 
 /// write (+)= sum(coeff_i * read_i)
@@ -237,8 +236,7 @@ KernelBundle alic::buildLu(int64_t N) {
   auto Li1 = mkLoop(I1, vp(Kv, 1), cst(N));
   {
     auto Scale = prodStmt(acc2(A, vr(I1), vr(Kv)), false,
-                          {acc2(A, vr(I1), vr(Kv)), acc2(A, vr(Kv), vr(Kv))},
-                          0.001);
+                          {acc2(A, vr(I1), vr(Kv)), acc2(A, vr(Kv), vr(Kv))});
     static_cast<StmtNode *>(Scale.get())->HasDivision = true;
     Li1->append(std::move(Scale));
   }
@@ -248,8 +246,7 @@ KernelBundle alic::buildLu(int64_t N) {
   auto Li2 = mkLoop(I2, vp(Kv, 1), cst(N));
   auto Lj2 = mkLoop(J2, vp(Kv, 1), cst(N));
   Lj2->append(prodStmt(acc2(A, vr(I2), vr(J2)), true,
-                       {acc2(A, vr(I2), vr(Kv)), acc2(A, vr(Kv), vr(J2))},
-                       -0.001));
+                       {acc2(A, vr(I2), vr(Kv)), acc2(A, vr(Kv), vr(J2))}));
   Li2->append(std::move(Lj2));
   Lk->append(std::move(Li2));
 
@@ -355,9 +352,9 @@ KernelBundle alic::buildAdi(int64_t N, int64_t T) {
   auto Li1 = mkLoop(I1, cst(0), cst(N));
   auto Lj1 = mkLoop(J1, cst(1), cst(N));
   {
-    auto Sweep = prodStmt(acc2(X, vr(I1), vr(J1)), true,
-                          {acc2(X, vr(I1), vp(J1, -1)), acc2(A, vr(I1), vr(J1))},
-                          -0.1);
+    auto Sweep = prodStmt(
+        acc2(X, vr(I1), vr(J1)), true,
+        {acc2(X, vr(I1), vp(J1, -1)), acc2(A, vr(I1), vr(J1))});
     static_cast<StmtNode *>(Sweep.get())->HasDivision = true;
     Lj1->append(std::move(Sweep));
   }
@@ -368,8 +365,7 @@ KernelBundle alic::buildAdi(int64_t N, int64_t T) {
   auto Li2 = mkLoop(I2, cst(0), cst(N));
   auto Lj2 = mkLoop(J2, cst(0), cst(N));
   Lj2->append(prodStmt(acc2(B, vr(I2), vr(J2)), true,
-                       {acc2(X, vr(I2), vr(J2)), acc2(A, vr(I2), vr(J2))},
-                       0.05));
+                       {acc2(X, vr(I2), vr(J2)), acc2(A, vr(I2), vr(J2))}));
   Li2->append(std::move(Lj2));
   Lt->append(std::move(Li2));
 
@@ -377,9 +373,9 @@ KernelBundle alic::buildAdi(int64_t N, int64_t T) {
   auto Li3 = mkLoop(I3, cst(1), cst(N));
   auto Lj3 = mkLoop(J3, cst(0), cst(N));
   {
-    auto Sweep = prodStmt(acc2(X, vr(I3), vr(J3)), true,
-                          {acc2(X, vp(I3, -1), vr(J3)), acc2(A, vr(I3), vr(J3))},
-                          -0.1);
+    auto Sweep = prodStmt(
+        acc2(X, vr(I3), vr(J3)), true,
+        {acc2(X, vp(I3, -1), vr(J3)), acc2(A, vr(I3), vr(J3))});
     static_cast<StmtNode *>(Sweep.get())->HasDivision = true;
     Lj3->append(std::move(Sweep));
   }
@@ -390,8 +386,7 @@ KernelBundle alic::buildAdi(int64_t N, int64_t T) {
   auto Li4 = mkLoop(I4, cst(1), cst(N));
   auto Lj4 = mkLoop(J4, cst(0), cst(N));
   Lj4->append(prodStmt(acc2(B, vr(I4), vr(J4)), true,
-                       {acc2(X, vr(I4), vr(J4)), acc2(B, vp(I4, -1), vr(J4))},
-                       0.05));
+                       {acc2(X, vr(I4), vr(J4)), acc2(B, vp(I4, -1), vr(J4))}));
   Li4->append(std::move(Lj4));
   Lt->append(std::move(Li4));
 
@@ -439,9 +434,9 @@ KernelBundle alic::buildCorrelation(int64_t M, int64_t N) {
   // Column second moments.
   auto Lj2 = mkLoop(J2, cst(0), cst(N));
   auto Li2 = mkLoop(I2, cst(0), cst(M));
-  Li2->append(prodStmt(acc1(Stddev, vr(J2)), true,
-                       {acc2(Data, vr(I2), vr(J2)), acc2(Data, vr(I2), vr(J2))},
-                       1.0 / double(M)));
+  Li2->append(
+      prodStmt(acc1(Stddev, vr(J2)), true,
+               {acc2(Data, vr(I2), vr(J2)), acc2(Data, vr(I2), vr(J2))}));
   Lj2->append(std::move(Li2));
   K.appendTopLevel(std::move(Lj2));
 
@@ -457,9 +452,9 @@ KernelBundle alic::buildCorrelation(int64_t M, int64_t N) {
   auto Lj4 = mkLoop(J4, cst(0), cst(N));
   auto Lj5 = mkLoop(J5, cst(0), cst(N));
   auto Li4 = mkLoop(I4, cst(0), cst(M));
-  Li4->append(prodStmt(acc2(Corr, vr(J4), vr(J5)), true,
-                       {acc2(Data, vr(I4), vr(J4)), acc2(Data, vr(I4), vr(J5))},
-                       1.0 / double(M)));
+  Li4->append(
+      prodStmt(acc2(Corr, vr(J4), vr(J5)), true,
+               {acc2(Data, vr(I4), vr(J4)), acc2(Data, vr(I4), vr(J5))}));
   Lj5->append(std::move(Li4));
   Lj4->append(std::move(Lj5));
   K.appendTopLevel(std::move(Lj4));
@@ -512,7 +507,7 @@ KernelBundle alic::buildGemver(int64_t N) {
   auto Li2 = mkLoop(I2, cst(0), cst(N));
   auto Lj2 = mkLoop(J2, cst(0), cst(N));
   Lj2->append(prodStmt(acc1(Xv, vr(I2)), true,
-                       {acc2(A, vr(J2), vr(I2)), acc1(Yv, vr(J2))}, 0.9));
+                       {acc2(A, vr(J2), vr(I2)), acc1(Yv, vr(J2))}));
   Li2->append(std::move(Lj2));
   K.appendTopLevel(std::move(Li2));
 
@@ -525,7 +520,7 @@ KernelBundle alic::buildGemver(int64_t N) {
   auto Li4 = mkLoop(I4, cst(0), cst(N));
   auto Lj4 = mkLoop(J4, cst(0), cst(N));
   Lj4->append(prodStmt(acc1(Wv, vr(I4)), true,
-                       {acc2(A, vr(I4), vr(J4)), acc1(Xv, vr(J4))}, 1.1));
+                       {acc2(A, vr(I4), vr(J4)), acc1(Xv, vr(J4))}));
   Li4->append(std::move(Lj4));
   K.appendTopLevel(std::move(Li4));
   K.verify();

@@ -16,6 +16,7 @@
 #define ALIC_SUPPORT_ERROR_H
 
 #include <cassert>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -58,6 +59,16 @@ private:
   int Err = 0;
   std::string Msg;
 };
+
+/// The delay before retry \p Attempt (0-based) of a failed operation: the
+/// exponential ladder min(BaseMs << Attempt, CapMs).
+inline uint64_t backoffDelayMs(uint64_t BaseMs, uint64_t CapMs,
+                               uint64_t Attempt) {
+  uint64_t Delay = BaseMs;
+  for (uint64_t I = 0; I != Attempt && Delay < CapMs; ++I)
+    Delay <<= 1;
+  return Delay < CapMs ? Delay : CapMs;
+}
 
 /// Prints \p Msg (printf-style) to stderr and aborts.  Used for conditions
 /// that indicate a programming error or an impossible configuration, never

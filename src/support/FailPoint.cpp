@@ -3,10 +3,12 @@
 #include "support/FailPoint.h"
 
 #include "support/Env.h"
+#include "support/Parse.h"
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -54,12 +56,55 @@ int modeErrno(const std::string &Token, bool &Ok) {
   return 0;
 }
 
-bool parseU64(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() ||
-      Text.find_first_not_of("0123456789") != std::string::npos)
+/// Parses \p Text as a decimal number in [\p Min, \p Max] into \p Out;
+/// \p Max defaults to the largest value of \p Out's type.
+template <typename T>
+bool parseField(const std::string &Text, uint64_t Min, T &Out,
+                uint64_t Max = std::numeric_limits<T>::max()) {
+  uint64_t Value = 0;
+  if (!parseCount(Text, Max, Value) || Value < Min)
     return false;
-  Out = std::strtoull(Text.c_str(), nullptr, 10);
+  Out = T(Value);
   return true;
+}
+
+using ParsedClauses = std::vector<std::pair<std::string, FailSpec>>;
+
+/// Splits an ALIC_FAILPOINTS-style string ("name=spec;name=spec") and
+/// parses every clause before anything is armed.  On a malformed clause
+/// returns false with the clause in \p Bad.
+bool parseClauses(const std::string &Text, ParsedClauses &Out,
+                  std::string &Bad) {
+  size_t Pos = 0;
+  while (Pos <= Text.size()) {
+    size_t Semi = Text.find(';', Pos);
+    if (Semi == std::string::npos)
+      Semi = Text.size();
+    std::string Clause = Text.substr(Pos, Semi - Pos);
+    Pos = Semi + 1;
+    if (Clause.empty())
+      continue;
+    size_t Eq = Clause.find('=');
+    FailSpec Spec;
+    if (Eq == std::string::npos || Eq == 0 ||
+        !parseFailSpec(Clause.substr(Eq + 1), Spec)) {
+      Bad = Clause;
+      return false;
+    }
+    Out.emplace_back(Clause.substr(0, Eq), Spec);
+  }
+  return true;
+}
+
+/// Arms \p Name with \p Spec; called under the registry mutex.
+void armLocked(Registry &R, const std::string &Name, const FailSpec &Spec) {
+  PointState &P = R.Points[Name];
+  if (!P.Armed)
+    failpoints::ArmedCount.fetch_add(1, std::memory_order_relaxed);
+  P.Armed = true;
+  P.Spec = Spec;
+  P.Hits = 0;
+  P.Fires = 0;
 }
 
 /// Parses ALIC_FAILPOINTS exactly once per process; called under the
@@ -69,36 +114,15 @@ void parseEnvLocked(Registry &R) {
   if (R.EnvParsed)
     return;
   R.EnvParsed = true;
-  std::string Env = getEnvString("ALIC_FAILPOINTS", "");
-  if (Env.empty())
-    return;
-  // Re-enter through the public helper (it takes the mutex itself), so
-  // release it around the call via a local copy of the work.
-  size_t Pos = 0;
-  while (Pos <= Env.size()) {
-    size_t Semi = Env.find(';', Pos);
-    if (Semi == std::string::npos)
-      Semi = Env.size();
-    std::string Clause = Env.substr(Pos, Semi - Pos);
-    Pos = Semi + 1;
-    if (Clause.empty())
-      continue;
-    size_t Eq = Clause.find('=');
-    FailSpec Spec;
-    if (Eq == std::string::npos || Eq == 0 ||
-        !parseFailSpec(Clause.substr(Eq + 1), Spec)) {
-      std::fprintf(stderr, "alic: malformed ALIC_FAILPOINTS clause '%s'\n",
-                   Clause.c_str());
-      std::abort();
-    }
-    std::string Name = Clause.substr(0, Eq);
-    PointState &P = R.Points[Name];
-    P.Armed = true;
-    P.Spec = Spec;
-    P.Hits = 0;
-    P.Fires = 0;
-    failpoints::ArmedCount.fetch_add(1, std::memory_order_relaxed);
+  ParsedClauses Parsed;
+  std::string Bad;
+  if (!parseClauses(getEnvString("ALIC_FAILPOINTS", ""), Parsed, Bad)) {
+    std::fprintf(stderr, "alic: malformed ALIC_FAILPOINTS clause '%s'\n",
+                 Bad.c_str());
+    std::abort();
   }
+  for (const auto &[Name, Spec] : Parsed)
+    armLocked(R, Name, Spec);
 }
 
 /// Parses ALIC_FAILPOINTS during static initialization, so ArmedCount is
@@ -132,28 +156,24 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
     std::string Value =
         Colon == std::string::npos ? std::string() : Part.substr(Colon + 1);
     if (Key == "nth") {
-      if (!parseU64(Value, Spec.Nth) || Spec.Nth == 0)
+      if (!parseField(Value, 1, Spec.Nth))
         return false;
     } else if (Key == "count") {
-      if (!parseU64(Value, Spec.Count) || Spec.Count == 0)
+      if (!parseField(Value, 1, Spec.Count))
         return false;
     } else if (Key == "mode") {
       SawMode = true;
       if (Value == "crash") {
         Spec.Mode = FailMode::Crash;
       } else if (Value.rfind("torn:", 0) == 0) {
-        uint64_t Bytes;
-        if (!parseU64(Value.substr(5), Bytes))
+        if (!parseField(Value.substr(5), 0, Spec.TornBytes))
           return false;
         Spec.Mode = FailMode::Torn;
-        Spec.TornBytes = size_t(Bytes);
         Spec.Errno = ENOSPC; // a torn write is a full disk unless overridden
       } else if (Value.rfind("errno:", 0) == 0) {
-        uint64_t Err;
-        if (!parseU64(Value.substr(6), Err) || Err == 0)
+        if (!parseField(Value.substr(6), 1, Spec.Errno))
           return false;
         Spec.Mode = FailMode::Error;
-        Spec.Errno = int(Err);
       } else {
         bool Ok;
         int Err = modeErrno(Value, Ok);
@@ -163,10 +183,8 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
         Spec.Errno = Err;
       }
     } else if (Key == "exit") {
-      uint64_t Code;
-      if (!parseU64(Value, Code) || Code > 255)
+      if (!parseField(Value, 0, Spec.ExitCode, 255))
         return false;
-      Spec.ExitCode = int(Code);
     } else {
       return false;
     }
@@ -175,26 +193,15 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
 }
 
 int alic::armFailPointsFromString(const std::string &Text) {
-  // Validate every clause before arming any.
-  std::vector<std::pair<std::string, FailSpec>> Parsed;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t Semi = Text.find(';', Pos);
-    if (Semi == std::string::npos)
-      Semi = Text.size();
-    std::string Clause = Text.substr(Pos, Semi - Pos);
-    Pos = Semi + 1;
-    if (Clause.empty())
-      continue;
-    size_t Eq = Clause.find('=');
-    FailSpec Spec;
-    if (Eq == std::string::npos || Eq == 0 ||
-        !parseFailSpec(Clause.substr(Eq + 1), Spec))
-      return -1;
-    Parsed.emplace_back(Clause.substr(0, Eq), Spec);
-  }
+  ParsedClauses Parsed;
+  std::string Bad;
+  if (!parseClauses(Text, Parsed, Bad))
+    return -1;
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.M);
+  parseEnvLocked(R);
   for (const auto &[Name, Spec] : Parsed)
-    armFailPoint(Name, Spec);
+    armLocked(R, Name, Spec);
   return int(Parsed.size());
 }
 
@@ -202,13 +209,7 @@ void alic::armFailPoint(const std::string &Name, const FailSpec &Spec) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.M);
   parseEnvLocked(R);
-  PointState &P = R.Points[Name];
-  if (!P.Armed)
-    failpoints::ArmedCount.fetch_add(1, std::memory_order_relaxed);
-  P.Armed = true;
-  P.Spec = Spec;
-  P.Hits = 0;
-  P.Fires = 0;
+  armLocked(R, Name, Spec);
 }
 
 void alic::disarmFailPoint(const std::string &Name) {

@@ -104,13 +104,15 @@ void disarmFailPoint(const std::string &Name);
 void disarmAllFailPoints();
 
 /// Parses one arming clause ("nth:3,mode:enospc,count:2") into \p Spec.
-/// Unknown keys or malformed values fail (returning false) rather than
-/// arming a half-understood spec.
+/// Unknown keys, malformed values and numbers outside their field's range
+/// (nth and count from 1, errno from 1 to INT_MAX, exit up to 255) fail
+/// (returning false) rather than arming a half-understood spec.
 bool parseFailSpec(const std::string &Text, FailSpec &Spec);
 
 /// Parses and arms every clause of an ALIC_FAILPOINTS-style string
-/// ("name=clause;name=clause").  Returns the number armed, or -1 on a
-/// parse error (nothing is armed from a malformed string).
+/// ("name=clause;name=clause"), by the parser the environment goes
+/// through.  Returns the number armed, or -1 on a parse error (nothing is
+/// armed from a malformed string).
 int armFailPointsFromString(const std::string &Text);
 
 /// Times failpoint \p Name was hit (evaluated while anything was armed)

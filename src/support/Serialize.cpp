@@ -2,7 +2,6 @@
 
 #include "support/Serialize.h"
 
-#include "support/Backoff.h"
 #include "support/FailPoint.h"
 
 #include <algorithm>
@@ -185,13 +184,10 @@ bool readWholeFile(const std::string &Path, std::string &Out) {
   return Ok;
 }
 
-/// Append attempts per record: a 1 ms backoff envelope doubling to 4 ms
-/// rides out a transient EINTR/EIO blip, yet a truly full disk
-/// quarantines a 275-cell campaign in about a second.
+/// Append attempts per record: a 1 ms backoff doubling to 4 ms rides out
+/// a transient EINTR/EIO blip, yet a truly full disk quarantines a
+/// 275-cell campaign in about a second.
 constexpr int AppendLogAttempts = 4;
-
-/// Seed of the retry Backoff stream (it sets only sleep lengths).
-constexpr uint64_t AppendLogBackoffSeed = 0x1ed6e4ull;
 
 /// One append attempt: write \p Line (ending in its newline), flush,
 /// fsync.  \p Seal prefixes a newline — a previous attempt may have torn
@@ -243,11 +239,10 @@ Status alic::appendLogLine(std::FILE *Out, const std::string &Path,
                            const char *AppendSite, const char *SyncSite) {
   const std::string Record = Line + '\n';
   Status St;
-  Backoff Retry(AppendLogBackoffSeed, /*BaseMs=*/1, /*CapMs=*/4);
   for (int Attempt = 0; Attempt != AppendLogAttempts; ++Attempt) {
     if (Attempt)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(Retry.delayMs(uint64_t(Attempt - 1))));
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoffDelayMs(
+          /*BaseMs=*/1, /*CapMs=*/4, uint64_t(Attempt - 1))));
     St = tryAppendLine(Out, Path, Record, NeedSeal || Attempt != 0,
                        AppendSite, SyncSite);
     if (St.ok()) {

@@ -54,8 +54,8 @@ Status syncParentDir(const std::string &Path);
 std::FILE *openAppendLog(const std::string &Path);
 
 /// Appends \p Line and a newline to the log \p Out (\p Path in errors),
-/// flushed and fsync'd, in up to four attempts on a jittered 1-4 ms
-/// backoff (support/Backoff); every retry seals first.  \p NeedSeal
+/// flushed and fsync'd, in up to four attempts on a 1, 2, 4 ms backoff
+/// ladder (backoffDelayMs); every retry seals first.  \p NeedSeal
 /// carries torn-remnant state across calls: true on entry seals the
 /// first attempt too, and it leaves true when the last attempt failed.
 /// Fault-injection sites: \p AppendSite (error / torn / crash before the

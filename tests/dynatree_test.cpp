@@ -85,8 +85,6 @@ public:
       const DynaTree::Tree &T = *P.T;
       if (!Seen.insert(&T).second)
         continue;
-      if (T.Bounds.size() != T.Nodes.size() * 2 * M.Dims)
-        return "bounds slots do not match the nodes";
       std::vector<uint8_t> ChunkSeen(T.Chunks.size(), 0);
       std::vector<std::pair<int32_t, int32_t>> Stack = {{0, -1}};
       size_t Visited = 0;
@@ -330,8 +328,6 @@ private:
     T.Nodes[0].SplitDim = 0;
     T.Nodes[1].Parent = T.Nodes[2].Parent = 0;
     T.Nodes[1].Depth = T.Nodes[2].Depth = 1;
-    for (int I = 0; I != 3; ++I)
-      Model.pushBoundsSlot(T);
     for (uint32_t Pt : Case.Stored)
       Model.absorbInto(T, 1, Pt);
     for (uint32_t Pt : Case.Elsewhere)

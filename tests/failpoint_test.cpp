@@ -165,6 +165,34 @@ TEST_F(FailPointTest, MalformedStringArmsNothing) {
   EXPECT_FALSE(ALIC_FAILPOINT("fp.test.ok").Fire);
 }
 
+// A number past its field's range must not wrap into an armed spec that
+// never fires (nth saturated at 2^64 - 1) or fires the wrong errno.
+TEST_F(FailPointTest, OverflowingNthArmsNothing) {
+  FailSpec Spec;
+  EXPECT_FALSE(parseFailSpec("nth:99999999999999999999,mode:eio", Spec));
+  EXPECT_EQ(armFailPointsFromString(
+                "fp.test.ok=mode:eio;"
+                "fp.test.nth=nth:99999999999999999999,mode:eio"),
+            -1);
+  EXPECT_FALSE(ALIC_FAILPOINT("fp.test.ok").Fire);
+  EXPECT_FALSE(ALIC_FAILPOINT("fp.test.nth").Fire);
+  EXPECT_EQ(failPointHits("fp.test.nth"), 0u);
+}
+
+TEST_F(FailPointTest, OutOfRangeErrnoArmsNothing) {
+  FailSpec Spec;
+  EXPECT_FALSE(parseFailSpec("mode:errno:4294967298", Spec));
+  EXPECT_FALSE(parseFailSpec("mode:errno:2147483648", Spec));
+  ASSERT_TRUE(parseFailSpec("mode:errno:2147483647", Spec));
+  EXPECT_EQ(Spec.Errno, 2147483647);
+  EXPECT_EQ(armFailPointsFromString(
+                "fp.test.ok=mode:eio;fp.test.errno=mode:errno:4294967298"),
+            -1);
+  EXPECT_FALSE(ALIC_FAILPOINT("fp.test.ok").Fire);
+  EXPECT_FALSE(ALIC_FAILPOINT("fp.test.errno").Fire);
+  EXPECT_EQ(failPointHits("fp.test.errno"), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // writeFileDurable under injected faults
 //===----------------------------------------------------------------------===//

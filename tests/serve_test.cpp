@@ -637,6 +637,40 @@ TEST(ServeEngineTest, ResealedUnrunnableSpecIsSkipped) {
   }
 }
 
+TEST(ServeEngineTest, UnrunnableSpecFailsOpenAndWritesNoLog) {
+  // Restore skips a spec no session can run, so open must refuse it: a
+  // session served from it would lose its acknowledged observes at the
+  // next restart.
+  std::vector<std::pair<const char *, void (*)(SessionSpec &)>> Edits = {
+      {"batch 0", [](SessionSpec &S) { S.BatchSize = 0; }},
+      {"0 particles", [](SessionSpec &S) { S.Scale.Particles = 0; }},
+      {"split fraction 1", [](SessionSpec &S) { S.Scale.TrainFraction = 1; }},
+      {"negative mellowness",
+       [](SessionSpec &S) { S.Query.Mellowness = -1; }},
+  };
+  std::string Dir = freshStateDir("unrunnable_open");
+  ServeEngine Engine(engineOptions(Dir, 0));
+  for (const auto &[Name, Edit] : Edits) {
+    SCOPED_TRACE(Name);
+    SessionSpec Spec = tinySpec();
+    Edit(Spec);
+    std::string Err;
+    EXPECT_FALSE(Engine.openSession("s", Spec, Err));
+    EXPECT_NE(Err.find("not runnable"), std::string::npos) << Err;
+  }
+  EXPECT_EQ(Engine.sessionCount(), 0u);
+  size_t Logs = 0;
+  if (std::filesystem::exists(Dir))
+    for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+      Logs += Entry.path().filename().string().rfind("sess-", 0) == 0;
+  EXPECT_EQ(Logs, 0u);
+  ServeEngine Restored(engineOptions(Dir, 0));
+  size_t Skipped = 99;
+  EXPECT_EQ(Restored.restoreSessions(&Skipped), 0u);
+  EXPECT_EQ(Skipped, 0u);
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(ServeEngineTest, UncreatableStateDirFailsOpenNotConstruction) {
   // A state dir below a regular file can never be created.  Building the
   // engine must not throw; every open fails, naming the log it could not

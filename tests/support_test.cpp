@@ -1,8 +1,8 @@
 //===- tests/support_test.cpp - support/ unit tests -----------*- C++ -*-===//
 
-#include "support/Backoff.h"
 #include "support/BigUInt.h"
 #include "support/Env.h"
+#include "support/Error.h"
 #include "support/FlatRows.h"
 #include "support/Format.h"
 #include "support/Json.h"
@@ -597,50 +597,21 @@ TEST(JsonTest, FormatJsonDoubleNeverEmitsInvalidTokens) {
 // Backoff
 //===----------------------------------------------------------------------===//
 
-TEST(BackoffTest, DeterministicPerSeedAndAttempt) {
-  Backoff A(17, 10, 1000), B(17, 10, 1000);
-  for (uint64_t Attempt = 0; Attempt != 12; ++Attempt)
-    EXPECT_EQ(A.delayMs(Attempt), B.delayMs(Attempt));
-  // Same attempt, different seed: the jitter stream differs.
-  Backoff C(18, 10, 1000);
-  int Same = 0;
-  for (uint64_t Attempt = 0; Attempt != 12; ++Attempt)
-    Same += A.delayMs(Attempt) == C.delayMs(Attempt);
-  EXPECT_LT(Same, 12);
-}
-
-TEST(BackoffTest, ZeroJitterIsThePureLadder) {
-  // The ledger-append ladder this class replaced: 1, 2, 4, 4, ... ms.
-  Backoff Ladder(0, 1, 4, 0.0);
-  EXPECT_EQ(Ladder.delayMs(0), 1u);
-  EXPECT_EQ(Ladder.delayMs(1), 2u);
-  EXPECT_EQ(Ladder.delayMs(2), 4u);
-  EXPECT_EQ(Ladder.delayMs(3), 4u);
-  EXPECT_EQ(Ladder.delayMs(100), 4u);
-}
-
-TEST(BackoffTest, DelaysStayInsideTheJitterWindow) {
-  const double Fraction = 0.5;
-  Backoff B(99, 100, 1600, Fraction);
-  for (uint64_t Attempt = 0; Attempt != 10; ++Attempt) {
-    uint64_t Envelope = std::min<uint64_t>(100u << std::min<uint64_t>(
-                                               Attempt, 63),
-                                           1600);
-    uint64_t Delay = B.delayMs(Attempt);
-    EXPECT_LE(Delay, Envelope) << "attempt " << Attempt;
-    EXPECT_GE(Delay, Envelope - uint64_t(Envelope * Fraction))
-        << "attempt " << Attempt;
-  }
-}
-
-TEST(BackoffTest, EnvelopeGrowsMonotonicallyToTheCap) {
-  Backoff B(7, 50, 2000, 0.0);
+TEST(BackoffTest, LadderDoublesToTheCap) {
+  // The ledger-append ladder: 1, 2, 4, 4, ... ms.
+  EXPECT_EQ(backoffDelayMs(1, 4, 0), 1u);
+  EXPECT_EQ(backoffDelayMs(1, 4, 1), 2u);
+  EXPECT_EQ(backoffDelayMs(1, 4, 2), 4u);
+  EXPECT_EQ(backoffDelayMs(1, 4, 3), 4u);
+  EXPECT_EQ(backoffDelayMs(1, 4, 100), 4u);
+  // alic_serve's accept ladder, which never overflows however long the
+  // failures last.
   uint64_t Prev = 0;
-  for (uint64_t Attempt = 0; Attempt != 16; ++Attempt) {
-    uint64_t Delay = B.delayMs(Attempt);
+  for (uint64_t Attempt = 0; Attempt != 100; ++Attempt) {
+    uint64_t Delay = backoffDelayMs(100, 1600, Attempt);
+    EXPECT_EQ(Delay, Attempt < 4 ? 100u << Attempt : 1600u);
     EXPECT_GE(Delay, Prev);
-    EXPECT_LE(Delay, B.capMs());
     Prev = Delay;
   }
-  EXPECT_EQ(Prev, B.capMs());
+  EXPECT_EQ(backoffDelayMs(100, 1600, ~0ull), 1600u);
 }

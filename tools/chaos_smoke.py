@@ -50,7 +50,8 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    usage text, and so do `--lease-range-cells=0`, and `--worker-id=w0` or
    `--lease-range-cells=4` without `--lease-claim`.  None writes anything.
 
-stdlib-only by design: CI runs it with a bare python3.
+stdlib-only by design: CI runs it with a bare python3.  The serve
+client and its synthetic costs come from tools/serve_smoke.py.
 
 Exit codes: 0 ok, 1 contract violation, 2 usage error.
 """
@@ -59,10 +60,10 @@ import argparse
 import json
 import os
 import shutil
-import socket
 import subprocess
 import sys
-import time
+
+from serve_smoke import Daemon, fail, synthetic_cost
 
 CRASH_EXIT = 43  # FailSpec::ExitCode default
 QUARANTINE_EXIT = 74  # alic_campaign's EX_IOERR
@@ -88,11 +89,6 @@ SERVE_SPEC = {
     "seed": 9,
     "max_examples": 8,
 }
-
-
-def fail(message):
-    print(f"chaos_smoke: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def read_bytes(path):
@@ -310,32 +306,13 @@ class DaemonDied(Exception):
     """The daemon crashed mid-request (the injected failpoint fired)."""
 
 
-class ChaosDaemon:
-    """One alic_serve process; request() raises DaemonDied on a crash."""
+class ChaosDaemon(Daemon):
+    """A serial alic_serve that a failpoint may crash: request() raises
+    DaemonDied instead of failing the run."""
 
     def __init__(self, binary, sock_path, state_dir, failpoints=None):
-        env = dict(os.environ, ALIC_SCALE="smoke")
-        env.pop("ALIC_FAILPOINTS", None)
-        if failpoints:
-            env["ALIC_FAILPOINTS"] = failpoints
-        self.proc = subprocess.Popen(
-            [binary, f"--socket={sock_path}", f"--state-dir={state_dir}",
-             "--threads=0"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
-            text=True)
-        ready = self.proc.stdout.readline()
-        if not ready.startswith("READY"):
-            fail(f"daemon did not print READY (got {ready!r})")
-        self.conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        for _ in range(50):
-            try:
-                self.conn.connect(sock_path)
-                break
-            except OSError:
-                time.sleep(0.1)
-        else:
-            fail(f"could not connect to {sock_path}")
-        self.reader = self.conn.makefile("r")
+        super().__init__(binary, sock_path, state_dir, "serve", threads=0,
+                         failpoints=failpoints)
 
     def request(self, obj):
         try:
@@ -347,29 +324,12 @@ class ChaosDaemon:
             raise DaemonDied()
         return line.rstrip("\n"), json.loads(line)
 
-    def must(self, obj):
-        line, reply = self.request(obj)
-        if not reply.get("ok"):
-            fail(f"{obj.get('op')} failed: {line}")
-        return line, reply
-
     def reap(self, expect_crash):
         self.conn.close()
         rc = self.proc.wait(timeout=30)
         if expect_crash and rc != CRASH_EXIT:
             fail(f"daemon exited {rc}, want crash exit {CRASH_EXIT}")
         return rc
-
-    def terminate(self):
-        self.proc.terminate()
-        rc = self.proc.wait(timeout=30)
-        self.conn.close()
-        if rc != 0:
-            fail(f"daemon SIGTERM drain exited {rc}, want 0")
-
-
-def serve_cost(round_index, slot):
-    return 0.4 + ((round_index * 31 + slot * 7) % 97) * 1e-3
 
 
 def serve_reference(binary, workdir):
@@ -381,7 +341,7 @@ def serve_reference(binary, workdir):
         line, reply = daemon.must({"op": "suggest", "session": "s"})
         suggestions.append(line)
         count = len(reply["configs"]) * reply["observations_per_config"]
-        costs = [serve_cost(round_index, s) for s in range(count)]
+        costs = [synthetic_cost(round_index, s) for s in range(count)]
         daemon.must({"op": "observe", "session": "s",
                      "ticket": reply["ticket"], "costs": costs})
     daemon.terminate()
@@ -435,7 +395,7 @@ def serve_crash_loop(binary, workdir, reference, site):
                     suggestions.append(line)
                 count = (len(reply["configs"]) *
                          reply["observations_per_config"])
-                costs = [serve_cost(acked, s) for s in range(count)]
+                costs = [synthetic_cost(acked, s) for s in range(count)]
                 daemon.must({"op": "observe", "session": "s",
                              "ticket": reply["ticket"], "costs": costs})
                 acked += 1

@@ -32,7 +32,9 @@ semantics (docs/SERVE_PROTOCOL.md):
 7. *uncreatable state dir* — a `--state-dir` below a regular file exits
    1 with one line naming the directory, before the socket is bound.
 
-stdlib-only by design: CI runs it with a bare python3.
+stdlib-only by design: CI runs it with a bare python3.  Its client
+(`Daemon`, `synthetic_cost`, `fail`) is shared: tools/chaos_smoke.py
+imports it.
 
 Exit codes: 0 ok, 1 contract violation or daemon failure, 2 usage error.
 """
@@ -61,7 +63,9 @@ SPEC = {
 
 
 def fail(message):
-    print(f"serve_smoke: FAIL: {message}", file=sys.stderr)
+    """Reports a contract violation under the running script's name."""
+    prog = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    print(f"{prog}: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -71,15 +75,23 @@ def synthetic_cost(round_index, slot):
 
 
 class Daemon:
-    """One alic_serve process plus a line-oriented socket connection."""
+    """One alic_serve process plus a line-oriented socket connection.
 
-    def __init__(self, binary, sock_path, state_dir, label, extra_args=()):
+    `failpoints` becomes the daemon's ALIC_FAILPOINTS; any inherited
+    value is dropped.
+    """
+
+    def __init__(self, binary, sock_path, state_dir, label, extra_args=(),
+                 threads=2, failpoints=None):
         self.label = label
         self.sock_path = sock_path
         env = dict(os.environ, ALIC_SCALE="smoke")
+        env.pop("ALIC_FAILPOINTS", None)
+        if failpoints:
+            env["ALIC_FAILPOINTS"] = failpoints
         self.proc = subprocess.Popen(
             [binary, f"--socket={sock_path}", f"--state-dir={state_dir}",
-             "--threads=2", *extra_args],
+             f"--threads={threads}", *extra_args],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
             text=True)
         ready = self.proc.stdout.readline()
@@ -128,6 +140,14 @@ class Daemon:
         if code != 0:
             fail(f"{self.label}: shutdown drain exited {code}, want 0")
         self.conn.close()
+
+    def terminate(self):
+        """SIGTERM: the daemon must drain and exit 0."""
+        self.proc.terminate()
+        code = self.proc.wait(timeout=30)
+        self.conn.close()
+        if code != 0:
+            fail(f"{self.label}: SIGTERM drain exited {code}, want 0")
 
 
 def run_rounds(daemon, start, stop, suggestions):
@@ -195,11 +215,7 @@ def probe_sigterm_drain(binary, workdir):
     daemon.must({"op": "open", "session": "s", "spec": SPEC})
     drained = []
     run_rounds(daemon, 0, 2, drained)
-    daemon.proc.send_signal(signal.SIGTERM)
-    code = daemon.proc.wait(timeout=30)
-    if code != 0:
-        fail(f"drain: SIGTERM exit code {code}, want 0")
-    daemon.conn.close()
+    daemon.terminate()
 
     daemon = Daemon(binary, sock, state, "drain-restart")
     _, info = daemon.must({"op": "info", "session": "s"})
@@ -238,8 +254,7 @@ def probe_flags(binary, workdir):
     if len(lines) != 1 or "smoke|bench|paper" not in lines[0]:
         fail(f"flags: ALIC_SCALE=smok wants one line naming "
              f"smoke|bench|paper, got {proc.stderr!r}")
-    daemon = Daemon(binary, sock, "", "flags",
-                    extra_args=["--threads=auto"])
+    daemon = Daemon(binary, sock, "", "flags", threads="auto")
     daemon.must({"op": "ping"})
     daemon.shutdown()
     print("serve_smoke: flag probe OK (bad numbers and unknown flags exit "
