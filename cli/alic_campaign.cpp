@@ -39,9 +39,10 @@ namespace {
 /// Exit code when --max-cells interrupted the campaign before completion.
 constexpr int ExitIncomplete = 75; // EX_TEMPFAIL: retry (resume) later
 
-/// Exit code when ledger I/O failures quarantined cells (EX_IOERR).  The
-/// campaign finished every other cell; re-running the same command
-/// retries exactly the quarantined ones.
+/// Exit code when cells were quarantined (EX_IOERR): by ledger I/O or
+/// lease claim failures, which re-running the same command retries, or
+/// by conflicting ledger lines, which it does not.  The campaign
+/// finished every other cell.
 constexpr int ExitQuarantined = 74;
 
 std::vector<std::string> splitList(const std::string &Csv) {
@@ -77,7 +78,7 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "  --threads=N|auto      scheduler workers; cells run as tasks and\n"
       "                        fork their inner shards onto the same pool\n"
       "                        (auto = hardware concurrency; 0 = inline)\n"
-      "  --state-dir=DIR       checkpoint ledger + dataset cache location\n"
+      "  --state-dir=DIR       checkpoint ledgers + dataset cache location\n"
       "                        (default: alic-campaign-<scale>)\n"
       "  --out=PATH            aggregate JSON (default: BENCH_campaign.json)\n"
       "  --max-cells=K         attempt at most K missing cells, exit %d\n"
@@ -95,11 +96,10 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "                        needs --lease-claim\n"
       "  --worker-id=ID        this worker's ledger tag, cells.<ID>.jsonl\n"
       "                        (default w<pid>); needs --lease-claim\n"
-      "  --merge-ledgers       union every cells*.jsonl shard ledger into\n"
-      "                        the canonical cells.jsonl and exit; byte-\n"
-      "                        conflicting duplicates quarantine (exit %d)\n",
+      "Every run reads the union of the state dir's cells*.jsonl ledgers;\n"
+      "a plain run after the workers writes the aggregate to --out.\n",
       Binary, tokenList(ModelTokens, ",").c_str(),
-      tokenList(ScorerTokens, ",").c_str(), ExitIncomplete, ExitQuarantined);
+      tokenList(ScorerTokens, ",").c_str(), ExitIncomplete);
   std::exit(2);
 }
 
@@ -163,7 +163,6 @@ int main(int argc, char **argv) {
   CampaignOptions Options;
   Options.StateDir = defaultCampaignStateDir(Spec.ScaleName);
   std::string OutPath = "BENCH_campaign.json";
-  bool MergeMode = false;
   const char *LeaseOnlyFlag = nullptr; // the last flag that needs --lease-claim
 
   for (int I = 1; I != argc; ++I) {
@@ -237,8 +236,6 @@ int main(int argc, char **argv) {
         usage(argv[0], "--worker-id must be a non-empty filename fragment");
       LeaseOnlyFlag = "--worker-id";
       Options.WorkerId = Value;
-    } else if (std::strcmp(argv[I], "--merge-ledgers") == 0) {
-      MergeMode = true;
     } else if (std::strcmp(argv[I], "--help") == 0 ||
                std::strcmp(argv[I], "-h") == 0) {
       usage(argv[0], nullptr);
@@ -252,36 +249,6 @@ int main(int argc, char **argv) {
   if (LeaseOnlyFlag && !Options.LeaseClaim)
     usage(argv[0],
           formatString("%s needs --lease-claim", LeaseOnlyFlag).c_str());
-
-  if (MergeMode) {
-    LedgerMergeReport Report;
-    Status S = mergeLedgers(Spec, Options, Report);
-    if (!S.ok()) {
-      std::fprintf(stderr, "merge: %s (errno %d)\n", S.message().c_str(),
-                   S.errnoValue());
-      return ExitQuarantined;
-    }
-    if (!Report.ConflictKeys.empty()) {
-      std::fprintf(stderr,
-                   "merge: %zu cell key(s) carry *different* bytes in "
-                   "different shard ledgers:\n",
-                   Report.ConflictKeys.size());
-      for (const std::string &Key : Report.ConflictKeys)
-        std::fprintf(stderr, "  conflict: %s\n", Key.c_str());
-      std::fprintf(stderr,
-                   "cells are deterministic, so conflicting duplicates are "
-                   "corruption; %s left untouched\n",
-                   Options.canonicalLedgerPath().c_str());
-      return ExitQuarantined;
-    }
-    std::printf("merged: %zu ledger(s), %zu line(s) -> %zu cell(s) into %s "
-                "(%zu duplicate(s), %zu foreign, %zu torn tail(s) sealed, "
-                "%zu garbage line(s) skipped)\n",
-                Report.InputFiles, Report.Lines, Report.UniqueCells,
-                Options.canonicalLedgerPath().c_str(), Report.DuplicateCells,
-                Report.ForeignCells, Report.TornTails, Report.SkippedGarbage);
-    return 0;
-  }
 
   std::printf("# alic_campaign  [ALIC_SCALE=%s] %zu benchmark(s) x %zu "
               "model(s) x %zu scorer(s) x %zu batch(es) x %u seed(s), "
@@ -305,47 +272,50 @@ int main(int argc, char **argv) {
   if (!Progress.QuarantinedCells.empty()) {
     std::fprintf(stderr,
                  "campaign: %zu cell(s) quarantined by ledger append or "
-                 "lease claim failures:\n",
+                 "lease claim failures, or by conflicting ledger lines:\n",
                  Progress.QuarantinedCells.size());
     for (const std::string &Key : Progress.QuarantinedCells)
       std::fprintf(stderr, "  quarantined: %s\n", Key.c_str());
     std::fprintf(stderr,
-                 "re-run the same command to retry exactly these cells "
-                 "against %s\n",
-                 Options.ledgerPath().c_str());
+                 "re-run the same command to retry the cells whose append "
+                 "or lease claim failed; a cell whose lines conflict is "
+                 "never rerun: remove the wrong line from the "
+                 "cells*.jsonl in %s first\n",
+                 Options.StateDir.c_str());
     return ExitQuarantined;
   }
   if (!Progress.Complete) {
     std::printf("campaign interrupted by --max-cells; re-run the same "
-                "command to resume from %s\n",
-                Options.ledgerPath().c_str());
+                "command to resume from the ledgers in %s\n",
+                Options.StateDir.c_str());
     return ExitIncomplete;
   }
   if (Options.LeaseClaim) {
-    // Lease workers never aggregate — that would race the other
-    // workers' appends.  Merge once the fleet is done, then aggregate
-    // from the canonical ledger (plain re-run or the bench renderers).
-    std::printf("shard ledger complete: %s; when all workers are done, "
-                "run --merge-ledgers --state-dir=%s\n",
+    // Lease workers never write --out: several workers would race on
+    // one path.  A plain run aggregates the union once the fleet is done.
+    std::printf("worker ledger complete: %s; when all workers are done, "
+                "a plain run with --state-dir=%s writes the aggregate\n",
                 Options.ledgerPath().c_str(), Options.StateDir.c_str());
     return 0;
   }
 
   CampaignResult Result;
   if (!aggregateCampaign(Spec, Options, Result)) {
-    std::fprintf(stderr, "error: ledger %s is missing cells it just ran\n",
-                 Options.ledgerPath().c_str());
+    std::fprintf(stderr, "error: the ledgers in %s are missing cells just "
+                 "run\n", Options.StateDir.c_str());
     return 1;
   }
   std::string Json = campaignJson(Spec, Result);
   std::FILE *Out = std::fopen(OutPath.c_str(), "wb");
-  if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
+  bool Written =
+      Out && std::fwrite(Json.data(), 1, Json.size(), Out) == Json.size();
+  // The close flushes what stdio still buffers, so it can fail too.
+  if (Out && std::fclose(Out) != 0)
+    Written = false;
+  if (!Written) {
     std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
-    if (Out)
-      std::fclose(Out);
     return 1;
   }
-  std::fclose(Out);
   std::printf("written: %s (geomean speedup %.2f over %zu combo(s))\n",
               OutPath.c_str(), Result.GeomeanSpeedup, Result.Combos.size());
   return 0;

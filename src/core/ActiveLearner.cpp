@@ -27,8 +27,6 @@ SamplingPlan SamplingPlan::sequential(unsigned Cap) {
 namespace {
 
 /// How labelling one pick moves the learner's candidate bookkeeping.
-/// Shared by the batch pre-simulation in suggest() and the absorption
-/// loop in observe() so the two can never drift apart.
 struct PickOutcome {
   bool TakesUnseen;       ///< the pick leaves the unseen pool
   bool JoinsRevisitable;  ///< a fresh pick still short of the cap
@@ -182,53 +180,26 @@ const Suggestion &ActiveLearner::suggest(unsigned Batch) {
     Chosen = Order;
   }
 
-  // The completion criterion can trip mid-batch; simulate the bookkeeping
-  // up front so only the picks that will actually be absorbed are
-  // suggested (and measured, and charged to the caller's ledger).  The
-  // query policy is consulted here, in pick order, so the skip/query
-  // sequence is a pure function of the replayed state (QueryPolicy.h):
-  // replaying a recorded cost stream reproduces every decision.
-  std::vector<uint8_t> Queried;
-  {
-    size_t Executable = 0;
-    size_t Iter = Stats.Iterations;
-    size_t UnseenLeft = Unseen.size();
-    size_t RevisitableLeft = Revisitable.size();
-    for (size_t Pick : Chosen) {
-      // done()'s two conditions on the simulated state.
-      if (Iter >= Cfg.MaxTrainingExamples ||
-          (UnseenLeft == 0 && RevisitableLeft == 0))
-        break;
-      uint32_t PoolIdx = Ids[Pick];
-      bool Revisit = Pick >= NumFresh;
-      bool Label = true;
-      if (Policy) {
-        Prediction P = Model.predict(Pool.row(PoolIdx));
-        QueryDecision D;
-        D.Mean = P.Mean;
-        D.Variance = P.Variance;
-        D.StreamPosition = Iter;
-        Label = Policy->shouldQuery(D);
-      }
-      auto It = ObsCount.find(PoolIdx);
-      // A declined pick is consumed unlabelled: a fresh one leaves the
-      // unseen pool without joining the revisit set, a revisit is retired
-      // (the policy judged further measurements there uninformative).
-      PickOutcome O =
-          Label ? pickOutcome(Plan, Revisit,
-                              It == ObsCount.end() ? 0 : It->second)
-                : PickOutcome{!Revisit, false, Revisit};
-      UnseenLeft -= O.TakesUnseen;
-      RevisitableLeft += O.JoinsRevisitable;
-      RevisitableLeft -= O.LeavesRevisitable;
-      ++Iter;
-      ++Executable;
-      Queried.push_back(Label);
+  // The example budget can run out mid-batch, so only the picks that fit
+  // it are suggested (and measured, and charged to the caller's ledger).
+  // done()'s other condition cannot trip mid-batch: every pick holds its
+  // own entry of the unseen or revisitable set, and absorbing a pick
+  // removes at most that entry.  The query policy is consulted here, in
+  // pick order, so the skip/query sequence is a pure function of the
+  // replayed state (QueryPolicy.h): replaying a recorded cost stream
+  // reproduces every decision.
+  Chosen.resize(std::min<size_t>(Chosen.size(),
+                                 Cfg.MaxTrainingExamples - Stats.Iterations));
+  std::vector<uint8_t> Queried(Chosen.size(), 1);
+  if (Policy)
+    for (size_t K = 0; K != Chosen.size(); ++K) {
+      Prediction P = Model.predict(Pool.row(Ids[Chosen[K]]));
+      QueryDecision D;
+      D.Mean = P.Mean;
+      D.Variance = P.Variance;
+      D.StreamPosition = Stats.Iterations + K;
+      Queried[K] = Policy->shouldQuery(D);
     }
-    Chosen.resize(Executable);
-  }
-  if (Chosen.empty())
-    return Outstanding; // unreachable given !done(), kept as a safeguard
 
   PendingIdx.clear();
   PendingRevisit.clear();
@@ -284,14 +255,16 @@ bool ActiveLearner::observe(uint64_t Ticket,
 
   // --- Absorb the pick(s); only labelled ones update the model ----------
   // PendingIdx holds queried and skipped picks interleaved in selection
-  // order; the cost cursor advances only over queried picks, so the
-  // suggest()-time simulation and this loop walk identical sequences.
+  // order; the cost cursor advances only over queried picks.
   size_t Cursor = 0;
   for (size_t Slot = 0; Slot != PendingIdx.size(); ++Slot) {
     uint32_t PoolIdx = PendingIdx[Slot];
     bool Revisit = PendingRevisit[Slot] != 0;
     bool Labelled = PendingQueried.empty() || PendingQueried[Slot] != 0;
     PickOutcome O = [&] {
+      // A declined pick is consumed unlabelled: a fresh one leaves the
+      // unseen pool without joining the revisit set, a revisit is retired
+      // (the policy judged further measurements there uninformative).
       if (!Labelled)
         return PickOutcome{!Revisit, false, Revisit};
       auto It = ObsCount.find(PoolIdx);

@@ -9,7 +9,6 @@
 #include "stats/Metrics.h"
 #include "stats/OnlineStats.h"
 #include "support/Error.h"
-#include "support/FailPoint.h"
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -22,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -253,48 +251,54 @@ bool parseCellLine(const std::string &Line, std::string &Key,
   return true;
 }
 
-/// The ledger's line scanner: scanLogLines over \p Path, calling
-/// \p OnCell(Line, Key, Result) for every complete line that parses as
-/// a cell; a torn tail and unparsable lines are counted in \p Stats.
-Status scanLedger(const std::string &Path, LogScanStats &Stats,
-                  const std::function<void(const std::string &,
-                                           const std::string &, CellResult &)>
-                      &OnCell) {
-  return scanLogLines(Path, Stats, [&](const std::string &Line) {
-    std::string Key;
+/// The campaign's ledger: the union of every cells*.jsonl under a state
+/// dir, the default run's cells.jsonl and each lease worker's
+/// cells.<worker>.jsonl alike.  Cells are pure functions of their keys,
+/// so the union needs no canonical copy.
+struct Ledger {
+  /// One complete line per cell key: its bytes and its parsed result.
+  struct Line {
+    std::string Bytes;
     CellResult Result;
-    if (!parseCellLine(Line, Key, Result))
-      return false;
-    OnCell(Line, Key, Result);
-    return true;
-  });
-}
+  };
+  std::unordered_map<std::string, Line> Cells;
+  /// Keys that two complete lines carry with different bytes.  Cells are
+  /// deterministic, so this is corruption (mixed-up state dirs, bit rot,
+  /// a tampered file): such a cell is quarantined, never rerun and never
+  /// aggregated.
+  std::unordered_set<std::string> Conflicts;
+};
 
-/// Reads the ledger's cells; a missing or unreadable ledger is empty
-/// (its cells simply rerun).
-std::unordered_map<std::string, CellResult>
-loadLedger(const std::string &Path) {
-  std::unordered_map<std::string, CellResult> Ledger;
-  LogScanStats Skipped;
-  (void)scanLedger(Path, Skipped,
-                   [&](const std::string &, const std::string &Key,
-                       CellResult &Result) {
-                     // Later lines win (idempotent rewrites).
-                     Ledger[Key] = std::move(Result);
-                   });
-  return Ledger;
-}
-
-/// The keys of every cell recorded in any of \p Paths: the done-set.
-std::unordered_set<std::string>
-ledgerKeys(const std::vector<std::string> &Paths) {
-  std::unordered_set<std::string> Done;
+/// The one ledger loader, behind the resume done-set, every lease claim's
+/// rescan and the aggregate.  Byte-identical duplicate lines collapse; a
+/// torn tail and unparsable lines are skipped; a missing or unreadable
+/// file adds nothing (its cells simply rerun).
+Ledger loadLedger(const std::string &StateDir) {
+  std::vector<std::string> Paths;
+  std::error_code Ec;
+  for (std::filesystem::directory_iterator It(StateDir, Ec), End;
+       !Ec && It != End; It.increment(Ec)) {
+    std::string Name = It->path().filename().string();
+    if (Name.rfind("cells", 0) == 0 && Name.size() > 6 &&
+        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
+      Paths.push_back(StateDir + "/" + Name);
+  }
+  Ledger L;
   LogScanStats Skipped;
   for (const std::string &Path : Paths)
-    (void)scanLedger(Path, Skipped,
-                     [&](const std::string &, const std::string &Key,
-                         CellResult &) { Done.insert(Key); });
-  return Done;
+    (void)scanLogLines(Path, Skipped, [&](const std::string &Bytes) {
+      std::string Key;
+      CellResult Result;
+      if (!parseCellLine(Bytes, Key, Result))
+        return false;
+      auto [It, Fresh] = L.Cells.try_emplace(Key);
+      if (Fresh)
+        It->second = {Bytes, std::move(Result)};
+      else if (It->second.Bytes != Bytes)
+        L.Conflicts.insert(Key);
+      return true;
+    });
+  return L;
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,23 +363,6 @@ CellResult computeRunCell(const CampaignSpec &Spec, const CampaignCell &Cell,
 // Orchestration pieces
 //===----------------------------------------------------------------------===//
 
-/// Every worker ledger under \p StateDir — the canonical cells.jsonl plus
-/// any per-worker cells.<worker>.jsonl — sorted by name so reads are
-/// deterministic.
-std::vector<std::string> shardLedgerPaths(const std::string &StateDir) {
-  std::vector<std::string> Paths;
-  std::error_code Ec;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(StateDir, Ec)) {
-    std::string Name = Entry.path().filename().string();
-    if (Name.rfind("cells", 0) == 0 && Name.size() > 6 &&
-        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
-      Paths.push_back(StateDir + "/" + Name);
-  }
-  std::sort(Paths.begin(), Paths.end());
-  return Paths;
-}
-
 /// Creates Options.StateDir, fsyncing its parent on first creation so
 /// the new directory entry itself survives a crash (the
 /// writeFileDurable discipline, applied to the campaign's root).
@@ -432,20 +419,22 @@ constexpr std::chrono::milliseconds LeaseRescanInterval(500);
 
 /// How one invocation obtains ranges of the canonical unique-cell list:
 /// the only thing the default run and `--lease-claim` do differently.
-///  * The default run offers the whole list once; its done-set is the
-///    canonical ledger.
+/// Both read one done-set, the keys of the ledger union (loadLedger); a
+/// spec cell whose lines conflict counts as done, so it never reruns, and
+/// is quarantined.
+///  * The default run offers the whole list once.
 ///  * Lease claiming claims splitRangesByCells ranges through
-///    exp/ShardLease, cycling from a worker-id-derived offset, rescans the
-///    union of worker ledgers (its done-set) after every claim, and
-///    repeats until nothing is missing.  A claim that fails with an error
-///    quarantines the range's missing cells and retires the range: nobody
-///    holds that lock, so waiting for it would never end.
+///    exp/ShardLease, cycling from a worker-id-derived offset, reloads the
+///    done-set after every claim, and repeats until nothing is missing.  A
+///    claim that fails with an error quarantines the range's missing cells
+///    and retires the range: nobody holds that lock, so waiting for it
+///    would never end.
 class RangePolicy {
 public:
   RangePolicy(const CampaignOptions &Options,
-              const std::vector<std::string> &Keys,
+              const std::vector<std::string> &Keys, const std::string &Tag,
               std::vector<std::string> &Quarantined)
-      : Options(Options), Keys(Keys), Quarantined(Quarantined) {
+      : Options(Options), Keys(Keys), Tag(Tag), Quarantined(Quarantined) {
     if (Options.LeaseClaim) {
       Ranges = splitRangesByCells(Keys.size(), Options.LeaseRangeCells);
       Leases.emplace(Options.leaseDir());
@@ -460,7 +449,7 @@ public:
       Ranges = {{0, 0, Keys.size()}};
     }
     Retired.assign(Ranges.size(), 0);
-    Done = loadDone();
+    loadDone();
   }
 
   /// Indices of spec cells missing from the done-set, in canonical order.
@@ -499,16 +488,16 @@ public:
             for (size_t I : Missing) {
               Quarantined.push_back(Keys[I]);
               std::fprintf(stderr,
-                           "  campaign[%s] QUARANTINED %s: lease claim "
+                           "  campaign%s QUARANTINED %s: lease claim "
                            "failed\n",
-                           Options.workerId().c_str(), Keys[I].c_str());
+                           Tag.c_str(), Keys[I].c_str());
             }
             continue;
           }
           // Rescan under the lock: a previous holder appended and fsynced
           // every cell it ran before it released, so while exclusion holds
           // no live worker reruns a finished cell.
-          Done = loadDone();
+          loadDone();
           Missing = missingIn(Ranges[P].Begin, Ranges[P].End);
           if (Missing.empty()) {
             Lease.release();
@@ -531,7 +520,7 @@ public:
       // Every missing range is held by another worker: wait and rescan.
       // A dead holder's lock is gone already; the rescan claims its range.
       std::this_thread::sleep_for(LeaseRescanInterval);
-      Done = loadDone();
+      loadDone();
     }
   }
 
@@ -549,11 +538,23 @@ public:
   bool allDone() const { return AllDone; }
 
 private:
-  std::unordered_set<std::string> loadDone() const {
-    return ledgerKeys(
-        Options.LeaseClaim
-            ? shardLedgerPaths(Options.StateDir)
-            : std::vector<std::string>{Options.canonicalLedgerPath()});
+  /// Reloads the done-set; quarantines each spec cell the first time its
+  /// lines are seen to conflict.
+  void loadDone() {
+    Ledger L = loadLedger(Options.StateDir);
+    Done.clear();
+    for (const auto &Cell : L.Cells)
+      Done.insert(Cell.first);
+    if (L.Conflicts.empty())
+      return;
+    for (const std::string &Key : Keys)
+      if (L.Conflicts.count(Key) && Conflicted.insert(Key).second) {
+        Quarantined.push_back(Key);
+        std::fprintf(stderr,
+                     "  campaign%s QUARANTINED %s: two ledger lines carry "
+                     "it with different bytes\n",
+                     Tag.c_str(), Key.c_str());
+      }
   }
   std::vector<size_t> missingIn(size_t Begin, size_t End) const {
     std::vector<size_t> Missing;
@@ -565,12 +566,14 @@ private:
 
   const CampaignOptions &Options;
   const std::vector<std::string> &Keys;
-  std::vector<std::string> &Quarantined; ///< keys of unclaimable cells
+  const std::string &Tag; ///< progress-line tag: "[<worker>]" or empty
+  std::vector<std::string> &Quarantined; ///< unclaimable, conflicting keys
   std::vector<ShardRange> Ranges;
   std::vector<char> Retired; ///< per range: never offer it again
   std::optional<ShardLease> Leases;
   RangeLease Lease; ///< the current range's lease
   std::unordered_set<std::string> Done;
+  std::unordered_set<std::string> Conflicted; ///< quarantined conflicts
   size_t ScanStart = 0, Current = 0;
   bool AllDone = false;
 };
@@ -605,12 +608,16 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
     }
   }
   CampaignProgress Progress;
-  RangePolicy Policy(Options, Keys, Progress.QuarantinedCells);
+  RangePolicy Policy(Options, Keys, Tag, Progress.QuarantinedCells);
   Progress.TotalCells = Unique.size();
   std::vector<size_t> Missing = Policy.missing();
-  Progress.AlreadyDone = Progress.TotalCells - Missing.size();
+  // So far only conflicting cells are quarantined: present, not done.
+  Progress.AlreadyDone = Progress.TotalCells - Missing.size() -
+                         Progress.QuarantinedCells.size();
   if (Missing.empty()) {
-    Progress.Complete = true;
+    std::sort(Progress.QuarantinedCells.begin(),
+              Progress.QuarantinedCells.end());
+    Progress.Complete = Progress.QuarantinedCells.empty();
     return Progress;
   }
 
@@ -716,8 +723,7 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
                              const CampaignOptions &Options,
                              CampaignResult &Out) {
   Out = CampaignResult();
-  std::unordered_map<std::string, CellResult> Ledger =
-      loadLedger(Options.ledgerPath());
+  Ledger L = loadLedger(Options.StateDir);
 
   // expandCells order is benchmark x model x scorer x batch x plan x
   // policy x rep, then noise.  A combo is one (benchmark, model, scorer,
@@ -729,11 +735,12 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
   std::vector<CampaignCell> Cells = expandCells(Spec);
   for (size_t I = 0; I != Cells.size(); ++I) {
     const CampaignCell &Cell = Cells[I];
-    auto It = Ledger.find(Cell.key(Spec));
-    if (It == Ledger.end())
+    auto It = L.Cells.find(Cell.key(Spec));
+    if (It == L.Cells.end() || L.Conflicts.count(It->first))
       return false;
+    const CellResult &Result = It->second.Result;
     if (Cell.CellKind == CampaignCell::Kind::Noise) {
-      const std::vector<double> &S = It->second.NoiseStats;
+      const std::vector<double> &S = Result.NoiseStats;
       if (S.size() != 9)
         return false;
       Out.Noise.push_back(
@@ -753,7 +760,7 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
       Runs.resize(Runs.size() + Plans);
     }
     Runs[Combo * Plans + I / (Policies * Reps) % Plans].push_back(
-        It->second.Run);
+        Result.Run);
   }
 
   // Table 1 semantics: the first fixed plan is the baseline, the first
@@ -783,102 +790,14 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
   return true;
 }
 
-Status alic::mergeLedgers(const CampaignSpec &Spec,
-                          const CampaignOptions &Options,
-                          LedgerMergeReport &Report) {
-  Report = LedgerMergeReport();
-  std::vector<std::string> Inputs = shardLedgerPaths(Options.StateDir);
-  if (Inputs.empty())
-    return Status::failure("no cells*.jsonl ledgers under " + Options.StateDir,
-                           ENOENT);
-
-  // Key -> exact line bytes (newline excluded).  The comparison is on
-  // bytes, not parsed values: equal parses with different bytes would
-  // still break the byte-identical-aggregate contract downstream.
-  std::unordered_map<std::string, std::string> LineByKey;
-  std::vector<std::string> Conflicts;
-  LogScanStats Skipped;
-  for (const std::string &Path : Inputs) {
-    ++Report.InputFiles;
-    FailOutcome F = ALIC_FAILPOINT("merge.read");
-    if (F.Fire)
-      return Status::failure("read shard ledger " + Path + " (injected)",
-                             F.Errno);
-    Status St = scanLedger(
-        Path, Skipped,
-        [&](const std::string &Line, const std::string &Key, CellResult &) {
-          ++Report.Lines;
-          auto Inserted = LineByKey.emplace(Key, Line);
-          if (Inserted.second)
-            return;
-          if (Inserted.first->second == Line)
-            ++Report.DuplicateCells; // determinism made the rerun identical
-          else
-            Conflicts.push_back(Key); // same key, different bytes: corruption
-        });
-    if (!St.ok())
-      return St;
-  }
-  Report.TornTails = Skipped.TornTails;       // sealed (dropped) tails
-  Report.SkippedGarbage = Skipped.Garbage;    // sealed crash remnants
-  Report.UniqueCells = LineByKey.size();
-
-
-  std::sort(Conflicts.begin(), Conflicts.end());
-  Conflicts.erase(std::unique(Conflicts.begin(), Conflicts.end()),
-                  Conflicts.end());
-  Report.ConflictKeys = std::move(Conflicts);
-  if (!Report.ConflictKeys.empty())
-    return Status::success(); // quarantined: report set, nothing written
-
-  // Canonical order: the spec's cells exactly as one inline process would
-  // have appended them (so the merged ledger is byte-identical to a
-  // single-process run), then foreign cells — other scales or specs
-  // sharing the state dir — in key order.
-  std::string Merged;
-  std::unordered_set<std::string> Emitted;
-  for (const CampaignCell &Cell : expandCells(Spec)) {
-    std::string Key = Cell.key(Spec);
-    auto It = LineByKey.find(Key);
-    if (It == LineByKey.end() || !Emitted.insert(Key).second)
-      continue;
-    Merged += It->second;
-    Merged += '\n';
-  }
-  std::vector<std::string> Foreign;
-  for (const auto &Entry : LineByKey)
-    if (!Emitted.count(Entry.first))
-      Foreign.push_back(Entry.first);
-  std::sort(Foreign.begin(), Foreign.end());
-  Report.ForeignCells = Foreign.size();
-  for (const std::string &Key : Foreign) {
-    Merged += LineByKey[Key];
-    Merged += '\n';
-  }
-
-  FailOutcome F = ALIC_FAILPOINT("merge.append");
-  if (F.Fire)
-    return Status::failure("write merged ledger " +
-                               Options.canonicalLedgerPath() + " (injected)",
-                           F.Errno);
-  // Atomic + durable publish: a crash mid-merge leaves the previous
-  // canonical ledger (or its absence) intact, never a half-merged one.
-  ByteWriter Writer;
-  Writer.writeRaw(Merged);
-  Status St = Writer.writeFileDurable(Options.canonicalLedgerPath());
-  if (St.ok())
-    Report.Wrote = true;
-  return St;
-}
-
 bool alic::runCampaign(const CampaignSpec &Spec,
                        const CampaignOptions &Options, CampaignResult &Out) {
   CampaignProgress Progress = runCampaignCells(Spec, Options);
   if (!Progress.Complete)
     return false;
   if (!aggregateCampaign(Spec, Options, Out))
-    fatalError("campaign ledger %s lost cells between run and aggregate",
-               Options.ledgerPath().c_str());
+    fatalError("campaign ledgers in %s lost cells between run and aggregate",
+               Options.StateDir.c_str());
   return true;
 }
 

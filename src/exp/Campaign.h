@@ -12,7 +12,9 @@
 /// x sampling plans x seeds at any ExperimentScale — into independent run
 /// cells, submits the cells as top-level tasks of a work-stealing
 /// Scheduler, and checkpoints every completed cell to a crash-safe JSONL
-/// ledger.  Cells are *nested-parallel*: each cell's learner forks its
+/// ledger.  The ledger is the union of every cells*.jsonl in the state
+/// dir: a plain run appends to cells.jsonl, each lease worker to its own
+/// cells.<worker>.jsonl, and every reader takes the union.  Cells are *nested-parallel*: each cell's learner forks its
 /// inner work (DynaTree particle shards, GP and DynaTree scoring shards)
 /// onto the same scheduler, so when the campaign tail leaves fewer cells
 /// than workers, the idle workers steal the straggler cells' inner
@@ -29,8 +31,9 @@
 ///    aggregate JSON is byte-identical at any worker thread count, under
 ///    any cell completion order, and across kill/resume boundaries;
 ///  * re-launching a spec skips every cell already present in the ledger
-///    (keys embed a fingerprint of all scale parameters, so changing the
-///    scale never resurrects stale results).
+///    union, whichever process appended it (keys embed a fingerprint of
+///    all scale parameters, so changing the scale never resurrects stale
+///    results).
 ///
 /// Expensive buildDataset profiling is memoized per (benchmark, scale,
 /// seed) in an on-disk blob cache (support/Serialize); cache hits are
@@ -178,7 +181,7 @@ struct CampaignOptions {
   /// tests force different steal interleavings; results never depend on
   /// it).
   uint64_t StealSeed = 0;
-  /// Ledger + dataset-cache directory; created on demand.
+  /// Ledgers + dataset-cache directory; created on demand.
   std::string StateDir = "alic-campaign";
   /// Attempt at most this many missing cells (0 = run to completion) —
   /// deterministic mid-campaign interruption for the resume tests and CI.
@@ -192,9 +195,9 @@ struct CampaignOptions {
 
   // --- scale-out (exp/ShardLease, ARCHITECTURE.md "Scale-out").  A lease
   // worker appends to its own ledger (cells.<worker>.jsonl) and skips
-  // nothing else: cells stay pure functions of their keys, so N workers
-  // produce the same bytes one process would, and mergeLedgers() proves
-  // it.
+  // nothing else: cells stay pure functions of their keys, so the union
+  // of N workers' ledgers holds the same lines one process would append,
+  // and a plain run aggregates it with no further step.
 
   /// Claim cell ranges at runtime by taking an exclusive flock on their
   /// lease files in leaseDir().  The kernel drops a dead worker's locks
@@ -211,15 +214,13 @@ struct CampaignOptions {
 
   /// WorkerId, or w<pid> when it is empty.
   std::string workerId() const;
-  /// The ledger this invocation appends to: the lease worker's
-  /// cells.<workerId()>.jsonl when LeaseClaim is set, else the canonical
-  /// ledger.
+  /// The ledger file this invocation appends to: the lease worker's
+  /// cells.<workerId()>.jsonl when LeaseClaim is set, else cells.jsonl.
+  /// Every reader takes the union of all cells*.jsonl under StateDir.
   std::string ledgerPath() const {
-    return LeaseClaim ? StateDir + "/cells." + workerId() + ".jsonl"
-                      : canonicalLedgerPath();
+    return StateDir + (LeaseClaim ? "/cells." + workerId() + ".jsonl"
+                                  : "/cells.jsonl");
   }
-  /// The canonical (merged / single-process) ledger path under StateDir.
-  std::string canonicalLedgerPath() const { return StateDir + "/cells.jsonl"; }
   /// The lease-file directory under StateDir (lease mode).
   std::string leaseDir() const { return StateDir + "/leases"; }
   /// The dataset blob cache directory under StateDir.
@@ -229,18 +230,20 @@ struct CampaignOptions {
 /// What one runCampaignCells invocation did.
 struct CampaignProgress {
   size_t TotalCells = 0;   ///< cells the spec expands to
-  size_t AlreadyDone = 0;  ///< of TotalCells, found complete in the ledger(s)
+  size_t AlreadyDone = 0;  ///< of TotalCells, found complete in the ledger
   size_t NewlyRun = 0;     ///< computed and durably appended by this invocation
-  /// Every spec cell is now in the ledger (lease claiming: in the union
-  /// of worker ledgers).
+  /// Every spec cell is now in the ledger union, and none conflicts.
   bool Complete = false;
-  /// Keys of cells this invocation gave up on: their ledger append failed
-  /// even after the bounded retry/backoff (e.g. the disk filled up), or
-  /// their range's lease claim failed with an error.  The campaign
-  /// *finishes the remaining cells* instead of aborting; quarantined
-  /// cells are simply absent from the ledger, so re-launching the same
-  /// spec retries exactly those and the final aggregate is byte-identical
-  /// to an uninterrupted run.  Non-empty implies !Complete.
+  /// Keys of cells this invocation gave up on, sorted.  The campaign
+  /// *finishes the remaining cells* instead of aborting.  Two causes are
+  /// transient: a ledger append that failed even after the bounded
+  /// retry/backoff (e.g. the disk filled up), or a range's lease claim
+  /// that failed with an error.  Those cells are simply absent from the
+  /// ledger, so re-launching the same spec retries exactly them and the
+  /// final aggregate is byte-identical to an uninterrupted run.  The third
+  /// is corruption: two complete lines carry the cell with different
+  /// bytes.  Such a cell is never rerun, and it stays quarantined until
+  /// the wrong line is removed.  Non-empty implies !Complete.
   std::vector<std::string> QuarantinedCells;
   // Scheduler observability (never part of any result).
   unsigned WorkersUsed = 0;  ///< scheduler worker threads (0 = inline)
@@ -253,20 +256,22 @@ struct CampaignProgress {
 /// then noise.
 std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 
-/// Runs every spec cell missing from the ledger, sharding across
-/// Options.Threads workers; each completed cell is appended to the ledger
-/// crash-safely (single flushed+synced write).
+/// Runs every spec cell missing from the ledger union, sharding across
+/// Options.Threads workers; each completed cell is appended to
+/// Options.ledgerPath() crash-safely (single flushed+synced write).
 ///
 /// One loop serves both modes: take a range of the canonical unique-cell
 /// list, run its missing cells, append them, repeat.  The modes differ
 /// only in how a range is obtained — the default run offers the whole
 /// list once; with LeaseClaim set, ranges are claimed through
-/// exp/ShardLease and the union of worker ledgers is rescanned until no
-/// spec cell is missing.  A lease worker appends to its own ledger, and
-/// mergeLedgers() folds the worker ledgers back into the canonical one.
-/// In both modes ShuffleSeed orders each range's missing cells and
-/// MaxCells caps the cells attempted.  A spec with nothing missing opens
-/// no file for writing and starts no scheduler.
+/// exp/ShardLease and the union is reread after every claim until no
+/// spec cell is missing.  In both modes ShuffleSeed orders each range's
+/// missing cells and MaxCells caps the cells attempted.  A spec with
+/// nothing missing opens no file for writing and starts no scheduler.
+///
+/// Reading the union, byte-identical duplicate lines collapse, and torn
+/// tails and unparsable lines are skipped.  A spec cell that two complete
+/// lines carry with different bytes is quarantined and never rerun.
 ///
 /// I/O failures *degrade* instead of aborting: a failed append is
 /// retried with bounded exponential backoff (fault-injection sites
@@ -281,52 +286,15 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 CampaignProgress runCampaignCells(const CampaignSpec &Spec,
                                   const CampaignOptions &Options);
 
-/// What one mergeLedgers invocation saw and did.
-struct LedgerMergeReport {
-  size_t InputFiles = 0;     ///< cells*.jsonl ledgers read under StateDir
-  size_t Lines = 0;          ///< parsed cell lines across all inputs
-  size_t UniqueCells = 0;    ///< distinct cell keys in the union
-  size_t DuplicateCells = 0; ///< byte-identical duplicate lines dropped
-  size_t ForeignCells = 0;   ///< union cells outside this spec (other
-                             ///< scales sharing the ledger; kept, after
-                             ///< the spec's cells, in key order)
-  size_t TornTails = 0;      ///< unterminated trailing lines sealed off
-  size_t SkippedGarbage = 0; ///< complete-but-unparsable lines skipped
-                             ///< (sealed crash remnants)
-  /// Cell keys that appear in two inputs with *different* bytes.  Cells
-  /// are deterministic, so this never happens in a healthy fleet — it is
-  /// a corruption signal (mixed-up state dirs, bit rot, a tampered
-  /// shard).  Non-empty quarantines the merge: the canonical ledger is
-  /// not written and the CLI exits 74, the PR 7 quarantine discipline.
-  std::vector<std::string> ConflictKeys; ///< sorted, deduplicated
-  bool Wrote = false; ///< the canonical ledger was atomically replaced
-};
-
-/// Unions every shard ledger (cells*.jsonl, the canonical ledger
-/// included — merging is idempotent) under Options.StateDir into the
-/// canonical ledger, written atomically and durably (tmp + fsync + rename
-/// + dir fsync).  Per input, an unterminated trailing line is sealed off
-/// (dropped) and unparsable complete lines are skipped, exactly like
-/// ledger loading.  Output order is canonical: the spec's cells in
-/// expandCells order first (which makes the merged ledger byte-identical
-/// to one produced by a single inline process), then any foreign cells in
-/// lexicographic key order.  Duplicate keys are tolerated only when their
-/// lines are byte-identical; conflicting duplicates land in
-/// Report.ConflictKeys and suppress the write (see LedgerMergeReport).
-/// The returned Status is a *read/write I/O* verdict — a conflicted merge
-/// returns ok() with ConflictKeys set.  Fault-injection sites: merge.read
-/// (per-input open/read), merge.append (the canonical write).
-Status mergeLedgers(const CampaignSpec &Spec, const CampaignOptions &Options,
-                    LedgerMergeReport &Report);
-
-/// Aggregates a campaign from the ledger alone (never from in-memory
-/// results — the single code path that makes resumed and uninterrupted
-/// runs byte-identical).  Returns false when any spec cell is missing.
+/// Aggregates a campaign from the ledger union alone (never from
+/// in-memory results — the single code path that makes resumed,
+/// uninterrupted and lease-sharded runs byte-identical).  Returns false
+/// when any spec cell is missing or its lines conflict.
 bool aggregateCampaign(const CampaignSpec &Spec,
                        const CampaignOptions &Options, CampaignResult &Out);
 
-/// runCampaignCells + aggregateCampaign.  Returns false when interrupted
-/// by MaxCells before completion.
+/// runCampaignCells + aggregateCampaign.  Returns false when the run did
+/// not complete (MaxCells interrupted it, or cells are quarantined).
 bool runCampaign(const CampaignSpec &Spec, const CampaignOptions &Options,
                  CampaignResult &Out);
 

@@ -24,9 +24,10 @@
 /// correct state, so claims write and fsync nothing.
 ///
 /// Safety does NOT rest on the leases: campaign cells are pure functions
-/// of their keys and the ledger merge tolerates byte-identical duplicate
-/// lines, so the worst outcome of a failure of exclusion is duplicated
-/// work, never a wrong result.  See ARCHITECTURE.md's Scale-out section.
+/// of their keys and the ledger loader collapses byte-identical duplicate
+/// lines across the worker ledgers, so the worst outcome of a failure of
+/// exclusion is duplicated work, never a wrong result.  See
+/// ARCHITECTURE.md's Scale-out section.
 ///
 /// Fault-injection site: lease.acquire.
 ///

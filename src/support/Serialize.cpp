@@ -221,7 +221,8 @@ Status tryAppendLine(std::FILE *Out, const std::string &Path,
 
 // Doc comments in Serialize.h: the append-log idiom.
 std::FILE *alic::openAppendLog(const std::string &Path) {
-  bool Existed = std::filesystem::exists(Path);
+  std::error_code Ec; // an unsearchable path fails the fopen below
+  bool Existed = std::filesystem::exists(Path, Ec);
   std::FILE *Out = std::fopen(Path.c_str(), "a+b"); // writes land at the end
   if (!Out)
     return nullptr;

@@ -90,7 +90,7 @@ public:
   /// u64 length followed by the bytes.
   void writeString(const std::string &Value);
   /// Raw bytes, verbatim, no length prefix — for text artifacts (e.g.
-  /// the merged campaign ledger) that want writeFileDurable's atomic
+  /// a session log's header line) that want writeFileDurable's atomic
   /// durable publish without the binary framing.
   void writeRaw(const std::string &Value) {
     Buffer.insert(Buffer.end(), Value.begin(), Value.end());

@@ -366,7 +366,7 @@ TEST(CampaignTest, PolicySweepAggregatesSkipsAndStaysLegacyCleanByDefault) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scale-out: shard ledgers, lease claiming, verified merge
+// Scale-out: the ledger union, lease claiming
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -392,6 +392,27 @@ std::vector<std::string> ledgerLines(const std::string &Path) {
   return Lines;
 }
 
+/// The complete lines of every cells*.jsonl in \p StateDir, sorted.
+std::vector<std::string> unionLines(const std::string &StateDir) {
+  std::vector<std::string> Lines;
+  for (const auto &Entry : std::filesystem::directory_iterator(StateDir)) {
+    std::string Name = Entry.path().filename().string();
+    if (Name.rfind("cells", 0) == 0 && Name.size() > 6 &&
+        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
+      for (std::string &Line : ledgerLines(Entry.path().string()))
+        Lines.push_back(std::move(Line));
+  }
+  std::sort(Lines.begin(), Lines.end());
+  return Lines;
+}
+
+/// The cell key a ledger line carries.
+std::string lineKey(const std::string &Line) {
+  const std::string Prefix = "{\"cell\":\"";
+  return Line.substr(Prefix.size(),
+                     Line.find('"', Prefix.size()) - Prefix.size());
+}
+
 void writeShard(const std::string &Path, const std::vector<std::string> &Lines,
                 const std::string &Tail = "") {
   std::ofstream Out(Path, std::ios::binary);
@@ -411,25 +432,35 @@ std::string referenceCampaign(const CampaignSpec &Spec,
   return Options.StateDir;
 }
 
+/// Every file under \p Dir with its size.
+std::set<std::pair<std::string, uintmax_t>> listing(const std::string &Dir) {
+  std::set<std::pair<std::string, uintmax_t>> Files;
+  for (const auto &Entry : std::filesystem::recursive_directory_iterator(Dir))
+    Files.insert({Entry.path().string(),
+                  Entry.is_regular_file() ? Entry.file_size() : 0});
+  return Files;
+}
+
 } // namespace
 
-TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
+TEST(CampaignUnionTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
   CampaignSpec Spec = tinySpec();
-  std::string RefDir = referenceCampaign(Spec, "merge_ref");
+  std::string RefDir = referenceCampaign(Spec, "union_ref");
   CampaignOptions Ref;
   Ref.StateDir = RefDir;
-  std::string RefBytes = readFileBytes(Ref.canonicalLedgerPath());
-  std::vector<std::string> Lines = ledgerLines(Ref.canonicalLedgerPath());
+  std::vector<std::string> Lines = ledgerLines(Ref.ledgerPath());
   ASSERT_GT(Lines.size(), 5u);
   CampaignResult RefResult;
   ASSERT_TRUE(aggregateCampaign(Spec, Ref, RefResult));
   std::string RefJson = campaignJson(Spec, RefResult);
 
   // Seeded deals of the reference lines (each ends in '\n') into 1-5
-  // shard ledgers, each line in a random shard, each shard in random
+  // ledgers, the plain run's cells.jsonl and lease workers'
+  // cells.w<S>.jsonl, each line in a random ledger, each ledger in random
   // order, plus what a killed worker fleet leaves behind in random
   // numbers: byte-identical duplicates, sealed garbage lines and torn
-  // tails.
+  // tails.  The union is the whole ledger: a relaunch runs nothing, and
+  // the aggregate is the single-process one.
   auto AnyLine = [&](Rng &R) -> const std::string & {
     return Lines[R.nextBounded(Lines.size())];
   };
@@ -444,7 +475,7 @@ TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
     };
     for (const std::string &Line : Lines)
       AnyShard().push_back(Line);
-    size_t Duplicates = R.nextBounded(4), Garbage = R.nextBounded(4), Torn = 0;
+    size_t Duplicates = R.nextBounded(4), Garbage = R.nextBounded(4);
     for (size_t I = 0; I != Duplicates; ++I)
       AnyShard().push_back(AnyLine(R));
     // A sealed crash remnant: a line cut before its closing brace, then
@@ -455,7 +486,8 @@ TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
                            "\n");
     }
     CampaignOptions Sharded;
-    Sharded.StateDir = freshStateDir("merge_shards");
+    Sharded.StateDir = freshStateDir("union_shards");
+    Sharded.Quiet = true;
     std::filesystem::create_directories(Sharded.StateDir);
     for (size_t S = 0; S != Shards.size(); ++S) {
       R.shuffle(Shards[S]);
@@ -464,44 +496,28 @@ TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
       if (R.nextBernoulli(0.5)) {
         const std::string &Line = AnyLine(R);
         Tail = Line.substr(0, 1 + R.nextBounded(Line.size() - 1));
-        ++Torn;
+        ++PlantedTorn;
       }
-      writeShard(Sharded.StateDir + "/cells.w" + std::to_string(S) + ".jsonl",
+      writeShard(Sharded.StateDir +
+                     (S ? "/cells.w" + std::to_string(S) + ".jsonl"
+                        : "/cells.jsonl"),
                  Shards[S], Tail);
     }
     PlantedDuplicates += Duplicates;
     PlantedGarbage += Garbage;
-    PlantedTorn += Torn;
     MinShards = std::min(MinShards, Shards.size());
     MaxShards = std::max(MaxShards, Shards.size());
 
-    LedgerMergeReport Report;
-    ASSERT_TRUE(mergeLedgers(Spec, Sharded, Report).ok());
-    EXPECT_TRUE(Report.Wrote);
-    EXPECT_TRUE(Report.ConflictKeys.empty());
-    EXPECT_EQ(Report.InputFiles, Shards.size());
-    EXPECT_EQ(Report.Lines, Lines.size() + Duplicates);
-    EXPECT_EQ(Report.UniqueCells, Lines.size());
-    EXPECT_EQ(Report.DuplicateCells, Duplicates);
-    EXPECT_EQ(Report.TornTails, Torn);
-    EXPECT_EQ(Report.SkippedGarbage, Garbage);
-    EXPECT_EQ(Report.ForeignCells, 0u);
-
-    // The merged canonical ledger is byte-identical to the single-process
-    // one, and aggregates to the same JSON.
-    EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
-    CampaignResult MergedResult;
-    ASSERT_TRUE(aggregateCampaign(Spec, Sharded, MergedResult));
-    EXPECT_EQ(campaignJson(Spec, MergedResult), RefJson);
-
-    // Merging is idempotent: a second merge over its own output changes
-    // nothing (the canonical ledger is itself an input).
-    LedgerMergeReport Again;
-    ASSERT_TRUE(mergeLedgers(Spec, Sharded, Again).ok());
-    EXPECT_EQ(readFileBytes(Sharded.canonicalLedgerPath()), RefBytes);
+    CampaignProgress Resumed = runCampaignCells(Spec, Sharded);
+    EXPECT_EQ(Resumed.NewlyRun, 0u);
+    EXPECT_EQ(Resumed.AlreadyDone, Resumed.TotalCells);
+    EXPECT_TRUE(Resumed.Complete);
+    CampaignResult UnionResult;
+    ASSERT_TRUE(aggregateCampaign(Spec, Sharded, UnionResult));
+    EXPECT_EQ(campaignJson(Spec, UnionResult), RefJson);
     std::filesystem::remove_all(Sharded.StateDir);
   }
-  // The deals span 1 to 5 shards and planted every kind of debris.
+  // The deals span 1 to 5 ledgers and planted every kind of debris.
   EXPECT_EQ(MinShards, 1u);
   EXPECT_EQ(MaxShards, 5u);
   EXPECT_GT(PlantedDuplicates, 0u);
@@ -510,15 +526,15 @@ TEST(CampaignMergeTest, ShuffledDuplicatedTornShardsMergeByteIdentical) {
   std::filesystem::remove_all(RefDir);
 }
 
-TEST(CampaignMergeTest, ConflictingDuplicateQuarantinesTheMerge) {
+TEST(CampaignUnionTest, ConflictingDuplicateQuarantinesItsCell) {
   CampaignSpec Spec = tinySpec();
   std::string RefDir = referenceCampaign(Spec, "conflict_ref");
   CampaignOptions Ref;
   Ref.StateDir = RefDir;
-  std::vector<std::string> Lines = ledgerLines(Ref.canonicalLedgerPath());
+  std::vector<std::string> Lines = ledgerLines(Ref.ledgerPath());
   ASSERT_GT(Lines.size(), 2u);
 
-  // Shard B carries the same cell as shard A with one digit flipped —
+  // Ledger B carries the same cell as ledger A with one digit flipped —
   // still parsable, same key, different bytes.  Cells are deterministic,
   // so this is corruption, never a legitimate state.
   std::string Tampered = Lines[0];
@@ -530,28 +546,42 @@ TEST(CampaignMergeTest, ConflictingDuplicateQuarantinesTheMerge) {
 
   CampaignOptions Sharded;
   Sharded.StateDir = freshStateDir("conflict_shards");
+  Sharded.Quiet = true;
   std::filesystem::create_directories(Sharded.StateDir);
   writeShard(Sharded.StateDir + "/cells.w0.jsonl", Lines);
   writeShard(Sharded.StateDir + "/cells.w1.jsonl", {Tampered});
+  auto Before = listing(Sharded.StateDir);
 
-  LedgerMergeReport Report;
-  ASSERT_TRUE(mergeLedgers(Spec, Sharded, Report).ok());
-  EXPECT_FALSE(Report.Wrote);
-  ASSERT_EQ(Report.ConflictKeys.size(), 1u);
-  EXPECT_NE(Lines[0].find(Report.ConflictKeys[0]), std::string::npos);
-  // Quarantined: the canonical ledger was not written at all.
-  EXPECT_FALSE(std::filesystem::exists(Sharded.canonicalLedgerPath()));
+  // A plain run and a lease worker alike quarantine exactly that key and
+  // neither rerun nor append anything.
+  for (bool Lease : {false, true}) {
+    SCOPED_TRACE(Lease ? "lease worker" : "plain run");
+    CampaignOptions Invocation = Sharded;
+    Invocation.LeaseClaim = Lease;
+    Invocation.WorkerId = Lease ? "w2" : "";
+    CampaignProgress Progress = runCampaignCells(Spec, Invocation);
+    EXPECT_FALSE(Progress.Complete);
+    EXPECT_EQ(Progress.NewlyRun, 0u);
+    EXPECT_EQ(Progress.AlreadyDone, Progress.TotalCells - 1);
+    EXPECT_EQ(Progress.QuarantinedCells,
+              std::vector<std::string>{lineKey(Lines[0])});
+    EXPECT_EQ(listing(Sharded.StateDir), Before);
+  }
+  // The aggregate refuses the conflicting cell.
+  CampaignResult Result;
+  EXPECT_FALSE(aggregateCampaign(Spec, Sharded, Result));
 
   std::filesystem::remove_all(RefDir);
   std::filesystem::remove_all(Sharded.StateDir);
 }
 
-TEST(CampaignMergeTest, LeaseWorkersCooperateToByteIdenticalUnion) {
+TEST(CampaignUnionTest, LeaseWorkersCooperateToByteIdenticalUnion) {
   CampaignSpec Spec = tinySpec();
   std::string RefDir = referenceCampaign(Spec, "lease_ref");
   CampaignOptions Ref;
   Ref.StateDir = RefDir;
-  std::string RefBytes = readFileBytes(Ref.canonicalLedgerPath());
+  std::vector<std::string> RefLines = ledgerLines(Ref.ledgerPath());
+  std::sort(RefLines.begin(), RefLines.end());
 
   // Two lease-claiming workers race over one state dir (threads here,
   // processes in tools/chaos_smoke.py; flock locks belong to the open
@@ -580,34 +610,26 @@ TEST(CampaignMergeTest, LeaseWorkersCooperateToByteIdenticalUnion) {
     EXPECT_TRUE(P.QuarantinedCells.empty());
     NewlyRun += P.NewlyRun;
   }
-  // Each claim rescans the ledgers under its lock, so no cell ran twice.
+  // Each claim rescans the ledgers under its lock, so no cell ran twice:
+  // the worker ledgers hold exactly the single-process lines.
   EXPECT_EQ(NewlyRun, expandCells(Spec).size());
+  EXPECT_EQ(unionLines(Base.StateDir), RefLines);
 
-  LedgerMergeReport Report;
-  ASSERT_TRUE(mergeLedgers(Spec, Base, Report).ok());
-  EXPECT_TRUE(Report.Wrote);
-  EXPECT_TRUE(Report.ConflictKeys.empty());
-  EXPECT_EQ(Report.DuplicateCells, 0u);
-  EXPECT_EQ(readFileBytes(Base.canonicalLedgerPath()), RefBytes);
+  // A plain run over the fleet's state dir runs nothing and aggregates
+  // the union.
+  CampaignOptions Plain;
+  Plain.StateDir = Base.StateDir;
+  Plain.Quiet = true;
+  CampaignProgress After = runCampaignCells(Spec, Plain);
+  EXPECT_TRUE(After.Complete);
+  EXPECT_EQ(After.NewlyRun, 0u);
+  CampaignResult FleetResult, RefResult;
+  ASSERT_TRUE(aggregateCampaign(Spec, Plain, FleetResult));
+  ASSERT_TRUE(aggregateCampaign(Spec, Ref, RefResult));
+  EXPECT_EQ(campaignJson(Spec, FleetResult), campaignJson(Spec, RefResult));
 
   std::filesystem::remove_all(RefDir);
   std::filesystem::remove_all(Base.StateDir);
-}
-
-TEST(CampaignMergeTest, MergeReadFailpointFailsTheMergeCleanly) {
-  CampaignSpec Spec = tinySpec();
-  std::string RefDir = referenceCampaign(Spec, "merge_fp");
-  CampaignOptions Ref;
-  Ref.StateDir = RefDir;
-
-  FailSpec Fail;
-  Fail.Nth = 1;
-  Fail.Count = 1;
-  ScopedFailPoint Armed("merge.read", Fail);
-  LedgerMergeReport Report;
-  EXPECT_FALSE(mergeLedgers(Spec, Ref, Report).ok());
-  EXPECT_FALSE(Report.Wrote);
-  std::filesystem::remove_all(RefDir);
 }
 
 //===----------------------------------------------------------------------===//
@@ -619,7 +641,7 @@ namespace {
 /// The two ways runCampaignCells obtains ranges of the cell list.
 enum class RangeMode {
   Default, ///< the whole list once
-  Lease    ///< one --lease-claim worker over 4-cell ranges, then merge
+  Lease    ///< one --lease-claim worker over 4-cell ranges
 };
 
 std::string modeName(const ::testing::TestParamInfo<RangeMode> &Info) {
@@ -643,22 +665,13 @@ CampaignOptions invocationFor(RangeMode Mode, CampaignOptions Options) {
   return Options;
 }
 
-/// Runs the campaign in \p Options.StateDir under \p Mode, then merges
-/// into the canonical ledger when lease claiming.
+/// Runs the campaign in \p Options.StateDir under \p Mode.
 CampaignProgress runUnder(RangeMode Mode, const CampaignSpec &Spec,
                           const CampaignOptions &Options) {
-  CampaignProgress Progress =
-      runCampaignCells(Spec, invocationFor(Mode, Options));
-  if (Mode == RangeMode::Lease) {
-    LedgerMergeReport Report;
-    EXPECT_TRUE(mergeLedgers(Spec, Options, Report).ok());
-    EXPECT_TRUE(Report.ConflictKeys.empty());
-  }
-  return Progress;
+  return runCampaignCells(Spec, invocationFor(Mode, Options));
 }
 
-
-/// The aggregate of the canonical ledger in \p Options.StateDir.
+/// The aggregate of the ledger union in \p Options.StateDir.
 std::string aggregateJson(const CampaignSpec &Spec,
                           const CampaignOptions &Options) {
   CampaignResult Result;
@@ -819,16 +832,7 @@ TEST_P(CampaignPolicyTest, RelaunchWithNothingMissingWritesNothing) {
   Options.StateDir = stateDir("noop");
   Options.Threads = 2;
   ASSERT_TRUE(runUnder(GetParam(), Spec, Options).Complete);
-  auto listing = [&] {
-    std::set<std::pair<std::string, uintmax_t>> Files;
-    for (const auto &Entry :
-         std::filesystem::recursive_directory_iterator(Options.StateDir))
-      Files.insert({Entry.path().string(), Entry.is_regular_file()
-                                                 ? Entry.file_size()
-                                                 : 0});
-    return Files;
-  };
-  auto Before = listing();
+  auto Before = listing(Options.StateDir);
   CampaignOptions Invocation = invocationFor(GetParam(), Options);
   if (Invocation.LeaseClaim)
     Invocation.WorkerId = "w1";
@@ -836,7 +840,7 @@ TEST_P(CampaignPolicyTest, RelaunchWithNothingMissingWritesNothing) {
   EXPECT_TRUE(Again.Complete);
   EXPECT_EQ(Again.NewlyRun, 0u);
   EXPECT_EQ(Again.WorkersUsed, 0u);
-  EXPECT_EQ(listing(), Before);
+  EXPECT_EQ(listing(Options.StateDir), Before);
   std::filesystem::remove_all(Options.StateDir);
 }
 
@@ -882,15 +886,12 @@ TEST(CampaignPolicyRulesTest, InlineLeaseRangeShufflesLikeAnUnshardedRun) {
   Lease.LeaseRangeCells = unsigned(expandCells(Spec).size());
   ASSERT_TRUE(runCampaignCells(Spec, Lease).Complete);
 
-  std::vector<std::string> Expected =
-      ledgerLines(Unsharded.canonicalLedgerPath());
+  std::vector<std::string> Expected = ledgerLines(Unsharded.ledgerPath());
   EXPECT_EQ(ledgerLines(Lease.ledgerPath()), Expected);
   // The shuffle really moved cells away from spec order.
-  const std::string Prefix = "{\"cell\":\"";
   std::vector<std::string> Appended, SpecOrder;
   for (const std::string &Line : Expected)
-    Appended.push_back(Line.substr(
-        Prefix.size(), Line.find('"', Prefix.size()) - Prefix.size()));
+    Appended.push_back(lineKey(Line));
   for (const CampaignCell &Cell : expandCells(Spec))
     SpecOrder.push_back(Cell.key(Spec));
   EXPECT_NE(Appended, SpecOrder);
@@ -962,7 +963,7 @@ class CorruptCountTest : public ::testing::TestWithParam<BadCount> {};
 
 } // namespace
 
-TEST_P(CorruptCountTest, LineIsGarbageMergeSkipsItAndResumeRerunsIt) {
+TEST_P(CorruptCountTest, LineIsGarbageAndResumeRerunsIt) {
   // A count that no size_t holds — negative, fractional, out of range —
   // must make its line garbage, never a cast into the aggregate.
   CampaignSpec Spec = tinySpec();
@@ -970,7 +971,7 @@ TEST_P(CorruptCountTest, LineIsGarbageMergeSkipsItAndResumeRerunsIt) {
       referenceCampaign(Spec, std::string("badcount_ref_") + GetParam().Name);
   CampaignOptions Ref;
   Ref.StateDir = RefDir;
-  std::vector<std::string> Lines = ledgerLines(Ref.canonicalLedgerPath());
+  std::vector<std::string> Lines = ledgerLines(Ref.ledgerPath());
   ASSERT_GT(Lines.size(), 1u);
   const std::string Field = "\"iterations\":";
   size_t Begin = Lines[0].find(Field);
@@ -986,13 +987,9 @@ TEST_P(CorruptCountTest, LineIsGarbageMergeSkipsItAndResumeRerunsIt) {
   std::filesystem::create_directories(Options.StateDir);
   writeShard(Options.StateDir + "/cells.w0.jsonl", Lines);
 
-  LedgerMergeReport Report;
-  ASSERT_TRUE(mergeLedgers(Spec, Options, Report).ok());
-  EXPECT_EQ(Report.SkippedGarbage, 1u);
-  EXPECT_EQ(Report.UniqueCells, Lines.size() - 1);
-
   CampaignProgress Resumed = runCampaignCells(Spec, Options);
   EXPECT_TRUE(Resumed.Complete);
+  EXPECT_EQ(Resumed.AlreadyDone, Lines.size() - 1);
   EXPECT_EQ(Resumed.NewlyRun, 1u);
   CampaignResult RefResult;
   ASSERT_TRUE(aggregateCampaign(Spec, Ref, RefResult));

@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -546,6 +548,25 @@ TEST(SerializeTest, AtomicFileRoundTrip) {
   EXPECT_DOUBLE_EQ(D, 2.5);
   EXPECT_TRUE(R.atEnd());
   std::remove(Path.c_str());
+}
+
+TEST(SerializeTest, AppendLogOpenFailureReturnsNullWithoutThrowing) {
+  // openAppendLog's contract is nullptr with errno set: a path component
+  // longer than NAME_MAX fails the open, and the first-create check
+  // before it must not throw instead.
+  std::string Path =
+      ::testing::TempDir() + std::string(300, 'a') + "/sess-x.alsv";
+  std::FILE *Out = nullptr;
+  int Errno = 0;
+  EXPECT_NO_THROW({
+    errno = 0;
+    Out = openAppendLog(Path);
+    Errno = errno;
+  });
+  EXPECT_EQ(Out, nullptr);
+  EXPECT_EQ(Errno, ENAMETOOLONG);
+  if (Out)
+    std::fclose(Out);
 }
 
 //===----------------------------------------------------------------------===//

@@ -26,11 +26,12 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    while it holds a range and leaves a one-line `cells.w0.jsonl`.  Two
    survivors start at once: the kernel dropped the dead worker's range
    locks when it died, so they claim its ranges with no expiry and
-   finish.  The union of shard ledgers is merged with `--merge-ledgers`;
-   the merge must report 0 duplicates, and the merged canonical ledger
-   plus the re-aggregated BENCH_campaign.json must be byte-identical to a
-   single-process reference.  w0 runs alone so that no cell cost lets
-   the survivors drain the spec before its armed site is reached.
+   finish.  The complete lines of every `cells*.jsonl` must then be the
+   single-process reference ledger's lines, each exactly once (no cell
+   ran twice), and a plain run over the state dir must run nothing and
+   render a BENCH_campaign.json byte-identical to the reference.  w0
+   runs alone so that no cell cost lets the survivors drain the spec
+   before its armed site is reached.
 
 4. *serve session-log crash loops* — for every durable write a session
    makes (session.header at the open, session.append and session.sync
@@ -49,6 +50,8 @@ the real binaries, checking the repo's degrade-don't-abort contract:
    lease-expiry flags and the retired `--shard=0/3` each exit 2 with the
    usage text, and so do `--lease-range-cells=0`, and `--worker-id=w0` or
    `--lease-range-cells=4` without `--lease-claim`.  None writes anything.
+   A finished campaign whose `--out` cannot be written (`/dev/full`: the
+   write lands in the stdio buffer, the close fails) exits 1 naming it.
 
 stdlib-only by design: CI runs it with a bare python3.  The serve
 client and its synthetic costs come from tools/serve_smoke.py.
@@ -94,6 +97,17 @@ SERVE_SPEC = {
 def read_bytes(path):
     with open(path, "rb") as stream:
         return stream.read()
+
+
+def union_lines(state_dir):
+    """The complete lines of every cells*.jsonl in state_dir, sorted.  A
+    killed worker's torn tail has no newline and is left out."""
+    lines = []
+    for name in os.listdir(state_dir):
+        if name.startswith("cells") and name.endswith(".jsonl"):
+            data = read_bytes(os.path.join(state_dir, name))
+            lines += data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]
+    return sorted(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,7 @@ def campaign_sharded_kill(binary, workdir, small):
     if proc.returncode != 0:
         fail(f"sharded reference failed: rc={proc.returncode}\n{proc.stderr}")
     reference_json = read_bytes(ref_out)
-    reference_ledger = read_bytes(os.path.join(ref_dir, "cells.jsonl"))
+    reference_lines = union_lines(ref_dir)
 
     for failpoints in LEASE_KILLS:
         site = failpoints.split("=")[0]
@@ -259,7 +273,7 @@ def campaign_sharded_kill(binary, workdir, small):
             if (not os.path.exists(ledger)
                     or read_bytes(ledger).count(b"\n") != 1):
                 fail(f"{site}: the dead worker did not leave a one-line "
-                     f"shard ledger")
+                     f"worker ledger")
         # The survivors start at once: w0's locks died with it.
         procs = [start_lease_worker(binary, state_dir, workdir, tag, small,
                                     worker, range_cells)
@@ -269,33 +283,27 @@ def campaign_sharded_kill(binary, workdir, small):
             if code != 0:
                 fail(f"{site}: survivor w{worker} exited {code}\n{stderr}")
 
-        # Merge the survivors' (and the victim's partial) shard ledgers:
-        # the canonical ledger must be byte-identical to the
-        # single-process reference, and so must the re-aggregated JSON.
-        merge = subprocess.run(
-            [binary, f"--state-dir={state_dir}", "--merge-ledgers"]
-            + spec_flags(small),
-            env=dict(os.environ, ALIC_SCALE="smoke"), capture_output=True,
-            text=True)
-        if merge.returncode != 0:
-            fail(f"{site}: merge exited {merge.returncode}\n{merge.stderr}")
-        # Each claim rescans the ledgers under its lock, so no cell ran
-        # twice, not even the dead worker's.
-        if "(0 duplicate(s)," not in merge.stdout:
-            fail(f"{site}: the merge found duplicate cells: {merge.stdout}")
-        merged_ledger = read_bytes(os.path.join(state_dir, "cells.jsonl"))
-        if merged_ledger != reference_ledger:
-            fail(f"{site}: merged ledger diverged from the single-process "
-                 f"reference ({state_dir}/cells.jsonl)")
+        # The survivors' (and the victim's partial) worker ledgers hold
+        # the single-process lines, each once: every claim rescans the
+        # ledgers under its lock, so no cell ran twice, not even the dead
+        # worker's.
+        if union_lines(state_dir) != reference_lines:
+            fail(f"{site}: the worker ledgers in {state_dir} are not the "
+                 f"single-process ledger's {len(reference_lines)} lines, "
+                 f"each once")
+        # A plain run reads the union: it runs nothing and renders the
+        # reference aggregate.
         out = os.path.join(workdir, f"shard_{tag}.json")
         proc = run_campaign(binary, state_dir, out, small=small)
         if proc.returncode != 0:
-            fail(f"{site}: aggregate over merged ledger exited "
+            fail(f"{site}: aggregate over the worker ledgers exited "
                  f"{proc.returncode}\n{proc.stderr}")
+        if ", 0 run now" not in proc.stdout:
+            fail(f"{site}: the plain run reran cells: {proc.stdout}")
         if read_bytes(out) != reference_json:
-            fail(f"{site}: aggregate diverged from reference after merge")
+            fail(f"{site}: aggregate diverged from reference")
         print(f"chaos_smoke: campaign sharded ({label}) {site}: w0 killed, "
-              f"survivors reclaimed, merge byte-identical, 0 duplicates")
+              f"survivors reclaimed, union byte-identical, 0 duplicates")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +480,22 @@ def campaign_refusals(binary, workdir):
         if proc.stdout or os.path.exists(state_dir) or os.path.exists(out):
             fail(f"{name} campaign did work before refusing")
         print(f"chaos_smoke: campaign {name}: exit 2 before any work")
+
+    # An --out that cannot be written fails the run, even when the write
+    # only fails at the close's flush.  The crash loops' reference state
+    # dir is complete, so this run computes nothing.
+    if os.path.exists("/dev/full"):
+        proc = run_campaign(binary, os.path.join(workdir, "ref"),
+                            "/dev/full", small=True)
+        if proc.returncode != 1 or "cannot write /dev/full" not in proc.stderr:
+            fail(f"--out=/dev/full campaign exited {proc.returncode}, want 1 "
+                 f"naming the path\n{proc.stdout}{proc.stderr}")
+        if "written:" in proc.stdout:
+            fail(f"--out=/dev/full campaign claims a write: {proc.stdout}")
+        print("chaos_smoke: campaign --out=/dev/full: exit 1, nothing "
+              "claimed written")
+    else:
+        print("chaos_smoke: campaign --out=/dev/full: skipped (no /dev/full)")
 
 
 # ---------------------------------------------------------------------------
